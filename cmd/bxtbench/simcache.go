@@ -22,7 +22,8 @@ import (
 )
 
 // The -simcache mode measures the similarity cache tier two ways: the raw
-// lookup path per outcome (exact hit, near hit, miss, insert), and the full
+// lookup path per outcome (exact hit, near hit, miss, insert, and
+// insert-with-eviction on a full cache with clustered buckets), and the full
 // gateway pipeline over a Zipf hot-key trace with the tier off and on — the
 // serving-latency claim the cache exists to earn.
 
@@ -61,7 +62,8 @@ type simcacheReport struct {
 }
 
 // benchSimLookups measures the cache's own hot paths against a populated
-// instance: the three lookup outcomes plus the insert path.
+// instance: the three lookup outcomes plus the insert path, then the
+// insert-evict path on a full one.
 func benchSimLookups(txnBytes int) ([]simLookupResult, error) {
 	c, err := simcache.New(simcache.Config{TxnBytes: txnBytes})
 	if err != nil {
@@ -116,7 +118,7 @@ func benchSimLookups(txnBytes int) ([]simLookupResult, error) {
 			AllocsPerOp: r.AllocsPerOp(),
 		}, nil
 	}
-	out := make([]simLookupResult, 0, 4)
+	out := make([]simLookupResult, 0, 5)
 	for _, tc := range []struct {
 		outcome string
 		want    simcache.Result
@@ -145,7 +147,59 @@ func benchSimLookups(txnBytes int) ([]simLookupResult, error) {
 		NsPerOp:     float64(ins.T.Nanoseconds()) / float64(ins.N),
 		AllocsPerOp: ins.AllocsPerOp(),
 	})
-	return out, nil
+	evict, err := benchSimInsertEvict(txnBytes)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, evict), nil
+}
+
+// benchSimInsertEvict measures insert-with-eviction where it is slowest: on
+// a full default-config cache fed hot-set traffic, whose zero-payload
+// variants share most band keys and so crowd into the same buckets. Each op
+// serves one hot-set transaction the way the gateway does — a lookup, then
+// an insert unless it was an exact hit — so most ops evict.
+func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
+	c, err := simcache.New(simcache.Config{TxnBytes: txnBytes})
+	if err != nil {
+		return simLookupResult{}, err
+	}
+	capacity := c.Config().Capacity
+	rng := rand.New(rand.NewSource(29))
+	hot := &workload.HotSet{Base: &workload.KindCycle{}, Keys: 4096, S: 1.3, RepeatProb: 0.9, FlipBits: 6}
+	p := simcache.GetProbe()
+	defer simcache.PutProbe(p)
+	src := make([]byte, txnBytes)
+	serve := func() {
+		hot.Fill(src, rng)
+		if c.Lookup(p, src) != simcache.HitExact {
+			c.Insert(p, src, src, nil)
+		}
+	}
+	// Hot-set traffic fills the clustered shards; random transactions top
+	// up the rest until every shard is at capacity.
+	for i := 0; i < capacity; i++ {
+		serve()
+	}
+	for c.Len() < capacity {
+		rng.Read(src)
+		c.Insert(p, src, src, nil)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serve()
+		}
+	})
+	if c.Len() != capacity || c.Stats().Evictions == 0 {
+		return simLookupResult{}, fmt.Errorf("insert-evict ran on %d of %d entries with no evictions", c.Len(), capacity)
+	}
+	return simLookupResult{
+		Outcome:     "insert-evict",
+		TxnBytes:    txnBytes,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+	}, nil
 }
 
 // simBenchServer starts a loopback gateway with the similarity tier on or
@@ -290,7 +344,7 @@ func runSimcacheBench(path string) error {
 	}
 	rep.Lookup = lookups
 	for _, r := range lookups {
-		fmt.Fprintf(os.Stderr, "simcache %-8s 32B  %8.1f ns/op %3d allocs\n", r.Outcome, r.NsPerOp, r.AllocsPerOp)
+		fmt.Fprintf(os.Stderr, "simcache %-12s 32B  %8.1f ns/op %3d allocs\n", r.Outcome, r.NsPerOp, r.AllocsPerOp)
 	}
 
 	// 16 batches of 256 transactions: with FlipBits perturbation almost

@@ -111,19 +111,43 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	// The client can read a batch's reply before the server has recorded
+	// its trace span and frame_write stage, so scrape until every
+	// batch-paced count has caught up (or the deadline passes) and only
+	// then assert.
+	settled := func(samples []promSample) bool {
+		spans := find(samples, "bxtd_trace_spans_total", nil)
+		if len(spans) != 1 || spans[0].value < total/batch {
+			return false
+		}
+		for _, stage := range obs.Stages() {
+			hl := map[string]string{"scheme": "universal", "stage": string(stage)}
+			count := find(samples, "bxtd_stage_seconds_count", hl)
+			if len(count) != 1 || count[0].value < total/batch {
+				return false
+			}
+		}
+		return true
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4" {
-		t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
+	var samples []promSample
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4" {
+			t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("reading body: %v", err)
+		}
+		samples = parseProm(t, string(raw))
+		if settled(samples) || time.Now().After(deadline) {
+			break
+		}
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading body: %v", err)
-	}
-	samples := parseProm(t, string(raw))
 
 	// Serving gauges and per-scheme counters.
 	for _, name := range []string{

@@ -54,17 +54,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // included.
 func (c *Cache) Save(w io.Writer) error {
 	var body bytes.Buffer
+	var src []byte
 	count := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for s := range c.shards {
+		sh := &c.shards[s]
 		sh.mu.Lock()
-		for e := sh.tail; e != nil; e = e.prev {
+		for i := sh.tail; i != none; i = sh.slab[i].prev {
+			e := &sh.slab[i]
 			if len(e.data) > 0xffff || len(e.meta) > 0xffff {
 				sh.mu.Unlock()
 				return fmt.Errorf("simcache: entry record exceeds snapshot length field (%d/%d bytes)",
 					len(e.data), len(e.meta))
 			}
-			body.Write(e.src)
+			src = appendWords(src[:0], sh.sig(i))
+			body.Write(src)
 			var l [2]byte
 			binary.LittleEndian.PutUint16(l[:], uint16(len(e.data)))
 			body.Write(l[:])

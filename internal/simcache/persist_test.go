@@ -114,6 +114,7 @@ func TestSnapshotCapacityShrink(t *testing.T) {
 	if c.Len() > 8 {
 		t.Fatalf("cache holds %d entries, capacity 8", c.Len())
 	}
+	checkInvariants(t, c)
 }
 
 // TestCorruptSnapshots feeds damaged snapshots to Load: every one must be

@@ -20,9 +20,19 @@
 // The cache is sharded by the band-0 key so exact duplicates always land on
 // the same shard (identical content, identical bands); a near-duplicate is
 // only missed when its diff happens to touch band 0, trading a small recall
-// loss for per-shard locking. Each shard runs LRU eviction with entry
-// recycling, and lookups copy results into caller-owned Probe scratch so the
-// steady-state hit path allocates nothing.
+// loss for per-shard locking. Lookups copy results into caller-owned Probe
+// scratch so the steady-state hit path allocates nothing.
+//
+// Each shard keeps its entries in a slab addressed by int32 slot. The
+// signature words live in one flat []uint64 arena; the transaction bytes are
+// not stored again, being the words' little-endian image. Every list over
+// the slots — the second-chance LRU and each band bucket — is intrusive and
+// doubly linked through slot indices, and each band maps a key to its
+// bucket's first slot. Hot-key traffic piles thousands of near-duplicate
+// variants into shared buckets, so eviction must not scan them: it
+// recomputes the victim's band keys from its words and unlinks it from each
+// bucket in O(1), making insert-with-eviction O(Bands), and the victim's
+// slot is refilled in place, so a warm shard at capacity allocates nothing.
 //
 // When configured with a channel width, entries additionally memoize the
 // wire-accounting summaries (bus.Summary) of the raw transaction and the
@@ -34,6 +44,7 @@
 package simcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -167,36 +178,65 @@ func (r Result) String() string {
 	}
 }
 
-// entry is one cached transaction. Buffers are recycled in place on
-// eviction, so a warm shard at capacity allocates nothing per insert.
-type entry struct {
-	hash  uint64   // content hash over words
-	words []uint64 // little-endian word signature
-	src   []byte   // original transaction bytes (near-hit patch reference)
-	data  []byte   // cached encoded payload
-	meta  []byte   // cached side-band metadata
+// none terminates the intrusive lists threaded through a shard's slab.
+const none int32 = -1
 
-	// rawSum and encSum memoize the wire-accounting summaries of src and
-	// (data, meta); sums reports whether they were computed (the cache was
-	// configured with a channel width and the record fit its geometry).
+// entry is one cached transaction's slab slot. Its signature words and
+// band-bucket links sit in the shard's arenas at the same slot index.
+type entry struct {
+	hash uint64 // content hash over the signature words
+	data []byte // cached encoded payload
+	meta []byte // cached side-band metadata
+
+	// rawSum and encSum memoize the wire-accounting summaries of the
+	// transaction and (data, meta); sums reports whether they were computed
+	// (the cache was configured with a channel width and the record fit its
+	// geometry).
 	rawSum, encSum bus.Summary
 	sums           bool
 
-	keys []uint64 // band keys, for bucket removal
-
-	prev, next *entry // recency list; nil-terminated at both ends
-	ref        bool   // hit since last relink (second-chance bit)
+	prev, next int32 // recency list; none-terminated at both ends
+	ref        bool  // hit since last relink (second-chance bit)
 }
 
-// shard is one independently locked slice of the cache.
+// shard is one independently locked slice of the cache, laid out as the
+// package comment describes. Its entries occupy slab slots 0..len(slab)-1:
+// a slot is only ever vacated to be refilled at once, so no free list is
+// needed.
 type shard struct {
-	mu       sync.Mutex
-	exact    map[uint64]*entry
-	bands    []map[uint64][]*entry // per band: key -> candidate bucket
-	head     *entry                // most recently used
-	tail     *entry                // least recently used
-	count    int
-	capacity int
+	mu    sync.Mutex
+	exact map[uint64]int32   // content hash -> slot
+	bands []map[uint64]int32 // per band: key -> first slot of its bucket
+	slab  []entry
+	sigs  []uint64 // slot i's signature words: sigs[i*nwords : (i+1)*nwords]
+	links []int32  // slot i's band-b bucket links: next, prev at link(i, b)
+	keys  []uint64 // band-key scratch for unlink
+
+	nwords, nbands int
+	head, tail     int32 // most and least recently used
+	capacity       int
+}
+
+// reset empties the shard, releasing its slab and tables.
+func (sh *shard) reset() {
+	sh.exact = make(map[uint64]int32)
+	for b := range sh.bands {
+		sh.bands[b] = make(map[uint64]int32)
+	}
+	sh.slab, sh.sigs, sh.links = nil, nil, nil
+	sh.head, sh.tail = none, none
+}
+
+// sig returns slot i's signature words.
+func (sh *shard) sig(i int32) []uint64 {
+	off := int(i) * sh.nwords
+	return sh.sigs[off : off+sh.nwords : off+sh.nwords]
+}
+
+// link returns the index in sh.links of slot i's band-b next link; the
+// prev link follows it.
+func (sh *shard) link(i int32, b int) int {
+	return 2 * (int(i)*sh.nbands + b)
 }
 
 // Cache is a similarity-aware cache of encoded transaction records. All
@@ -230,11 +270,10 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.capacity = perShard
-		sh.exact = make(map[uint64]*entry)
-		sh.bands = make([]map[uint64][]*entry, cfg.Bands)
-		for b := range sh.bands {
-			sh.bands[b] = make(map[uint64][]*entry)
-		}
+		sh.nwords, sh.nbands = c.words, cfg.Bands
+		sh.bands = make([]map[uint64]int32, cfg.Bands)
+		sh.keys = make([]uint64, cfg.Bands)
+		sh.reset()
 	}
 	return c, nil
 }
@@ -271,7 +310,8 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 	p.prepareExact(c, src)
 	sh := &c.shards[c.shardFor(p.keys[0])]
 	sh.mu.Lock()
-	if e := sh.exact[p.hash]; e != nil && wordsEqual(e.words, p.words) {
+	if i, ok := sh.exact[p.hash]; ok && wordsEqual(sh.sig(i), p.words) {
+		e := &sh.slab[i]
 		p.Data = append(p.Data[:0], e.data...)
 		p.Meta = append(p.Meta[:0], e.meta...)
 		if e.sums {
@@ -296,10 +336,17 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 		// miss, costing recall only under pathological bucket skew.
 		p.completeBands(c)
 		budget := scanBudget
+	scan:
 		for b, k := range p.keys {
-			for _, e := range sh.bands[b][k] {
-				if d := core.HammingWords(p.words, e.words); d < c.cfg.Threshold {
-					p.Ref = append(p.Ref[:0], e.src...)
+			i, ok := sh.bands[b][k]
+			if !ok {
+				continue
+			}
+			for ; i != none; i = sh.links[sh.link(i, b)] {
+				sig := sh.sig(i)
+				if d := core.HammingWords(p.words, sig); d < c.cfg.Threshold {
+					e := &sh.slab[i]
+					p.Ref = appendWords(p.Ref[:0], sig)
 					p.RefEnc = append(p.RefEnc[:0], e.data...)
 					p.Distance = d
 					e.ref = true
@@ -309,11 +356,8 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 					return HitNear
 				}
 				if budget--; budget == 0 {
-					break
+					break scan
 				}
-			}
-			if budget == 0 {
-				break
 			}
 		}
 	}
@@ -347,10 +391,11 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 	sh := &c.shards[c.shardFor(p.keys[0])]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.exact[p.hash]; e != nil {
-		if wordsEqual(e.words, p.words) {
+	if i, ok := sh.exact[p.hash]; ok {
+		if wordsEqual(sh.sig(i), p.words) {
 			// Refresh: deterministic codecs re-encode identically, but
 			// take the caller's bytes so an updated record wins.
+			e := &sh.slab[i]
 			e.data = append(e.data[:0], data...)
 			e.meta = append(e.meta[:0], meta...)
 			e.setSums(p)
@@ -358,21 +403,21 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 			return
 		}
 		// 64-bit hash collision between different contents: drop the
-		// incumbent and recycle it for the new entry.
-		sh.unlink(e)
+		// incumbent and recycle its slot for the new entry.
+		c.unlink(sh, i)
 		c.evictions.Add(1)
-		c.fill(sh, e, p, src, data, meta)
+		sh.fill(i, p, data, meta)
 		return
 	}
-	var e *entry
-	if sh.count >= sh.capacity {
-		e = sh.evictTail()
+	var i int32
+	if len(sh.slab) >= sh.capacity {
+		i = c.evictTail(sh)
 		c.evictions.Add(1)
 	} else {
-		e = &entry{}
+		i = sh.grow()
 		c.entries.Add(1)
 	}
-	c.fill(sh, e, p, src, data, meta)
+	sh.fill(i, p, data, meta)
 }
 
 // setSums copies the probe's summary pair into the entry (or marks the entry
@@ -385,102 +430,142 @@ func (e *entry) setSums(p *Probe) {
 	}
 }
 
-// fill populates a detached entry from the probe state and links it into the
-// shard's maps and LRU front. Called with sh.mu held.
-func (c *Cache) fill(sh *shard, e *entry, p *Probe, src, data, meta []byte) {
+// grow appends a slot to the slab and both arenas and returns its index.
+// Storage doubles, capped at the shard capacity, so a full shard carries no
+// slack and the copies made on the way total less than its final size.
+// Called with sh.mu held.
+func (sh *shard) grow() int32 {
+	i := len(sh.slab)
+	if i == cap(sh.slab) {
+		n := min(max(2*i, 16), sh.capacity)
+		sh.slab = regrow(sh.slab, n)
+		sh.sigs = regrow(sh.sigs, n*sh.nwords)
+		sh.links = regrow(sh.links, 2*n*sh.nbands)
+	}
+	sh.slab = sh.slab[:i+1]
+	sh.sigs = sh.sigs[:(i+1)*sh.nwords]
+	sh.links = sh.links[:2*(i+1)*sh.nbands]
+	return int32(i)
+}
+
+// regrow returns a copy of s with capacity exactly n.
+func regrow[T any](s []T, n int) []T {
+	out := make([]T, len(s), n)
+	copy(out, s)
+	return out
+}
+
+// fill populates detached slot i from the probe state and links it into the
+// exact map, the front of each of its band buckets and the LRU front.
+// Called with sh.mu held.
+func (sh *shard) fill(i int32, p *Probe, data, meta []byte) {
+	e := &sh.slab[i]
 	e.hash = p.hash
-	e.words = append(e.words[:0], p.words...)
-	e.src = append(e.src[:0], src...)
+	copy(sh.sig(i), p.words)
 	e.data = append(e.data[:0], data...)
 	e.meta = append(e.meta[:0], meta...)
 	e.setSums(p)
-	e.keys = append(e.keys[:0], p.keys...)
 	e.ref = false
-	sh.exact[e.hash] = e
-	for b, k := range e.keys {
-		sh.bands[b][k] = append(sh.bands[b][k], e)
-	}
-	sh.pushFront(e)
-	sh.count++
-}
-
-// unlink removes e from the shard's maps and LRU list, leaving it detached
-// for recycling. Called with sh.mu held.
-func (sh *shard) unlink(e *entry) {
-	if sh.exact[e.hash] == e {
-		delete(sh.exact, e.hash)
-	}
-	for b, k := range e.keys {
-		bucket := sh.bands[b][k]
-		for i, cand := range bucket {
-			if cand == e {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket[len(bucket)-1] = nil
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(sh.bands[b], k)
+	sh.exact[e.hash] = i
+	for b, k := range p.keys {
+		next, ok := sh.bands[b][k]
+		if !ok {
+			next = none
 		} else {
-			sh.bands[b][k] = bucket
+			sh.links[sh.link(next, b)+1] = i
+		}
+		l := sh.link(i, b)
+		sh.links[l], sh.links[l+1] = next, none
+		sh.bands[b][k] = i
+	}
+	sh.pushFront(i)
+}
+
+// unlink removes slot i from the exact map, its band buckets and the LRU
+// list, leaving it detached for recycling. The band keys are recomputed
+// from the signature rather than stored, and each bucket removal is O(1)
+// through the slot's own links. Called with sh.mu held.
+func (c *Cache) unlink(sh *shard, i int32) {
+	delete(sh.exact, sh.slab[i].hash)
+	c.bandKeys(sh.keys, sh.sig(i))
+	for b, k := range sh.keys {
+		l := sh.link(i, b)
+		next, prev := sh.links[l], sh.links[l+1]
+		switch {
+		case prev != none:
+			sh.links[sh.link(prev, b)] = next
+		case next != none:
+			sh.bands[b][k] = next
+		default:
+			delete(sh.bands[b], k)
+		}
+		if next != none {
+			sh.links[sh.link(next, b)+1] = prev
 		}
 	}
-	sh.remove(e)
-	sh.count--
+	sh.remove(i)
 }
 
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
+func (sh *shard) pushFront(i int32) {
+	e := &sh.slab[i]
+	e.prev, e.next = none, sh.head
+	if sh.head != none {
+		sh.slab[sh.head].prev = i
+	} else {
+		sh.tail = i
 	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
+	sh.head = i
 }
 
-func (sh *shard) remove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (sh *shard) remove(i int32) {
+	e := &sh.slab[i]
+	if e.prev != none {
+		sh.slab[e.prev].next = e.next
 	} else {
 		sh.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		sh.slab[e.next].prev = e.prev
 	} else {
 		sh.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (sh *shard) moveFront(e *entry) {
-	if sh.head == e {
+func (sh *shard) moveFront(i int32) {
+	if sh.head == i {
 		return
 	}
-	sh.remove(e)
-	sh.pushFront(e)
+	sh.remove(i)
+	sh.pushFront(i)
 }
 
-// evictTail detaches and returns the eviction victim. Hits do not relink —
-// a strict move-to-front would dirty both neighbor entries' cache lines on
-// every hit, which dominates the hit cost once the working set outgrows L2 —
-// they only set the entry's second-chance bit. The debt is settled here:
-// a marked tail rotates to the front (consuming its chance) and the walk
-// continues; each rotation clears a bit, so the loop terminates. Called with
-// sh.mu held and at least one entry linked.
-func (sh *shard) evictTail() *entry {
+// evictTail detaches and returns the eviction victim's slot. Hits do not
+// relink — a strict move-to-front would dirty both neighbor entries' cache
+// lines on every hit, which dominates the hit cost once the working set
+// outgrows L2 — they only set the entry's second-chance bit. The debt is
+// settled here: a marked tail rotates to the front (consuming its chance)
+// and the walk continues; each rotation clears a bit, so the loop
+// terminates. Called with sh.mu held and at least one entry linked.
+func (c *Cache) evictTail(sh *shard) int32 {
 	for {
-		e := sh.tail
+		i := sh.tail
+		e := &sh.slab[i]
 		if !e.ref {
-			sh.unlink(e)
-			return e
+			c.unlink(sh, i)
+			return i
 		}
 		e.ref = false
-		sh.moveFront(e)
+		sh.moveFront(i)
 	}
+}
+
+// appendWords appends the little-endian image of words to dst: the
+// transaction bytes a signature was loaded from.
+func appendWords(dst []byte, words []uint64) []byte {
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
 }
 
 func wordsEqual(a, b []uint64) bool {
@@ -542,18 +627,8 @@ func (c *Cache) Clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for e := sh.head; e != nil; {
-			next := e.next
-			e.prev, e.next = nil, nil
-			e = next
-		}
-		sh.head, sh.tail = nil, nil
-		c.entries.Add(int64(-sh.count))
-		sh.count = 0
-		sh.exact = make(map[uint64]*entry)
-		for b := range sh.bands {
-			sh.bands[b] = make(map[uint64][]*entry)
-		}
+		c.entries.Add(int64(-len(sh.slab)))
+		sh.reset()
 		sh.mu.Unlock()
 	}
 }

@@ -183,6 +183,39 @@ func TestInsertRefreshesExisting(t *testing.T) {
 	}
 }
 
+// TestHashCollisionReplacesEntry builds two transactions with equal content
+// hashes — FNV-1a's last step is a bijection of (state ^ word), so the final
+// word can cancel any difference in the prefix — on the same shard. The
+// newcomer must take over the incumbent's slot and count as an eviction.
+func TestHashCollisionReplacesEntry(t *testing.T) {
+	c := newCache(t, Config{TxnBytes: 32, Capacity: 4, Shards: 2})
+	var p Probe
+	a := make([]byte, 32)
+	rand.New(rand.NewSource(31)).Read(a)
+	wa, wb := make([]uint64, 4), make([]uint64, 4)
+	core.LoadWords(wa, a)
+	copy(wb, wa)
+	wb[0] ^= 0xffff << 32 // band 0 (the low 16 bits) keeps the shard
+	wb[3] = hashWords(wb[:3]) ^ hashWords(wa[:3]) ^ wa[3]
+	if hashWords(wa) != hashWords(wb) {
+		t.Fatal("constructed transactions do not collide")
+	}
+	b := appendWords(nil, wb)
+
+	c.Insert(&p, a, []byte("a"), nil)
+	c.Insert(&p, b, []byte("b"), nil)
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 1 {
+		t.Fatalf("after colliding insert: %+v, want 1 entry and 1 eviction", s)
+	}
+	if got := c.Lookup(&p, b); got != HitExact || string(p.Data) != "b" {
+		t.Fatalf("newcomer lookup = %v with data %q", got, p.Data)
+	}
+	if got := c.LookupExact(&p, a); got != Miss {
+		t.Fatalf("displaced incumbent lookup = %v, want miss", got)
+	}
+	checkInvariants(t, c)
+}
+
 func TestLookupWrongLength(t *testing.T) {
 	c := newCache(t, Config{TxnBytes: 32})
 	var p Probe

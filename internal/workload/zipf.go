@@ -31,6 +31,32 @@ type HotSet struct {
 	hot  [][]byte
 }
 
+// KindCycle emits an all-zero payload, one random 4-byte element repeated,
+// and a uniformly random payload, in turn — the zero and repeated-element
+// payloads that dominate real traffic, next to an incompressible one. As a
+// HotSet's Base it makes a third of the hot keys the one zero payload, so
+// their bit-flip variants share most LSH band keys.
+type KindCycle struct {
+	n int
+}
+
+// Fill implements Generator.
+func (g *KindCycle) Fill(dst []byte, rng *rand.Rand) {
+	switch g.n % 3 {
+	case 0:
+		clear(dst)
+	case 1:
+		var elem [4]byte
+		rng.Read(elem[:])
+		for off := 0; off < len(dst); off += len(elem) {
+			copy(dst[off:], elem[:])
+		}
+	default:
+		rng.Read(dst)
+	}
+	g.n++
+}
+
 // Fill implements Generator.
 func (g *HotSet) Fill(dst []byte, rng *rand.Rand) {
 	if g.zipf == nil {

@@ -107,6 +107,22 @@ func TestHotSetSkew(t *testing.T) {
 	}
 }
 
+// TestKindCycle checks the payload kinds come in turn: zero, one 4-byte
+// element repeated, then random.
+func TestKindCycle(t *testing.T) {
+	stream := fillStream(&KindCycle{}, 6, 32, 5)
+	for i, p := range stream {
+		zero := bytes.Equal(p, make([]byte, 32))
+		repeated := bytes.Equal(p, bytes.Repeat(p[:4], 8))
+		if want := i%3 == 0; zero != want {
+			t.Errorf("payload %d: zero = %v, want %v", i, zero, want)
+		}
+		if want := i%3 != 2; repeated != want {
+			t.Errorf("payload %d: repeated element = %v, want %v", i, repeated, want)
+		}
+	}
+}
+
 func TestHotSetDefaults(t *testing.T) {
 	// Degenerate knobs (no keys, sub-critical skew) must clamp, not panic.
 	g := &HotSet{Base: Random{}, RepeatProb: 1}
