@@ -158,7 +158,7 @@ func benchSimLookups(txnBytes int) ([]simLookupResult, error) {
 // a full default-config cache fed hot-set traffic, whose zero-payload
 // variants share most band keys and so crowd into the same buckets. Each op
 // serves one hot-set transaction the way the gateway does — a lookup, then
-// an insert unless it was an exact hit — so most ops evict.
+// an insert when the probe admits it — so every admitted insert evicts.
 func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
 	c, err := simcache.New(simcache.Config{TxnBytes: txnBytes})
 	if err != nil {
@@ -172,7 +172,7 @@ func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
 	src := make([]byte, txnBytes)
 	serve := func() {
 		hot.Fill(src, rng)
-		if c.Lookup(p, src) != simcache.HitExact {
+		if c.Lookup(p, src); p.Admit {
 			c.Insert(p, src, src, nil)
 		}
 	}

@@ -34,6 +34,22 @@ func getTrace(t *testing.T, metricsAddr string, traceID uint64) traceDoc {
 	return doc
 }
 
+// getTraceSpan polls one tier's /debug/trace until it holds exactly one span
+// for traceID, and returns it. Each tier records its span after writing the
+// reply, so a client can hold the reply before the span exists.
+func getTraceSpan(t *testing.T, tier, metricsAddr string, traceID uint64) traceDoc {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		doc := getTrace(t, metricsAddr, traceID)
+		if len(doc.Spans) == 1 {
+			return doc
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s /debug/trace returned %d spans for %s, want 1", tier, len(doc.Spans), obs.FormatTraceID(traceID))
+		}
+	}
+}
+
 // TestTraceThroughProxy is the fleet-wide tracing acceptance test: one
 // trace id minted at the client must surface three correlated spans — the
 // client's, the proxy's relay leg, and the backend's pipeline — each
@@ -67,10 +83,7 @@ func TestTraceThroughProxy(t *testing.T) {
 	}
 	ctotal := cspans[0].Total()
 
-	pdoc := getTrace(t, px.MetricsAddr(), id)
-	if len(pdoc.Spans) != 1 {
-		t.Fatalf("proxy /debug/trace returned %d spans for %s, want 1", len(pdoc.Spans), obs.FormatTraceID(id))
-	}
+	pdoc := getTraceSpan(t, "proxy", px.MetricsAddr(), id)
 	var exchange time.Duration
 	for _, st := range pdoc.Spans[0].Stages {
 		if st.Stage == string(obs.StageBackend) {
@@ -81,15 +94,14 @@ func TestTraceThroughProxy(t *testing.T) {
 		t.Fatalf("proxy relay span %+v carries no backend_exchange stage", pdoc.Spans[0])
 	}
 
-	bdoc := getTrace(t, srv.MetricsAddr(), id)
-	if len(bdoc.Spans) != 1 {
-		t.Fatalf("backend /debug/trace returned %d spans for %s, want 1", len(bdoc.Spans), obs.FormatTraceID(id))
-	}
+	bdoc := getTraceSpan(t, "backend", srv.MetricsAddr(), id)
 	var processing time.Duration
 	for _, st := range bdoc.Spans[0].Stages {
-		// frame_read includes the idle wait for the batch to arrive, so
-		// only the strictly-nested processing stages bound the exchange.
-		if st.Stage != string(obs.StageFrameRead) {
+		// Only the stages strictly nested inside the proxy's exchange bound
+		// it: frame_read includes the idle wait for the batch to arrive, and
+		// frame_write is recorded after the reply has left.
+		switch obs.Stage(st.Stage) {
+		case obs.StageAdmission, obs.StageEncode, obs.StageAccount:
 			processing += time.Duration(st.Nanos)
 		}
 	}

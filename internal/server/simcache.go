@@ -33,9 +33,11 @@ type simCaches struct {
 // without a cache" — when the tier is disabled, the scheme is not a pure
 // function of the transaction bytes, or the geometry cannot band this
 // transaction size; the gateway always degrades to plain encoding.
-// metaBits is the scheme's side-band width at this transaction size; when
-// the channel geometry divides the record evenly, the cache also memoizes
-// per-record bus summaries so hit accounting skips the full beat walk.
+// metaBits is the scheme's side-band width at this transaction size. Only
+// metadata-carrying streams account record by record (encodeAllCached), so
+// only their caches memoize per-record bus summaries, and only when the
+// channel geometry divides the record evenly; metadata-free streams account
+// whole blocks with the batch walk and never read a summary.
 func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcache.Cache {
 	cfg := s.cfg.SimCache
 	if !cfg.Enabled || !scheme.Cacheable(schemeName) {
@@ -57,7 +59,7 @@ func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcach
 		Bands:     cfg.Bands,
 		Shards:    cfg.Shards,
 	}
-	if width := s.cfg.ChannelWidthBits; width > 0 && width%8 == 0 &&
+	if width := s.cfg.ChannelWidthBits; metaBits != 0 && width > 0 && width%8 == 0 &&
 		txnBytes%(width/8) == 0 && metaBits%(txnBytes/(width/8)) == 0 {
 		scCfg.ChannelWidthBits = width
 		scCfg.MetaBits = metaBits

@@ -91,7 +91,8 @@ func simMetric(t *testing.T, body, name, schemeName string, txnBytes int) float6
 // records are indistinguishable from freshly encoded ones — while the
 // cache-on gateway serves the majority of transactions from the tier.
 // "4b" exercises the full path (exact hits plus near-duplicate patching);
-// "universal" exercises the exact-only path of a non-patching codec.
+// "universal" exercises the exact-only path of a non-patching codec;
+// "4b-replayed" checks near-hit admission over a replayed trace.
 func TestSimcacheEndToEnd(t *testing.T) {
 	const (
 		txnSize = 32
@@ -143,6 +144,50 @@ func TestSimcacheEndToEnd(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("4b-replayed", func(t *testing.T) {
+		testSimcacheReplay(t, off, txnSize, total)
+	})
+}
+
+// testSimcacheReplay streams one bit-flipped trace three times through a
+// fresh cache-on gateway, each pass replying exactly as the cache-off
+// gateway off does. Admission defers a near-hit variant to its second
+// sighting, so the second pass patches variants again, and the third must
+// serve every one as an exact hit. The only exceptions are content-hash
+// collisions: two variants of one payload that differ only in the top bits
+// of two words share an FNV-1a word hash, so each displaces the other on
+// insert. Every near hit left in the third pass must be such a pair, and so
+// must evict its partner on re-admission.
+func testSimcacheReplay(t *testing.T, off *Server, txnSize, total int) {
+	cfgOn := testConfig()
+	cfgOn.SimCache.Enabled = true
+	on := startServer(t, cfgOn)
+	txns := makeHotTxns(101, total, txnSize, 6)
+	var prev [4]float64
+	for pass := 1; pass <= 3; pass++ {
+		plain := streamRecords(t, off.Addr(), "4b", txns, txnSize)
+		cached := streamRecords(t, on.Addr(), "4b", txns, txnSize)
+		if !bytes.Equal(plain, cached) {
+			t.Fatalf("pass %d: cache-on replies (records or accounting stats) differ from cache-off replies", pass)
+		}
+		body := httpGet(t, "http://"+on.MetricsAddr()+"/metrics")
+		var now, d [4]float64
+		for i, name := range []string{"hits_total", "near_hits_total", "misses_total", "evictions_total"} {
+			now[i] = simMetric(t, body, "bxtd_simcache_"+name, "4b", txnSize)
+			d[i] = now[i] - prev[i]
+		}
+		prev = now
+		hits, near, misses, evictions := d[0], d[1], d[2], d[3]
+		t.Logf("pass %d: %v exact hits, %v near hits, %v misses, %v evictions", pass, hits, near, misses, evictions)
+		switch {
+		case pass > 1 && misses != 0:
+			t.Errorf("pass %d: %v misses on a replayed trace", pass, misses)
+		case pass == 2 && near < float64(total)/10:
+			t.Errorf("pass 2: only %v near hits; unadmitted variants should be patched again", near)
+		case pass == 3 && (near != evictions || near > float64(total)/100):
+			t.Errorf("pass 3: %v near hits and %v evictions; want every variant an exact hit but for a few colliding pairs", near, evictions)
+		}
 	}
 }
 

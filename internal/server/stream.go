@@ -50,11 +50,10 @@ type stream struct {
 	// the cached reference record; it is nil when the codec cannot patch
 	// or when records carry side-band metadata a patch cannot reproduce,
 	// and lookups then skip the band scan entirely (LookupExact).
-	cache    *simcache.Cache
-	patcher  core.PatchEncoder
-	probe    *simcache.Probe
-	patchBuf []byte
-	cacheH   *obs.Histogram
+	cache   *simcache.Cache
+	patcher core.PatchEncoder
+	probe   *simcache.Probe
+	cacheH  *obs.Histogram
 	// lookupTick strides the lookup timer: two clock reads per transaction
 	// cost about as much as a hit itself, so one lookup in
 	// lookupSampleStride is timed and scaled up for the stage histogram.
@@ -95,7 +94,7 @@ type stream struct {
 	// walks while the block is still L1-resident. batchEnc holds the
 	// per-block dst windows; bprobes, missIdx and missBuf serve the cached
 	// variant, which defers a block's misses and batches them back through
-	// the mega-kernel.
+	// the mega-kernel, then accounts the block the same way.
 	batch    core.BatchEncoder
 	srcBuf   []byte
 	batchEnc []core.Encoded
@@ -177,7 +176,6 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 		st.cacheH = stages.Hist(name, obs.StageSimcacheLookup)
 		if patcher != nil && st.metaBits == 0 {
 			st.patcher = patcher
-			st.patchBuf = make([]byte, txnSize)
 		}
 	}
 	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
@@ -347,11 +345,10 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 
 	// Accounting replays the records just built (the encoded payload is
 	// txnSize bytes plus metaBytes of side-band per record, the same fixed
-	// geometry the client parses). Similarity-cache streams have already
-	// charged the buses during the encode pass — cache entries memoize
-	// their bus summaries, so the hit path splices them in with bus.Apply
-	// instead of re-walking every beat — and batch streams have too, via
-	// the fused TransferBatch walk over each cache-hot block; both leave
+	// geometry the client parses). Batch streams, cached or not, have
+	// already charged the buses during the encode pass with the fused
+	// TransferBatch walk over each cache-hot block, and cached
+	// metadata-carrying streams per record (encodeAllCached); both leave
 	// only the geometry check here.
 	recLen := st.txnSize + st.metaBytes
 	if len(st.recBuf) != len(txns)*recLen {
@@ -494,78 +491,107 @@ const batchBlockTxns = 64
 // gathered into the contiguous srcBuf the mega-kernel wants; the dst
 // records are pre-pointed at adjacent recBuf windows, so the kernels write
 // the reply payload in place and the whole batch needs no per-record
-// copies. Wire accounting is fused into the same walk: each block charges
-// both buses through TransferBatch right after its encode, one boundary
-// splice plus streaming popcount passes instead of the per-beat Transfer
-// state machine that previously dominated the pipeline.
+// copies. Wire accounting is fused into the same walk (gatherBlock, then
+// accountBlock after the encode), while the block is still L1-resident.
 func (st *stream) encodeAllBatch(txns []trace.Transaction) error {
 	n := len(txns)
-	recLen := st.txnSize // batch streams are metadata-free
-	if need := n * recLen; cap(st.recBuf) < need {
-		st.recBuf = make([]byte, need)
-	} else {
-		st.recBuf = st.recBuf[:n*recLen]
-	}
-	if cap(st.batchEnc) < batchBlockTxns {
-		st.batchEnc = make([]core.Encoded, batchBlockTxns)
-	}
-	bb := st.baseBus.BeatBytes()
-	fused := st.txnSize%8 == 0 && (bb == 4 || bb == 8)
+	st.sizeBatch(n)
 	for start := 0; start < n; start += batchBlockTxns {
-		end := start + batchBlockTxns
-		if end > n {
-			end = n
-		}
+		end := min(start+batchBlockTxns, n)
 		bn := end - start
-		var rawOnes, rawToggles int
-		if fused {
-			blockBytes := bn * st.txnSize
-			if cap(st.srcBuf) < blockBytes {
-				st.srcBuf = make([]byte, blockBytes)
-			}
-			st.srcBuf = st.srcBuf[:blockBytes]
-			rawOnes, rawToggles = gatherCounted(st.srcBuf, txns[start:end], st.txnSize, bb)
-		} else {
-			st.srcBuf = st.srcBuf[:0]
-			for i := start; i < end; i++ {
-				st.srcBuf = append(st.srcBuf, txns[i].Data...)
-			}
-		}
+		ones, toggles := st.gatherBlock(txns[start:end])
 		dst := st.batchEnc[:bn]
 		for i := range dst {
-			off := (start + i) * recLen
-			dst[i].Data = st.recBuf[off : off+recLen : off+recLen]
-			dst[i].Meta = dst[i].Meta[:0]
-			dst[i].MetaBits = 0
+			st.pointRecord(&dst[i], start+i)
 		}
 		if err := st.batch.EncodeBatch(dst, st.srcBuf, bn, st.txnSize); err != nil {
 			return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
 		}
 		for i := range dst {
-			if err := st.settleBatchRecord(&dst[i], start+i, recLen); err != nil {
+			if err := st.settleBatchRecord(&dst[i], start+i); err != nil {
 				return err
 			}
 		}
-		if fused {
-			if err := st.baseBus.TransferBatchCounted(st.srcBuf, st.txnSize, rawOnes, rawToggles); err != nil {
-				return err
-			}
-		} else {
-			if err := st.baseBus.TransferBatch(st.srcBuf, st.txnSize); err != nil {
-				return err
-			}
-		}
-		if err := st.encBus.TransferBatch(st.recBuf[start*recLen:end*recLen], st.txnSize); err != nil {
+		if err := st.accountBlock(start, end, ones, toggles); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// sizeBatch sizes recBuf for n metadata-free records and batchEnc for one
+// block's dst records.
+func (st *stream) sizeBatch(n int) {
+	if need := n * st.txnSize; cap(st.recBuf) < need {
+		st.recBuf = make([]byte, need)
+	} else {
+		st.recBuf = st.recBuf[:need]
+	}
+	if cap(st.batchEnc) < batchBlockTxns {
+		st.batchEnc = make([]core.Encoded, batchBlockTxns)
+	}
+}
+
+// fusedGather reports whether the stream's geometry takes gatherCounted:
+// 8-byte-multiple transactions on a 4- or 8-byte beat.
+func (st *stream) fusedGather() bool {
+	bb := st.baseBus.BeatBytes()
+	return st.txnSize%8 == 0 && (bb == 4 || bb == 8)
+}
+
+// gatherBlock copies a block's payloads back to back into srcBuf. On the
+// fused geometries the copy also counts the raw side's ones and beat
+// toggles for accountBlock; elsewhere both counts are zero and accountBlock
+// walks srcBuf itself.
+func (st *stream) gatherBlock(block []trace.Transaction) (ones, toggles int) {
+	if !st.fusedGather() {
+		st.srcBuf = st.srcBuf[:0]
+		for i := range block {
+			st.srcBuf = append(st.srcBuf, block[i].Data...)
+		}
+		return 0, 0
+	}
+	blockBytes := len(block) * st.txnSize
+	if cap(st.srcBuf) < blockBytes {
+		st.srcBuf = make([]byte, blockBytes)
+	}
+	st.srcBuf = st.srcBuf[:blockBytes]
+	return gatherCounted(st.srcBuf, block, st.txnSize, st.baseBus.BeatBytes())
+}
+
+// accountBlock charges the block of transactions [start, end) to both
+// buses in arrival order: the gathered srcBuf to the baseline bus, adopting
+// gatherBlock's counts where it made them, and the block's recBuf records
+// to the encoded bus. Each is one fused TransferBatch walk — one boundary
+// splice plus streaming popcount passes — instead of a per-beat Transfer
+// per record.
+func (st *stream) accountBlock(start, end, ones, toggles int) error {
+	var err error
+	if st.fusedGather() {
+		err = st.baseBus.TransferBatchCounted(st.srcBuf, st.txnSize, ones, toggles)
+	} else {
+		err = st.baseBus.TransferBatch(st.srcBuf, st.txnSize)
+	}
+	if err != nil {
+		return err
+	}
+	return st.encBus.TransferBatch(st.recBuf[start*st.txnSize:end*st.txnSize], st.txnSize)
+}
+
+// pointRecord aims dst at record idx's recBuf window, so the batch kernel
+// encodes it in place.
+func (st *stream) pointRecord(d *core.Encoded, idx int) {
+	off := idx * st.txnSize
+	d.Data = st.recBuf[off : off+st.txnSize : off+st.txnSize]
+	d.Meta = d.Meta[:0]
+	d.MetaBits = 0
+}
+
 // settleBatchRecord verifies the codec encoded record idx in place into its
 // recBuf window, copying back records a misbehaving (or fault-injected)
 // codec regrew elsewhere and rejecting ones with the wrong geometry.
-func (st *stream) settleBatchRecord(d *core.Encoded, idx, recLen int) error {
+func (st *stream) settleBatchRecord(d *core.Encoded, idx int) error {
+	recLen := st.txnSize // batch streams are metadata-free
 	slot := st.recBuf[idx*recLen : (idx+1)*recLen]
 	if len(d.Data) != recLen || d.MetaBits != 0 {
 		return fmt.Errorf("scheme %s: batch record %d has %d data bytes and %d meta bits, want %d and 0",
@@ -578,38 +604,28 @@ func (st *stream) settleBatchRecord(d *core.Encoded, idx, recLen int) error {
 }
 
 // encodeAllCachedBatch fuses the similarity cache with the batch path: each
-// block's transactions are looked up first — hits and patched near-hits
-// land their records straight into recBuf — and the misses are batched back
-// through the mega-kernel in one EncodeBatch call, then inserted. Bus
-// accounting must follow arrival order (toggles depend on the beat
-// sequence), so it runs as a final in-order pass over the block's memoized
-// summaries; per-block probes keep each record's summary pair alive until
-// then.
+// block is gathered and its transactions looked up — hits and patched
+// near-hits land their records straight into recBuf — and the misses are
+// batched back through the mega-kernel in one EncodeBatch call. A record is
+// inserted only when its probe says it is worth it (Probe.Admit), so
+// one-off near-duplicate variants are served without evicting anything.
+// With every record of the block in place, accountBlock charges the buses
+// exactly as encodeAllBatch does.
 func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
 	n := len(txns)
 	recLen := st.txnSize // cached streams with a batch path are metadata-free
-	if need := n * recLen; cap(st.recBuf) < need {
-		st.recBuf = make([]byte, need)
-	} else {
-		st.recBuf = st.recBuf[:n*recLen]
-	}
-	if cap(st.batchEnc) < batchBlockTxns {
-		st.batchEnc = make([]core.Encoded, batchBlockTxns)
-	}
+	st.sizeBatch(n)
 	if len(st.bprobes) < batchBlockTxns {
 		st.bprobes = make([]simcache.Probe, batchBlockTxns)
 	}
 	var lookups time.Duration
 	for start := 0; start < n; start += batchBlockTxns {
-		end := start + batchBlockTxns
-		if end > n {
-			end = n
-		}
-		bn := end - start
+		end := min(start+batchBlockTxns, n)
+		ones, toggles := st.gatherBlock(txns[start:end])
 		st.missIdx = st.missIdx[:0]
 		st.missBuf = st.missBuf[:0]
-		for i := 0; i < bn; i++ {
-			t := &txns[start+i]
+		for i := 0; i < end-start; i++ {
+			src := st.srcBuf[i*recLen : (i+1)*recLen]
 			p := &st.bprobes[i]
 			var lookupStart time.Time
 			sampled := st.lookupTick%lookupSampleStride == 0
@@ -619,9 +635,9 @@ func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
 			}
 			var res simcache.Result
 			if st.patcher != nil {
-				res = st.cache.Lookup(p, t.Data)
+				res = st.cache.Lookup(p, src)
 			} else {
-				res = st.cache.LookupExact(p, t.Data)
+				res = st.cache.LookupExact(p, src)
 			}
 			if sampled {
 				lookups += time.Since(lookupStart) * lookupSampleStride
@@ -630,48 +646,35 @@ func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
 			switch {
 			case res == simcache.HitExact:
 				copy(slot, p.Data)
-			case res == simcache.HitNear && st.patcher.PatchEncode(st.patchBuf, t.Data, p.Ref, p.RefEnc):
-				copy(slot, st.patchBuf)
-				st.cache.Insert(p, t.Data, slot, nil)
+			case res == simcache.HitNear && st.patcher.PatchEncode(slot, src, p.Ref, p.RefEnc):
+				if p.Admit {
+					st.cache.Insert(p, src, slot, nil)
+				}
 			default:
 				st.missIdx = append(st.missIdx, i)
-				st.missBuf = append(st.missBuf, t.Data...)
+				st.missBuf = append(st.missBuf, src...)
 			}
 		}
 		if len(st.missIdx) > 0 {
 			dst := st.batchEnc[:len(st.missIdx)]
 			for k, i := range st.missIdx {
-				off := (start + i) * recLen
-				dst[k].Data = st.recBuf[off : off+recLen : off+recLen]
-				dst[k].Meta = dst[k].Meta[:0]
-				dst[k].MetaBits = 0
+				st.pointRecord(&dst[k], start+i)
 			}
 			if err := st.batch.EncodeBatch(dst, st.missBuf, len(st.missIdx), st.txnSize); err != nil {
 				return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
 			}
 			for k, i := range st.missIdx {
-				if err := st.settleBatchRecord(&dst[k], start+i, recLen); err != nil {
+				if err := st.settleBatchRecord(&dst[k], start+i); err != nil {
 					return err
 				}
-				off := (start + i) * recLen
-				st.cache.Insert(&st.bprobes[i], txns[start+i].Data, st.recBuf[off:off+recLen], nil)
+				if p := &st.bprobes[i]; p.Admit {
+					off := (start + i) * recLen
+					st.cache.Insert(p, st.srcBuf[i*recLen:(i+1)*recLen], st.recBuf[off:off+recLen], nil)
+				}
 			}
 		}
-		for i := 0; i < bn; i++ {
-			p := &st.bprobes[i]
-			if p.HasSums {
-				if err := st.baseBus.Apply(&p.RawSum); err != nil {
-					return err
-				}
-				if err := st.encBus.Apply(&p.EncSum); err != nil {
-					return err
-				}
-				continue
-			}
-			off := (start + i) * recLen
-			if err := st.accountRaw(txns[start+i].Data, st.recBuf[off:off+recLen]); err != nil {
-				return err
-			}
+		if err := st.accountBlock(start, end, ones, toggles); err != nil {
+			return err
 		}
 	}
 	st.lookupDur = lookups
@@ -679,13 +682,13 @@ func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
 	return nil
 }
 
-// encodeAllCached is the similarity-cache encode path. Exact hits append
-// the cached record verbatim; near hits re-encode by patching the cached
-// reference (only the few changed elements run through the codec datapath);
-// misses — and pairs the codec refuses to patch — fall back to a full
-// encode and populate the cache for the next repeat. The summed (sampled,
-// see lookupSampleStride) lookup time feeds the simcache_lookup stage once
-// per batch.
+// encodeAllCached is the similarity-cache encode path of metadata-carrying
+// streams. Those records carry side-band bits a patch cannot reproduce, so
+// the stream has no patcher and looks up exact repeats only: a hit appends
+// the cached record verbatim, and a miss runs a full encode and populates
+// the cache for the next repeat. The summed (sampled, see
+// lookupSampleStride) lookup time feeds the simcache_lookup stage once per
+// batch.
 //
 // Wire accounting is fused into the same pass: a hit carries the record's
 // memoized bus summaries out of the cache and an Insert leaves the freshly
@@ -703,24 +706,15 @@ func (st *stream) encodeAllCached(txns []trace.Transaction) error {
 		if sampled {
 			lookupStart = time.Now()
 		}
-		var res simcache.Result
-		if st.patcher != nil {
-			res = st.cache.Lookup(st.probe, t.Data)
-		} else {
-			res = st.cache.LookupExact(st.probe, t.Data)
-		}
+		res := st.cache.LookupExact(st.probe, t.Data)
 		if sampled {
 			lookups += time.Since(lookupStart) * lookupSampleStride
 		}
 		recStart := len(st.recBuf)
-		switch {
-		case res == simcache.HitExact:
+		if res == simcache.HitExact {
 			st.recBuf = append(st.recBuf, st.probe.Data...)
 			st.recBuf = append(st.recBuf, st.probe.Meta...)
-		case res == simcache.HitNear && st.patcher.PatchEncode(st.patchBuf, t.Data, st.probe.Ref, st.probe.RefEnc):
-			st.recBuf = append(st.recBuf, st.patchBuf...)
-			st.cache.Insert(st.probe, t.Data, st.patchBuf, nil)
-		default:
+		} else {
 			if e := st.codec.Encode(&st.enc, t.Data); e != nil {
 				return fmt.Errorf("scheme %s: encoding transaction %#x: %v", st.schemeName, t.Addr, e)
 			}
@@ -751,13 +745,6 @@ func (st *stream) accountCached(raw, rec []byte) error {
 		return fmt.Errorf("scheme %s: produced a %d-byte record, want %d",
 			st.schemeName, len(rec), st.txnSize+st.metaBytes)
 	}
-	return st.accountRaw(raw, rec)
-}
-
-// accountRaw charges one raw transaction and its record to the stream's
-// buses through the full per-beat walk — the fallback when no memoized
-// summaries are available.
-func (st *stream) accountRaw(raw, rec []byte) error {
 	base := core.Encoded{Data: raw}
 	if err := st.baseBus.Transfer(&base); err != nil {
 		return err

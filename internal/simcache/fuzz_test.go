@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -91,6 +92,13 @@ func checkInvariants(t testing.TB, c *Cache) {
 		}
 		if sh.tail != prev || length != n {
 			t.Fatalf("shard %d: recency list length %d ending at %d, want %d ending at tail %d", s, length, prev, n, sh.tail)
+		}
+		set := 0
+		for _, w := range sh.door {
+			set += bits.OnesCount64(w)
+		}
+		if sh.sightings > sh.capacity || set > sh.sightings {
+			t.Fatalf("shard %d: doorkeeper has %d bits set for %d sightings, capacity %d", s, set, sh.sightings, sh.capacity)
 		}
 
 		if len(sh.exact) != n {
@@ -232,7 +240,11 @@ func FuzzCacheOps(f *testing.F) {
 			src := fuzzTxn(cfg.TxnBytes, a, b)
 			switch op % 8 {
 			case 0, 1:
-				switch c.Lookup(&p, src) {
+				res := c.Lookup(&p, src)
+				if p.Admit != (res == Miss) && res != HitNear {
+					t.Fatalf("step %d: %v reported Admit %v", step, res, p.Admit)
+				}
+				switch res {
 				case HitExact:
 					if rec := model[string(src)]; !bytes.Equal(p.Data, rec.data) || !bytes.Equal(p.Meta, rec.meta) {
 						t.Fatalf("step %d: exact hit returned a stale record", step)

@@ -34,6 +34,11 @@ type Probe struct {
 	RawSum  bus.Summary
 	EncSum  bus.Summary
 	HasSums bool
+
+	// Admit reports, after a Lookup, whether src is worth an Insert: true
+	// after a miss, false after an exact hit, and after a near hit true only
+	// when the shard's doorkeeper had already seen this exact variant.
+	Admit bool
 }
 
 // prepare computes the signature state (words, hash, band keys) for src.

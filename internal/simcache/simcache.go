@@ -34,13 +34,23 @@
 // bucket in O(1), making insert-with-eviction O(Bands), and the victim's
 // slot is refilled in place, so a warm shard at capacity allocates nothing.
 //
+// Near hits are admitted TinyLFU-style. Under bit-flip traffic most near
+// hits are one-off variants: caching each would evict a useful entry for a
+// record that is never asked for again. Each shard therefore keeps a
+// doorkeeper bitset over content hashes, and Lookup reports on the Probe
+// (Admit) whether the transaction is worth inserting: always after a miss,
+// never after an exact hit, and after a near hit only when the same variant
+// was seen before. A replayed variant is thus patched twice and served as an
+// exact hit from its third sighting on.
+//
 // When configured with a channel width, entries additionally memoize the
 // wire-accounting summaries (bus.Summary) of the raw transaction and the
-// encoded record. The gateway's per-record bus walk costs more than the
-// codec itself on small transactions, so a hit that returns memoized
-// summaries lets the caller charge its buses with an O(1-beat) splice
-// (bus.Apply) instead of re-walking every beat — that, not the skipped
-// encode, is where the similarity tier earns its latency win.
+// encoded record, so a hit lets the caller charge its buses with an
+// O(1-beat) splice (bus.Apply) instead of re-walking every beat. That pays
+// only for callers that account record by record; one that accounts whole
+// blocks with bus.TransferBatch walks contiguous memory faster than it could
+// splice per-record summaries, and should leave the width zero. The summary
+// pair lives out of line, so a cache without it pays one pointer per entry.
 package simcache
 
 import (
@@ -188,15 +198,20 @@ type entry struct {
 	data []byte // cached encoded payload
 	meta []byte // cached side-band metadata
 
-	// rawSum and encSum memoize the wire-accounting summaries of the
-	// transaction and (data, meta); sums reports whether they were computed
-	// (the cache was configured with a channel width and the record fit its
-	// geometry).
-	rawSum, encSum bus.Summary
-	sums           bool
+	// sums memoizes the wire-accounting summaries of the transaction and
+	// (data, meta); nil when they were not computed (the cache has no
+	// channel width, or the record did not fit its geometry).
+	sums *entrySums
 
 	prev, next int32 // recency list; none-terminated at both ends
 	ref        bool  // hit since last relink (second-chance bit)
+}
+
+// entrySums is an entry's memoized summary pair, kept out of line: two
+// inline bus.Summary values would quintuple the size of every entry in a
+// cache that never memoizes them.
+type entrySums struct {
+	raw, enc bus.Summary
 }
 
 // shard is one independently locked slice of the cache, laid out as the
@@ -212,12 +227,19 @@ type shard struct {
 	links []int32  // slot i's band-b bucket links: next, prev at link(i, b)
 	keys  []uint64 // band-key scratch for unlink
 
+	// door is the admission doorkeeper: one bit per content hash seen in a
+	// near hit, 8 bits per slot; sightings counts the bits set since it was
+	// last cleared.
+	door      []uint64
+	sightings int
+
 	nwords, nbands int
 	head, tail     int32 // most and least recently used
 	capacity       int
 }
 
-// reset empties the shard, releasing its slab and tables.
+// reset empties the shard, releasing its slab and tables and forgetting
+// every doorkeeper sighting.
 func (sh *shard) reset() {
 	sh.exact = make(map[uint64]int32)
 	for b := range sh.bands {
@@ -225,6 +247,29 @@ func (sh *shard) reset() {
 	}
 	sh.slab, sh.sigs, sh.links = nil, nil, nil
 	sh.head, sh.tail = none, none
+	clear(sh.door)
+	sh.sightings = 0
+}
+
+// seenBefore reports whether the doorkeeper has a sighting of content hash
+// h, recording one if not. The bitset holds at most capacity sightings: the
+// first sighting past that clears it, so a variant must recur within about
+// one cache turnover to be admitted, and with 8 bits per slot a false
+// "seen" — which only admits a one-off variant, as if there were no
+// doorkeeper — stays under one in eight. Called with sh.mu held.
+func (sh *shard) seenBefore(h uint64) bool {
+	bit := mix64(h) % uint64(64*len(sh.door))
+	w, m := bit/64, uint64(1)<<(bit%64)
+	if sh.door[w]&m != 0 {
+		return true
+	}
+	if sh.sightings == sh.capacity {
+		clear(sh.door)
+		sh.sightings = 0
+	}
+	sh.sightings++
+	sh.door[w] |= m
+	return false
 }
 
 // sig returns slot i's signature words.
@@ -273,6 +318,7 @@ func New(cfg Config) (*Cache, error) {
 		sh.nwords, sh.nbands = c.words, cfg.Bands
 		sh.bands = make([]map[uint64]int32, cfg.Bands)
 		sh.keys = make([]uint64, cfg.Bands)
+		sh.door = make([]uint64, (8*perShard+63)/64)
 		sh.reset()
 	}
 	return c, nil
@@ -288,7 +334,8 @@ func (c *Cache) Len() int { return int(c.entries.Load()) }
 // scratch: reusing one Probe per session keeps the hit path allocation-free
 // once its buffers have warmed. Results are copied into p under the shard
 // lock, so they stay valid regardless of concurrent eviction. A src whose
-// length differs from the configured TxnBytes is a Miss.
+// length differs from the configured TxnBytes is a Miss. p.Admit reports
+// whether src is worth an Insert, as the package comment describes.
 func (c *Cache) Lookup(p *Probe, src []byte) Result {
 	return c.lookup(p, src, true)
 }
@@ -302,7 +349,7 @@ func (c *Cache) LookupExact(p *Probe, src []byte) Result {
 }
 
 func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
-	p.HasSums = false
+	p.HasSums, p.Admit = false, true
 	if len(src) != c.cfg.TxnBytes {
 		c.misses.Add(1)
 		return Miss
@@ -314,12 +361,13 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 		e := &sh.slab[i]
 		p.Data = append(p.Data[:0], e.data...)
 		p.Meta = append(p.Meta[:0], e.meta...)
-		if e.sums {
-			p.RawSum.CopyFrom(&e.rawSum)
-			p.EncSum.CopyFrom(&e.encSum)
+		if e.sums != nil {
+			p.RawSum.CopyFrom(&e.sums.raw)
+			p.EncSum.CopyFrom(&e.sums.enc)
 			p.HasSums = true
 		}
 		e.ref = true
+		p.Admit = false
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		return HitExact
@@ -350,6 +398,7 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 					p.RefEnc = append(p.RefEnc[:0], e.data...)
 					p.Distance = d
 					e.ref = true
+					p.Admit = sh.seenBefore(p.hash)
 					sh.mu.Unlock()
 					c.nearHits.Add(1)
 					c.nearDistSum.Add(uint64(d))
@@ -420,14 +469,19 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 	sh.fill(i, p, data, meta)
 }
 
-// setSums copies the probe's summary pair into the entry (or marks the entry
-// summary-less when the probe has none).
+// setSums copies the probe's summary pair into the entry, reusing the
+// entry's pair when its slot is recycled, or marks the entry summary-less
+// when the probe has none.
 func (e *entry) setSums(p *Probe) {
-	e.sums = p.HasSums
-	if p.HasSums {
-		e.rawSum.CopyFrom(&p.RawSum)
-		e.encSum.CopyFrom(&p.EncSum)
+	if !p.HasSums {
+		e.sums = nil
+		return
 	}
+	if e.sums == nil {
+		e.sums = new(entrySums)
+	}
+	e.sums.raw.CopyFrom(&p.RawSum)
+	e.sums.enc.CopyFrom(&p.EncSum)
 }
 
 // grow appends a slot to the slab and both arenas and returns its index.

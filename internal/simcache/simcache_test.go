@@ -347,3 +347,53 @@ func TestLookupExactSkipsNearScan(t *testing.T) {
 		t.Fatalf("LookupExact produced near hits: %+v", s)
 	}
 }
+
+// TestAdmission checks the doorkeeper's verdicts on Probe.Admit: a miss
+// admits, an exact hit does not, a near-hit variant is admitted from its
+// second sighting on, and both Clear and the capacity-sized ageing make the
+// doorkeeper forget what it saw.
+func TestAdmission(t *testing.T) {
+	const capacity = 4
+	c := newCache(t, Config{TxnBytes: 32, Capacity: capacity, Shards: 1})
+	var p Probe
+	ref := make([]byte, 32)
+	rand.New(rand.NewSource(41)).Read(ref)
+	// variant flips bit 64+i, outside band 0 and within the threshold.
+	variant := func(i int) []byte {
+		v := append([]byte(nil), ref...)
+		v[8+i/8] ^= 1 << (i % 8)
+		return v
+	}
+	lookup := func(step string, src []byte, want Result, admit bool) {
+		t.Helper()
+		if got := c.Lookup(&p, src); got != want || p.Admit != admit {
+			t.Fatalf("%s: lookup = %v with Admit %v, want %v with Admit %v", step, got, p.Admit, want, admit)
+		}
+	}
+
+	lookup("cold miss", ref, Miss, true)
+	c.Insert(&p, ref, ref, nil)
+	lookup("exact hit", ref, HitExact, false)
+	lookup("first sighting", variant(0), HitNear, false)
+	lookup("second sighting", variant(0), HitNear, true)
+	c.Insert(&p, variant(0), variant(0), nil)
+	lookup("third sighting", variant(0), HitExact, false)
+
+	lookup("first sighting before Clear", variant(1), HitNear, false)
+	c.Clear()
+	c.Insert(&p, ref, ref, nil)
+	lookup("first sighting after Clear", variant(1), HitNear, false)
+
+	// Variant 1's sighting above was the first since Clear; capacity more
+	// first sightings age the doorkeeper out, so variant 1 is new again.
+	for i := 2; i <= capacity+1; i++ {
+		lookup(fmt.Sprintf("first sighting of variant %d", i), variant(i), HitNear, false)
+	}
+	if sh := &c.shards[0]; sh.sightings != 1 {
+		t.Fatalf("doorkeeper holds %d sightings after ageing, want 1 (the last variant's)", sh.sightings)
+	}
+	lookup("sighting after ageing", variant(1), HitNear, false)
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v: unadmitted near hits changed the cache", s)
+	}
+}
