@@ -27,12 +27,15 @@ import (
 // gateway pipeline over a Zipf hot-key trace with the tier off and on — the
 // serving-latency claim the cache exists to earn.
 
-// simLookupResult is one raw cache operation measurement.
+// simLookupResult is one raw cache operation measurement. BytesPerEntry,
+// set on the insert-evict row only, is the full cache's heap footprint per
+// entry, as BenchmarkInsertEvictClustered reports it.
 type simLookupResult struct {
-	Outcome     string  `json:"outcome"`
-	TxnBytes    int     `json:"txn_bytes"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Outcome       string  `json:"outcome"`
+	TxnBytes      int     `json:"txn_bytes"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	AllocsPerOp   int64   `json:"allocs_per_op"`
+	BytesPerEntry float64 `json:"bytes_per_entry,omitempty"`
 }
 
 // simZipfResult is one scheme's gateway round trip over the Zipf trace,
@@ -158,8 +161,13 @@ func benchSimLookups(txnBytes int) ([]simLookupResult, error) {
 // a full default-config cache fed hot-set traffic, whose zero-payload
 // variants share most band keys and so crowd into the same buckets. Each op
 // serves one hot-set transaction the way the gateway does — a lookup, then
-// an insert when the probe admits it — so every admitted insert evicts.
+// an insert when the probe admits it — so every admitted insert evicts. The
+// heap growth from building the cache to filling it gives its bytes per
+// entry.
 func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	c, err := simcache.New(simcache.Config{TxnBytes: txnBytes})
 	if err != nil {
 		return simLookupResult{}, err
@@ -185,6 +193,8 @@ func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
 		rng.Read(src)
 		c.Insert(p, src, src, nil)
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -195,10 +205,11 @@ func benchSimInsertEvict(txnBytes int) (simLookupResult, error) {
 		return simLookupResult{}, fmt.Errorf("insert-evict ran on %d of %d entries with no evictions", c.Len(), capacity)
 	}
 	return simLookupResult{
-		Outcome:     "insert-evict",
-		TxnBytes:    txnBytes,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
+		Outcome:       "insert-evict",
+		TxnBytes:      txnBytes,
+		NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp:   r.AllocsPerOp(),
+		BytesPerEntry: float64(after.HeapAlloc-before.HeapAlloc) / float64(capacity),
 	}, nil
 }
 

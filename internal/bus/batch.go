@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"github.com/hpca18/bxt/internal/core"
 )
 
 // TransferBatch drives len(payload)/txnBytes back-to-back metadata-free
@@ -26,11 +24,12 @@ func (b *Bus) TransferBatch(payload []byte, txnBytes int) error {
 // TransferBatchCounted is TransferBatch for a caller that already streamed
 // payload once — typically while gathering it into the contiguous batch
 // buffer — and accumulated its 1-value count (core.OnesCount semantics) and
-// interior beat toggles (beatToggles semantics, from the second beat on).
-// The bus validates geometry, charges the boundary from its resting state,
-// adopts the counts, and saves the final beat, so payload is not walked a
-// second time. Counts that do not match what TransferBatch would compute
-// corrupt the session's statistics; only fused gather loops should use this.
+// interior beat toggles (the Hamming distance between consecutive beats,
+// summed from the second beat on). The bus validates geometry, charges the
+// boundary from its resting state, adopts the counts, and saves the final
+// beat, so payload is not walked a second time. Counts that do not match
+// what TransferBatch would compute corrupt the session's statistics; only
+// fused gather loops should use this.
 func (b *Bus) TransferBatchCounted(payload []byte, txnBytes, ones, toggles int) error {
 	return b.transferBatch(payload, txnBytes, true, ones, toggles)
 }
@@ -68,12 +67,12 @@ func (b *Bus) transferBatch(payload []byte, txnBytes int, counted bool, ones, to
 	return nil
 }
 
-// onesAndBeatToggles is core.OnesCount and beatToggles fused into one walk:
-// each word is loaded once and feeds both popcount reductions, instead of the
-// payload being streamed twice (and the toggle pass re-loading each word a
-// second time at the lagged offset). This is TransferBatch's inner loop; the
-// fusion roughly halves its memory traffic. len(p) must be a multiple of
-// beatBytes.
+// onesAndBeatToggles is core.OnesCount and the interior beat-toggle count
+// fused into one walk: each word is loaded once and feeds both popcount
+// reductions, instead of the payload being streamed twice (and the toggle
+// pass re-loading each word a second time at the lagged offset). This is
+// TransferBatch's inner loop; the fusion roughly halves its memory traffic.
+// len(p) must be a multiple of beatBytes.
 func onesAndBeatToggles(p []byte, beatBytes int) (ones, toggles int) {
 	// The serving configurations beat at 32 or 64 bits; there each lagged
 	// beat is available in a register carried across iterations, so the walk
@@ -152,62 +151,4 @@ func onesAndBeatToggles(p []byte, beatBytes int) (ones, toggles int) {
 		toggles += bits.OnesCount8(p[i] ^ p[i-beatBytes])
 	}
 	return ones, toggles
-}
-
-// beatToggles counts the wire transitions between consecutive beats of p —
-// the Hamming distance between p[i] and p[i-beatBytes] summed over every
-// position from the second beat on — in uint64, then uint32, then byte lanes.
-// len(p) must be a multiple of beatBytes.
-func beatToggles(p []byte, beatBytes int) int {
-	t := 0
-	i := beatBytes
-	for ; i+8 <= len(p); i += 8 {
-		t += bits.OnesCount64(binary.LittleEndian.Uint64(p[i:]) ^ binary.LittleEndian.Uint64(p[i-beatBytes:]))
-	}
-	if i+4 <= len(p) {
-		t += bits.OnesCount32(binary.LittleEndian.Uint32(p[i:]) ^ binary.LittleEndian.Uint32(p[i-beatBytes:]))
-		i += 4
-	}
-	for ; i < len(p); i++ {
-		t += bits.OnesCount8(p[i] ^ p[i-beatBytes])
-	}
-	return t
-}
-
-// SummarizeBatch computes the content-only activity of each txnBytes-sized
-// metadata-free record in payload into sums[0:len(payload)/txnBytes], each
-// entry exactly what Summarize would produce for that record (buffers in
-// sums are reused). One call summarizes a whole encoded batch for the
-// similarity cache or for deferred in-order Apply splicing without
-// re-slicing records through the single-transaction entry point.
-func SummarizeBatch(sums []Summary, payload []byte, txnBytes, dataWires int) error {
-	if dataWires <= 0 || dataWires%8 != 0 {
-		return fmt.Errorf("bus: invalid width %d", dataWires)
-	}
-	beatBytes := dataWires / 8
-	if txnBytes <= 0 || txnBytes%beatBytes != 0 {
-		return fmt.Errorf("bus: %d-byte transactions do not fill %d-byte beats", txnBytes, beatBytes)
-	}
-	if len(payload)%txnBytes != 0 {
-		return fmt.Errorf("bus: %d payload bytes do not divide into %d-byte transactions", len(payload), txnBytes)
-	}
-	n := len(payload) / txnBytes
-	if len(sums) < n {
-		return fmt.Errorf("bus: summary batch holds %d entries, need %d", len(sums), n)
-	}
-	beats := txnBytes / beatBytes
-	for i := 0; i < n; i++ {
-		rec := payload[i*txnBytes : (i+1)*txnBytes]
-		s := &sums[i]
-		first, last := s.First, s.Last
-		firstMeta, lastMeta := s.FirstMeta, s.LastMeta
-		*s = Summary{Beats: beats, DataBits: txnBytes * 8}
-		s.DataOnes = core.OnesCount(rec)
-		s.DataToggles = beatToggles(rec, beatBytes)
-		s.First = append(first[:0], rec[:beatBytes]...)
-		s.Last = append(last[:0], rec[txnBytes-beatBytes:]...)
-		s.FirstMeta = firstMeta[:0]
-		s.LastMeta = lastMeta[:0]
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 package bus
 
 import (
-	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -68,13 +68,6 @@ func TestTransferBatchMatchesTransfer(t *testing.T) {
 			}
 		})
 	}
-}
-
-func summaryEqual(a, b *Summary) bool {
-	return a.Beats == b.Beats && a.DataBits == b.DataBits && a.MetaBits == b.MetaBits &&
-		a.DataOnes == b.DataOnes && a.DataToggles == b.DataToggles &&
-		a.MetaOnes == b.MetaOnes && a.MetaToggles == b.MetaToggles && a.MetaWires == b.MetaWires &&
-		bytes.Equal(a.First, b.First) && bytes.Equal(a.Last, b.Last)
 }
 
 // TestTransferBatchCounted verifies the adopt-the-caller's-counts entry
@@ -146,25 +139,13 @@ func TestTransferBatchGeometry(t *testing.T) {
 	}
 }
 
-// TestSummarizeBatchMatchesSummarize checks the batch summarizer against the
-// single-transaction path record for record.
-func TestSummarizeBatchMatchesSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5b5))
-	for _, width := range []int{32, 64} {
-		const n, txnBytes = 6, 32
-		p := batchPayload(rng, n, txnBytes)
-		sums := make([]Summary, n)
-		if err := SummarizeBatch(sums, p, txnBytes, width); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			var want Summary
-			if err := Summarize(&want, mkEncoded(p[i*txnBytes:(i+1)*txnBytes], 0), width); err != nil {
-				t.Fatal(err)
-			}
-			if !summaryEqual(&sums[i], &want) {
-				t.Fatalf("width %d record %d: batch summary %+v != %+v", width, i, sums[i], want)
-			}
-		}
+// beatToggles is the byte-at-a-time reference for onesAndBeatToggles'
+// toggle count: the Hamming distance between p[i] and p[i-beatBytes], summed
+// over every position from the second beat on.
+func beatToggles(p []byte, beatBytes int) int {
+	t := 0
+	for i := beatBytes; i < len(p); i++ {
+		t += bits.OnesCount8(p[i] ^ p[i-beatBytes])
 	}
+	return t
 }

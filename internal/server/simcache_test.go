@@ -210,9 +210,19 @@ func TestSimcacheWarmRestart(t *testing.T) {
 	if err := first.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
-	snap := cfg.SimCache.SnapshotPath + ".4b.32"
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("shutdown left no snapshot at %s: %v", snap, err)
+	// Each cache persists to <path>.<scheme>.<size>, and the save leaves
+	// nothing else behind.
+	dir := filepath.Dir(cfg.SimCache.SnapshotPath)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "simcache.snap.4b.32" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("shutdown left %q in the snapshot directory, want just simcache.snap.4b.32", names)
 	}
 
 	second := startServer(t, cfg)

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -57,11 +58,14 @@ func FuzzLoad(f *testing.F) {
 }
 
 // checkInvariants verifies a quiescent cache's internal structure: each
-// shard's recency list is one doubly linked list over exactly its slab
-// slots, the exact map holds exactly one slot per content hash, every entry
-// sits on the shard its band-0 key selects and exactly once in each of its
-// band buckets, the entries counter matches the shards, and every cached
-// transaction is an exact hit for its own record.
+// shard's storage is either unreserved and empty or reserved at full
+// capacity, its recency list is one doubly linked list over exactly its slab
+// slots, every table cell is reachable from its key's home without crossing
+// an empty cell, the exact table holds one cell per slot, each band table
+// one cell per distinct band key, every entry sits on the shard its band-0
+// key selects and exactly once in each of its band buckets, the entries
+// counter matches the shards, and every cached transaction is an exact hit
+// for its own record.
 func checkInvariants(t testing.TB, c *Cache) {
 	t.Helper()
 	total := 0
@@ -73,8 +77,23 @@ func checkInvariants(t testing.TB, c *Cache) {
 		if n > sh.capacity {
 			t.Fatalf("shard %d: %d entries over capacity %d", s, n, sh.capacity)
 		}
-		if len(sh.sigs) != n*sh.nwords || len(sh.links) != 2*n*sh.nbands {
-			t.Fatalf("shard %d: arenas hold %d words and %d links for %d slots", s, len(sh.sigs), len(sh.links), n)
+		cells := int(sh.mask) + 1
+		if cells&(cells-1) != 0 || cells < 2*sh.capacity {
+			t.Fatalf("shard %d: %d table cells for capacity %d", s, cells, sh.capacity)
+		}
+		if sh.slab == nil {
+			if sh.sigs != nil || sh.links != nil || sh.exact != nil || sh.bands != nil {
+				t.Fatalf("shard %d: arenas or tables allocated before the slab", s)
+			}
+			continue
+		}
+		if cap(sh.slab) != sh.capacity || len(sh.sigs) != sh.capacity*sh.nwords ||
+			len(sh.links) != 2*sh.capacity*sh.nbands {
+			t.Fatalf("shard %d: slab of %d slots with %d words and %d links, want capacity %d",
+				s, cap(sh.slab), len(sh.sigs), len(sh.links), sh.capacity)
+		}
+		if len(sh.exact) != cells || len(sh.bands) != sh.nbands*cells {
+			t.Fatalf("shard %d: tables of %d and %d cells, want %d and %d", s, len(sh.exact), len(sh.bands), cells, sh.nbands*cells)
 		}
 
 		seen := make([]bool, n)
@@ -101,13 +120,14 @@ func checkInvariants(t testing.TB, c *Cache) {
 			t.Fatalf("shard %d: doorkeeper has %d bits set for %d sightings, capacity %d", s, set, sh.sightings, sh.capacity)
 		}
 
-		if len(sh.exact) != n {
-			t.Fatalf("shard %d: exact map holds %d hashes for %d entries", s, len(sh.exact), n)
+		checkTable(t, fmt.Sprintf("shard %d exact table", s), sh.exact, n, func(i int32) uint64 { return sh.slab[i].hash })
+		if filed := occupied(sh.exact); filed != n {
+			t.Fatalf("shard %d: exact table holds %d cells for %d entries", s, filed, n)
 		}
 		for i := int32(0); int(i) < n; i++ {
 			h := hashWords(sh.sig(i))
-			if got, ok := sh.exact[h]; sh.slab[i].hash != h || !ok || got != i {
-				t.Fatalf("shard %d: slot %d hash %#x is not mapped to itself", s, i, sh.slab[i].hash)
+			if sh.slab[i].hash != h || sh.exactSlot(h) != i {
+				t.Fatalf("shard %d: slot %d hash %#x is not filed to itself", s, i, sh.slab[i].hash)
 			}
 			c.bandKeys(keys, sh.sig(i))
 			if c.shardFor(keys[0]) != s {
@@ -115,11 +135,24 @@ func checkInvariants(t testing.TB, c *Cache) {
 			}
 		}
 
-		for b, bucket := range sh.bands {
+		for b := 0; b < sh.nbands; b++ {
+			table := sh.band(b)
+			keyOf := func(i int32) uint64 { return c.bandKey(sh.sig(i), b) }
+			checkTable(t, fmt.Sprintf("shard %d band %d table", s, b), table, n, keyOf)
+			distinct := map[uint64]bool{}
+			for i := int32(0); int(i) < n; i++ {
+				distinct[keyOf(i)] = true
+			}
+			if filed := occupied(table); filed != len(distinct) {
+				t.Fatalf("shard %d band %d: table holds %d cells for %d distinct keys", s, b, filed, len(distinct))
+			}
 			on := make([]int, n)
-			for k, head := range bucket {
-				prev := none
-				for i := head; i != none; i = sh.links[sh.link(i, b)] {
+			for _, v := range table {
+				if v == 0 {
+					continue
+				}
+				k, prev := keyOf(v-1), none
+				for i := v - 1; i != none; i = sh.links[sh.link(i, b)] {
 					if i < 0 || int(i) >= n {
 						t.Fatalf("shard %d band %d: bucket %#x leaves the slab at %d", s, b, k, i)
 					}
@@ -129,9 +162,8 @@ func checkInvariants(t testing.TB, c *Cache) {
 					if got := sh.links[sh.link(i, b)+1]; got != prev {
 						t.Fatalf("shard %d band %d: slot %d prev %d, want %d", s, b, i, got, prev)
 					}
-					c.bandKeys(keys, sh.sig(i))
-					if keys[b] != k {
-						t.Fatalf("shard %d band %d: slot %d with key %#x sits in bucket %#x", s, b, i, keys[b], k)
+					if got := keyOf(i); got != k {
+						t.Fatalf("shard %d band %d: slot %d with key %#x sits in bucket %#x", s, b, i, got, k)
 					}
 					prev = i
 				}
@@ -166,6 +198,46 @@ func checkInvariants(t testing.TB, c *Cache) {
 			e.ref = ref
 		}
 	}
+}
+
+// checkTable verifies one open-addressed table of a shard with n slots:
+// every occupied cell holds a slot below n, no two cells hold the same slot
+// or the same key, and each is reachable from its key's home without
+// crossing an empty cell.
+func checkTable(t testing.TB, name string, table []int32, n int, keyOf func(int32) uint64) {
+	t.Helper()
+	mask := uint64(len(table) - 1)
+	slots, keys := map[int32]bool{}, map[uint64]bool{}
+	for pos, v := range table {
+		if v == 0 {
+			continue
+		}
+		i := v - 1
+		if i < 0 || int(i) >= n || slots[i] {
+			t.Fatalf("%s: cell %d holds slot %d, out of the slab or filed twice", name, pos, i)
+		}
+		k := keyOf(i)
+		if keys[k] {
+			t.Fatalf("%s: key %#x filed in more than one cell", name, k)
+		}
+		slots[i], keys[k] = true, true
+		for j := home(k, mask); j != pos; j = (j + 1) & int(mask) {
+			if table[j] == 0 {
+				t.Fatalf("%s: cell %d (slot %d) is cut off from its home %d by empty cell %d", name, pos, i, home(k, mask), j)
+			}
+		}
+	}
+}
+
+// occupied counts a table's non-empty cells.
+func occupied(table []int32) int {
+	n := 0
+	for _, v := range table {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // fuzzConfigs are the small caches FuzzCacheOps runs against: sub-word

@@ -2,10 +2,10 @@ package simcache
 
 // LSH candidate banding over the word signature. The TxnBytes*8 signature
 // bits are cut into Bands contiguous ranges; each range is reduced to a
-// uint64 key indexing a per-band bucket map. Entries within Hamming distance
-// d differ in at most d bands, so when d < Bands at least one band key
-// matches exactly and the entry appears in a probed bucket — the standard
-// multi-index pigeonhole argument for Hamming space.
+// uint64 key indexing a per-band bucket table. Entries within Hamming
+// distance d differ in at most d bands, so when d < Bands at least one band
+// key matches exactly and the entry appears in a probed bucket — the
+// standard multi-index pigeonhole argument for Hamming space.
 
 // FNV-1a over 64-bit chunks: cheap, deterministic across processes (snapshot
 // warm restarts must rebuild identical tables), and good enough dispersion
@@ -26,8 +26,8 @@ func hashWords(words []uint64) uint64 {
 
 // bandKeys fills keys (length cfg.Bands) with the band keys of words. Bands
 // spanning whole words are hash-folded; sub-word bands are the raw bit
-// field, which is already a valid map key since each band owns its own
-// bucket table.
+// field, which is already a valid key since each band owns its own bucket
+// table.
 func (c *Cache) bandKeys(keys, words []uint64) {
 	if c.bandBits >= 64 {
 		per := c.bandBits / 64
@@ -47,14 +47,17 @@ func (c *Cache) bandKeys(keys, words []uint64) {
 	}
 }
 
-// bandKey0 returns just band 0's key: the exact-only lookup path needs it
-// for shard selection but never probes the band buckets, so computing the
-// other Bands-1 keys there would be pure waste.
-func (c *Cache) bandKey0(words []uint64) uint64 {
+// bandKey returns band b's key of words, the one bandKeys computes. The
+// exact-only lookup path needs band 0's key for shard selection but never
+// probes the band buckets, and a band table recomputes a stored slot's key
+// instead of keeping it, so neither pays for the other bands.
+func (c *Cache) bandKey(words []uint64, b int) uint64 {
 	if c.bandBits >= 64 {
-		return hashWords(words[:c.bandBits/64])
+		per := c.bandBits / 64
+		return hashWords(words[b*per : (b+1)*per])
 	}
-	return words[0] & (uint64(1)<<c.bandBits - 1)
+	bit := uint(b * c.bandBits)
+	return words[bit/64] >> (bit % 64) & (uint64(1)<<c.bandBits - 1)
 }
 
 // shardFor maps a band-0 key to a shard index. Sharding by band 0 — not the

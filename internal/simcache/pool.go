@@ -55,7 +55,7 @@ func (p *Probe) prepare(c *Cache, src []byte) {
 func (p *Probe) prepareExact(c *Cache, src []byte) {
 	p.loadSignature(c, src)
 	p.keys = p.keys[:1]
-	p.keys[0] = c.bandKey0(p.words)
+	p.keys[0] = c.bandKey(p.words, 0)
 }
 
 // completeBands extends a prepareExact probe with the full band-key set, so

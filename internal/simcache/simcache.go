@@ -27,12 +27,18 @@
 // signature words live in one flat []uint64 arena; the transaction bytes are
 // not stored again, being the words' little-endian image. Every list over
 // the slots — the second-chance LRU and each band bucket — is intrusive and
-// doubly linked through slot indices, and each band maps a key to its
-// bucket's first slot. Hot-key traffic piles thousands of near-duplicate
-// variants into shared buckets, so eviction must not scan them: it
-// recomputes the victim's band keys from its words and unlinks it from each
-// bucket in O(1), making insert-with-eviction O(Bands), and the victim's
-// slot is refilled in place, so a warm shard at capacity allocates nothing.
+// doubly linked through slot indices. The shard finds slots through keyless
+// open-addressed tables (table.go): one maps a content hash to its slot, and
+// one per band maps a band key to its bucket's first slot. A cell holds only
+// the slot; the key is checked against the slot's stored hash, or recomputed
+// from its signature words. Hot-key traffic piles thousands of
+// near-duplicate variants into shared buckets, so eviction must not scan
+// them: it recomputes the victim's band keys from its words and unlinks it
+// from each bucket in O(1), making insert-with-eviction O(Bands). A shard
+// reserves its slab, arenas and tables at full capacity on its first Insert
+// (about 410 bytes per entry for 32-byte transactions under the default 16
+// bands) and refills an evicted victim's slot in place, so a warm shard
+// allocates nothing and its storage never moves.
 //
 // Near hits are admitted TinyLFU-style. Under bit-flip traffic most near
 // hits are one-off variants: caching each would evict a useful entry for a
@@ -217,11 +223,13 @@ type entrySums struct {
 // shard is one independently locked slice of the cache, laid out as the
 // package comment describes. Its entries occupy slab slots 0..len(slab)-1:
 // a slot is only ever vacated to be refilled at once, so no free list is
-// needed.
+// needed. The slab's capacity, the arenas and the tables are all sized once,
+// on the first Insert.
 type shard struct {
 	mu    sync.Mutex
-	exact map[uint64]int32   // content hash -> slot
-	bands []map[uint64]int32 // per band: key -> first slot of its bucket
+	exact []int32 // table: content hash -> slot
+	bands []int32 // per band b, table band(b): key -> first slot of its bucket
+	mask  uint64  // cells per table, minus one
 	slab  []entry
 	sigs  []uint64 // slot i's signature words: sigs[i*nwords : (i+1)*nwords]
 	links []int32  // slot i's band-b bucket links: next, prev at link(i, b)
@@ -238,17 +246,54 @@ type shard struct {
 	capacity       int
 }
 
-// reset empties the shard, releasing its slab and tables and forgetting
-// every doorkeeper sighting.
+// reset empties the shard and forgets every doorkeeper sighting. It keeps
+// the slab's storage, so entries refilled later reuse their record buffers.
 func (sh *shard) reset() {
-	sh.exact = make(map[uint64]int32)
-	for b := range sh.bands {
-		sh.bands[b] = make(map[uint64]int32)
-	}
-	sh.slab, sh.sigs, sh.links = nil, nil, nil
+	clear(sh.exact)
+	clear(sh.bands)
+	sh.slab = sh.slab[:0]
 	sh.head, sh.tail = none, none
 	clear(sh.door)
 	sh.sightings = 0
+}
+
+// reserve allocates the shard's slab, arenas and tables at full capacity.
+// Called with sh.mu held, on the first Insert.
+func (sh *shard) reserve() {
+	cells := int(sh.mask) + 1
+	sh.slab = make([]entry, 0, sh.capacity)
+	sh.sigs = make([]uint64, sh.capacity*sh.nwords)
+	sh.links = make([]int32, 2*sh.capacity*sh.nbands)
+	sh.exact = make([]int32, cells)
+	sh.bands = make([]int32, sh.nbands*cells)
+}
+
+// band returns band b's table.
+func (sh *shard) band(b int) []int32 {
+	cells := int(sh.mask) + 1
+	return sh.bands[b*cells : (b+1)*cells : (b+1)*cells]
+}
+
+// exactSlot returns the slot whose content hash is h, or none. Hash
+// collisions between different contents evict the incumbent on Insert, so
+// at most one slot matches.
+func (sh *shard) exactSlot(h uint64) int32 {
+	for j := home(h, sh.mask); sh.exact[j] != 0; j = (j + 1) & int(sh.mask) {
+		if i := sh.exact[j] - 1; sh.slab[i].hash == h {
+			return i
+		}
+	}
+	return none
+}
+
+// bandCell returns the cell of table t (band b's) that files key k, or the
+// empty cell ending k's probe run when no slot has that key.
+func (c *Cache) bandCell(sh *shard, t []int32, b int, k uint64) int {
+	for j := home(k, sh.mask); ; j = (j + 1) & int(sh.mask) {
+		if t[j] == 0 || c.bandKey(sh.sig(t[j]-1), b) == k {
+			return j
+		}
+	}
 }
 
 // seenBefore reports whether the doorkeeper has a sighting of content hash
@@ -315,8 +360,8 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.capacity = perShard
+		sh.mask = uint64(tableCells(perShard) - 1)
 		sh.nwords, sh.nbands = c.words, cfg.Bands
-		sh.bands = make([]map[uint64]int32, cfg.Bands)
 		sh.keys = make([]uint64, cfg.Bands)
 		sh.door = make([]uint64, (8*perShard+63)/64)
 		sh.reset()
@@ -357,7 +402,14 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 	p.prepareExact(c, src)
 	sh := &c.shards[c.shardFor(p.keys[0])]
 	sh.mu.Lock()
-	if i, ok := sh.exact[p.hash]; ok && wordsEqual(sh.sig(i), p.words) {
+	if len(sh.slab) == 0 {
+		// Nothing cached, and a shard that never held an entry has no
+		// tables yet.
+		sh.mu.Unlock()
+		c.misses.Add(1)
+		return Miss
+	}
+	if i := sh.exactSlot(p.hash); i != none && wordsEqual(sh.sig(i), p.words) {
 		e := &sh.slab[i]
 		p.Data = append(p.Data[:0], e.data...)
 		p.Meta = append(p.Meta[:0], e.meta...)
@@ -386,11 +438,8 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 		budget := scanBudget
 	scan:
 		for b, k := range p.keys {
-			i, ok := sh.bands[b][k]
-			if !ok {
-				continue
-			}
-			for ; i != none; i = sh.links[sh.link(i, b)] {
+			t := sh.band(b)
+			for i := t[c.bandCell(sh, t, b, k)] - 1; i != none; i = sh.links[sh.link(i, b)] {
 				sig := sh.sig(i)
 				if d := core.HammingWords(p.words, sig); d < c.cfg.Threshold {
 					e := &sh.slab[i]
@@ -440,7 +489,10 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 	sh := &c.shards[c.shardFor(p.keys[0])]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if i, ok := sh.exact[p.hash]; ok {
+	if sh.slab == nil {
+		sh.reserve()
+	}
+	if i := sh.exactSlot(p.hash); i != none {
 		if wordsEqual(sh.sig(i), p.words) {
 			// Refresh: deterministic codecs re-encode identically, but
 			// take the caller's bytes so an updated record wins.
@@ -455,18 +507,19 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 		// incumbent and recycle its slot for the new entry.
 		c.unlink(sh, i)
 		c.evictions.Add(1)
-		sh.fill(i, p, data, meta)
+		c.fill(sh, i, p, data, meta)
 		return
 	}
 	var i int32
-	if len(sh.slab) >= sh.capacity {
+	if n := len(sh.slab); n == sh.capacity {
 		i = c.evictTail(sh)
 		c.evictions.Add(1)
 	} else {
-		i = sh.grow()
+		sh.slab = sh.slab[:n+1]
+		i = int32(n)
 		c.entries.Add(1)
 	}
-	sh.fill(i, p, data, meta)
+	c.fill(sh, i, p, data, meta)
 }
 
 // setSums copies the probe's summary pair into the entry, reusing the
@@ -484,35 +537,10 @@ func (e *entry) setSums(p *Probe) {
 	e.sums.enc.CopyFrom(&p.EncSum)
 }
 
-// grow appends a slot to the slab and both arenas and returns its index.
-// Storage doubles, capped at the shard capacity, so a full shard carries no
-// slack and the copies made on the way total less than its final size.
-// Called with sh.mu held.
-func (sh *shard) grow() int32 {
-	i := len(sh.slab)
-	if i == cap(sh.slab) {
-		n := min(max(2*i, 16), sh.capacity)
-		sh.slab = regrow(sh.slab, n)
-		sh.sigs = regrow(sh.sigs, n*sh.nwords)
-		sh.links = regrow(sh.links, 2*n*sh.nbands)
-	}
-	sh.slab = sh.slab[:i+1]
-	sh.sigs = sh.sigs[:(i+1)*sh.nwords]
-	sh.links = sh.links[:2*(i+1)*sh.nbands]
-	return int32(i)
-}
-
-// regrow returns a copy of s with capacity exactly n.
-func regrow[T any](s []T, n int) []T {
-	out := make([]T, len(s), n)
-	copy(out, s)
-	return out
-}
-
-// fill populates detached slot i from the probe state and links it into the
-// exact map, the front of each of its band buckets and the LRU front.
-// Called with sh.mu held.
-func (sh *shard) fill(i int32, p *Probe, data, meta []byte) {
+// fill populates detached slot i from the probe state and files it in the
+// exact table, at the front of each of its band buckets and at the LRU
+// front. Called with sh.mu held.
+func (c *Cache) fill(sh *shard, i int32, p *Probe, data, meta []byte) {
 	e := &sh.slab[i]
 	e.hash = p.hash
 	copy(sh.sig(i), p.words)
@@ -520,38 +548,41 @@ func (sh *shard) fill(i int32, p *Probe, data, meta []byte) {
 	e.meta = append(e.meta[:0], meta...)
 	e.setSums(p)
 	e.ref = false
-	sh.exact[e.hash] = i
+	tablePut(sh.exact, home(e.hash, sh.mask), i)
 	for b, k := range p.keys {
-		next, ok := sh.bands[b][k]
-		if !ok {
-			next = none
-		} else {
+		t := sh.band(b)
+		j := c.bandCell(sh, t, b, k)
+		next := t[j] - 1
+		if next != none {
 			sh.links[sh.link(next, b)+1] = i
 		}
 		l := sh.link(i, b)
 		sh.links[l], sh.links[l+1] = next, none
-		sh.bands[b][k] = i
+		t[j] = i + 1
 	}
 	sh.pushFront(i)
 }
 
-// unlink removes slot i from the exact map, its band buckets and the LRU
+// unlink removes slot i from the exact table, its band buckets and the LRU
 // list, leaving it detached for recycling. The band keys are recomputed
 // from the signature rather than stored, and each bucket removal is O(1)
-// through the slot's own links. Called with sh.mu held.
+// through the slot's own links; only a bucket's first slot is in a table.
+// Called with sh.mu held.
 func (c *Cache) unlink(sh *shard, i int32) {
-	delete(sh.exact, sh.slab[i].hash)
+	tableDelete(sh.exact, tableCell(sh.exact, home(sh.slab[i].hash, sh.mask), i),
+		func(j int32) int { return home(sh.slab[j].hash, sh.mask) })
 	c.bandKeys(sh.keys, sh.sig(i))
 	for b, k := range sh.keys {
 		l := sh.link(i, b)
 		next, prev := sh.links[l], sh.links[l+1]
-		switch {
+		switch t := sh.band(b); {
 		case prev != none:
 			sh.links[sh.link(prev, b)] = next
 		case next != none:
-			sh.bands[b][k] = next
+			t[tableCell(t, home(k, sh.mask), i)] = next + 1
 		default:
-			delete(sh.bands[b], k)
+			tableDelete(t, tableCell(t, home(k, sh.mask), i),
+				func(j int32) int { return home(c.bandKey(sh.sig(j), b), sh.mask) })
 		}
 		if next != none {
 			sh.links[sh.link(next, b)+1] = prev
@@ -676,7 +707,7 @@ func (s Stats) AvgNearDistance() float64 {
 }
 
 // Clear drops every entry, returning the cache to cold. Counters are
-// retained.
+// retained, and so is every shard's reserved storage.
 func (c *Cache) Clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
