@@ -12,9 +12,7 @@ import (
 // fleet exposes one family vocabulary: a dashboard that understands
 // bxtd_wire_ones_total reads bxtproxy_wire_ones_total the same way, only
 // the aggregation label differs (scheme on the gateway, backend on the
-// proxy). Pre-unification names remain exposed as deprecated aliases for
-// one release; see the exposition writers in internal/server and
-// internal/proxy.
+// proxy).
 const (
 	// Wire-activity counters, per leg ("baseline" is the raw bus the
 	// batch would have cost unencoded, "encoded" the bus it did cost).

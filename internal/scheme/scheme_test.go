@@ -95,6 +95,17 @@ func TestCacheable(t *testing.T) {
 		if Cacheable(name) && DecodeStateful(name) {
 			t.Errorf("%q is both cacheable and decode-stateful", name)
 		}
+		// bxtd gives a similarity cache only to metadata-free streams, so
+		// a cacheable scheme that carried metadata would silently lose it.
+		if Cacheable(name) {
+			c, err := Build(name, DefaultOptions())
+			if err != nil {
+				t.Fatalf("Build(%q): %v", name, err)
+			}
+			if m32, m64 := c.MetaBits(32), c.MetaBits(64); m32 != 0 || m64 != 0 {
+				t.Errorf("cacheable %q carries metadata: MetaBits(32) = %d, MetaBits(64) = %d", name, m32, m64)
+			}
+		}
 	}
 	if Cacheable("bogus") {
 		t.Error("Cacheable(bogus) = true, want false (fail toward encoding)")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hpca18/bxt/internal/client"
+	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/trace"
@@ -15,7 +16,13 @@ import (
 // minus the network, so the per-batch path can be driven directly.
 func newBenchStream(t testing.TB, schemeName string, txnSize int) *stream {
 	t.Helper()
-	srv, err := New(testConfig())
+	return newConfigStream(t, testConfig(), schemeName, txnSize)
+}
+
+// newConfigStream is newBenchStream on a server built from cfg.
+func newConfigStream(t testing.TB, cfg config.Server, schemeName string, txnSize int) *stream {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -38,16 +45,27 @@ func newBenchStream(t testing.TB, schemeName string, txnSize int) *stream {
 // TestProcessBatchZeroAlloc is the serving-side zero-allocation regression
 // test: after warm-up, one batch through encode + bus accounting + reply
 // assembly must not allocate, for metadata-free and metadata-carrying
-// schemes alike.
+// schemes alike, and for a cache-on stream serving a replayed hot-set batch.
 func TestProcessBatchZeroAlloc(t *testing.T) {
-	for _, schemeName := range []string{"universal", "basexor", "bdenc"} {
-		t.Run(schemeName, func(t *testing.T) {
-			st := newBenchStream(t, schemeName, 32)
-			txns := makeTxns(rand.New(rand.NewSource(7)), 64, 32)
+	cached := testConfig()
+	cached.SimCache.Enabled = true
+	for _, tc := range []struct {
+		name, scheme string
+		cfg          config.Server
+		txns         []trace.Transaction
+	}{
+		{"universal", "universal", testConfig(), makeTxns(rand.New(rand.NewSource(7)), 64, 32)},
+		{"basexor", "basexor", testConfig(), makeTxns(rand.New(rand.NewSource(7)), 64, 32)},
+		{"bdenc", "bdenc", testConfig(), makeTxns(rand.New(rand.NewSource(7)), 64, 32)},
+		{"dbi1", "dbi1", testConfig(), makeTxns(rand.New(rand.NewSource(7)), 64, 32)},
+		{"4b-cached", "4b", cached, makeHotTxns(7, 64, 32, 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newConfigStream(t, tc.cfg, tc.scheme, 32)
 			var id uint64
 			run := func() {
 				id++
-				reply, err := st.processBatch(id, txns)
+				reply, err := st.processBatch(id, tc.txns)
 				if err != nil {
 					t.Fatalf("processBatch: %v", err)
 				}
@@ -58,7 +76,8 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 				default:
 				}
 			}
-			// Warm up buffer growth (recBuf, reply body free list).
+			// Warm up buffer growth (recBuf, reply body free list) and, on
+			// the cached stream, admit every variant of the batch.
 			for i := 0; i < 8; i++ {
 				run()
 			}

@@ -10,13 +10,13 @@ import (
 // gatherCounted copies each transaction's payload into dst back to back and,
 // in the same walk, accumulates the gathered buffer's 1-value count and
 // interior beat-toggle count for the given beat width — the raw-side half of
-// the batch bus accounting, computed for free while each word is already in
-// a register for the copy. The counts follow the bus's batch conventions
-// (ones over every byte, toggles from the second beat on), so they feed
-// straight into Bus.TransferBatchCounted. Callers must ensure len(dst) ==
-// len(txns)*txnSize, every Data is txnSize bytes, txnSize is a multiple of
-// 8, and beatBytes is 4 or 8; encodeAllBatch falls back to a plain gather
-// plus TransferBatch for other geometries.
+// every stream's block accounting (raw bytes never carry metadata), computed
+// for free while each word is already in a register for the copy. The counts
+// follow the bus's batch conventions (ones over every byte, toggles from the
+// second beat on), so they feed straight into Bus.TransferBatchCounted.
+// Callers must ensure len(dst) == len(txns)*txnSize, every Data is txnSize
+// bytes, txnSize is a multiple of 8, and beatBytes is 4 or 8; gatherBlock
+// falls back to a plain gather plus TransferBatch for other geometries.
 func gatherCounted(dst []byte, txns []trace.Transaction, txnSize, beatBytes int) (ones, toggles int) {
 	if len(txns) == 0 {
 		return 0, 0

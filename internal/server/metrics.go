@@ -14,16 +14,10 @@ import (
 // schemeCounters accumulates one scheme's serving totals. Batches update
 // under one short lock; the exposition handler takes a snapshot.
 type schemeCounters struct {
-	mu            sync.Mutex
-	transactions  uint64
-	bytes         uint64
-	batches       uint64
-	onesBefore    uint64
-	onesAfter     uint64
-	togglesBefore uint64
-	togglesAfter  uint64
-	baselinePJ    float64
-	encodedPJ     float64
+	mu           sync.Mutex
+	transactions uint64
+	bytes        uint64
+	batches      uint64
 }
 
 // observe folds one batch's accounting into c.
@@ -33,25 +27,13 @@ func (c *schemeCounters) observe(s trace.BatchStats) {
 	c.transactions += uint64(s.Transactions)
 	c.bytes += s.DataBits / 8
 	c.batches++
-	c.onesBefore += s.OnesBefore
-	c.onesAfter += s.OnesAfter
-	c.togglesBefore += s.TogglesBefore
-	c.togglesAfter += s.TogglesAfter
-	c.baselinePJ += s.BaselinePJ
-	c.encodedPJ += s.EncodedPJ
 }
 
 // schemeSnapshot is a lock-free copy of one scheme's totals.
 type schemeSnapshot struct {
-	transactions  uint64
-	bytes         uint64
-	batches       uint64
-	onesBefore    uint64
-	onesAfter     uint64
-	togglesBefore uint64
-	togglesAfter  uint64
-	baselinePJ    float64
-	encodedPJ     float64
+	transactions uint64
+	bytes        uint64
+	batches      uint64
 }
 
 // snapshot returns a copy of c for exposition.
@@ -59,15 +41,9 @@ func (c *schemeCounters) snapshot() schemeSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return schemeSnapshot{
-		transactions:  c.transactions,
-		bytes:         c.bytes,
-		batches:       c.batches,
-		onesBefore:    c.onesBefore,
-		onesAfter:     c.onesAfter,
-		togglesBefore: c.togglesBefore,
-		togglesAfter:  c.togglesAfter,
-		baselinePJ:    c.baselinePJ,
-		encodedPJ:     c.encodedPJ,
+		transactions: c.transactions,
+		bytes:        c.bytes,
+		batches:      c.batches,
 	}
 }
 
@@ -157,10 +133,7 @@ func (m *metrics) scheme(name string) *schemeCounters {
 // per-scheme counters, live wire-activity and energy telemetry, per-stage
 // latency histograms, and Go runtime gauges. The connection, wire, and
 // energy families render through the obs.Expo registry shared with
-// bxtproxy, so both binaries expose one family vocabulary; the
-// pre-unification per-scheme families (bxtd_ones_total,
-// bxtd_estimated_picojoules_total, …) remain as deprecated aliases for one
-// release.
+// bxtproxy, so both binaries expose one family vocabulary.
 func (m *metrics) writeExposition(w io.Writer, draining bool) {
 	e := obs.Expo{W: w, Prefix: "bxtd_"}
 	d := int64(0)
@@ -203,15 +176,6 @@ func (m *metrics) writeExposition(w io.Writer, draining bool) {
 		fmt.Fprintf(w, "bxtd_transactions_total{scheme=%q} %d\n", n, c.transactions)
 		fmt.Fprintf(w, "bxtd_bytes_total{scheme=%q} %d\n", n, c.bytes)
 		fmt.Fprintf(w, "bxtd_batches_total{scheme=%q} %d\n", n, c.batches)
-		fmt.Fprintf(w, "bxtd_ones_total{scheme=%q,leg=\"baseline\"} %d\n", n, c.onesBefore)
-		fmt.Fprintf(w, "bxtd_ones_total{scheme=%q,leg=\"encoded\"} %d\n", n, c.onesAfter)
-		saved := int64(c.onesBefore) - int64(c.onesAfter)
-		fmt.Fprintf(w, "bxtd_ones_saved_total{scheme=%q} %d\n", n, saved)
-		fmt.Fprintf(w, "bxtd_toggles_total{scheme=%q,leg=\"baseline\"} %d\n", n, c.togglesBefore)
-		fmt.Fprintf(w, "bxtd_toggles_total{scheme=%q,leg=\"encoded\"} %d\n", n, c.togglesAfter)
-		fmt.Fprintf(w, "bxtd_estimated_picojoules_total{scheme=%q,leg=\"baseline\"} %g\n", n, c.baselinePJ)
-		fmt.Fprintf(w, "bxtd_estimated_picojoules_total{scheme=%q,leg=\"encoded\"} %g\n", n, c.encodedPJ)
-		fmt.Fprintf(w, "bxtd_estimated_picojoules_saved_total{scheme=%q} %g\n", n, c.baselinePJ-c.encodedPJ)
 	}
 
 	obs.WriteEnergyMetrics(e, "scheme", m.energy, m.est)

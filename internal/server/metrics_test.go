@@ -107,7 +107,8 @@ func one(t *testing.T, samples []promSample, name string, labels map[string]stri
 func TestMetricsExposition(t *testing.T) {
 	srv := startServer(t, testConfig())
 	const total, batch = 2000, 250
-	if err := streamAndVerify(srv.Addr(), "universal", 7, total, batch, 32); err != nil {
+	received, err := streamAndVerify(srv.Addr(), "universal", 7, total, batch, 32)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,35 +164,31 @@ func TestMetricsExposition(t *testing.T) {
 	if got := one(t, samples, "bxtd_batches_total", sl).value; got != total/batch {
 		t.Errorf("batches_total = %g, want %d", got, total/batch)
 	}
-	for _, name := range []string{"bxtd_bytes_total", "bxtd_ones_saved_total", "bxtd_estimated_picojoules_saved_total"} {
-		one(t, samples, name, sl)
-	}
-	for _, leg := range []string{"baseline", "encoded"} {
-		ll := map[string]string{"scheme": "universal", "leg": leg}
-		one(t, samples, "bxtd_ones_total", ll)
-		one(t, samples, "bxtd_toggles_total", ll)
-		one(t, samples, "bxtd_estimated_picojoules_total", ll)
-	}
+	one(t, samples, "bxtd_bytes_total", sl)
 
 	// Unified live wire/energy telemetry families (the obs.Expo vocabulary
-	// shared with bxtproxy). The wire counters must agree with the legacy
-	// per-scheme aliases they will eventually replace.
-	for _, leg := range []string{"baseline", "encoded"} {
-		ll := map[string]string{"scheme": "universal", "leg": leg}
-		ones := one(t, samples, "bxtd_wire_ones_total", ll)
-		if want := one(t, samples, "bxtd_ones_total", ll).value; ones.value != want {
-			t.Errorf("bxtd_wire_ones_total{leg=%q} = %g, legacy alias says %g", leg, ones.value, want)
+	// shared with bxtproxy). The wire counters must agree with the summed
+	// BatchStats of the replies the client received.
+	for _, leg := range []struct {
+		name          string
+		ones, toggles uint64
+	}{
+		{"baseline", received.OnesBefore, received.TogglesBefore},
+		{"encoded", received.OnesAfter, received.TogglesAfter},
+	} {
+		ll := map[string]string{"scheme": "universal", "leg": leg.name}
+		if got := one(t, samples, "bxtd_wire_ones_total", ll).value; got != float64(leg.ones) {
+			t.Errorf("bxtd_wire_ones_total{leg=%q} = %g, client received %d", leg.name, got, leg.ones)
 		}
-		toggles := one(t, samples, "bxtd_wire_toggles_total", ll)
-		if want := one(t, samples, "bxtd_toggles_total", ll).value; toggles.value != want {
-			t.Errorf("bxtd_wire_toggles_total{leg=%q} = %g, legacy alias says %g", leg, toggles.value, want)
+		if got := one(t, samples, "bxtd_wire_toggles_total", ll).value; got != float64(leg.toggles) {
+			t.Errorf("bxtd_wire_toggles_total{leg=%q} = %g, client received %d", leg.name, got, leg.toggles)
 		}
 		if one(t, samples, "bxtd_wire_bits_total", ll).value <= 0 {
-			t.Errorf("bxtd_wire_bits_total{leg=%q} not positive", leg)
+			t.Errorf("bxtd_wire_bits_total{leg=%q} not positive", leg.name)
 		}
 		comps := find(samples, "bxtd_energy_joules_total", ll)
 		if len(comps) < 4 {
-			t.Errorf("bxtd_energy_joules_total{leg=%q}: %d components, want the power model's breakdown", leg, len(comps))
+			t.Errorf("bxtd_energy_joules_total{leg=%q}: %d components, want the power model's breakdown", leg.name, len(comps))
 		}
 		one(t, samples, "bxtd_energy_joules_per_byte", ll)
 	}

@@ -83,16 +83,17 @@ func makeTxns(rng *rand.Rand, n, txnSize int) []trace.Transaction {
 
 // streamAndVerify runs one client session: it streams total transactions
 // in batches, decodes every reply record with a fresh decoder instance,
-// and checks the round trip and the batch accounting.
-func streamAndVerify(addr, schemeName string, seed int64, total, batchSize, txnSize int) error {
+// and checks the round trip and the batch accounting. It returns the sum of
+// the BatchStats the client received.
+func streamAndVerify(addr, schemeName string, seed int64, total, batchSize, txnSize int) (trace.BatchStats, error) {
 	c, err := client.Dial(addr, schemeName, txnSize)
 	if err != nil {
-		return fmt.Errorf("dial: %w", err)
+		return trace.BatchStats{}, fmt.Errorf("dial: %w", err)
 	}
 	defer c.Close()
 	dec, err := scheme.New(schemeName)
 	if err != nil {
-		return err
+		return trace.BatchStats{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	decoded := make([]byte, txnSize)
@@ -105,33 +106,33 @@ func streamAndVerify(addr, schemeName string, seed int64, total, batchSize, txnS
 		txns := makeTxns(rng, n, txnSize)
 		reply, err := c.Transcode(txns)
 		if err != nil {
-			return fmt.Errorf("transcode after %d txns: %w", sent, err)
+			return trace.BatchStats{}, fmt.Errorf("transcode after %d txns: %w", sent, err)
 		}
 		if got := int(reply.Stats.Transactions); got != n {
-			return fmt.Errorf("reply counted %d transactions, sent %d", got, n)
+			return trace.BatchStats{}, fmt.Errorf("reply counted %d transactions, sent %d", got, n)
 		}
 		if reply.Stats.DataBits != uint64(n*txnSize*8) {
-			return fmt.Errorf("reply counted %d data bits, want %d", reply.Stats.DataBits, n*txnSize*8)
+			return trace.BatchStats{}, fmt.Errorf("reply counted %d data bits, want %d", reply.Stats.DataBits, n*txnSize*8)
 		}
 		for i, rec := range reply.Records {
 			e := core.Encoded{Data: rec.Data, Meta: rec.Meta, MetaBits: c.MetaBits()}
 			if err := dec.Decode(decoded, &e); err != nil {
-				return fmt.Errorf("decoding record %d of batch at %d: %w", i, sent, err)
+				return trace.BatchStats{}, fmt.Errorf("decoding record %d of batch at %d: %w", i, sent, err)
 			}
 			if !bytes.Equal(decoded, txns[i].Data) {
-				return fmt.Errorf("record %d of batch at %d does not decode to the original sector", i, sent)
+				return trace.BatchStats{}, fmt.Errorf("record %d of batch at %d does not decode to the original sector", i, sent)
 			}
 		}
 		sum.Add(reply.Stats)
 		sent += n
 	}
 	if int(sum.Transactions) != total {
-		return fmt.Errorf("session total %d transactions, want %d", sum.Transactions, total)
+		return trace.BatchStats{}, fmt.Errorf("session total %d transactions, want %d", sum.Transactions, total)
 	}
 	if sum.BaselinePJ <= 0 || sum.EncodedPJ <= 0 {
-		return fmt.Errorf("energy accounting missing: baseline %v pJ, encoded %v pJ", sum.BaselinePJ, sum.EncodedPJ)
+		return trace.BatchStats{}, fmt.Errorf("energy accounting missing: baseline %v pJ, encoded %v pJ", sum.BaselinePJ, sum.EncodedPJ)
 	}
-	return nil
+	return sum, nil
 }
 
 // TestGatewayEndToEnd is the serving acceptance test: 8 concurrent
@@ -154,7 +155,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = streamAndVerify(srv.Addr(), schemes[i%len(schemes)], int64(1000+i), txnsPerConn, batchSize, txnSize)
+			_, errs[i] = streamAndVerify(srv.Addr(), schemes[i%len(schemes)], int64(1000+i), txnsPerConn, batchSize, txnSize)
 		}(i)
 	}
 	wg.Wait()

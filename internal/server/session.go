@@ -91,12 +91,6 @@ var errSession = errors.New("server: session error")
 // recovered, the batch quarantined, and the session codec reset.
 var errCodecPanic = errors.New("server: codec panic")
 
-// lookupSampleStride is the similarity-cache timing sample rate: every
-// stride-th lookup is timed and its duration scaled by the stride, so the
-// simcache_lookup stage histogram stays statistically faithful while the
-// other stride-1 lookups pay no clock reads.
-const lookupSampleStride = 16
-
 func newReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 64<<10) }
 func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, 64<<10) }
 

@@ -33,14 +33,13 @@ type simCaches struct {
 // without a cache" — when the tier is disabled, the scheme is not a pure
 // function of the transaction bytes, or the geometry cannot band this
 // transaction size; the gateway always degrades to plain encoding.
-// metaBits is the scheme's side-band width at this transaction size. Only
-// metadata-carrying streams account record by record (encodeAllCached), so
-// only their caches memoize per-record bus summaries, and only when the
-// channel geometry divides the record evenly; metadata-free streams account
-// whole blocks with the batch walk and never read a summary.
+// metaBits is the scheme's side-band width at this transaction size: only
+// metadata-free streams get a cache, because the simcache.Encoder that
+// serves it replies with data bytes alone. No cacheable scheme carries
+// metadata (TestCacheable), so the rule turns no served stream away.
 func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcache.Cache {
 	cfg := s.cfg.SimCache
-	if !cfg.Enabled || !scheme.Cacheable(schemeName) {
+	if !cfg.Enabled || !scheme.Cacheable(schemeName) || metaBits != 0 {
 		return nil
 	}
 	key := simCacheKey{schemeName, txnBytes}
@@ -52,19 +51,13 @@ func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcach
 	if c, ok := s.sc.caches[key]; ok {
 		return c // may be nil: a key that already failed to build stays off
 	}
-	scCfg := simcache.Config{
+	c, err := simcache.New(simcache.Config{
 		TxnBytes:  txnBytes,
 		Capacity:  cfg.Capacity,
 		Threshold: cfg.Threshold,
 		Bands:     cfg.Bands,
 		Shards:    cfg.Shards,
-	}
-	if width := s.cfg.ChannelWidthBits; metaBits != 0 && width > 0 && width%8 == 0 &&
-		txnBytes%(width/8) == 0 && metaBits%(txnBytes/(width/8)) == 0 {
-		scCfg.ChannelWidthBits = width
-		scCfg.MetaBits = metaBits
-	}
-	c, err := simcache.New(scCfg)
+	})
 	if err != nil {
 		s.log.Warn("simcache disabled for session geometry", "scheme", schemeName, "txn_bytes", txnBytes, "err", err)
 		s.events.Add(obs.Event{Type: obs.EventSimcacheError, Scheme: schemeName, Detail: err.Error()})

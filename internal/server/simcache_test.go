@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/hpca18/bxt/internal/client"
+	"github.com/hpca18/bxt/internal/simcache"
 	"github.com/hpca18/bxt/internal/trace"
 	"github.com/hpca18/bxt/internal/workload"
 )
@@ -248,5 +250,47 @@ func TestSimcacheDisabledForStatefulScheme(t *testing.T) {
 	body := httpGet(t, "http://"+srv.MetricsAddr()+"/metrics")
 	if strings.Contains(body, "bxtd_simcache_hits_total{scheme=\"dbi1\"") {
 		t.Error("stateful scheme dbi1 acquired a similarity cache")
+	}
+}
+
+// TestGoldenCachedStream drives a fixed hot-set trace batch by batch through
+// one cache-on 4b stream and pins the cache's Stats() plus a digest of every
+// reply body. The pinned values were recorded from the stream's inline cache
+// walk that preceded simcache.Encoder, so any change to the order in which
+// the stream looks up, patches and inserts — or to the bytes and accounting
+// it replies with — shows up here. Batch sizes straddle the block factor, and
+// the cache is small enough that the trace evicts.
+func TestGoldenCachedStream(t *testing.T) {
+	cfg := testConfig()
+	cfg.SimCache.Enabled = true
+	cfg.SimCache.Capacity = 512
+	cfg.SimCache.Shards = 2
+	st := newConfigStream(t, cfg, "4b", 32)
+	cache := st.ss.srv.simCacheFor("4b", 32, 0)
+	if st.cached == nil || cache == nil {
+		t.Fatal("cache-on 4b stream got no similarity cache")
+	}
+	hot := &workload.HotSet{Base: &workload.KindCycle{}, Keys: 1024, S: 1.2, RepeatProb: 0.9, FlipBits: 6}
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{1, batchBlockTxns - 1, batchBlockTxns, batchBlockTxns + 1, 200, 7}
+	digest := fnv.New64a()
+	var id uint64
+	for sent := 0; sent < 30000; id++ {
+		txns := make([]trace.Transaction, sizes[id%uint64(len(sizes))])
+		for i := range txns {
+			txns[i] = trace.Transaction{Addr: uint64(sent+i) * 32, Kind: trace.Write, Data: make([]byte, 32)}
+			hot.Fill(txns[i].Data, rng)
+		}
+		reply, err := st.processBatch(id, txns)
+		if err != nil {
+			t.Fatalf("batch %d: %v", id, err)
+		}
+		digest.Write(reply)
+		sent += len(txns)
+	}
+	want := simcache.Stats{Hits: 4153, NearHits: 21258, Misses: 4589, Evictions: 5560, NearDistSum: 131697, Entries: 512}
+	const wantDigest = 0x73f3c7f4d66b0ca8
+	if got := cache.Stats(); got != want || digest.Sum64() != wantDigest {
+		t.Fatalf("stats %+v digest %#x, want %+v digest %#x", got, digest.Sum64(), want, uint64(wantDigest))
 	}
 }

@@ -44,20 +44,12 @@ type stream struct {
 	// transferable.
 	stateful scheme.Stateful
 
-	// cache, when non-nil, is the similarity tier for this stream's
-	// (scheme, txnSize): repeated transactions are served from it without
-	// re-running the codec. patcher re-encodes near-duplicates by patching
-	// the cached reference record; it is nil when the codec cannot patch
-	// or when records carry side-band metadata a patch cannot reproduce,
-	// and lookups then skip the band scan entirely (LookupExact).
-	cache   *simcache.Cache
-	patcher core.PatchEncoder
-	probe   *simcache.Probe
-	cacheH  *obs.Histogram
-	// lookupTick strides the lookup timer: two clock reads per transaction
-	// cost about as much as a hit itself, so one lookup in
-	// lookupSampleStride is timed and scaled up for the stage histogram.
-	lookupTick uint64
+	// cached, when non-nil, is the similarity tier for this stream's
+	// (scheme, txnSize): a simcache.Encoder decorating the codec's batch
+	// entry point, so repeated transactions are served without re-running
+	// the codec. cacheH is its simcache_lookup stage histogram.
+	cached *simcache.Encoder
+	cacheH *obs.Histogram
 
 	// Stage histograms, resolved once at open so per-batch observation is
 	// one mutex on the (scheme, stage) histogram.
@@ -68,12 +60,9 @@ type stream struct {
 	// sessions below protocol v3); span accumulates its per-stage
 	// timings and wire counters. Both are touched only by the read
 	// goroutine until the span is handed to writeLoop inside the
-	// outFrame. lookupDur is the (sampled, scaled) similarity-cache
-	// lookup time of the current batch, captured by encodeAllCached for
-	// the span.
-	traceID   uint64
-	span      obs.Span
-	lookupDur time.Duration
+	// outFrame.
+	traceID uint64
+	span    obs.Span
 	// energy is the stream scheme's live wire-activity counter, resolved
 	// once at open; every batch folds its baseline and encoded bus deltas
 	// into it.
@@ -83,24 +72,18 @@ type stream struct {
 	// encoded transfers; their divergence is the value the gateway reports.
 	baseBus, encBus   *bus.Bus
 	prevBase, prevEnc bus.Stats
-	enc               core.Encoded
 	txns              []trace.Transaction
 	recBuf            []byte
 
-	// batch, when non-nil, is the codec's batch-granular entry point
-	// (metadata-free streams only): encodeAllBatch gathers each block of
-	// transactions into srcBuf, encodes it into recBuf windows with one
-	// EncodeBatch call, and charges both buses with fused TransferBatch
-	// walks while the block is still L1-resident. batchEnc holds the
-	// per-block dst windows; bprobes, missIdx and missBuf serve the cached
-	// variant, which defers a block's misses and batches them back through
-	// the mega-kernel, then accounts the block the same way.
+	// batch is the stream's one encode entry point: the codec's native
+	// batch kernel or scheme.BatchEncoder's sequential adapter, behind the
+	// cache decorator when the stream has one. encodeAll gathers each block
+	// of transactions into srcBuf and encodes it with one EncodeBatch call
+	// into the block's batchEnc records, which point at their recBuf
+	// windows.
 	batch    core.BatchEncoder
 	srcBuf   []byte
 	batchEnc []core.Encoded
-	bprobes  []simcache.Probe
-	missIdx  []int
-	missBuf  []byte
 }
 
 // openStream builds one stream on the session: codec construction, the
@@ -120,11 +103,11 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	// Probe the codec and bus geometry with one zero transaction on
 	// throwaway state, so misconfigurations fail the open instead of the
 	// first batch.
-	var probe core.Encoded
-	if err := codec.Encode(&probe, make([]byte, txnSize)); err != nil {
+	probe := make([]core.Encoded, 1)
+	if err := scheme.BatchEncoder(codec).EncodeBatch(probe, make([]byte, txnSize), 1, txnSize); err != nil {
 		return nil, fmt.Errorf("%w: scheme %q cannot encode %d-byte transactions: %v", errSession, name, txnSize, err)
 	}
-	if err := bus.New(ss.srv.cfg.ChannelWidthBits).Transfer(&probe); err != nil {
+	if err := bus.New(ss.srv.cfg.ChannelWidthBits).Transfer(&probe[0]); err != nil {
 		return nil, fmt.Errorf("%w: scheme %q does not fit a %d-bit channel: %v", errSession, name, ss.srv.cfg.ChannelWidthBits, err)
 	}
 	codec.Reset()
@@ -155,13 +138,10 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 		encBus:     bus.New(ss.srv.cfg.ChannelWidthBits),
 	}
 	st.metaBytes = (st.metaBits + 7) / 8
-	// Metadata-free streams run the batch-granular fast path; codecs
-	// without native BatchEncoder support (including chaos-wrapped ones,
-	// whose faults must keep firing per transaction) fall back to a
-	// sequential loop behind the same call.
-	if st.metaBits == 0 {
-		st.batch = scheme.BatchEncoder(codec)
-	}
+	// Codecs without native BatchEncoder support (including chaos-wrapped
+	// ones, whose faults must keep firing per transaction) run a sequential
+	// loop behind the same call.
+	st.batch = scheme.BatchEncoder(codec)
 
 	stages := ss.srv.met.stages
 	st.readH = stages.Hist(name, obs.StageFrameRead)
@@ -171,12 +151,9 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	st.writeH = stages.Hist(name, obs.StageFrameWrite)
 	st.energy = ss.srv.met.energy.Counter(name)
 	if cache := ss.srv.simCacheFor(name, txnSize, st.metaBits); cache != nil {
-		st.cache = cache
-		st.probe = &simcache.Probe{}
+		st.cached = simcache.NewEncoder(cache, st.batch, patcher)
+		st.batch = st.cached
 		st.cacheH = stages.Hist(name, obs.StageSimcacheLookup)
-		if patcher != nil && st.metaBits == 0 {
-			st.patcher = patcher
-		}
 	}
 	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
 	return st, nil
@@ -315,62 +292,39 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 	ss.srv.events.Add(obs.Event{Type: obs.EventCodecPanic, Session: ss.id, Scheme: st.schemeName, Txns: txns, Detail: err.Error()})
 }
 
-// processBatch encodes one batch with the stream codec, drives the
-// baseline and encoded transfers over the stream's bus models, and builds
-// the BatchReply frame body. The two passes are timed separately: pass one
-// is the codec_encode stage, pass two (bus transfers + power estimate) the
-// phy_account stage. Any error return leaves the stream serviceable:
-// recoverBatch has reset the codec and discarded the partial batch's bus
-// deltas (the caller relays the reset to v2 clients).
+// processBatch encodes one batch with the stream codec, charges the
+// baseline and encoded transfers to the stream's bus models, and builds the
+// BatchReply frame body. Encoding and bus accounting run fused, block by
+// block (encodeAll), and are timed together as the codec_encode stage; the
+// phy_account stage covers the batch's statistics and power estimate. Any
+// error return leaves the stream serviceable: recoverBatch has reset the
+// codec and discarded the partial batch's bus deltas (the caller relays the
+// reset to v2 clients).
 func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, error) {
 	ss := st.ss
 	if hook := ss.srv.testHookBatch; hook != nil {
 		hook()
 	}
 	encStart := time.Now()
-	st.recBuf = st.recBuf[:0]
-	if err := st.encodeAll(txns); err != nil {
+	err := st.encodeAll(txns)
+	var lookups time.Duration
+	if st.cached != nil {
+		lookups = st.cached.TakeLookupTime()
+	}
+	if err != nil {
 		st.recoverBatch()
 		return nil, err
 	}
 	accStart := time.Now()
 	encDur := accStart.Sub(encStart)
 	st.encH.ObserveDurationEx(encDur, st.traceID)
-	if st.cache != nil {
+	if st.cached != nil {
 		// The lookup time is buried inside the encode pass; surface it as
-		// its own span stage the way the sampled cacheH histogram does.
-		st.span.Observe(obs.StageSimcacheLookup, st.lookupDur)
+		// its own stage, sampled the way the decorator times it.
+		st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
+		st.span.Observe(obs.StageSimcacheLookup, lookups)
 	}
 	st.span.Observe(obs.StageEncode, encDur)
-
-	// Accounting replays the records just built (the encoded payload is
-	// txnSize bytes plus metaBytes of side-band per record, the same fixed
-	// geometry the client parses). Batch streams, cached or not, have
-	// already charged the buses during the encode pass with the fused
-	// TransferBatch walk over each cache-hot block, and cached
-	// metadata-carrying streams per record (encodeAllCached); both leave
-	// only the geometry check here.
-	recLen := st.txnSize + st.metaBytes
-	if len(st.recBuf) != len(txns)*recLen {
-		st.recoverBatch()
-		return nil, fmt.Errorf("scheme %s: produced %d record bytes for %d transactions, want %d",
-			st.schemeName, len(st.recBuf), len(txns), len(txns)*recLen)
-	}
-	if st.cache == nil && st.batch == nil {
-		for i := range txns {
-			raw := core.Encoded{Data: txns[i].Data}
-			if err := st.baseBus.Transfer(&raw); err != nil {
-				st.recoverBatch()
-				return nil, err
-			}
-			rec := st.recBuf[i*recLen : (i+1)*recLen]
-			enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
-			if err := st.encBus.Transfer(&enc); err != nil {
-				st.recoverBatch()
-				return nil, err
-			}
-		}
-	}
 
 	baseNow, encNow := st.baseBus.Stats(), st.encBus.Stats()
 	baseDelta := baseNow.Sub(st.prevBase)
@@ -450,65 +404,41 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 	return body, nil
 }
 
-// encodeAll runs the codec over every transaction, converting a codec
-// panic into errCodecPanic so one poisonous batch cannot take down the
-// process (or even the stream).
+// batchBlockTxns is the cache-blocking factor of the encode loop: the
+// gathered source block and its record windows (64 × 32 B = 2 KiB each for
+// the paper's workload) both stay L1-resident from the encode walk through
+// the accounting walk, while still amortizing per-call overheads.
+const batchBlockTxns = 64
+
+// encodeAll is the stream's one encode path. BXTP frames stride each
+// transaction's data behind its record header, so each block of
+// transactions is first gathered into the contiguous srcBuf the batch
+// kernels want. The block's dst records are pointed at adjacent recBuf
+// windows of txnSize+metaBytes bytes, so one EncodeBatch call writes the
+// reply payload in place; each record is then settled and the block charged
+// to both buses while it is still L1-resident. A codec panic becomes
+// errCodecPanic, so one poisonous batch cannot take down the process (or
+// even the stream).
 func (st *stream) encodeAll(txns []trace.Transaction) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errCodecPanic, r)
 		}
 	}()
-	if st.cache != nil {
-		if st.batch != nil {
-			return st.encodeAllCachedBatch(txns)
-		}
-		return st.encodeAllCached(txns)
-	}
-	if st.batch != nil {
-		return st.encodeAllBatch(txns)
-	}
-	for i := range txns {
-		t := &txns[i]
-		if e := st.codec.Encode(&st.enc, t.Data); e != nil {
-			return fmt.Errorf("scheme %s: encoding transaction %#x: %v", st.schemeName, t.Addr, e)
-		}
-		st.recBuf = append(st.recBuf, st.enc.Data...)
-		st.recBuf = append(st.recBuf, st.enc.Meta...)
-	}
-	return nil
-}
-
-// batchBlockTxns is the cache-blocking factor of the batch encode path: the
-// gathered source block and its record windows (64 × 32 B = 2 KiB each for
-// the paper's workload) both stay L1-resident from the encode walk through
-// the fused accounting walk, while still amortizing per-call overheads.
-const batchBlockTxns = 64
-
-// encodeAllBatch is the batch-granular encode path for metadata-free
-// streams without a similarity cache. BXTP frames stride each
-// transaction's data behind its record header, so each block is first
-// gathered into the contiguous srcBuf the mega-kernel wants; the dst
-// records are pre-pointed at adjacent recBuf windows, so the kernels write
-// the reply payload in place and the whole batch needs no per-record
-// copies. Wire accounting is fused into the same walk (gatherBlock, then
-// accountBlock after the encode), while the block is still L1-resident.
-func (st *stream) encodeAllBatch(txns []trace.Transaction) error {
 	n := len(txns)
 	st.sizeBatch(n)
 	for start := 0; start < n; start += batchBlockTxns {
 		end := min(start+batchBlockTxns, n)
-		bn := end - start
 		ones, toggles := st.gatherBlock(txns[start:end])
-		dst := st.batchEnc[:bn]
+		dst := st.batchEnc[:end-start]
 		for i := range dst {
 			st.pointRecord(&dst[i], start+i)
 		}
-		if err := st.batch.EncodeBatch(dst, st.srcBuf, bn, st.txnSize); err != nil {
+		if err := st.batch.EncodeBatch(dst, st.srcBuf, len(dst), st.txnSize); err != nil {
 			return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
 		}
 		for i := range dst {
-			if err := st.settleBatchRecord(&dst[i], start+i); err != nil {
+			if err := st.settleRecord(&dst[i], start+i); err != nil {
 				return err
 			}
 		}
@@ -519,10 +449,20 @@ func (st *stream) encodeAllBatch(txns []trace.Transaction) error {
 	return nil
 }
 
-// sizeBatch sizes recBuf for n metadata-free records and batchEnc for one
-// block's dst records.
+// recLen is the size of one reply record: the encoded data plus its
+// side-band metadata bytes, the fixed geometry the client parses.
+func (st *stream) recLen() int { return st.txnSize + st.metaBytes }
+
+// record returns record idx's recBuf window.
+func (st *stream) record(idx int) []byte {
+	off := idx * st.recLen()
+	return st.recBuf[off : off+st.recLen() : off+st.recLen()]
+}
+
+// sizeBatch sizes recBuf for n records and batchEnc for one block's dst
+// records.
 func (st *stream) sizeBatch(n int) {
-	if need := n * st.txnSize; cap(st.recBuf) < need {
+	if need := n * st.recLen(); cap(st.recBuf) < need {
 		st.recBuf = make([]byte, need)
 	} else {
 		st.recBuf = st.recBuf[:need]
@@ -560,11 +500,11 @@ func (st *stream) gatherBlock(block []trace.Transaction) (ones, toggles int) {
 }
 
 // accountBlock charges the block of transactions [start, end) to both
-// buses in arrival order: the gathered srcBuf to the baseline bus, adopting
-// gatherBlock's counts where it made them, and the block's recBuf records
-// to the encoded bus. Each is one fused TransferBatch walk — one boundary
-// splice plus streaming popcount passes — instead of a per-beat Transfer
-// per record.
+// buses in arrival order. The raw side never carries metadata, so the
+// gathered srcBuf goes to the baseline bus in one fused TransferBatch walk,
+// adopting gatherBlock's counts where it made them. A metadata-free stream
+// charges its records to the encoded bus the same way; a metadata-carrying
+// one drives each record's data and side-band wires through Transfer.
 func (st *stream) accountBlock(start, end, ones, toggles int) error {
 	var err error
 	if st.fusedGather() {
@@ -575,182 +515,44 @@ func (st *stream) accountBlock(start, end, ones, toggles int) error {
 	if err != nil {
 		return err
 	}
-	return st.encBus.TransferBatch(st.recBuf[start*st.txnSize:end*st.txnSize], st.txnSize)
+	if st.metaBits == 0 {
+		return st.encBus.TransferBatch(st.recBuf[start*st.txnSize:end*st.txnSize], st.txnSize)
+	}
+	for i := start; i < end; i++ {
+		rec := st.record(i)
+		enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
+		if err := st.encBus.Transfer(&enc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// pointRecord aims dst at record idx's recBuf window, so the batch kernel
-// encodes it in place.
+// pointRecord aims dst's data and metadata at record idx's recBuf window,
+// so the batch kernel encodes it in place.
 func (st *stream) pointRecord(d *core.Encoded, idx int) {
-	off := idx * st.txnSize
-	d.Data = st.recBuf[off : off+st.txnSize : off+st.txnSize]
-	d.Meta = d.Meta[:0]
+	rec := st.record(idx)
+	d.Data = rec[:st.txnSize:st.txnSize]
+	d.Meta = rec[st.txnSize:st.txnSize]
 	d.MetaBits = 0
 }
 
-// settleBatchRecord verifies the codec encoded record idx in place into its
-// recBuf window, copying back records a misbehaving (or fault-injected)
-// codec regrew elsewhere and rejecting ones with the wrong geometry.
-func (st *stream) settleBatchRecord(d *core.Encoded, idx int) error {
-	recLen := st.txnSize // batch streams are metadata-free
-	slot := st.recBuf[idx*recLen : (idx+1)*recLen]
-	if len(d.Data) != recLen || d.MetaBits != 0 {
-		return fmt.Errorf("scheme %s: batch record %d has %d data bytes and %d meta bits, want %d and 0",
-			st.schemeName, idx, len(d.Data), d.MetaBits, recLen)
+// settleRecord verifies the codec encoded record idx into its recBuf
+// window, copying back a record a misbehaving (or fault-injected) codec
+// regrew elsewhere and rejecting one with the wrong geometry.
+func (st *stream) settleRecord(d *core.Encoded, idx int) error {
+	if len(d.Data) != st.txnSize || d.MetaBits != st.metaBits || len(d.Meta) != st.metaBytes {
+		return fmt.Errorf("scheme %s: record %d has %d data bytes and %d meta bits, want %d and %d",
+			st.schemeName, idx, len(d.Data), d.MetaBits, st.txnSize, st.metaBits)
 	}
-	if &d.Data[0] != &slot[0] {
-		copy(slot, d.Data)
+	rec := st.record(idx)
+	if &d.Data[0] != &rec[0] {
+		copy(rec, d.Data)
+	}
+	if st.metaBytes != 0 && &d.Meta[0] != &rec[st.txnSize] {
+		copy(rec[st.txnSize:], d.Meta)
 	}
 	return nil
-}
-
-// encodeAllCachedBatch fuses the similarity cache with the batch path: each
-// block is gathered and its transactions looked up — hits and patched
-// near-hits land their records straight into recBuf — and the misses are
-// batched back through the mega-kernel in one EncodeBatch call. A record is
-// inserted only when its probe says it is worth it (Probe.Admit), so
-// one-off near-duplicate variants are served without evicting anything.
-// With every record of the block in place, accountBlock charges the buses
-// exactly as encodeAllBatch does.
-func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
-	n := len(txns)
-	recLen := st.txnSize // cached streams with a batch path are metadata-free
-	st.sizeBatch(n)
-	if len(st.bprobes) < batchBlockTxns {
-		st.bprobes = make([]simcache.Probe, batchBlockTxns)
-	}
-	var lookups time.Duration
-	for start := 0; start < n; start += batchBlockTxns {
-		end := min(start+batchBlockTxns, n)
-		ones, toggles := st.gatherBlock(txns[start:end])
-		st.missIdx = st.missIdx[:0]
-		st.missBuf = st.missBuf[:0]
-		for i := 0; i < end-start; i++ {
-			src := st.srcBuf[i*recLen : (i+1)*recLen]
-			p := &st.bprobes[i]
-			var lookupStart time.Time
-			sampled := st.lookupTick%lookupSampleStride == 0
-			st.lookupTick++
-			if sampled {
-				lookupStart = time.Now()
-			}
-			var res simcache.Result
-			if st.patcher != nil {
-				res = st.cache.Lookup(p, src)
-			} else {
-				res = st.cache.LookupExact(p, src)
-			}
-			if sampled {
-				lookups += time.Since(lookupStart) * lookupSampleStride
-			}
-			slot := st.recBuf[(start+i)*recLen : (start+i+1)*recLen]
-			switch {
-			case res == simcache.HitExact:
-				copy(slot, p.Data)
-			case res == simcache.HitNear && st.patcher.PatchEncode(slot, src, p.Ref, p.RefEnc):
-				if p.Admit {
-					st.cache.Insert(p, src, slot, nil)
-				}
-			default:
-				st.missIdx = append(st.missIdx, i)
-				st.missBuf = append(st.missBuf, src...)
-			}
-		}
-		if len(st.missIdx) > 0 {
-			dst := st.batchEnc[:len(st.missIdx)]
-			for k, i := range st.missIdx {
-				st.pointRecord(&dst[k], start+i)
-			}
-			if err := st.batch.EncodeBatch(dst, st.missBuf, len(st.missIdx), st.txnSize); err != nil {
-				return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
-			}
-			for k, i := range st.missIdx {
-				if err := st.settleBatchRecord(&dst[k], start+i); err != nil {
-					return err
-				}
-				if p := &st.bprobes[i]; p.Admit {
-					off := (start + i) * recLen
-					st.cache.Insert(p, st.srcBuf[i*recLen:(i+1)*recLen], st.recBuf[off:off+recLen], nil)
-				}
-			}
-		}
-		if err := st.accountBlock(start, end, ones, toggles); err != nil {
-			return err
-		}
-	}
-	st.lookupDur = lookups
-	st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
-	return nil
-}
-
-// encodeAllCached is the similarity-cache encode path of metadata-carrying
-// streams. Those records carry side-band bits a patch cannot reproduce, so
-// the stream has no patcher and looks up exact repeats only: a hit appends
-// the cached record verbatim, and a miss runs a full encode and populates
-// the cache for the next repeat. The summed (sampled, see
-// lookupSampleStride) lookup time feeds the simcache_lookup stage once per
-// batch.
-//
-// Wire accounting is fused into the same pass: a hit carries the record's
-// memoized bus summaries out of the cache and an Insert leaves the freshly
-// computed pair in the probe, so either way the buses are charged with an
-// O(1-beat) splice instead of the full per-beat walk processBatch would
-// otherwise run. recoverBatch discards any partially applied deltas if the
-// batch fails midway, exactly as for partial Transfer loops.
-func (st *stream) encodeAllCached(txns []trace.Transaction) error {
-	var lookups time.Duration
-	for i := range txns {
-		t := &txns[i]
-		var lookupStart time.Time
-		sampled := st.lookupTick%lookupSampleStride == 0
-		st.lookupTick++
-		if sampled {
-			lookupStart = time.Now()
-		}
-		res := st.cache.LookupExact(st.probe, t.Data)
-		if sampled {
-			lookups += time.Since(lookupStart) * lookupSampleStride
-		}
-		recStart := len(st.recBuf)
-		if res == simcache.HitExact {
-			st.recBuf = append(st.recBuf, st.probe.Data...)
-			st.recBuf = append(st.recBuf, st.probe.Meta...)
-		} else {
-			if e := st.codec.Encode(&st.enc, t.Data); e != nil {
-				return fmt.Errorf("scheme %s: encoding transaction %#x: %v", st.schemeName, t.Addr, e)
-			}
-			st.recBuf = append(st.recBuf, st.enc.Data...)
-			st.recBuf = append(st.recBuf, st.enc.Meta...)
-			st.cache.Insert(st.probe, t.Data, st.enc.Data, st.enc.Meta)
-		}
-		if err := st.accountCached(t.Data, st.recBuf[recStart:]); err != nil {
-			return err
-		}
-	}
-	st.lookupDur = lookups
-	st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
-	return nil
-}
-
-// accountCached charges one just-built record to the stream's buses: via
-// the probe's memoized summaries when the cache provided them, else by
-// replaying the raw transaction and record through the full Transfer walk.
-func (st *stream) accountCached(raw, rec []byte) error {
-	if st.probe.HasSums {
-		if err := st.baseBus.Apply(&st.probe.RawSum); err != nil {
-			return err
-		}
-		return st.encBus.Apply(&st.probe.EncSum)
-	}
-	if len(rec) != st.txnSize+st.metaBytes {
-		return fmt.Errorf("scheme %s: produced a %d-byte record, want %d",
-			st.schemeName, len(rec), st.txnSize+st.metaBytes)
-	}
-	base := core.Encoded{Data: raw}
-	if err := st.baseBus.Transfer(&base); err != nil {
-		return err
-	}
-	enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
-	return st.encBus.Transfer(&enc)
 }
 
 // recoverBatch returns the stream to a clean state after a failed batch:

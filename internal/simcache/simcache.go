@@ -49,14 +49,21 @@
 // was seen before. A replayed variant is thus patched twice and served as an
 // exact hit from its third sighting on.
 //
+// Encoder (encoder.go) puts a Cache in front of a codec as a
+// core.BatchEncoder decorator: it serves a batch's hits, patches its near
+// hits, and sends only the misses to the codec, in one EncodeBatch call.
+// bxtd serves every cached stream through it, and charges the bus models
+// for whole blocks with bus.TransferBatch afterwards, as for uncached ones.
+//
 // When configured with a channel width, entries additionally memoize the
 // wire-accounting summaries (bus.Summary) of the raw transaction and the
-// encoded record, so a hit lets the caller charge its buses with an
-// O(1-beat) splice (bus.Apply) instead of re-walking every beat. That pays
-// only for callers that account record by record; one that accounts whole
-// blocks with bus.TransferBatch walks contiguous memory faster than it could
-// splice per-record summaries, and should leave the width zero. The summary
-// pair lives out of line, so a cache without it pays one pointer per entry.
+// encoded record, so a hit lets a caller that accounts record by record
+// charge its buses with an O(1-beat) splice (bus.Apply) instead of
+// re-walking every beat. bxtd no longer calls it: the memoization stays only
+// for the end-to-end benchmark's cache layer (bench/layers.go), which sets
+// ChannelWidthBits, and can go with bus.Summarize/Apply once that benchmark
+// next changes. The summary pair lives out of line, so a cache without it
+// pays one pointer per entry.
 package simcache
 
 import (
@@ -386,9 +393,9 @@ func (c *Cache) Lookup(p *Probe, src []byte) Result {
 }
 
 // LookupExact probes for exact repeats only, skipping the band scan. It is
-// the right call for sessions that could not act on a near hit anyway (no
-// PatchEncoder, or metadata-carrying records): the near scan's cost and its
-// counter traffic would both be wasted.
+// the right call for callers that could not act on a near hit anyway (no
+// PatchEncoder): the near scan's cost and its counter traffic would both be
+// wasted.
 func (c *Cache) LookupExact(p *Probe, src []byte) Result {
 	return c.lookup(p, src, false)
 }
