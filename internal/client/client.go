@@ -143,7 +143,9 @@ type Client struct {
 	// version is the negotiated protocol revision: the configured cap, or
 	// lower if the server negotiated down in HelloOK.
 	version uint8
-	fbuf    []byte
+	// frames is the reply frame read buffer; a returned reply's records
+	// alias it.
+	frames trace.FrameBuffer
 	// bbuf and recs are reused across Transcode calls so a steady-state
 	// streaming client allocates nothing per batch.
 	bbuf []byte
@@ -256,10 +258,7 @@ func (c *Client) handshake(ctx context.Context) error {
 		return fmt.Errorf("client: sending hello: %w", err)
 	}
 	c.conn.SetReadDeadline(c.handshakeDeadline(ctx))
-	ft, rbody, err := trace.ReadFrame(c.br, c.fbuf)
-	if cap(rbody)+1 > cap(c.fbuf) {
-		c.fbuf = make([]byte, cap(rbody)+1)
-	}
+	ft, rbody, err := c.frames.ReadFrame(c.br)
 	if err != nil {
 		return fmt.Errorf("client: reading hello-ok: %w", err)
 	}
@@ -300,12 +299,7 @@ func (c *Client) readFrame() (trace.FrameType, []byte, error) {
 		c.conn.SetReadDeadline(now.Add(c.cfg.IOTimeout))
 		c.readDLAt = now
 	}
-	ft, body, err := trace.ReadFrame(c.br, c.fbuf)
-	if cap(body)+1 > cap(c.fbuf) {
-		// Keep the grown buffer (body aliases its tail) for reuse.
-		c.fbuf = make([]byte, cap(body)+1)
-	}
-	return ft, body, err
+	return c.frames.ReadFrame(c.br)
 }
 
 // Scheme returns the session's scheme name.

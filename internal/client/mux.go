@@ -94,10 +94,12 @@ func (mc *muxConn) isDead() bool {
 }
 
 // muxFrame is one reply frame routed to a session: the type and the full
-// v4 body (stream-id prefix included), copied out of the reader's buffer.
+// v4 body (stream-id prefix included), read by the mux reader straight
+// into fb, a buffer the session owns until it hands fb back.
 type muxFrame struct {
 	ft   trace.FrameType
 	body []byte
+	fb   *trace.FrameBuffer
 }
 
 // Session is one logical stream on a Mux: an independent transcoding
@@ -135,6 +137,16 @@ type Session struct {
 	// one: the per-stream discipline is one frame in flight, and the
 	// reader drops (never blocks on) anything beyond that.
 	replyCh chan muxFrame
+	// free returns frame buffers to the mux reader, which reads this
+	// stream's next frame into the buffer it finds there, so replies
+	// recycle one buffer instead of allocating. held is the buffer the
+	// last received frame (and the reply Transcode returned) aliases; it
+	// goes back on free when the next exchange starts. Capacity one, like
+	// replyCh.
+	free chan *trace.FrameBuffer
+	held *trace.FrameBuffer
+	// timer bounds each await; one per session, re-armed per exchange.
+	timer *time.Timer
 
 	bbuf []byte
 	recs []trace.EncodedRecord
@@ -204,6 +216,7 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 		txnSize: txnSize,
 		gen:     mc.gen,
 		replyCh: make(chan muxFrame, 1),
+		free:    make(chan *trace.FrameBuffer, 1),
 	}
 	m.nextSID++
 	m.sessions[s.sid] = s
@@ -322,22 +335,16 @@ func (m *Mux) handshake(mc *muxConn) (trace.HelloOK, error) {
 }
 
 // readLoop is the demultiplexer: it owns the connection's read side,
-// routing every frame to the session its stream-id prefix names. A frame
-// for an unknown stream is dropped (the stream closed concurrently); a
-// read or framing error kills the connection generation, waking every
-// waiting session.
+// routing every frame to the session its stream-id prefix names. It peeks
+// the stream id first and reads the frame straight into a buffer the
+// session handed back, so a reply is neither copied nor allocated. A
+// frame for an unknown stream is dropped (the stream closed
+// concurrently); a read or framing error kills the connection generation,
+// waking every waiting session.
 func (m *Mux) readLoop(mc *muxConn) {
-	var fbuf []byte
+	var discard trace.FrameBuffer // frames for streams no longer open
 	for {
-		ft, body, err := trace.ReadFrame(mc.br, fbuf)
-		if err != nil {
-			mc.fail(fmt.Errorf("client: mux read: %w", err))
-			return
-		}
-		if cap(body)+1 > cap(fbuf) {
-			fbuf = make([]byte, cap(body)+1)
-		}
-		sid, _, err := trace.SplitStreamID(body)
+		sid, err := trace.PeekStreamID(mc.br)
 		if err != nil {
 			mc.fail(fmt.Errorf("client: mux read: %w", err))
 			return
@@ -345,17 +352,31 @@ func (m *Mux) readLoop(mc *muxConn) {
 		m.mu.Lock()
 		s := m.sessions[sid]
 		m.mu.Unlock()
+		fb := &discard
+		if s != nil {
+			select {
+			case fb = <-s.free:
+			default:
+				// The session still holds its buffer (first frame, or one
+				// beyond the single frame in flight).
+				fb = new(trace.FrameBuffer)
+			}
+		}
+		ft, body, err := fb.ReadFrame(mc.br)
+		if err != nil {
+			mc.fail(fmt.Errorf("client: mux read: %w", err))
+			return
+		}
 		if s == nil {
 			continue
 		}
-		cp := make([]byte, len(body))
-		copy(cp, body)
 		select {
-		case s.replyCh <- muxFrame{ft: ft, body: cp}:
+		case s.replyCh <- muxFrame{ft: ft, body: body, fb: fb}:
 		default:
 			// More than one frame outstanding for the stream can only be
 			// an unsolicited duplicate; the stream learns its fate from
 			// the frame already queued (or from its next exchange).
+			s.recycle(fb)
 		}
 	}
 }
@@ -402,19 +423,58 @@ func (mc *muxConn) writeFrame(ft trace.FrameType, body []byte, timeout time.Dura
 	return mc.bw.Flush()
 }
 
+// recycle offers fb back to the mux reader for this stream's next frame;
+// a buffer beyond the one the reader can hold is left to the collector.
+func (s *Session) recycle(fb *trace.FrameBuffer) {
+	select {
+	case s.free <- fb:
+	default:
+	}
+}
+
+// reclaim readies s for a new request: the buffer of the last frame goes
+// back to the reader (the caller is done with the previous reply) and any
+// stale frame left over from a timed-out attempt, a previous generation
+// or a killed stream is dropped.
+func (s *Session) reclaim() {
+	if s.held != nil {
+		s.recycle(s.held)
+		s.held = nil
+	}
+	select {
+	case f := <-s.replyCh:
+		s.recycle(f.fb)
+	default:
+	}
+}
+
 // await blocks until the reader routes a frame to s, the connection
 // generation dies, or timeout passes (which kills the generation: the
 // server answers in order, so a missing reply means the connection is
-// gone or desynchronized).
+// gone or desynchronized). The frame's buffer stays held by s until the
+// next reclaim.
 func (s *Session) await(mc *muxConn, timeout time.Duration) (muxFrame, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	if s.timer == nil {
+		s.timer = time.NewTimer(timeout)
+	} else {
+		// go.mod's language version keeps the pre-1.23 timer channel: a
+		// timer that fired unobserved leaves a value behind, so stop and
+		// drain before re-arming.
+		if !s.timer.Stop() {
+			select {
+			case <-s.timer.C:
+			default:
+			}
+		}
+		s.timer.Reset(timeout)
+	}
 	select {
 	case f := <-s.replyCh:
+		s.held = f.fb
 		return f, nil
 	case <-mc.dead:
 		return muxFrame{}, mc.deadErr
-	case <-t.C:
+	case <-s.timer.C:
 		err := fmt.Errorf("client: stream %d reply timed out after %v", s.sid, timeout)
 		mc.fail(err)
 		return muxFrame{}, err
@@ -428,11 +488,7 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return err
 	}
-	// Drop any stale frame from a previous generation or a killed stream.
-	select {
-	case <-s.replyCh:
-	default:
-	}
+	s.reclaim()
 	if err := mc.writeFrame(trace.FrameStreamOpen, body, s.m.cfg.IOTimeout); err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
@@ -491,7 +547,10 @@ func (s *Session) LastTraceID() uint64 { return s.traceID }
 // retrying recoverable failures (Busy sheds, BatchError replies, stream
 // kills, broken connections) up to Config.MaxRetries times, exactly like
 // Client.Transcode — but sibling streams keep exchanging batches on the
-// shared connection the whole time.
+// shared connection the whole time. The reply's Records alias a frame
+// buffer the session recycles: they are valid until the next call on this
+// Session, which hands the buffer back to the mux reader for the next
+// reply. Copy anything that must outlive that.
 func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) {
 	if s.closed {
 		return trace.BatchReply{}, ErrMuxClosed
@@ -551,11 +610,7 @@ func (s *Session) exchange(mc *muxConn, id uint64, txns []trace.Transaction) (tr
 	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
 		return trace.BatchReply{}, 0, exchangeCaller, err // unreachable: envelope present
 	}
-	// Drop any stale frame left over from a timed-out attempt.
-	select {
-	case <-s.replyCh:
-	default:
-	}
+	s.reclaim()
 	if err := mc.writeFrame(trace.FrameBatch, body, s.m.cfg.IOTimeout); err != nil {
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
 	}

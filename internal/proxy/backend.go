@@ -112,9 +112,14 @@ func (e *ewma) observe(d time.Duration) {
 func (e *ewma) load() float64 { return math.Float64frombits(e.bits.Load()) }
 
 // observeExchange folds one backend_exchange duration into the
-// per-scheme latency EWMA the weighted router consults.
+// per-scheme latency EWMA the weighted router consults. Only the first
+// sample of a scheme allocates its EWMA; LoadOrStore alone would allocate
+// a candidate on every batch.
 func (b *backend) observeExchange(scheme string, d time.Duration) {
-	v, _ := b.lat.LoadOrStore(scheme, new(ewma))
+	v, ok := b.lat.Load(scheme)
+	if !ok {
+		v, _ = b.lat.LoadOrStore(scheme, new(ewma))
+	}
 	v.(*ewma).observe(d)
 }
 
@@ -223,8 +228,9 @@ type upstream struct {
 	// ok is the backend's HelloOK; the proxy relays MetaBits and
 	// BatchLimit to the client verbatim.
 	ok trace.HelloOK
-	// fbuf is the reply frame read buffer, grown on demand and kept.
-	fbuf []byte
+	// frames is the reply frame read buffer; it outlives a trip through
+	// the idle pool.
+	frames trace.FrameBuffer
 	// pooledReuse marks an upstream just taken from the idle pool whose
 	// first exchange has not succeeded yet: a failure then is more likely
 	// a backend-side idle timeout than a health problem, so it does not
@@ -298,7 +304,7 @@ var errStateRejected = errors.New("proxy: backend rejected state transfer")
 var errStreamRefused = errors.New("proxy: backend refused stream open")
 
 // adminExchange runs one serial admin round trip (write ft+body, read the
-// reply) within timeout, keeping u.fbuf as the grow-once read buffer.
+// reply) within timeout, reading the reply into u.frames.
 func (u *upstream) adminExchange(ft trace.FrameType, body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
 	u.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err := trace.WriteFrame(u.bw, ft, body); err != nil {
@@ -308,14 +314,7 @@ func (u *upstream) adminExchange(ft trace.FrameType, body []byte, timeout time.D
 		return 0, nil, err
 	}
 	u.conn.SetReadDeadline(time.Now().Add(timeout))
-	rt, rbody, err := trace.ReadFrame(u.br, u.fbuf)
-	if err != nil {
-		return 0, nil, err
-	}
-	if cap(rbody) > cap(u.fbuf) {
-		u.fbuf = rbody[:cap(rbody)]
-	}
-	return rt, rbody, nil
+	return u.frames.ReadFrame(u.br)
 }
 
 // stripMux removes the v4 stream-id prefix from a reply body on a muxed
@@ -337,7 +336,7 @@ func (u *upstream) stripMux(sid uint32, body []byte) ([]byte, error) {
 
 // openStream opens stream sid on a muxed upstream connection with one
 // StreamOpen exchange. It returns the backend's raw StreamOpenOK body
-// (aliasing u.fbuf) so the caller can relay the verdict verbatim; a clean
+// (aliasing u.frames) so the caller can relay the verdict verbatim; a clean
 // refusal wraps errStreamRefused, any other error means the connection
 // may be desynchronized and should be dropped.
 func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte, error) {
@@ -358,6 +357,11 @@ func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte
 	}
 	if ok.ID != o.ID {
 		return nil, fmt.Errorf("proxy: backend %s acked stream %d, want %d", u.b.addr, ok.ID, o.ID)
+	}
+	if ok.Status != trace.StreamOK && ok.Status != trace.StreamRefused {
+		// No gateway sends this; the verdict was damaged in transit and
+		// whether the stream opened is unknown.
+		return nil, fmt.Errorf("proxy: backend %s answered stream-open with status %d", u.b.addr, ok.Status)
 	}
 	if ok.Status != trace.StreamOK {
 		return rbody, fmt.Errorf("%w: backend %s: %s", errStreamRefused, u.b.addr, ok.Msg)
@@ -456,7 +460,7 @@ func (u *upstream) restoreState(sid uint32, seq uint64, state []byte, timeout ti
 
 // exchange forwards one Batch frame body verbatim (including any v4
 // stream-id prefix) and reads the reply frame, all within timeout. The
-// returned body aliases u.fbuf and is valid until the next exchange.
+// returned body aliases u.frames and is valid until the next exchange.
 func (u *upstream) exchange(body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
 	return u.adminExchange(trace.FrameBatch, body, timeout)
 }

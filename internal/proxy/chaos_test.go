@@ -195,8 +195,10 @@ func TestProxyChaosEndToEnd(t *testing.T) {
 	}
 
 	// The restarted victim rejoins: the prober restores it, and a fresh
-	// session's batches reach it (least-pending routing favors the
-	// backend with the lightest lifetime count).
+	// session's batches reach it. Latency-weighted routing may prefer a
+	// survivor, so the test takes that choice away: with the survivors
+	// draining, the restored backend is the only one a new stateless
+	// session can route to.
 	victimAddr := addrs[victimIdx]
 	deadline := time.Now().Add(5 * time.Second)
 	for backendMetric(t, httpGet(t, metricsURL), "bxtproxy_backend_up", victimAddr) != 1 {
@@ -204,6 +206,14 @@ func TestProxyChaosEndToEnd(t *testing.T) {
 			t.Fatal("restarted backend never restored to routing")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	for i, a := range addrs {
+		if i == victimIdx {
+			continue
+		}
+		if code, body := httpPost(t, "http://"+px.MetricsAddr()+"/drain?backend="+a); code != 200 {
+			t.Fatalf("draining survivor %s: %d %s", a, code, body)
+		}
 	}
 	before := backendMetric(t, httpGet(t, metricsURL), "bxtproxy_backend_batches_total", victimAddr)
 	c, err := client.DialConfig(px.Addr(), "universal", txnSize, retryClient())

@@ -41,6 +41,9 @@ type metrics struct {
 	stateSnapFailed  atomic.Uint64
 	stateRestFailed  atomic.Uint64
 	stateUnsupported atomic.Uint64
+	// shadowPulls counts shadow snapshots pulled from pins and kept for
+	// failover.
+	shadowPulls atomic.Uint64
 
 	// Stream-multiplexing accounting (protocol v4). streamsOpen gauges
 	// the logical streams currently relayed (pre-v4 sessions count their
@@ -101,6 +104,7 @@ func (m *metrics) writeExposition(w io.Writer, backends []*backend, draining boo
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"snapshot_failed\"} %d\n", m.stateSnapFailed.Load())
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"restore_failed\"} %d\n", m.stateRestFailed.Load())
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"unsupported\"} %d\n", m.stateUnsupported.Load())
+	fmt.Fprintf(w, "bxtproxy_shadow_snapshots_total %d\n", m.shadowPulls.Load())
 	fmt.Fprintf(w, "bxtproxy_streams_open %d\n", m.streamsOpen.Load())
 	fmt.Fprintf(w, "bxtproxy_streams_total %d\n", m.streamsTotal.Load())
 	fmt.Fprintf(w, "bxtproxy_stream_refused_total %d\n", m.streamRefused.Load())

@@ -325,6 +325,16 @@ func TestKilledPinRecoversFromShadow(t *testing.T) {
 
 	pinVerifyRound(t, c, dec, 0)
 	pinVerifyRound(t, c, dec, 1)
+	// The proxy pulls each shadow after relaying the batch's reply, so
+	// the client can see round 1's reply before its shadow exists; kill
+	// only once both rounds' shadows have landed.
+	deadline := time.Now().Add(5 * time.Second)
+	for px.met.shadowPulls.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("shadow snapshots pulled = %d, want 2", px.met.shadowPulls.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	epoch := c.Epoch()
 	pin := findPin(t, px)
 	for _, srv := range srvs {

@@ -13,6 +13,7 @@ import (
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
+	"github.com/hpca18/bxt/internal/faults"
 	"github.com/hpca18/bxt/internal/proxy"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/server"
@@ -235,6 +236,46 @@ func TestProxyRelay(t *testing.T) {
 	metricValue(t, exp, fmt.Sprintf("bxtproxy_energy_saved_joules_total{backend=%q}", srv.Addr()))
 	if got := metricValue(t, exp, "bxtproxy_trace_spans_total"); got != 10 {
 		t.Errorf("bxtproxy_trace_spans_total = %v, want 10", got)
+	}
+}
+
+// TestStatelessRetryAvoidsFaultingBackend puts a backend that answers
+// every batch with a BatchError next to a healthy one. The faulting
+// backend speaks BXTP fine, so it is never ejected, and it never serves a
+// batch, so routing (fewest batches among near-ties) keeps choosing it
+// first. Only the retry steering keeps a stateless stream's retry off it:
+// with one retry allowed, every batch must succeed on the healthy
+// backend.
+func TestStatelessRetryAvoidsFaultingBackend(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	bcfg := backendConfig()
+	bad, err := server.New(bcfg)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	bad.SetFaults(faults.MustNew(faults.Config{Seed: 1, ErrRate: 1}))
+	if err := bad.Start(); err != nil {
+		t.Fatalf("server.Start: %v", err)
+	}
+	t.Cleanup(func() { bad.Close() })
+	good := startBackend(t, bcfg)
+	px := startProxy(t, proxyConfig(bad.Addr(), good.Addr()))
+
+	ccfg := retryClient()
+	ccfg.MaxRetries = 1
+	c, err := client.DialConfig(px.Addr(), "universal", 32, ccfg)
+	if err != nil {
+		t.Fatalf("dial through proxy: %v", err)
+	}
+	defer c.Close()
+	// Ten batches stay below the faulting backend's per-stream fault
+	// budget, so it never kills the upstream stream.
+	verifySession(t, c, buildDecoder(t, "universal", bcfg), rand.New(rand.NewSource(3)), 10, 16)
+	if got := c.RetryStats().BatchErrors; got == 0 {
+		t.Error("no batch reached the faulting backend; the test proved nothing")
+	}
+	if got := c.RetryStats().Reconnects; got != 0 {
+		t.Errorf("client reconnected %d times", got)
 	}
 }
 

@@ -62,7 +62,9 @@ type session struct {
 	// degenerates to one dedicated upstream per backend, as before.
 	ups map[*backend]*upstream
 
-	fbuf []byte
+	// frames is the client-side frame read buffer; a relayed batch body
+	// aliases it until the upstream exchange returns.
+	frames trace.FrameBuffer
 
 	// traceID is the current batch's end-to-end trace id (zero below
 	// protocol v3); span is its relay-leg record — frame_read,
@@ -191,7 +193,7 @@ func (ss *session) readLoop() {
 		}
 		ss.conn.SetReadDeadline(time.Now().Add(ss.p.cfg.ReadTimeout))
 		readStart := time.Now()
-		ft, body, err := trace.ReadFrame(ss.br, ss.fbuf)
+		ft, body, err := ss.frames.ReadFrame(ss.br)
 		if err != nil {
 			if err == io.EOF {
 				return // clean client close
@@ -208,9 +210,6 @@ func (ss *session) readLoop() {
 				ss.writeFrame(trace.FrameError, []byte(err.Error()))
 			}
 			return
-		}
-		if cap(body) > cap(ss.fbuf) {
-			ss.fbuf = body[:cap(body)]
 		}
 		switch {
 		case ft == trace.FrameBatch:
@@ -289,6 +288,7 @@ func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
 	ss.log.Info("stream open", "stream", o.ID, "scheme", o.Scheme, "pinned", st.pinned)
 	fatal = ss.writeFrame(trace.FrameStreamOpenOK, st.openOK) != nil
 	st.openOK = nil
+	st.accepted = true
 	return fatal
 }
 

@@ -49,6 +49,16 @@ type pstream struct {
 	// acquireUpstream opens this stream on a muxed connection, so the
 	// session can relay the verdict verbatim to the client.
 	openOK []byte
+	// avoid is the backend that relayed this stateless stream's last
+	// Busy or BatchError; the retry that follows routes elsewhere when
+	// another backend is eligible, so a backend-side fault that repeats
+	// (a backend stream opened with damaged parameters, say) cannot
+	// absorb every retry.
+	avoid *backend
+	// accepted is set once the client has been told this stream opened:
+	// its parameters are then known good, so a later refusal to open it
+	// on another upstream connection is a fault of that connection.
+	accepted bool
 
 	readH, backH, writeH *obs.Histogram
 }
@@ -236,6 +246,9 @@ func (st *pstream) handleBatch(body []byte, readDur time.Duration) (fatal bool) 
 		u.pooledReuse = false
 		ss.p.noteBackendOK(b)
 		ss.p.met.relayedFaults.Add(1)
+		if !st.pinned {
+			st.avoid = b
+		}
 		return ss.writeFrame(ft, rbody) != nil
 	case trace.FrameError:
 		// The backend ended this upstream session (fault budget, drain,
@@ -308,6 +321,15 @@ func (st *pstream) ensureOpen(u *upstream) error {
 	okBody, err := u.openStream(
 		trace.StreamOpen{ID: st.sid, TxnSize: st.key.txnSize, Scheme: st.schemeName},
 		st.ss.p.cfg.ExchangeTimeout)
+	if st.accepted && errors.Is(err, errStreamRefused) {
+		// Not parameter-driven: the connection and the proxy disagree on
+		// what is open on it (a damaged StreamOpenOK once read as a
+		// refusal leaves the stream open on the backend, and every
+		// re-open then fails "already open"). Report it as a connection
+		// failure, so callers drop the connection and the stream reopens
+		// fresh.
+		return fmt.Errorf("proxy: backend %s refused to reopen stream %d: %v", u.b.addr, st.sid, err)
+	}
 	if okBody != nil {
 		st.openOK = append(st.openOK[:0], okBody...)
 	}
@@ -325,6 +347,13 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 	ss := st.ss
 	backends := ss.p.backendList()
 	excluded := make(map[*backend]bool)
+	if st.avoid != nil {
+		excluded[st.avoid] = true
+		if ss.p.pickStateless(st.schemeName, excluded) == nil {
+			delete(excluded, st.avoid) // nowhere else to go
+		}
+		st.avoid = nil
+	}
 	for attempt := 0; attempt <= len(backends); attempt++ {
 		var b *backend
 		if st.pinned {
@@ -531,6 +560,7 @@ func (st *pstream) pullShadow(u *upstream, b *backend) {
 		return
 	}
 	st.shadow, st.shadowSeq, st.hasShadow = blob, seq, true
+	ss.p.met.shadowPulls.Add(1)
 }
 
 // pinKey is the rendezvous key this stream hashes with: stream 0 keeps

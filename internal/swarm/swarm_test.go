@@ -30,7 +30,10 @@ func startBackend(t *testing.T) *server.Server {
 	return srv
 }
 
-func startProxy(t *testing.T, backends ...string) *proxy.Proxy {
+// startProxy starts a proxy over backends. A non-nil inj arms the fault
+// injector on the backend leg before Start, as SetFaults requires: the
+// health probes dial through it from the moment the proxy starts.
+func startProxy(t *testing.T, inj *faults.Injector, backends ...string) *proxy.Proxy {
 	t.Helper()
 	cfg := config.DefaultProxy()
 	cfg.ListenAddr = "127.0.0.1:0"
@@ -46,6 +49,9 @@ func startProxy(t *testing.T, backends ...string) *proxy.Proxy {
 	px, err := proxy.New(cfg)
 	if err != nil {
 		t.Fatalf("proxy.New: %v", err)
+	}
+	if inj != nil {
+		px.SetFaults(inj)
 	}
 	if err := px.Start(); err != nil {
 		t.Fatalf("proxy.Start: %v", err)
@@ -94,7 +100,7 @@ func checkSwarm(t *testing.T, res swarm.Result) {
 func TestSwarm(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	b1, b2 := startBackend(t), startBackend(t)
-	px := startProxy(t, b1.Addr(), b2.Addr())
+	px := startProxy(t, nil, b1.Addr(), b2.Addr())
 
 	conns, streams := swarmSize(t)
 	res, err := swarm.Run(swarm.Config{
@@ -149,12 +155,11 @@ func TestSwarmDirect(t *testing.T) {
 func TestSwarmChaos(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	b1, b2 := startBackend(t), startBackend(t)
-	px := startProxy(t, b1.Addr(), b2.Addr())
 	inj, err := faults.New(faults.Config{Seed: 7, CorruptRate: 0.002, DropRate: 0.001})
 	if err != nil {
 		t.Fatalf("faults.New: %v", err)
 	}
-	px.SetFaults(inj)
+	px := startProxy(t, inj, b1.Addr(), b2.Addr())
 
 	conns, streams := 4, 200
 	if !testing.Short() {

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // validTrace builds a well-formed trace byte stream for the seed corpus.
@@ -26,7 +28,9 @@ func validTrace(t *testing.T, txnSize int, txns []Transaction) []byte {
 
 // FuzzReader feeds arbitrary bytes to the trace reader: no input may panic,
 // and every well-formed prefix must parse into transactions that round-trip
-// bit-exactly through the writer.
+// bit-exactly through the writer. The same bytes, read as a BXTP frame
+// stream, must come out of ReadFrame identically through a plain reader
+// and through the *bufio.Reader path (checkFrameReaders).
 func FuzzReader(f *testing.F) {
 	// Seed corpus: an empty trace, a short valid trace, and targeted
 	// corruptions of each header and record field.
@@ -120,8 +124,14 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(muxFrames.Bytes())
+	// Frame streams cut inside the second frame's header and body, and a
+	// zero-length frame.
+	f.Add(muxFrames.Bytes()[:len(open)+5+2])
+	f.Add(muxFrames.Bytes()[:len(open)+5+7])
+	f.Add([]byte{0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrameReaders(t, data)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadTrace) {
@@ -156,6 +166,47 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("round trip mismatch: %d bytes in, %d bytes out", len(data), len(reenc))
 		}
 	})
+}
+
+// checkFrameReaders reads data as a frame stream twice — ReadFrame over a
+// plain io.Reader, and a FrameBuffer over a small *bufio.Reader fed in
+// short reads, peeking each frame's stream id first as the mux reader
+// does — and requires the same type, body and error, frame by frame, up
+// to and including the first error.
+func checkFrameReaders(t *testing.T, data []byte) {
+	plain := bytes.NewReader(data)
+	buffered := bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(data)), 16)
+	var fb FrameBuffer
+	for i := 0; ; i++ {
+		sid, perr := PeekStreamID(buffered)
+		wantT, wantBody, wantErr := ReadFrame(plain, nil)
+		gotT, gotBody, gotErr := fb.ReadFrame(buffered)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("frame %d: plain reader err %v, bufio reader err %v", i, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr != io.EOF && !errors.Is(wantErr, ErrBadFrame) {
+				t.Fatalf("frame %d: error %v is neither io.EOF nor ErrBadFrame", i, wantErr)
+			}
+			if (wantErr == io.EOF) != (gotErr == io.EOF) || errors.Is(wantErr, ErrBadFrame) != errors.Is(gotErr, ErrBadFrame) {
+				t.Fatalf("frame %d: error classes differ: %v vs %v", i, wantErr, gotErr)
+			}
+			if wantErr == io.EOF && perr != io.EOF {
+				t.Fatalf("frame %d: PeekStreamID at a clean close returned %v", i, perr)
+			}
+			return
+		}
+		if gotT != wantT || !bytes.Equal(gotBody, wantBody) {
+			t.Fatalf("frame %d: bufio reader read type %#x body %x, plain reader %#x %x", i, gotT, gotBody, wantT, wantBody)
+		}
+		if len(gotBody) >= 4 {
+			if want := binary.LittleEndian.Uint32(gotBody); perr != nil || sid != want {
+				t.Fatalf("frame %d: PeekStreamID = %d, %v; body carries stream %d", i, sid, perr, want)
+			}
+		} else if !errors.Is(perr, ErrBadFrame) {
+			t.Fatalf("frame %d: PeekStreamID on a %d-byte body returned %v", i, len(gotBody), perr)
+		}
+	}
 }
 
 // FuzzStateFrames feeds arbitrary bytes to the state-transfer frame

@@ -73,6 +73,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -315,15 +316,27 @@ func ParseStateAck(body []byte) (status uint8, seq uint64, payload []byte, err e
 	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
 }
 
-// WriteFrame writes one frame (length prefix, type byte, body) to w.
+// frameHeaderBytes is the frame header: the uint32 length prefix and the
+// type byte.
+const frameHeaderBytes = 5
+
+// WriteFrame writes one frame (length prefix, type byte, body) to w. On a
+// *bufio.Writer, every production caller's writer, the header goes
+// straight into the writer's free space, so a frame write allocates
+// nothing.
 func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	if len(body)+1 > MaxFrameBytes {
 		return fmt.Errorf("%w: %d-byte body exceeds frame limit", ErrBadFrame, len(body))
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+1))
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= frameHeaderBytes {
+		hdr = bw.AvailableBuffer()[:frameHeaderBytes]
+	} else {
+		hdr = make([]byte, frameHeaderBytes)
+	}
+	binary.LittleEndian.PutUint32(hdr, uint32(len(body)+1))
 	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -332,27 +345,89 @@ func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 
 // ReadFrame reads one frame from r, reusing buf for the body when it has
 // capacity. It returns the frame type and the body (valid until the next
-// call when buf is reused).
+// call when buf is reused). A clean close before the first header byte
+// returns io.EOF; a truncated header or body, or an implausible length,
+// returns an error wrapping ErrBadFrame. A connection that reads frame
+// after frame should use a FrameBuffer, which keeps a grown buffer.
 func ReadFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: truncated frame header: %w", ErrBadFrame, err)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < 1 || n > MaxFrameBytes {
-		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrBadFrame, n)
+	ft, body, _, err := readFrame(r, buf)
+	return ft, body, err
+}
+
+// FrameBuffer is a grow-once frame read buffer: it keeps the backing
+// array of the largest frame read through it, so a connection allocates
+// only when a frame outgrows every earlier one. The zero value is ready
+// to use; a FrameBuffer is not safe for concurrent use.
+type FrameBuffer struct{ buf []byte }
+
+// ReadFrame is trace.ReadFrame into fb. The returned body aliases fb and
+// is valid until the next ReadFrame on fb.
+func (fb *FrameBuffer) ReadFrame(r io.Reader) (FrameType, []byte, error) {
+	ft, body, buf, err := readFrame(r, fb.buf)
+	fb.buf = buf
+	return ft, body, err
+}
+
+// readFrame is ReadFrame that also returns the buffer the frame was read
+// into — buf, or a larger one when buf lacked capacity — for the caller to
+// keep.
+func readFrame(r io.Reader, buf []byte) (FrameType, []byte, []byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return 0, nil, buf, err
 	}
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
+	frame := buf[:n]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return 0, nil, buf, fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
 	}
-	return FrameType(buf[0]), buf[1:], nil
+	return FrameType(frame[0]), frame[1:], buf, nil
+}
+
+// readFrameLen consumes a frame's uint32 length prefix and checks it. A
+// *bufio.Reader is read through Peek, so the header needs no buffer of its
+// own; any other reader goes through a header array, which escapes to the
+// heap. Both paths return the same errors.
+func readFrameLen(r io.Reader) (int, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		n, err := peekFrameLen(br)
+		if err == nil {
+			br.Discard(4)
+		}
+		return n, err
+	}
+	var hdr [4]byte
+	_, err := io.ReadFull(r, hdr[:])
+	return frameLen(hdr[:], err)
+}
+
+// peekFrameLen is readFrameLen without consuming the prefix.
+func peekFrameLen(br *bufio.Reader) (int, error) {
+	hdr, err := br.Peek(4)
+	if len(hdr) > 0 && err == io.EOF {
+		err = io.ErrUnexpectedEOF // what io.ReadFull reports
+	}
+	return frameLen(hdr, err)
+}
+
+// frameLen checks the outcome of reading a length prefix: io.EOF before
+// the first byte is a clean close, any other read error a truncated
+// frame, and the length must cover the type byte without exceeding
+// MaxFrameBytes.
+func frameLen(hdr []byte, err error) (int, error) {
+	if err == io.EOF {
+		return 0, io.EOF
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: truncated frame header: %w", ErrBadFrame, err)
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n < 1 || n > MaxFrameBytes {
+		return 0, fmt.Errorf("%w: implausible frame length %d", ErrBadFrame, n)
+	}
+	return int(n), nil
 }
 
 // Hello is the session-opening handshake: the client names the codec it

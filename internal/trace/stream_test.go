@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -57,6 +58,93 @@ func TestFrameErrors(t *testing.T) {
 	_, _, err = ReadFrame(bytes.NewReader(short), nil)
 	if !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated body: %v, want ErrBadFrame", err)
+	}
+}
+
+// TestFrameBufferedWriter checks the *bufio.Writer header path writes the
+// same bytes as the plain path, including when the writer has too little
+// room left for a header and when a body spills past the buffer.
+func TestFrameBufferedWriter(t *testing.T) {
+	var plain, buffered bytes.Buffer
+	bw := bufio.NewWriterSize(&buffered, 16)
+	for i, n := range []int{0, 3, 9, 12, 40, 1, 15, 0, 100} {
+		body := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if err := WriteFrame(&plain, FrameBatch+FrameType(i), body); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, FrameBatch+FrameType(i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buffered.Bytes(), plain.Bytes()) {
+		t.Fatalf("bufio framing diverges:\n got %x\nwant %x", buffered.Bytes(), plain.Bytes())
+	}
+}
+
+// TestFrameBufferReuse is the grow-once regression test: frames no larger
+// than the biggest seen so far are read into the same backing array.
+func TestFrameBufferReuse(t *testing.T) {
+	var wire bytes.Buffer
+	for _, n := range []int{8499, 8499, 100, 8499} {
+		if err := WriteFrame(&wire, FrameBatchReply, bytes.Repeat([]byte{0x5A}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(&wire)
+	var fb FrameBuffer
+	var first *byte
+	for i, n := range []int{8499, 8499, 100, 8499} {
+		ft, body, err := fb.ReadFrame(br)
+		if err != nil || ft != FrameBatchReply || len(body) != n {
+			t.Fatalf("frame %d: type %#x, %d bytes, err %v", i, ft, len(body), err)
+		}
+		if i == 0 {
+			first = &body[0]
+		} else if &body[0] != first {
+			t.Fatalf("frame %d (%d bytes) was read into a new buffer", i, n)
+		}
+	}
+}
+
+// TestFrameZeroAlloc pins the framing hot path: writing a frame through a
+// *bufio.Writer and reading it back through a *bufio.Reader allocates
+// nothing once the buffers exist, whether the body lands in a FrameBuffer
+// or in a caller buffer passed to ReadFrame.
+func TestFrameZeroAlloc(t *testing.T) {
+	var wire bytes.Buffer
+	bw := bufio.NewWriter(&wire)
+	br := bufio.NewReader(&wire)
+	body := bytes.Repeat([]byte{0xC3}, 2048)
+	var fb FrameBuffer
+	scratch := make([]byte, 4096)
+	var err error
+	allocs := testing.AllocsPerRun(1000, func() {
+		wire.Reset()
+		if e := WriteFrame(bw, FrameBatch, body); e != nil {
+			err = e
+		}
+		if e := WriteFrame(bw, FrameBatchReply, body); e != nil {
+			err = e
+		}
+		if e := bw.Flush(); e != nil {
+			err = e
+		}
+		br.Reset(&wire)
+		if _, _, e := fb.ReadFrame(br); e != nil {
+			err = e
+		}
+		if _, _, e := ReadFrame(br, scratch); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per buffered frame round trip, want 0", allocs)
 	}
 }
 
