@@ -60,7 +60,6 @@ func main() {
 	faultBudget := flag.Int("fault-budget", def.FaultBudget, "recoverable batch faults tolerated per session before disconnect")
 	admitTimeout := flag.Duration("admit-timeout", def.AdmitTimeout, "worker-slot wait above which a batch is shed with a Busy reply")
 	maxPending := flag.Int("max-pending", def.MaxPending, "batches waiting for workers before immediate shedding")
-	maxProtocol := flag.Int("max-protocol", def.MaxProtocol, "highest BXTP revision to negotiate (compatibility drills)")
 	streamLimit := flag.Int("stream-limit", def.StreamLimit, "logical streams allowed per multiplexed (v4) connection")
 	traceBuffer := flag.Int("trace-buffer", def.TraceBuffer, "batch spans retained by /debug/trace")
 	stateDir := flag.String("state-dir", def.StateDir, "directory for drain-time session state snapshots (empty disables)")
@@ -102,7 +101,6 @@ func main() {
 		FaultBudget:      *faultBudget,
 		AdmitTimeout:     *admitTimeout,
 		MaxPending:       *maxPending,
-		MaxProtocol:      *maxProtocol,
 		StreamLimit:      *streamLimit,
 		TraceBuffer:      *traceBuffer,
 		StateDir:         *stateDir,

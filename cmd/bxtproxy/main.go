@@ -58,7 +58,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", def.HealthInterval, "gap between backend Hello probes")
 	probeScheme := flag.String("probe-scheme", def.ProbeScheme, "registry scheme health probes handshake with")
 	ejectThreshold := flag.Int("eject-threshold", def.EjectThreshold, "consecutive failures that eject a backend")
-	poolSize := flag.Int("pool-size", def.PoolSize, "idle upstream sessions kept per backend")
 	retryHint := flag.Duration("retry-hint", def.RetryHint, "retry-after carried by failover Busy replies")
 	stateTimeout := flag.Duration("state-timeout", def.StateTransferTimeout, "deadline for one failover state snapshot or restore exchange")
 	shadowInterval := flag.Int("shadow-interval", def.ShadowInterval, "batches between shadow snapshots of pinned stateful sessions (0 disables)")
@@ -92,7 +91,6 @@ func main() {
 		HealthInterval:       *healthInterval,
 		ProbeScheme:          *probeScheme,
 		EjectThreshold:       *ejectThreshold,
-		PoolSize:             *poolSize,
 		RetryHint:            *retryHint,
 		StateTransferTimeout: *stateTimeout,
 		ShadowInterval:       *shadowInterval,

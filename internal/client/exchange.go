@@ -1,0 +1,374 @@
+package client
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"github.com/hpca18/bxt/internal/obs"
+	"github.com/hpca18/bxt/internal/trace"
+)
+
+// connect dials addr and runs the Hello handshake for (scheme, txnSize) on
+// the new connection, resetting br and bw onto it. The handshake's I/O is
+// bounded by the earlier of ctx's deadline and IOTimeout from now, so a
+// context-bounded dial bounds the handshake too. On any failure —
+// including ctx canceling mid-handshake — the socket is closed before
+// connect returns, never leaked. A HelloOK naming any revision other than
+// trace.ProtocolVersion fails with ErrServer.
+func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int, br *bufio.Reader, bw *bufio.Writer) (net.Conn, trace.HelloOK, error) {
+	hello, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: txnSize, Scheme: scheme})
+	if err != nil {
+		return nil, trace.HelloOK{}, err
+	}
+	conn, err := cfg.Dialer(ctx, addr)
+	if err != nil {
+		return nil, trace.HelloOK{}, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
+	// The dialer honors ctx, but the handshake I/O below does not by
+	// itself: closing the socket on cancellation fails that I/O promptly
+	// and guarantees no leaked connection either way.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
+	br.Reset(conn)
+	bw.Reset(conn)
+	deadline := time.Now().Add(cfg.IOTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	conn.SetDeadline(deadline)
+	ok, err := handshake(br, bw, hello)
+	if err != nil {
+		conn.Close()
+		if ctx.Err() != nil {
+			return nil, trace.HelloOK{}, fmt.Errorf("client: handshake: %w", ctx.Err())
+		}
+		return nil, trace.HelloOK{}, err
+	}
+	if !stop() {
+		// ctx fired during the handshake and already closed the socket.
+		return nil, trace.HelloOK{}, fmt.Errorf("client: handshake: %w", ctx.Err())
+	}
+	return conn, ok, nil
+}
+
+// handshake sends the Hello body and reads the server's answer.
+func handshake(br *bufio.Reader, bw *bufio.Writer, hello []byte) (trace.HelloOK, error) {
+	if err := trace.WriteFrame(bw, trace.FrameHello, hello); err != nil {
+		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
+	}
+	ft, body, err := trace.ReadFrame(br, nil)
+	if err != nil {
+		return trace.HelloOK{}, fmt.Errorf("client: reading hello-ok: %w", err)
+	}
+	switch ft {
+	case trace.FrameHelloOK:
+		ok, err := trace.ParseHelloOK(body)
+		if err != nil {
+			return trace.HelloOK{}, err
+		}
+		if ok.Version != trace.ProtocolVersion {
+			return trace.HelloOK{}, fmt.Errorf("%w: server answered protocol version %d, client speaks %d",
+				ErrServer, ok.Version, trace.ProtocolVersion)
+		}
+		return ok, nil
+	case trace.FrameError:
+		return trace.HelloOK{}, fmt.Errorf("%w: %s", ErrServer, body)
+	default:
+		return trace.HelloOK{}, fmt.Errorf("%w: unexpected frame type %#x in handshake", trace.ErrBadFrame, ft)
+	}
+}
+
+// link is the transport beneath a stream: a Client's own connection, read
+// synchronously, or a Session's share of a Mux connection, fed by the mux
+// reader goroutine.
+type link interface {
+	// ready makes a connection available for the next attempt, redialing
+	// (and re-opening the stream) as needed.
+	ready() error
+	// send writes one frame to the server.
+	send(ft trace.FrameType, body []byte) error
+	// recv returns the next frame addressed to this stream; the body stays
+	// valid until the next send.
+	recv() (trace.FrameType, []byte, error)
+	// broken discards the connection after an exchangeBroken outcome.
+	broken(err error)
+	// killed classifies an unprompted StreamClosed for this stream.
+	killed(msg string) (exchangeKind, error)
+}
+
+// stream is the per-stream exchange core Client and Session share: the
+// negotiated geometry, the batch-id and trace-id sequence, the epoch, the
+// retry loop and its accounting, and the reusable request and reply
+// buffers.
+type stream struct {
+	cfg *Config
+	sid uint32
+
+	scheme     string
+	txnSize    int
+	metaBits   int
+	metaBytes  int
+	batchLimit int
+
+	// id numbers outgoing batches; replies are matched against it so a
+	// retry can never be double-applied. traceID is the current batch's
+	// end-to-end trace id: drawn fresh (and nonzero) per Transcode call,
+	// stable across that call's retries so every attempt of one logical
+	// batch shares one trace.
+	id      uint64
+	traceID uint64
+	// epoch advances whenever the server-side codec restarted: on every
+	// reconnect, on a stream kill, and on a BatchError carrying the reset
+	// flag. Atomic because a Mux redial driven by a sibling session's
+	// goroutine bumps it from outside.
+	epoch atomic.Uint64
+	stats RetryStats
+
+	// bbuf, recs and span are reused across Transcode calls so a
+	// steady-state streaming client allocates nothing per batch.
+	bbuf []byte
+	recs []trace.EncodedRecord
+	span obs.Span
+}
+
+// setGeometry records the metadata width and batch limit the server
+// negotiated for this stream.
+func (s *stream) setGeometry(metaBits, batchLimit int) {
+	s.metaBits, s.metaBytes = metaBits, (metaBits+7)/8
+	s.batchLimit = batchLimit
+}
+
+// Scheme returns the session's scheme name.
+func (s *stream) Scheme() string { return s.scheme }
+
+// TxnSize returns the session's transaction size in bytes.
+func (s *stream) TxnSize() int { return s.txnSize }
+
+// MetaBits returns the scheme's side-band width per transaction as
+// negotiated in the handshake or stream open.
+func (s *stream) MetaBits() int { return s.metaBits }
+
+// BatchLimit returns the server's maximum batch size.
+func (s *stream) BatchLimit() int { return s.batchLimit }
+
+// Epoch returns the codec epoch: it advances every time the server-side
+// codec restarted (reconnect, stream kill, or a BatchError with the reset
+// flag). Callers decoding a stateful scheme must reset their decoder
+// whenever Epoch differs from the value they last observed. Stream epochs
+// are independent: a sibling stream's kill or codec reset never moves
+// this one, only a full connection loss does.
+func (s *stream) Epoch() uint64 { return s.epoch.Load() }
+
+// RetryStats returns the fault-recovery counters accumulated so far.
+func (s *stream) RetryStats() RetryStats { return s.stats }
+
+// LastTraceID returns the trace id of the most recent Transcode call (zero
+// before the first call). The gateway and any proxy label their spans for
+// that batch with the same id, so it is the key to query their
+// /debug/trace surfaces with.
+func (s *stream) LastTraceID() uint64 { return s.traceID }
+
+// newTraceID draws a nonzero trace id; zero is reserved to mean
+// "untraced" throughout the stack.
+func newTraceID() uint64 {
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
+	}
+}
+
+// exchangeKind classifies one batch exchange's outcome.
+type exchangeKind int
+
+const (
+	exchangeOK     exchangeKind = iota
+	exchangeBusy                // retryable on the same connection, after the hint
+	exchangeFault               // BatchError or stream kill: retryable
+	exchangeBroken              // the connection is unusable; redial before retrying
+	exchangeCaller              // caller error (bad batch); never retried
+)
+
+// transcode sends one batch over l and waits for its reply, retrying
+// recoverable failures up to Config.MaxRetries times.
+func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, error) {
+	if len(txns) == 0 {
+		return trace.BatchReply{}, fmt.Errorf("%w: empty batch", trace.ErrBadFrame)
+	}
+	if s.batchLimit > 0 && len(txns) > s.batchLimit {
+		return trace.BatchReply{}, fmt.Errorf("%w: batch of %d exceeds server limit %d", trace.ErrBadFrame, len(txns), s.batchLimit)
+	}
+	s.id++
+	s.traceID = newTraceID()
+	var lastErr error
+	var hint time.Duration
+	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			s.stats.Retries++
+			s.backoff(attempt, hint)
+			hint = 0
+		}
+		if err := l.ready(); err != nil {
+			lastErr = err
+			continue
+		}
+		reply, h, kind, err := s.exchange(l, txns)
+		switch kind {
+		case exchangeOK:
+			return reply, nil
+		case exchangeCaller:
+			return trace.BatchReply{}, err
+		case exchangeBusy:
+			s.stats.Busy++
+			hint = h
+		case exchangeFault:
+			s.stats.BatchErrors++
+		case exchangeBroken:
+			l.broken(err)
+		}
+		lastErr = err
+	}
+	return trace.BatchReply{}, lastErr
+}
+
+// exchange performs one send/receive of the current batch over l. It
+// returns the reply, the server's retry-after hint (Busy only), the outcome
+// class, and the error for every class but exchangeOK.
+func (s *stream) exchange(l link, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
+	writeStart := time.Now()
+	// Every request leads with the stream id; the envelope and its CRC
+	// cover everything after it.
+	buf := trace.AppendTraceEnvelope(trace.AppendStreamID(s.bbuf[:0], s.sid), s.id, s.traceID)
+	body, err := trace.AppendBatch(buf, txns, s.txnSize)
+	if err != nil {
+		return trace.BatchReply{}, 0, exchangeCaller, err
+	}
+	s.bbuf = body[:0]
+	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+		return trace.BatchReply{}, 0, exchangeCaller, err // unreachable: envelope present
+	}
+	if err := l.send(trace.FrameBatch, body); err != nil {
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
+	}
+	readStart := time.Now()
+	writeDur := readStart.Sub(writeStart)
+	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameWrite, writeDur)
+	ft, rbody, err := l.recv()
+	if err != nil {
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
+	}
+	readDur := time.Since(readStart)
+	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameRead, readDur)
+	return s.classify(l, ft, rbody, writeDur, readDur)
+}
+
+// classify turns the reply frame to the current batch into an outcome. A
+// successful reply also records the batch's client-side span when
+// Config.Trace is set.
+func (s *stream) classify(l link, ft trace.FrameType, body []byte, writeDur, readDur time.Duration) (trace.BatchReply, time.Duration, exchangeKind, error) {
+	id := s.id
+	switch ft {
+	case trace.FrameError:
+		// A session-fatal server error: the server is closing the
+		// connection behind this frame.
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, body)
+	case trace.FrameStreamClosed:
+		sid, msg, err := trace.ParseStreamClosed(body)
+		if err != nil || sid != s.sid {
+			return trace.BatchReply{}, 0, exchangeBroken,
+				fmt.Errorf("client: malformed stream-closed for stream %d (id %d, err %v)", s.sid, sid, err)
+		}
+		kind, err := l.killed(msg)
+		return trace.BatchReply{}, 0, kind, err
+	}
+	sid, rbody, err := trace.SplitStreamID(body)
+	if err != nil {
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
+	}
+	if sid != s.sid {
+		return trace.BatchReply{}, 0, exchangeBroken,
+			fmt.Errorf("client: reply carries stream %d, expected %d (stream desynchronized)", sid, s.sid)
+	}
+	switch ft {
+	case trace.FrameBatchReply:
+		rid, rtrace, payload, err := trace.OpenTraceEnvelope(rbody)
+		if err != nil {
+			// A CRC failure here is wire damage on the reply path; the
+			// server already applied the batch, so the stream's codec
+			// state is unusable — reconnect for a clean epoch.
+			return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reply for batch %d: %w", id, err)
+		}
+		if rtrace != s.traceID {
+			return trace.BatchReply{}, 0, exchangeBroken,
+				fmt.Errorf("client: reply carries trace %#x, expected %#x (stream desynchronized)", rtrace, s.traceID)
+		}
+		if rid != id {
+			return trace.BatchReply{}, 0, exchangeBroken,
+				fmt.Errorf("client: reply names batch %d, expected %d (stream desynchronized)", rid, id)
+		}
+		reply, err := trace.ParseBatchReplyInto(payload, s.txnSize, s.metaBytes, s.recs)
+		if err != nil {
+			return trace.BatchReply{}, 0, exchangeBroken, err
+		}
+		s.recs = reply.Records
+		if s.cfg.Trace != nil {
+			sp := &s.span
+			sp.Reset(s.traceID, id, uint64(s.sid), s.scheme)
+			sp.Observe(obs.StageFrameWrite, writeDur)
+			sp.Observe(obs.StageFrameRead, readDur)
+			sp.Txns = int(reply.Stats.Transactions)
+			sp.DataBits = reply.Stats.DataBits
+			sp.BaseOnes, sp.EncOnes = reply.Stats.OnesBefore, reply.Stats.OnesAfter
+			sp.BaseToggles, sp.EncToggles = reply.Stats.TogglesBefore, reply.Stats.TogglesAfter
+			s.cfg.Trace.Add(sp)
+		}
+		return reply, 0, exchangeOK, nil
+	case trace.FrameBusy:
+		rid, after, err := trace.ParseBusy(rbody)
+		if err != nil || rid != id {
+			return trace.BatchReply{}, 0, exchangeBroken,
+				fmt.Errorf("client: malformed busy reply for batch %d (id %d, err %v)", id, rid, err)
+		}
+		return trace.BatchReply{}, after, exchangeBusy,
+			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, id, after)
+	case trace.FrameBatchError:
+		rid, reset, msg, err := trace.ParseBatchError(rbody)
+		if err != nil || rid != id {
+			return trace.BatchReply{}, 0, exchangeBroken,
+				fmt.Errorf("client: malformed batch-error reply for batch %d (id %d, err %v)", id, rid, err)
+		}
+		if reset {
+			// The server restarted its codec; any decoder tracking this
+			// stream must restart with it.
+			s.epoch.Add(1)
+		}
+		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: %s", ErrBatchFault, msg)
+	default:
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: unexpected frame type %#x", trace.ErrBadFrame, ft)
+	}
+}
+
+// backoff sleeps one retry backoff: exponential with jitter, floored by
+// the server's Busy hint when one was given.
+func (s *stream) backoff(attempt int, hint time.Duration) {
+	d := s.cfg.RetryBackoff << (attempt - 1)
+	if d <= 0 || d > s.cfg.RetryBackoffMax {
+		d = s.cfg.RetryBackoffMax
+	}
+	// Jitter into [d/2, d] so synchronized clients don't retry in phase.
+	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+	if hint > d {
+		d = hint
+	}
+	start := time.Now()
+	time.Sleep(d)
+	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageRetryBackoff, time.Since(start))
+}

@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -25,7 +25,7 @@ var ErrMuxClosed = errors.New("client: mux closed")
 var ErrStreamKilled = errors.New("client: stream killed by server")
 
 // Mux multiplexes many logical sessions onto one TCP connection using
-// BXTP protocol v4 stream framing. Open vends one Session per logical
+// BXTP stream framing. Open vends one Session per logical
 // stream; each has its own scheme, transaction size, batch-id space,
 // epoch, and retry accounting, and each must be used from a single
 // goroutine — but different Sessions of one Mux are safe to drive
@@ -36,9 +36,6 @@ var ErrStreamKilled = errors.New("client: stream killed by server")
 // 0) and re-dialed transparently when it breaks: every Session's epoch
 // advances (the server-side codecs are gone) and each stream re-opens on
 // the replacement connection on its next use.
-//
-// The server must negotiate protocol v4; a peer that negotiates down
-// cannot demultiplex, so Open fails rather than degrade.
 type Mux struct {
 	addr string
 	cfg  Config
@@ -52,7 +49,9 @@ type Mux struct {
 	// the Hello of every redial (the Hello implicitly opens stream 0).
 	helloScheme string
 	helloTxn    int
-	version     uint8
+	// hello is the current connection generation's HelloOK: stream 0's
+	// negotiated geometry.
+	hello trace.HelloOK
 
 	reconnects atomic.Uint64
 }
@@ -107,20 +106,10 @@ type muxFrame struct {
 // and retry accounting. Like Client, a Session is not safe for concurrent
 // use — drive each from one goroutine.
 type Session struct {
-	m   *Mux
-	sid uint32
-
-	scheme     string
-	txnSize    int
-	metaBits   int
-	metaBytes  int
-	batchLimit int
-
-	// epoch advances whenever the server-side codec for this stream
-	// restarted: on every mux reconnect, on a stream kill + re-open, and
-	// on a BatchError carrying the reset flag. Atomic because a reconnect
-	// (driven by a sibling session's goroutine) bumps it from outside.
-	epoch atomic.Uint64
+	stream
+	m *Mux
+	// mc is the connection generation the current attempt runs on.
+	mc *muxConn
 
 	// gen is the mux connection generation this stream last opened on;
 	// needsReopen is set when the stream must StreamOpen before its next
@@ -128,10 +117,6 @@ type Session struct {
 	gen         uint64
 	needsReopen bool
 	closed      bool
-
-	id      uint64
-	traceID uint64
-	stats   RetryStats
 
 	// replyCh receives this stream's frames from the mux reader. Capacity
 	// one: the per-stream discipline is one frame in flight, and the
@@ -147,30 +132,16 @@ type Session struct {
 	held *trace.FrameBuffer
 	// timer bounds each await; one per session, re-armed per exchange.
 	timer *time.Timer
-
-	bbuf []byte
-	recs []trace.EncodedRecord
 }
 
 // NewMux prepares a multiplexed client for addr. No connection is opened
-// until the first Open. cfg.Protocol, if set, must be at least 4 —
-// multiplexing is a v4 capability.
+// until the first Open.
 func NewMux(addr string, cfg Config) (*Mux, error) {
-	if cfg.Protocol != 0 && cfg.Protocol < 4 {
-		return nil, fmt.Errorf("client: mux requires protocol >= 4, got %d", cfg.Protocol)
-	}
 	return &Mux{
 		addr:     addr,
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[uint32]*Session),
 	}, nil
-}
-
-// Version returns the negotiated BXTP revision (0 before the first Open).
-func (m *Mux) Version() uint8 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
 }
 
 // Reconnects returns how many times the shared connection was re-dialed
@@ -211,22 +182,22 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 	mc := m.conn
 	s := &Session{
 		m:       m,
-		sid:     m.nextSID,
-		scheme:  scheme,
-		txnSize: txnSize,
 		gen:     mc.gen,
 		replyCh: make(chan muxFrame, 1),
 		free:    make(chan *trace.FrameBuffer, 1),
 	}
+	s.stream = stream{cfg: &m.cfg, sid: m.nextSID, scheme: scheme, txnSize: txnSize}
 	m.nextSID++
 	m.sessions[s.sid] = s
-	m.mu.Unlock()
-
 	if s.sid == 0 {
 		// Stream 0 was opened by the Hello itself; its negotiated
 		// parameters are the handshake's.
+		s.setGeometry(m.hello.MetaBits, m.hello.BatchLimit)
+		m.mu.Unlock()
 		return s, nil
 	}
+	m.mu.Unlock()
+
 	if err := s.openOnConn(mc); err != nil {
 		m.mu.Lock()
 		delete(m.sessions, s.sid)
@@ -241,97 +212,43 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 // epoch advances — the server-side codecs died with the old connection —
 // and each stream lazily re-opens on next use.
 func (m *Mux) redialLocked() error {
-	dial := m.cfg.Dialer
-	if dial == nil {
-		d := net.Dialer{Timeout: m.cfg.DialTimeout}
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
+	start := time.Now()
+	// DialTimeout bounds the dial and the handshake together: m.mu is held
+	// throughout, so every sibling's Open, Close and reply routing waits
+	// on this.
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DialTimeout)
 	defer cancel()
-	conn, err := dial(ctx, m.addr)
-	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", m.addr, err)
-	}
-	var gen uint64 = 1
-	if m.conn != nil {
-		gen = m.conn.gen + 1
-	}
 	mc := &muxConn{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		gen:  gen,
+		br:   bufio.NewReaderSize(nil, 64<<10),
+		bw:   bufio.NewWriterSize(nil, 64<<10),
+		gen:  1,
 		dead: make(chan struct{}),
 	}
-	ok, err := m.handshake(mc)
+	if m.conn != nil {
+		mc.gen = m.conn.gen + 1
+	}
+	conn, ok, err := connect(ctx, &m.cfg, m.addr, m.helloScheme, m.helloTxn, mc.br, mc.bw)
 	if err != nil {
-		conn.Close()
 		return err
 	}
-	if ok.Version < 4 {
-		conn.Close()
-		return fmt.Errorf("%w: server negotiated protocol %d; multiplexing requires 4", ErrServer, ok.Version)
-	}
-	m.version = ok.Version
-	if gen > 1 {
+	mc.conn = conn
+	m.hello = ok
+	if mc.gen > 1 {
 		m.reconnects.Add(1)
 		for _, s := range m.sessions {
 			s.epoch.Add(1)
 		}
+		m.cfg.Tracer.ObserveStage(m.helloScheme, obs.StageReconnect, time.Since(start))
 	}
 	if s := m.sessions[0]; s != nil {
 		// The redial Hello re-opened stream 0 with its original
 		// parameters; refresh what the server (re)negotiated.
-		s.metaBits, s.metaBytes = ok.MetaBits, (ok.MetaBits+7)/8
-		s.batchLimit = ok.BatchLimit
+		s.setGeometry(ok.MetaBits, ok.BatchLimit)
 	}
 	m.conn = mc
-	conn.SetReadDeadline(time.Time{})
+	conn.SetDeadline(time.Time{})
 	go m.readLoop(mc)
 	return nil
-}
-
-// handshake runs the Hello exchange on a fresh muxConn, before its reader
-// starts.
-func (m *Mux) handshake(mc *muxConn) (trace.HelloOK, error) {
-	body, err := trace.MarshalHello(trace.Hello{
-		Version: m.cfg.Protocol,
-		TxnSize: m.helloTxn,
-		Scheme:  m.helloScheme,
-	})
-	if err != nil {
-		return trace.HelloOK{}, err
-	}
-	mc.conn.SetWriteDeadline(time.Now().Add(m.cfg.IOTimeout))
-	if err := trace.WriteFrame(mc.bw, trace.FrameHello, body); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
-	}
-	if err := mc.bw.Flush(); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
-	}
-	mc.conn.SetReadDeadline(time.Now().Add(m.cfg.IOTimeout))
-	ft, rbody, err := trace.ReadFrame(mc.br, nil)
-	if err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: reading hello-ok: %w", err)
-	}
-	switch ft {
-	case trace.FrameHelloOK:
-		ok, err := trace.ParseHelloOK(rbody)
-		if err != nil {
-			return trace.HelloOK{}, err
-		}
-		if ok.Version < trace.MinProtocolVersion || ok.Version > m.cfg.Protocol {
-			return trace.HelloOK{}, fmt.Errorf("%w: server negotiated protocol version %d, requested <= %d",
-				ErrServer, ok.Version, m.cfg.Protocol)
-		}
-		return ok, nil
-	case trace.FrameError:
-		return trace.HelloOK{}, fmt.Errorf("%w: %s", ErrServer, rbody)
-	default:
-		return trace.HelloOK{}, fmt.Errorf("%w: unexpected frame type %#x in handshake", trace.ErrBadFrame, ft)
-	}
 }
 
 // readLoop is the demultiplexer: it owns the connection's read side,
@@ -510,38 +427,13 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if ok.Status != trace.StreamOK {
 		return fmt.Errorf("%w: stream %d refused: %s", ErrServer, s.sid, ok.Msg)
 	}
-	s.metaBits, s.metaBytes = ok.MetaBits, (ok.MetaBits+7)/8
-	s.batchLimit = ok.BatchLimit
+	s.setGeometry(ok.MetaBits, ok.BatchLimit)
 	s.needsReopen = false
 	return nil
 }
 
 // ID returns the stream id this session multiplexes on.
 func (s *Session) ID() uint32 { return s.sid }
-
-// Scheme returns the session's scheme name.
-func (s *Session) Scheme() string { return s.scheme }
-
-// TxnSize returns the session's transaction size in bytes.
-func (s *Session) TxnSize() int { return s.txnSize }
-
-// MetaBits returns the scheme's side-band width per transaction as
-// negotiated when the stream opened.
-func (s *Session) MetaBits() int { return s.metaBits }
-
-// BatchLimit returns the server's maximum batch size for this stream.
-func (s *Session) BatchLimit() int { return s.batchLimit }
-
-// Epoch returns the stream's codec epoch; see Client.Epoch. Stream
-// epochs are independent: a sibling stream's kill or codec reset never
-// moves this one, only a full connection loss does.
-func (s *Session) Epoch() uint64 { return s.epoch.Load() }
-
-// RetryStats returns the fault-recovery counters accumulated so far.
-func (s *Session) RetryStats() RetryStats { return s.stats }
-
-// LastTraceID returns the trace id of the most recent Transcode call.
-func (s *Session) LastTraceID() uint64 { return s.traceID }
 
 // Transcode sends one batch on this stream and waits for its reply,
 // retrying recoverable failures (Busy sheds, BatchError replies, stream
@@ -555,129 +447,41 @@ func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) 
 	if s.closed {
 		return trace.BatchReply{}, ErrMuxClosed
 	}
-	if len(txns) == 0 {
-		return trace.BatchReply{}, fmt.Errorf("%w: empty batch", trace.ErrBadFrame)
-	}
-	if s.batchLimit > 0 && len(txns) > s.batchLimit {
-		return trace.BatchReply{}, fmt.Errorf("%w: batch of %d exceeds server limit %d", trace.ErrBadFrame, len(txns), s.batchLimit)
-	}
-	s.id++
-	id := s.id
-	s.traceID = newTraceID()
-	var lastErr error
-	var hint time.Duration
-	for attempt := 0; attempt <= s.m.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			s.stats.Retries++
-			sleepBackoff(s.m.cfg, attempt, hint)
-			hint = 0
-		}
-		mc, err := s.m.ensure(s)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, h, kind, err := s.exchange(mc, id, txns)
-		switch kind {
-		case exchangeOK:
-			return reply, nil
-		case exchangeCaller:
-			return trace.BatchReply{}, err
-		case exchangeBusy:
-			s.stats.Busy++
-			hint = h
-		case exchangeFault:
-			s.stats.BatchErrors++
-		case exchangeBroken:
-			mc.fail(err)
-		}
-		lastErr = err
-	}
-	return trace.BatchReply{}, lastErr
+	return s.transcode(s, txns)
 }
 
-// exchange performs one send/receive of batch id on mc. Outcomes follow
-// Client.exchange, with one addition: a StreamClosed reply (the server
-// killed this stream) classifies as a retryable fault after bumping the
-// epoch and scheduling a stream re-open.
-func (s *Session) exchange(mc *muxConn, id uint64, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
-	buf := trace.AppendStreamID(s.bbuf[:0], s.sid)
-	body, err := trace.AppendBatch(trace.AppendTraceEnvelope(buf, id, s.traceID), txns, s.txnSize)
+// ready finds a live connection generation for the next attempt,
+// redialing the shared connection and re-opening this stream as needed.
+func (s *Session) ready() error {
+	mc, err := s.m.ensure(s)
 	if err != nil {
-		return trace.BatchReply{}, 0, exchangeCaller, err
+		return err
 	}
-	s.bbuf = body[:0]
-	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
-		return trace.BatchReply{}, 0, exchangeCaller, err // unreachable: envelope present
-	}
-	s.reclaim()
-	if err := mc.writeFrame(trace.FrameBatch, body, s.m.cfg.IOTimeout); err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
-	}
-	f, err := s.await(mc, s.m.cfg.IOTimeout)
-	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
-	}
+	s.mc = mc
+	return nil
+}
 
-	if f.ft == trace.FrameStreamClosed {
-		_, msg, perr := trace.ParseStreamClosed(f.body)
-		if perr != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, perr
-		}
-		// The server retired this stream but the connection lives on; the
-		// server-side codec is gone, so the epoch moves and the next
-		// attempt re-opens the stream fresh.
-		s.epoch.Add(1)
-		s.needsReopen = true
-		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, msg)
-	}
-	_, rbody, err := trace.SplitStreamID(f.body)
-	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
-	}
-	switch f.ft {
-	case trace.FrameBatchReply:
-		rid, rtrace, payload, err := trace.OpenTraceEnvelope(rbody)
-		if err != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reply for batch %d: %w", id, err)
-		}
-		if rtrace != s.traceID {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply carries trace %#x, expected %#x (stream desynchronized)", rtrace, s.traceID)
-		}
-		if rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply names batch %d, expected %d (stream desynchronized)", rid, id)
-		}
-		reply, err := trace.ParseBatchReplyInto(payload, s.txnSize, s.metaBytes, s.recs)
-		if err != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, err
-		}
-		s.recs = reply.Records
-		return reply, 0, exchangeOK, nil
-	case trace.FrameBusy:
-		rid, after, err := trace.ParseBusy(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed busy reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		return trace.BatchReply{}, after, exchangeBusy,
-			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, id, after)
-	case trace.FrameBatchError:
-		rid, reset, msg, err := trace.ParseBatchError(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed batch-error reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		if reset {
-			s.epoch.Add(1)
-		}
-		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: %s", ErrBatchFault, msg)
-	case trace.FrameError:
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, rbody)
-	default:
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: unexpected frame type %#x", trace.ErrBadFrame, f.ft)
-	}
+func (s *Session) send(ft trace.FrameType, body []byte) error {
+	s.reclaim()
+	return s.mc.writeFrame(ft, body, s.m.cfg.IOTimeout)
+}
+
+func (s *Session) recv() (trace.FrameType, []byte, error) {
+	f, err := s.await(s.mc, s.m.cfg.IOTimeout)
+	return f.ft, f.body, err
+}
+
+// broken kills the connection generation; every stream's epoch advances
+// when the next attempt redials.
+func (s *Session) broken(err error) { s.mc.fail(err) }
+
+// killed handles the server retiring this stream while the connection
+// lives on: the server-side codec is gone, so the epoch moves and the next
+// attempt re-opens the stream fresh.
+func (s *Session) killed(msg string) (exchangeKind, error) {
+	s.epoch.Add(1)
+	s.needsReopen = true
+	return exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, msg)
 }
 
 // Close retires the stream: a StreamClose exchange when the connection is
@@ -726,18 +530,4 @@ func (m *Mux) Close() error {
 		mc.fail(ErrMuxClosed)
 	}
 	return nil
-}
-
-// sleepBackoff sleeps one retry backoff: exponential with jitter, floored
-// by the server's Busy hint. Shared by Client and Session retries.
-func sleepBackoff(cfg Config, attempt int, hint time.Duration) {
-	d := cfg.RetryBackoff << (attempt - 1)
-	if d <= 0 || d > cfg.RetryBackoffMax {
-		d = cfg.RetryBackoffMax
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	if hint > d {
-		d = hint
-	}
-	time.Sleep(d)
 }

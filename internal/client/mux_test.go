@@ -2,17 +2,22 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
+	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/server"
 	"github.com/hpca18/bxt/internal/testutil"
@@ -101,9 +106,6 @@ func TestMuxSessionsIndependent(t *testing.T) {
 			t.Fatalf("Open(%s): %v", name, err)
 		}
 	}
-	if got := m.Version(); got != 4 {
-		t.Fatalf("negotiated version = %d, want 4", got)
-	}
 	if got := m.Sessions(); got != 3 {
 		t.Fatalf("Sessions() = %d, want 3", got)
 	}
@@ -155,37 +157,192 @@ func TestMuxSessionsIndependent(t *testing.T) {
 	}
 }
 
-// TestMuxRequiresV4 pins the capability floor: a Mux refuses a config
-// capped below protocol v4 outright, and refuses to run against a server
-// that negotiates down to v3 — degrading silently would strip the stream
-// framing the sessions depend on.
-func TestMuxRequiresV4(t *testing.T) {
-	if _, err := client.NewMux("127.0.0.1:1", client.Config{Protocol: 3}); err == nil {
-		t.Fatal("NewMux(Protocol:3) succeeded, want error")
-	}
-
-	testutil.VerifyNoLeaks(t)
-	cfg := config.DefaultServer()
-	cfg.ListenAddr = "127.0.0.1:0"
-	cfg.MetricsAddr = "127.0.0.1:0"
-	cfg.LogLevel = "error"
-	cfg.MaxProtocol = 3
-	srv, err := server.New(cfg)
+// helloServer accepts connections, reads each one's Hello, and answers
+// HelloOK naming version; it never serves a batch.
+func helloServer(t *testing.T, version uint8) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("server.New: %v", err)
+		t.Fatal(err)
 	}
-	if err := srv.Start(); err != nil {
-		t.Fatalf("server.Start: %v", err)
-	}
-	defer srv.Close()
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, _, err := trace.ReadFrame(conn, nil); err != nil {
+					return
+				}
+				ok := trace.MarshalHelloOK(trace.HelloOK{Version: version, BatchLimit: 4096})
+				if err := trace.WriteFrame(conn, trace.FrameHelloOK, ok); err != nil {
+					return
+				}
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
 
-	m, err := client.NewMux(srv.Addr(), client.Config{})
+// TestMuxRequiresV4 pins the client's one Hello check: a HelloOK naming
+// any revision other than the one the client speaks fails the handshake
+// with ErrServer, on a plain Client and on a Mux alike, instead of running
+// a session whose framing the server does not share.
+func TestMuxRequiresV4(t *testing.T) {
+	for _, v := range []uint8{1, 2, 3, 5} {
+		addr := helloServer(t, v)
+		if c, err := client.Dial(addr, "universal", 32); !errors.Is(err, client.ErrServer) {
+			if c != nil {
+				c.Close()
+			}
+			t.Errorf("Dial against a v%d HelloOK = %v, want ErrServer", v, err)
+		}
+		m, err := client.NewMux(addr, client.Config{})
+		if err != nil {
+			t.Fatalf("NewMux: %v", err)
+		}
+		if _, err := m.Open("universal", 32); !errors.Is(err, client.ErrServer) {
+			t.Errorf("Mux.Open against a v%d HelloOK = %v, want ErrServer", v, err)
+		}
+		m.Close()
+	}
+}
+
+// TestMuxHandshakeBoundedByDialTimeout pins that a Mux redial holds its
+// lock for at most DialTimeout: a server that accepts and never answers
+// the Hello must fail Open within DialTimeout, not IOTimeout, since every
+// sibling's Open, Close and reply routing waits on that lock.
+func TestMuxHandshakeBoundedByDialTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	m, err := client.NewMux(ln.Addr().String(), client.Config{DialTimeout: 200 * time.Millisecond, IOTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("NewMux: %v", err)
 	}
 	defer m.Close()
-	if _, err := m.Open("universal", 32); err == nil || !strings.Contains(err.Error(), "requires 4") {
-		t.Fatalf("Open against a v3 server = %v, want a multiplexing-requires-v4 refusal", err)
+	start := time.Now()
+	if _, err := m.Open("universal", 32); err == nil {
+		t.Fatal("Open against a silent server succeeded")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("Open against a silent server took %v, want ~200ms (DialTimeout)", waited)
+	}
+}
+
+// TestTracingConfigHonored checks that Config.Tracer and Config.Trace
+// cover every client flavour — a plain Client, mux stream 0 and a further
+// mux stream: each Transcode records a client span under LastTraceID with
+// frame_write and frame_read stages, feeds the Tracer the same stages, and
+// the gateway's /debug/trace serves a span under the same id.
+func TestTracingConfigHonored(t *testing.T) {
+	srv := startGateway(t)
+	ring := obs.NewTraceRing(64)
+	tracer := obs.NewHistogramTracer(nil)
+	cfg := client.Config{Tracer: tracer, Trace: ring}
+
+	c, err := client.DialConfig(srv.Addr(), "universal", 32, cfg)
+	if err != nil {
+		t.Fatalf("DialConfig: %v", err)
+	}
+	defer c.Close()
+	m, err := client.NewMux(srv.Addr(), cfg)
+	if err != nil {
+		t.Fatalf("NewMux: %v", err)
+	}
+	defer m.Close()
+	s0, err := m.Open("basexor", 32)
+	if err != nil {
+		t.Fatalf("Open stream 0: %v", err)
+	}
+	s1, err := m.Open("bdenc", 32)
+	if err != nil {
+		t.Fatalf("Open stream 1: %v", err)
+	}
+
+	type transcoder interface {
+		Transcode([]trace.Transaction) (trace.BatchReply, error)
+		Scheme() string
+		LastTraceID() uint64
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name string
+		c    transcoder
+	}{{"direct", c}, {"mux-stream-0", s0}, {"mux-stream-1", s1}} {
+		const batches = 3
+		for b := 0; b < batches; b++ {
+			if _, err := tc.c.Transcode(muxTxns(rng, 8, 32)); err != nil {
+				t.Fatalf("%s: Transcode: %v", tc.name, err)
+			}
+			id := tc.c.LastTraceID()
+			spans := ring.Find(id)
+			if len(spans) != 1 {
+				t.Fatalf("%s: client ring holds %d spans for trace %#x, want 1", tc.name, len(spans), id)
+			}
+			stages := map[obs.Stage]bool{}
+			for _, st := range spans[0].Stages() {
+				stages[st.Stage] = true
+			}
+			if !stages[obs.StageFrameWrite] || !stages[obs.StageFrameRead] {
+				t.Fatalf("%s: client span stages = %v, want frame_write and frame_read", tc.name, spans[0].Stages())
+			}
+			waitGatewaySpan(t, srv.MetricsAddr(), id)
+		}
+		for _, stage := range []obs.Stage{obs.StageFrameWrite, obs.StageFrameRead} {
+			if got := tracer.Hist(tc.c.Scheme(), stage).Count(); got != batches {
+				t.Errorf("%s: tracer %s count = %d, want %d", tc.name, stage, got, batches)
+			}
+		}
+	}
+}
+
+// waitGatewaySpan polls the gateway's /debug/trace until it serves a span
+// under traceID. The gateway records a span once its reply write returns,
+// which may be after the client has read the reply.
+func waitGatewaySpan(t *testing.T, metricsAddr string, traceID uint64) {
+	t.Helper()
+	url := "http://" + metricsAddr + "/debug/trace?trace=" + obs.FormatTraceID(traceID)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		var doc struct {
+			Spans []struct {
+				TraceID string `json:"trace_id"`
+			} `json:"spans"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decoding /debug/trace: %v", err)
+		}
+		if len(doc.Spans) == 1 && doc.Spans[0].TraceID == obs.FormatTraceID(traceID) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/debug/trace returned %d spans for %s, want 1", len(doc.Spans), obs.FormatTraceID(traceID))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/scheme"
-	"github.com/hpca18/bxt/internal/trace"
 )
 
 // GPU describes the GPU system under evaluation (Table I).
@@ -147,25 +146,17 @@ type Server struct {
 	// accumulate before the gateway disconnects the peer as abusive.
 	FaultBudget int
 	// AdmitTimeout bounds how long a parsed batch may wait for a worker
-	// slot before the gateway sheds it with a retryable Busy reply
-	// (protocol v2 sessions; v1 sessions block as before).
+	// slot before the gateway sheds it with a retryable Busy reply.
 	AdmitTimeout time.Duration
 	// MaxPending caps batches queued for worker slots across all
 	// sessions; beyond it batches are shed immediately instead of
 	// deepening the queue.
 	MaxPending int
-	// MaxProtocol caps the BXTP revision the gateway negotiates: clients
-	// asking for a newer revision are answered at this one and must run
-	// its wire semantics. The default is the current revision; setting 1
-	// forces the pre-fault-tolerance framing fleet-wide, which exists for
-	// compatibility drills and staged protocol rollouts.
-	MaxProtocol int
 	// TraceBuffer is how many batch spans the /debug/trace ring retains.
 	TraceBuffer int
-	// StreamLimit caps the logical streams one protocol-v4 connection may
-	// hold open at once; StreamOpen frames beyond it are refused (the
-	// connection itself stays up). Pre-v4 sessions always hold exactly one
-	// stream and are unaffected.
+	// StreamLimit caps the logical streams one connection may hold open
+	// at once; StreamOpen frames beyond it are refused (the connection
+	// itself stays up).
 	StreamLimit int
 	// StateDir, when non-empty, is where sessions on snapshottable schemes
 	// persist their codec state as they close during a drain, so a
@@ -250,7 +241,6 @@ func DefaultServer() Server {
 		FaultBudget:      16,
 		AdmitTimeout:     500 * time.Millisecond,
 		MaxPending:       32,
-		MaxProtocol:      trace.ProtocolVersion,
 		TraceBuffer:      2048,
 		StreamLimit:      4096,
 	}
@@ -314,10 +304,6 @@ func (s Server) Validate() error {
 	if s.MaxPending <= 0 {
 		return fmt.Errorf("config: pending batch limit %d is not positive", s.MaxPending)
 	}
-	if s.MaxProtocol < trace.MinProtocolVersion || s.MaxProtocol > trace.ProtocolVersion {
-		return fmt.Errorf("config: max protocol %d outside [%d, %d]",
-			s.MaxProtocol, trace.MinProtocolVersion, trace.ProtocolVersion)
-	}
 	if s.TraceBuffer <= 0 {
 		return fmt.Errorf("config: trace buffer size %d is not positive", s.TraceBuffer)
 	}
@@ -332,9 +318,9 @@ func (s Server) Validate() error {
 
 // Proxy configures bxtproxy, the sharded serving tier that fronts a fleet
 // of bxtd backends: the client-facing BXTP listener, the metrics endpoint,
-// the backend set, health probing and outlier ejection, the idle upstream
-// connection pool, and the conversion hint returned when a dead backend's
-// in-flight batch is bounced back to the client as retryable.
+// the backend set, health probing and outlier ejection, and the conversion
+// hint returned when a dead backend's in-flight batch is bounced back to
+// the client as retryable.
 type Proxy struct {
 	// ListenAddr is the client-facing BXTP listener's TCP address.
 	ListenAddr string
@@ -366,10 +352,6 @@ type Proxy struct {
 	// traffic) eject a backend from routing. A later successful probe
 	// restores it.
 	EjectThreshold int
-	// PoolSize caps the idle upstream sessions kept per backend for reuse
-	// across client sessions (decode-stateless schemes only; pinned
-	// sessions always get a fresh upstream codec).
-	PoolSize int
 	// RetryHint is the retry-after carried by the Busy reply that converts
 	// a dead backend's in-flight batch into a client-side retry.
 	RetryHint time.Duration
@@ -386,7 +368,7 @@ type Proxy struct {
 	// pull from the dying backend).
 	ShadowInterval int
 	// StreamLimit caps the logical streams multiplexed on one client
-	// session (protocol v4); opens beyond it are refused with a
+	// session; opens beyond it are refused with a
 	// recoverable StreamOpenOK, never a disconnect.
 	StreamLimit int
 	// BoundedLoadFactor bounds the rendezvous hash for pinned streams: a
@@ -406,8 +388,8 @@ type Proxy struct {
 }
 
 // DefaultProxy returns the proxy tier's default configuration: one local
-// backend, half-second health probes, ejection after three straight
-// failures, and a four-deep idle pool per backend.
+// backend, half-second health probes, and ejection after three straight
+// failures.
 func DefaultProxy() Proxy {
 	return Proxy{
 		ListenAddr:           "127.0.0.1:9660",
@@ -422,7 +404,6 @@ func DefaultProxy() Proxy {
 		HealthInterval:       500 * time.Millisecond,
 		ProbeScheme:          "baseline",
 		EjectThreshold:       3,
-		PoolSize:             4,
 		RetryHint:            25 * time.Millisecond,
 		StateTransferTimeout: 2 * time.Second,
 		ShadowInterval:       16,
@@ -476,9 +457,6 @@ func (p Proxy) Validate() error {
 	}
 	if p.EjectThreshold <= 0 {
 		return fmt.Errorf("config: eject threshold %d is not positive", p.EjectThreshold)
-	}
-	if p.PoolSize < 0 {
-		return fmt.Errorf("config: pool size %d is negative", p.PoolSize)
 	}
 	if p.RetryHint <= 0 {
 		return fmt.Errorf("config: retry hint %v is not positive", p.RetryHint)

@@ -112,7 +112,6 @@ func TestProxyValidate(t *testing.T) {
 		{"bad probe scheme", func(p *Proxy) { p.ProbeScheme = "turbo-xor" }, "probe scheme"},
 		{"empty probe scheme", func(p *Proxy) { p.ProbeScheme = "" }, "probe scheme"},
 		{"zero eject threshold", func(p *Proxy) { p.EjectThreshold = 0 }, "eject threshold"},
-		{"negative pool size", func(p *Proxy) { p.PoolSize = -1 }, "pool size"},
 		{"zero retry hint", func(p *Proxy) { p.RetryHint = 0 }, "retry hint"},
 		{"bad log level", func(p *Proxy) { p.LogLevel = "loud" }, "log level"},
 		{"bad log format", func(p *Proxy) { p.LogFormat = "xml" }, "log format"},

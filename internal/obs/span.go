@@ -24,8 +24,8 @@ type SpanStage struct {
 	Nanos int64
 }
 
-// Span is the record of one batch crossing one component: its trace id
-// (zero on sessions negotiated below protocol v3), batch id, owning
+// Span is the record of one batch crossing one component: its trace id,
+// batch id, owning
 // session, and per-stage durations, plus the batch's wire activity on both
 // accounting legs where the component computes it. Span is a value type
 // with no heap references beyond string/time headers, so copying one into

@@ -21,9 +21,8 @@ import (
 // Hello.
 var errUpstreamReject = errors.New("proxy: backend rejected handshake")
 
-// backend is one bxtd upstream: routing counters, the ejection state
-// machine, and a bounded pool of idle upstream sessions keyed by
-// handshake parameters.
+// backend is one bxtd upstream: routing counters and the ejection state
+// machine.
 type backend struct {
 	addr string
 
@@ -65,18 +64,12 @@ type backend struct {
 	// backend; the weighted stateless router reads it so schemes route
 	// toward the backends that answer them fastest.
 	lat sync.Map // scheme name -> *ewma
-
-	mu     sync.Mutex
-	pool   map[poolKey][]*upstream
-	idle   int
-	closed bool
 }
 
 func newBackend(addr string) *backend {
 	return &backend{
 		addr: addr,
 		gone: make(chan struct{}),
-		pool: make(map[poolKey][]*upstream),
 	}
 }
 
@@ -157,108 +150,31 @@ func (b *backend) ok() (restored bool) {
 	return false
 }
 
-// poolKey identifies interchangeable upstream sessions: same scheme, same
-// transaction size, same negotiated protocol revision.
-type poolKey struct {
-	scheme  string
-	txnSize int
-	version uint8
-}
-
-// getPooled pops an idle upstream for k, or nil.
-func (b *backend) getPooled(k poolKey) *upstream {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	us := b.pool[k]
-	if len(us) == 0 {
-		return nil
-	}
-	u := us[len(us)-1]
-	b.pool[k] = us[:len(us)-1]
-	b.idle--
-	return u
-}
-
-// putPooled parks u for reuse and reports whether it was kept; a full or
-// closed pool returns false and the caller closes u.
-func (b *backend) putPooled(u *upstream, max int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.idle >= max {
-		return false
-	}
-	b.pool[u.key] = append(b.pool[u.key], u)
-	b.idle++
-	return true
-}
-
-// poolIdle returns the idle-session gauge.
-func (b *backend) poolIdle() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.idle
-}
-
-// drainPool empties the pool, closing every idle upstream, and refuses
-// further parking. Called once at proxy Close.
-func (b *backend) drainPool() {
-	b.mu.Lock()
-	var us []*upstream
-	for _, s := range b.pool {
-		us = append(us, s...)
-	}
-	b.pool = make(map[poolKey][]*upstream)
-	b.idle = 0
-	b.closed = true
-	b.mu.Unlock()
-	for _, u := range us {
-		u.conn.Close()
-	}
-}
-
-// upstream is one live BXTP session with a backend, handshaken for a
-// specific (scheme, txnSize, version) and usable for serial batch
-// exchanges.
+// upstream is one live BXTP connection with a backend, handshaken with
+// the session's Hello and usable for serial exchanges on any of the
+// session's streams.
 type upstream struct {
 	b    *backend
-	key  poolKey
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	// ok is the backend's HelloOK; the proxy relays MetaBits and
 	// BatchLimit to the client verbatim.
 	ok trace.HelloOK
-	// frames is the reply frame read buffer; it outlives a trip through
-	// the idle pool.
+	// frames is the reply frame read buffer.
 	frames trace.FrameBuffer
-	// pooledReuse marks an upstream just taken from the idle pool whose
-	// first exchange has not succeeded yet: a failure then is more likely
-	// a backend-side idle timeout than a health problem, so it does not
-	// count toward ejection.
-	pooledReuse bool
-	// open tracks which streams beyond 0 are open on this connection.
-	// Only v4 upstream connections multiplex (the Hello implicitly opens
-	// stream 0); pre-v4 upstreams leave it nil. A muxed connection is
-	// never pooled — its stream set is session-specific.
+	// open tracks which streams beyond 0 are open on this connection (the
+	// Hello implicitly opens stream 0).
 	open map[uint32]bool
 }
 
-// muxed reports whether this upstream speaks v4 framing (every
-// post-handshake body carries the stream-id prefix).
-func (u *upstream) muxed() bool { return u.ok.Version >= 4 }
-
-// handshake runs the BXTP Hello exchange for u.key within timeout. A
-// backend Error reply surfaces as errUpstreamReject carrying the message.
-// The backend may negotiate down from the requested revision (u.ok keeps
-// the answer); anything above the request or below the floor is a hard
-// error. Callers relaying frames verbatim must check u.ok.Version against
-// the session revision — the proxy cannot translate between revisions.
-func (u *upstream) handshake(timeout time.Duration) error {
-	body, err := trace.MarshalHello(trace.Hello{
-		Version: u.key.version,
-		TxnSize: u.key.txnSize,
-		Scheme:  u.key.scheme,
-	})
+// handshake runs the BXTP Hello exchange for h within timeout. A backend
+// Error reply surfaces as errUpstreamReject carrying the message; a
+// HelloOK naming a revision other than trace.ProtocolVersion is a hard
+// error, since the proxy relays frame bodies verbatim.
+func (u *upstream) handshake(h trace.Hello, timeout time.Duration) error {
+	h.Version = trace.ProtocolVersion
+	body, err := trace.MarshalHello(h)
 	if err != nil {
 		return err
 	}
@@ -280,8 +196,8 @@ func (u *upstream) handshake(timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		if ok.Version > u.key.version || ok.Version < trace.MinProtocolVersion {
-			return fmt.Errorf("proxy: backend %s negotiated protocol %d, requested <= %d", u.b.addr, ok.Version, u.key.version)
+		if ok.Version != trace.ProtocolVersion {
+			return fmt.Errorf("proxy: backend %s answered protocol %d, want %d", u.b.addr, ok.Version, trace.ProtocolVersion)
 		}
 		u.ok = ok
 		return nil
@@ -317,13 +233,9 @@ func (u *upstream) adminExchange(ft trace.FrameType, body []byte, timeout time.D
 	return u.frames.ReadFrame(u.br)
 }
 
-// stripMux removes the v4 stream-id prefix from a reply body on a muxed
-// upstream and checks it answers the stream the request went out on;
-// pre-v4 replies pass through untouched.
+// stripMux removes the stream-id prefix from a reply body and checks it
+// answers the stream the request went out on.
 func (u *upstream) stripMux(sid uint32, body []byte) ([]byte, error) {
-	if !u.muxed() {
-		return body, nil
-	}
 	rsid, rest, err := trace.SplitStreamID(body)
 	if err != nil {
 		return nil, err
@@ -334,7 +246,7 @@ func (u *upstream) stripMux(sid uint32, body []byte) ([]byte, error) {
 	return rest, nil
 }
 
-// openStream opens stream sid on a muxed upstream connection with one
+// openStream opens stream sid on an upstream connection with one
 // StreamOpen exchange. It returns the backend's raw StreamOpenOK body
 // (aliasing u.frames) so the caller can relay the verdict verbatim; a clean
 // refusal wraps errStreamRefused, any other error means the connection
@@ -373,7 +285,7 @@ func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte
 	return rbody, nil
 }
 
-// closeStream retires stream sid on a muxed upstream connection with one
+// closeStream retires stream sid on an upstream connection with one
 // StreamClose exchange, keeping the serial request/reply discipline.
 func (u *upstream) closeStream(sid uint32, timeout time.Duration) error {
 	ft, rbody, err := u.adminExchange(trace.FrameStreamClose, trace.MarshalStreamClose(sid), timeout)
@@ -395,17 +307,12 @@ func (u *upstream) closeStream(sid uint32, timeout time.Duration) error {
 }
 
 // pullSnapshot asks u's backend for one stream's codec state over a
-// StateSnapshot admin exchange (sid is ignored below v4, where the
-// session is the stream). It returns the state blob (copied, so it
+// StateSnapshot admin exchange. It returns the state blob (copied, so it
 // survives later exchanges) and the batch sequence it is current as of. A
 // clean rejection wraps errStateRejected; any other error means the frame
 // stream may be desynchronized and u should be dropped.
 func (u *upstream) pullSnapshot(sid uint32, timeout time.Duration) (uint64, []byte, error) {
-	var body []byte
-	if u.muxed() {
-		body = trace.AppendStreamID(nil, sid)
-	}
-	ft, rbody, err := u.adminExchange(trace.FrameStateSnapshot, body, timeout)
+	ft, rbody, err := u.adminExchange(trace.FrameStateSnapshot, trace.AppendStreamID(nil, sid), timeout)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -430,11 +337,7 @@ func (u *upstream) pullSnapshot(sid uint32, timeout time.Duration) (uint64, []by
 // with the echoed sequence on success; a rejection wraps errStateRejected
 // and leaves the backend stream freshly reset.
 func (u *upstream) restoreState(sid uint32, seq uint64, state []byte, timeout time.Duration) error {
-	var body []byte
-	if u.muxed() {
-		body = trace.AppendStreamID(nil, sid)
-	}
-	body = append(body, trace.MarshalStateRestore(seq, state)...)
+	body := append(trace.AppendStreamID(nil, sid), trace.MarshalStateRestore(seq, state)...)
 	ft, rbody, err := u.adminExchange(trace.FrameStateRestore, body, timeout)
 	if err != nil {
 		return err
@@ -458,8 +361,8 @@ func (u *upstream) restoreState(sid uint32, seq uint64, state []byte, timeout ti
 	return nil
 }
 
-// exchange forwards one Batch frame body verbatim (including any v4
-// stream-id prefix) and reads the reply frame, all within timeout. The
+// exchange forwards one Batch frame body verbatim (stream-id prefix
+// included) and reads the reply frame, all within timeout. The
 // returned body aliases u.frames and is valid until the next exchange.
 func (u *upstream) exchange(body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
 	return u.adminExchange(trace.FrameBatch, body, timeout)

@@ -1,116 +1,167 @@
 package proxy_test
 
 import (
+	"bufio"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/faults"
 	"github.com/hpca18/bxt/internal/server"
 	"github.com/hpca18/bxt/internal/testutil"
+	"github.com/hpca18/bxt/internal/trace"
 )
 
-// TestCompatMatrix pins the protocol negotiation and wire behaviour of
-// every client/server revision pairing — the full v1/v2/v3/v4 cross —
-// both direct and through the proxy: the session must land on
-// min(client revision, server cap), and data must round-trip
-// byte-identically on the negotiated revision. Every down-negotiated
-// pairing doubles as the interop guarantee that a v4 peer speaks the
-// older wire format exactly (the golden vectors in internal/trace pin
-// the bytes themselves).
+// TestCompatMatrix pins the one BXTP revision's handshake and wire
+// behaviour, direct and through the proxy: the session lands on
+// trace.ProtocolVersion and data round-trips byte-identically.
 func TestCompatMatrix(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	revisions := []uint8{1, 2, 3, 4}
+	v := trace.ProtocolVersion
 	for _, topology := range []string{"direct", "proxied"} {
-		for _, clientProto := range revisions {
-			for _, serverMax := range revisions {
-				clientProto, serverMax := clientProto, serverMax
-				want := clientProto
-				if serverMax < want {
-					want = serverMax
-				}
-				name := fmt.Sprintf("%s/v%d_client_v%d_server", topology, clientProto, serverMax)
-				t.Run(name, func(t *testing.T) {
-					bcfg := backendConfig()
-					bcfg.MaxProtocol = int(serverMax)
-					srv := startBackend(t, bcfg)
-					addr := srv.Addr()
-					if topology == "proxied" {
-						addr = startProxy(t, proxyConfig(srv.Addr())).Addr()
-					}
-
-					ccfg := retryClient()
-					ccfg.Protocol = clientProto
-					c, err := client.DialConfig(addr, "basexor", 32, ccfg)
-					if err != nil {
-						t.Fatalf("dial: %v", err)
-					}
-					defer c.Close()
-					if c.Version() != want {
-						t.Fatalf("negotiated version %d, want %d", c.Version(), want)
-					}
-					rng := rand.New(rand.NewSource(int64(clientProto)*10 + int64(serverMax)))
-					verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 5, 8)
-				})
+		t.Run(fmt.Sprintf("%s/v%d_client_v%d_server", topology, v, v), func(t *testing.T) {
+			bcfg := backendConfig()
+			srv := startBackend(t, bcfg)
+			addr := srv.Addr()
+			if topology == "proxied" {
+				addr = startProxy(t, proxyConfig(srv.Addr())).Addr()
 			}
-		}
+			c, err := client.DialConfig(addr, "basexor", 32, retryClient())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(44))
+			verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 5, 8)
+		})
 	}
 }
 
-// TestCompatFaultSemantics drives one injected codec fault through each
-// negotiated revision, direct and proxied: v2+ sessions see the
-// recoverable BatchError (ErrBatchFault, connection intact), v1 sessions
-// see a fatal server Error.
+// TestCompatFaultSemantics drives one injected codec fault through a
+// session, direct and proxied: the client sees the recoverable BatchError
+// (ErrBatchFault, connection intact).
 func TestCompatFaultSemantics(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	v := trace.ProtocolVersion
 	for _, topology := range []string{"direct", "proxied"} {
-		for _, proto := range []uint8{1, 2, 3, 4} {
-			proto := proto
-			t.Run(fmt.Sprintf("%s/v%d", topology, proto), func(t *testing.T) {
-				bcfg := backendConfig()
-				srv, err := server.New(bcfg)
-				if err != nil {
-					t.Fatalf("server.New: %v", err)
-				}
-				// Every transaction faults: the first batch always
-				// exercises the failure reply of the negotiated revision.
-				srv.SetFaults(faults.MustNew(faults.Config{Seed: 1, ErrRate: 1}))
-				if err := srv.Start(); err != nil {
-					t.Fatalf("server.Start: %v", err)
-				}
-				t.Cleanup(func() { srv.Close() })
-				addr := srv.Addr()
-				if topology == "proxied" {
-					addr = startProxy(t, proxyConfig(srv.Addr())).Addr()
-				}
+		t.Run(fmt.Sprintf("%s/v%d", topology, v), func(t *testing.T) {
+			bcfg := backendConfig()
+			srv, err := server.New(bcfg)
+			if err != nil {
+				t.Fatalf("server.New: %v", err)
+			}
+			// Every transaction faults: the first batch always exercises
+			// the failure reply.
+			srv.SetFaults(faults.MustNew(faults.Config{Seed: 1, ErrRate: 1}))
+			if err := srv.Start(); err != nil {
+				t.Fatalf("server.Start: %v", err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addr := srv.Addr()
+			if topology == "proxied" {
+				addr = startProxy(t, proxyConfig(srv.Addr())).Addr()
+			}
 
-				ccfg := retryClient()
-				ccfg.Protocol = proto
-				ccfg.MaxRetries = 2
-				c, err := client.DialConfig(addr, "basexor", 32, ccfg)
-				if err != nil {
-					t.Fatalf("dial: %v", err)
-				}
-				defer c.Close()
+			ccfg := retryClient()
+			ccfg.MaxRetries = 2
+			c, err := client.DialConfig(addr, "basexor", 32, ccfg)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
 
-				rng := rand.New(rand.NewSource(int64(proto)))
-				_, err = c.Transcode(makeTxns(rng, 4, 32))
-				if err == nil {
-					t.Fatal("Transcode succeeded with every transaction faulting")
-				}
-				if proto >= 2 {
-					if !errors.Is(err, client.ErrBatchFault) {
-						t.Fatalf("v%d fault = %v, want ErrBatchFault (recoverable reply)", proto, err)
-					}
-					if got := c.RetryStats().BatchErrors; got == 0 {
-						t.Errorf("v%d session counted no BatchError replies", proto)
-					}
-				} else if !errors.Is(err, client.ErrServer) {
-					t.Fatalf("v1 fault = %v, want ErrServer (fatal semantics)", err)
-				}
-			})
+			rng := rand.New(rand.NewSource(4))
+			_, err = c.Transcode(makeTxns(rng, 4, 32))
+			if err == nil {
+				t.Fatal("Transcode succeeded with every transaction faulting")
+			}
+			if !errors.Is(err, client.ErrBatchFault) {
+				t.Fatalf("fault = %v, want ErrBatchFault (recoverable reply)", err)
+			}
+			if got := c.RetryStats().BatchErrors; got == 0 {
+				t.Error("session counted no BatchError replies")
+			}
+		})
+	}
+}
+
+// TestOldHelloRejected holds bxtproxy to the one-revision rule on both of
+// its legs. Client leg: the committed v1–v3 Hello golden vectors are each
+// answered with an Error frame naming the version, and then the connection
+// closes. Backend leg: a backend answering HelloOK with another revision
+// never serves, and the client's dial fails with ErrServer.
+func TestOldHelloRejected(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	px := startProxy(t, proxyConfig(startBackend(t, backendConfig()).Addr()))
+	for v := 1; v <= 3; v++ {
+		raw, err := os.ReadFile(fmt.Sprintf("../trace/testdata/v%d_hello.hex", v))
+		if err != nil {
+			t.Fatal(err)
 		}
+		wire, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", px.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatalf("writing v%d hello: %v", v, err)
+		}
+		br := bufio.NewReader(conn)
+		ft, body, err := trace.ReadFrame(br, nil)
+		if err != nil || ft != trace.FrameError {
+			t.Fatalf("v%d hello answered with frame %#x, err %v; want Error", v, ft, err)
+		}
+		if want := fmt.Sprintf("version %d", v); !strings.Contains(string(body), want) {
+			t.Errorf("v%d rejection %q does not name the version", v, body)
+		}
+		if _, _, err := trace.ReadFrame(br, nil); err != io.EOF {
+			t.Errorf("after v%d rejection: read err %v, want EOF (closed)", v, err)
+		}
+		conn.Close()
+	}
+
+	// A backend that answers every Hello with a v3 HelloOK.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, _, err := trace.ReadFrame(conn, nil); err != nil {
+					return
+				}
+				ok := trace.MarshalHelloOK(trace.HelloOK{Version: 3, BatchLimit: 4096})
+				if trace.WriteFrame(conn, trace.FrameHelloOK, ok) == nil {
+					io.Copy(io.Discard, conn)
+				}
+			}()
+		}
+	}()
+	old := startProxy(t, proxyConfig(ln.Addr().String()))
+	c, err := client.DialConfig(old.Addr(), "basexor", 32, client.Config{DialTimeout: 5 * time.Second})
+	if !errors.Is(err, client.ErrServer) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("dial through a proxy fronting a v3 backend = %v, want ErrServer", err)
 	}
 }

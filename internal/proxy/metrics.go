@@ -19,13 +19,10 @@ type metrics struct {
 	// Failover accounting. busyConverted counts dead-backend batches
 	// answered with a retryable Busy frame (stateless sessions);
 	// faultConverted counts those answered with a codec-reset BatchError
-	// (pinned sessions); v1Fatal counts upstream failures that had to
-	// become fatal Error frames because the client spoke protocol v1;
-	// relayedFaults counts backend Busy/BatchError replies passed through
+	// (pinned sessions); relayedFaults counts backend Busy/BatchError replies passed through
 	// unchanged; repins counts pinned sessions migrated to a new backend.
 	busyConverted  atomic.Uint64
 	faultConverted atomic.Uint64
-	v1Fatal        atomic.Uint64
 	relayedFaults  atomic.Uint64
 	repins         atomic.Uint64
 
@@ -45,9 +42,9 @@ type metrics struct {
 	// failover.
 	shadowPulls atomic.Uint64
 
-	// Stream-multiplexing accounting (protocol v4). streamsOpen gauges
-	// the logical streams currently relayed (pre-v4 sessions count their
-	// implicit stream 0); streamsTotal counts every stream ever opened;
+	// Stream-multiplexing accounting. streamsOpen gauges the logical
+	// streams currently relayed (stream 0 included); streamsTotal counts
+	// every stream ever opened;
 	// streamRefused counts StreamOpen refusals (proxy- or
 	// backend-originated); streamKills counts backend stream kills
 	// relayed to clients while their sessions kept serving.
@@ -96,7 +93,6 @@ func (m *metrics) writeExposition(w io.Writer, backends []*backend, draining boo
 	e.Uint(obs.FamConnsRejected, "", m.connsRejected.Load())
 	fmt.Fprintf(w, "bxtproxy_busy_converted_total %d\n", m.busyConverted.Load())
 	fmt.Fprintf(w, "bxtproxy_batch_error_converted_total %d\n", m.faultConverted.Load())
-	fmt.Fprintf(w, "bxtproxy_v1_fatal_conversions_total %d\n", m.v1Fatal.Load())
 	fmt.Fprintf(w, "bxtproxy_relayed_faults_total %d\n", m.relayedFaults.Load())
 	fmt.Fprintf(w, "bxtproxy_repins_total %d\n", m.repins.Load())
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"ok\"} %d\n", m.stateOK.Load())
@@ -126,7 +122,6 @@ func (m *metrics) writeExposition(w io.Writer, backends []*backend, draining boo
 		fmt.Fprintf(w, "bxtproxy_backend_batches_total{backend=%q} %d\n", b.addr, b.batches.Load())
 		fmt.Fprintf(w, "bxtproxy_backend_failures_total{backend=%q} %d\n", b.addr, b.failures.Load())
 		fmt.Fprintf(w, "bxtproxy_backend_probes_total{backend=%q} %d\n", b.addr, b.probes.Load())
-		fmt.Fprintf(w, "bxtproxy_backend_pool_idle{backend=%q} %d\n", b.addr, b.poolIdle())
 	}
 
 	obs.WriteEnergyMetrics(e, "backend", m.energy, m.est)

@@ -249,50 +249,6 @@ func TestEjectedPinTransferFailureForcesCodecReset(t *testing.T) {
 	}
 }
 
-// TestV1PinLostIsFatal pins the protocol matrix: a v1 client predates both
-// recoverable faults and state transfer, so a lost pin must end the
-// session with a fatal Error frame — never a silent migration (v1 cannot
-// be told to reset) and never a state transfer (the admin frames are v2+).
-func TestV1PinLostIsFatal(t *testing.T) {
-	px, _ := startPinFixture(t, nil)
-	if err := px.Start(); err != nil {
-		t.Fatalf("proxy.Start: %v", err)
-	}
-	t.Cleanup(func() { px.Close() })
-
-	c, err := client.DialConfig(px.Addr(), "bdenc", pinFixtureTxnSize, client.Config{
-		Protocol:    1,
-		IOTimeout:   5 * time.Second,
-		DialTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("DialConfig: %v", err)
-	}
-	defer c.Close()
-	if got := c.Version(); got != 1 {
-		t.Fatalf("negotiated protocol = %d, want 1", got)
-	}
-
-	if _, err := c.Transcode(pinMakeBatch(0)); err != nil {
-		t.Fatalf("round 0: Transcode: %v", err)
-	}
-	pin := findPin(t, px)
-	pin.ejected.Store(true)
-
-	if _, err := c.Transcode(pinMakeBatch(1)); err == nil {
-		t.Fatal("post-ejection Transcode on v1 session succeeded, want fatal error")
-	}
-	if got := px.met.v1Fatal.Load(); got < 1 {
-		t.Fatalf("v1Fatal = %d, want >= 1", got)
-	}
-	if got := px.met.stateUnsupported.Load(); got < 1 {
-		t.Fatalf("stateUnsupported = %d, want >= 1 (v1 pin loss must count as unsupported)", got)
-	}
-	if got := px.met.stateOK.Load() + px.met.stateOKShadow.Load(); got != 0 {
-		t.Fatalf("ok state transfers = %d, want 0 on a v1 session", got)
-	}
-}
-
 // TestKilledPinRecoversFromShadow is the headline bar from the roadmap:
 // kill the pinned backend outright — no live pull possible — and the
 // session still fails over with zero epoch bumps, because the proxy

@@ -2,13 +2,11 @@
 // a fleet of bxtd gateways: a BXTP-speaking front door that accepts client
 // sessions and fans their batches across N backends.
 //
-// Multiplexing: a protocol v4 client connection carries many logical
-// streams (see internal/trace/mux.go), and the proxy demuxes them — each
-// stream routes, pins, faults, and fails over independently, onto the
-// same pooled or pinned upstream sessions a dedicated connection would
-// use, so one client connection can fan out across the whole fleet.
-// v1-v3 sessions are single-stream and byte-identical to earlier
-// revisions.
+// Multiplexing: a client connection carries many logical streams (see
+// internal/trace/mux.go), and the proxy demuxes them — each stream routes,
+// pins, faults, and fails over independently across one upstream
+// connection per backend, so one client connection can fan out across the
+// whole fleet.
 //
 // Routing: streams running decode-stateless schemes (basexor, universal,
 // dbi, silent — see scheme.DecodeStateful) spread batch-by-batch by
@@ -24,7 +22,7 @@
 // The fleet is dynamic: AddBackend/RemoveBackend (POST /backends on the
 // metrics listener) and SetBackends (the SIGHUP backends-file reconcile
 // path) grow and shrink it without a restart; surviving backends keep
-// their counters, pools, pins, and health state.
+// their counters, pins, and health state.
 //
 // Health: every backend is probed with a real BXTP Hello handshake at a
 // fixed interval; EjectThreshold consecutive failures (probe or live
@@ -33,14 +31,13 @@
 // reset its codec via a BatchError(reset) reply — the client's existing
 // Epoch machinery re-drives the batch on a fresh decoder.
 //
-// Failover: a dead backend never disconnects a protocol v2 client.
-// In-flight batches convert to recoverable Busy (stateless) or
-// BatchError(reset) (pinned) replies that client.MaxRetries re-drives;
-// only v1 sessions, which predate recoverable faults, get a fatal Error.
+// Failover: a dead backend never disconnects a client. In-flight batches
+// convert to recoverable Busy (stateless) or BatchError(reset) (pinned)
+// replies that client.MaxRetries re-drives.
 //
-// The proxy relays Batch and reply frame bodies verbatim — the upstream
-// session always speaks the revision negotiated with the client, so batch
-// envelopes (ids, CRCs) pass through untouched.
+// The proxy relays Batch and reply frame bodies verbatim — client and
+// backends speak the one BXTP revision, so batch envelopes (ids, CRCs)
+// pass through untouched.
 package proxy
 
 import (
@@ -165,8 +162,7 @@ func (p *Proxy) AddBackend(addr string) error {
 // RemoveBackend shrinks the fleet at runtime: the backend leaves routing
 // immediately, pinned streams live-migrate their codec state off it on
 // their next batch (it is marked draining first, so it stays reachable
-// for exactly those state-snapshot pulls), and its probe loop and idle
-// pool wind down.
+// for exactly those state-snapshot pulls), and its probe loop winds down.
 func (p *Proxy) RemoveBackend(addr string) error {
 	p.mu.Lock()
 	old := p.backendList()
@@ -187,14 +183,13 @@ func (p *Proxy) RemoveBackend(addr string) error {
 	gone.remove()
 	p.backends.Store(&next)
 	p.mu.Unlock()
-	gone.drainPool()
 	p.log.Info("backend removed", "backend", addr, "fleet", len(next))
 	return nil
 }
 
 // SetBackends reconciles the fleet against addrs: missing backends are
-// added, surplus ones removed, survivors keep their counters, pools, and
-// health state. This is the SIGHUP config-reload entry point.
+// added, surplus ones removed, survivors keep their counters and health
+// state. This is the SIGHUP config-reload entry point.
 func (p *Proxy) SetBackends(addrs []string) error {
 	if len(addrs) == 0 {
 		return errors.New("proxy: refusing to remove every backend")
@@ -569,9 +564,9 @@ func rendezvousScore(key uint64, addr string) uint64 {
 	return h.Sum64()
 }
 
-// dialUpstream opens, wraps (chaos), and handshakes one upstream session
-// with b for k. The caller owns the returned upstream.
-func (p *Proxy) dialUpstream(b *backend, k poolKey) (*upstream, error) {
+// dialUpstream opens, wraps (chaos), and handshakes one upstream
+// connection with b for h. The caller owns the returned upstream.
+func (p *Proxy) dialUpstream(b *backend, h trace.Hello) (*upstream, error) {
 	d := net.Dialer{Timeout: p.cfg.DialTimeout}
 	conn, err := d.Dial("tcp", b.addr)
 	if err != nil {
@@ -582,12 +577,11 @@ func (p *Proxy) dialUpstream(b *backend, k poolKey) (*upstream, error) {
 	}
 	u := &upstream{
 		b:    b,
-		key:  k,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 	}
-	if err := u.handshake(p.cfg.DialTimeout); err != nil {
+	if err := u.handshake(h, p.cfg.DialTimeout); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -632,8 +626,7 @@ func (p *Proxy) probeLoop(b *backend) {
 // backend, failure counts toward ejection.
 func (p *Proxy) probe(b *backend) {
 	b.probes.Add(1)
-	k := poolKey{scheme: p.cfg.ProbeScheme, txnSize: probeTxnSize, version: trace.ProtocolVersion}
-	u, err := p.dialUpstream(b, k)
+	u, err := p.dialUpstream(b, trace.Hello{Scheme: p.cfg.ProbeScheme, TxnSize: probeTxnSize})
 	if err != nil {
 		p.noteBackendFailure(b, "probe", err)
 		return
@@ -712,14 +705,11 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 }
 
 // Close releases everything: an immediate drain bounded by DrainTimeout,
-// then the idle upstream pools and the metrics endpoint.
+// then the metrics endpoint.
 func (p *Proxy) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.DrainTimeout)
 	defer cancel()
 	err := p.Shutdown(ctx)
-	for _, b := range p.backendList() {
-		b.drainPool()
-	}
 	p.mu.Lock()
 	httpSrv, httpLn := p.httpSrv, p.httpLn
 	p.httpSrv, p.httpLn = nil, nil

@@ -186,7 +186,7 @@ func buildDecoder(t *testing.T, name string, srvCfg config.Server) core.Codec {
 	return dec
 }
 
-// TestProxyRelay proves the basic relay path: a v2 client session through
+// TestProxyRelay proves the basic relay path: a client session through
 // a one-backend proxy behaves exactly like a direct session — handshake
 // fields come from the backend, every record decodes back to its source,
 // and both tiers account the batches on /metrics.
@@ -201,9 +201,6 @@ func TestProxyRelay(t *testing.T) {
 		t.Fatalf("dial through proxy: %v", err)
 	}
 	defer c.Close()
-	if c.Version() != trace.ProtocolVersion {
-		t.Errorf("negotiated version %d, want %d", c.Version(), trace.ProtocolVersion)
-	}
 	if c.BatchLimit() != bcfg.BatchLimit {
 		t.Errorf("BatchLimit %d did not relay from backend (want %d)", c.BatchLimit(), bcfg.BatchLimit)
 	}
@@ -428,42 +425,6 @@ func TestProxyFailoverPinned(t *testing.T) {
 	}
 	if got := backendMetric(t, exp, "bxtproxy_backend_pinned_sessions", survivor.Addr()); got != 1 {
 		t.Errorf("survivor pin gauge = %v, want 1", got)
-	}
-}
-
-// TestProxyV1Fatal proves the protocol floor: a v1 client works through
-// the proxy, but when its backend dies the proxy can only answer with a
-// fatal Error — v1 predates recoverable faults — and the failure must
-// surface as ErrServer, not a hang or a silent disconnect.
-func TestProxyV1Fatal(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	bcfg := backendConfig()
-	srv := startBackend(t, bcfg)
-	px := startProxy(t, proxyConfig(srv.Addr()))
-
-	ccfg := retryClient()
-	ccfg.Protocol = 1
-	ccfg.MaxRetries = 0
-	c, err := client.DialConfig(px.Addr(), "basexor", 32, ccfg)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	if c.Version() != 1 {
-		t.Fatalf("negotiated version %d, want 1", c.Version())
-	}
-	rng := rand.New(rand.NewSource(6))
-	verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 5, 8)
-
-	if err := srv.Close(); err != nil {
-		t.Fatalf("closing backend: %v", err)
-	}
-	if _, err := c.Transcode(makeTxns(rng, 8, 32)); err == nil {
-		t.Fatal("Transcode succeeded with every backend dead on a v1 session")
-	}
-	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
-	if got := metricValue(t, exp, "bxtproxy_v1_fatal_conversions_total"); got < 1 {
-		t.Errorf("bxtproxy_v1_fatal_conversions_total = %v, want >= 1", got)
 	}
 }
 

@@ -23,11 +23,8 @@ var errNoBackend = errors.New("proxy: no healthy backend")
 var errPinLost = errors.New("pinned backend ejected, upstream codec state lost")
 
 // session is one client connection being relayed: the client-facing
-// socket, the negotiated revision, and the logical streams being routed.
-// Below protocol v4 a session carries exactly one stream (id 0, opened
-// implicitly by the Hello) and the wire behaviour is byte-identical to
-// the pre-mux proxy; a v4 session demultiplexes on the stream-id prefix
-// and routes every stream independently.
+// socket and the logical streams being routed. The session demultiplexes
+// on the stream-id prefix and routes every stream independently.
 type session struct {
 	p    *Proxy
 	id   uint64
@@ -36,38 +33,25 @@ type session struct {
 	bw   *bufio.Writer
 	log  *slog.Logger
 
-	// version is the revision negotiated with the client; every upstream
-	// this session opens handshakes the same revision so frame bodies
-	// relay verbatim (v4 bodies keep their stream-id prefix end to end).
-	version uint8
-	// negotiable is set only between parsing the client Hello and sending
-	// HelloOK: the first upstream may still talk the whole session down to
-	// an older revision (mixed-fleet upgrades). Afterwards the revision is
-	// promised to the client and upstreams must match it exactly.
-	negotiable bool
-	// helloKey is stream 0's handshake parameters; muxed v4 upstream
-	// connections replay this Hello when dialing, whichever stream
-	// triggered the dial.
-	helloKey poolKey
+	// hello is the client's Hello, stream 0's parameters; every upstream
+	// connection replays it when dialing, whichever stream triggered the
+	// dial, so frame bodies relay verbatim with their stream-id prefix.
+	hello trace.Hello
 
-	// streams routes stream ids to their relay state; st0 is stream 0,
-	// kept for the pooling decision at teardown.
+	// streams routes stream ids to their relay state.
 	streams map[uint32]*pstream
-	st0     *pstream
 
 	// ups holds this session's live upstream connections, one per
-	// backend. On a v4 session each is a muxed connection carrying any
-	// subset of the session's streams (tracked per-connection in
-	// upstream.open); pre-v4 sessions have exactly one stream, so the map
-	// degenerates to one dedicated upstream per backend, as before.
+	// backend, each carrying any subset of the session's streams (tracked
+	// per-connection in upstream.open).
 	ups map[*backend]*upstream
 
 	// frames is the client-side frame read buffer; a relayed batch body
 	// aliases it until the upstream exchange returns.
 	frames trace.FrameBuffer
 
-	// traceID is the current batch's end-to-end trace id (zero below
-	// protocol v3); span is its relay-leg record — frame_read,
+	// traceID is the current batch's end-to-end trace id; span is its
+	// relay-leg record — frame_read,
 	// backend_exchange, frame_write — fed to the proxy's /debug/trace
 	// ring. Both are owned by the session goroutine.
 	traceID uint64
@@ -77,7 +61,7 @@ type session struct {
 // run drives the session: handshake, then the relay loop.
 func (ss *session) run() {
 	defer ss.conn.Close()
-	defer ss.releaseUpstreams()
+	defer ss.closeUpstreams()
 	defer ss.teardownStreams()
 	ss.br = bufio.NewReaderSize(ss.conn, 64<<10)
 	ss.bw = bufio.NewWriterSize(ss.conn, 64<<10)
@@ -86,8 +70,7 @@ func (ss *session) run() {
 		ss.log.Warn("handshake failed", "err", err)
 		return
 	}
-	ss.log.Info("session open",
-		"scheme", ss.helloKey.scheme, "protocol", ss.version, "pinned", ss.st0.pinned)
+	ss.log.Info("session open", "scheme", ss.hello.Scheme, "pinned", ss.streams[0].pinned)
 	ss.readLoop()
 	var batches uint64
 	for _, st := range ss.streams {
@@ -103,7 +86,7 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 		ss:         ss,
 		sid:        sid,
 		schemeName: schemeName,
-		key:        poolKey{scheme: schemeName, txnSize: txnSize, version: ss.version},
+		txnSize:    txnSize,
 		pinned:     scheme.DecodeStateful(schemeName),
 		readH:      ss.p.met.stages.Hist(schemeName, obs.StageFrameRead),
 		backH:      ss.p.met.stages.Hist(schemeName, obs.StageBackend),
@@ -115,9 +98,6 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 
 func (ss *session) registerStream(st *pstream) {
 	ss.streams[st.sid] = st
-	if st.sid == 0 {
-		ss.st0 = st
-	}
 	ss.p.met.streamsOpen.Add(1)
 	ss.p.met.streamsTotal.Add(1)
 }
@@ -140,8 +120,9 @@ func (ss *session) teardownStreams() {
 
 // handshake reads the client Hello, opens the first upstream (which also
 // validates the scheme and transaction size against a real backend), and
-// answers HelloOK with the backend's MetaBits and BatchLimit. Any failure
-// is answered with an Error frame before the connection closes.
+// answers HelloOK with the backend's MetaBits and BatchLimit. Any failure,
+// a Hello naming a revision other than trace.ProtocolVersion included, is
+// answered with an Error frame before the connection closes.
 func (ss *session) handshake() error {
 	ss.conn.SetReadDeadline(time.Now().Add(ss.p.cfg.ReadTimeout))
 	ft, body, err := trace.ReadFrame(ss.br, nil)
@@ -158,25 +139,22 @@ func (ss *session) handshake() error {
 		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
-	if h.Version < trace.MinProtocolVersion || h.Version > trace.ProtocolVersion {
-		err := fmt.Errorf("unsupported protocol version %d", h.Version)
+	if h.Version != trace.ProtocolVersion {
+		err := fmt.Errorf("unsupported protocol version %d (serving %d)", h.Version, trace.ProtocolVersion)
 		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
-	ss.version = h.Version
-	ss.helloKey = poolKey{scheme: h.Scheme, txnSize: h.TxnSize, version: h.Version}
+	ss.hello = h
 	ss.streams = make(map[uint32]*pstream)
-	ss.registerStream(ss.newStream(0, h.Scheme, h.TxnSize))
-
-	ss.negotiable = true
-	u, _, err := ss.st0.acquireUpstream()
-	ss.negotiable = false
+	st := ss.newStream(0, h.Scheme, h.TxnSize)
+	ss.registerStream(st)
+	u, _, err := st.acquireUpstream()
 	if err != nil {
 		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
 	okBody := trace.MarshalHelloOK(trace.HelloOK{
-		Version:    ss.version,
+		Version:    trace.ProtocolVersion,
 		MetaBits:   u.ok.MetaBits,
 		BatchLimit: u.ok.BatchLimit,
 	})
@@ -218,11 +196,11 @@ func (ss *session) readLoop() {
 			if ss.dispatchBatch(body, time.Since(readStart)) {
 				return
 			}
-		case ft == trace.FrameStreamOpen && ss.version >= 4:
+		case ft == trace.FrameStreamOpen:
 			if ss.handleStreamOpen(body) {
 				return
 			}
-		case ft == trace.FrameStreamClose && ss.version >= 4:
+		case ft == trace.FrameStreamClose:
 			if ss.handleStreamClose(body) {
 				return
 			}
@@ -233,26 +211,24 @@ func (ss *session) readLoop() {
 	}
 }
 
-// dispatchBatch routes one Batch frame to its stream. On a v4 session the
-// body leads with the stream id; a batch for an unknown stream re-announces
-// StreamClosed, mirroring the gateway, so a client racing a stream kill
-// loses only that stream while its siblings keep serving.
+// dispatchBatch routes one Batch frame to the stream its body leads with;
+// a batch for an unknown stream re-announces StreamClosed, mirroring the
+// gateway, so a client racing a stream kill loses only that stream while
+// its siblings keep serving.
 func (ss *session) dispatchBatch(body []byte, readDur time.Duration) (fatal bool) {
-	st := ss.st0
-	if ss.version >= 4 {
-		sid, _, err := trace.SplitStreamID(body)
-		if err != nil {
-			ss.writeFrame(trace.FrameError, []byte(err.Error()))
-			return true
-		}
-		if st = ss.streams[sid]; st == nil {
-			return ss.writeFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "unknown stream")) != nil
-		}
+	sid, interior, err := trace.SplitStreamID(body)
+	if err != nil {
+		ss.writeFrame(trace.FrameError, []byte(err.Error()))
+		return true
 	}
-	return st.handleBatch(body, readDur)
+	st := ss.streams[sid]
+	if st == nil {
+		return ss.writeFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "unknown stream")) != nil
+	}
+	return st.handleBatch(body, interior, readDur)
 }
 
-// handleStreamOpen opens one additional logical stream (v4): validate it
+// handleStreamOpen opens one additional logical stream: validate it
 // locally, route it to a backend so the scheme and transaction size are
 // checked where the stream will actually serve, and relay the backend's
 // StreamOpenOK verdict — metadata width and batch limit included —
@@ -292,7 +268,7 @@ func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
 	return fatal
 }
 
-// handleStreamClose retires one stream (v4): the close propagates to every
+// handleStreamClose retires one stream: the close propagates to every
 // upstream connection the stream is open on — keeping the serial exchange
 // discipline on each — before the StreamClosed acknowledgement goes back
 // to the client.
@@ -331,16 +307,9 @@ func (ss *session) dropUpstream(b *backend) {
 	}
 }
 
-// releaseUpstreams parks reusable upstreams in their backend pools and
-// closes the rest. Pinned sessions never pool (their upstream codec holds
-// per-session state no other client can resume), and neither do muxed v4
-// connections, whose open-stream set is session-specific.
-func (ss *session) releaseUpstreams() {
-	poolable := ss.version < 4 && ss.st0 != nil && !ss.st0.pinned && !ss.p.isDraining()
+// closeUpstreams closes every upstream connection at session end.
+func (ss *session) closeUpstreams() {
 	for _, u := range ss.ups {
-		if poolable && u.b.putPooled(u, ss.p.cfg.PoolSize) {
-			continue
-		}
 		u.conn.Close()
 	}
 	ss.ups = nil

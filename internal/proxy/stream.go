@@ -12,19 +12,15 @@ import (
 
 // pstream is one logical client stream being relayed: its scheme, the
 // routing mode picked at open, the backend pin (decode-stateful schemes),
-// and the shadow-snapshot machinery for seamless pin failover. Below
-// protocol v4 the session carries exactly one stream and these fields are
-// what used to live on the session; a v4 session routes every stream
-// independently — stateless streams spread batch-by-batch, stateful
-// streams pin and state-migrate per stream.
+// and the shadow-snapshot machinery for seamless pin failover. Every
+// stream routes independently — stateless streams spread batch-by-batch,
+// stateful streams pin and state-migrate per stream.
 type pstream struct {
 	ss  *session
 	sid uint32
 
 	schemeName string
-	// key is the stream's handshake parameters: the idle-pool key below
-	// v4, and the StreamOpen parameters on muxed upstream connections.
-	key poolKey
+	txnSize    int
 	// pinned marks a decode-stateful scheme: all of this stream's batches
 	// go to one backend (pin), rendezvous-chosen, and a pin migration
 	// forces a client codec reset unless the state can be transferred.
@@ -32,7 +28,7 @@ type pstream struct {
 	pinned bool
 	pin    *backend
 	// snapshottable marks a pinned stream whose codec state can be pulled
-	// and replayed (scheme.Snapshottable, protocol v2+): a pin migration
+	// and replayed (scheme.Snapshottable): a pin migration
 	// then moves the upstream codec state to the new backend instead of
 	// resetting the client. shadow/shadowSeq hold the last shadow snapshot
 	// pulled from the pin (hasShadow gates first use); a shadow is usable
@@ -46,7 +42,7 @@ type pstream struct {
 	batches uint64
 
 	// openOK briefly holds the backend's raw StreamOpenOK body after
-	// acquireUpstream opens this stream on a muxed connection, so the
+	// acquireUpstream opens this stream on an upstream connection, so the
 	// session can relay the verdict verbatim to the client.
 	openOK []byte
 	// avoid is the backend that relayed this stateless stream's last
@@ -64,58 +60,32 @@ type pstream struct {
 }
 
 // wrapReply prepends the stream-id prefix to a proxy-originated reply
-// body on v4 sessions; below v4 the body is already the full frame.
+// body.
 func (st *pstream) wrapReply(body []byte) []byte {
-	if st.ss.version < 4 {
-		return body
-	}
 	return append(trace.AppendStreamID(make([]byte, 0, 4+len(body)), st.sid), body...)
 }
 
-// dialKey is the Hello this stream's upstream dials handshake with: muxed
-// v4 connections always replay the session's stream-0 Hello (further
-// streams open with StreamOpen frames), pre-v4 upstreams handshake the
-// stream's own parameters.
-func (st *pstream) dialKey() poolKey {
-	if st.ss.version >= 4 {
-		return st.ss.helloKey
-	}
-	return st.key
-}
-
 // handleBatch relays one Batch frame body to a backend and the reply back
-// to the client. Bodies relay verbatim in both directions — on v4 the
-// stream-id prefix rides along untouched, and only the interior past it
-// is parsed for validation. It returns true when the session must close.
-func (st *pstream) handleBatch(body []byte, readDur time.Duration) (fatal bool) {
+// to the client. Bodies relay verbatim in both directions — the stream-id
+// prefix rides along untouched, and only the interior past it is parsed
+// for validation. It returns true when the session must close.
+func (st *pstream) handleBatch(body, interior []byte, readDur time.Duration) (fatal bool) {
 	ss := st.ss
-	interior := body
-	if ss.version >= 4 {
-		_, interior, _ = trace.SplitStreamID(body) // length-checked by dispatchBatch
-	}
-	var id uint64
-	ss.traceID = 0
-	if ss.version >= 2 {
-		var err error
-		if ss.version >= 3 {
-			// The trace id rides the envelope payload; the body still
-			// relays verbatim, the proxy only reads it for its own spans.
-			id, ss.traceID, _, err = trace.OpenTraceEnvelope(interior)
-		} else {
-			id, _, err = trace.OpenBatchEnvelope(interior)
+	// The trace id rides the envelope payload; the body still relays
+	// verbatim, the proxy only reads it for its own spans.
+	id, traceID, _, err := trace.OpenTraceEnvelope(interior)
+	ss.traceID = traceID
+	if err != nil {
+		st.readH.ObserveDuration(readDur)
+		if len(interior) < 12 {
+			ss.writeFrame(trace.FrameError, []byte(err.Error()))
+			return true
 		}
-		if err != nil {
-			st.readH.ObserveDuration(readDur)
-			if len(interior) < 12 {
-				ss.writeFrame(trace.FrameError, []byte(err.Error()))
-				return true
-			}
-			// Client-leg corruption: answer the recoverable fault here
-			// instead of burning a backend round trip; the carried id is
-			// best effort, exactly as on the gateway.
-			id = binary.LittleEndian.Uint64(interior[:8])
-			return ss.writeFrame(trace.FrameBatchError, st.wrapReply(trace.MarshalBatchError(id, false, err.Error()))) != nil
-		}
+		// Client-leg corruption: answer the recoverable fault here instead
+		// of burning a backend round trip; the carried id is best effort,
+		// exactly as on the gateway.
+		id = binary.LittleEndian.Uint64(interior[:8])
+		return ss.writeFrame(trace.FrameBatchError, st.wrapReply(trace.MarshalBatchError(id, false, err.Error()))) != nil
 	}
 	st.readH.ObserveDurationEx(readDur, ss.traceID)
 	ss.span.Reset(ss.traceID, id, ss.id, st.schemeName)
@@ -133,64 +103,38 @@ func (st *pstream) handleBatch(body []byte, readDur time.Duration) (fatal bool) 
 	st.backH.ObserveDurationEx(backDur, ss.traceID)
 	ss.span.Observe(obs.StageBackend, backDur)
 	if xerr != nil {
-		stale := u.pooledReuse
 		ss.dropUpstream(b)
-		if stale {
-			// A pooled idle session the backend had already timed out is
-			// not a health signal; just have the client retry on a fresh
-			// upstream.
-			ss.log.Debug("stale pooled upstream", "backend", b.addr, "err", xerr)
-		} else {
-			ss.p.noteBackendFailure(b, "exchange", xerr)
-		}
+		ss.p.noteBackendFailure(b, "exchange", xerr)
 		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, xerr))
 	}
 
-	rinterior := rbody
-	if ss.version >= 4 {
-		if ft == trace.FrameStreamClosed {
-			return st.relayStreamKill(u, b, id, rbody)
-		}
-		var rsid uint32
-		var perr error
-		rsid, rinterior, perr = trace.SplitStreamID(rbody)
-		if perr == nil && rsid != st.sid {
-			perr = fmt.Errorf("reply on stream %d, want %d", rsid, st.sid)
-		}
-		if perr != nil {
-			ss.dropUpstream(b)
-			ss.p.noteBackendFailure(b, "exchange", perr)
-			return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
-		}
+	if ft == trace.FrameStreamClosed {
+		return st.relayStreamKill(u, b, id, rbody)
+	}
+	rsid, rinterior, perr := trace.SplitStreamID(rbody)
+	if perr == nil && rsid != st.sid {
+		perr = fmt.Errorf("reply on stream %d, want %d", rsid, st.sid)
+	}
+	if perr != nil {
+		ss.dropUpstream(b)
+		ss.p.noteBackendFailure(b, "exchange", perr)
+		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
 	}
 
 	switch ft {
 	case trace.FrameBatchReply:
-		statsBody := rinterior
-		if ss.version >= 2 {
-			var rid uint64
-			var payload []byte
-			var err error
-			if ss.version >= 3 {
-				var rtrace uint64
-				rid, rtrace, payload, err = trace.OpenTraceEnvelope(rinterior)
-				if err == nil && rtrace != ss.traceID {
-					err = fmt.Errorf("reply carries trace %#x, want %#x", rtrace, ss.traceID)
-				}
-			} else {
-				rid, payload, err = trace.OpenBatchEnvelope(rinterior)
-			}
-			if err == nil && rid != id {
-				err = fmt.Errorf("reply for batch %d, want %d", rid, id)
-			}
-			if err != nil {
-				ss.dropUpstream(b)
-				ss.p.noteBackendFailure(b, "exchange", err)
-				return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, err))
-			}
-			statsBody = payload
+		rid, rtrace, statsBody, err := trace.OpenTraceEnvelope(rinterior)
+		if err == nil && rtrace != ss.traceID {
+			err = fmt.Errorf("reply carries trace %#x, want %#x", rtrace, ss.traceID)
 		}
-		u.pooledReuse = false
+		if err == nil && rid != id {
+			err = fmt.Errorf("reply for batch %d, want %d", rid, id)
+		}
+		if err != nil {
+			ss.dropUpstream(b)
+			ss.p.noteBackendFailure(b, "exchange", err)
+			return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, err))
+		}
 		ss.p.noteBackendOK(b)
 		b.batches.Add(1)
 		b.observeExchange(st.schemeName, backDur)
@@ -235,15 +179,14 @@ func (st *pstream) handleBatch(body []byte, readDur time.Duration) (fatal bool) 
 		} else {
 			rid, _, _, perr = trace.ParseBatchError(rinterior)
 		}
-		if ss.version < 2 || perr != nil || rid != id {
-			if perr == nil {
-				perr = fmt.Errorf("fault reply for batch %d, want %d", rid, id)
-			}
+		if perr == nil && rid != id {
+			perr = fmt.Errorf("fault reply for batch %d, want %d", rid, id)
+		}
+		if perr != nil {
 			ss.dropUpstream(b)
 			ss.p.noteBackendFailure(b, "exchange", perr)
 			return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
 		}
-		u.pooledReuse = false
 		ss.p.noteBackendOK(b)
 		ss.p.met.relayedFaults.Add(1)
 		if !st.pinned {
@@ -287,19 +230,13 @@ func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []b
 	return ss.writeFrame(trace.FrameStreamClosed, rbody) != nil
 }
 
-// convertFailure turns an upstream failure into the strongest recovery the
-// client's protocol revision allows: Busy (retry elsewhere) for stateless
-// v2+ streams, BatchError with the codec-reset flag (retry after an Epoch
-// bump) for pinned streams — re-pinning first so the retry lands on a
-// survivor — and a fatal Error for v1 clients, which predate recoverable
-// faults. Other streams on a v4 session never notice.
+// convertFailure turns an upstream failure into a recoverable reply: Busy
+// (retry elsewhere) for stateless streams, BatchError with the codec-reset
+// flag (retry after an Epoch bump) for pinned streams — re-pinning first so
+// the retry lands on a survivor. Other streams on the session never
+// notice.
 func (st *pstream) convertFailure(id uint64, cause error) (fatal bool) {
 	ss := st.ss
-	if ss.version < 2 {
-		ss.p.met.v1Fatal.Add(1)
-		ss.writeFrame(trace.FrameError, []byte("proxy: "+cause.Error()))
-		return true
-	}
 	if st.pinned {
 		ss.p.met.faultConverted.Add(1)
 		st.pinTarget()
@@ -310,16 +247,15 @@ func (st *pstream) convertFailure(id uint64, cause error) (fatal bool) {
 	return ss.writeFrame(trace.FrameBusy, st.wrapReply(trace.MarshalBusy(id, ss.p.cfg.RetryHint))) != nil
 }
 
-// ensureOpen makes sure this stream is open on a muxed upstream
-// connection, opening it with a StreamOpen exchange on first use. The
-// Hello already opened stream 0 on every muxed connection, and pre-v4
-// upstreams are handshaken for exactly this stream, so both pass through.
+// ensureOpen makes sure this stream is open on an upstream connection,
+// opening it with a StreamOpen exchange on first use. The Hello already
+// opened stream 0 on every upstream connection.
 func (st *pstream) ensureOpen(u *upstream) error {
-	if st.ss.version < 4 || st.sid == 0 || u.open[st.sid] {
+	if st.sid == 0 || u.open[st.sid] {
 		return nil
 	}
 	okBody, err := u.openStream(
-		trace.StreamOpen{ID: st.sid, TxnSize: st.key.txnSize, Scheme: st.schemeName},
+		trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName},
 		st.ss.p.cfg.ExchangeTimeout)
 	if st.accepted && errors.Is(err, errStreamRefused) {
 		// Not parameter-driven: the connection and the proxy disagree on
@@ -338,8 +274,7 @@ func (st *pstream) ensureOpen(u *upstream) error {
 
 // acquireUpstream returns a live upstream on the backend the routing
 // policy picks for this stream, reusing the session's open upstream
-// connections and the backend's idle pool (pre-v4 stateless streams only)
-// before dialing. Dial failures count toward ejection and fail over to
+// connections before dialing. Dial failures count toward ejection and fail over to
 // the next candidate; a handshake rejection or stream-open refusal
 // surfaces immediately, because every backend would reject the same
 // parameters.
@@ -395,14 +330,7 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 			}
 			return u, b, nil
 		}
-		if !st.pinned && ss.version < 4 {
-			if u := b.getPooled(st.key); u != nil {
-				u.pooledReuse = true
-				ss.ups[b] = u
-				return u, b, nil
-			}
-		}
-		u, err := ss.p.dialUpstream(b, st.dialKey())
+		u, err := ss.p.dialUpstream(b, ss.hello)
 		if err != nil {
 			if errors.Is(err, errUpstreamReject) {
 				return nil, nil, err
@@ -410,21 +338,6 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 			ss.p.noteBackendFailure(b, "dial", err)
 			excluded[b] = true
 			continue
-		}
-		if u.ok.Version != ss.version {
-			if !ss.negotiable {
-				// The session revision is already promised to the client;
-				// an older backend cannot serve it. Not a health signal.
-				u.conn.Close()
-				excluded[b] = true
-				continue
-			}
-			// First upstream of the session: adopt the backend's older
-			// revision before HelloOK commits one to the client.
-			ss.version = u.ok.Version
-			ss.helloKey.version = u.ok.Version
-			st.key.version = u.ok.Version
-			u.key.version = u.ok.Version
 		}
 		ss.ups[b] = u
 		if err := st.ensureOpen(u); err != nil {
@@ -448,18 +361,15 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 // the caller must fall back to a client-side reset.
 func (st *pstream) migrateState(prev, next *backend) *upstream {
 	ss := st.ss
-	if ss.version < 2 || !st.snapshottable {
+	if !st.snapshottable {
 		ss.p.met.stateUnsupported.Add(1)
-		if ss.version < 4 {
-			ss.dropUpstream(prev)
-		}
 		return nil
 	}
 	timeout := ss.p.cfg.StateTransferTimeout
 	var seq uint64
 	var blob []byte
 	fromShadow := false
-	if old := ss.ups[prev]; old != nil && (ss.version < 4 || st.sid == 0 || old.open[st.sid]) {
+	if old := ss.ups[prev]; old != nil && (st.sid == 0 || old.open[st.sid]) {
 		// The old upstream may still answer — a draining backend always
 		// does, and even an ejected one often can (the ejection may have
 		// been a probe racing a restart).
@@ -467,9 +377,9 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 		switch {
 		case err != nil:
 			ss.log.Debug("live state pull failed", "backend", prev.addr, "err", err)
-			if ss.version >= 4 && !errors.Is(err, errStateRejected) {
-				// The muxed connection may be desynchronized mid-exchange;
-				// drop it so sibling streams redial cleanly.
+			if !errors.Is(err, errStateRejected) {
+				// The connection may be desynchronized mid-exchange; drop
+				// it so sibling streams redial cleanly.
 				ss.dropUpstream(prev)
 			}
 		case s != st.batches:
@@ -477,12 +387,6 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 		default:
 			seq, blob = s, b
 		}
-	}
-	if ss.version < 4 {
-		// Pre-v4 the upstream is dedicated to this stream and has no
-		// further use once the pin moves; muxed connections stay up for
-		// their sibling streams.
-		ss.dropUpstream(prev)
 	}
 	if blob == nil && st.hasShadow && st.shadowSeq == st.batches {
 		seq, blob, fromShadow = st.shadowSeq, st.shadow, true
@@ -497,17 +401,10 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 	u := ss.ups[next]
 	if u == nil {
 		var err error
-		u, err = ss.p.dialUpstream(next, st.dialKey())
+		u, err = ss.p.dialUpstream(next, ss.hello)
 		if err != nil {
 			ss.p.met.stateRestFailed.Add(1)
 			ss.log.Warn("state transfer failed: dialing new pin", "backend", next.addr, "err", err)
-			return nil
-		}
-		if u.ok.Version != ss.version {
-			u.conn.Close()
-			ss.p.met.stateRestFailed.Add(1)
-			ss.log.Warn("state transfer failed: new pin speaks older protocol",
-				"backend", next.addr, "version", u.ok.Version)
 			return nil
 		}
 		ss.ups[next] = u
@@ -521,7 +418,7 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 		return nil
 	}
 	if err := u.restoreState(st.sid, seq, blob, timeout); err != nil {
-		if ss.version < 4 || !errors.Is(err, errStateRejected) {
+		if !errors.Is(err, errStateRejected) {
 			ss.dropUpstream(next)
 		}
 		ss.p.met.stateRestFailed.Add(1)
@@ -564,9 +461,8 @@ func (st *pstream) pullShadow(u *upstream, b *backend) {
 }
 
 // pinKey is the rendezvous key this stream hashes with: stream 0 keeps
-// the session id (placement-compatible with pre-mux sessions, where the
-// session was the stream), further streams scramble (session, stream) so
-// one session's pins spread independently across the ring.
+// the session id, further streams scramble (session, stream) so one
+// session's pins spread independently across the ring.
 func (st *pstream) pinKey() uint64 {
 	if st.sid == 0 {
 		return st.ss.id

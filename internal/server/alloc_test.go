@@ -29,7 +29,6 @@ func newConfigStream(t testing.TB, cfg config.Server, schemeName string, txnSize
 	ss := &session{
 		srv:       srv,
 		id:        1,
-		version:   trace.ProtocolVersion, // exercise the muxed envelope reply path
 		log:       srv.log.With("session", 1),
 		replyFree: make(chan []byte, 6),
 	}

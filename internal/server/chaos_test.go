@@ -18,7 +18,7 @@ import (
 // TestChaosSoak is the headline fault-tolerance proof: concurrent sessions
 // stream transactions through a gateway whose connections and codecs are
 // actively sabotaged by a seeded injector, and every record that comes back
-// must still decode to its source bytes. Corruption is caught by the v2
+// must still decode to its source bytes. Corruption is caught by the
 // envelope CRC, codec errors and panics come back as BatchError replies,
 // broken connections heal by reconnect — and the epoch discipline keeps
 // stateful decoders in lockstep with the server codec through all of it.

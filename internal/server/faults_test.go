@@ -2,9 +2,13 @@ package server
 
 import (
 	"bufio"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -17,7 +21,7 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// rawClient speaks BXTP v2 by hand so tests can send frames no well-behaved
+// rawClient speaks BXTP by hand so tests can send frames no well-behaved
 // client would.
 type rawClient struct {
 	t    *testing.T
@@ -73,69 +77,43 @@ func (r *rawClient) recv() (trace.FrameType, []byte) {
 	return ft, body
 }
 
-// testTraceID is the fixed trace id v3-shaped test batches carry.
+// testTraceID is the fixed trace id test batches carry.
 const testTraceID = 0xabad1dea
 
-// muxAt returns the offset of the envelope within a frame body at the
-// given protocol revision: v4 bodies lead with the 4-byte stream id.
-func muxAt(version uint8) int {
-	if version >= 4 {
-		return 4
-	}
-	return 0
+// startEnvelope begins a stream-0 Batch body for id: the stream id, then
+// the batch envelope carrying the test trace id.
+func startEnvelope(id uint64) []byte {
+	return trace.AppendTraceEnvelope(trace.AppendStreamID(nil, 0), id, testTraceID)
 }
 
-// startEnvelope begins a Batch body for id at the given protocol
-// revision: a v4 body leads with stream id 0, a v3 envelope carries the
-// test trace id, a v2 envelope does not.
-func startEnvelope(version uint8, id uint64) []byte {
-	var b []byte
-	if version >= 4 {
-		b = trace.AppendStreamID(b, 0)
-	}
-	if version >= 3 {
-		return trace.AppendTraceEnvelope(b, id, testTraceID)
-	}
-	return trace.AppendBatchEnvelope(b, id)
-}
-
-// sealedBatch builds a valid enveloped Batch body for id at version.
-func sealedBatch(t *testing.T, version uint8, id uint64, txns []trace.Transaction, txnSize int) []byte {
+// sealedBatch builds a valid enveloped stream-0 Batch body for id.
+func sealedBatch(t *testing.T, id uint64, txns []trace.Transaction, txnSize int) []byte {
 	t.Helper()
-	body, err := trace.AppendBatch(startEnvelope(version, id), txns, txnSize)
+	body, err := trace.AppendBatch(startEnvelope(id), txns, txnSize)
 	if err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	if err := trace.SealBatchEnvelope(body[muxAt(version):]); err != nil {
+	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
 		t.Fatalf("SealBatchEnvelope: %v", err)
 	}
 	return body
 }
 
-// sealedRaw builds an enveloped Batch body for id carrying raw
-// (unparseable) payload bytes, with a v2-style envelope and — on v4 — the
-// stream-0 prefix.
-func sealedRaw(t *testing.T, version uint8, id uint64, payload ...byte) []byte {
+// sealedRaw builds an enveloped stream-0 Batch body for id carrying raw
+// (unparseable) payload bytes.
+func sealedRaw(t *testing.T, id uint64, payload ...byte) []byte {
 	t.Helper()
-	var body []byte
-	if version >= 4 {
-		body = trace.AppendStreamID(body, 0)
-	}
-	body = trace.AppendBatchEnvelope(body, id)
-	body = append(body, payload...)
-	if err := trace.SealBatchEnvelope(body[muxAt(version):]); err != nil {
+	body := append(startEnvelope(id), payload...)
+	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
 		t.Fatalf("SealBatchEnvelope: %v", err)
 	}
 	return body
 }
 
-// stripMux strips and verifies the stream-id prefix of a reply body on v4
-// sessions; below v4 the body passes through untouched.
-func stripMux(t *testing.T, version uint8, wantSID uint32, body []byte) []byte {
+// stripMux strips the stream-id prefix of a reply body and checks it names
+// wantSID.
+func stripMux(t *testing.T, wantSID uint32, body []byte) []byte {
 	t.Helper()
-	if version < 4 {
-		return body
-	}
 	sid, rest, err := trace.SplitStreamID(body)
 	if err != nil {
 		t.Fatalf("SplitStreamID: %v", err)
@@ -153,7 +131,7 @@ func expectBatchError(t *testing.T, r *rawClient, id uint64, wantSub string) (re
 	if ft != trace.FrameBatchError {
 		t.Fatalf("got frame %#x (%q), want BatchError", ft, body)
 	}
-	body = stripMux(t, r.ok.Version, 0, body)
+	body = stripMux(t, 0, body)
 	rid, reset, msg, err := trace.ParseBatchError(body)
 	if err != nil {
 		t.Fatalf("ParseBatchError: %v", err)
@@ -175,21 +153,13 @@ func expectGoodReply(t *testing.T, r *rawClient, id uint64, txnSize, n int) {
 	if ft != trace.FrameBatchReply {
 		t.Fatalf("got frame %#x (%q), want BatchReply", ft, body)
 	}
-	body = stripMux(t, r.ok.Version, 0, body)
-	var rid uint64
-	var payload []byte
-	var err error
-	if r.ok.Version >= 3 {
-		var rtrace uint64
-		rid, rtrace, payload, err = trace.OpenTraceEnvelope(body)
-		if err == nil && rtrace != testTraceID {
-			t.Fatalf("reply carries trace %#x, want %#x", rtrace, uint64(testTraceID))
-		}
-	} else {
-		rid, payload, err = trace.OpenBatchEnvelope(body)
-	}
+	body = stripMux(t, 0, body)
+	rid, rtrace, payload, err := trace.OpenTraceEnvelope(body)
 	if err != nil {
 		t.Fatalf("opening reply envelope: %v", err)
+	}
+	if rtrace != testTraceID {
+		t.Fatalf("reply carries trace %#x, want %#x", rtrace, uint64(testTraceID))
 	}
 	if rid != id {
 		t.Fatalf("reply names batch %d, want %d", rid, id)
@@ -219,18 +189,18 @@ func metricValue(t *testing.T, exposition, name string) int64 {
 	return n
 }
 
-// TestMalformedBatchSoftFails verifies a v2 session survives a batch the
+// TestMalformedBatchSoftFails verifies a session survives a batch the
 // server cannot parse: the fault is answered with a BatchError frame and
 // the next good batch is served on the same connection.
 func TestMalformedBatchSoftFails(t *testing.T) {
 	srv := startServer(t, testConfig())
 	r := dialRaw(t, srv.Addr(), "universal", 32)
 
-	r.send(trace.FrameBatch, sealedRaw(t, r.ok.Version, 1, 0xde, 0xad)) // not a parseable batch payload
+	r.send(trace.FrameBatch, sealedRaw(t, 1, 0xde, 0xad)) // not a parseable batch payload
 	expectBatchError(t, r, 1, "")
 
 	txns := makeTxns(rand.New(rand.NewSource(1)), 8, 32)
-	r.send(trace.FrameBatch, sealedBatch(t, r.ok.Version, 2, txns, 32))
+	r.send(trace.FrameBatch, sealedBatch(t, 2, txns, 32))
 	expectGoodReply(t, r, 2, 32, 8)
 
 	exp := httpGet(t, "http://"+srv.MetricsAddr()+"/metrics")
@@ -248,10 +218,10 @@ func TestOversizedBatchSoftFails(t *testing.T) {
 	r := dialRaw(t, srv.Addr(), "universal", 32)
 
 	rng := rand.New(rand.NewSource(2))
-	r.send(trace.FrameBatch, sealedBatch(t, r.ok.Version, 1, makeTxns(rng, 9, 32), 32))
+	r.send(trace.FrameBatch, sealedBatch(t, 1, makeTxns(rng, 9, 32), 32))
 	expectBatchError(t, r, 1, "outside")
 
-	r.send(trace.FrameBatch, sealedBatch(t, r.ok.Version, 2, makeTxns(rng, 8, 32), 32))
+	r.send(trace.FrameBatch, sealedBatch(t, 2, makeTxns(rng, 8, 32), 32))
 	expectGoodReply(t, r, 2, 32, 8)
 }
 
@@ -263,49 +233,16 @@ func TestCorruptBatchCRC(t *testing.T) {
 	r := dialRaw(t, srv.Addr(), "universal", 32)
 
 	rng := rand.New(rand.NewSource(3))
-	body := sealedBatch(t, r.ok.Version, 7, makeTxns(rng, 8, 32), 32)
+	body := sealedBatch(t, 7, makeTxns(rng, 8, 32), 32)
 	body[20] ^= 0x10 // flip one payload bit after sealing
 	r.send(trace.FrameBatch, body)
 	expectBatchError(t, r, 7, "crc")
 
-	r.send(trace.FrameBatch, sealedBatch(t, r.ok.Version, 8, makeTxns(rng, 8, 32), 32))
+	r.send(trace.FrameBatch, sealedBatch(t, 8, makeTxns(rng, 8, 32), 32))
 	expectGoodReply(t, r, 8, 32, 8)
 }
 
-// TestFaultBudgetDisconnect verifies a pre-v4 session exhausting its fault
-// budget is answered one final BatchError, then a fatal Error frame, then
-// closed (the original fleet-protective semantics, unchanged by v4's
-// per-stream budgets).
-func TestFaultBudgetDisconnect(t *testing.T) {
-	cfg := testConfig()
-	cfg.FaultBudget = 3
-	srv := startServer(t, cfg)
-	r := dialRawVersion(t, srv.Addr(), 3, "universal", 32)
-
-	for id := uint64(1); id <= 3; id++ {
-		r.send(trace.FrameBatch, sealedRaw(t, r.ok.Version, id, 0xff))
-		expectBatchError(t, r, id, "")
-	}
-	ft, body := r.recv()
-	if ft != trace.FrameError || !strings.Contains(string(body), "fault budget") {
-		t.Fatalf("after budget exhaustion got frame %#x (%q), want Error mentioning fault budget", ft, body)
-	}
-	// The server closes behind the Error frame.
-	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := trace.ReadFrame(r.br, nil); err == nil {
-		t.Fatal("connection still serving frames after fault budget disconnect")
-	}
-
-	exp := httpGet(t, "http://"+srv.MetricsAddr()+"/metrics")
-	if got := metricValue(t, exp, "bxtd_fault_budget_disconnects_total"); got != 1 {
-		t.Errorf("bxtd_fault_budget_disconnects_total = %d, want 1", got)
-	}
-	if got := metricValue(t, exp, "bxtd_batch_faults_total"); got != 3 {
-		t.Errorf("bxtd_batch_faults_total = %d, want 3", got)
-	}
-}
-
-// TestFaultBudgetStreamKill verifies the v4 semantics: a stream exhausting
+// TestFaultBudgetStreamKill verifies a stream exhausting
 // its fault budget is retired with a StreamClosed frame while the
 // connection — and a sibling stream — keep serving.
 func TestFaultBudgetStreamKill(t *testing.T) {
@@ -313,9 +250,6 @@ func TestFaultBudgetStreamKill(t *testing.T) {
 	cfg.FaultBudget = 3
 	srv := startServer(t, cfg)
 	r := dialRaw(t, srv.Addr(), "universal", 32)
-	if r.ok.Version < 4 {
-		t.Fatalf("negotiated protocol %d, want >= 4", r.ok.Version)
-	}
 
 	// Open a sibling stream before poisoning stream 0.
 	open, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: 7, TxnSize: 32, Scheme: "universal"})
@@ -337,7 +271,7 @@ func TestFaultBudgetStreamKill(t *testing.T) {
 
 	// Exhaust stream 0's budget with unparseable batches.
 	for id := uint64(1); id <= 3; id++ {
-		r.send(trace.FrameBatch, sealedRaw(t, r.ok.Version, id, 0xff))
+		r.send(trace.FrameBatch, sealedRaw(t, id, 0xff))
 		expectBatchError(t, r, id, "")
 	}
 	ft, body = r.recv()
@@ -368,7 +302,7 @@ func TestFaultBudgetStreamKill(t *testing.T) {
 	if ft != trace.FrameBatchReply {
 		t.Fatalf("sibling stream batch answered with frame %#x (%q), want BatchReply", ft, body)
 	}
-	body = stripMux(t, r.ok.Version, 7, body)
+	body = stripMux(t, 7, body)
 	rid, rtrace, payload, err := trace.OpenTraceEnvelope(body)
 	if err != nil || rid != 10 || rtrace != testTraceID {
 		t.Fatalf("sibling reply envelope: id %d trace %#x err %v", rid, rtrace, err)
@@ -380,7 +314,7 @@ func TestFaultBudgetStreamKill(t *testing.T) {
 
 	// A batch for the killed stream is answered with a (non-fatal)
 	// re-announced StreamClosed, not a disconnect.
-	r.send(trace.FrameBatch, sealedRaw(t, r.ok.Version, 11, 0xff))
+	r.send(trace.FrameBatch, sealedRaw(t, 11, 0xff))
 	ft, body = r.recv()
 	if ft != trace.FrameStreamClosed {
 		t.Fatalf("batch on killed stream answered with frame %#x (%q), want StreamClosed", ft, body)
@@ -599,7 +533,7 @@ func TestSlowClientTeardown(t *testing.T) {
 	for start := time.Now(); time.Since(start) < 30*time.Second; {
 		id++
 		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if err := trace.WriteFrame(bw, trace.FrameBatch, sealedBatch(t, trace.ProtocolVersion, id, txns, 32)); err != nil {
+		if err := trace.WriteFrame(bw, trace.FrameBatch, sealedBatch(t, id, txns, 32)); err != nil {
 			break
 		}
 		if err := bw.Flush(); err != nil {
@@ -624,79 +558,39 @@ func TestSlowClientTeardown(t *testing.T) {
 	}
 }
 
-// TestV1SessionCompat verifies a protocol v1 peer still gets v1 framing
-// and semantics: plain batch bodies, plain replies, and fatal errors.
-func TestV1SessionCompat(t *testing.T) {
+// TestOldHelloRejected feeds bxtd the committed v1–v3 Hello golden
+// vectors, the bytes an older peer opens with: each is answered with an
+// Error frame naming the version, and then the connection closes.
+func TestOldHelloRejected(t *testing.T) {
 	srv := startServer(t, testConfig())
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-
-	hello, err := trace.MarshalHello(trace.Hello{Version: 1, TxnSize: 32, Scheme: "universal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := trace.WriteFrame(bw, trace.FrameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ft, body, err := trace.ReadFrame(br, nil)
-	if err != nil || ft != trace.FrameHelloOK {
-		t.Fatalf("handshake: frame %#x, err %v", ft, err)
-	}
-	ok, err := trace.ParseHelloOK(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.Version != 1 {
-		t.Fatalf("server negotiated version %d for a v1 client, want 1", ok.Version)
-	}
-
-	// v1 batches carry no envelope, and replies come back bare.
-	txns := makeTxns(rand.New(rand.NewSource(9)), 8, 32)
-	batch, err := trace.AppendBatch(nil, txns, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := trace.WriteFrame(bw, trace.FrameBatch, batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ft, body, err = trace.ReadFrame(br, nil)
-	if err != nil || ft != trace.FrameBatchReply {
-		t.Fatalf("v1 batch answered with frame %#x, err %v", ft, err)
-	}
-	metaBytes := (ok.MetaBits + 7) / 8
-	reply, err := trace.ParseBatchReplyInto(body, 32, metaBytes, nil)
-	if err != nil {
-		t.Fatalf("v1 reply does not parse bare: %v", err)
-	}
-	if len(reply.Records) != len(txns) {
-		t.Fatalf("v1 reply carries %d records, want %d", len(reply.Records), len(txns))
-	}
-
-	// A malformed v1 batch is fatal, the original semantics.
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := trace.WriteFrame(bw, trace.FrameBatch, []byte{0xba, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ft, _, err = trace.ReadFrame(br, nil)
-	if err != nil || ft != trace.FrameError {
-		t.Fatalf("malformed v1 batch answered with frame %#x, err %v, want fatal Error", ft, err)
+	for v := 1; v <= 3; v++ {
+		raw, err := os.ReadFile(fmt.Sprintf("../trace/testdata/v%d_hello.hex", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatalf("writing v%d hello: %v", v, err)
+		}
+		br := bufio.NewReader(conn)
+		ft, body, err := trace.ReadFrame(br, nil)
+		if err != nil || ft != trace.FrameError {
+			t.Fatalf("v%d hello answered with frame %#x, err %v; want Error", v, ft, err)
+		}
+		if want := fmt.Sprintf("version %d", v); !strings.Contains(string(body), want) {
+			t.Errorf("v%d rejection %q does not name the version", v, body)
+		}
+		if _, _, err := trace.ReadFrame(br, nil); err != io.EOF {
+			t.Errorf("after v%d rejection: read err %v, want EOF (closed)", v, err)
+		}
+		conn.Close()
 	}
 }

@@ -69,9 +69,9 @@ type metrics struct {
 	budgetKills   atomic.Uint64
 	slowClients   atomic.Uint64
 
-	// Stream-multiplexing gauges and counters (protocol v4). streamsOpen
-	// gauges the logical sessions currently open across all connections
-	// (pre-v4 sessions count one each); streamsTotal counts every stream
+	// Stream-multiplexing gauges and counters. streamsOpen gauges the
+	// logical sessions currently open across all connections;
+	// streamsTotal counts every stream
 	// ever opened; streamRefused counts StreamOpen frames answered with a
 	// refusal; streamKills counts streams the gateway closed for
 	// exhausting their fault budget while their connection kept serving.

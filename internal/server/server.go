@@ -18,7 +18,7 @@
 // (integer ones/toggles/bits counters per scheme and leg, evaluated
 // through the power model at scrape time), and Go runtime gauges on
 // /metrics, and — when config.Server.Debug is set — net/http/pprof, a
-// /debug/trace ring of per-batch pipeline spans keyed by the BXTP v3
+// /debug/trace ring of per-batch pipeline spans keyed by the BXTP
 // trace id, and a /debug/events ring of recent lifecycle events (with
 // severity, kind, and trace filters) on the metrics listener.
 package server
@@ -122,16 +122,11 @@ func New(cfg config.Server) (*Server, error) {
 // before Start; a nil injector disables injection.
 func (s *Server) SetFaults(in *faults.Injector) { s.inj = in }
 
-// admit acquires a worker slot for one batch encode. When canShed is set
-// (protocol v2 sessions) the wait is bounded: a queue already MaxPending
-// deep, or a slot not freeing within AdmitTimeout, returns false and the
-// caller answers with a retryable Busy frame. v1 sessions cannot be told
-// to retry, so they block until a slot frees, as the gateway always did.
-func (s *Server) admit(canShed bool) bool {
-	if !canShed {
-		s.slots <- struct{}{}
-		return true
-	}
+// admit acquires a worker slot for one batch encode. The wait is bounded:
+// a queue already MaxPending deep, or a slot not freeing within
+// AdmitTimeout, returns false and the caller answers with a retryable Busy
+// frame.
+func (s *Server) admit() bool {
 	select {
 	case s.slots <- struct{}{}:
 		return true // uncontended fast path: no queueing, no timer

@@ -30,9 +30,8 @@ type outFrame struct {
 // session is one client connection: a read goroutine parses frames,
 // demultiplexes them onto the connection's streams, and encodes batches
 // (bounded by the server's worker pool); a write goroutine owns the
-// outbound half of the socket. Sessions below protocol v4 carry exactly
-// one stream (id 0); v4 sessions multiplex many. Every stream is only
-// ever touched by the read goroutine, so no per-stream locking exists.
+// outbound half of the socket. Every stream is only ever touched by the
+// read goroutine, so no per-stream locking exists.
 type session struct {
 	srv  *Server
 	id   uint64
@@ -41,16 +40,10 @@ type session struct {
 	bw   *bufio.Writer
 
 	log *slog.Logger
-	// version is the negotiated protocol revision. v2 sessions carry
-	// batch ids and CRCs, may be shed with Busy, and survive batch
-	// faults via BatchError replies; v1 sessions keep the original
-	// fatal-error semantics; v4 sessions multiplex streams.
-	version uint8
 
 	// streams holds the connection's open streams by id; st0 caches the
-	// Hello-opened stream so pre-v4 sessions (and the v4 fast path for
-	// stream 0) skip the map lookup. Both are owned by the read
-	// goroutine.
+	// Hello-opened stream for session-level events. Both are owned by the
+	// read goroutine.
 	streams map[uint32]*stream
 	st0     *stream
 
@@ -154,7 +147,9 @@ func (ss *session) st0Scheme() string {
 }
 
 // handshake reads and answers the Hello frame. The Hello's scheme and
-// transaction size implicitly open stream 0.
+// transaction size implicitly open stream 0. A Hello naming any revision
+// but trace.ProtocolVersion is refused; run answers it with an Error
+// frame and closes.
 func (ss *session) handshake() error {
 	ss.conn.SetReadDeadline(time.Now().Add(ss.srv.cfg.ReadTimeout))
 	ft, body, err := trace.ReadFrame(ss.br, nil)
@@ -168,15 +163,9 @@ func (ss *session) handshake() error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errSession, err)
 	}
-	if h.Version < trace.MinProtocolVersion || h.Version > trace.ProtocolVersion {
-		return fmt.Errorf("%w: unsupported protocol version %d (serving %d..%d)",
-			errSession, h.Version, trace.MinProtocolVersion, trace.ProtocolVersion)
-	}
-	ss.version = h.Version
-	// A MaxProtocol cap negotiates newer clients down; HelloOK tells them
-	// which revision's wire semantics the session runs.
-	if int(ss.version) > ss.srv.cfg.MaxProtocol {
-		ss.version = uint8(ss.srv.cfg.MaxProtocol)
+	if h.Version != trace.ProtocolVersion {
+		return fmt.Errorf("%w: unsupported protocol version %d (serving %d)",
+			errSession, h.Version, trace.ProtocolVersion)
 	}
 	st, err := ss.openStream(0, h.Scheme, h.TxnSize)
 	if err != nil {
@@ -189,7 +178,7 @@ func (ss *session) handshake() error {
 	ss.growFrameBuf(h.TxnSize)
 
 	ss.log = ss.srv.log.With("session", ss.id)
-	st.log.Info("session open", "remote", ss.conn.RemoteAddr().String(), "txn_size", h.TxnSize, "version", ss.version)
+	st.log.Info("session open", "remote", ss.conn.RemoteAddr().String(), "txn_size", h.TxnSize)
 	ss.srv.events.Add(obs.Event{
 		Type:    obs.EventSessionOpen,
 		Session: ss.id,
@@ -197,11 +186,8 @@ func (ss *session) handshake() error {
 		Detail:  ss.conn.RemoteAddr().String(),
 	})
 
-	// Echo the negotiated version: a v1 client keeps v1 framing and
-	// semantics, a v2 client gets ids, CRCs, Busy, and BatchError, a v4
-	// client may multiplex further streams onto the connection.
 	okBody := trace.MarshalHelloOK(trace.HelloOK{
-		Version:    ss.version,
+		Version:    trace.ProtocolVersion,
 		MetaBits:   st.metaBits,
 		BatchLimit: ss.srv.cfg.BatchLimit,
 	})
@@ -258,43 +244,40 @@ func (ss *session) readLoop() {
 			}
 			return
 		}
-		// v4 sessions carry a stream-id prefix on every post-handshake
-		// frame; resolve it to the target stream before dispatch. The
-		// stream lifecycle frames route themselves.
-		st := ss.st0
-		if ss.version >= 4 {
-			switch ft {
-			case trace.FrameStreamOpen:
-				if ss.handleStreamOpen(body) {
-					return
-				}
-				continue
-			case trace.FrameStreamClose:
-				sid, err := trace.ParseStreamClose(body)
-				if err != nil {
-					ss.fail(err.Error())
-					return
-				}
-				if _, open := ss.streams[sid]; !open {
-					ss.fail(fmt.Sprintf("close of unknown stream %d", sid))
-					return
-				}
-				ss.closeStream(sid, "")
-				continue
+		// Every post-handshake frame carries a stream-id prefix; resolve
+		// it to the target stream before dispatch. The stream lifecycle
+		// frames route themselves.
+		switch ft {
+		case trace.FrameStreamOpen:
+			if ss.handleStreamOpen(body) {
+				return
 			}
-			var sid uint32
-			sid, body, err = trace.SplitStreamID(body)
+			continue
+		case trace.FrameStreamClose:
+			sid, err := trace.ParseStreamClose(body)
 			if err != nil {
 				ss.fail(err.Error())
 				return
 			}
-			if st = ss.streams[sid]; st == nil {
-				// A batch can legitimately race a server-side stream kill
-				// (fault budget); re-announcing the closure lets the
-				// client fail that stream without losing its siblings.
-				ss.out <- outFrame{t: trace.FrameStreamClosed, body: trace.MarshalStreamClosed(sid, "unknown stream")}
-				continue
+			if _, open := ss.streams[sid]; !open {
+				ss.fail(fmt.Sprintf("close of unknown stream %d", sid))
+				return
 			}
+			ss.closeStream(sid, "")
+			continue
+		}
+		sid, body, err := trace.SplitStreamID(body)
+		if err != nil {
+			ss.fail(err.Error())
+			return
+		}
+		st := ss.streams[sid]
+		if st == nil {
+			// A batch can legitimately race a server-side stream kill
+			// (fault budget); re-announcing the closure lets the client
+			// fail that stream without losing its siblings.
+			ss.out <- outFrame{t: trace.FrameStreamClosed, body: trace.MarshalStreamClosed(sid, "unknown stream")}
+			continue
 		}
 		switch ft {
 		case trace.FrameBatch:
@@ -302,13 +285,9 @@ func (ss *session) readLoop() {
 			// next batch, so it reflects arrival gaps, not just parsing.
 			// handleBatch observes it so the sample can carry the
 			// batch's trace id once the envelope is open.
-			if st.handleBatch(body, time.Since(readStart)) {
-				return
-			}
+			st.handleBatch(body, time.Since(readStart))
 		case trace.FrameStateSnapshot:
-			if st.handleStateSnapshot() {
-				return
-			}
+			st.handleStateSnapshot()
 		case trace.FrameStateRestore:
 			if st.handleStateRestore(body) {
 				return

@@ -22,16 +22,12 @@ import (
 // carrying the serialized session state and the batch sequence it is
 // current as of. Sessions on non-snapshottable schemes answer
 // StateUnsupported; the session stays serviceable either way.
-func (st *stream) handleStateSnapshot() (fatal bool) {
-	if st.ss.version < 2 {
-		st.ss.fail(fmt.Sprintf("unexpected frame type %#x", trace.FrameStateSnapshot))
-		return true
-	}
+func (st *stream) handleStateSnapshot() {
 	if st.stateful == nil {
 		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
 			trace.StateUnsupported, st.batches,
 			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))}
-		return false
+		return
 	}
 	var buf bytes.Buffer
 	if err := st.snapshotState(&buf); err != nil {
@@ -41,7 +37,7 @@ func (st *stream) handleStateSnapshot() (fatal bool) {
 		st.log.Warn("state snapshot failed", "err", err)
 		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
 			trace.StateFailed, st.batches, []byte(err.Error())))}
-		return false
+		return
 	}
 	st.ss.srv.met.stateSnapshots.Add(1)
 	st.ss.srv.met.stateSnapshotBytes.Store(int64(buf.Len()))
@@ -50,7 +46,6 @@ func (st *stream) handleStateSnapshot() (fatal bool) {
 		Type: obs.EventStateSnapshot, Session: st.ss.id, Scheme: st.schemeName, Batches: st.batches,
 	})
 	st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(trace.StateOK, st.batches, buf.Bytes()))}
-	return false
 }
 
 // handleStateRestore installs a transferred session state. On success the
@@ -61,10 +56,6 @@ func (st *stream) handleStateSnapshot() (fatal bool) {
 // guarantees — never a half-restored one — and says so in the ack, leaving
 // the orchestrator its reset-flagged BatchError fallback.
 func (st *stream) handleStateRestore(body []byte) (fatal bool) {
-	if st.ss.version < 2 {
-		st.ss.fail(fmt.Sprintf("unexpected frame type %#x", trace.FrameStateRestore))
-		return true
-	}
 	seq, state, err := trace.ParseStateRestore(body)
 	if err != nil {
 		// A malformed admin frame is a framing bug, not a bad snapshot:

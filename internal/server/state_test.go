@@ -16,40 +16,11 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// dialRawVersion is dialRaw pinned to a specific protocol revision: the
-// state-frame tests care about the exact version the session negotiates.
-func dialRawVersion(t *testing.T, addr string, version uint8, schemeName string, txnSize int) *rawClient {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial %s: %v", addr, err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	r := &rawClient{t: t, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	body, err := trace.MarshalHello(trace.Hello{Version: version, TxnSize: txnSize, Scheme: schemeName})
-	if err != nil {
-		t.Fatalf("MarshalHello: %v", err)
-	}
-	r.send(trace.FrameHello, body)
-	ft, rbody := r.recv()
-	if ft != trace.FrameHelloOK {
-		t.Fatalf("hello answered with frame %#x: %s", byte(ft), rbody)
-	}
-	ok, err := trace.ParseHelloOK(rbody)
-	if err != nil {
-		t.Fatalf("ParseHelloOK: %v", err)
-	}
-	if ok.Version != version {
-		t.Fatalf("negotiated protocol %d, want %d", ok.Version, version)
-	}
-	r.ok = ok
-	return r
-}
-
-// transcode sends one v2 batch and returns the raw BatchReply body.
+// transcode sends one batch on stream 0 and returns the raw BatchReply
+// body.
 func (r *rawClient) transcode(id uint64, txns []trace.Transaction, txnSize int) []byte {
 	r.t.Helper()
-	r.send(trace.FrameBatch, sealedBatch(r.t, 2, id, txns, txnSize))
+	r.send(trace.FrameBatch, sealedBatch(r.t, id, txns, txnSize))
 	ft, rbody := r.recv()
 	if ft != trace.FrameBatchReply {
 		r.t.Fatalf("batch %d answered with frame %#x: %s", id, byte(ft), rbody)
@@ -57,15 +28,16 @@ func (r *rawClient) transcode(id uint64, txns []trace.Transaction, txnSize int) 
 	return rbody
 }
 
-// stateAck runs one admin exchange and returns the parsed StateAck.
+// stateAck runs one admin exchange on stream 0 and returns the parsed
+// StateAck.
 func (r *rawClient) stateAck(ft trace.FrameType, body []byte) (uint8, uint64, []byte) {
 	r.t.Helper()
-	r.send(ft, body)
+	r.send(ft, append(trace.AppendStreamID(nil, 0), body...))
 	aft, rbody := r.recv()
 	if aft != trace.FrameStateAck {
 		r.t.Fatalf("frame %#x answered with frame %#x: %s", byte(ft), byte(aft), rbody)
 	}
-	status, seq, payload, err := trace.ParseStateAck(rbody)
+	status, seq, payload, err := trace.ParseStateAck(stripMux(r.t, 0, rbody))
 	if err != nil {
 		r.t.Fatalf("ParseStateAck: %v", err)
 	}
@@ -97,7 +69,7 @@ func TestStateSnapshotRestoreRoundTrip(t *testing.T) {
 	const txnSize = 32
 	srv := startServer(t, testConfig())
 
-	a := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	a := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	for id := uint64(1); id <= 3; id++ {
 		a.transcode(id, stateTxns(int(id), 8, txnSize), txnSize)
 	}
@@ -113,7 +85,7 @@ func TestStateSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	replyA := a.transcode(4, stateTxns(4, 8, txnSize), txnSize)
 
-	b := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	b := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	rstatus, rseq, msg := b.stateAck(trace.FrameStateRestore, trace.MarshalStateRestore(seq, blob))
 	if rstatus != trace.StateOK {
 		t.Fatalf("restore status = %d (%s), want StateOK", rstatus, msg)
@@ -146,7 +118,7 @@ func TestStateRestoreRejectsCorruptBlob(t *testing.T) {
 	const txnSize = 32
 	srv := startServer(t, testConfig())
 
-	a := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	a := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	a.transcode(1, stateTxns(1, 8, txnSize), txnSize)
 	status, seq, blob := a.stateAck(trace.FrameStateSnapshot, nil)
 	if status != trace.StateOK {
@@ -155,7 +127,7 @@ func TestStateRestoreRejectsCorruptBlob(t *testing.T) {
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)/2] ^= 0x10
 
-	b := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	b := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	rstatus, _, msg := b.stateAck(trace.FrameStateRestore, trace.MarshalStateRestore(seq, bad))
 	if rstatus != trace.StateFailed {
 		t.Fatalf("corrupt restore status = %d (%s), want StateFailed", rstatus, msg)
@@ -163,7 +135,7 @@ func TestStateRestoreRejectsCorruptBlob(t *testing.T) {
 	// The refusing session still serves; its codec is freshly reset, so the
 	// reply matches what any new session produces for the same batch.
 	got := b.transcode(1, stateTxns(1, 8, txnSize), txnSize)
-	c := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	c := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	want := c.transcode(1, stateTxns(1, 8, txnSize), txnSize)
 	if !bytes.Equal(got, want) {
 		t.Fatal("session after failed restore does not serve from reset state")
@@ -175,27 +147,12 @@ func TestStateRestoreRejectsCorruptBlob(t *testing.T) {
 func TestStateSnapshotUnsupportedScheme(t *testing.T) {
 	const txnSize = 32
 	srv := startServer(t, testConfig())
-	r := dialRawVersion(t, srv.Addr(), 2, "universal", txnSize)
+	r := dialRaw(t, srv.Addr(), "universal", txnSize)
 	status, _, msg := r.stateAck(trace.FrameStateSnapshot, nil)
 	if status != trace.StateUnsupported {
 		t.Fatalf("snapshot status = %d (%s), want StateUnsupported", status, msg)
 	}
 	r.transcode(1, stateTxns(1, 4, txnSize), txnSize)
-}
-
-// TestStateFramesFatalOnV1 pins the compatibility rule: the admin frames
-// are v2+; a v1 session sending one gets a fatal Error frame.
-func TestStateFramesFatalOnV1(t *testing.T) {
-	srv := startServer(t, testConfig())
-	r := dialRawVersion(t, srv.Addr(), 1, "bdenc", 32)
-	r.send(trace.FrameStateSnapshot, nil)
-	ft, body := r.recv()
-	if ft != trace.FrameError {
-		t.Fatalf("v1 snapshot answered with frame %#x, want Error", byte(ft))
-	}
-	if !strings.Contains(string(body), "unexpected frame") {
-		t.Errorf("v1 error = %q, want an unexpected-frame message", body)
-	}
 }
 
 // TestDrainLameDuck drives the POST /drain admin hook: the server must
@@ -204,7 +161,7 @@ func TestStateFramesFatalOnV1(t *testing.T) {
 func TestDrainLameDuck(t *testing.T) {
 	const txnSize = 32
 	srv := startServer(t, testConfig())
-	r := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	r := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	r.transcode(1, stateTxns(1, 8, txnSize), txnSize)
 
 	resp, err := http.Post("http://"+srv.MetricsAddr()+"/drain", "text/plain", nil)
@@ -231,7 +188,7 @@ func TestDrainLameDuck(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	body, _ := trace.MarshalHello(trace.Hello{Version: 2, TxnSize: txnSize, Scheme: "bdenc"})
+	body, _ := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: txnSize, Scheme: "bdenc"})
 	bw := bufio.NewWriter(conn)
 	if err := trace.WriteFrame(bw, trace.FrameHello, body); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
@@ -264,7 +221,7 @@ func TestDrainPersistsState(t *testing.T) {
 	cfg.StateDir = t.TempDir()
 	srv := startServer(t, cfg)
 
-	r := dialRawVersion(t, srv.Addr(), 2, "bdenc", txnSize)
+	r := dialRaw(t, srv.Addr(), "bdenc", txnSize)
 	r.transcode(1, stateTxns(1, 8, txnSize), txnSize)
 	r.transcode(2, stateTxns(2, 8, txnSize), txnSize)
 
@@ -287,7 +244,7 @@ func TestDrainPersistsState(t *testing.T) {
 
 	// The persisted blob restores into a fresh backend.
 	srv2 := startServer(t, testConfig())
-	nr := dialRawVersion(t, srv2.Addr(), 2, "bdenc", txnSize)
+	nr := dialRaw(t, srv2.Addr(), "bdenc", txnSize)
 	status, seq, msg := nr.stateAck(trace.FrameStateRestore, trace.MarshalStateRestore(2, blob))
 	if status != trace.StateOK {
 		t.Fatalf("restoring persisted state: status %d (%s), want StateOK", status, msg)

@@ -17,12 +17,10 @@ import (
 
 // stream is one logical session on a connection: an independent (scheme,
 // transaction size) context with its own codec, bus models, similarity
-// cache handle, fault budget, and batch-id space. Sessions below protocol
-// v4 own exactly one stream (id 0, opened implicitly by the Hello), so
-// their wire behaviour is unchanged; v4 sessions demultiplex many streams
-// onto one connection and open the extras with StreamOpen frames. All
-// stream state is only ever touched by the session's read goroutine, so
-// stateful codecs see batches in arrival order.
+// cache handle, fault budget, and batch-id space. The Hello opens stream 0
+// implicitly and StreamOpen frames open the rest. All stream state is only
+// ever touched by the session's read goroutine, so stateful codecs see
+// batches in arrival order.
 type stream struct {
 	ss  *session
 	sid uint32
@@ -35,8 +33,8 @@ type stream struct {
 	counters   *schemeCounters
 	log        *slog.Logger
 	// faults counts this stream's recoverable batch faults against the
-	// configured budget. On a v4 session an exhausted budget kills only
-	// this stream; sibling streams on the connection keep serving.
+	// configured budget. An exhausted budget kills only this stream;
+	// sibling streams on the connection keep serving.
 	faults int
 	// stateful is the codec's snapshot interface, resolved at open
 	// against the unwrapped codec (the chaos wrapper forwards only the
@@ -56,11 +54,10 @@ type stream struct {
 	readH, admH, encH, accH, writeH *obs.Histogram
 	batches                         uint64
 
-	// traceID is the current batch's end-to-end trace id (zero on
-	// sessions below protocol v3); span accumulates its per-stage
-	// timings and wire counters. Both are touched only by the read
-	// goroutine until the span is handed to writeLoop inside the
-	// outFrame.
+	// traceID is the current batch's end-to-end trace id; span
+	// accumulates its per-stage timings and wire counters. Both are
+	// touched only by the read goroutine until the span is handed to
+	// writeLoop inside the outFrame.
 	traceID uint64
 	span    obs.Span
 	// energy is the stream scheme's live wire-activity counter, resolved
@@ -159,63 +156,48 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	return st, nil
 }
 
-// muxReply prepends the v4 stream-id prefix to a v3-encoded reply body on
-// multiplexed sessions; below v4 the body passes through untouched.
-func (st *stream) muxReply(v3 []byte) []byte {
-	if st.ss.version < 4 {
-		return v3
-	}
-	return append(trace.AppendStreamID(make([]byte, 0, 4+len(v3)), st.sid), v3...)
+// muxReply prepends the stream-id prefix to a stream-local reply body.
+func (st *stream) muxReply(body []byte) []byte {
+	return append(trace.AppendStreamID(make([]byte, 0, 4+len(body)), st.sid), body...)
 }
 
-// handleBatch runs one Batch frame body (already stripped of any v4
+// handleBatch runs one Batch frame body (already stripped of its
 // stream-id prefix) through envelope validation, parsing, admission, and
-// encoding, queueing whatever reply the outcome calls for. It returns true
-// when the session must close (v1 semantics, or a pre-v4 fault budget
-// exhausted).
-func (st *stream) handleBatch(body []byte, readDur time.Duration) (fatal bool) {
+// encoding, queueing whatever reply the outcome calls for. Every batch
+// fault is recoverable, so the session never closes on one.
+func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	ss := st.ss
-	var id uint64
-	st.traceID = 0
-	payload := body
-	if ss.version >= 3 {
-		var err error
-		id, st.traceID, payload, err = trace.OpenTraceEnvelope(body)
-		if err != nil {
-			st.readH.ObserveDuration(readDur)
-			return st.softFail(id, false, err.Error())
-		}
-	} else if ss.version >= 2 {
-		var err error
-		id, payload, err = trace.OpenBatchEnvelope(body)
-		if err != nil {
-			// OpenBatchEnvelope keeps the id on CRC failures, so the
-			// client can retry the exact batch that arrived corrupt.
-			st.readH.ObserveDuration(readDur)
-			return st.softFail(id, false, err.Error())
-		}
+	id, traceID, payload, err := trace.OpenTraceEnvelope(body)
+	st.traceID = traceID
+	if err != nil {
+		// OpenTraceEnvelope keeps the id on CRC failures, so the client
+		// can retry the exact batch that arrived corrupt.
+		st.readH.ObserveDuration(readDur)
+		st.softFail(id, false, err.Error())
+		return
 	}
 	st.readH.ObserveDurationEx(readDur, st.traceID)
 	st.span.Reset(st.traceID, id, ss.id, st.schemeName)
 	st.span.Observe(obs.StageFrameRead, readDur)
 	txns, err := trace.ParseBatch(payload, st.txnSize, st.txns[:0])
 	if err != nil {
-		return st.softFail(id, false, err.Error())
+		st.softFail(id, false, err.Error())
+		return
 	}
 	st.txns = txns
 	if len(txns) == 0 || len(txns) > ss.srv.cfg.BatchLimit {
-		return st.softFail(id, false, fmt.Sprintf("batch of %d transactions outside [1, %d]", len(txns), ss.srv.cfg.BatchLimit))
+		st.softFail(id, false, fmt.Sprintf("batch of %d transactions outside [1, %d]", len(txns), ss.srv.cfg.BatchLimit))
+		return
 	}
-	// The worker pool bounds concurrent encodes across all sessions.
-	// v2+ streams wait a bounded time and may be shed with a retryable
-	// Busy reply; v1 sessions block until a slot frees (draining does
-	// not abort the acquire, so batches already read always complete).
+	// The worker pool bounds concurrent encodes across all sessions: a
+	// batch waits a bounded time and may be shed with a retryable Busy
+	// reply.
 	admStart := time.Now()
-	if !ss.srv.admit(ss.version >= 2) {
+	if !ss.srv.admit() {
 		ss.srv.met.busyShed.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventBusy, Session: ss.id, Scheme: st.schemeName, Txns: len(txns), TraceID: st.traceID})
 		ss.out <- outFrame{t: trace.FrameBusy, body: st.muxReply(trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))}
-		return false
+		return
 	}
 	// Shed batches never reach here, so the admission stage counts
 	// admitted batches and its histogram reflects successful waits.
@@ -228,9 +210,10 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) (fatal bool) {
 		if errors.Is(err, errCodecPanic) {
 			st.quarantine(id, len(txns), payload, err)
 		}
-		// Encoding began, so the codec was reset (recoverBatch); a v2
+		// Encoding began, so the codec was reset (recoverBatch); the
 		// client learns via the reset flag to restart its decoder.
-		return st.softFail(id, true, err.Error())
+		st.softFail(id, true, err.Error())
+		return
 	}
 	f := outFrame{t: trace.FrameBatchReply, body: reply, span: st.span, st: st, hasSpan: true}
 	// Steady-state fast path: with nothing queued, the reply goes out from
@@ -243,22 +226,13 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) (fatal bool) {
 	} else {
 		ss.out <- f
 	}
-	return false
 }
 
-// softFail records one recoverable batch fault. A v1 session cannot be
-// told to retry, so the fault stays fatal: error frame, then close. A v2
-// or v3 session is answered with a BatchError reply and lives on — until
-// its fault budget runs out, at which point the gateway disconnects the
-// peer as abusive. On a v4 session the budget is per stream: exhaustion
-// kills only this stream (StreamClosed), and sibling streams on the
-// connection keep serving.
-func (st *stream) softFail(id uint64, reset bool, cause string) (fatal bool) {
+// softFail records one recoverable batch fault, answered with a BatchError
+// reply. The fault budget is per stream: exhaustion kills only this stream
+// (StreamClosed), and sibling streams on the connection keep serving.
+func (st *stream) softFail(id uint64, reset bool, cause string) {
 	ss := st.ss
-	if ss.version < 2 {
-		ss.fail(cause)
-		return true
-	}
 	st.faults++
 	ss.srv.met.batchFaults.Add(1)
 	st.log.Warn("batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
@@ -268,17 +242,10 @@ func (st *stream) softFail(id uint64, reset bool, cause string) (fatal bool) {
 		msg := fmt.Sprintf("fault budget exhausted after %d recoverable faults", st.faults)
 		ss.srv.met.budgetKills.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventFaultBudget, Session: ss.id, Scheme: st.schemeName, Detail: msg})
-		if ss.version >= 4 {
-			ss.srv.met.streamKills.Add(1)
-			st.log.Warn("closing stream", "reason", msg)
-			ss.closeStream(st.sid, msg)
-			return false
-		}
-		st.log.Warn("disconnecting", "reason", msg)
-		ss.fail(msg)
-		return true
+		ss.srv.met.streamKills.Add(1)
+		st.log.Warn("closing stream", "reason", msg)
+		ss.closeStream(st.sid, msg)
 	}
-	return false
 }
 
 // quarantine records a batch whose codec encode panicked: the poison ring
@@ -299,7 +266,7 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 // phy_account stage covers the batch's statistics and power estimate. Any
 // error return leaves the stream serviceable: recoverBatch has reset the
 // codec and discarded the partial batch's bus deltas (the caller relays the
-// reset to v2 clients).
+// reset to the client).
 func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, error) {
 	ss := st.ss
 	if hook := ss.srv.testHookBatch; hook != nil {
@@ -379,27 +346,15 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		body = body[:0]
 	default:
 	}
-	// On a v4 session the reply leads with the stream id; the envelope and
-	// its CRC cover only the v3-encoded remainder, so the interior stays
-	// byte-identical to what a v3 peer would see.
-	envAt := 0
-	if ss.version >= 4 {
-		body = trace.AppendStreamID(body, st.sid)
-		envAt = 4
-	}
-	if ss.version >= 3 {
-		// Echo the trace id so the client can verify the reply belongs
-		// to the trace it started.
-		body = trace.AppendTraceEnvelope(body, id, st.traceID)
-	} else if ss.version >= 2 {
-		body = trace.AppendBatchEnvelope(body, id)
-	}
+	// The reply leads with the stream id; the envelope and its CRC cover
+	// the rest. Echoing the trace id lets the client verify the reply
+	// belongs to the trace it started.
+	body = trace.AppendStreamID(body, st.sid)
+	body = trace.AppendTraceEnvelope(body, id, st.traceID)
 	body = trace.AppendBatchStats(body, stats)
 	body = append(body, st.recBuf...)
-	if ss.version >= 2 {
-		if err := trace.SealBatchEnvelope(body[envAt:]); err != nil {
-			return nil, err // unreachable: the envelope was just appended
-		}
+	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+		return nil, err // unreachable: the envelope was just appended
 	}
 	return body, nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // dialRawFaulty is dialRaw with the injector's stream faults wrapped
-// around the connection's write side: whole v4 Batch frames are dropped
+// around the connection's write side: whole Batch frames are dropped
 // or relabeled onto a sibling stream according to in's configuration.
 func dialRawFaulty(t *testing.T, addr string, in *faults.Injector, scheme string, txnSize int) *rawClient {
 	t.Helper()
@@ -57,7 +57,7 @@ func openSibling(t *testing.T, r *rawClient, sid uint32, scheme string, txnSize 
 	}
 }
 
-// sidBatch builds a sealed v4 Batch body for an arbitrary stream.
+// sidBatch builds a sealed Batch body for an arbitrary stream.
 func sidBatch(t *testing.T, sid uint32, id uint64, txns []trace.Transaction, txnSize int) []byte {
 	t.Helper()
 	body := trace.AppendStreamID(nil, sid)
@@ -80,7 +80,7 @@ func expectSIDReply(t *testing.T, r *rawClient, sid uint32, id uint64, txnSize, 
 	if ft != trace.FrameBatchReply {
 		t.Fatalf("got frame %#x (%q), want BatchReply", ft, body)
 	}
-	body = stripMux(t, r.ok.Version, sid, body)
+	body = stripMux(t, sid, body)
 	rid, rtrace, payload, err := trace.OpenTraceEnvelope(body)
 	if err != nil || rid != id || rtrace != testTraceID {
 		t.Fatalf("reply envelope: id %d trace %#x err %v, want id %d", rid, rtrace, err, id)
@@ -101,9 +101,6 @@ func TestStreamInterleavePoisonsOneStream(t *testing.T) {
 	srv := startServer(t, testConfig())
 	inj := faults.MustNew(faults.Config{StreamInterleaveRate: 1, StreamTarget: 7})
 	r := dialRawFaulty(t, srv.Addr(), inj, "universal", 32)
-	if r.ok.Version < 4 {
-		t.Fatalf("negotiated protocol %d, want >= 4", r.ok.Version)
-	}
 	openSibling(t, r, 7, "universal", 64)
 
 	rng := rand.New(rand.NewSource(5))
@@ -150,9 +147,6 @@ func TestStreamDropLeavesSiblingsServing(t *testing.T) {
 	srv := startServer(t, testConfig())
 	inj := faults.MustNew(faults.Config{StreamDropRate: 1, StreamTarget: 7})
 	r := dialRawFaulty(t, srv.Addr(), inj, "universal", 32)
-	if r.ok.Version < 4 {
-		t.Fatalf("negotiated protocol %d, want >= 4", r.ok.Version)
-	}
 	openSibling(t, r, 7, "universal", 32)
 
 	rng := rand.New(rand.NewSource(6))

@@ -257,7 +257,7 @@ func getTrace(t *testing.T, metricsAddr string, traceID uint64) traceDoc {
 
 // TestTraceEndToEnd is the tracing acceptance test for the direct
 // client-to-gateway path: one batch's trace id, minted at the client and
-// carried in the v3 envelope, must surface a client-side span (whose
+// carried in the batch envelope, must surface a client-side span (whose
 // frame_write + frame_read stages sum to the observed batch latency) and a
 // backend span on /debug/trace whose pipeline stages nest inside the
 // client's round trip.

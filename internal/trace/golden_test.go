@@ -68,18 +68,6 @@ func goldenReplyBody(t *testing.T) []byte {
 	return body
 }
 
-// envelope wraps payload in the v2 batch envelope for id and seals the
-// CRC, exactly as a v2 peer does before writing the frame.
-func envelope(t *testing.T, id uint64, payload []byte) []byte {
-	t.Helper()
-	body := AppendBatchEnvelope(nil, id)
-	body = append(body, payload...)
-	if err := SealBatchEnvelope(body); err != nil {
-		t.Fatalf("SealBatchEnvelope: %v", err)
-	}
-	return body
-}
-
 const goldenBatchID = 0x0102030405060708
 
 // goldenStateSeq is the fixed batch sequence in the state-transfer vectors.
@@ -97,20 +85,20 @@ func goldenStateBlob() []byte {
 	return b
 }
 
-// goldenTraceID is the fixed end-to-end trace id in the v3 vectors.
+// goldenTraceID is the fixed end-to-end trace id in the batch vectors.
 const goldenTraceID = 0xfeedc0dedeadbeef
 
 // goldenStreamID is the fixed stream id in the v4 vectors.
 const goldenStreamID = 0x00000007
 
-// muxBody prepends the v4 stream-id prefix to a v3-encoded frame body,
-// exactly as a v4 peer frames every post-handshake message.
+// muxBody prepends the stream-id prefix to a stream-local frame body,
+// exactly as a peer frames every post-handshake message.
 func muxBody(v3 []byte) []byte {
 	return append(AppendStreamID(nil, goldenStreamID), v3...)
 }
 
-// traceEnvelope wraps payload in the v3 batch envelope (batch id + trace
-// id) and seals the CRC, exactly as a v3 peer does.
+// traceEnvelope wraps payload in the batch envelope (batch id + trace id)
+// and seals the CRC, exactly as a peer does.
 func traceEnvelope(t *testing.T, id, traceID uint64, payload []byte) []byte {
 	t.Helper()
 	body := AppendTraceEnvelope(nil, id, traceID)
@@ -122,8 +110,9 @@ func traceEnvelope(t *testing.T, id, traceID uint64, payload []byte) []byte {
 }
 
 // goldenFrames enumerates the normative vectors: every frame type the
-// protocol defines, in both the v1 (bare) and v2 (enveloped) shapes where
-// the revisions differ.
+// protocol defines. The v1–v3 Hello vectors are kept as the bytes an older
+// peer opens with; both tiers must answer them with an Error frame
+// (server and proxy rejection tests).
 func goldenFrames() []goldenFrame {
 	marshalHello := func(h Hello) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
@@ -135,66 +124,10 @@ func goldenFrames() []goldenFrame {
 			return body
 		}
 	}
-	marshalBatch := func(envelop bool) func(*testing.T) []byte {
-		return func(t *testing.T) []byte {
-			t.Helper()
-			payload, err := MarshalBatch(goldenTxns(), 32)
-			if err != nil {
-				t.Fatalf("MarshalBatch: %v", err)
-			}
-			if !envelop {
-				return payload
-			}
-			return envelope(t, goldenBatchID, payload)
-		}
-	}
 	return []goldenFrame{
 		{"v1_hello", FrameHello, marshalHello(Hello{Version: 1, TxnSize: 32, Scheme: "basexor"})},
 		{"v2_hello", FrameHello, marshalHello(Hello{Version: 2, TxnSize: 32, Scheme: "bdenc"})},
 		{"v3_hello", FrameHello, marshalHello(Hello{Version: 3, TxnSize: 32, Scheme: "universal"})},
-		{"v1_hello_ok", FrameHelloOK, func(*testing.T) []byte {
-			return MarshalHelloOK(HelloOK{Version: 1, MetaBits: 2, BatchLimit: 4096})
-		}},
-		{"v2_hello_ok", FrameHelloOK, func(*testing.T) []byte {
-			return MarshalHelloOK(HelloOK{Version: 2, MetaBits: 2, BatchLimit: 4096})
-		}},
-		{"v3_hello_ok", FrameHelloOK, func(*testing.T) []byte {
-			return MarshalHelloOK(HelloOK{Version: 3, MetaBits: 2, BatchLimit: 4096})
-		}},
-		{"v1_batch", FrameBatch, marshalBatch(false)},
-		{"v2_batch", FrameBatch, marshalBatch(true)},
-		{"v3_batch", FrameBatch, func(t *testing.T) []byte {
-			payload, err := MarshalBatch(goldenTxns(), 32)
-			if err != nil {
-				t.Fatalf("MarshalBatch: %v", err)
-			}
-			return traceEnvelope(t, goldenBatchID, goldenTraceID, payload)
-		}},
-		{"v1_batch_reply", FrameBatchReply, goldenReplyBody},
-		{"v2_batch_reply", FrameBatchReply, func(t *testing.T) []byte {
-			return envelope(t, goldenBatchID, goldenReplyBody(t))
-		}},
-		{"v3_batch_reply", FrameBatchReply, func(t *testing.T) []byte {
-			return traceEnvelope(t, goldenBatchID, goldenTraceID, goldenReplyBody(t))
-		}},
-		{"v2_busy", FrameBusy, func(*testing.T) []byte {
-			return MarshalBusy(goldenBatchID, 25*1000*1000) // 25ms in ns
-		}},
-		{"v2_batch_error", FrameBatchError, func(*testing.T) []byte {
-			return MarshalBatchError(goldenBatchID, true, "codec fault: injected")
-		}},
-		{"v2_state_snapshot", FrameStateSnapshot, func(*testing.T) []byte {
-			return nil // the snapshot request carries no body
-		}},
-		{"v2_state_restore", FrameStateRestore, func(*testing.T) []byte {
-			return MarshalStateRestore(goldenStateSeq, goldenStateBlob())
-		}},
-		{"v2_state_ack_ok", FrameStateAck, func(*testing.T) []byte {
-			return MarshalStateAck(StateOK, goldenStateSeq, goldenStateBlob())
-		}},
-		{"v2_state_ack_failed", FrameStateAck, func(*testing.T) []byte {
-			return MarshalStateAck(StateFailed, goldenStateSeq, []byte("restore rejected: snapshot damaged"))
-		}},
 		{"v4_hello", FrameHello, marshalHello(Hello{Version: 4, TxnSize: 32, Scheme: "universal"})},
 		{"v4_hello_ok", FrameHelloOK, func(*testing.T) []byte {
 			return MarshalHelloOK(HelloOK{Version: 4, MetaBits: 2, BatchLimit: 4096})
@@ -235,13 +168,16 @@ func goldenFrames() []goldenFrame {
 			return MarshalStreamClosed(goldenStreamID, "fault budget exhausted")
 		}},
 		{"v4_state_snapshot", FrameStateSnapshot, func(*testing.T) []byte {
-			return muxBody(nil) // the v3 snapshot request carries no body
+			return muxBody(nil) // the snapshot request carries no body past the stream id
 		}},
 		{"v4_state_restore", FrameStateRestore, func(*testing.T) []byte {
 			return muxBody(MarshalStateRestore(goldenStateSeq, goldenStateBlob()))
 		}},
 		{"v4_state_ack_ok", FrameStateAck, func(*testing.T) []byte {
 			return muxBody(MarshalStateAck(StateOK, goldenStateSeq, goldenStateBlob()))
+		}},
+		{"v4_state_ack_failed", FrameStateAck, func(*testing.T) []byte {
+			return muxBody(MarshalStateAck(StateFailed, goldenStateSeq, []byte("restore rejected: snapshot damaged")))
 		}},
 		{"error", FrameError, func(*testing.T) []byte {
 			return []byte("server is draining")
@@ -287,7 +223,7 @@ func parseHex(t *testing.T, raw []byte) []byte {
 }
 
 // TestGoldenWireVectors locks the BXTP encoding down byte-for-byte: every
-// frame type, in both protocol revisions, must marshal to exactly the
+// frame type must marshal to exactly the
 // bytes recorded under testdata/. These fixtures are normative — an
 // implementation change that alters any of them is a wire format break,
 // not a refactor. Regenerate deliberately with:
@@ -342,127 +278,16 @@ func TestGoldenVectorsParse(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseHello: %v", err)
 				}
-				if h.TxnSize != 32 {
-					t.Errorf("TxnSize = %d, want 32", h.TxnSize)
+				if want := g.name[1] - '0'; h.Version != want || h.TxnSize != 32 {
+					t.Errorf("hello = version %d, txn size %d; want %d, 32", h.Version, h.TxnSize, want)
 				}
-			case "v1_hello_ok", "v2_hello_ok", "v3_hello_ok", "v4_hello_ok":
+			case "v4_hello_ok":
 				ok, err := ParseHelloOK(body)
 				if err != nil {
 					t.Fatalf("ParseHelloOK: %v", err)
 				}
 				if ok.BatchLimit != 4096 {
 					t.Errorf("BatchLimit = %d, want 4096", ok.BatchLimit)
-				}
-			case "v1_batch", "v2_batch", "v3_batch":
-				switch g.name {
-				case "v2_batch":
-					id, payload, err := OpenBatchEnvelope(body)
-					if err != nil {
-						t.Fatalf("OpenBatchEnvelope: %v", err)
-					}
-					if id != goldenBatchID {
-						t.Errorf("batch id = %#x, want %#x", id, uint64(goldenBatchID))
-					}
-					body = payload
-				case "v3_batch":
-					id, traceID, payload, err := OpenTraceEnvelope(body)
-					if err != nil {
-						t.Fatalf("OpenTraceEnvelope: %v", err)
-					}
-					if id != goldenBatchID || traceID != goldenTraceID {
-						t.Errorf("envelope = (%#x, %#x), want (%#x, %#x)",
-							id, traceID, uint64(goldenBatchID), uint64(goldenTraceID))
-					}
-					body = payload
-				}
-				txns, err := ParseBatch(body, 32, nil)
-				if err != nil {
-					t.Fatalf("ParseBatch: %v", err)
-				}
-				want := goldenTxns()
-				if len(txns) != len(want) {
-					t.Fatalf("parsed %d transactions, want %d", len(txns), len(want))
-				}
-				for i := range txns {
-					if txns[i].Addr != want[i].Addr || txns[i].Kind != want[i].Kind || !bytes.Equal(txns[i].Data, want[i].Data) {
-						t.Errorf("transaction %d diverges from source", i)
-					}
-				}
-			case "v1_batch_reply", "v2_batch_reply", "v3_batch_reply":
-				switch g.name {
-				case "v2_batch_reply":
-					id, payload, err := OpenBatchEnvelope(body)
-					if err != nil {
-						t.Fatalf("OpenBatchEnvelope: %v", err)
-					}
-					if id != goldenBatchID {
-						t.Errorf("batch id = %#x, want %#x", id, uint64(goldenBatchID))
-					}
-					body = payload
-				case "v3_batch_reply":
-					id, traceID, payload, err := OpenTraceEnvelope(body)
-					if err != nil {
-						t.Fatalf("OpenTraceEnvelope: %v", err)
-					}
-					if id != goldenBatchID || traceID != goldenTraceID {
-						t.Errorf("envelope = (%#x, %#x), want (%#x, %#x)",
-							id, traceID, uint64(goldenBatchID), uint64(goldenTraceID))
-					}
-					body = payload
-				}
-				reply, err := ParseBatchReply(body, 32, 1)
-				if err != nil {
-					t.Fatalf("ParseBatchReply: %v", err)
-				}
-				if reply.Stats != goldenStats() {
-					t.Errorf("stats = %+v, want %+v", reply.Stats, goldenStats())
-				}
-				if len(reply.Records) != 2 {
-					t.Fatalf("parsed %d records, want 2", len(reply.Records))
-				}
-			case "v2_busy":
-				id, retry, err := ParseBusy(body)
-				if err != nil {
-					t.Fatalf("ParseBusy: %v", err)
-				}
-				if id != goldenBatchID || retry.Milliseconds() != 25 {
-					t.Errorf("busy = (%#x, %v), want (%#x, 25ms)", id, retry, uint64(goldenBatchID))
-				}
-			case "v2_batch_error":
-				id, reset, msg, err := ParseBatchError(body)
-				if err != nil {
-					t.Fatalf("ParseBatchError: %v", err)
-				}
-				if id != goldenBatchID || !reset || msg != "codec fault: injected" {
-					t.Errorf("batch-error = (%#x, %v, %q)", id, reset, msg)
-				}
-			case "v2_state_snapshot":
-				if len(body) != 0 {
-					t.Errorf("state-snapshot body = %d bytes, want empty", len(body))
-				}
-			case "v2_state_restore":
-				seq, state, err := ParseStateRestore(body)
-				if err != nil {
-					t.Fatalf("ParseStateRestore: %v", err)
-				}
-				if seq != goldenStateSeq || !bytes.Equal(state, goldenStateBlob()) {
-					t.Errorf("state-restore = (%#x, %x)", seq, state)
-				}
-			case "v2_state_ack_ok":
-				status, seq, payload, err := ParseStateAck(body)
-				if err != nil {
-					t.Fatalf("ParseStateAck: %v", err)
-				}
-				if status != StateOK || seq != goldenStateSeq || !bytes.Equal(payload, goldenStateBlob()) {
-					t.Errorf("state-ack = (%d, %#x, %x)", status, seq, payload)
-				}
-			case "v2_state_ack_failed":
-				status, seq, payload, err := ParseStateAck(body)
-				if err != nil {
-					t.Fatalf("ParseStateAck: %v", err)
-				}
-				if status != StateFailed || seq != goldenStateSeq || string(payload) != "restore rejected: snapshot damaged" {
-					t.Errorf("state-ack = (%d, %#x, %q)", status, seq, payload)
 				}
 			case "v4_batch", "v4_batch_reply":
 				sid, rest, err := SplitStreamID(body)
@@ -592,6 +417,18 @@ func TestGoldenVectorsParse(t *testing.T) {
 				}
 				if sid != goldenStreamID || status != StateOK || seq != goldenStateSeq || !bytes.Equal(payload, goldenStateBlob()) {
 					t.Errorf("state-ack = (%#x, %d, %#x, %x)", sid, status, seq, payload)
+				}
+			case "v4_state_ack_failed":
+				sid, rest, err := SplitStreamID(body)
+				if err != nil {
+					t.Fatalf("SplitStreamID: %v", err)
+				}
+				status, seq, payload, err := ParseStateAck(rest)
+				if err != nil {
+					t.Fatalf("ParseStateAck: %v", err)
+				}
+				if sid != goldenStreamID || status != StateFailed || seq != goldenStateSeq || string(payload) != "restore rejected: snapshot damaged" {
+					t.Errorf("state-ack = (%#x, %d, %#x, %q)", sid, status, seq, payload)
 				}
 			case "error":
 				if string(body) != "server is draining" {

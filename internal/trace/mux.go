@@ -1,41 +1,34 @@
-// BXTP v4: stream multiplexing.
+// BXTP stream multiplexing.
 //
-// Protocol version 4 lets many logical sessions share one TCP connection.
-// The unit of multiplexing is the stream: an independent (scheme,
-// transaction size) context with its own codec state, batch-id space,
-// fault budget, and epoch semantics. The rule is uniform — on a v4
-// session every post-handshake frame body begins with a uint32 stream id,
-// and the remainder of the body is exactly the v3 encoding of that frame:
+// Many logical sessions share one TCP connection. The unit of
+// multiplexing is the stream: an independent (scheme, transaction size)
+// context with its own codec state, batch-id space, fault budget, and
+// epoch semantics. The rule is uniform — every post-handshake frame body
+// begins with a uint32 stream id, followed by the frame's stream-local
+// encoding:
 //
 //	Batch        sid | id | crc | trace id | records
 //	BatchReply   sid | id | crc | trace id | stats + records
 //	Busy         sid | id | retry-after
 //	BatchError   sid | id | flags | message
-//	StateSnapshot / StateRestore / StateAck    sid | v3 body
+//	StateSnapshot / StateRestore / StateAck    sid | body
 //
-// The stream id sits outside the CRC envelope on purpose: a proxy
-// bridging a v4 client to a v3 backend strips (or prepends) the four
-// prefix bytes and relays the interior verbatim, byte-for-byte, without
-// resealing checksums. Corruption of the prefix itself misroutes the
-// frame to another stream, where the batch-id/trace-id echo check
+// The stream id sits outside the CRC envelope on purpose: a proxy relays
+// a body verbatim, byte-for-byte, without resealing checksums, and reads
+// only the prefix to route it. Corruption of the prefix itself misroutes
+// the frame to another stream, where the batch-id/trace-id echo check
 // rejects it — the same end-to-end detection that catches a corrupted
 // batch id inside the envelope.
 //
-// The v4 Hello/HelloOK handshake is unchanged from v3; the Hello's
-// scheme and transaction size implicitly open stream 0, so a
-// single-stream v4 session is a v3 session with four extra bytes per
-// frame. Further streams open explicitly: StreamOpen (stream id +
-// transaction size + scheme) is answered by StreamOpenOK carrying the
-// per-stream metadata width and batch limit, or a refusal status and
-// message. StreamClose retires a stream; the gateway answers
-// StreamClosed, and also sends StreamClosed unprompted when it kills a
-// single stream (fault budget exhausted) while the connection and its
-// sibling streams keep serving. Stream ids are chosen by the client,
-// must not be reused while open, and have no ordering requirement.
-//
-// Peers at v1–v3 never see any of this: version negotiation in the
-// handshake pins the session to the older framing and the wire behaviour
-// stays byte-for-byte identical to the previous revisions.
+// The Hello's scheme and transaction size implicitly open stream 0.
+// Further streams open explicitly: StreamOpen (stream id + transaction
+// size + scheme) is answered by StreamOpenOK carrying the per-stream
+// metadata width and batch limit, or a refusal status and message.
+// StreamClose retires a stream; the gateway answers StreamClosed, and also
+// sends StreamClosed unprompted when it kills a single stream (fault
+// budget exhausted) while the connection and its sibling streams keep
+// serving. Stream ids are chosen by the client, must not be reused while
+// open, and have no ordering requirement.
 package trace
 
 import (
@@ -45,19 +38,19 @@ import (
 	"io"
 )
 
-// Protocol frame types introduced by v4 stream multiplexing.
+// Stream lifecycle frame types.
 const (
-	// FrameStreamOpen (v4) opens an additional logical stream on the
+	// FrameStreamOpen opens an additional logical stream on the
 	// session. Body: uint32 stream id + uint32 txn size + len-prefixed
 	// scheme name.
 	FrameStreamOpen FrameType = 0x05
-	// FrameStreamClose (v4) retires one stream. Body: uint32 stream id.
+	// FrameStreamClose retires one stream. Body: uint32 stream id.
 	FrameStreamClose FrameType = 0x06
-	// FrameStreamOpenOK (v4) answers StreamOpen. Body: uint32 stream id +
+	// FrameStreamOpenOK answers StreamOpen. Body: uint32 stream id +
 	// uint8 status, then metaBits+batchLimit on success or a UTF-8
 	// message on refusal.
 	FrameStreamOpenOK FrameType = 0x86
-	// FrameStreamClosed (v4) acknowledges StreamClose, or reports the
+	// FrameStreamClosed acknowledges StreamClose, or reports the
 	// gateway killed one stream while the session stays up. Body: uint32
 	// stream id + optional UTF-8 message.
 	FrameStreamClosed FrameType = 0x87
@@ -74,17 +67,17 @@ const (
 )
 
 // muxPrefixBytes is the uint32 stream id prepended to every
-// post-handshake frame body on a v4 session.
+// post-handshake frame body.
 const muxPrefixBytes = 4
 
-// AppendStreamID appends the v4 stream-id prefix to dst. The caller
-// appends the v3-encoded frame body after it.
+// AppendStreamID appends the stream-id prefix to dst. The caller appends
+// the stream-local frame body after it.
 func AppendStreamID(dst []byte, sid uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, sid)
 }
 
-// SplitStreamID splits a v4 frame body into its stream id and the
-// v3-encoded remainder. The remainder aliases body.
+// SplitStreamID splits a frame body into its stream id and the
+// stream-local remainder. The remainder aliases body.
 func SplitStreamID(body []byte) (sid uint32, rest []byte, err error) {
 	if len(body) < muxPrefixBytes {
 		return 0, nil, fmt.Errorf("%w: %d-byte body is shorter than the stream-id prefix", ErrBadFrame, len(body))
@@ -92,7 +85,7 @@ func SplitStreamID(body []byte) (sid uint32, rest []byte, err error) {
 	return binary.LittleEndian.Uint32(body[:muxPrefixBytes]), body[muxPrefixBytes:], nil
 }
 
-// PeekStreamID returns the stream id of the v4 frame at the head of br
+// PeekStreamID returns the stream id of the frame at the head of br
 // without consuming any of it, so a demultiplexer can choose the buffer
 // the frame is read into before reading it. Header errors are
 // ReadFrame's; a frame too short to carry a stream id, or one cut off

@@ -19,46 +19,33 @@
 // side-band metadata bytes). Errors travel as Error frames with a UTF-8
 // message and terminate the session.
 //
-// Protocol version 2 adds the fault-tolerance envelope. Batch and
-// BatchReply bodies gain a fixed prefix — uint64 batch id, then a uint32
-// CRC-32C of everything after the CRC field — so a retrying client can
-// match replies to attempts (never applying one twice) and either side can
-// detect payload corruption without trusting the transport. Two
-// server-to-client frames join the vocabulary: Busy (batch id + retry-after
-// hint) sheds a batch under overload without processing it, and BatchError
-// (batch id + flags + message) reports one failed batch while the session
-// stays up; bit 0 of the flags byte tells the client the server reset the
-// session codec's inter-transaction state, so the client must reset its
-// decoder before decoding later replies. Version 1 peers keep the original
-// wire format and semantics (no ids, no CRC, no Busy/BatchError: any batch
-// failure is a fatal Error frame); the server negotiates down in HelloOK.
+// There is one protocol revision, ProtocolVersion (4); a peer answers a
+// Hello naming any other revision with an Error frame and closes. A future
+// change to the wire format is a version bump with new golden vectors
+// (testdata/), not a negotiated variant.
 //
-// Protocol version 3 adds end-to-end batch tracing. Batch and BatchReply
-// bodies carry a uint64 trace id between the v2 envelope and the payload
-// (layout: id | crc | trace id | payload), assigned by the client and
-// echoed by the gateway, so one id correlates the client, proxy, and
-// backend spans of a batch on their /debug/trace surfaces. The trace id
-// sits inside the CRC-covered region, so corruption of it is detected like
-// any payload damage. The field is negotiated, never assumed: a v3 peer
-// talking to a v1 or v2 peer negotiates down in the handshake and the
-// session carries no trace field at all, leaving older peers' wire
-// behaviour byte-for-byte unchanged. Busy and BatchError frames are
-// unmodified — they correlate through the batch id they already carry.
+// Every post-handshake frame body leads with a uint32 stream id (mux.go):
+// many logical sessions share one connection, each an independent
+// (scheme, transaction size) context with its own codec state and
+// batch-id space.
 //
-// Protocol version 4 adds stream multiplexing: many logical sessions
-// share one connection, each an independent (scheme, transaction size)
-// context with its own codec state and batch-id space. On a v4 session
-// every post-handshake frame body carries a uint32 stream-id prefix ahead
-// of its v3-encoded remainder, and four stream lifecycle frames
-// (StreamOpen/StreamOpenOK/StreamClose/StreamClosed) join the
-// vocabulary; mux.go documents the layout and the compat rule. As with
-// every revision, the field is negotiated, never assumed — v1–v3 peers
-// negotiate down in the handshake and their wire behaviour stays
-// byte-for-byte identical.
+// Batch and BatchReply bodies carry the batch envelope after the stream
+// id — uint64 batch id, a uint32 CRC-32C of everything after the CRC
+// field, then a uint64 trace id — so a retrying client can match replies
+// to attempts (never applying one twice), either side can detect payload
+// corruption without trusting the transport, and one trace id, assigned
+// by the client and echoed by the gateway, correlates the client, proxy
+// and backend spans of a batch on their /debug/trace surfaces. Two
+// server-to-client frames report batch outcomes without ending the
+// session: Busy (batch id + retry-after hint) sheds a batch under overload
+// without processing it, and BatchError (batch id + flags + message)
+// reports one failed batch; bit 0 of the flags byte tells the client the
+// server reset the stream codec's inter-transaction state, so the client
+// must reset its decoder before decoding later replies.
 //
-// State-transfer admin frames (any v2+ session) move a decode-stateful
-// session codec between backends without resetting the client's decoder.
-// StateSnapshot (empty body) asks the gateway to serialize the session
+// State-transfer admin frames move a decode-stateful stream codec between
+// backends without resetting the client's decoder. StateSnapshot (empty
+// body past the stream id) asks the gateway to serialize the stream
 // codec's complete decode state at the current batch boundary; the gateway
 // answers StateAck carrying a status byte, the count of batches the state
 // is current as of (so the receiver knows exactly where to resume), and —
@@ -66,10 +53,10 @@
 // each codec frames its own sections with versioned magic + CRC-32C
 // trailers (internal/snap), so damage is detected on restore, not trusted.
 // StateRestore (uint64 sequence + blob) installs such a snapshot into a
-// session before its next batch and is answered by a StateAck echoing the
+// stream before its next batch and is answered by a StateAck echoing the
 // sequence with an empty payload; a non-zero status means the state was
-// rejected and the session codec remains in its freshly-reset state, never
-// half-restored. Version 1 sessions carry none of these frames.
+// rejected and the stream codec remains in its freshly-reset state, never
+// half-restored.
 package trace
 
 import (
@@ -90,22 +77,22 @@ type FrameType uint8
 const (
 	FrameHello FrameType = 0x01
 	FrameBatch FrameType = 0x02
-	// FrameStateSnapshot (v2+) asks the gateway to serialize the session
+	// FrameStateSnapshot asks the gateway to serialize the session
 	// codec's decode state at the current batch boundary. Empty body; the
 	// answer is a StateAck.
 	FrameStateSnapshot FrameType = 0x03
-	// FrameStateRestore (v2+) installs a snapshotted codec state into the
+	// FrameStateRestore installs a snapshotted codec state into the
 	// session before its next batch. Body: uint64 sequence + state blob.
 	FrameStateRestore FrameType = 0x04
 	FrameHelloOK      FrameType = 0x81
 	FrameBatchReply   FrameType = 0x82
-	// FrameBusy (v2) sheds one batch under overload: the server did not
+	// FrameBusy sheds one batch under overload: the server did not
 	// process it and the client should retry after the carried hint.
 	FrameBusy FrameType = 0x83
-	// FrameBatchError (v2) reports one failed batch without closing the
+	// FrameBatchError reports one failed batch without closing the
 	// session.
 	FrameBatchError FrameType = 0x84
-	// FrameStateAck (v2+) answers StateSnapshot and StateRestore. Body:
+	// FrameStateAck answers StateSnapshot and StateRestore. Body:
 	// uint8 status + uint64 sequence + payload (the state blob on a
 	// successful snapshot, a UTF-8 message on failure, empty otherwise).
 	FrameStateAck FrameType = 0x85
@@ -116,14 +103,8 @@ const (
 const (
 	// ProtocolMagic opens every Hello body.
 	ProtocolMagic = "BXTP"
-	// ProtocolVersion is the current protocol revision.
+	// ProtocolVersion is the protocol revision every peer speaks.
 	ProtocolVersion = 4
-	// MinProtocolVersion is the oldest revision the gateway still speaks;
-	// version 1 sessions use the pre-fault-tolerance framing (no batch
-	// ids, no CRC, no Busy/BatchError frames), version 2 sessions carry
-	// the batch envelope but no trace id, version 3 sessions carry the
-	// trace id but no stream multiplexing.
-	MinProtocolVersion = 1
 	// MaxFrameBytes bounds a frame body so a corrupt or hostile length
 	// prefix cannot drive unbounded allocation.
 	MaxFrameBytes = 1 << 24
@@ -133,37 +114,39 @@ const (
 	// recordHeaderBytes is addr (8) + kind (1), shared with the on-disk
 	// record encoding.
 	recordHeaderBytes = 9
-	// batchEnvelopeBytes is the v2 Batch/BatchReply body prefix: uint64
-	// batch id + uint32 CRC-32C of everything after the CRC field.
+	// batchEnvelopeBytes is the sealed part of the Batch/BatchReply
+	// envelope: uint64 batch id + uint32 CRC-32C of everything after the
+	// CRC field.
 	batchEnvelopeBytes = 8 + 4
-	// traceEnvelopeBytes is the v3 trace extension: a uint64 trace id
-	// prefixed to the envelope payload. It sits after the CRC field, so
-	// the envelope checksum covers it.
+	// traceEnvelopeBytes is the uint64 trace id that follows the CRC
+	// field, so the envelope checksum covers it.
 	traceEnvelopeBytes = 8
 )
 
 // ErrBadFrame reports a malformed protocol frame or message body.
 var ErrBadFrame = errors.New("trace: malformed protocol frame")
 
-// ErrCRC reports a v2 batch envelope whose payload CRC does not match:
+// ErrCRC reports a batch envelope whose payload CRC does not match:
 // the frame arrived intact at the framing layer but its content was
 // corrupted in transit. ErrCRC wraps ErrBadFrame, so errors.Is works for
 // either sentinel.
 var ErrCRC = fmt.Errorf("%w: payload crc mismatch", ErrBadFrame)
 
-// castagnoli is the CRC-32C table used by the v2 batch envelope.
+// castagnoli is the CRC-32C table used by the batch envelope.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendBatchEnvelope appends the v2 batch envelope prefix (batch id and a
-// zero CRC placeholder) to dst. The caller appends the payload and then
-// calls SealBatchEnvelope on the complete body.
-func AppendBatchEnvelope(dst []byte, id uint64) []byte {
+// AppendTraceEnvelope appends the batch envelope prefix to dst: the batch
+// id, a zero CRC placeholder and the trace id. The caller appends the
+// payload and then calls SealBatchEnvelope on the complete body, which
+// stamps a CRC covering the trace id and payload.
+func AppendTraceEnvelope(dst []byte, id, traceID uint64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return append(dst, 0, 0, 0, 0)
+	dst = append(dst, 0, 0, 0, 0)
+	return binary.LittleEndian.AppendUint64(dst, traceID)
 }
 
 // SealBatchEnvelope stamps the CRC-32C of body's payload (everything after
-// the envelope prefix) into the envelope written by AppendBatchEnvelope.
+// the CRC field) into the envelope written by AppendTraceEnvelope.
 func SealBatchEnvelope(body []byte) error {
 	if len(body) < batchEnvelopeBytes {
 		return fmt.Errorf("%w: %d-byte body has no batch envelope", ErrBadFrame, len(body))
@@ -173,42 +156,21 @@ func SealBatchEnvelope(body []byte) error {
 	return nil
 }
 
-// OpenBatchEnvelope splits a v2 Batch or BatchReply body into its batch id
-// and payload, verifying the payload CRC. On a CRC mismatch it still
-// returns the carried id (best effort — the id bytes may themselves be
-// corrupt) together with ErrCRC, so the receiver can answer the right
-// attempt.
-func OpenBatchEnvelope(body []byte) (id uint64, payload []byte, err error) {
+// OpenTraceEnvelope splits a Batch or BatchReply body (past its stream
+// id) into its batch id, trace id and payload, verifying the CRC. On a CRC
+// mismatch it still returns the carried batch id (best effort — the id
+// bytes may themselves be corrupt) together with ErrCRC, so the receiver
+// can answer the right attempt; the trace id is not returned, since the
+// checksum that vouches for it failed.
+func OpenTraceEnvelope(body []byte) (id, traceID uint64, payload []byte, err error) {
 	if len(body) < batchEnvelopeBytes {
-		return 0, nil, fmt.Errorf("%w: %d-byte body is shorter than the batch envelope", ErrBadFrame, len(body))
+		return 0, 0, nil, fmt.Errorf("%w: %d-byte body is shorter than the batch envelope", ErrBadFrame, len(body))
 	}
 	id = binary.LittleEndian.Uint64(body[:8])
 	want := binary.LittleEndian.Uint32(body[8:batchEnvelopeBytes])
 	payload = body[batchEnvelopeBytes:]
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return id, nil, fmt.Errorf("%w: got %#x, frame claims %#x", ErrCRC, got, want)
-	}
-	return id, payload, nil
-}
-
-// AppendTraceEnvelope appends the v3 batch envelope prefix: the v2
-// envelope (batch id + zero CRC placeholder) followed by the trace id.
-// The caller appends the payload and then calls SealBatchEnvelope on the
-// complete body, which stamps a CRC covering the trace id and payload.
-func AppendTraceEnvelope(dst []byte, id, traceID uint64) []byte {
-	dst = AppendBatchEnvelope(dst, id)
-	return binary.LittleEndian.AppendUint64(dst, traceID)
-}
-
-// OpenTraceEnvelope splits a v3 Batch or BatchReply body into its batch
-// id, trace id, and payload, verifying the CRC exactly as
-// OpenBatchEnvelope does. On a CRC mismatch the carried batch id is still
-// returned (best effort) with ErrCRC; the trace id is not, since the
-// checksum that vouches for it failed.
-func OpenTraceEnvelope(body []byte) (id, traceID uint64, payload []byte, err error) {
-	id, payload, err = OpenBatchEnvelope(body)
-	if err != nil {
-		return id, 0, nil, err
+		return id, 0, nil, fmt.Errorf("%w: got %#x, frame claims %#x", ErrCRC, got, want)
 	}
 	if len(payload) < traceEnvelopeBytes {
 		return id, 0, nil, fmt.Errorf("%w: %d-byte envelope payload is shorter than the trace id", ErrBadFrame, len(payload))
@@ -217,7 +179,7 @@ func OpenTraceEnvelope(body []byte) (id, traceID uint64, payload []byte, err err
 	return id, traceID, payload[traceEnvelopeBytes:], nil
 }
 
-// MarshalBusy encodes a v2 Busy frame body: the shed batch's id and a
+// MarshalBusy encodes a Busy frame body: the shed batch's id and a
 // retry-after hint (rounded to milliseconds, capped at ~49 days).
 func MarshalBusy(id uint64, retryAfter time.Duration) []byte {
 	ms := retryAfter.Milliseconds()
@@ -245,7 +207,7 @@ func ParseBusy(body []byte) (id uint64, retryAfter time.Duration, err error) {
 // reset the session codec's inter-transaction state.
 const batchErrorReset = 1 << 0
 
-// MarshalBatchError encodes a v2 BatchError frame body: the failed batch's
+// MarshalBatchError encodes a BatchError frame body: the failed batch's
 // id, a flags byte, and a UTF-8 message.
 func MarshalBatchError(id uint64, codecReset bool, msg string) []byte {
 	body := binary.LittleEndian.AppendUint64(make([]byte, 0, 9+len(msg)), id)
@@ -271,7 +233,7 @@ const (
 	// StateOK reports the snapshot or restore succeeded.
 	StateOK uint8 = 0
 	// StateUnsupported reports the session codec keeps no transferable
-	// state (or the session is v1): there is nothing to snapshot and a
+	// state: there is nothing to snapshot and a
 	// restore is meaningless.
 	StateUnsupported uint8 = 1
 	// StateFailed reports the operation was attempted and rejected — a
@@ -433,7 +395,8 @@ func frameLen(hdr []byte, err error) (int, error) {
 // Hello is the session-opening handshake: the client names the codec it
 // wants the gateway to run and the fixed transaction size it will stream.
 type Hello struct {
-	// Version is the client's protocol revision.
+	// Version is the client's protocol revision; a peer rejects any but
+	// ProtocolVersion.
 	Version uint8
 	// TxnSize is the per-transaction payload size in bytes.
 	TxnSize int
@@ -487,7 +450,7 @@ func ParseHello(body []byte) (Hello, error) {
 
 // HelloOK is the server's handshake acknowledgement.
 type HelloOK struct {
-	// Version is the server's protocol revision.
+	// Version is the server's protocol revision, ProtocolVersion.
 	Version uint8
 	// MetaBits is the scheme's side-band width per transaction; every
 	// encoded record in a BatchReply carries ceil(MetaBits/8) metadata

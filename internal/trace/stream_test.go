@@ -298,42 +298,43 @@ func TestBatchStatsHelpers(t *testing.T) {
 	}
 }
 
-// TestBatchEnvelopeRoundTrip covers the v2 batch envelope: seal + open
-// round-trips, every flipped payload or envelope bit is caught (ErrCRC on
-// payload corruption, with the carried id still returned best-effort), and
-// short bodies are rejected.
+// TestBatchEnvelopeRoundTrip covers the batch envelope: seal + open
+// round-trips the batch id, trace id and payload, every flipped payload,
+// trace-id or CRC bit is caught (ErrCRC, with the carried batch id still
+// returned best-effort), and short bodies are rejected.
 func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	body := AppendBatchEnvelope(nil, 0xDEADBEEFCAFE)
+	body := AppendTraceEnvelope(nil, 0xDEADBEEFCAFE, 0xfeedc0de)
 	body = append(body, payload...)
 	if err := SealBatchEnvelope(body); err != nil {
 		t.Fatalf("SealBatchEnvelope: %v", err)
 	}
-	id, got, err := OpenBatchEnvelope(body)
+	id, traceID, got, err := OpenTraceEnvelope(body)
 	if err != nil {
-		t.Fatalf("OpenBatchEnvelope: %v", err)
+		t.Fatalf("OpenTraceEnvelope: %v", err)
 	}
-	if id != 0xDEADBEEFCAFE || !bytes.Equal(got, payload) {
-		t.Fatalf("OpenBatchEnvelope = id %#x payload %v", id, got)
+	if id != 0xDEADBEEFCAFE || traceID != 0xfeedc0de || !bytes.Equal(got, payload) {
+		t.Fatalf("OpenTraceEnvelope = id %#x trace %#x payload %v", id, traceID, got)
 	}
 
-	// Every single-bit payload corruption must be detected.
-	for bit := 0; bit < len(payload)*8; bit++ {
+	// Every single-bit corruption past the CRC field must be detected.
+	for bit := 0; bit < (8+len(payload))*8; bit++ {
 		c := append([]byte(nil), body...)
 		c[12+bit/8] ^= 1 << (bit % 8)
-		if _, _, err := OpenBatchEnvelope(c); !errors.Is(err, ErrCRC) || !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("corrupt payload bit %d: err = %v, want ErrCRC wrapping ErrBadFrame", bit, err)
+		if _, _, _, err := OpenTraceEnvelope(c); !errors.Is(err, ErrCRC) || !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("corrupt bit %d: err = %v, want ErrCRC wrapping ErrBadFrame", bit, err)
 		}
 	}
 	// A corrupt CRC field is also a CRC mismatch, and the id survives.
 	c := append([]byte(nil), body...)
 	c[9] ^= 0x40
-	if id, _, err := OpenBatchEnvelope(c); !errors.Is(err, ErrCRC) || id != 0xDEADBEEFCAFE {
+	if id, _, _, err := OpenTraceEnvelope(c); !errors.Is(err, ErrCRC) || id != 0xDEADBEEFCAFE {
 		t.Fatalf("corrupt crc: id %#x err %v", id, err)
 	}
-	// Bodies shorter than the envelope are malformed, not CRC mismatches.
+	// Bodies shorter than the sealed envelope are malformed, not CRC
+	// mismatches.
 	for n := 0; n < 12; n++ {
-		if _, _, err := OpenBatchEnvelope(body[:n]); !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrCRC) {
+		if _, _, _, err := OpenTraceEnvelope(body[:n]); !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrCRC) {
 			t.Fatalf("%d-byte body: err = %v, want plain ErrBadFrame", n, err)
 		}
 		if err := SealBatchEnvelope(body[:n]); !errors.Is(err, ErrBadFrame) {
@@ -342,7 +343,7 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBusyRoundTrip covers the v2 Busy frame body, including hint
+// TestBusyRoundTrip covers the Busy frame body, including hint
 // saturation at the uint32 millisecond ceiling and negative clamping.
 func TestBusyRoundTrip(t *testing.T) {
 	id, after, err := ParseBusy(MarshalBusy(42, 1500*time.Millisecond))
@@ -360,7 +361,7 @@ func TestBusyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchErrorRoundTrip covers the v2 BatchError frame body and its
+// TestBatchErrorRoundTrip covers the BatchError frame body and its
 // codec-reset flag.
 func TestBatchErrorRoundTrip(t *testing.T) {
 	for _, reset := range []bool{false, true} {
