@@ -163,8 +163,8 @@ func DialContext(ctx context.Context, addr, scheme string, txnSize int, cfg Conf
 	c := &Client{
 		cfg:  cfg.withDefaults(),
 		addr: addr,
-		br:   bufio.NewReaderSize(nil, 64<<10),
-		bw:   bufio.NewWriterSize(nil, 64<<10),
+		br:   trace.NewConnReader(nil),
+		bw:   trace.NewConnWriter(nil),
 	}
 	c.stream = stream{cfg: &c.cfg, scheme: scheme, txnSize: txnSize}
 	if err := c.dial(ctx); err != nil {

@@ -219,8 +219,8 @@ func (m *Mux) redialLocked() error {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DialTimeout)
 	defer cancel()
 	mc := &muxConn{
-		br:   bufio.NewReaderSize(nil, 64<<10),
-		bw:   bufio.NewWriterSize(nil, 64<<10),
+		br:   trace.NewConnReader(nil),
+		bw:   trace.NewConnWriter(nil),
 		gen:  1,
 		dead: make(chan struct{}),
 	}

@@ -1,7 +1,10 @@
 package proxy_test
 
 import (
+	"context"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,20 +18,35 @@ import (
 // client, proxy and bxtd goroutines alike.
 const allocRuns = 2000
 
-// TestSteadyStateZeroAlloc is the per-topology allocation gate: once the
-// buffers have grown to the traffic's frame sizes, a batch round trip
-// allocates nothing on any hop — client, proxy relay, bxtd — for one
-// plain session straight to bxtd or through the proxy, and for a 16-stream
-// mux (twelve basexor and four bdenc streams) straight or through the
-// proxy.
+// countingConn counts the Write calls made on a client connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestSteadyStateZeroAlloc is the per-topology allocation and write
+// gate: once the buffers have grown to the traffic's frame sizes, a batch
+// round trip allocates nothing on any hop — client, proxy relay, bxtd —
+// and the client sends each batch frame, header and body, in one Write.
+// It covers one plain session straight to bxtd or through the proxy, and
+// a 16-stream mux (twelve basexor and four bdenc streams) straight or
+// through the proxy. A writer buffer too small for the frame, or a frame
+// written in pieces, shows as a write count instead of hiding in timing
+// noise.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate drives thousands of loopback batches")
 	}
 	srv := startBackend(t, backendConfig())
 	pcfg := proxyConfig(srv.Addr())
-	// Health probes dial and handshake, which allocates; keep them out of
-	// the measured window.
+	// A health probe borrows pooled buffers but still makes about 80
+	// small allocations (TestProbeAllocations gates its bytes); keep
+	// probes out of the measured window.
 	pcfg.HealthInterval = time.Hour
 	px := startProxy(t, pcfg)
 
@@ -44,12 +62,21 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		{"mux16-proxied", px.Addr(), true, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var writes atomic.Int64
+			cfg := client.Config{Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+				var d net.Dialer
+				conn, err := d.DialContext(ctx, "tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return countingConn{Conn: conn, writes: &writes}, nil
+			}}
 			rng := rand.New(rand.NewSource(1))
 			var transcode func() error
 			if tc.mux {
-				transcode = muxTranscoder(t, tc.addr, rng, tc.batch)
+				transcode = muxTranscoder(t, tc.addr, cfg, rng, tc.batch)
 			} else {
-				c, err := client.Dial(tc.addr, "universal", 32)
+				c, err := client.DialConfig(tc.addr, "universal", 32, cfg)
 				if err != nil {
 					t.Fatalf("dial: %v", err)
 				}
@@ -69,22 +96,27 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				run()
 			}
-			allocs := testing.AllocsPerRun(allocRuns, run)
+			before := writes.Load()
+			allocs := testing.AllocsPerRun(allocRuns, run) // allocRuns+1 batches
 			if err != nil {
 				t.Fatalf("Transcode: %v", err)
 			}
 			if allocs != 0 {
 				t.Errorf("%v allocations per batch in steady state, want 0", allocs)
 			}
+			if n := writes.Load() - before; n > allocRuns+1 {
+				t.Errorf("%d client writes for %d batches, want at most one per batch", n, allocRuns+1)
+			}
 		})
 	}
 }
 
 // muxTranscoder opens the mux16 stream mix on one client.Mux connection
-// and returns a function that sends one batch on the next stream in turn.
-func muxTranscoder(t *testing.T, addr string, rng *rand.Rand, batch int) func() error {
+// dialled with cfg and returns a function that sends one batch on the
+// next stream in turn.
+func muxTranscoder(t *testing.T, addr string, cfg client.Config, rng *rand.Rand, batch int) func() error {
 	t.Helper()
-	m, err := client.NewMux(addr, client.Config{})
+	m, err := client.NewMux(addr, cfg)
 	if err != nil {
 		t.Fatalf("NewMux: %v", err)
 	}

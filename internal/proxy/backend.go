@@ -168,6 +168,14 @@ type upstream struct {
 	open map[uint32]bool
 }
 
+// close closes u's connection and returns its buffers to the pool; u must
+// not be used afterwards.
+func (u *upstream) close() {
+	u.conn.Close()
+	trace.ReleaseConnBuffers(u.br, u.bw)
+	u.br, u.bw = nil, nil
+}
+
 // handshake runs the BXTP Hello exchange for h within timeout. A backend
 // Error reply surfaces as errUpstreamReject carrying the message; a
 // HelloOK naming a revision other than trace.ProtocolVersion is a hard

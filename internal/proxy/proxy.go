@@ -41,7 +41,6 @@
 package proxy
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -578,11 +577,11 @@ func (p *Proxy) dialUpstream(b *backend, h trace.Hello) (*upstream, error) {
 	u := &upstream{
 		b:    b,
 		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+		br:   trace.NewConnReader(conn),
+		bw:   trace.NewConnWriter(conn),
 	}
 	if err := u.handshake(h, p.cfg.DialTimeout); err != nil {
-		conn.Close()
+		u.close()
 		return nil, err
 	}
 	return u, nil
@@ -631,7 +630,7 @@ func (p *Proxy) probe(b *backend) {
 		p.noteBackendFailure(b, "probe", err)
 		return
 	}
-	u.conn.Close()
+	u.close()
 	p.noteBackendOK(b)
 }
 

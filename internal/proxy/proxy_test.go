@@ -1,6 +1,7 @@
 package proxy_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -139,42 +140,60 @@ func backendMetric(t *testing.T, exposition, name, addr string) float64 {
 	return metricValue(t, exposition, fmt.Sprintf("%s{backend=%q}", name, addr))
 }
 
-// verifySession streams batches through c and decodes every returned
-// record back against its source, resetting dec whenever the client epoch
-// advances. It fails the test on any mismatch and returns the count of
+// verifySession streams batches through c, decoding every returned record
+// back against its source with dec (reset whenever the client epoch
+// advances). It fails the test on any mismatch and returns the count of
 // epoch bumps observed.
 func verifySession(t *testing.T, c *client.Client, dec core.Codec, rng *rand.Rand, batches, batchSize int) int {
 	t.Helper()
 	epochBumps := 0
-	lastEpoch := c.Epoch()
-	decoded := make([]byte, c.TxnSize())
+	epoch := c.Epoch()
 	for bi := 0; bi < batches; bi++ {
-		txns := makeTxns(rng, batchSize, c.TxnSize())
-		reply, err := c.Transcode(txns)
-		if err != nil {
-			t.Fatalf("batch %d: Transcode: %v", bi, err)
+		last := epoch
+		if err := checkedBatch(c, dec, &epoch, makeTxns(rng, batchSize, c.TxnSize())); err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
 		}
-		if e := c.Epoch(); e != lastEpoch {
-			dec.Reset()
-			lastEpoch = e
+		if epoch != last {
 			epochBumps++
-		}
-		if len(reply.Records) != len(txns) {
-			t.Fatalf("batch %d: %d records for %d transactions", bi, len(reply.Records), len(txns))
-		}
-		for j, rec := range reply.Records {
-			e := core.Encoded{Data: rec.Data, Meta: rec.Meta, MetaBits: c.MetaBits()}
-			if err := dec.Decode(decoded, &e); err != nil {
-				t.Fatalf("batch %d record %d: decode: %v", bi, j, err)
-			}
-			for k := range decoded {
-				if decoded[k] != txns[j].Data[k] {
-					t.Fatalf("batch %d record %d: decode mismatch at byte %d", bi, j, k)
-				}
-			}
 		}
 	}
 	return epochBumps
+}
+
+// transcoder is what a plain client and a mux session share.
+type transcoder interface {
+	Transcode([]trace.Transaction) (trace.BatchReply, error)
+	Epoch() uint64
+	MetaBits() int
+	TxnSize() int
+}
+
+// checkedBatch sends one batch through c and decodes every record back
+// against its source with dec, resetting dec first when c's epoch has
+// moved past *epoch.
+func checkedBatch(c transcoder, dec core.Codec, epoch *uint64, txns []trace.Transaction) error {
+	reply, err := c.Transcode(txns)
+	if err != nil {
+		return fmt.Errorf("Transcode: %w", err)
+	}
+	if e := c.Epoch(); e != *epoch {
+		dec.Reset()
+		*epoch = e
+	}
+	if len(reply.Records) != len(txns) {
+		return fmt.Errorf("%d records for %d transactions", len(reply.Records), len(txns))
+	}
+	decoded := make([]byte, c.TxnSize())
+	for j, rec := range reply.Records {
+		e := core.Encoded{Data: rec.Data, Meta: rec.Meta, MetaBits: c.MetaBits()}
+		if err := dec.Decode(decoded, &e); err != nil {
+			return fmt.Errorf("record %d: decode: %w", j, err)
+		}
+		if !bytes.Equal(decoded, txns[j].Data) {
+			return fmt.Errorf("record %d: decode mismatch", j)
+		}
+	}
+	return nil
 }
 
 func buildDecoder(t *testing.T, name string, srvCfg config.Server) core.Codec {

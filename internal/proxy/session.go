@@ -60,11 +60,12 @@ type session struct {
 
 // run drives the session: handshake, then the relay loop.
 func (ss *session) run() {
+	ss.br = trace.NewConnReader(ss.conn)
+	ss.bw = trace.NewConnWriter(ss.conn)
+	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 	defer ss.closeUpstreams()
 	defer ss.teardownStreams()
-	ss.br = bufio.NewReaderSize(ss.conn, 64<<10)
-	ss.bw = bufio.NewWriterSize(ss.conn, 64<<10)
 	ss.log = ss.p.log.With("session", ss.id, "remote", ss.conn.RemoteAddr().String())
 	if err := ss.handshake(); err != nil {
 		ss.log.Warn("handshake failed", "err", err)
@@ -302,7 +303,7 @@ func (ss *session) handleStreamClose(body []byte) (fatal bool) {
 // dropUpstream closes and forgets this session's upstream on b.
 func (ss *session) dropUpstream(b *backend) {
 	if u := ss.ups[b]; u != nil {
-		u.conn.Close()
+		u.close()
 		delete(ss.ups, b)
 	}
 }
@@ -310,7 +311,7 @@ func (ss *session) dropUpstream(b *backend) {
 // closeUpstreams closes every upstream connection at session end.
 func (ss *session) closeUpstreams() {
 	for _, u := range ss.ups {
-		u.conn.Close()
+		u.close()
 	}
 	ss.ups = nil
 }

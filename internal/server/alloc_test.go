@@ -3,12 +3,16 @@ package server
 import (
 	"bytes"
 	"math/rand"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/scheme"
+	"github.com/hpca18/bxt/internal/testutil"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -121,5 +125,68 @@ func TestTranscodeReplyReuse(t *testing.T) {
 				t.Fatalf("batch %d record %d does not round-trip", i, j)
 			}
 		}
+	}
+}
+
+// helloOnlyAllocBudget is the most one connection that completes the Hello
+// and closes without a batch may allocate, client dial and bxtd session
+// together: what a proxy health probe costs this tier. Pooled connection
+// buffers and a frame buffer that grows only with the frames received
+// keep it well under; a session that allocates its own 64 KiB bufio
+// buffers, or sizes its frame buffer for the largest legal batch at
+// handshake, does not fit.
+const helloOnlyAllocBudget = 32 << 10
+
+// TestHelloOnlySessionAllocations is the bxtd half of the probe
+// allocation gate: 200 connections that handshake the way a health probe
+// does and close, each waited out until its session has been torn down.
+func TestHelloOnlySessionAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 200 loopback sessions")
+	}
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates and drops pooled buffers")
+	}
+	srv := startServer(t, testConfig())
+	hello, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, Scheme: "baseline", TxnSize: 64})
+	if err != nil {
+		t.Fatalf("MarshalHello: %v", err)
+	}
+	var frame bytes.Buffer
+	if err := trace.WriteFrame(&frame, trace.FrameHello, hello); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	reply := make([]byte, 256)
+	session := func() {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := conn.Write(frame.Bytes()); err != nil {
+			t.Fatalf("write hello: %v", err)
+		}
+		ft, _, err := trace.ReadFrame(conn, reply)
+		if err != nil || ft != trace.FrameHelloOK {
+			t.Fatalf("hello answered with frame %#x, err %v", ft, err)
+		}
+		conn.Close()
+		for srv.met.connsActive.Load() != 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		session() // fill the buffer pools and the scheme's caches
+	}
+	const sessions = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		session()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / sessions
+	t.Logf("%.0f B allocated per hello-only session", per)
+	if per > helloOnlyAllocBudget {
+		t.Errorf("%.0f B allocated per hello-only session, want at most %d", per, helloOnlyAllocBudget)
 	}
 }

@@ -192,7 +192,11 @@ func (s *Server) buildMux() *http.ServeMux {
 	if s.cfg.Debug {
 		mux.Handle("/debug/events", s.events)
 		mux.Handle("/debug/poison", s.poison)
-		mux.Handle("/debug/trace", obs.TraceHandler(s.met.traces, s.met.stages))
+		traces := obs.TraceHandler(s.met.traces, s.met.stages)
+		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
+			s.awaitReplyWrites()
+			traces.ServeHTTP(w, r)
+		})
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -344,8 +348,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 		srv:  s,
 		id:   s.sessionIDs.Add(1),
 		conn: conn,
-		br:   newReader(conn),
-		bw:   newWriter(conn),
+		br:   trace.NewConnReader(conn),
+		bw:   trace.NewConnWriter(conn),
 	}
 	s.sessions[ss] = struct{}{}
 	return ss
@@ -355,6 +359,22 @@ func (s *Server) dropSession(ss *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.sessions, ss)
+}
+
+// awaitReplyWrites waits out any reply write in progress on a live
+// session. A reply's span and frame_write sample are recorded under the
+// session's write lock after the reply is flushed, so once this returns,
+// every reply a client has already received is on /debug/trace.
+func (s *Server) awaitReplyWrites() {
+	s.mu.Lock()
+	sessions := make([]*session, 0, len(s.sessions))
+	for ss := range s.sessions {
+		sessions = append(sessions, ss)
+	}
+	s.mu.Unlock()
+	for _, ss := range sessions {
+		ss.awaitWrite()
+	}
 }
 
 // Shutdown drains the gateway: it stops accepting, flips /healthz to

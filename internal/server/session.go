@@ -47,11 +47,11 @@ type session struct {
 	streams map[uint32]*stream
 	st0     *stream
 
-	// fbuf is the stable frame read buffer, sized for the largest legal
-	// batch across the connection's open streams so steady-state reads
-	// allocate nothing; growFrameBuf re-sizes it when a stream with
-	// larger transactions opens.
-	fbuf []byte
+	// frames is the frame read buffer. It grows to the largest frame the
+	// client has sent (MaxFrameBytes caps it), so steady-state reads
+	// allocate nothing and a connection that never sends a batch never
+	// holds a batch-sized buffer.
+	frames trace.FrameBuffer
 
 	// readDLAt/writeDLAt record when each connection deadline was last
 	// armed, so the hot loops re-arm the kernel timer only after a quarter
@@ -84,11 +84,11 @@ var errSession = errors.New("server: session error")
 // recovered, the batch quarantined, and the session codec reset.
 var errCodecPanic = errors.New("server: codec panic")
 
-func newReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 64<<10) }
-func newWriter(c net.Conn) *bufio.Writer { return bufio.NewWriterSize(c, 64<<10) }
-
-// run drives the session to completion. The connection is closed on return.
+// run drives the session to completion. The connection is closed and its
+// buffers go back to the pool on return: by then the write goroutine, if
+// it was started, has exited.
 func (ss *session) run() {
+	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 
 	if err := ss.handshake(); err != nil {
@@ -175,7 +175,6 @@ func (ss *session) handshake() error {
 	ss.st0 = st
 	ss.srv.met.streamsOpen.Add(1)
 	ss.srv.met.streamsTotal.Add(1)
-	ss.growFrameBuf(h.TxnSize)
 
 	ss.log = ss.srv.log.With("session", ss.id)
 	st.log.Info("session open", "remote", ss.conn.RemoteAddr().String(), "txn_size", h.TxnSize)
@@ -198,17 +197,6 @@ func (ss *session) handshake() error {
 	return ss.bw.Flush()
 }
 
-// growFrameBuf sizes the stable frame read buffer for the largest legal
-// batch of a txnSize-byte stream, keeping the largest size any open stream
-// has needed (plus envelope headroom) so steady-state reads allocate
-// nothing.
-func (ss *session) growFrameBuf(txnSize int) {
-	need := 1 + 32 + 4 + ss.srv.cfg.BatchLimit*(9+txnSize)
-	if len(ss.fbuf) < need {
-		ss.fbuf = make([]byte, need)
-	}
-}
-
 // readLoop consumes frames until the client closes, a protocol error
 // occurs, or the server starts draining (which fires the read deadline).
 func (ss *session) readLoop() {
@@ -226,7 +214,7 @@ func (ss *session) readLoop() {
 			ss.conn.SetReadDeadline(readStart.Add(ss.srv.cfg.ReadTimeout))
 			ss.readDLAt = readStart
 		}
-		ft, body, err := trace.ReadFrame(ss.br, ss.fbuf)
+		ft, body, err := ss.frames.ReadFrame(ss.br)
 		if err != nil {
 			if err == io.EOF {
 				return // clean client close
@@ -332,7 +320,6 @@ func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
 	ss.streams[o.ID] = st
 	ss.srv.met.streamsOpen.Add(1)
 	ss.srv.met.streamsTotal.Add(1)
-	ss.growFrameBuf(o.TxnSize)
 	st.log.Debug("stream open", "txn_size", o.TxnSize)
 	ss.srv.events.Add(obs.Event{Type: obs.EventStreamOpen, Session: ss.id, Scheme: st.schemeName, Detail: fmt.Sprintf("stream %d", o.ID)})
 	ss.out <- outFrame{t: trace.FrameStreamOpenOK, body: trace.MarshalStreamOpenOK(trace.StreamOpenOK{
@@ -432,6 +419,13 @@ func (ss *session) writeOut(f outFrame, flush bool) {
 		default:
 		}
 	}
+}
+
+// awaitWrite returns once no frame write is in progress on ss: taking the
+// write lock is the barrier.
+func (ss *session) awaitWrite() {
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
 }
 
 // noteWriteFailure classifies a reply-write failure: a deadline expiry

@@ -67,6 +67,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -328,6 +329,45 @@ func (fb *FrameBuffer) ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	ft, body, buf, err := readFrame(r, fb.buf)
 	fb.buf = buf
 	return ft, body, err
+}
+
+// connBufBytes is the bufio buffer size of every BXTP connection, each
+// direction: room for a 256×32 B batch frame several times over, so a
+// frame is read and written in one syscall.
+const connBufBytes = 64 << 10
+
+// The connection buffers are pooled: a short-lived connection, a proxy
+// health probe above all, borrows them instead of allocating 128 KiB.
+var (
+	connReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufBytes) }}
+	connWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufBytes) }}
+)
+
+// NewConnReader returns a pooled connection reader over r (nil for one
+// that is Reset onto a connection later).
+func NewConnReader(r io.Reader) *bufio.Reader {
+	br := connReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// NewConnWriter returns a pooled connection writer over w (nil for one
+// that is Reset onto a connection later).
+func NewConnWriter(w io.Writer) *bufio.Writer {
+	bw := connWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// ReleaseConnBuffers returns a connection's reader and writer to the pool,
+// dropping any unread input and unflushed output. The caller must not
+// touch either afterwards, so it releases them only once no goroutine can
+// still read or write through them.
+func ReleaseConnBuffers(br *bufio.Reader, bw *bufio.Writer) {
+	br.Reset(nil)
+	bw.Reset(nil)
+	connReaders.Put(br)
+	connWriters.Put(bw)
 }
 
 // readFrame is ReadFrame that also returns the buffer the frame was read

@@ -109,6 +109,41 @@ func TestFrameBufferReuse(t *testing.T) {
 	}
 }
 
+// TestConnBuffersStartClean checks that pooled connection buffers come
+// back at full size holding nothing of the connection that released them:
+// no unread input, no unflushed output.
+func TestConnBuffersStartClean(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		var wire bytes.Buffer
+		br := NewConnReader(bytes.NewReader(bytes.Repeat([]byte{0xEE}, 300)))
+		bw := NewConnWriter(&wire)
+		if _, err := br.Peek(100); err != nil {
+			t.Fatalf("Peek: %v", err)
+		}
+		bw.WriteString("left unflushed")
+		if br.Size() != connBufBytes || bw.Size() != connBufBytes {
+			t.Fatalf("buffer sizes %d/%d, want %d", br.Size(), bw.Size(), connBufBytes)
+		}
+		ReleaseConnBuffers(br, bw)
+
+		br = NewConnReader(bytes.NewReader([]byte{1}))
+		bw = NewConnWriter(&wire)
+		if n := br.Buffered(); n != 0 {
+			t.Fatalf("reused reader holds %d stale bytes", n)
+		}
+		if b, err := br.ReadByte(); err != nil || b != 1 {
+			t.Fatalf("reused reader read %#x, %v; want the new connection's 0x01", b, err)
+		}
+		if n := bw.Buffered(); n != 0 {
+			t.Fatalf("reused writer holds %d unflushed bytes", n)
+		}
+		if err := bw.Flush(); err != nil || wire.Len() != 0 {
+			t.Fatalf("flushing the reused writer wrote %d bytes, err %v", wire.Len(), err)
+		}
+		ReleaseConnBuffers(br, bw)
+	}
+}
+
 // TestFrameZeroAlloc pins the framing hot path: writing a frame through a
 // *bufio.Writer and reading it back through a *bufio.Reader allocates
 // nothing once the buffers exist, whether the body lands in a FrameBuffer
