@@ -8,7 +8,7 @@
 //	bxtd                                   # defaults: :9650 serving, :9651 metrics
 //	bxtd -listen :7000 -metrics :7001 -workers 16
 //	bxtd -log-level debug -log-format json # structured logs to stderr
-//	bxtd -debug=false                      # disable /debug/pprof and /debug/events
+//	bxtd -debug=false                      # disable /debug/pprof, /debug/events, /debug/trace, /debug/poison
 //	bxtd -chaos seed=7,corrupt=0.01        # fault drill: sabotage own serving path
 //	bxtd -simcache -simcache-snapshot /var/lib/bxtd/sim  # similarity cache + warm restarts
 //	bxtd -schemes                          # list servable scheme names
@@ -39,37 +39,37 @@ import (
 )
 
 func main() {
-	def := config.DefaultServer()
-	listen := flag.String("listen", def.ListenAddr, "transcoding listen address")
-	metrics := flag.String("metrics", def.MetricsAddr, "metrics/health listen address")
-	workers := flag.Int("workers", def.Workers, "concurrent batch encodes server-wide")
-	maxConns := flag.Int("max-conns", def.MaxConns, "connection limit")
-	batchLimit := flag.Int("batch-limit", def.BatchLimit, "max transactions per batch")
-	readTimeout := flag.Duration("read-timeout", def.ReadTimeout, "per-frame read deadline")
-	writeTimeout := flag.Duration("write-timeout", def.WriteTimeout, "per-frame write deadline")
-	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout, "shutdown drain budget")
-	defScheme := flag.String("scheme", def.DefaultScheme, `scheme served when clients ask for "default"`)
-	baseSize := flag.Int("base", def.BaseSize, "element size in bytes for Base+XOR family schemes")
-	stages := flag.Int("stages", def.Stages, "halving stages for the universal scheme")
-	width := flag.Int("width", def.ChannelWidthBits, "channel width in bits")
-	logLevel := flag.String("log-level", def.LogLevel, "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", def.LogFormat, "log handler: text or json")
-	slowBatch := flag.Duration("slow-batch", def.SlowBatch, "processing time above which a batch is logged as slow")
-	debug := flag.Bool("debug", def.Debug, "serve /debug/pprof/ and /debug/events on the metrics port")
-	events := flag.Int("events", def.EventBuffer, "lifecycle events retained by /debug/events")
-	faultBudget := flag.Int("fault-budget", def.FaultBudget, "recoverable batch faults tolerated per session before disconnect")
-	admitTimeout := flag.Duration("admit-timeout", def.AdmitTimeout, "worker-slot wait above which a batch is shed with a Busy reply")
-	maxPending := flag.Int("max-pending", def.MaxPending, "batches waiting for workers before immediate shedding")
-	streamLimit := flag.Int("stream-limit", def.StreamLimit, "logical streams allowed per multiplexed (v4) connection")
-	traceBuffer := flag.Int("trace-buffer", def.TraceBuffer, "batch spans retained by /debug/trace")
-	stateDir := flag.String("state-dir", def.StateDir, "directory for drain-time session state snapshots (empty disables)")
+	cfg := config.DefaultServer()
+	flag.StringVar(&cfg.ListenAddr, "listen", cfg.ListenAddr, "transcoding listen address")
+	flag.StringVar(&cfg.MetricsAddr, "metrics", cfg.MetricsAddr, "metrics/health listen address")
+	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent batch encodes server-wide")
+	flag.IntVar(&cfg.MaxConns, "max-conns", cfg.MaxConns, "connection limit")
+	flag.IntVar(&cfg.BatchLimit, "batch-limit", cfg.BatchLimit, "max transactions per batch")
+	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", cfg.ReadTimeout, "per-frame read deadline")
+	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-frame write deadline")
+	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "shutdown drain budget")
+	flag.StringVar(&cfg.DefaultScheme, "scheme", cfg.DefaultScheme, `scheme served when clients ask for "default"`)
+	flag.IntVar(&cfg.BaseSize, "base", cfg.BaseSize, "element size in bytes for Base+XOR family schemes")
+	flag.IntVar(&cfg.Stages, "stages", cfg.Stages, "halving stages for the universal scheme")
+	flag.IntVar(&cfg.ChannelWidthBits, "width", cfg.ChannelWidthBits, "channel width in bits")
+	flag.StringVar(&cfg.LogLevel, "log-level", cfg.LogLevel, "log level: debug, info, warn, error")
+	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "log handler: text or json")
+	flag.DurationVar(&cfg.SlowBatch, "slow-batch", cfg.SlowBatch, "processing time above which a batch is logged as slow")
+	flag.BoolVar(&cfg.Debug, "debug", cfg.Debug, "serve /debug/pprof/, /debug/events, /debug/trace and /debug/poison on the metrics port")
+	flag.IntVar(&cfg.EventBuffer, "events", cfg.EventBuffer, "lifecycle events retained by /debug/events")
+	flag.IntVar(&cfg.FaultBudget, "fault-budget", cfg.FaultBudget, "recoverable batch faults tolerated per stream before the stream is closed")
+	flag.DurationVar(&cfg.AdmitTimeout, "admit-timeout", cfg.AdmitTimeout, "worker-slot wait above which a batch is shed with a Busy reply")
+	flag.IntVar(&cfg.MaxPending, "max-pending", cfg.MaxPending, "batches waiting for workers before immediate shedding")
+	flag.IntVar(&cfg.StreamLimit, "stream-limit", cfg.StreamLimit, "logical streams allowed per multiplexed connection")
+	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", cfg.TraceBuffer, "batch spans retained by /debug/trace")
+	flag.StringVar(&cfg.StateDir, "state-dir", cfg.StateDir, "directory for drain-time session state snapshots (empty disables)")
 	chaos := flag.String("chaos", "", "self-sabotage for fault drills: inject faults per this spec, e.g. seed=7,corrupt=0.01,panic=0.001 (keys: seed, corrupt, drop, truncate, delay, delay-ms, stall, stall-ms, err, panic)")
-	simcache := flag.Bool("simcache", def.SimCache.Enabled, "serve repeated and near-repeated transactions from the similarity cache (deterministic schemes only)")
-	simcacheCap := flag.Int("simcache-capacity", def.SimCache.Capacity, "similarity cache entries per (scheme, txn-size) instance (0 selects the default)")
-	simcacheThreshold := flag.Int("simcache-threshold", def.SimCache.Threshold, "Hamming bits below which a cached transaction counts as a near-duplicate (0 selects the default)")
-	simcacheBands := flag.Int("simcache-bands", def.SimCache.Bands, "LSH bands cut from the transaction signature (0 selects the default)")
-	simcacheShards := flag.Int("simcache-shards", def.SimCache.Shards, "independently locked similarity cache shards (0 selects the default)")
-	simcacheSnapshot := flag.String("simcache-snapshot", def.SimCache.SnapshotPath, "base path for similarity cache warm-restart snapshots (empty disables persistence)")
+	flag.BoolVar(&cfg.SimCache.Enabled, "simcache", cfg.SimCache.Enabled, "serve repeated and near-repeated transactions from the similarity cache (deterministic schemes only)")
+	flag.IntVar(&cfg.SimCache.Capacity, "simcache-capacity", cfg.SimCache.Capacity, "similarity cache entries per (scheme, txn-size) instance (0 selects the default)")
+	flag.IntVar(&cfg.SimCache.Threshold, "simcache-threshold", cfg.SimCache.Threshold, "Hamming bits below which a cached transaction counts as a near-duplicate (0 selects the default)")
+	flag.IntVar(&cfg.SimCache.Bands, "simcache-bands", cfg.SimCache.Bands, "LSH bands cut from the transaction signature (0 selects the default)")
+	flag.IntVar(&cfg.SimCache.Shards, "simcache-shards", cfg.SimCache.Shards, "independently locked similarity cache shards (0 selects the default)")
+	flag.StringVar(&cfg.SimCache.SnapshotPath, "simcache-snapshot", cfg.SimCache.SnapshotPath, "base path for similarity cache warm-restart snapshots (empty disables persistence)")
 	listSchemes := flag.Bool("schemes", false, "list servable scheme names")
 	flag.Parse()
 
@@ -80,39 +80,6 @@ func main() {
 		return
 	}
 
-	cfg := config.Server{
-		ListenAddr:       *listen,
-		MetricsAddr:      *metrics,
-		Workers:          *workers,
-		MaxConns:         *maxConns,
-		BatchLimit:       *batchLimit,
-		ReadTimeout:      *readTimeout,
-		WriteTimeout:     *writeTimeout,
-		DrainTimeout:     *drainTimeout,
-		DefaultScheme:    *defScheme,
-		BaseSize:         *baseSize,
-		Stages:           *stages,
-		ChannelWidthBits: *width,
-		LogLevel:         *logLevel,
-		LogFormat:        *logFormat,
-		SlowBatch:        *slowBatch,
-		Debug:            *debug,
-		EventBuffer:      *events,
-		FaultBudget:      *faultBudget,
-		AdmitTimeout:     *admitTimeout,
-		MaxPending:       *maxPending,
-		StreamLimit:      *streamLimit,
-		TraceBuffer:      *traceBuffer,
-		StateDir:         *stateDir,
-		SimCache: config.SimCache{
-			Enabled:      *simcache,
-			Capacity:     *simcacheCap,
-			Threshold:    *simcacheThreshold,
-			Bands:        *simcacheBands,
-			Shards:       *simcacheShards,
-			SnapshotPath: *simcacheSnapshot,
-		},
-	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bxtd:", err)

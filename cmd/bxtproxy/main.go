@@ -44,62 +44,39 @@ import (
 )
 
 func main() {
-	def := config.DefaultProxy()
-	listen := flag.String("listen", def.ListenAddr, "client-facing BXTP listen address")
-	metrics := flag.String("metrics", def.MetricsAddr, "metrics/health listen address")
-	backends := flag.String("backends", strings.Join(def.Backends, ","), "comma-separated bxtd backend addresses")
+	cfg := config.DefaultProxy()
+	flag.StringVar(&cfg.ListenAddr, "listen", cfg.ListenAddr, "client-facing BXTP listen address")
+	flag.StringVar(&cfg.MetricsAddr, "metrics", cfg.MetricsAddr, "metrics/health listen address")
+	backends := flag.String("backends", strings.Join(cfg.Backends, ","), "comma-separated bxtd backend addresses")
 	backendsFile := flag.String("backends-file", "", "file of backend addresses, one per line (# comments); overrides -backends, re-read on SIGHUP")
-	maxConns := flag.Int("max-conns", def.MaxConns, "client connection limit")
-	readTimeout := flag.Duration("read-timeout", def.ReadTimeout, "per-frame client read deadline")
-	writeTimeout := flag.Duration("write-timeout", def.WriteTimeout, "per-frame client write deadline")
-	dialTimeout := flag.Duration("dial-timeout", def.DialTimeout, "backend dial + handshake deadline")
-	exchangeTimeout := flag.Duration("exchange-timeout", def.ExchangeTimeout, "backend batch round-trip deadline")
-	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout, "shutdown drain budget")
-	healthInterval := flag.Duration("health-interval", def.HealthInterval, "gap between backend Hello probes")
-	probeScheme := flag.String("probe-scheme", def.ProbeScheme, "registry scheme health probes handshake with")
-	ejectThreshold := flag.Int("eject-threshold", def.EjectThreshold, "consecutive failures that eject a backend")
-	retryHint := flag.Duration("retry-hint", def.RetryHint, "retry-after carried by failover Busy replies")
-	stateTimeout := flag.Duration("state-timeout", def.StateTransferTimeout, "deadline for one failover state snapshot or restore exchange")
-	shadowInterval := flag.Int("shadow-interval", def.ShadowInterval, "batches between shadow snapshots of pinned stateful sessions (0 disables)")
-	streamLimit := flag.Int("stream-limit", def.StreamLimit, "logical streams allowed per multiplexed (v4) client connection")
-	boundedLoad := flag.Float64("bounded-load", def.BoundedLoadFactor, "pinned-placement load bound as a multiple of mean in-flight batches (0 disables)")
-	logLevel := flag.String("log-level", def.LogLevel, "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", def.LogFormat, "log handler: text or json")
-	debug := flag.Bool("debug", def.Debug, "serve /debug/pprof/ and /debug/trace on the metrics port")
-	traceBuffer := flag.Int("trace-buffer", def.TraceBuffer, "relay spans retained by /debug/trace")
+	flag.IntVar(&cfg.MaxConns, "max-conns", cfg.MaxConns, "client connection limit")
+	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", cfg.ReadTimeout, "per-frame client read deadline")
+	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-frame client write deadline")
+	flag.DurationVar(&cfg.DialTimeout, "dial-timeout", cfg.DialTimeout, "backend dial + handshake deadline")
+	flag.DurationVar(&cfg.ExchangeTimeout, "exchange-timeout", cfg.ExchangeTimeout, "backend batch round-trip deadline")
+	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "shutdown drain budget")
+	flag.DurationVar(&cfg.HealthInterval, "health-interval", cfg.HealthInterval, "gap between backend Hello probes")
+	flag.StringVar(&cfg.ProbeScheme, "probe-scheme", cfg.ProbeScheme, "registry scheme health probes handshake with")
+	flag.IntVar(&cfg.EjectThreshold, "eject-threshold", cfg.EjectThreshold, "consecutive failures that eject a backend")
+	flag.DurationVar(&cfg.RetryHint, "retry-hint", cfg.RetryHint, "retry-after carried by failover Busy replies")
+	flag.DurationVar(&cfg.StateTransferTimeout, "state-timeout", cfg.StateTransferTimeout, "deadline for one failover state snapshot or restore exchange")
+	flag.IntVar(&cfg.ShadowInterval, "shadow-interval", cfg.ShadowInterval, "batches between shadow snapshots of pinned stateful sessions (0 disables)")
+	flag.IntVar(&cfg.StreamLimit, "stream-limit", cfg.StreamLimit, "logical streams allowed per multiplexed client connection")
+	flag.Float64Var(&cfg.BoundedLoadFactor, "bounded-load", cfg.BoundedLoadFactor, "pinned-placement load bound as a multiple of mean in-flight batches (0 disables)")
+	flag.StringVar(&cfg.LogLevel, "log-level", cfg.LogLevel, "log level: debug, info, warn, error")
+	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "log handler: text or json")
+	flag.BoolVar(&cfg.Debug, "debug", cfg.Debug, "serve /debug/pprof/ and /debug/trace on the metrics port")
+	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", cfg.TraceBuffer, "relay spans retained by /debug/trace")
 	chaos := flag.String("chaos", "", "fault drill: inject faults into the backend leg per this spec, e.g. seed=7,corrupt=0.01 (keys: seed, corrupt, drop, truncate, delay, delay-ms, stall, stall-ms, err, panic)")
 	flag.Parse()
 
-	fleet := splitBackends(*backends)
+	cfg.Backends = splitBackends(*backends)
 	if *backendsFile != "" {
 		var err error
-		if fleet, err = readBackendsFile(*backendsFile); err != nil {
+		if cfg.Backends, err = readBackendsFile(*backendsFile); err != nil {
 			fmt.Fprintln(os.Stderr, "bxtproxy:", err)
 			os.Exit(1)
 		}
-	}
-	cfg := config.Proxy{
-		ListenAddr:           *listen,
-		MetricsAddr:          *metrics,
-		Backends:             fleet,
-		MaxConns:             *maxConns,
-		ReadTimeout:          *readTimeout,
-		WriteTimeout:         *writeTimeout,
-		DialTimeout:          *dialTimeout,
-		ExchangeTimeout:      *exchangeTimeout,
-		DrainTimeout:         *drainTimeout,
-		HealthInterval:       *healthInterval,
-		ProbeScheme:          *probeScheme,
-		EjectThreshold:       *ejectThreshold,
-		RetryHint:            *retryHint,
-		StateTransferTimeout: *stateTimeout,
-		ShadowInterval:       *shadowInterval,
-		StreamLimit:          *streamLimit,
-		BoundedLoadFactor:    *boundedLoad,
-		LogLevel:             *logLevel,
-		LogFormat:            *logFormat,
-		Debug:                *debug,
-		TraceBuffer:          *traceBuffer,
 	}
 	px, err := proxy.New(cfg)
 	if err != nil {

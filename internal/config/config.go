@@ -93,32 +93,96 @@ func SPECSystem() CPU {
 	}
 }
 
-// Server configures the bxtd encoding gateway: the TCP transcoding listener,
-// the metrics/health endpoint, the worker pool bounding concurrent batch
-// encodes, per-connection limits, and the codec constructor parameters used
-// when a session names a parameterized scheme family.
-type Server struct {
-	// ListenAddr is the transcoding listener's TCP address.
+// Listener configures the connection host bxtd and bxtproxy share
+// (internal/serve): the BXTP and metrics listeners, the session cap, the
+// per-frame deadlines, the drain budget, logging, and the debug surfaces.
+type Listener struct {
+	// ListenAddr is the BXTP listener's TCP address.
 	ListenAddr string
 	// MetricsAddr is the HTTP /metrics + /healthz listener's address.
 	MetricsAddr string
-	// Workers bounds how many batches encode concurrently across all
-	// connections.
-	Workers int
 	// MaxConns caps simultaneous client sessions; connections beyond the
-	// cap are refused with a protocol error.
+	// cap are refused with an Error frame.
 	MaxConns int
-	// BatchLimit is the maximum transaction count accepted per batch
-	// frame, advertised to clients in the handshake.
-	BatchLimit int
 	// ReadTimeout bounds the wait for one frame from an idle client;
 	// WriteTimeout bounds one reply write to a slow client. Either
-	// expiring tears the session down so it cannot stall the pool.
+	// expiring tears the session down so it cannot hold its slot.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown: sessions still open after it
 	// are force-closed.
 	DrainTimeout time.Duration
+	// LogLevel and LogFormat select the structured-log verbosity (debug,
+	// info, warn, error) and handler (text, json).
+	LogLevel  string
+	LogFormat string
+	// Debug mounts net/http/pprof under /debug/pprof/ on the metrics
+	// listener, plus each tier's debug surfaces: bxtd's /debug/events,
+	// /debug/trace and /debug/poison, and bxtproxy's /debug/trace. When
+	// false those paths answer 404.
+	Debug bool
+	// TraceBuffer is how many batch spans the /debug/trace ring retains.
+	TraceBuffer int
+}
+
+// defaultListener is both tiers' host configuration, listening on the
+// given addresses.
+func defaultListener(listen, metrics string) Listener {
+	return Listener{
+		ListenAddr:   listen,
+		MetricsAddr:  metrics,
+		MaxConns:     256,
+		ReadTimeout:  30 * time.Second,
+		WriteTimeout: 30 * time.Second,
+		DrainTimeout: 10 * time.Second,
+		LogLevel:     "info",
+		LogFormat:    "text",
+		Debug:        true,
+		TraceBuffer:  2048,
+	}
+}
+
+// Validate reports the first configuration error, or nil.
+func (l Listener) Validate() error {
+	if l.ListenAddr == "" {
+		return fmt.Errorf("config: empty listen address")
+	}
+	if l.MetricsAddr == "" {
+		return fmt.Errorf("config: empty metrics address")
+	}
+	if l.MaxConns <= 0 {
+		return fmt.Errorf("config: connection limit %d is not positive", l.MaxConns)
+	}
+	if l.ReadTimeout <= 0 || l.WriteTimeout <= 0 {
+		return fmt.Errorf("config: read/write timeouts must be positive (got %v, %v)", l.ReadTimeout, l.WriteTimeout)
+	}
+	if l.DrainTimeout <= 0 {
+		return fmt.Errorf("config: drain timeout %v is not positive", l.DrainTimeout)
+	}
+	if _, err := obs.ParseLevel(l.LogLevel); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if f := strings.ToLower(l.LogFormat); f != "text" && f != "json" {
+		return fmt.Errorf("config: unknown log format %q (want text or json)", l.LogFormat)
+	}
+	if l.TraceBuffer <= 0 {
+		return fmt.Errorf("config: trace buffer size %d is not positive", l.TraceBuffer)
+	}
+	return nil
+}
+
+// Server configures the bxtd encoding gateway: the connection host, the
+// worker pool bounding concurrent batch encodes, per-connection limits,
+// and the codec constructor parameters used when a session names a
+// parameterized scheme family.
+type Server struct {
+	Listener
+	// Workers bounds how many batches encode concurrently across all
+	// connections.
+	Workers int
+	// BatchLimit is the maximum transaction count accepted per batch
+	// frame, advertised to clients in the handshake.
+	BatchLimit int
 	// DefaultScheme is the codec used when a client's Hello names the
 	// empty scheme.
 	DefaultScheme string
@@ -129,21 +193,15 @@ type Server struct {
 	// ChannelWidthBits is the modeled bus width for per-session wire
 	// activity accounting.
 	ChannelWidthBits int
-	// LogLevel and LogFormat select the gateway's structured-log
-	// verbosity (debug, info, warn, error) and handler (text, json).
-	LogLevel  string
-	LogFormat string
 	// SlowBatch is the server-side processing time (encode + accounting)
 	// above which a batch is logged and recorded as a slow_batch event.
 	SlowBatch time.Duration
-	// Debug mounts /debug/pprof/ and /debug/events on the metrics
-	// listener. When false those paths answer 404.
-	Debug bool
 	// EventBuffer is how many lifecycle events /debug/events retains.
 	EventBuffer int
 	// FaultBudget is how many recoverable batch faults (malformed or
-	// corrupt batches, codec errors, codec panics) one session may
-	// accumulate before the gateway disconnects the peer as abusive.
+	// corrupt batches, codec errors, codec panics) one stream may
+	// accumulate before the gateway closes that stream with an unprompted
+	// StreamClosed; the connection and its other streams keep serving.
 	FaultBudget int
 	// AdmitTimeout bounds how long a parsed batch may wait for a worker
 	// slot before the gateway sheds it with a retryable Busy reply.
@@ -152,8 +210,6 @@ type Server struct {
 	// sessions; beyond it batches are shed immediately instead of
 	// deepening the queue.
 	MaxPending int
-	// TraceBuffer is how many batch spans the /debug/trace ring retains.
-	TraceBuffer int
 	// StreamLimit caps the logical streams one connection may hold open
 	// at once; StreamOpen frames beyond it are refused (the connection
 	// itself stays up).
@@ -221,27 +277,18 @@ func (s SimCache) Validate() error {
 // codec parameters on the Table I channel, 8 workers, 256 connections.
 func DefaultServer() Server {
 	return Server{
-		ListenAddr:       "127.0.0.1:9650",
-		MetricsAddr:      "127.0.0.1:9651",
+		Listener:         defaultListener("127.0.0.1:9650", "127.0.0.1:9651"),
 		Workers:          8,
-		MaxConns:         256,
 		BatchLimit:       4096,
-		ReadTimeout:      30 * time.Second,
-		WriteTimeout:     30 * time.Second,
-		DrainTimeout:     10 * time.Second,
 		DefaultScheme:    "universal",
 		BaseSize:         4,
 		Stages:           3,
 		ChannelWidthBits: TitanX().ChannelWidthBits,
-		LogLevel:         "info",
-		LogFormat:        "text",
 		SlowBatch:        250 * time.Millisecond,
-		Debug:            true,
 		EventBuffer:      256,
 		FaultBudget:      16,
 		AdmitTimeout:     500 * time.Millisecond,
 		MaxPending:       32,
-		TraceBuffer:      2048,
 		StreamLimit:      4096,
 	}
 }
@@ -253,26 +300,14 @@ func (s Server) SchemeOptions() scheme.Options {
 
 // Validate reports the first configuration error, or nil.
 func (s Server) Validate() error {
-	if s.ListenAddr == "" {
-		return fmt.Errorf("config: empty listen address")
-	}
-	if s.MetricsAddr == "" {
-		return fmt.Errorf("config: empty metrics address")
+	if err := s.Listener.Validate(); err != nil {
+		return err
 	}
 	if s.Workers <= 0 {
 		return fmt.Errorf("config: worker count %d is not positive", s.Workers)
 	}
-	if s.MaxConns <= 0 {
-		return fmt.Errorf("config: connection limit %d is not positive", s.MaxConns)
-	}
 	if s.BatchLimit <= 0 {
 		return fmt.Errorf("config: batch limit %d is not positive", s.BatchLimit)
-	}
-	if s.ReadTimeout <= 0 || s.WriteTimeout <= 0 {
-		return fmt.Errorf("config: read/write timeouts must be positive (got %v, %v)", s.ReadTimeout, s.WriteTimeout)
-	}
-	if s.DrainTimeout <= 0 {
-		return fmt.Errorf("config: drain timeout %v is not positive", s.DrainTimeout)
 	}
 	if !scheme.Known(s.DefaultScheme) {
 		return fmt.Errorf("config: unknown default scheme %q", s.DefaultScheme)
@@ -282,12 +317,6 @@ func (s Server) Validate() error {
 	}
 	if s.ChannelWidthBits <= 0 || s.ChannelWidthBits%8 != 0 {
 		return fmt.Errorf("config: channel width %d is not a positive multiple of 8", s.ChannelWidthBits)
-	}
-	if _, err := obs.ParseLevel(s.LogLevel); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if f := strings.ToLower(s.LogFormat); f != "text" && f != "json" {
-		return fmt.Errorf("config: unknown log format %q (want text or json)", s.LogFormat)
 	}
 	if s.SlowBatch <= 0 {
 		return fmt.Errorf("config: slow-batch threshold %v is not positive", s.SlowBatch)
@@ -304,9 +333,6 @@ func (s Server) Validate() error {
 	if s.MaxPending <= 0 {
 		return fmt.Errorf("config: pending batch limit %d is not positive", s.MaxPending)
 	}
-	if s.TraceBuffer <= 0 {
-		return fmt.Errorf("config: trace buffer size %d is not positive", s.TraceBuffer)
-	}
 	if s.StreamLimit <= 0 {
 		return fmt.Errorf("config: stream limit %d is not positive", s.StreamLimit)
 	}
@@ -317,23 +343,14 @@ func (s Server) Validate() error {
 }
 
 // Proxy configures bxtproxy, the sharded serving tier that fronts a fleet
-// of bxtd backends: the client-facing BXTP listener, the metrics endpoint,
-// the backend set, health probing and outlier ejection, and the conversion
-// hint returned when a dead backend's in-flight batch is bounced back to
-// the client as retryable.
+// of bxtd backends: the client-facing connection host, the backend set,
+// health probing and outlier ejection, and the conversion hint returned
+// when a dead backend's in-flight batch is bounced back to the client as
+// retryable.
 type Proxy struct {
-	// ListenAddr is the client-facing BXTP listener's TCP address.
-	ListenAddr string
-	// MetricsAddr is the HTTP /metrics + /healthz listener's address.
-	MetricsAddr string
+	Listener
 	// Backends are the bxtd transcoding addresses batches fan out across.
 	Backends []string
-	// MaxConns caps simultaneous client sessions.
-	MaxConns int
-	// ReadTimeout bounds the wait for one frame from an idle client;
-	// WriteTimeout bounds one reply write toward a slow client.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 	// DialTimeout bounds one backend dial plus handshake; ExchangeTimeout
 	// bounds one full batch round trip on the backend leg. Keep
 	// ExchangeTimeout below the clients' IO timeout: the proxy must give
@@ -342,8 +359,6 @@ type Proxy struct {
 	// the failover machinery exists to preserve.
 	DialTimeout     time.Duration
 	ExchangeTimeout time.Duration
-	// DrainTimeout bounds graceful shutdown.
-	DrainTimeout time.Duration
 	// HealthInterval is the gap between BXTP Hello probes of each backend;
 	// ProbeScheme is the registry scheme the probe handshakes with.
 	HealthInterval time.Duration
@@ -377,14 +392,6 @@ type Proxy struct {
 	// order, so one hot backend sheds new pins. 0 disables the bound
 	// (pure rendezvous).
 	BoundedLoadFactor float64
-	// LogLevel and LogFormat select the structured-log verbosity and
-	// handler, as on the gateway.
-	LogLevel  string
-	LogFormat string
-	// Debug mounts /debug/pprof/ and /debug/trace on the metrics listener.
-	Debug bool
-	// TraceBuffer is how many relay spans the /debug/trace ring retains.
-	TraceBuffer int
 }
 
 // DefaultProxy returns the proxy tier's default configuration: one local
@@ -392,15 +399,10 @@ type Proxy struct {
 // failures.
 func DefaultProxy() Proxy {
 	return Proxy{
-		ListenAddr:           "127.0.0.1:9660",
-		MetricsAddr:          "127.0.0.1:9661",
+		Listener:             defaultListener("127.0.0.1:9660", "127.0.0.1:9661"),
 		Backends:             []string{"127.0.0.1:9650"},
-		MaxConns:             256,
-		ReadTimeout:          30 * time.Second,
-		WriteTimeout:         30 * time.Second,
 		DialTimeout:          5 * time.Second,
 		ExchangeTimeout:      15 * time.Second,
-		DrainTimeout:         10 * time.Second,
 		HealthInterval:       500 * time.Millisecond,
 		ProbeScheme:          "baseline",
 		EjectThreshold:       3,
@@ -409,20 +411,13 @@ func DefaultProxy() Proxy {
 		ShadowInterval:       16,
 		StreamLimit:          4096,
 		BoundedLoadFactor:    1.25,
-		LogLevel:             "info",
-		LogFormat:            "text",
-		Debug:                true,
-		TraceBuffer:          2048,
 	}
 }
 
 // Validate reports the first configuration error, or nil.
 func (p Proxy) Validate() error {
-	if p.ListenAddr == "" {
-		return fmt.Errorf("config: empty proxy listen address")
-	}
-	if p.MetricsAddr == "" {
-		return fmt.Errorf("config: empty proxy metrics address")
+	if err := p.Listener.Validate(); err != nil {
+		return err
 	}
 	if len(p.Backends) == 0 {
 		return fmt.Errorf("config: proxy has no backends")
@@ -437,17 +432,8 @@ func (p Proxy) Validate() error {
 		}
 		seen[b] = true
 	}
-	if p.MaxConns <= 0 {
-		return fmt.Errorf("config: connection limit %d is not positive", p.MaxConns)
-	}
-	if p.ReadTimeout <= 0 || p.WriteTimeout <= 0 {
-		return fmt.Errorf("config: read/write timeouts must be positive (got %v, %v)", p.ReadTimeout, p.WriteTimeout)
-	}
 	if p.DialTimeout <= 0 || p.ExchangeTimeout <= 0 {
 		return fmt.Errorf("config: dial/exchange timeouts must be positive (got %v, %v)", p.DialTimeout, p.ExchangeTimeout)
-	}
-	if p.DrainTimeout <= 0 {
-		return fmt.Errorf("config: drain timeout %v is not positive", p.DrainTimeout)
 	}
 	if p.HealthInterval <= 0 {
 		return fmt.Errorf("config: health interval %v is not positive", p.HealthInterval)
@@ -472,15 +458,6 @@ func (p Proxy) Validate() error {
 	}
 	if p.BoundedLoadFactor < 0 {
 		return fmt.Errorf("config: bounded-load factor %v is negative", p.BoundedLoadFactor)
-	}
-	if _, err := obs.ParseLevel(p.LogLevel); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if f := strings.ToLower(p.LogFormat); f != "text" && f != "json" {
-		return fmt.Errorf("config: unknown log format %q (want text or json)", p.LogFormat)
-	}
-	if p.TraceBuffer <= 0 {
-		return fmt.Errorf("config: trace buffer size %d is not positive", p.TraceBuffer)
 	}
 	return nil
 }

@@ -8,14 +8,11 @@ import (
 	"github.com/hpca18/bxt/internal/obs"
 )
 
-// metrics is the proxy's observability state: connection gauges, failover
-// conversion counters, and per-(scheme, stage) latency histograms, exposed
-// in Prometheus text format alongside per-backend serving counters.
+// metrics is the proxy's observability state: failover conversion
+// counters and per-(scheme, stage) latency histograms, exposed in
+// Prometheus text format after the connection host's draining and
+// connections_* families, alongside per-backend serving counters.
 type metrics struct {
-	connsActive   atomic.Int64
-	connsTotal    atomic.Uint64
-	connsRejected atomic.Uint64
-
 	// Failover accounting. busyConverted counts dead-backend batches
 	// answered with a retryable Busy frame (stateless sessions);
 	// faultConverted counts those answered with a codec-reset BatchError
@@ -76,21 +73,14 @@ func newMetrics(traceBuffer int, est obs.EnergyEstimator) *metrics {
 	}
 }
 
-// writeExposition renders the full /metrics document: proxy state, one
-// series set per configured backend (including the wire and energy
-// families aggregated per backend from relayed BatchStats), stage latency
-// histograms, and Go runtime gauges. The connection, wire, and energy
-// families render through the obs.Expo registry shared with bxtd.
-func (m *metrics) writeExposition(w io.Writer, backends []*backend, draining bool) {
+// writeExposition renders the proxy's part of the /metrics document:
+// failover and stream counters, one series set per configured backend
+// (including the wire and energy families aggregated per backend from
+// relayed BatchStats), stage latency histograms, and Go runtime gauges.
+// The wire and energy families render through the obs.Expo registry
+// shared with bxtd.
+func (m *metrics) writeExposition(w io.Writer, backends []*backend) {
 	e := obs.Expo{W: w, Prefix: "bxtproxy_"}
-	d := int64(0)
-	if draining {
-		d = 1
-	}
-	e.Int(obs.FamDraining, "", d)
-	e.Int(obs.FamConnsActive, "", m.connsActive.Load())
-	e.Uint(obs.FamConnsTotal, "", m.connsTotal.Load())
-	e.Uint(obs.FamConnsRejected, "", m.connsRejected.Load())
 	fmt.Fprintf(w, "bxtproxy_busy_converted_total %d\n", m.busyConverted.Load())
 	fmt.Fprintf(w, "bxtproxy_batch_error_converted_total %d\n", m.faultConverted.Load())
 	fmt.Fprintf(w, "bxtproxy_relayed_faults_total %d\n", m.relayedFaults.Load())

@@ -45,11 +45,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +57,7 @@ import (
 	"github.com/hpca18/bxt/internal/faults"
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/power"
+	"github.com/hpca18/bxt/internal/serve"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -67,31 +67,21 @@ const probeTxnSize = 64
 
 // Proxy is a bxtproxy instance.
 type Proxy struct {
-	cfg config.Proxy
-	met *metrics
-	log *slog.Logger
+	cfg  config.Proxy
+	host *serve.Host[*session]
+	met  *metrics
+	log  *slog.Logger
 	// backends is the live fleet, replaced wholesale (copy-on-write under
 	// mu) by AddBackend/RemoveBackend so the routing hot path reads a
 	// consistent snapshot without locking.
 	backends atomic.Pointer[[]*backend]
-	// sessionIDs hands out per-connection IDs correlating logs and the
-	// rendezvous pin placement for one session.
-	sessionIDs atomic.Uint64
 	// inj, when non-nil, injects transport faults into the proxy↔backend
 	// leg only: the client-facing socket stays clean, so chaos drills
 	// exercise failover conversion rather than client parsing.
 	inj *faults.Injector
 
-	mu         sync.Mutex
-	ln         net.Listener
-	httpLn     net.Listener
-	httpSrv    *http.Server
-	sessions   map[*session]struct{}
-	started    bool
-	draining   bool
-	stopProbes chan struct{}
-
-	wg sync.WaitGroup // accept loop + sessions + probe loops
+	// mu serializes fleet changes and the probe loops they start.
+	mu sync.Mutex
 }
 
 // New validates cfg and returns an unstarted proxy.
@@ -99,20 +89,24 @@ func New(cfg config.Proxy) (*Proxy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	logger, err := obs.NewLogger(os.Stderr, cfg.LogLevel, cfg.LogFormat)
-	if err != nil {
-		return nil, err // unreachable after Validate, but keep the contract
-	}
 	p := &Proxy{
 		cfg: cfg,
 		// The proxy runs the same power model as the gateways it fronts,
 		// so its per-backend energy aggregation (rebuilt from relayed
 		// BatchStats wire counters) is commensurate with theirs.
-		met:        newMetrics(cfg.TraceBuffer, power.NewModel().Estimator()),
-		log:        logger,
-		sessions:   make(map[*session]struct{}),
-		stopProbes: make(chan struct{}),
+		met: newMetrics(cfg.TraceBuffer, power.NewModel().Estimator()),
 	}
+	host, err := serve.New(cfg.Listener, serve.Tier[*session]{
+		Name:          "proxy",
+		MetricsPrefix: "bxtproxy_",
+		Open:          p.newSession,
+		Routes:        p.routes,
+		Metrics:       func(w io.Writer) { p.met.writeExposition(w, p.backendList()) },
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.host, p.log = host, host.Logger()
 	var backends []*backend
 	for _, addr := range cfg.Backends {
 		b := newBackend(addr)
@@ -150,10 +144,7 @@ func (p *Proxy) AddBackend(addr string) error {
 	copy(next, old)
 	next = append(next, b)
 	p.backends.Store(&next)
-	if p.started && !p.draining {
-		p.wg.Add(1)
-		go p.probeLoop(b)
-	}
+	p.host.Go(func() { p.probeLoop(b) })
 	p.log.Info("backend added", "backend", addr, "fleet", len(next))
 	return nil
 }
@@ -232,6 +223,7 @@ func (p *Proxy) Logger() *slog.Logger { return p.log }
 func (p *Proxy) SetLogger(l *slog.Logger) {
 	if l != nil {
 		p.log = l
+		p.host.SetLogger(l)
 	}
 }
 
@@ -239,15 +231,9 @@ func (p *Proxy) SetLogger(l *slog.Logger) {
 // bxtproxy_stage_seconds exposition.
 func (p *Proxy) Tracer() obs.Tracer { return p.met.stages }
 
-func (p *Proxy) buildMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if p.isDraining() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
+// routes mounts bxtproxy's own routes on the metrics listener: per-backend
+// /drain, /backends, and — only when cfg.Debug — the relay-span ring.
+func (p *Proxy) routes(mux *http.ServeMux) {
 	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -307,19 +293,9 @@ func (p *Proxy) buildMux() *http.ServeMux {
 			http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)
 		}
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		p.met.writeExposition(w, p.backendList(), p.isDraining())
-	})
 	if p.cfg.Debug {
 		mux.Handle("/debug/trace", obs.TraceHandler(p.met.traces, p.met.stages))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
 }
 
 // Start opens both listeners, launches one health-probe loop per backend,
@@ -327,119 +303,33 @@ func (p *Proxy) buildMux() *http.ServeMux {
 func (p *Proxy) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
-		return errors.New("proxy: already started")
+	if err := p.host.Start(); err != nil {
+		return err
 	}
-	ln, err := net.Listen("tcp", p.cfg.ListenAddr)
-	if err != nil {
-		return fmt.Errorf("proxy: listen %s: %w", p.cfg.ListenAddr, err)
-	}
-	httpLn, err := net.Listen("tcp", p.cfg.MetricsAddr)
-	if err != nil {
-		ln.Close()
-		return fmt.Errorf("proxy: listen %s: %w", p.cfg.MetricsAddr, err)
-	}
-	p.ln, p.httpLn = ln, httpLn
-	p.httpSrv = &http.Server{Handler: p.buildMux()}
-	p.started = true
-	p.log.Info("listening",
-		"addr", ln.Addr().String(),
-		"metrics_addr", httpLn.Addr().String(),
-		"backends", p.cfg.Backends,
-		"max_conns", p.cfg.MaxConns)
-
-	go p.httpSrv.Serve(httpLn) //nolint:errcheck // returns on Close
-	p.wg.Add(1)
-	go p.acceptLoop(ln)
 	for _, b := range p.backendList() {
-		p.wg.Add(1)
-		go p.probeLoop(b)
+		b := b
+		p.host.Go(func() { p.probeLoop(b) })
 	}
 	return nil
 }
 
 // Addr returns the client-facing listener's bound address.
-func (p *Proxy) Addr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return ""
-	}
-	return p.ln.Addr().String()
-}
+func (p *Proxy) Addr() string { return p.host.Addr() }
 
 // MetricsAddr returns the metrics listener's bound address.
-func (p *Proxy) MetricsAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.httpLn == nil {
-		return ""
-	}
-	return p.httpLn.Addr().String()
-}
+func (p *Proxy) MetricsAddr() string { return p.host.MetricsAddr() }
 
-func (p *Proxy) isDraining() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draining
-}
-
-func (p *Proxy) acceptLoop(ln net.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Shutdown/Close
-		}
-		p.met.connsTotal.Add(1)
-		if n := p.met.connsActive.Load(); int(n) >= p.cfg.MaxConns {
-			p.met.connsRejected.Add(1)
-			p.refuse(conn, "proxy at connection capacity")
-			continue
-		}
-		ss := p.newSession(conn)
-		if ss == nil {
-			p.refuse(conn, "proxy is draining")
-			continue
-		}
-		p.wg.Add(1)
-		p.met.connsActive.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer p.met.connsActive.Add(-1)
-			defer p.dropSession(ss)
-			ss.run()
-		}()
-	}
-}
-
-func (p *Proxy) refuse(conn net.Conn, msg string) {
-	p.log.Warn("connection refused", "remote", conn.RemoteAddr().String(), "reason", msg)
-	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	_ = trace.WriteFrame(conn, trace.FrameError, []byte(msg))
-	conn.Close()
-}
-
-func (p *Proxy) newSession(conn net.Conn) *session {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.draining {
-		return nil
-	}
-	ss := &session{
+func (p *Proxy) newSession(conn net.Conn, id uint64) *session {
+	br := trace.NewConnReader(conn)
+	return &session{
 		p:    p,
-		id:   p.sessionIDs.Add(1),
+		id:   id,
 		conn: conn,
+		br:   br,
+		bw:   trace.NewConnWriter(conn),
+		in:   p.host.NewReader(conn, br),
 		ups:  make(map[*backend]*upstream),
 	}
-	p.sessions[ss] = struct{}{}
-	return ss
-}
-
-func (p *Proxy) dropSession(ss *session) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.sessions, ss)
 }
 
 // weightTieBand is how close (multiplicatively) two weighted routing
@@ -606,13 +496,12 @@ func (p *Proxy) noteBackendOK(b *backend) {
 // HealthInterval until shutdown or until the backend is removed from the
 // fleet.
 func (p *Proxy) probeLoop(b *backend) {
-	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.HealthInterval)
 	defer t.Stop()
 	for {
 		p.probe(b)
 		select {
-		case <-p.stopProbes:
+		case <-p.host.Stopping():
 			return
 		case <-b.gone:
 			return
@@ -637,86 +526,11 @@ func (p *Proxy) probe(b *backend) {
 // Shutdown drains the proxy: it stops accepting and probing, flips
 // /healthz to draining, interrupts idle session reads, lets in-flight
 // batches complete, and waits for every session to close. The metrics
-// endpoint stays up (reporting the draining state) until Close.
-func (p *Proxy) Shutdown(ctx context.Context) error {
-	p.mu.Lock()
-	if !p.started {
-		p.mu.Unlock()
-		return nil
-	}
-	already := p.draining
-	p.draining = true
-	ln := p.ln
-	sessions := make([]*session, 0, len(p.sessions))
-	for ss := range p.sessions {
-		sessions = append(sessions, ss)
-	}
-	p.mu.Unlock()
-
-	if !already {
-		p.log.Info("draining", "open_sessions", len(sessions))
-		close(p.stopProbes)
-		if ln != nil {
-			ln.Close()
-		}
-	}
-	// Fire every session's pending read immediately: readers blocked on an
-	// idle socket wake with a timeout, see the draining flag, and wind
-	// down after flushing whatever is in flight.
-	for _, ss := range sessions {
-		ss.conn.SetReadDeadline(time.Now())
-	}
-
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	// A session that was mid-batch when the deadlines fired re-arms its
-	// read deadline on the next loop; keep re-firing until the drain
-	// completes so no reader sits out its full idle timeout.
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(20 * time.Millisecond):
-				p.mu.Lock()
-				for ss := range p.sessions {
-					ss.conn.SetReadDeadline(time.Now())
-				}
-				p.mu.Unlock()
-			}
-		}
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		for ss := range p.sessions {
-			ss.conn.Close()
-		}
-		p.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
+// endpoint stays up (reporting the draining state) until Close. Shutdown
+// returns ctx's error if the drain does not finish in time, after
+// force-closing the stragglers.
+func (p *Proxy) Shutdown(ctx context.Context) error { return p.host.Shutdown(ctx) }
 
 // Close releases everything: an immediate drain bounded by DrainTimeout,
 // then the metrics endpoint.
-func (p *Proxy) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.DrainTimeout)
-	defer cancel()
-	err := p.Shutdown(ctx)
-	p.mu.Lock()
-	httpSrv, httpLn := p.httpSrv, p.httpLn
-	p.httpSrv, p.httpLn = nil, nil
-	p.mu.Unlock()
-	if httpSrv != nil {
-		httpSrv.Close()
-	} else if httpLn != nil {
-		httpLn.Close()
-	}
-	return err
-}
+func (p *Proxy) Close() error { return p.host.Close() }

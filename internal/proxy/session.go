@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"time"
 
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/scheme"
+	"github.com/hpca18/bxt/internal/serve"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -31,7 +31,11 @@ type session struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	log  *slog.Logger
+	// in reads the Hello and every later client frame under the idle
+	// deadline; a relayed batch body aliases its buffer until the
+	// upstream exchange returns.
+	in  serve.Reader
+	log *slog.Logger
 
 	// hello is the client's Hello, stream 0's parameters; every upstream
 	// connection replays it when dialing, whichever stream triggered the
@@ -46,10 +50,6 @@ type session struct {
 	// per-connection in upstream.open).
 	ups map[*backend]*upstream
 
-	// frames is the client-side frame read buffer; a relayed batch body
-	// aliases it until the upstream exchange returns.
-	frames trace.FrameBuffer
-
 	// traceID is the current batch's end-to-end trace id; span is its
 	// relay-leg record — frame_read,
 	// backend_exchange, frame_write — fed to the proxy's /debug/trace
@@ -58,10 +58,8 @@ type session struct {
 	span    obs.Span
 }
 
-// run drives the session: handshake, then the relay loop.
-func (ss *session) run() {
-	ss.br = trace.NewConnReader(ss.conn)
-	ss.bw = trace.NewConnWriter(ss.conn)
+// Serve drives the session: handshake, then the relay loop.
+func (ss *session) Serve() {
 	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 	defer ss.closeUpstreams()
@@ -122,26 +120,11 @@ func (ss *session) teardownStreams() {
 // handshake reads the client Hello, opens the first upstream (which also
 // validates the scheme and transaction size against a real backend), and
 // answers HelloOK with the backend's MetaBits and BatchLimit. Any failure,
-// a Hello naming a revision other than trace.ProtocolVersion included, is
-// answered with an Error frame before the connection closes.
+// a Hello the host's check refuses included, is answered with an Error
+// frame before the connection closes.
 func (ss *session) handshake() error {
-	ss.conn.SetReadDeadline(time.Now().Add(ss.p.cfg.ReadTimeout))
-	ft, body, err := trace.ReadFrame(ss.br, nil)
+	h, err := ss.in.Hello()
 	if err != nil {
-		return err
-	}
-	if ft != trace.FrameHello {
-		err := fmt.Errorf("expected hello, got frame %#x", byte(ft))
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
-		return err
-	}
-	h, err := trace.ParseHello(body)
-	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
-		return err
-	}
-	if h.Version != trace.ProtocolVersion {
-		err := fmt.Errorf("unsupported protocol version %d (serving %d)", h.Version, trace.ProtocolVersion)
 		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
@@ -167,25 +150,9 @@ func (ss *session) handshake() error {
 // deadline).
 func (ss *session) readLoop() {
 	for {
-		if ss.p.isDraining() {
-			return
-		}
-		ss.conn.SetReadDeadline(time.Now().Add(ss.p.cfg.ReadTimeout))
-		readStart := time.Now()
-		ft, body, err := ss.frames.ReadFrame(ss.br)
+		ft, body, readStart, err := ss.in.Next()
 		if err != nil {
-			if err == io.EOF {
-				return // clean client close
-			}
-			if ss.p.isDraining() {
-				return
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				ss.writeFrame(trace.FrameError, []byte("proxy: idle timeout waiting for frame"))
-				return
-			}
-			if errors.Is(err, trace.ErrBadFrame) {
+			if err != serve.ErrEnd {
 				ss.writeFrame(trace.FrameError, []byte(err.Error()))
 			}
 			return

@@ -1,0 +1,515 @@
+// Package serve is the connection host both BXTP serving tiers run on:
+// bxtd (internal/server) and bxtproxy (internal/proxy). The host owns
+// everything about a client connection that does not depend on what the
+// tier does with its frames:
+//
+//   - the BXTP and metrics listeners, with the /healthz, /metrics and
+//     (when config.Listener.Debug is set) net/http/pprof routes;
+//   - the MaxConns cap and the Error-frame refusals for "at capacity" and
+//     "draining";
+//   - the session registry and the session ids;
+//   - the draining flag and bxtd's lame-duck flag;
+//   - the connections_* and draining metric families;
+//   - the Hello read and version check, and the idle-deadline frame read
+//     (Reader);
+//   - the drain protocol: stop accepting, fire every session's read
+//     deadline and keep re-firing it, force-close whatever is left when
+//     the drain budget expires, wait, then close the metrics listener.
+//
+// A tier plugs in through Tier: it builds a session for each admitted
+// connection, mounts its own routes, and writes its own metric families.
+package serve
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"net"
+	"net/http"
+	"net/http/pprof"
+	"os"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/hpca18/bxt/internal/config"
+	"github.com/hpca18/bxt/internal/obs"
+	"github.com/hpca18/bxt/internal/trace"
+)
+
+// Session is a tier's state for one admitted connection.
+type Session interface {
+	comparable
+	// Serve runs the session to completion and closes its connection.
+	Serve()
+}
+
+// Tier is what a serving tier plugs into the host.
+type Tier[S Session] struct {
+	// Name ("server", "proxy") prefixes the host's errors and refusals.
+	Name string
+	// MetricsPrefix ("bxtd_", "bxtproxy_") prefixes the host's metric
+	// families.
+	MetricsPrefix string
+	// Open builds the session for an admitted connection; id numbers it
+	// for logs and events. It runs under the host's lock, so it must not
+	// block or call back into the host.
+	Open func(conn net.Conn, id uint64) S
+	// Routes mounts the tier's own routes on the metrics listener.
+	Routes func(*http.ServeMux)
+	// Metrics writes the tier's metric families after the host's.
+	Metrics func(io.Writer)
+	// Events, when non-nil, records the host's conn_refused and
+	// drain_begin lifecycle events.
+	Events *obs.EventBuffer
+	// Drained, when non-nil, runs at the end of every Shutdown, once every
+	// session has wound down.
+	Drained func()
+}
+
+// Host is one tier's connection host.
+type Host[S Session] struct {
+	cfg  config.Listener
+	tier Tier[S]
+	log  *slog.Logger
+
+	connsActive   atomic.Int64
+	connsTotal    atomic.Uint64
+	connsRejected atomic.Uint64
+	ids           atomic.Uint64
+	// draining is set once, under mu, when Shutdown begins; session reads
+	// poll it lock-free between frames.
+	draining atomic.Bool
+	// stop closes when draining begins, ending Go's loops.
+	stop chan struct{}
+
+	mu       sync.Mutex
+	ln       net.Listener
+	httpLn   net.Listener
+	httpSrv  *http.Server
+	sessions map[S]net.Conn
+	started  bool
+	// lameduck is bxtd's zero-downtime drain state: new connections and
+	// health probes are refused, so a fronting proxy ejects the backend
+	// and migrates its pinned sessions away, while established sessions
+	// keep serving. Shutdown still sets draining, which is what winds the
+	// read loops down.
+	lameduck bool
+
+	wg sync.WaitGroup // accept loop, sessions, and Go's goroutines
+}
+
+// New returns an unstarted host for cfg, which the tier has validated. Its
+// structured logger (level and format from cfg) writes to stderr.
+func New[S Session](cfg config.Listener, tier Tier[S]) (*Host[S], error) {
+	logger, err := obs.NewLogger(os.Stderr, cfg.LogLevel, cfg.LogFormat)
+	if err != nil {
+		return nil, err
+	}
+	return &Host[S]{
+		cfg:      cfg,
+		tier:     tier,
+		log:      logger,
+		stop:     make(chan struct{}),
+		sessions: make(map[S]net.Conn),
+	}, nil
+}
+
+// Logger returns the host's structured logger.
+func (h *Host[S]) Logger() *slog.Logger { return h.log }
+
+// SetLogger replaces the logger; call before Start.
+func (h *Host[S]) SetLogger(l *slog.Logger) { h.log = l }
+
+// Start opens both listeners and begins serving. It returns immediately;
+// use Shutdown/Close to stop.
+func (h *Host[S]) Start() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.started {
+		return fmt.Errorf("%s: already started", h.tier.Name)
+	}
+	ln, err := net.Listen("tcp", h.cfg.ListenAddr)
+	if err != nil {
+		return fmt.Errorf("%s: listen %s: %w", h.tier.Name, h.cfg.ListenAddr, err)
+	}
+	httpLn, err := net.Listen("tcp", h.cfg.MetricsAddr)
+	if err != nil {
+		ln.Close()
+		return fmt.Errorf("%s: listen %s: %w", h.tier.Name, h.cfg.MetricsAddr, err)
+	}
+	h.ln, h.httpLn = ln, httpLn
+	h.httpSrv = &http.Server{Handler: h.mux()}
+	h.started = true
+	h.log.Info("listening",
+		"addr", ln.Addr().String(),
+		"metrics_addr", httpLn.Addr().String(),
+		"debug", h.cfg.Debug,
+		"max_conns", h.cfg.MaxConns)
+
+	go h.httpSrv.Serve(httpLn) //nolint:errcheck // returns on Close
+	h.wg.Add(1)
+	go h.acceptLoop(ln)
+	return nil
+}
+
+// mux assembles the metrics listener's handler: health, metrics, pprof
+// when cfg.Debug, and the tier's own routes.
+func (h *Host[S]) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		if h.Refusing() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		e := obs.Expo{W: w, Prefix: h.tier.MetricsPrefix}
+		d := int64(0)
+		if h.Refusing() {
+			d = 1
+		}
+		e.Int(obs.FamDraining, "", d)
+		e.Int(obs.FamConnsActive, "", h.connsActive.Load())
+		e.Uint(obs.FamConnsTotal, "", h.connsTotal.Load())
+		e.Uint(obs.FamConnsRejected, "", h.connsRejected.Load())
+		h.tier.Metrics(w)
+	})
+	if h.cfg.Debug {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	h.tier.Routes(mux)
+	return mux
+}
+
+// Addr returns the BXTP listener's bound address, or "" before Start.
+func (h *Host[S]) Addr() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ln == nil {
+		return ""
+	}
+	return h.ln.Addr().String()
+}
+
+// MetricsAddr returns the metrics listener's bound address, or "" before
+// Start.
+func (h *Host[S]) MetricsAddr() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.httpLn == nil {
+		return ""
+	}
+	return h.httpLn.Addr().String()
+}
+
+// Refusing reports whether the host is turning away new sessions and
+// health probes: draining or lame-duck.
+func (h *Host[S]) Refusing() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.draining.Load() || h.lameduck
+}
+
+// BeginLameDuck enters lame-duck mode: /healthz answers 503 and new
+// connections are refused, while established sessions keep serving until
+// Shutdown.
+func (h *Host[S]) BeginLameDuck() {
+	h.mu.Lock()
+	already := h.draining.Load() || h.lameduck
+	h.lameduck = true
+	n := len(h.sessions)
+	h.mu.Unlock()
+	if already {
+		return
+	}
+	h.log.Info("lame-duck drain begun", "open_sessions", n)
+	h.event(obs.EventDrainBegin, fmt.Sprintf("lame-duck: %d open sessions", n))
+}
+
+// Sessions returns a snapshot of the live sessions.
+func (h *Host[S]) Sessions() []S {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]S, 0, len(h.sessions))
+	for ss := range h.sessions {
+		out = append(out, ss)
+	}
+	return out
+}
+
+// Active returns the number of sessions being served.
+func (h *Host[S]) Active() int64 { return h.connsActive.Load() }
+
+// Go runs f on its own goroutine, which Shutdown waits for, when the host
+// is serving (started and not draining); otherwise f never runs. f should
+// return once Stopping closes.
+func (h *Host[S]) Go(f func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.started || h.draining.Load() {
+		return
+	}
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		f()
+	}()
+}
+
+// Stopping returns a channel that closes when draining begins.
+func (h *Host[S]) Stopping() <-chan struct{} { return h.stop }
+
+// acceptLoop admits sessions up to the connection cap.
+func (h *Host[S]) acceptLoop(ln net.Listener) {
+	defer h.wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return // listener closed by Shutdown/Close
+		}
+		h.connsTotal.Add(1)
+		if int(h.connsActive.Load()) >= h.cfg.MaxConns {
+			h.connsRejected.Add(1)
+			h.refuse(conn, h.tier.Name+" at connection capacity")
+			continue
+		}
+		ss, ok := h.admit(conn)
+		if !ok {
+			h.refuse(conn, h.tier.Name+" is draining")
+			continue
+		}
+		h.connsActive.Add(1)
+		go func() {
+			defer h.wg.Done()
+			defer h.connsActive.Add(-1)
+			defer h.drop(ss)
+			ss.Serve()
+		}()
+	}
+}
+
+// admit registers a session for conn, or reports false while refusing
+// (draining or lame-duck). The caller's goroutine is counted in wg.
+func (h *Host[S]) admit(conn net.Conn) (S, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.draining.Load() || h.lameduck {
+		var none S
+		return none, false
+	}
+	ss := h.tier.Open(conn, h.ids.Add(1))
+	h.sessions[ss] = conn
+	h.wg.Add(1)
+	return ss, true
+}
+
+func (h *Host[S]) drop(ss S) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.sessions, ss)
+}
+
+// refuse answers conn with an Error frame naming reason and closes it.
+func (h *Host[S]) refuse(conn net.Conn, reason string) {
+	h.log.Warn("connection refused", "remote", conn.RemoteAddr().String(), "reason", reason)
+	h.event(obs.EventConnRefused, reason)
+	conn.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout))
+	_ = trace.WriteFrame(conn, trace.FrameError, []byte(reason))
+	conn.Close()
+}
+
+func (h *Host[S]) event(typ, detail string) {
+	if h.tier.Events != nil {
+		h.tier.Events.Add(obs.Event{Type: typ, Detail: detail})
+	}
+}
+
+// fireReads expires every live session's pending read, so a reader
+// blocked on an idle socket wakes, sees the draining flag, and winds down
+// after flushing whatever is in flight.
+func (h *Host[S]) fireReads() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	now := time.Now()
+	for _, conn := range h.sessions {
+		conn.SetReadDeadline(now)
+	}
+}
+
+// Shutdown drains the host: it stops accepting and ends Go's loops, flips
+// /healthz to draining, interrupts idle session reads, lets in-flight
+// batches complete and flush, and waits for every session to close. The
+// metrics endpoint stays up (reporting the draining state) until Close.
+// Shutdown returns ctx's error if the drain does not finish in time,
+// after force-closing the stragglers.
+func (h *Host[S]) Shutdown(ctx context.Context) error {
+	h.mu.Lock()
+	if !h.started {
+		h.mu.Unlock()
+		return nil
+	}
+	first := !h.draining.Swap(true)
+	open := len(h.sessions)
+	h.mu.Unlock()
+
+	if first {
+		h.log.Info("draining", "open_sessions", open)
+		h.event(obs.EventDrainBegin, fmt.Sprintf("%d open sessions", open))
+		close(h.stop)
+		h.ln.Close()
+	}
+	h.fireReads()
+
+	done := make(chan struct{})
+	go func() {
+		h.wg.Wait()
+		close(done)
+	}()
+	// A session that was mid-batch when the deadlines fired re-arms its
+	// read deadline on its next frame; keep re-firing until the drain
+	// completes so no reader sits out its full idle timeout.
+	go func() {
+		t := time.NewTicker(20 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				h.fireReads()
+			}
+		}
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		h.mu.Lock()
+		for _, conn := range h.sessions {
+			conn.Close()
+		}
+		h.mu.Unlock()
+		<-done
+		err = ctx.Err()
+	}
+	if h.tier.Drained != nil {
+		h.tier.Drained()
+	}
+	return err
+}
+
+// Close releases everything: a drain bounded by DrainTimeout, then the
+// metrics endpoint. It is safe to call after Shutdown, and also alone.
+func (h *Host[S]) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.DrainTimeout)
+	defer cancel()
+	err := h.Shutdown(ctx)
+	h.mu.Lock()
+	httpSrv := h.httpSrv
+	h.httpSrv = nil
+	h.mu.Unlock()
+	if httpSrv != nil {
+		httpSrv.Close()
+	}
+	return err
+}
+
+// ErrEnd is Reader.Next's verdict that the session ends without an Error
+// frame: the client closed cleanly, the host is draining, or the socket
+// broke.
+var ErrEnd = errors.New("serve: session ended")
+
+// errIdle is the Error-frame text for a client that sent nothing for
+// ReadTimeout.
+var errIdle = errors.New("idle timeout waiting for frame")
+
+// Reader is the read half of one session's connection: the Hello check
+// and every later frame read, under the host's idle deadline. The zero
+// value is not usable; get one from NewReader. A Reader is not safe for
+// concurrent use.
+type Reader struct {
+	conn     net.Conn
+	br       *bufio.Reader
+	timeout  time.Duration
+	draining *atomic.Bool
+	// frames grows to the largest frame the client has sent
+	// (trace.MaxFrameBytes caps it), so steady-state reads allocate
+	// nothing and a connection that never sends a batch never holds a
+	// batch-sized buffer.
+	frames trace.FrameBuffer
+	// armedAt is when the read deadline was last set.
+	armedAt time.Time
+}
+
+// NewReader returns the Reader for conn, whose buffered reader is br.
+func (h *Host[S]) NewReader(conn net.Conn, br *bufio.Reader) Reader {
+	return Reader{conn: conn, br: br, timeout: h.cfg.ReadTimeout, draining: &h.draining}
+}
+
+// Hello reads and checks the session's first frame: it must be a Hello
+// that parses and names trace.ProtocolVersion. The error's text is meant
+// for the client's Error frame.
+func (r *Reader) Hello() (trace.Hello, error) {
+	r.armedAt = time.Now()
+	r.conn.SetReadDeadline(r.armedAt.Add(r.timeout))
+	ft, body, err := r.frames.ReadFrame(r.br)
+	if err != nil {
+		return trace.Hello{}, fmt.Errorf("reading hello: %v", err)
+	}
+	if ft != trace.FrameHello {
+		return trace.Hello{}, fmt.Errorf("expected hello frame, got %#x", byte(ft))
+	}
+	h, err := trace.ParseHello(body)
+	if err != nil {
+		return trace.Hello{}, err
+	}
+	if h.Version != trace.ProtocolVersion {
+		return trace.Hello{}, fmt.Errorf("unsupported protocol version %d (serving %d)", h.Version, trace.ProtocolVersion)
+	}
+	return h, nil
+}
+
+// Next reads the session's next frame; body aliases the Reader's buffer
+// until the following call, and start is when the read began. An error
+// ends the session: ErrEnd silently, any other one after an Error frame
+// carrying its text (an idle timeout or a malformed frame).
+//
+// One clock read serves both the deadline and the caller's stage timer,
+// and the kernel timer is only re-armed once a quarter of the timeout has
+// burned down: the effective idle limit stays within [3/4·ReadTimeout,
+// ReadTimeout] while a busy session skips the per-frame deadline update.
+func (r *Reader) Next() (ft trace.FrameType, body []byte, start time.Time, err error) {
+	if r.draining.Load() {
+		return 0, nil, start, ErrEnd
+	}
+	start = time.Now()
+	if start.Sub(r.armedAt) > r.timeout>>2 {
+		r.conn.SetReadDeadline(start.Add(r.timeout))
+		r.armedAt = start
+	}
+	ft, body, err = r.frames.ReadFrame(r.br)
+	if err == nil {
+		return ft, body, start, nil
+	}
+	if err == io.EOF || r.draining.Load() {
+		return 0, nil, start, ErrEnd // a clean close, or the drain fired the deadline
+	}
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		return 0, nil, start, errIdle
+	}
+	if errors.Is(err, trace.ErrBadFrame) {
+		return 0, nil, start, err
+	}
+	return 0, nil, start, ErrEnd
+}

@@ -170,7 +170,7 @@ func TestHelloOnlySessionAllocations(t *testing.T) {
 			t.Fatalf("hello answered with frame %#x, err %v", ft, err)
 		}
 		conn.Close()
-		for srv.met.connsActive.Load() != 0 {
+		for srv.host.Active() != 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}

@@ -47,21 +47,19 @@ func (c *schemeCounters) snapshot() schemeSnapshot {
 	}
 }
 
-// metrics is the gateway's observability state: connection gauges,
-// per-scheme serving counters, and per-(scheme, stage) latency
-// histograms, exposed in Prometheus text format.
+// metrics is the gateway's observability state: per-scheme serving
+// counters and per-(scheme, stage) latency histograms, exposed in
+// Prometheus text format after the connection host's draining and
+// connections_* families.
 type metrics struct {
-	connsActive   atomic.Int64
-	connsTotal    atomic.Uint64
-	connsRejected atomic.Uint64
-
 	// Fault-tolerance counters. batchFaults counts every recoverable
 	// batch failure answered with a BatchError frame; codecPanics and
 	// poisonBatches count recovered codec panics and the batches
 	// quarantined for them; busyShed counts batches shed by the admission
-	// gate; budgetKills counts sessions disconnected for exhausting their
-	// fault budget; slowClients counts sessions torn down by a reply
-	// write deadline.
+	// gate; budgetKills counts streams closed for exhausting their fault
+	// budget (the connection and its other streams keep serving; the
+	// family keeps its historical "disconnects" name); slowClients counts
+	// sessions torn down by a reply write deadline.
 	batchFaults   atomic.Uint64
 	codecPanics   atomic.Uint64
 	poisonBatches atomic.Uint64
@@ -129,21 +127,14 @@ func (m *metrics) scheme(name string) *schemeCounters {
 	return c
 }
 
-// writeExposition renders the full /metrics document: serving state,
-// per-scheme counters, live wire-activity and energy telemetry, per-stage
-// latency histograms, and Go runtime gauges. The connection, wire, and
-// energy families render through the obs.Expo registry shared with
-// bxtproxy, so both binaries expose one family vocabulary.
-func (m *metrics) writeExposition(w io.Writer, draining bool) {
+// writeExposition renders the gateway's part of the /metrics document:
+// fault, stream and state-transfer counters, per-scheme counters, live
+// wire-activity and energy telemetry, per-stage latency histograms, and Go
+// runtime gauges. The wire and energy families render through the
+// obs.Expo registry shared with bxtproxy, so both binaries expose one
+// family vocabulary.
+func (m *metrics) writeExposition(w io.Writer) {
 	e := obs.Expo{W: w, Prefix: "bxtd_"}
-	d := int64(0)
-	if draining {
-		d = 1
-	}
-	e.Int(obs.FamDraining, "", d)
-	e.Int(obs.FamConnsActive, "", m.connsActive.Load())
-	e.Uint(obs.FamConnsTotal, "", m.connsTotal.Load())
-	e.Uint(obs.FamConnsRejected, "", m.connsRejected.Load())
 	fmt.Fprintf(w, "bxtd_batch_faults_total %d\n", m.batchFaults.Load())
 	fmt.Fprintf(w, "bxtd_codec_panics_total %d\n", m.codecPanics.Load())
 	fmt.Fprintf(w, "bxtd_poison_batches_total %d\n", m.poisonBatches.Load())

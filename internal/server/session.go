@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
 	"time"
 
 	"github.com/hpca18/bxt/internal/obs"
+	"github.com/hpca18/bxt/internal/serve"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -38,6 +38,8 @@ type session struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// in reads the Hello and every later frame under the idle deadline.
+	in serve.Reader
 
 	log *slog.Logger
 
@@ -47,17 +49,9 @@ type session struct {
 	streams map[uint32]*stream
 	st0     *stream
 
-	// frames is the frame read buffer. It grows to the largest frame the
-	// client has sent (MaxFrameBytes caps it), so steady-state reads
-	// allocate nothing and a connection that never sends a batch never
-	// holds a batch-sized buffer.
-	frames trace.FrameBuffer
-
-	// readDLAt/writeDLAt record when each connection deadline was last
-	// armed, so the hot loops re-arm the kernel timer only after a quarter
-	// of the timeout has elapsed. readDLAt is owned by readLoop; writeDLAt
-	// is guarded by wmu.
-	readDLAt  time.Time
+	// writeDLAt records when the write deadline was last armed, so the
+	// reply path re-arms the kernel timer only after a quarter of the
+	// timeout has elapsed. It is guarded by wmu.
 	writeDLAt time.Time
 	// wmu serializes writes to bw between the writer goroutine and the
 	// reader's inline reply fast path; wbroken (guarded by wmu) latches the
@@ -84,10 +78,10 @@ var errSession = errors.New("server: session error")
 // recovered, the batch quarantined, and the session codec reset.
 var errCodecPanic = errors.New("server: codec panic")
 
-// run drives the session to completion. The connection is closed and its
+// Serve drives the session to completion. The connection is closed and its
 // buffers go back to the pool on return: by then the write goroutine, if
 // it was started, has exited.
-func (ss *session) run() {
+func (ss *session) Serve() {
 	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 
@@ -119,7 +113,7 @@ func (ss *session) run() {
 	var batches uint64
 	for _, st := range ss.streams {
 		batches += st.batches
-		if st.stateful != nil && ss.srv.cfg.StateDir != "" && ss.srv.isRefusing() {
+		if st.stateful != nil && ss.srv.cfg.StateDir != "" && ss.srv.host.Refusing() {
 			st.persistState()
 		}
 	}
@@ -147,25 +141,13 @@ func (ss *session) st0Scheme() string {
 }
 
 // handshake reads and answers the Hello frame. The Hello's scheme and
-// transaction size implicitly open stream 0. A Hello naming any revision
-// but trace.ProtocolVersion is refused; run answers it with an Error
-// frame and closes.
+// transaction size implicitly open stream 0. A Hello the host's check
+// refuses (wrong frame, bad body, another protocol revision) is answered
+// by Serve with an Error frame and a close.
 func (ss *session) handshake() error {
-	ss.conn.SetReadDeadline(time.Now().Add(ss.srv.cfg.ReadTimeout))
-	ft, body, err := trace.ReadFrame(ss.br, nil)
-	if err != nil {
-		return fmt.Errorf("%w: reading hello: %v", errSession, err)
-	}
-	if ft != trace.FrameHello {
-		return fmt.Errorf("%w: expected hello frame, got %#x", errSession, ft)
-	}
-	h, err := trace.ParseHello(body)
+	h, err := ss.in.Hello()
 	if err != nil {
 		return fmt.Errorf("%w: %v", errSession, err)
-	}
-	if h.Version != trace.ProtocolVersion {
-		return fmt.Errorf("%w: unsupported protocol version %d (serving %d)",
-			errSession, h.Version, trace.ProtocolVersion)
 	}
 	st, err := ss.openStream(0, h.Scheme, h.TxnSize)
 	if err != nil {
@@ -201,33 +183,9 @@ func (ss *session) handshake() error {
 // occurs, or the server starts draining (which fires the read deadline).
 func (ss *session) readLoop() {
 	for {
-		if ss.srv.isDraining() {
-			return
-		}
-		// One clock read serves both the deadline and the stage timer, and
-		// the kernel timer is only re-armed once a quarter of the timeout
-		// has burned down: the effective idle limit stays within
-		// [3/4·ReadTimeout, ReadTimeout] while a busy session skips the
-		// per-frame deadline update entirely.
-		readStart := time.Now()
-		if readStart.Sub(ss.readDLAt) > ss.srv.cfg.ReadTimeout>>2 {
-			ss.conn.SetReadDeadline(readStart.Add(ss.srv.cfg.ReadTimeout))
-			ss.readDLAt = readStart
-		}
-		ft, body, err := ss.frames.ReadFrame(ss.br)
+		ft, body, readStart, err := ss.in.Next()
 		if err != nil {
-			if err == io.EOF {
-				return // clean client close
-			}
-			if ss.srv.isDraining() {
-				return // shutdown interrupted the read; drain what we have
-			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				ss.fail("idle timeout waiting for frame")
-				return
-			}
-			if errors.Is(err, trace.ErrBadFrame) {
+			if err != serve.ErrEnd {
 				ss.fail(err.Error())
 			}
 			return
