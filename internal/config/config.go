@@ -233,7 +233,7 @@ type SimCache struct {
 	// false.
 	Enabled bool
 	// Capacity is the maximum cached entries per (scheme, transaction
-	// size) cache; 0 selects the simcache default (65536).
+	// size) cache; 0 selects the simcache default (65535).
 	Capacity int
 	// Threshold is the exclusive Hamming-distance cutoff in bits for
 	// near-duplicate hits; 0 selects the simcache default (12, matching

@@ -18,12 +18,13 @@ const lookupSampleStride = 16
 // records carry no side-band metadata: a record is its data bytes.
 //
 // Each call walks the batch in order. An exact hit copies the cached record
-// into dst; a near hit is re-encoded by patching the cached reference, when
-// the encoder has a patcher, and inserted at once if its probe admits it
-// (Probe.Admit); anything else is a miss. The misses are then encoded
-// together by the inner encoder into their own dst records and inserted,
-// admitted ones only, in batch order. An Encoder is single-goroutine
-// scratch, like the codec it wraps; the Cache behind it may be shared.
+// from the cache straight into dst; a near hit is re-encoded by patching
+// the cached reference, when the encoder has a patcher, and inserted at
+// once if its probe admits it (Probe.Admit); anything else is a miss. The
+// misses are then encoded together by the inner encoder into their own dst
+// records and inserted, admitted ones only, in batch order. An Encoder is
+// single-goroutine scratch, like the codec it wraps; the Cache behind it
+// may be shared.
 type Encoder struct {
 	cache   *Cache
 	inner   core.BatchEncoder
@@ -67,9 +68,9 @@ func (e *Encoder) EncodeBatch(dst []core.Encoded, src []byte, n, txnBytes int) e
 		s := src[i*txnBytes : (i+1)*txnBytes]
 		d := &dst[i]
 		d.Resize(txnBytes, 0)
-		switch res := e.lookup(s); {
+		switch res := e.lookup(s, d.Data); {
 		case res == HitExact:
-			copy(d.Data, p.Data)
+			// lookup has copied the record into d.Data.
 		case res == HitNear && e.patcher.PatchEncode(d.Data, s, p.Ref, p.RefEnc):
 			if p.Admit {
 				e.cache.Insert(p, s, d.Data, nil)
@@ -105,21 +106,16 @@ func (e *Encoder) EncodeBatch(dst []core.Encoded, src []byte, n, txnBytes int) e
 	return nil
 }
 
-// lookup probes the cache for s into e.probe, timing one lookup in
-// lookupSampleStride.
-func (e *Encoder) lookup(s []byte) Result {
+// lookup probes the cache for s into e.probe, copying an exact hit's record
+// into out, and times one lookup in lookupSampleStride.
+func (e *Encoder) lookup(s, out []byte) Result {
 	sampled := e.tick%lookupSampleStride == 0
 	e.tick++
 	var start time.Time
 	if sampled {
 		start = time.Now()
 	}
-	var res Result
-	if e.patcher != nil {
-		res = e.cache.Lookup(&e.probe, s)
-	} else {
-		res = e.cache.LookupExact(&e.probe, s)
-	}
+	res := e.cache.lookup(&e.probe, s, e.patcher != nil, out)
 	if sampled {
 		e.lookupTime += time.Since(start) * lookupSampleStride
 	}

@@ -82,15 +82,23 @@ func checkInvariants(t testing.TB, c *Cache) {
 			t.Fatalf("shard %d: %d table cells for capacity %d", s, cells, sh.capacity)
 		}
 		if sh.slab == nil {
-			if sh.sigs != nil || sh.links != nil || sh.exact != nil || sh.bands != nil {
+			if sh.sigs != nil || sh.recs != nil || sh.links != nil || sh.sums != nil ||
+				sh.exact != nil || sh.bands != nil {
 				t.Fatalf("shard %d: arenas or tables allocated before the slab", s)
 			}
 			continue
 		}
 		if cap(sh.slab) != sh.capacity || len(sh.sigs) != sh.capacity*sh.nwords ||
-			len(sh.links) != 2*sh.capacity*sh.nbands {
-			t.Fatalf("shard %d: slab of %d slots with %d words and %d links, want capacity %d",
-				s, cap(sh.slab), len(sh.sigs), len(sh.links), sh.capacity)
+			len(sh.recs) != sh.capacity*sh.stride || len(sh.links) != 2*sh.capacity*sh.nbands {
+			t.Fatalf("shard %d: slab of %d slots with %d words, %d record bytes and %d links, want capacity %d",
+				s, cap(sh.slab), len(sh.sigs), len(sh.recs), len(sh.links), sh.capacity)
+		}
+		wantSums := 0
+		if c.cfg.ChannelWidthBits != 0 {
+			wantSums = sh.capacity
+		}
+		if len(sh.sums) != wantSums {
+			t.Fatalf("shard %d: %d summary slots, want %d", s, len(sh.sums), wantSums)
 		}
 		if len(sh.exact) != cells || len(sh.bands) != sh.nbands*cells {
 			t.Fatalf("shard %d: tables of %d and %d cells, want %d and %d", s, len(sh.exact), len(sh.bands), cells, sh.nbands*cells)
@@ -99,7 +107,7 @@ func checkInvariants(t testing.TB, c *Cache) {
 		seen := make([]bool, n)
 		prev, length := none, 0
 		for i := sh.head; i != none; i = sh.slab[i].next {
-			if i < 0 || int(i) >= n || seen[i] {
+			if int(i) >= n || seen[i] {
 				t.Fatalf("shard %d: recency list leaves the slab or revisits slot %d", s, i)
 			}
 			if sh.slab[i].prev != prev {
@@ -120,11 +128,14 @@ func checkInvariants(t testing.TB, c *Cache) {
 			t.Fatalf("shard %d: doorkeeper has %d bits set for %d sightings, capacity %d", s, set, sh.sightings, sh.capacity)
 		}
 
-		checkTable(t, fmt.Sprintf("shard %d exact table", s), sh.exact, n, func(i int32) uint64 { return sh.slab[i].hash })
+		checkTable(t, fmt.Sprintf("shard %d exact table", s), sh.exact, n, func(i slot) uint64 { return sh.slab[i].hash })
 		if filed := occupied(sh.exact); filed != n {
 			t.Fatalf("shard %d: exact table holds %d cells for %d entries", s, filed, n)
 		}
-		for i := int32(0); int(i) < n; i++ {
+		for i := slot(0); int(i) < n; i++ {
+			if e := &sh.slab[i]; int(e.dataLen)+int(e.metaLen) > sh.stride {
+				t.Fatalf("shard %d: slot %d record of %d+%d bytes overruns stride %d", s, i, e.dataLen, e.metaLen, sh.stride)
+			}
 			h := hashWords(sh.sig(i))
 			if sh.slab[i].hash != h || sh.exactSlot(h) != i {
 				t.Fatalf("shard %d: slot %d hash %#x is not filed to itself", s, i, sh.slab[i].hash)
@@ -137,10 +148,10 @@ func checkInvariants(t testing.TB, c *Cache) {
 
 		for b := 0; b < sh.nbands; b++ {
 			table := sh.band(b)
-			keyOf := func(i int32) uint64 { return c.bandKey(sh.sig(i), b) }
+			keyOf := func(i slot) uint64 { return c.bandKey(sh.sig(i), b) }
 			checkTable(t, fmt.Sprintf("shard %d band %d table", s, b), table, n, keyOf)
 			distinct := map[uint64]bool{}
-			for i := int32(0); int(i) < n; i++ {
+			for i := slot(0); int(i) < n; i++ {
 				distinct[keyOf(i)] = true
 			}
 			if filed := occupied(table); filed != len(distinct) {
@@ -153,7 +164,7 @@ func checkInvariants(t testing.TB, c *Cache) {
 				}
 				k, prev := keyOf(v-1), none
 				for i := v - 1; i != none; i = sh.links[sh.link(i, b)] {
-					if i < 0 || int(i) >= n {
+					if int(i) >= n {
 						t.Fatalf("shard %d band %d: bucket %#x leaves the slab at %d", s, b, k, i)
 					}
 					if on[i]++; on[i] > 1 {
@@ -190,9 +201,10 @@ func checkInvariants(t testing.TB, c *Cache) {
 		for i := range sh.slab {
 			e := &sh.slab[i]
 			ref := e.ref
-			src = appendWords(src[:0], sh.sig(int32(i)))
+			src = appendWords(src[:0], sh.sig(slot(i)))
+			data, meta := sh.record(slot(i))
 			if got := c.LookupExact(&p, src); got != HitExact ||
-				!bytes.Equal(p.Data, e.data) || !bytes.Equal(p.Meta, e.meta) {
+				!bytes.Equal(p.Data, data) || !bytes.Equal(p.Meta, meta) {
 				t.Fatalf("shard %d slot %d: cached transaction looks up as %v", s, i, got)
 			}
 			e.ref = ref
@@ -204,16 +216,16 @@ func checkInvariants(t testing.TB, c *Cache) {
 // every occupied cell holds a slot below n, no two cells hold the same slot
 // or the same key, and each is reachable from its key's home without
 // crossing an empty cell.
-func checkTable(t testing.TB, name string, table []int32, n int, keyOf func(int32) uint64) {
+func checkTable(t testing.TB, name string, table []slot, n int, keyOf func(slot) uint64) {
 	t.Helper()
 	mask := uint64(len(table) - 1)
-	slots, keys := map[int32]bool{}, map[uint64]bool{}
+	slots, keys := map[slot]bool{}, map[uint64]bool{}
 	for pos, v := range table {
 		if v == 0 {
 			continue
 		}
 		i := v - 1
-		if i < 0 || int(i) >= n || slots[i] {
+		if int(i) >= n || slots[i] {
 			t.Fatalf("%s: cell %d holds slot %d, out of the slab or filed twice", name, pos, i)
 		}
 		k := keyOf(i)
@@ -230,7 +242,7 @@ func checkTable(t testing.TB, name string, table []int32, n int, keyOf func(int3
 }
 
 // occupied counts a table's non-empty cells.
-func occupied(table []int32) int {
+func occupied(table []slot) int {
 	n := 0
 	for _, v := range table {
 		if v != 0 {
@@ -282,9 +294,11 @@ func lruOrder(c *Cache) []string {
 }
 
 // FuzzCacheOps drives random Lookup/LookupExact/Insert/Clear/Save→Load
-// sequences over a small cache with clustered contents. After every step
-// the structural invariants must hold, every cached record must be the
-// last one inserted for its transaction, and hits must return it.
+// sequences over a small cache with clustered contents. Some inserts carry
+// a record exactly as long as the record stride, and some one byte longer,
+// which must leave the cache as it was. After every step the structural
+// invariants must hold, every cached record must be the last one cached
+// for its transaction, and hits must return it.
 func FuzzCacheOps(f *testing.F) {
 	// Random op streams long enough to fill both configurations many times
 	// over, so the seeds alone exercise eviction, Clear and Save→Load.
@@ -337,8 +351,15 @@ func FuzzCacheOps(f *testing.F) {
 				if b&1 != 0 {
 					rec.meta = []byte{a}
 				}
+				// Now and then pad the record to exactly the stride, or
+				// one byte past it, which the cache must not take.
+				if pad := int(a % 16); pad >= 14 {
+					rec.data = append(rec.data, make([]byte, c.stride-len(rec.data)-len(rec.meta)+pad-14)...)
+				}
 				c.Insert(&p, src, rec.data, rec.meta)
-				model[string(src)] = rec
+				if len(rec.data)+len(rec.meta) <= c.stride {
+					model[string(src)] = rec
+				}
 			case 6:
 				if a%4 == 0 {
 					c.Clear()
@@ -361,8 +382,8 @@ func FuzzCacheOps(f *testing.F) {
 			for s := range c.shards {
 				sh := &c.shards[s]
 				for i := range sh.slab {
-					rec, ok := model[string(appendWords(nil, sh.sig(int32(i))))]
-					if e := &sh.slab[i]; !ok || !bytes.Equal(e.data, rec.data) || !bytes.Equal(e.meta, rec.meta) {
+					rec, ok := model[string(appendWords(nil, sh.sig(slot(i))))]
+					if data, meta := sh.record(slot(i)); !ok || !bytes.Equal(data, rec.data) || !bytes.Equal(meta, rec.meta) {
 						t.Fatalf("step %d: shard %d slot %d holds a record never inserted for its transaction", step, s, i)
 					}
 				}

@@ -60,21 +60,16 @@ func (c *Cache) Save(w io.Writer) error {
 		sh := &c.shards[s]
 		sh.mu.Lock()
 		for i := sh.tail; i != none; i = sh.slab[i].prev {
-			e := &sh.slab[i]
-			if len(e.data) > 0xffff || len(e.meta) > 0xffff {
-				sh.mu.Unlock()
-				return fmt.Errorf("simcache: entry record exceeds snapshot length field (%d/%d bytes)",
-					len(e.data), len(e.meta))
-			}
+			data, meta := sh.record(i)
 			src = appendWords(src[:0], sh.sig(i))
 			body.Write(src)
 			var l [2]byte
-			binary.LittleEndian.PutUint16(l[:], uint16(len(e.data)))
+			binary.LittleEndian.PutUint16(l[:], uint16(len(data)))
 			body.Write(l[:])
-			body.Write(e.data)
-			binary.LittleEndian.PutUint16(l[:], uint16(len(e.meta)))
+			body.Write(data)
+			binary.LittleEndian.PutUint16(l[:], uint16(len(meta)))
 			body.Write(l[:])
-			body.Write(e.meta)
+			body.Write(meta)
 			count++
 		}
 		sh.mu.Unlock()

@@ -23,20 +23,24 @@
 // loss for per-shard locking. Lookups copy results into caller-owned Probe
 // scratch so the steady-state hit path allocates nothing.
 //
-// Each shard keeps its entries in a slab addressed by int32 slot. The
-// signature words live in one flat []uint64 arena; the transaction bytes are
-// not stored again, being the words' little-endian image. Every list over
-// the slots — the second-chance LRU and each band bucket — is intrusive and
-// doubly linked through slot indices. The shard finds slots through keyless
-// open-addressed tables (table.go): one maps a content hash to its slot, and
-// one per band maps a band key to its bucket's first slot. A cell holds only
-// the slot; the key is checked against the slot's stored hash, or recomputed
-// from its signature words. Hot-key traffic piles thousands of
+// Each shard keeps its entries in a slab addressed by 16-bit slot, so a
+// shard holds at most 65,535 entries and a larger capacity takes more
+// shards. The signature words live in one flat []uint64 arena; the
+// transaction bytes are not stored again, being the words' little-endian
+// image. Each slot's encoded record (data, then metadata) sits in one flat
+// []byte arena at a fixed stride of TxnBytes + TxnBytes/8 bytes, and a
+// record that does not fit is not cached. Every list over the slots — the
+// second-chance LRU and each band bucket — is intrusive and doubly linked
+// through slot indices. The shard finds slots through keyless
+// open-addressed tables (table.go): one maps a content hash to its slot,
+// and one per band maps a band key to its bucket's first slot. A cell holds
+// only the slot; the key is checked against the slot's stored hash, or
+// recomputed from its signature words. Hot-key traffic piles thousands of
 // near-duplicate variants into shared buckets, so eviction must not scan
 // them: it recomputes the victim's band keys from its words and unlinks it
 // from each bucket in O(1), making insert-with-eviction O(Bands). A shard
 // reserves its slab, arenas and tables at full capacity on its first Insert
-// (about 410 bytes per entry for 32-byte transactions under the default 16
+// (about 225 bytes per entry for 32-byte transactions under the default 16
 // bands) and refills an evicted victim's slot in place, so a warm shard
 // allocates nothing and its storage never moves.
 //
@@ -62,8 +66,8 @@
 // re-walking every beat. bxtd no longer calls it: the memoization stays only
 // for the end-to-end benchmark's cache layer (bench/layers.go), which sets
 // ChannelWidthBits, and can go with bus.Summarize/Apply once that benchmark
-// next changes. The summary pair lives out of line, so a cache without it
-// pays one pointer per entry.
+// next changes. The summary pairs live in a side array that only a cache
+// with a channel width reserves, so a cache without them pays nothing.
 package simcache
 
 import (
@@ -78,7 +82,7 @@ import (
 
 // Defaults for the tunables config leaves zero.
 const (
-	DefaultCapacity  = 65536
+	DefaultCapacity  = 65535
 	DefaultThreshold = 12 // bits, exclusive — matches bdenc's similarity cutoff
 	DefaultBands     = 16
 	DefaultShards    = 8
@@ -108,7 +112,10 @@ type Config struct {
 	// into one. Full near-duplicate recall within a shard requires
 	// Threshold < Bands.
 	Bands int
-	// Shards is the number of independently locked shards.
+	// Shards is the number of independently locked shards. A shard holds
+	// at most 65,535 entries, so a Capacity above Shards × 65,535 raises
+	// the count to the smallest that holds it; Cache.Config reports the
+	// count in use.
 	Shards int
 	// ChannelWidthBits, when non-zero, makes every entry memoize its
 	// wire-accounting summaries for a data channel of that width: one
@@ -147,6 +154,7 @@ func (cfg *Config) normalize() error {
 	if cfg.Shards < 1 {
 		return fmt.Errorf("simcache: shards %d < 1", cfg.Shards)
 	}
+	cfg.Shards = max(cfg.Shards, (cfg.Capacity+maxShardEntries-1)/maxShardEntries)
 	totalBits := cfg.TxnBytes * 8
 	if cfg.Bands < 1 || totalBits%cfg.Bands != 0 {
 		return fmt.Errorf("simcache: %d bands do not evenly divide the %d-bit signature", cfg.Bands, totalBits)
@@ -201,28 +209,34 @@ func (r Result) String() string {
 	}
 }
 
-// none terminates the intrusive lists threaded through a shard's slab.
-const none int32 = -1
+// slot addresses an entry in its shard's slab. Table cells, bucket links
+// and recency links all hold slots, so 16 bits each halve the shard's
+// largest arrays against 32-bit indices.
+type slot uint16
 
-// entry is one cached transaction's slab slot. Its signature words and
-// band-bucket links sit in the shard's arenas at the same slot index.
+// none terminates the intrusive lists threaded through a shard's slab. No
+// entry has it as its slot, because a shard holds at most maxShardEntries.
+const none slot = 0xFFFF
+
+// maxShardEntries is the most entries one shard holds: slots 0..0xFFFE.
+const maxShardEntries = int(none)
+
+// entry is one cached transaction's slab slot. Its signature words, record
+// and band-bucket links sit in the shard's arenas at the same slot index.
 type entry struct {
-	hash uint64 // content hash over the signature words
-	data []byte // cached encoded payload
-	meta []byte // cached side-band metadata
+	hash             uint64 // content hash over the signature words
+	dataLen, metaLen uint16 // the record's data and metadata lengths
+	prev, next       slot   // recency list; none-terminated at both ends
+	ref              bool   // hit since last relink (second-chance bit)
 
-	// sums memoizes the wire-accounting summaries of the transaction and
-	// (data, meta); nil when they were not computed (the cache has no
-	// channel width, or the record did not fit its geometry).
-	sums *entrySums
-
-	prev, next int32 // recency list; none-terminated at both ends
-	ref        bool  // hit since last relink (second-chance bit)
+	// hasSums reports whether the shard's sums hold this slot's summaries;
+	// false when they were not computed (the cache has no channel width,
+	// or the record did not fit its geometry).
+	hasSums bool
 }
 
-// entrySums is an entry's memoized summary pair, kept out of line: two
-// inline bus.Summary values would quintuple the size of every entry in a
-// cache that never memoizes them.
+// entrySums is a slot's memoized summary pair: one for the transaction and
+// one for its record.
 type entrySums struct {
 	raw, enc bus.Summary
 }
@@ -234,13 +248,15 @@ type entrySums struct {
 // on the first Insert.
 type shard struct {
 	mu    sync.Mutex
-	exact []int32 // table: content hash -> slot
-	bands []int32 // per band b, table band(b): key -> first slot of its bucket
-	mask  uint64  // cells per table, minus one
+	exact []slot // table: content hash -> slot
+	bands []slot // per band b, table band(b): key -> first slot of its bucket
+	mask  uint64 // cells per table, minus one
 	slab  []entry
-	sigs  []uint64 // slot i's signature words: sigs[i*nwords : (i+1)*nwords]
-	links []int32  // slot i's band-b bucket links: next, prev at link(i, b)
-	keys  []uint64 // band-key scratch for unlink
+	sigs  []uint64    // slot i's signature words: sigs[i*nwords : (i+1)*nwords]
+	recs  []byte      // slot i's record, data then metadata: recs[i*stride:]
+	links []slot      // slot i's band-b bucket links: next, prev at link(i, b)
+	sums  []entrySums // slot i's summaries; nil without a channel width
+	keys  []uint64    // band-key scratch for unlink
 
 	// door is the admission doorkeeper: one bit per content hash seen in a
 	// near hit, 8 bits per slot; sightings counts the bits set since it was
@@ -249,12 +265,13 @@ type shard struct {
 	sightings int
 
 	nwords, nbands int
-	head, tail     int32 // most and least recently used
+	stride         int  // record arena bytes per slot
+	head, tail     slot // most and least recently used
 	capacity       int
 }
 
 // reset empties the shard and forgets every doorkeeper sighting. It keeps
-// the slab's storage, so entries refilled later reuse their record buffers.
+// the reserved storage, so summaries refilled later reuse their buffers.
 func (sh *shard) reset() {
 	clear(sh.exact)
 	clear(sh.bands)
@@ -264,19 +281,24 @@ func (sh *shard) reset() {
 	sh.sightings = 0
 }
 
-// reserve allocates the shard's slab, arenas and tables at full capacity.
-// Called with sh.mu held, on the first Insert.
-func (sh *shard) reserve() {
+// reserve allocates the shard's slab, arenas and tables at full capacity,
+// and its summary array when memo is set. Called with sh.mu held, on the
+// first Insert.
+func (sh *shard) reserve(memo bool) {
 	cells := int(sh.mask) + 1
 	sh.slab = make([]entry, 0, sh.capacity)
 	sh.sigs = make([]uint64, sh.capacity*sh.nwords)
-	sh.links = make([]int32, 2*sh.capacity*sh.nbands)
-	sh.exact = make([]int32, cells)
-	sh.bands = make([]int32, sh.nbands*cells)
+	sh.recs = make([]byte, sh.capacity*sh.stride)
+	sh.links = make([]slot, 2*sh.capacity*sh.nbands)
+	sh.exact = make([]slot, cells)
+	sh.bands = make([]slot, sh.nbands*cells)
+	if memo {
+		sh.sums = make([]entrySums, sh.capacity)
+	}
 }
 
 // band returns band b's table.
-func (sh *shard) band(b int) []int32 {
+func (sh *shard) band(b int) []slot {
 	cells := int(sh.mask) + 1
 	return sh.bands[b*cells : (b+1)*cells : (b+1)*cells]
 }
@@ -284,7 +306,7 @@ func (sh *shard) band(b int) []int32 {
 // exactSlot returns the slot whose content hash is h, or none. Hash
 // collisions between different contents evict the incumbent on Insert, so
 // at most one slot matches.
-func (sh *shard) exactSlot(h uint64) int32 {
+func (sh *shard) exactSlot(h uint64) slot {
 	for j := home(h, sh.mask); sh.exact[j] != 0; j = (j + 1) & int(sh.mask) {
 		if i := sh.exact[j] - 1; sh.slab[i].hash == h {
 			return i
@@ -295,7 +317,7 @@ func (sh *shard) exactSlot(h uint64) int32 {
 
 // bandCell returns the cell of table t (band b's) that files key k, or the
 // empty cell ending k's probe run when no slot has that key.
-func (c *Cache) bandCell(sh *shard, t []int32, b int, k uint64) int {
+func (c *Cache) bandCell(sh *shard, t []slot, b int, k uint64) int {
 	for j := home(k, sh.mask); ; j = (j + 1) & int(sh.mask) {
 		if t[j] == 0 || c.bandKey(sh.sig(t[j]-1), b) == k {
 			return j
@@ -325,14 +347,31 @@ func (sh *shard) seenBefore(h uint64) bool {
 }
 
 // sig returns slot i's signature words.
-func (sh *shard) sig(i int32) []uint64 {
+func (sh *shard) sig(i slot) []uint64 {
 	off := int(i) * sh.nwords
 	return sh.sigs[off : off+sh.nwords : off+sh.nwords]
 }
 
+// record returns slot i's cached record, which aliases the shard's arena.
+func (sh *shard) record(i slot) (data, meta []byte) {
+	e := &sh.slab[i]
+	off := int(i) * sh.stride
+	end := off + int(e.dataLen)
+	return sh.recs[off:end:end], sh.recs[end : end+int(e.metaLen)]
+}
+
+// setRecord stores (data, meta) as slot i's record, which the caller has
+// checked fits the stride.
+func (sh *shard) setRecord(i slot, data, meta []byte) {
+	off := int(i) * sh.stride
+	e := &sh.slab[i]
+	e.dataLen = uint16(copy(sh.recs[off:], data))
+	e.metaLen = uint16(copy(sh.recs[off+len(data):], meta))
+}
+
 // link returns the index in sh.links of slot i's band-b next link; the
 // prev link follows it.
-func (sh *shard) link(i int32, b int) int {
+func (sh *shard) link(i slot, b int) int {
 	return 2 * (int(i)*sh.nbands + b)
 }
 
@@ -341,6 +380,7 @@ func (sh *shard) link(i int32, b int) int {
 type Cache struct {
 	cfg      Config
 	words    int // signature words per transaction
+	stride   int // largest record, data and metadata together
 	bandBits int
 	shards   []shard
 
@@ -358,8 +398,12 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:      cfg,
-		words:    cfg.TxnBytes / 8,
+		cfg:   cfg,
+		words: cfg.TxnBytes / 8,
+		// A record has room for one metadata bit per data byte. The cap
+		// keeps both record lengths within their uint16 fields, and the
+		// snapshot format's.
+		stride:   min(cfg.TxnBytes+cfg.TxnBytes/8, 0xFFFF),
 		bandBits: cfg.TxnBytes * 8 / cfg.Bands,
 		shards:   make([]shard, cfg.Shards),
 	}
@@ -369,6 +413,7 @@ func New(cfg Config) (*Cache, error) {
 		sh.capacity = perShard
 		sh.mask = uint64(tableCells(perShard) - 1)
 		sh.nwords, sh.nbands = c.words, cfg.Bands
+		sh.stride = c.stride
 		sh.keys = make([]uint64, cfg.Bands)
 		sh.door = make([]uint64, (8*perShard+63)/64)
 		sh.reset()
@@ -389,7 +434,7 @@ func (c *Cache) Len() int { return int(c.entries.Load()) }
 // length differs from the configured TxnBytes is a Miss. p.Admit reports
 // whether src is worth an Insert, as the package comment describes.
 func (c *Cache) Lookup(p *Probe, src []byte) Result {
-	return c.lookup(p, src, true)
+	return c.lookup(p, src, true, nil)
 }
 
 // LookupExact probes for exact repeats only, skipping the band scan. It is
@@ -397,10 +442,12 @@ func (c *Cache) Lookup(p *Probe, src []byte) Result {
 // PatchEncoder): the near scan's cost and its counter traffic would both be
 // wasted.
 func (c *Cache) LookupExact(p *Probe, src []byte) Result {
-	return c.lookup(p, src, false)
+	return c.lookup(p, src, false, nil)
 }
 
-func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
+// lookup serves Lookup (near true) and LookupExact. A non-nil out takes an
+// exact hit's data straight from the arena, instead of p.Data and p.Meta.
+func (c *Cache) lookup(p *Probe, src []byte, near bool, out []byte) Result {
 	p.HasSums, p.Admit = false, true
 	if len(src) != c.cfg.TxnBytes {
 		c.misses.Add(1)
@@ -418,11 +465,16 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 	}
 	if i := sh.exactSlot(p.hash); i != none && wordsEqual(sh.sig(i), p.words) {
 		e := &sh.slab[i]
-		p.Data = append(p.Data[:0], e.data...)
-		p.Meta = append(p.Meta[:0], e.meta...)
-		if e.sums != nil {
-			p.RawSum.CopyFrom(&e.sums.raw)
-			p.EncSum.CopyFrom(&e.sums.enc)
+		data, meta := sh.record(i)
+		if out != nil {
+			copy(out, data)
+		} else {
+			p.Data = append(p.Data[:0], data...)
+			p.Meta = append(p.Meta[:0], meta...)
+		}
+		if e.hasSums {
+			p.RawSum.CopyFrom(&sh.sums[i].raw)
+			p.EncSum.CopyFrom(&sh.sums[i].enc)
 			p.HasSums = true
 		}
 		e.ref = true
@@ -449,11 +501,11 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 			for i := t[c.bandCell(sh, t, b, k)] - 1; i != none; i = sh.links[sh.link(i, b)] {
 				sig := sh.sig(i)
 				if d := core.HammingWords(p.words, sig); d < c.cfg.Threshold {
-					e := &sh.slab[i]
+					data, _ := sh.record(i)
 					p.Ref = appendWords(p.Ref[:0], sig)
-					p.RefEnc = append(p.RefEnc[:0], e.data...)
+					p.RefEnc = append(p.RefEnc[:0], data...)
 					p.Distance = d
-					e.ref = true
+					sh.slab[i].ref = true
 					p.Admit = sh.seenBefore(p.hash)
 					sh.mu.Unlock()
 					c.nearHits.Add(1)
@@ -474,12 +526,14 @@ func (c *Cache) lookup(p *Probe, src []byte, near bool) Result {
 // Insert caches the encoded record (data, meta) for transaction src,
 // evicting the least recently used entry if the shard is full. p is the same
 // scratch Lookup uses; its signature state is recomputed here, so Insert is
-// valid with any Probe. src, data and meta are copied. When the cache
-// memoizes summaries, Insert leaves the freshly computed pair in p (HasSums
-// true), so the caller can charge its buses without a second walk.
+// valid with any Probe. src, data and meta are copied. A src of the wrong
+// size, or a record longer than TxnBytes + TxnBytes/8 bytes all told, is
+// not cached. When the cache memoizes summaries, Insert leaves the freshly
+// computed pair in p (HasSums true), so the caller can charge its buses
+// without a second walk.
 func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 	p.HasSums = false
-	if len(src) != c.cfg.TxnBytes {
+	if len(src) != c.cfg.TxnBytes || len(data)+len(meta) > c.stride {
 		return
 	}
 	// Summarize outside the shard lock; a record whose geometry does not
@@ -497,17 +551,15 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.slab == nil {
-		sh.reserve()
+		sh.reserve(c.cfg.ChannelWidthBits != 0)
 	}
 	if i := sh.exactSlot(p.hash); i != none {
 		if wordsEqual(sh.sig(i), p.words) {
 			// Refresh: deterministic codecs re-encode identically, but
 			// take the caller's bytes so an updated record wins.
-			e := &sh.slab[i]
-			e.data = append(e.data[:0], data...)
-			e.meta = append(e.meta[:0], meta...)
-			e.setSums(p)
-			e.ref = true
+			sh.setRecord(i, data, meta)
+			sh.setSums(i, p)
+			sh.slab[i].ref = true
 			return
 		}
 		// 64-bit hash collision between different contents: drop the
@@ -517,43 +569,38 @@ func (c *Cache) Insert(p *Probe, src, data, meta []byte) {
 		c.fill(sh, i, p, data, meta)
 		return
 	}
-	var i int32
+	var i slot
 	if n := len(sh.slab); n == sh.capacity {
 		i = c.evictTail(sh)
 		c.evictions.Add(1)
 	} else {
 		sh.slab = sh.slab[:n+1]
-		i = int32(n)
+		i = slot(n)
 		c.entries.Add(1)
 	}
 	c.fill(sh, i, p, data, meta)
 }
 
-// setSums copies the probe's summary pair into the entry, reusing the
-// entry's pair when its slot is recycled, or marks the entry summary-less
-// when the probe has none.
-func (e *entry) setSums(p *Probe) {
-	if !p.HasSums {
-		e.sums = nil
-		return
+// setSums copies the probe's summary pair into slot i's, reusing its
+// buffers when the slot is recycled, or marks the slot summary-less when
+// the probe has none. A probe has summaries only from a cache that
+// memoizes them, so the shard's sums are reserved.
+func (sh *shard) setSums(i slot, p *Probe) {
+	if sh.slab[i].hasSums = p.HasSums; p.HasSums {
+		sh.sums[i].raw.CopyFrom(&p.RawSum)
+		sh.sums[i].enc.CopyFrom(&p.EncSum)
 	}
-	if e.sums == nil {
-		e.sums = new(entrySums)
-	}
-	e.sums.raw.CopyFrom(&p.RawSum)
-	e.sums.enc.CopyFrom(&p.EncSum)
 }
 
 // fill populates detached slot i from the probe state and files it in the
 // exact table, at the front of each of its band buckets and at the LRU
 // front. Called with sh.mu held.
-func (c *Cache) fill(sh *shard, i int32, p *Probe, data, meta []byte) {
+func (c *Cache) fill(sh *shard, i slot, p *Probe, data, meta []byte) {
 	e := &sh.slab[i]
 	e.hash = p.hash
 	copy(sh.sig(i), p.words)
-	e.data = append(e.data[:0], data...)
-	e.meta = append(e.meta[:0], meta...)
-	e.setSums(p)
+	sh.setRecord(i, data, meta)
+	sh.setSums(i, p)
 	e.ref = false
 	tablePut(sh.exact, home(e.hash, sh.mask), i)
 	for b, k := range p.keys {
@@ -575,9 +622,9 @@ func (c *Cache) fill(sh *shard, i int32, p *Probe, data, meta []byte) {
 // from the signature rather than stored, and each bucket removal is O(1)
 // through the slot's own links; only a bucket's first slot is in a table.
 // Called with sh.mu held.
-func (c *Cache) unlink(sh *shard, i int32) {
+func (c *Cache) unlink(sh *shard, i slot) {
 	tableDelete(sh.exact, tableCell(sh.exact, home(sh.slab[i].hash, sh.mask), i),
-		func(j int32) int { return home(sh.slab[j].hash, sh.mask) })
+		func(j slot) int { return home(sh.slab[j].hash, sh.mask) })
 	c.bandKeys(sh.keys, sh.sig(i))
 	for b, k := range sh.keys {
 		l := sh.link(i, b)
@@ -589,7 +636,7 @@ func (c *Cache) unlink(sh *shard, i int32) {
 			t[tableCell(t, home(k, sh.mask), i)] = next + 1
 		default:
 			tableDelete(t, tableCell(t, home(k, sh.mask), i),
-				func(j int32) int { return home(c.bandKey(sh.sig(j), b), sh.mask) })
+				func(j slot) int { return home(c.bandKey(sh.sig(j), b), sh.mask) })
 		}
 		if next != none {
 			sh.links[sh.link(next, b)+1] = prev
@@ -598,7 +645,7 @@ func (c *Cache) unlink(sh *shard, i int32) {
 	sh.remove(i)
 }
 
-func (sh *shard) pushFront(i int32) {
+func (sh *shard) pushFront(i slot) {
 	e := &sh.slab[i]
 	e.prev, e.next = none, sh.head
 	if sh.head != none {
@@ -609,7 +656,7 @@ func (sh *shard) pushFront(i int32) {
 	sh.head = i
 }
 
-func (sh *shard) remove(i int32) {
+func (sh *shard) remove(i slot) {
 	e := &sh.slab[i]
 	if e.prev != none {
 		sh.slab[e.prev].next = e.next
@@ -623,7 +670,7 @@ func (sh *shard) remove(i int32) {
 	}
 }
 
-func (sh *shard) moveFront(i int32) {
+func (sh *shard) moveFront(i slot) {
 	if sh.head == i {
 		return
 	}
@@ -638,7 +685,7 @@ func (sh *shard) moveFront(i int32) {
 // settled here: a marked tail rotates to the front (consuming its chance)
 // and the walk continues; each rotation clears a bit, so the loop
 // terminates. Called with sh.mu held and at least one entry linked.
-func (c *Cache) evictTail(sh *shard) int32 {
+func (c *Cache) evictTail(sh *shard) slot {
 	for {
 		i := sh.tail
 		e := &sh.slab[i]

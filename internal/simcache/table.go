@@ -1,8 +1,8 @@
 package simcache
 
 // A shard files its slots in keyless open-addressed tables: each table is a
-// power-of-two []int32 of cells holding slot+1, so zero means empty, with
-// linear probing from a key's home cell mix64(key) & mask. A cell stores no
+// power-of-two []slot of cells holding slot+1, so zero means empty (and an
+// empty cell minus one is none), with linear probing from a key's home cell mix64(key) & mask. A cell stores no
 // key; a probe checks a candidate against the slot's own state (its content
 // hash, or the band key recomputed from its signature words). Tables are
 // sized to at least twice the shard's capacity, so they are never more than
@@ -26,7 +26,7 @@ func home(key, mask uint64) int {
 
 // tablePut stores slot i in the first empty cell of the probe run from h.
 // The table must have an empty cell, which a half-full table always has.
-func tablePut(t []int32, h int, i int32) {
+func tablePut(t []slot, h int, i slot) {
 	mask := len(t) - 1
 	for t[h] != 0 {
 		h = (h + 1) & mask
@@ -36,7 +36,7 @@ func tablePut(t []int32, h int, i int32) {
 
 // tableCell returns the cell holding slot i in the probe run from h, or -1
 // when the run ends without it.
-func tableCell(t []int32, h int, i int32) int {
+func tableCell(t []slot, h int, i slot) int {
 	mask := len(t) - 1
 	for ; t[h] != 0; h = (h + 1) & mask {
 		if t[h] == i+1 {
@@ -50,7 +50,7 @@ func tableCell(t []int32, h int, i int32) int {
 // run moves back into the hole unless that would put it before its home,
 // so every remaining slot stays reachable from its home without crossing
 // an empty cell. homeOf returns a stored slot's home cell.
-func tableDelete(t []int32, pos int, homeOf func(i int32) int) {
+func tableDelete(t []slot, pos int, homeOf func(i slot) int) {
 	mask := len(t) - 1
 	hole := pos
 	for j := (pos + 1) & mask; t[j] != 0; j = (j + 1) & mask {

@@ -19,10 +19,10 @@ func TestTableCells(t *testing.T) {
 // run must stay contiguous: exactly the remaining slots' cells are occupied.
 func TestTableWrapAroundDeletes(t *testing.T) {
 	homes := []int{14, 15, 14, 0, 15, 13, 1}
-	homeOf := func(i int32) int { return homes[i] }
-	var filled [16]int32
+	homeOf := func(i slot) int { return homes[i] }
+	var filled [16]slot
 	for i, h := range homes {
-		tablePut(filled[:], h, int32(i))
+		tablePut(filled[:], h, slot(i))
 	}
 	// The run starts at cell 13 and wraps: 13 through 15, then 0 through 3.
 	if filled[13] == 0 || filled[15] == 0 || filled[0] == 0 || filled[3] == 0 || filled[4] != 0 {
@@ -33,12 +33,12 @@ func TestTableWrapAroundDeletes(t *testing.T) {
 	permute(len(homes), func(order []int) {
 		orders++
 		table := filled
-		live := map[int32]bool{}
+		live := map[slot]bool{}
 		for i := range homes {
-			live[int32(i)] = true
+			live[slot(i)] = true
 		}
 		for step, victim := range order {
-			i := int32(victim)
+			i := slot(victim)
 			pos := tableCell(table[:], homes[i], i)
 			if pos < 0 {
 				t.Fatalf("order %v step %d: slot %d not found before its deletion", order, step, i)
