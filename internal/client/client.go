@@ -20,7 +20,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -127,8 +126,6 @@ type Client struct {
 	stream
 
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
 	cfg  Config
 	addr string
 
@@ -138,9 +135,9 @@ type Client struct {
 	// [3/4·IOTimeout, IOTimeout] without a timer update per batch.
 	readDLAt  time.Time
 	writeDLAt time.Time
-	// frames is the reply frame read buffer; a returned reply's records
-	// alias it.
-	frames trace.FrameBuffer
+	// in reads the connection's reply frames in place; a returned reply's
+	// records alias its buffer.
+	in trace.FrameReader
 }
 
 // Dial connects to a gateway and opens a session running the named scheme
@@ -163,8 +160,6 @@ func DialContext(ctx context.Context, addr, scheme string, txnSize int, cfg Conf
 	c := &Client{
 		cfg:  cfg.withDefaults(),
 		addr: addr,
-		br:   trace.NewConnReader(nil),
-		bw:   trace.NewConnWriter(nil),
 	}
 	c.stream = stream{cfg: &c.cfg, scheme: scheme, txnSize: txnSize}
 	if err := c.dial(ctx); err != nil {
@@ -175,7 +170,7 @@ func DialContext(ctx context.Context, addr, scheme string, txnSize int, cfg Conf
 
 // dial opens and handshakes a fresh connection for c.
 func (c *Client) dial(ctx context.Context) error {
-	conn, ok, err := connect(ctx, &c.cfg, c.addr, c.scheme, c.txnSize, c.br, c.bw)
+	conn, ok, err := connect(ctx, &c.cfg, c.addr, c.scheme, c.txnSize, &c.in)
 	if err != nil {
 		return err
 	}
@@ -211,15 +206,13 @@ func (c *Client) ready() error {
 	return nil
 }
 
-func (c *Client) send(ft trace.FrameType, body []byte) error {
+func (c *Client) send(frame []byte) error {
 	if now := time.Now(); now.Sub(c.writeDLAt) > c.cfg.IOTimeout>>2 {
 		c.conn.SetWriteDeadline(now.Add(c.cfg.IOTimeout))
 		c.writeDLAt = now
 	}
-	if err := trace.WriteFrame(c.bw, ft, body); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err := c.conn.Write(frame)
+	return err
 }
 
 func (c *Client) recv() (trace.FrameType, []byte, error) {
@@ -227,7 +220,7 @@ func (c *Client) recv() (trace.FrameType, []byte, error) {
 		c.conn.SetReadDeadline(now.Add(c.cfg.IOTimeout))
 		c.readDLAt = now
 	}
-	return c.frames.ReadFrame(c.br)
+	return c.in.Next()
 }
 
 // broken discards the connection. The next attempt redials; the epoch

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -14,14 +13,18 @@ import (
 )
 
 // connect dials addr and runs the Hello handshake for (scheme, txnSize) on
-// the new connection, resetting br and bw onto it. The handshake's I/O is
+// the new connection, resetting in onto it. The handshake's I/O is
 // bounded by the earlier of ctx's deadline and IOTimeout from now, so a
 // context-bounded dial bounds the handshake too. On any failure —
 // including ctx canceling mid-handshake — the socket is closed before
 // connect returns, never leaked. A HelloOK naming any revision other than
 // trace.ProtocolVersion fails with ErrServer.
-func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int, br *bufio.Reader, bw *bufio.Writer) (net.Conn, trace.HelloOK, error) {
-	hello, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: txnSize, Scheme: scheme})
+func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int, in *trace.FrameReader) (net.Conn, trace.HelloOK, error) {
+	body, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: txnSize, Scheme: scheme})
+	if err != nil {
+		return nil, trace.HelloOK{}, err
+	}
+	hello, err := trace.AppendFrame(nil, trace.FrameHello, body)
 	if err != nil {
 		return nil, trace.HelloOK{}, err
 	}
@@ -34,14 +37,13 @@ func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int,
 	// and guarantees no leaked connection either way.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	br.Reset(conn)
-	bw.Reset(conn)
+	in.Reset(conn)
 	deadline := time.Now().Add(cfg.IOTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
-	ok, err := handshake(br, bw, hello)
+	ok, err := handshake(conn, in, hello)
 	if err != nil {
 		conn.Close()
 		if ctx.Err() != nil {
@@ -56,15 +58,12 @@ func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int,
 	return conn, ok, nil
 }
 
-// handshake sends the Hello body and reads the server's answer.
-func handshake(br *bufio.Reader, bw *bufio.Writer, hello []byte) (trace.HelloOK, error) {
-	if err := trace.WriteFrame(bw, trace.FrameHello, hello); err != nil {
+// handshake sends the Hello frame and reads the server's answer.
+func handshake(conn net.Conn, in *trace.FrameReader, hello []byte) (trace.HelloOK, error) {
+	if _, err := conn.Write(hello); err != nil {
 		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
-	}
-	ft, body, err := trace.ReadFrame(br, nil)
+	ft, body, err := in.Next()
 	if err != nil {
 		return trace.HelloOK{}, fmt.Errorf("client: reading hello-ok: %w", err)
 	}
@@ -93,8 +92,8 @@ type link interface {
 	// ready makes a connection available for the next attempt, redialing
 	// (and re-opening the stream) as needed.
 	ready() error
-	// send writes one frame to the server.
-	send(ft trace.FrameType, body []byte) error
+	// send writes one whole frame, header included, to the server.
+	send(frame []byte) error
 	// recv returns the next frame addressed to this stream; the body stays
 	// valid until the next send.
 	recv() (trace.FrameType, []byte, error)
@@ -132,8 +131,9 @@ type stream struct {
 	epoch atomic.Uint64
 	stats RetryStats
 
-	// bbuf, recs and span are reused across Transcode calls so a
-	// steady-state streaming client allocates nothing per batch.
+	// bbuf (the request frame), recs and span are reused across
+	// Transcode calls so a steady-state streaming client allocates nothing
+	// per batch.
 	bbuf []byte
 	recs []trace.EncodedRecord
 	span obs.Span
@@ -244,18 +244,23 @@ func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, 
 // class, and the error for every class but exchangeOK.
 func (s *stream) exchange(l link, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
 	writeStart := time.Now()
-	// Every request leads with the stream id; the envelope and its CRC
-	// cover everything after it.
-	buf := trace.AppendTraceEnvelope(trace.AppendStreamID(s.bbuf[:0], s.sid), s.id, s.traceID)
-	body, err := trace.AppendBatch(buf, txns, s.txnSize)
+	// The request is built as a whole frame: header room, then the body,
+	// which leads with the stream id; the envelope and its CRC cover
+	// everything after it.
+	buf := trace.AppendStreamID(trace.BeginFrame(s.bbuf[:0]), s.sid)
+	buf = trace.AppendTraceEnvelope(buf, s.id, s.traceID)
+	frame, err := trace.AppendBatch(buf, txns, s.txnSize)
 	if err != nil {
 		return trace.BatchReply{}, 0, exchangeCaller, err
 	}
-	s.bbuf = body[:0]
-	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+	s.bbuf = frame[:0]
+	if err := trace.SealBatchEnvelope(frame[trace.FrameHeaderBytes+4:]); err != nil {
 		return trace.BatchReply{}, 0, exchangeCaller, err // unreachable: envelope present
 	}
-	if err := l.send(trace.FrameBatch, body); err != nil {
+	if err := trace.SealFrame(frame, trace.FrameBatch); err != nil {
+		return trace.BatchReply{}, 0, exchangeCaller, err
+	}
+	if err := l.send(frame); err != nil {
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
 	}
 	readStart := time.Now()

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -57,13 +56,12 @@ type Mux struct {
 }
 
 // muxConn is one generation of the shared connection. Writes from any
-// session serialize on wmu; a single reader goroutine owns br and routes
+// session serialize on wmu; a single reader goroutine owns in and routes
 // reply frames to sessions by stream id. dead is closed (once) when the
 // connection fails, waking every waiting session.
 type muxConn struct {
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	in   trace.FrameReader
 	gen  uint64
 
 	wmu sync.Mutex
@@ -93,13 +91,17 @@ func (mc *muxConn) isDead() bool {
 }
 
 // muxFrame is one reply frame routed to a session: the type and the full
-// v4 body (stream-id prefix included), read by the mux reader straight
-// into fb, a buffer the session owns until it hands fb back.
+// v4 body (stream-id prefix included), copied by the mux reader into fb, a
+// buffer the session owns until it hands fb back.
 type muxFrame struct {
 	ft   trace.FrameType
 	body []byte
-	fb   *trace.FrameBuffer
+	fb   *frameBuf
 }
+
+// frameBuf is a session's reply buffer; it keeps the capacity of the
+// largest reply copied into it.
+type frameBuf struct{ b []byte }
 
 // Session is one logical stream on a Mux: an independent transcoding
 // session with its own codec state on the server, batch-id space, epoch,
@@ -128,8 +130,8 @@ type Session struct {
 	// last received frame (and the reply Transcode returned) aliases; it
 	// goes back on free when the next exchange starts. Capacity one, like
 	// replyCh.
-	free chan *trace.FrameBuffer
-	held *trace.FrameBuffer
+	free chan *frameBuf
+	held *frameBuf
 	// timer bounds each await; one per session, re-armed per exchange.
 	timer *time.Timer
 }
@@ -184,7 +186,7 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 		m:       m,
 		gen:     mc.gen,
 		replyCh: make(chan muxFrame, 1),
-		free:    make(chan *trace.FrameBuffer, 1),
+		free:    make(chan *frameBuf, 1),
 	}
 	s.stream = stream{cfg: &m.cfg, sid: m.nextSID, scheme: scheme, txnSize: txnSize}
 	m.nextSID++
@@ -219,15 +221,13 @@ func (m *Mux) redialLocked() error {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DialTimeout)
 	defer cancel()
 	mc := &muxConn{
-		br:   trace.NewConnReader(nil),
-		bw:   trace.NewConnWriter(nil),
 		gen:  1,
 		dead: make(chan struct{}),
 	}
 	if m.conn != nil {
 		mc.gen = m.conn.gen + 1
 	}
-	conn, ok, err := connect(ctx, &m.cfg, m.addr, m.helloScheme, m.helloTxn, mc.br, mc.bw)
+	conn, ok, err := connect(ctx, &m.cfg, m.addr, m.helloScheme, m.helloTxn, &mc.in)
 	if err != nil {
 		return err
 	}
@@ -252,16 +252,19 @@ func (m *Mux) redialLocked() error {
 }
 
 // readLoop is the demultiplexer: it owns the connection's read side,
-// routing every frame to the session its stream-id prefix names. It peeks
-// the stream id first and reads the frame straight into a buffer the
-// session handed back, so a reply is neither copied nor allocated. A
-// frame for an unknown stream is dropped (the stream closed
-// concurrently); a read or framing error kills the connection generation,
-// waking every waiting session.
+// routing every frame to the session its stream-id prefix names. Frames
+// are read in place, several per Read when they arrive back to back, and
+// each is copied once, into a buffer its session handed back, so a reply
+// is not allocated. A frame for an unknown stream is dropped (the stream
+// closed concurrently); a read or framing error kills the connection
+// generation, waking every waiting session.
 func (m *Mux) readLoop(mc *muxConn) {
-	var discard trace.FrameBuffer // frames for streams no longer open
 	for {
-		sid, err := trace.PeekStreamID(mc.br)
+		ft, body, err := mc.in.Next()
+		var sid uint32
+		if err == nil {
+			sid, _, err = trace.SplitStreamID(body)
+		}
 		if err != nil {
 			mc.fail(fmt.Errorf("client: mux read: %w", err))
 			return
@@ -269,26 +272,20 @@ func (m *Mux) readLoop(mc *muxConn) {
 		m.mu.Lock()
 		s := m.sessions[sid]
 		m.mu.Unlock()
-		fb := &discard
-		if s != nil {
-			select {
-			case fb = <-s.free:
-			default:
-				// The session still holds its buffer (first frame, or one
-				// beyond the single frame in flight).
-				fb = new(trace.FrameBuffer)
-			}
-		}
-		ft, body, err := fb.ReadFrame(mc.br)
-		if err != nil {
-			mc.fail(fmt.Errorf("client: mux read: %w", err))
-			return
-		}
 		if s == nil {
 			continue
 		}
+		var fb *frameBuf
 		select {
-		case s.replyCh <- muxFrame{ft: ft, body: body, fb: fb}:
+		case fb = <-s.free:
+		default:
+			// The session still holds its buffer (first frame, or one
+			// beyond the single frame in flight).
+			fb = new(frameBuf)
+		}
+		fb.b = append(fb.b[:0], body...)
+		select {
+		case s.replyCh <- muxFrame{ft: ft, body: fb.b, fb: fb}:
 		default:
 			// More than one frame outstanding for the stream can only be
 			// an unsolicited duplicate; the stream learns its fate from
@@ -328,21 +325,19 @@ func (m *Mux) ensure(s *Session) (*muxConn, error) {
 	return mc, nil
 }
 
-// writeFrame sends one frame on the shared connection, serializing with
-// every other session's writes.
-func (mc *muxConn) writeFrame(ft trace.FrameType, body []byte, timeout time.Duration) error {
+// writeFrame sends one whole frame, header included, on the shared
+// connection in one Write, serializing with every other session's writes.
+func (mc *muxConn) writeFrame(frame []byte, timeout time.Duration) error {
 	mc.wmu.Lock()
 	defer mc.wmu.Unlock()
 	mc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := trace.WriteFrame(mc.bw, ft, body); err != nil {
-		return err
-	}
-	return mc.bw.Flush()
+	_, err := mc.conn.Write(frame)
+	return err
 }
 
 // recycle offers fb back to the mux reader for this stream's next frame;
 // a buffer beyond the one the reader can hold is left to the collector.
-func (s *Session) recycle(fb *trace.FrameBuffer) {
+func (s *Session) recycle(fb *frameBuf) {
 	select {
 	case s.free <- fb:
 	default:
@@ -405,8 +400,12 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return err
 	}
+	frame, err := trace.AppendFrame(nil, trace.FrameStreamOpen, body)
+	if err != nil {
+		return err
+	}
 	s.reclaim()
-	if err := mc.writeFrame(trace.FrameStreamOpen, body, s.m.cfg.IOTimeout); err != nil {
+	if err := mc.writeFrame(frame, s.m.cfg.IOTimeout); err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
 	f, err := s.await(mc, s.m.cfg.IOTimeout)
@@ -461,9 +460,9 @@ func (s *Session) ready() error {
 	return nil
 }
 
-func (s *Session) send(ft trace.FrameType, body []byte) error {
+func (s *Session) send(frame []byte) error {
 	s.reclaim()
-	return s.mc.writeFrame(ft, body, s.m.cfg.IOTimeout)
+	return s.mc.writeFrame(frame, s.m.cfg.IOTimeout)
 }
 
 func (s *Session) recv() (trace.FrameType, []byte, error) {
@@ -504,7 +503,11 @@ func (s *Session) Close() error {
 	// The session is already deregistered, so the reader drops the
 	// StreamClosed ack; the exchange below only pushes the close out and
 	// confirms the write path still works.
-	if err := mc.writeFrame(trace.FrameStreamClose, trace.MarshalStreamClose(s.sid), m.cfg.IOTimeout); err != nil {
+	frame, err := trace.AppendFrame(nil, trace.FrameStreamClose, trace.MarshalStreamClose(s.sid))
+	if err == nil {
+		err = mc.writeFrame(frame, m.cfg.IOTimeout)
+	}
+	if err != nil {
 		return fmt.Errorf("client: closing stream %d: %w", s.sid, err)
 	}
 	return nil

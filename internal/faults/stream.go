@@ -18,7 +18,7 @@ import (
 // WrapStreamConn returns c with the injector's stream faults applied to
 // the write side. The wrapper reassembles the written byte stream into
 // BXTP frames, so faults land on whole v4 Batch frames regardless of how
-// the writer's bufio layer coalesces or splits them; all other frame
+// the writer coalesces or splits them across Write calls; all other frame
 // types pass through untouched. The connection must speak protocol v4 —
 // on earlier revisions a Batch body does not lead with a stream id and
 // interleave would corrupt it.

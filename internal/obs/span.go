@@ -3,11 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -85,25 +87,54 @@ func (s *Span) Total() time.Duration {
 	return time.Duration(t)
 }
 
-// traceShards is the TraceRing shard count; spans shard by session id, so
-// concurrent sessions contend only when they collide modulo this.
+// traceShards is the TraceRing shard count. Spans take the shards in
+// turn, so writers contend only when they land on one shard at once, and
+// the ring keeps the last n spans whichever sessions added them.
 const traceShards = 8
 
-// TraceRing retains the most recent spans in fixed per-shard rings. Add is
-// one short mutex hold on the owning shard plus a value copy — no
-// allocation — so it can sit on the per-batch serving path. Records
-// survive session close: the ring is global, sharded only for lock
-// cheapness.
+// TraceRing retains the most recent spans in fixed per-shard rings of
+// packed records. Add is one atomic increment, one short mutex hold on the
+// shard it picks and a packing copy — no allocation once the shard has
+// seen the span's stage and scheme names — so it can sit on the per-batch
+// serving path. Records survive session close: the ring is
+// global, sharded only for lock cheapness.
 type TraceRing struct {
+	next   atomic.Uint64
 	shards [traceShards]traceShard
 }
 
 type traceShard struct {
 	mu    sync.Mutex
-	ring  []Span
+	ring  []spanRecord
 	next  int
 	total uint64
+	// names interns the stage and scheme names of the shard's records,
+	// which hold their uint8 ids.
+	names []string
 }
+
+// spanRecord is one Span packed for the ring: 136 bytes against the
+// Span's 312. Start is Unix nanoseconds (noStart for the zero time),
+// stage and scheme names are ids into the shard's names (noName when the
+// table is full), and the wire counters and transaction count are uint32,
+// saturating: exact for any batch that fits a frame, since
+// trace.MaxFrameBytes (16 MiB) moves at most 2^27 payload bits.
+type spanRecord struct {
+	traceID, batchID, session uint64
+	start                     int64
+	nanos                     [SpanStages]int64
+	stages                    [SpanStages]uint8
+	dataBits                  uint32
+	baseOnes, encOnes         uint32
+	baseToggles, encToggles   uint32
+	txns                      uint32
+	scheme, n                 uint8
+}
+
+const (
+	noStart = math.MinInt64
+	noName  = math.MaxUint8
+)
 
 // NewTraceRing retains the last n spans (rounded up to the shard count).
 func NewTraceRing(n int) *TraceRing {
@@ -111,27 +142,103 @@ func NewTraceRing(n int) *TraceRing {
 	if per <= 0 {
 		per = 1
 	}
+	// One backing array for all shards: a per-shard array would round up
+	// to whole pages on its own.
+	recs := make([]spanRecord, traceShards*per)
 	r := &TraceRing{}
 	for i := range r.shards {
-		r.shards[i].ring = make([]Span, 0, per)
+		r.shards[i].ring = recs[i*per : i*per : (i+1)*per]
+		r.shards[i].names = make([]string, 0, 16) // the pipeline's stages and a few schemes
 	}
 	return r
 }
 
-// Add records one span, evicting the oldest in its session's shard when
+// Add records one span, evicting the oldest in the shard it lands on when
 // full. The span is copied; the caller may immediately reuse it.
 func (r *TraceRing) Add(s *Span) {
-	sh := &r.shards[s.Session%traceShards]
+	sh := &r.shards[r.next.Add(1)%traceShards]
 	sh.mu.Lock()
 	if len(sh.ring) < cap(sh.ring) {
-		sh.ring = append(sh.ring, *s)
+		sh.ring = sh.ring[:len(sh.ring)+1]
+		sh.pack(&sh.ring[len(sh.ring)-1], s)
 	} else {
-		sh.ring[sh.next] = *s
+		sh.pack(&sh.ring[sh.next], s)
 		sh.next = (sh.next + 1) % cap(sh.ring)
 	}
 	sh.total++
 	sh.mu.Unlock()
 }
+
+// pack packs s into rec. A stage whose name finds no room in the shard's
+// table is dropped, as is such a scheme name.
+func (sh *traceShard) pack(rec *spanRecord, s *Span) {
+	*rec = spanRecord{
+		traceID:     s.TraceID,
+		batchID:     s.BatchID,
+		session:     s.Session,
+		start:       noStart,
+		dataBits:    sat32(s.DataBits),
+		baseOnes:    sat32(s.BaseOnes),
+		encOnes:     sat32(s.EncOnes),
+		baseToggles: sat32(s.BaseToggles),
+		encToggles:  sat32(s.EncToggles),
+		txns:        sat32(uint64(max(s.Txns, 0))),
+		scheme:      sh.intern(s.Scheme),
+	}
+	if !s.Start.IsZero() {
+		rec.start = s.Start.UnixNano()
+	}
+	for _, st := range s.Stages() {
+		if id := sh.intern(string(st.Stage)); id != noName {
+			rec.stages[rec.n], rec.nanos[rec.n] = id, st.Nanos
+			rec.n++
+		}
+	}
+}
+
+// intern returns name's id in the shard's table, adding it while the
+// table has room.
+func (sh *traceShard) intern(name string) uint8 {
+	for i, have := range sh.names {
+		if have == name {
+			return uint8(i)
+		}
+	}
+	if len(sh.names) == noName {
+		return noName
+	}
+	sh.names = append(sh.names, name)
+	return uint8(len(sh.names) - 1)
+}
+
+// unpack rebuilds the Span rec was packed from.
+func (sh *traceShard) unpack(rec *spanRecord) Span {
+	s := Span{
+		TraceID:     rec.traceID,
+		BatchID:     rec.batchID,
+		Session:     rec.session,
+		Txns:        int(rec.txns),
+		DataBits:    uint64(rec.dataBits),
+		BaseOnes:    uint64(rec.baseOnes),
+		EncOnes:     uint64(rec.encOnes),
+		BaseToggles: uint64(rec.baseToggles),
+		EncToggles:  uint64(rec.encToggles),
+		n:           int(rec.n),
+	}
+	if rec.start != noStart {
+		s.Start = time.Unix(0, rec.start)
+	}
+	if rec.scheme != noName {
+		s.Scheme = sh.names[rec.scheme]
+	}
+	for i := 0; i < s.n; i++ {
+		s.stages[i] = SpanStage{Stage: Stage(sh.names[rec.stages[i]]), Nanos: rec.nanos[i]}
+	}
+	return s
+}
+
+// sat32 narrows v to uint32, saturating.
+func sat32(v uint64) uint32 { return uint32(min(v, math.MaxUint32)) }
 
 // Total returns the number of spans ever added (retained or evicted).
 func (r *TraceRing) Total() uint64 {
@@ -151,8 +258,9 @@ func (r *TraceRing) Snapshot() []Span {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		out = append(out, sh.ring[sh.next:]...)
-		out = append(out, sh.ring[:sh.next]...)
+		for j := range sh.ring {
+			out = append(out, sh.unpack(&sh.ring[(sh.next+j)%len(sh.ring)]))
+		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })

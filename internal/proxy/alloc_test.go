@@ -35,18 +35,18 @@ func (c countingConn) Write(p []byte) (int, error) {
 // and the client sends each batch frame, header and body, in one Write.
 // It covers one plain session straight to bxtd or through the proxy, and
 // a 16-stream mux (twelve basexor and four bdenc streams) straight or
-// through the proxy. A writer buffer too small for the frame, or a frame
-// written in pieces, shows as a write count instead of hiding in timing
-// noise.
+// through the proxy. A frame written in pieces shows as a write count
+// instead of hiding in timing noise; TestFrameIOPerLeg (internal/serve)
+// counts the proxy's and bxtd's legs the same way.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate drives thousands of loopback batches")
 	}
 	srv := startBackend(t, backendConfig())
 	pcfg := proxyConfig(srv.Addr())
-	// A health probe borrows pooled buffers but still makes about 80
-	// small allocations (TestProbeAllocations gates its bytes); keep
-	// probes out of the measured window.
+	// A health probe makes about 80 small allocations
+	// (TestProbeAllocations gates its bytes); keep probes out of the
+	// measured window.
 	pcfg.HealthInterval = time.Hour
 	px := startProxy(t, pcfg)
 

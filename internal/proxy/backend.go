@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -156,25 +155,20 @@ func (b *backend) ok() (restored bool) {
 type upstream struct {
 	b    *backend
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
 	// ok is the backend's HelloOK; the proxy relays MetaBits and
 	// BatchLimit to the client verbatim.
 	ok trace.HelloOK
-	// frames is the reply frame read buffer.
-	frames trace.FrameBuffer
+	// in reads the backend's reply frames in place; wbuf frames the
+	// proxy's own requests (Hello and admin frames).
+	in   trace.FrameReader
+	wbuf []byte
 	// open tracks which streams beyond 0 are open on this connection (the
 	// Hello implicitly opens stream 0).
 	open map[uint32]bool
 }
 
-// close closes u's connection and returns its buffers to the pool; u must
-// not be used afterwards.
-func (u *upstream) close() {
-	u.conn.Close()
-	trace.ReleaseConnBuffers(u.br, u.bw)
-	u.br, u.bw = nil, nil
-}
+// close closes u's connection; u must not be used afterwards.
+func (u *upstream) close() { u.conn.Close() }
 
 // handshake runs the BXTP Hello exchange for h within timeout. A backend
 // Error reply surfaces as errUpstreamReject carrying the message; a
@@ -186,15 +180,7 @@ func (u *upstream) handshake(h trace.Hello, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	u.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := trace.WriteFrame(u.bw, trace.FrameHello, body); err != nil {
-		return err
-	}
-	if err := u.bw.Flush(); err != nil {
-		return err
-	}
-	u.conn.SetReadDeadline(time.Now().Add(timeout))
-	ft, rbody, err := trace.ReadFrame(u.br, nil)
+	ft, rbody, err := u.adminExchange(trace.FrameHello, body, timeout)
 	if err != nil {
 		return err
 	}
@@ -228,17 +214,14 @@ var errStateRejected = errors.New("proxy: backend rejected state transfer")
 var errStreamRefused = errors.New("proxy: backend refused stream open")
 
 // adminExchange runs one serial admin round trip (write ft+body, read the
-// reply) within timeout, reading the reply into u.frames.
+// reply) within timeout. The reply body aliases u.in's buffer.
 func (u *upstream) adminExchange(ft trace.FrameType, body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
-	u.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := trace.WriteFrame(u.bw, ft, body); err != nil {
+	frame, err := trace.AppendFrame(u.wbuf[:0], ft, body)
+	u.wbuf = frame[:0]
+	if err != nil {
 		return 0, nil, err
 	}
-	if err := u.bw.Flush(); err != nil {
-		return 0, nil, err
-	}
-	u.conn.SetReadDeadline(time.Now().Add(timeout))
-	return u.frames.ReadFrame(u.br)
+	return u.exchange(frame, timeout)
 }
 
 // stripMux removes the stream-id prefix from a reply body and checks it
@@ -256,7 +239,7 @@ func (u *upstream) stripMux(sid uint32, body []byte) ([]byte, error) {
 
 // openStream opens stream sid on an upstream connection with one
 // StreamOpen exchange. It returns the backend's raw StreamOpenOK body
-// (aliasing u.frames) so the caller can relay the verdict verbatim; a clean
+// (aliasing u.in's buffer) so the caller can relay the verdict verbatim; a clean
 // refusal wraps errStreamRefused, any other error means the connection
 // may be desynchronized and should be dropped.
 func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte, error) {
@@ -369,9 +352,16 @@ func (u *upstream) restoreState(sid uint32, seq uint64, state []byte, timeout ti
 	return nil
 }
 
-// exchange forwards one Batch frame body verbatim (stream-id prefix
-// included) and reads the reply frame, all within timeout. The
-// returned body aliases u.frames and is valid until the next exchange.
-func (u *upstream) exchange(body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
-	return u.adminExchange(trace.FrameBatch, body, timeout)
+// exchange writes one whole frame, header included, in one Write and
+// reads the reply frame, all within timeout. A relayed client Batch frame
+// goes out verbatim from the client leg's read buffer. The returned body
+// — and u.in.Frame(), the whole reply — alias u.in's buffer and are valid
+// until the next exchange.
+func (u *upstream) exchange(frame []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
+	u.conn.SetWriteDeadline(time.Now().Add(timeout))
+	if _, err := u.conn.Write(frame); err != nil {
+		return 0, nil, err
+	}
+	u.conn.SetReadDeadline(time.Now().Add(timeout))
+	return u.in.Next()
 }

@@ -320,14 +320,11 @@ func (p *Proxy) Addr() string { return p.host.Addr() }
 func (p *Proxy) MetricsAddr() string { return p.host.MetricsAddr() }
 
 func (p *Proxy) newSession(conn net.Conn, id uint64) *session {
-	br := trace.NewConnReader(conn)
 	return &session{
 		p:    p,
 		id:   id,
 		conn: conn,
-		br:   br,
-		bw:   trace.NewConnWriter(conn),
-		in:   p.host.NewReader(conn, br),
+		in:   p.host.NewReader(conn),
 		ups:  make(map[*backend]*upstream),
 	}
 }
@@ -456,20 +453,15 @@ func rendezvousScore(key uint64, addr string) uint64 {
 // dialUpstream opens, wraps (chaos), and handshakes one upstream
 // connection with b for h. The caller owns the returned upstream.
 func (p *Proxy) dialUpstream(b *backend, h trace.Hello) (*upstream, error) {
-	d := net.Dialer{Timeout: p.cfg.DialTimeout}
-	conn, err := d.Dial("tcp", b.addr)
+	conn, err := p.host.Dial(b.addr, p.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if p.inj != nil {
 		conn = p.inj.WrapConn(conn)
 	}
-	u := &upstream{
-		b:    b,
-		conn: conn,
-		br:   trace.NewConnReader(conn),
-		bw:   trace.NewConnWriter(conn),
-	}
+	u := &upstream{b: b, conn: conn}
+	u.in.Reset(conn)
 	if err := u.handshake(h, p.cfg.DialTimeout); err != nil {
 		u.close()
 		return nil, err

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -29,13 +28,15 @@ type session struct {
 	p    *Proxy
 	id   uint64
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
 	// in reads the Hello and every later client frame under the idle
-	// deadline; a relayed batch body aliases its buffer until the
-	// upstream exchange returns.
+	// deadline; a relayed batch frame goes upstream straight from its
+	// buffer.
 	in  serve.Reader
 	log *slog.Logger
+	// wbuf frames the proxy's own replies to the client (errors,
+	// conversions, stream verdicts); relayed backend frames go out
+	// straight from the upstream's read buffer.
+	wbuf []byte
 
 	// hello is the client's Hello, stream 0's parameters; every upstream
 	// connection replays it when dialing, whichever stream triggered the
@@ -60,7 +61,6 @@ type session struct {
 
 // Serve drives the session: handshake, then the relay loop.
 func (ss *session) Serve() {
-	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 	defer ss.closeUpstreams()
 	defer ss.teardownStreams()
@@ -193,7 +193,7 @@ func (ss *session) dispatchBatch(body []byte, readDur time.Duration) (fatal bool
 	if st == nil {
 		return ss.writeFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "unknown stream")) != nil
 	}
-	return st.handleBatch(body, interior, readDur)
+	return st.handleBatch(ss.in.Frame(), interior, readDur)
 }
 
 // handleStreamOpen opens one additional logical stream: validate it
@@ -283,11 +283,20 @@ func (ss *session) closeUpstreams() {
 	ss.ups = nil
 }
 
-// writeFrame writes one frame to the client under the write deadline.
+// writeFrame frames body as a t frame and writes it to the client.
 func (ss *session) writeFrame(ft trace.FrameType, body []byte) error {
-	ss.conn.SetWriteDeadline(time.Now().Add(ss.p.cfg.WriteTimeout))
-	if err := trace.WriteFrame(ss.bw, ft, body); err != nil {
+	frame, err := trace.AppendFrame(ss.wbuf[:0], ft, body)
+	ss.wbuf = frame[:0]
+	if err != nil {
 		return err
 	}
-	return ss.bw.Flush()
+	return ss.relay(frame)
+}
+
+// relay writes one whole frame, header included, to the client in one
+// Write under the write deadline.
+func (ss *session) relay(frame []byte) error {
+	ss.conn.SetWriteDeadline(time.Now().Add(ss.p.cfg.WriteTimeout))
+	_, err := ss.conn.Write(frame)
+	return err
 }

@@ -65,11 +65,13 @@ func (st *pstream) wrapReply(body []byte) []byte {
 	return append(trace.AppendStreamID(make([]byte, 0, 4+len(body)), st.sid), body...)
 }
 
-// handleBatch relays one Batch frame body to a backend and the reply back
-// to the client. Bodies relay verbatim in both directions — the stream-id
-// prefix rides along untouched, and only the interior past it is parsed
-// for validation. It returns true when the session must close.
-func (st *pstream) handleBatch(body, interior []byte, readDur time.Duration) (fatal bool) {
+// handleBatch relays one Batch frame to a backend and the reply back to
+// the client. Frames relay verbatim in both directions, each written
+// whole, header included, straight from the read buffer it arrived in —
+// the stream-id prefix rides along untouched, and only the interior past
+// it is parsed for validation. It returns true when the session must
+// close.
+func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (fatal bool) {
 	ss := st.ss
 	// The trace id rides the envelope payload; the body still relays
 	// verbatim, the proxy only reads it for its own spans.
@@ -97,7 +99,7 @@ func (st *pstream) handleBatch(body, interior []byte, readDur time.Duration) (fa
 	}
 	b.pending.Add(1)
 	start := time.Now()
-	ft, rbody, xerr := u.exchange(body, ss.p.cfg.ExchangeTimeout)
+	ft, rbody, xerr := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
 	b.pending.Add(-1)
 	backDur := time.Since(start)
 	st.backH.ObserveDurationEx(backDur, ss.traceID)
@@ -154,7 +156,7 @@ func (st *pstream) handleBatch(body, interior []byte, readDur time.Duration) (fa
 			ss.span.BaseToggles, ss.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
 		}
 		start = time.Now()
-		if err := ss.writeFrame(trace.FrameBatchReply, rbody); err != nil {
+		if err := ss.relay(u.in.Frame()); err != nil {
 			return true
 		}
 		writeDur := time.Since(start)
@@ -192,7 +194,7 @@ func (st *pstream) handleBatch(body, interior []byte, readDur time.Duration) (fa
 		if !st.pinned {
 			st.avoid = b
 		}
-		return ss.writeFrame(ft, rbody) != nil
+		return ss.relay(u.in.Frame()) != nil
 	case trace.FrameError:
 		// The backend ended this upstream session (fault budget, drain,
 		// refusal) but is alive enough to speak BXTP: not an ejection
@@ -227,7 +229,7 @@ func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []b
 	ss.p.met.streamKills.Add(1)
 	ss.forgetStream(st)
 	ss.log.Info("stream killed by backend", "stream", st.sid, "backend", b.addr, "msg", msg)
-	return ss.writeFrame(trace.FrameStreamClosed, rbody) != nil
+	return ss.relay(u.in.Frame()) != nil
 }
 
 // convertFailure turns an upstream failure into a recoverable reply: Busy

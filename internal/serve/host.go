@@ -21,7 +21,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -269,6 +268,22 @@ func (h *Host[S]) Go(f func()) {
 // Stopping returns a channel that closes when draining begins.
 func (h *Host[S]) Stopping() <-chan struct{} { return h.stop }
 
+// connHook, when non-nil, wraps every connection a host accepts or dials
+// before its tier sees it. It is a test seam for counting a leg's reads
+// and writes; it is set only while no host is running.
+var connHook func(net.Conn) net.Conn
+
+// Dial opens an outbound TCP connection for the tier (bxtproxy's upstream
+// legs and health probes) within timeout.
+func (h *Host[S]) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	d := net.Dialer{Timeout: timeout}
+	conn, err := d.Dial("tcp", addr)
+	if err == nil && connHook != nil {
+		conn = connHook(conn)
+	}
+	return conn, err
+}
+
 // acceptLoop admits sessions up to the connection cap.
 func (h *Host[S]) acceptLoop(ln net.Listener) {
 	defer h.wg.Done()
@@ -276,6 +291,9 @@ func (h *Host[S]) acceptLoop(ln net.Listener) {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed by Shutdown/Close
+		}
+		if connHook != nil {
+			conn = connHook(conn)
 		}
 		h.connsTotal.Add(1)
 		if int(h.connsActive.Load()) >= h.cfg.MaxConns {
@@ -324,7 +342,9 @@ func (h *Host[S]) refuse(conn net.Conn, reason string) {
 	h.log.Warn("connection refused", "remote", conn.RemoteAddr().String(), "reason", reason)
 	h.event(obs.EventConnRefused, reason)
 	conn.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout))
-	_ = trace.WriteFrame(conn, trace.FrameError, []byte(reason))
+	if frame, err := trace.AppendFrame(nil, trace.FrameError, []byte(reason)); err == nil {
+		conn.Write(frame)
+	}
 	conn.Close()
 }
 
@@ -439,21 +459,22 @@ var errIdle = errors.New("idle timeout waiting for frame")
 // concurrent use.
 type Reader struct {
 	conn     net.Conn
-	br       *bufio.Reader
 	timeout  time.Duration
 	draining *atomic.Bool
-	// frames grows to the largest frame the client has sent
-	// (trace.MaxFrameBytes caps it), so steady-state reads allocate
-	// nothing and a connection that never sends a batch never holds a
-	// batch-sized buffer.
-	frames trace.FrameBuffer
+	// in reads the connection's frames in place. Its buffer grows with
+	// the largest frame the client has sent (trace.MaxFrameBytes caps
+	// it), so steady-state reads allocate nothing and a connection that
+	// never sends a batch never holds a batch-sized buffer.
+	in trace.FrameReader
 	// armedAt is when the read deadline was last set.
 	armedAt time.Time
 }
 
-// NewReader returns the Reader for conn, whose buffered reader is br.
-func (h *Host[S]) NewReader(conn net.Conn, br *bufio.Reader) Reader {
-	return Reader{conn: conn, br: br, timeout: h.cfg.ReadTimeout, draining: &h.draining}
+// NewReader returns the Reader for conn.
+func (h *Host[S]) NewReader(conn net.Conn) Reader {
+	r := Reader{conn: conn, timeout: h.cfg.ReadTimeout, draining: &h.draining}
+	r.in.Reset(conn)
+	return r
 }
 
 // Hello reads and checks the session's first frame: it must be a Hello
@@ -462,7 +483,7 @@ func (h *Host[S]) NewReader(conn net.Conn, br *bufio.Reader) Reader {
 func (r *Reader) Hello() (trace.Hello, error) {
 	r.armedAt = time.Now()
 	r.conn.SetReadDeadline(r.armedAt.Add(r.timeout))
-	ft, body, err := r.frames.ReadFrame(r.br)
+	ft, body, err := r.in.Next()
 	if err != nil {
 		return trace.Hello{}, fmt.Errorf("reading hello: %v", err)
 	}
@@ -478,6 +499,10 @@ func (r *Reader) Hello() (trace.Hello, error) {
 	}
 	return h, nil
 }
+
+// Frame returns the frame Next last returned, header included, for a tier
+// that relays it verbatim. It aliases the Reader's buffer like Next's body.
+func (r *Reader) Frame() []byte { return r.in.Frame() }
 
 // Next reads the session's next frame; body aliases the Reader's buffer
 // until the following call, and start is when the read began. An error
@@ -497,7 +522,7 @@ func (r *Reader) Next() (ft trace.FrameType, body []byte, start time.Time, err e
 		r.conn.SetReadDeadline(start.Add(r.timeout))
 		r.armedAt = start
 	}
-	ft, body, err = r.frames.ReadFrame(r.br)
+	ft, body, err = r.in.Next()
 	if err == nil {
 		return ft, body, start, nil
 	}

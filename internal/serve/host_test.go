@@ -55,7 +55,7 @@ func startEcho(t *testing.T, readTimeout time.Duration) *Host[*echoSession] {
 		Name:          "echo",
 		MetricsPrefix: "echo_",
 		Open: func(conn net.Conn, id uint64) *echoSession {
-			return &echoSession{conn: conn, in: h.NewReader(conn, bufio.NewReader(conn))}
+			return &echoSession{conn: conn, in: h.NewReader(conn)}
 		},
 		Routes:  func(*http.ServeMux) {},
 		Metrics: func(w io.Writer) { fmt.Fprintln(w, "echo_tier 1") },

@@ -40,7 +40,6 @@ import (
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/power"
 	"github.com/hpca18/bxt/internal/serve"
-	"github.com/hpca18/bxt/internal/trace"
 )
 
 // Server is a bxtd gateway instance.
@@ -206,14 +205,11 @@ func (s *Server) newSession(conn net.Conn, id uint64) *session {
 	if s.inj != nil {
 		conn = s.inj.WrapConn(conn)
 	}
-	br := trace.NewConnReader(conn)
 	return &session{
 		srv:  s,
 		id:   id,
 		conn: conn,
-		br:   br,
-		bw:   trace.NewConnWriter(conn),
-		in:   s.host.NewReader(conn, br),
+		in:   s.host.NewReader(conn),
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -14,17 +13,25 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// outFrame is one queued server-to-client frame. For batch replies it also
-// carries the batch's span, complete except for its frame_write stage: the
-// write goroutine owns the reply write, so it times that stage, finalizes
-// the span, and records it to the trace ring. st is the stream the reply
+// outFrame is one queued server-to-client frame of type t. frame is the
+// whole frame, built behind trace.BeginFrame's header room; writeOut seals
+// the header and writes it in one call. For batch replies it also carries
+// the batch's span, complete except for its frame_write stage: the write
+// goroutine owns the reply write, so it times that stage, finalizes the
+// span, and records it to the trace ring. st is the stream the reply
 // belongs to (its frame_write histogram).
 type outFrame struct {
 	t       trace.FrameType
-	body    []byte
+	frame   []byte
 	span    obs.Span
 	st      *stream
 	hasSpan bool
+}
+
+// newOutFrame frames body as a t frame for the queue.
+func newOutFrame(t trace.FrameType, body []byte) outFrame {
+	frame := append(trace.BeginFrame(make([]byte, 0, trace.FrameHeaderBytes+len(body))), body...)
+	return outFrame{t: t, frame: frame}
 }
 
 // session is one client connection: a read goroutine parses frames,
@@ -36,8 +43,6 @@ type session struct {
 	srv  *Server
 	id   uint64
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
 	// in reads the Hello and every later frame under the idle deadline.
 	in serve.Reader
 
@@ -53,7 +58,7 @@ type session struct {
 	// reply path re-arms the kernel timer only after a quarter of the
 	// timeout has elapsed. It is guarded by wmu.
 	writeDLAt time.Time
-	// wmu serializes writes to bw between the writer goroutine and the
+	// wmu serializes writes to conn between the writer goroutine and the
 	// reader's inline reply fast path; wbroken (guarded by wmu) latches the
 	// first write failure so later frames are dropped instead of written to
 	// a closed connection.
@@ -61,8 +66,8 @@ type session struct {
 	wbroken bool
 
 	out chan outFrame
-	// replyFree recycles BatchReply body buffers between processBatch
-	// (which builds them) and writeLoop (which returns them once the
+	// replyFree recycles BatchReply frame buffers between processBatch
+	// (which builds them) and writeOut (which returns them once the
 	// frame is on the wire), so the steady-state batch path allocates
 	// nothing. Capacity exceeds every body that can be in flight at
 	// once: cap(out) queued + one being written + one being built.
@@ -78,11 +83,9 @@ var errSession = errors.New("server: session error")
 // recovered, the batch quarantined, and the session codec reset.
 var errCodecPanic = errors.New("server: codec panic")
 
-// Serve drives the session to completion. The connection is closed and its
-// buffers go back to the pool on return: by then the write goroutine, if
-// it was started, has exited.
+// Serve drives the session to completion and closes the connection; by
+// then the write goroutine, if it was started, has exited.
 func (ss *session) Serve() {
-	defer trace.ReleaseConnBuffers(ss.br, ss.bw)
 	defer ss.conn.Close()
 
 	if err := ss.handshake(); err != nil {
@@ -91,9 +94,7 @@ func (ss *session) Serve() {
 		ss.srv.events.Add(obs.Event{Type: obs.EventHandshakeFailed, Session: ss.id, Detail: err.Error()})
 		// Handshake failures are written synchronously: the writer
 		// goroutine does not exist yet.
-		ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
-		_ = trace.WriteFrame(ss.bw, trace.FrameError, []byte(err.Error()))
-		_ = ss.bw.Flush()
+		ss.writeOut(newOutFrame(trace.FrameError, []byte(err.Error())))
 		return
 	}
 	opened := time.Now()
@@ -172,11 +173,10 @@ func (ss *session) handshake() error {
 		MetaBits:   st.metaBits,
 		BatchLimit: ss.srv.cfg.BatchLimit,
 	})
-	ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
-	if err := trace.WriteFrame(ss.bw, trace.FrameHelloOK, okBody); err != nil {
+	if err := ss.writeOut(newOutFrame(trace.FrameHelloOK, okBody)); err != nil {
 		return fmt.Errorf("%w: writing hello-ok: %v", errSession, err)
 	}
-	return ss.bw.Flush()
+	return nil
 }
 
 // readLoop consumes frames until the client closes, a protocol error
@@ -222,7 +222,7 @@ func (ss *session) readLoop() {
 			// A batch can legitimately race a server-side stream kill
 			// (fault budget); re-announcing the closure lets the client
 			// fail that stream without losing its siblings.
-			ss.out <- outFrame{t: trace.FrameStreamClosed, body: trace.MarshalStreamClosed(sid, "unknown stream")}
+			ss.out <- newOutFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "unknown stream"))
 			continue
 		}
 		switch ft {
@@ -258,9 +258,9 @@ func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
 	refuse := func(msg string) {
 		ss.srv.met.streamRefused.Add(1)
 		ss.log.Warn("stream open refused", "stream", o.ID, "scheme", o.Scheme, "reason", msg)
-		ss.out <- outFrame{t: trace.FrameStreamOpenOK, body: trace.MarshalStreamOpenOK(trace.StreamOpenOK{
+		ss.out <- newOutFrame(trace.FrameStreamOpenOK, trace.MarshalStreamOpenOK(trace.StreamOpenOK{
 			ID: o.ID, Status: trace.StreamRefused, Msg: msg,
-		})}
+		}))
 	}
 	if _, dup := ss.streams[o.ID]; dup {
 		refuse(fmt.Sprintf("stream %d is already open", o.ID))
@@ -280,9 +280,9 @@ func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
 	ss.srv.met.streamsTotal.Add(1)
 	st.log.Debug("stream open", "txn_size", o.TxnSize)
 	ss.srv.events.Add(obs.Event{Type: obs.EventStreamOpen, Session: ss.id, Scheme: st.schemeName, Detail: fmt.Sprintf("stream %d", o.ID)})
-	ss.out <- outFrame{t: trace.FrameStreamOpenOK, body: trace.MarshalStreamOpenOK(trace.StreamOpenOK{
+	ss.out <- newOutFrame(trace.FrameStreamOpenOK, trace.MarshalStreamOpenOK(trace.StreamOpenOK{
 		ID: o.ID, Status: trace.StreamOK, MetaBits: st.metaBits, BatchLimit: ss.srv.cfg.BatchLimit,
-	})}
+	}))
 	return false
 }
 
@@ -300,13 +300,13 @@ func (ss *session) closeStream(sid uint32, msg string) {
 		st.log.Debug("stream closed", "batches", st.batches, "cause", msg)
 		ss.srv.events.Add(obs.Event{Type: obs.EventStreamClose, Session: ss.id, Scheme: st.schemeName, Batches: st.batches, Detail: msg})
 	}
-	ss.out <- outFrame{t: trace.FrameStreamClosed, body: trace.MarshalStreamClosed(sid, msg)}
+	ss.out <- newOutFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, msg))
 }
 
 // fail queues an error frame for the client; the writer flushes it before
 // the connection closes.
 func (ss *session) fail(msg string) {
-	ss.out <- outFrame{t: trace.FrameError, body: []byte(msg)}
+	ss.out <- newOutFrame(trace.FrameError, []byte(msg))
 }
 
 // writeLoop drains the outbound frame queue. In steady state the reader
@@ -319,24 +319,19 @@ func (ss *session) fail(msg string) {
 func (ss *session) writeLoop() {
 	defer close(ss.writerDone)
 	for f := range ss.out {
-		ss.writeOut(f, len(ss.out) == 0)
+		ss.writeOut(f)
 	}
-	ss.wmu.Lock()
-	if !ss.wbroken {
-		ss.conn.SetWriteDeadline(time.Now().Add(ss.srv.cfg.WriteTimeout))
-		_ = ss.bw.Flush()
-	}
-	ss.wmu.Unlock()
 }
 
-// writeOut writes one frame to the connection under the writer mutex,
-// flushing when asked. Once a write fails the connection is closed and
-// every later frame is dropped, so the reader never blocks on a dead peer.
-func (ss *session) writeOut(f outFrame, flush bool) {
+// writeOut seals f's header and writes the frame to the connection in one
+// Write, under the writer mutex. Once a write fails the connection is
+// closed and every later frame is dropped, so the reader never blocks on a
+// dead peer.
+func (ss *session) writeOut(f outFrame) error {
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
 	if ss.wbroken {
-		return
+		return net.ErrClosed
 	}
 	// Same single-clock-read, re-arm-when-stale pattern as the read
 	// side: a stuck client still trips the deadline within
@@ -346,19 +341,15 @@ func (ss *session) writeOut(f outFrame, flush bool) {
 		ss.conn.SetWriteDeadline(writeStart.Add(ss.srv.cfg.WriteTimeout))
 		ss.writeDLAt = writeStart
 	}
-	if err := trace.WriteFrame(ss.bw, f.t, f.body); err != nil {
+	err := trace.SealFrame(f.frame, f.t)
+	if err == nil {
+		_, err = ss.conn.Write(f.frame)
+	}
+	if err != nil {
 		ss.wbroken = true
 		ss.noteWriteFailure(f, err)
 		ss.conn.Close()
-		return
-	}
-	if flush {
-		if err := ss.bw.Flush(); err != nil {
-			ss.wbroken = true
-			ss.noteWriteFailure(f, err)
-			ss.conn.Close()
-			return
-		}
+		return err
 	}
 	// Only batch replies feed the frame_write histogram, so its count
 	// matches codec_encode's: batches observed == batches replied.
@@ -369,14 +360,15 @@ func (ss *session) writeOut(f outFrame, flush bool) {
 			f.span.Observe(obs.StageFrameWrite, writeDur)
 			ss.srv.met.traces.Add(&f.span)
 		}
-		// The frame is on the wire (or in bufio's copy); hand the
-		// body back for reuse. Dropping it when the free list is
-		// full is fine — that buffer is simply re-allocated later.
+		// The frame is on the wire; hand its buffer back for reuse.
+		// Dropping it when the free list is full is fine — that buffer is
+		// simply re-allocated later.
 		select {
-		case ss.replyFree <- f.body:
+		case ss.replyFree <- f.frame:
 		default:
 		}
 	}
+	return nil
 }
 
 // awaitWrite returns once no frame write is in progress on ss: taking the

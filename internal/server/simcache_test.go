@@ -285,7 +285,7 @@ func TestGoldenCachedStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", id, err)
 		}
-		digest.Write(reply)
+		digest.Write(reply[trace.FrameHeaderBytes:]) // the body; writeOut seals the header
 		sent += len(txns)
 	}
 	want := simcache.Stats{Hits: 4153, NearHits: 21258, Misses: 4589, Evictions: 5560, NearDistSum: 131697, Entries: 512}

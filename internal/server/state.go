@@ -24,9 +24,9 @@ import (
 // StateUnsupported; the session stays serviceable either way.
 func (st *stream) handleStateSnapshot() {
 	if st.stateful == nil {
-		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
+		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateUnsupported, st.batches,
-			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))}
+			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))
 		return
 	}
 	var buf bytes.Buffer
@@ -35,8 +35,8 @@ func (st *stream) handleStateSnapshot() {
 		// I/O; the codec state itself was only read, never mutated.
 		st.ss.srv.met.stateFails.Add(1)
 		st.log.Warn("state snapshot failed", "err", err)
-		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
-			trace.StateFailed, st.batches, []byte(err.Error())))}
+		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+			trace.StateFailed, st.batches, []byte(err.Error())))
 		return
 	}
 	st.ss.srv.met.stateSnapshots.Add(1)
@@ -45,7 +45,7 @@ func (st *stream) handleStateSnapshot() {
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateSnapshot, Session: st.ss.id, Scheme: st.schemeName, Batches: st.batches,
 	})
-	st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(trace.StateOK, st.batches, buf.Bytes()))}
+	st.queue(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, st.batches, buf.Bytes()))
 }
 
 // handleStateRestore installs a transferred session state. On success the
@@ -64,9 +64,9 @@ func (st *stream) handleStateRestore(body []byte) (fatal bool) {
 		return true
 	}
 	if st.stateful == nil {
-		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
+		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateUnsupported, seq,
-			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))}
+			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))
 		return false
 	}
 	if err := st.restoreState(state); err != nil {
@@ -77,8 +77,8 @@ func (st *stream) handleStateRestore(body []byte) (fatal bool) {
 		st.recoverBatch()
 		st.ss.srv.met.stateFails.Add(1)
 		st.log.Warn("state restore failed", "seq", seq, "err", err)
-		st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(
-			trace.StateFailed, seq, []byte(err.Error())))}
+		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+			trace.StateFailed, seq, []byte(err.Error())))
 		return false
 	}
 	st.batches = seq
@@ -88,7 +88,7 @@ func (st *stream) handleStateRestore(body []byte) (fatal bool) {
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateRestore, Session: st.ss.id, Scheme: st.schemeName, Batches: seq,
 	})
-	st.ss.out <- outFrame{t: trace.FrameStateAck, body: st.muxReply(trace.MarshalStateAck(trace.StateOK, seq, nil))}
+	st.queue(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, seq, nil))
 	return false
 }
 

@@ -156,9 +156,12 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	return st, nil
 }
 
-// muxReply prepends the stream-id prefix to a stream-local reply body.
-func (st *stream) muxReply(body []byte) []byte {
-	return append(trace.AppendStreamID(make([]byte, 0, 4+len(body)), st.sid), body...)
+// queue queues a t frame on the stream: the stream-id prefix, then the
+// stream-local body.
+func (st *stream) queue(t trace.FrameType, body []byte) {
+	frame := trace.BeginFrame(make([]byte, 0, trace.FrameHeaderBytes+4+len(body)))
+	frame = append(trace.AppendStreamID(frame, st.sid), body...)
+	st.ss.out <- outFrame{t: t, frame: frame}
 }
 
 // handleBatch runs one Batch frame body (already stripped of its
@@ -196,7 +199,7 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	if !ss.srv.admit() {
 		ss.srv.met.busyShed.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventBusy, Session: ss.id, Scheme: st.schemeName, Txns: len(txns), TraceID: st.traceID})
-		ss.out <- outFrame{t: trace.FrameBusy, body: st.muxReply(trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))}
+		st.queue(trace.FrameBusy, trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))
 		return
 	}
 	// Shed batches never reach here, so the admission stage counts
@@ -215,14 +218,14 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 		st.softFail(id, true, err.Error())
 		return
 	}
-	f := outFrame{t: trace.FrameBatchReply, body: reply, span: st.span, st: st, hasSpan: true}
+	f := outFrame{t: trace.FrameBatchReply, frame: reply, span: st.span, st: st, hasSpan: true}
 	// Steady-state fast path: with nothing queued, the reply goes out from
 	// this goroutine, skipping the channel handoff and writer wakeup. Only
 	// this goroutine enqueues, so an empty queue cannot gain frames the
 	// reply would overtake; a frame mid-write in the writer is ordered by
 	// writeOut's mutex.
 	if len(ss.out) == 0 {
-		ss.writeOut(f, true)
+		ss.writeOut(f)
 	} else {
 		ss.out <- f
 	}
@@ -237,7 +240,7 @@ func (st *stream) softFail(id uint64, reset bool, cause string) {
 	ss.srv.met.batchFaults.Add(1)
 	st.log.Warn("batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
 	ss.srv.events.Add(obs.Event{Type: obs.EventBatchFault, Session: ss.id, Scheme: st.schemeName, Detail: cause, TraceID: st.traceID})
-	ss.out <- outFrame{t: trace.FrameBatchError, body: st.muxReply(trace.MarshalBatchError(id, reset, cause))}
+	st.queue(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
 	if st.faults >= ss.srv.cfg.FaultBudget {
 		msg := fmt.Sprintf("fault budget exhausted after %d recoverable faults", st.faults)
 		ss.srv.met.budgetKills.Add(1)
@@ -261,12 +264,13 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 
 // processBatch encodes one batch with the stream codec, charges the
 // baseline and encoded transfers to the stream's bus models, and builds the
-// BatchReply frame body. Encoding and bus accounting run fused, block by
-// block (encodeAll), and are timed together as the codec_encode stage; the
-// phy_account stage covers the batch's statistics and power estimate. Any
-// error return leaves the stream serviceable: recoverBatch has reset the
-// codec and discarded the partial batch's bus deltas (the caller relays the
-// reset to the client).
+// BatchReply frame behind room for its header, which writeOut seals.
+// Encoding and bus accounting run fused, block by block (encodeAll), and
+// are timed together as the codec_encode stage; the phy_account stage
+// covers the batch's statistics and power estimate. Any error return
+// leaves the stream serviceable: recoverBatch has reset the codec and
+// discarded the partial batch's bus deltas (the caller relays the reset to
+// the client).
 func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, error) {
 	ss := st.ss
 	if hook := ss.srv.testHookBatch; hook != nil {
@@ -336,27 +340,27 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		st.log.Debug("batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
 	}
 
-	// Reuse a recycled reply body if the writer has returned one; the
+	// Reuse a recycled reply frame if the writer has returned one; the
 	// first few batches (and any burst deeper than the free list)
 	// allocate, then the stream reaches a steady state of zero
 	// allocations per batch.
-	var body []byte
+	var frame []byte
 	select {
-	case body = <-ss.replyFree:
-		body = body[:0]
+	case frame = <-ss.replyFree:
+		frame = frame[:0]
 	default:
 	}
-	// The reply leads with the stream id; the envelope and its CRC cover
-	// the rest. Echoing the trace id lets the client verify the reply
-	// belongs to the trace it started.
-	body = trace.AppendStreamID(body, st.sid)
-	body = trace.AppendTraceEnvelope(body, id, st.traceID)
-	body = trace.AppendBatchStats(body, stats)
-	body = append(body, st.recBuf...)
-	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+	// The reply body leads with the stream id; the envelope and its CRC
+	// cover the rest. Echoing the trace id lets the client verify the
+	// reply belongs to the trace it started.
+	frame = trace.AppendStreamID(trace.BeginFrame(frame), st.sid)
+	frame = trace.AppendTraceEnvelope(frame, id, st.traceID)
+	frame = trace.AppendBatchStats(frame, stats)
+	frame = append(frame, st.recBuf...)
+	if err := trace.SealBatchEnvelope(frame[trace.FrameHeaderBytes+4:]); err != nil {
 		return nil, err // unreachable: the envelope was just appended
 	}
-	return body, nil
+	return frame, nil
 }
 
 // batchBlockTxns is the cache-blocking factor of the encode loop: the

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 	"testing/iotest"
 )
@@ -29,8 +29,8 @@ func validTrace(t *testing.T, txnSize int, txns []Transaction) []byte {
 // FuzzReader feeds arbitrary bytes to the trace reader: no input may panic,
 // and every well-formed prefix must parse into transactions that round-trip
 // bit-exactly through the writer. The same bytes, read as a BXTP frame
-// stream, must come out of ReadFrame identically through a plain reader
-// and through the *bufio.Reader path (checkFrameReaders).
+// stream, must come out of ReadFrame and of a FrameReader identically
+// (checkFrameReaders).
 func FuzzReader(f *testing.F) {
 	// Seed corpus: an empty trace, a short valid trace, and targeted
 	// corruptions of each header and record field.
@@ -169,20 +169,17 @@ func FuzzReader(f *testing.F) {
 }
 
 // checkFrameReaders reads data as a frame stream twice — ReadFrame over a
-// plain io.Reader, and a FrameBuffer over a small *bufio.Reader fed in
-// short reads, peeking each frame's stream id first as the mux reader
-// does — and requires the same type, body and error, frame by frame, up
-// to and including the first error.
+// plain io.Reader, and a FrameReader fed in short reads — and requires the
+// same type, body and error, frame by frame, up to and including the
+// first error.
 func checkFrameReaders(t *testing.T, data []byte) {
 	plain := bytes.NewReader(data)
-	buffered := bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(data)), 16)
-	var fb FrameBuffer
+	fr := NewFrameReader(iotest.HalfReader(bytes.NewReader(data)))
 	for i := 0; ; i++ {
-		sid, perr := PeekStreamID(buffered)
 		wantT, wantBody, wantErr := ReadFrame(plain, nil)
-		gotT, gotBody, gotErr := fb.ReadFrame(buffered)
+		gotT, gotBody, gotErr := fr.Next()
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("frame %d: plain reader err %v, bufio reader err %v", i, wantErr, gotErr)
+			t.Fatalf("frame %d: ReadFrame err %v, FrameReader err %v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if wantErr != io.EOF && !errors.Is(wantErr, ErrBadFrame) {
@@ -191,22 +188,108 @@ func checkFrameReaders(t *testing.T, data []byte) {
 			if (wantErr == io.EOF) != (gotErr == io.EOF) || errors.Is(wantErr, ErrBadFrame) != errors.Is(gotErr, ErrBadFrame) {
 				t.Fatalf("frame %d: error classes differ: %v vs %v", i, wantErr, gotErr)
 			}
-			if wantErr == io.EOF && perr != io.EOF {
-				t.Fatalf("frame %d: PeekStreamID at a clean close returned %v", i, perr)
-			}
 			return
 		}
 		if gotT != wantT || !bytes.Equal(gotBody, wantBody) {
-			t.Fatalf("frame %d: bufio reader read type %#x body %x, plain reader %#x %x", i, gotT, gotBody, wantT, wantBody)
-		}
-		if len(gotBody) >= 4 {
-			if want := binary.LittleEndian.Uint32(gotBody); perr != nil || sid != want {
-				t.Fatalf("frame %d: PeekStreamID = %d, %v; body carries stream %d", i, sid, perr, want)
-			}
-		} else if !errors.Is(perr, ErrBadFrame) {
-			t.Fatalf("frame %d: PeekStreamID on a %d-byte body returned %v", i, len(gotBody), perr)
+			t.Fatalf("frame %d: FrameReader read type %#x body %x, ReadFrame %#x %x", i, gotT, gotBody, wantT, wantBody)
 		}
 	}
+}
+
+// streamFrame is one frame a FrameReader returned: the type, the body and
+// the whole frame, copied out of the reader's buffer.
+type streamFrame struct {
+	ft          FrameType
+	body, whole []byte
+}
+
+// readStream reads r to its first error through one FrameReader.
+func readStream(r io.Reader) ([]streamFrame, error) {
+	var out []streamFrame
+	fr := NewFrameReader(r)
+	for {
+		ft, body, err := fr.Next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, streamFrame{ft, bytes.Clone(body), bytes.Clone(fr.Frame())})
+	}
+}
+
+// chunkReader hands out its data in chunks of 1 to 2*mean bytes drawn from
+// rng, so frames straddle reads at every offset.
+type chunkReader struct {
+	data []byte
+	rng  *rand.Rand
+	mean int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(c.data), 1+c.rng.Intn(2*c.mean))
+	copy(p, c.data[:n])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// FuzzFrameStream feeds an arbitrary byte stream through a FrameReader
+// three ways — in one piece, one byte per Read, and in random chunks —
+// and requires the same frames and the same closing error from each:
+// io.EOF, or an error wrapping ErrBadFrame. The seeds cross the reader's
+// partial-read, grow and compaction paths: frames cut at every offset,
+// frames larger than the Hello-sized first buffer and than its grown
+// size, and runs of small frames that leave a partial one behind.
+func FuzzFrameStream(f *testing.F) {
+	stream := func(sizes ...int) []byte {
+		var buf bytes.Buffer
+		for i, n := range sizes {
+			if err := WriteFrame(&buf, FrameBatch+FrameType(i%3), bytes.Repeat([]byte{byte(i + 1)}, n)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	f.Add(stream(), int64(1))
+	f.Add(stream(0, 3, 20), int64(2))
+	f.Add(stream(20, 600, 100, 9000, 9000, 3), int64(3))
+	f.Add(stream(30, 40000, 17, 17, 17, 70000, 5), int64(4))
+	f.Add(stream(100, 100, 100, 100, 100, 100, 100, 100, 100, 100)[:777], int64(5))
+	f.Add(stream(20, 9000)[:25+4000], int64(6))
+	f.Add([]byte{0, 0, 0, 0, 1}, int64(7))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}, int64(8))
+	f.Add([]byte{3, 0}, int64(9))
+
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		want, wantErr := readStream(bytes.NewReader(data))
+		if wantErr != io.EOF && !errors.Is(wantErr, ErrBadFrame) {
+			t.Fatalf("stream ended with %v, neither io.EOF nor ErrBadFrame", wantErr)
+		}
+		for _, pass := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one byte per read", iotest.OneByteReader(bytes.NewReader(data))},
+			{"random chunks", &chunkReader{data: data, rng: rand.New(rand.NewSource(seed)), mean: 1 + int(uint64(seed)%4096)}},
+		} {
+			got, gotErr := readStream(pass.r)
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: stream ended with %v, whole with %v", pass.name, gotErr, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d frames, whole %d", pass.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ft != want[i].ft || !bytes.Equal(got[i].body, want[i].body) || !bytes.Equal(got[i].whole, want[i].whole) {
+					t.Fatalf("%s: frame %d differs from the whole read", pass.name, i)
+				}
+				if !bytes.Equal(want[i].whole[FrameHeaderBytes:], want[i].body) || want[i].whole[4] != byte(want[i].ft) {
+					t.Fatalf("frame %d: Frame() does not hold the header and body Next returned", i)
+				}
+			}
+		}
+	})
 }
 
 // FuzzStateFrames feeds arbitrary bytes to the state-transfer frame

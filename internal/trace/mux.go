@@ -32,10 +32,8 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Stream lifecycle frame types.
@@ -83,29 +81,6 @@ func SplitStreamID(body []byte) (sid uint32, rest []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: %d-byte body is shorter than the stream-id prefix", ErrBadFrame, len(body))
 	}
 	return binary.LittleEndian.Uint32(body[:muxPrefixBytes]), body[muxPrefixBytes:], nil
-}
-
-// PeekStreamID returns the stream id of the frame at the head of br
-// without consuming any of it, so a demultiplexer can choose the buffer
-// the frame is read into before reading it. Header errors are
-// ReadFrame's; a frame too short to carry a stream id, or one cut off
-// before its stream id, is ErrBadFrame.
-func PeekStreamID(br *bufio.Reader) (uint32, error) {
-	n, err := peekFrameLen(br)
-	if err != nil {
-		return 0, err
-	}
-	if n-1 < muxPrefixBytes {
-		return 0, fmt.Errorf("%w: %d-byte body is shorter than the stream-id prefix", ErrBadFrame, n-1)
-	}
-	hdr, err := br.Peek(frameHeaderBytes + muxPrefixBytes)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
-	}
-	return binary.LittleEndian.Uint32(hdr[frameHeaderBytes:]), nil
 }
 
 // StreamOpen asks the gateway to open one additional logical stream.

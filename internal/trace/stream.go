@@ -60,14 +60,12 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -279,24 +277,46 @@ func ParseStateAck(body []byte) (status uint8, seq uint64, payload []byte, err e
 	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
 }
 
-// frameHeaderBytes is the frame header: the uint32 length prefix and the
+// FrameHeaderBytes is the frame header: the uint32 length prefix and the
 // type byte.
-const frameHeaderBytes = 5
+const FrameHeaderBytes = 5
 
-// WriteFrame writes one frame (length prefix, type byte, body) to w. On a
-// *bufio.Writer, every production caller's writer, the header goes
-// straight into the writer's free space, so a frame write allocates
-// nothing.
+// BeginFrame appends room for a frame header to dst. The caller appends the
+// frame body after it and stamps the header with SealFrame, so the whole
+// frame leaves in one Write and the body is never copied to be framed.
+func BeginFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0) }
+
+// SealFrame stamps the header of frame — which BeginFrame began, so its
+// first FrameHeaderBytes are the header's room — with the frame's length
+// and type t.
+func SealFrame(frame []byte, t FrameType) error {
+	if len(frame) < FrameHeaderBytes {
+		return fmt.Errorf("%w: %d-byte frame has no header", ErrBadFrame, len(frame))
+	}
+	n := len(frame) - 4
+	if n > MaxFrameBytes {
+		return fmt.Errorf("%w: %d-byte body exceeds frame limit", ErrBadFrame, n-1)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	frame[4] = byte(t)
+	return nil
+}
+
+// AppendFrame appends one whole frame (header, then body) to dst.
+func AppendFrame(dst []byte, t FrameType, body []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(BeginFrame(dst), body...)
+	return dst, SealFrame(dst[start:], t)
+}
+
+// WriteFrame writes one frame to w: its header, then its body. A
+// connection that writes frame after frame builds each with
+// BeginFrame/SealFrame instead and writes it in one call.
 func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	if len(body)+1 > MaxFrameBytes {
 		return fmt.Errorf("%w: %d-byte body exceeds frame limit", ErrBadFrame, len(body))
 	}
-	var hdr []byte
-	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= frameHeaderBytes {
-		hdr = bw.AvailableBuffer()[:frameHeaderBytes]
-	} else {
-		hdr = make([]byte, frameHeaderBytes)
-	}
+	hdr := make([]byte, FrameHeaderBytes)
 	binary.LittleEndian.PutUint32(hdr, uint32(len(body)+1))
 	hdr[4] = byte(t)
 	if _, err := w.Write(hdr); err != nil {
@@ -311,107 +331,22 @@ func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 // call when buf is reused). A clean close before the first header byte
 // returns io.EOF; a truncated header or body, or an implausible length,
 // returns an error wrapping ErrBadFrame. A connection that reads frame
-// after frame should use a FrameBuffer, which keeps a grown buffer.
+// after frame should use a FrameReader, which reads them in place.
 func ReadFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
-	ft, body, _, err := readFrame(r, buf)
-	return ft, body, err
-}
-
-// FrameBuffer is a grow-once frame read buffer: it keeps the backing
-// array of the largest frame read through it, so a connection allocates
-// only when a frame outgrows every earlier one. The zero value is ready
-// to use; a FrameBuffer is not safe for concurrent use.
-type FrameBuffer struct{ buf []byte }
-
-// ReadFrame is trace.ReadFrame into fb. The returned body aliases fb and
-// is valid until the next ReadFrame on fb.
-func (fb *FrameBuffer) ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	ft, body, buf, err := readFrame(r, fb.buf)
-	fb.buf = buf
-	return ft, body, err
-}
-
-// connBufBytes is the bufio buffer size of every BXTP connection, each
-// direction: room for a 256×32 B batch frame several times over, so a
-// frame is read and written in one syscall.
-const connBufBytes = 64 << 10
-
-// The connection buffers are pooled: a short-lived connection, a proxy
-// health probe above all, borrows them instead of allocating 128 KiB.
-var (
-	connReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufBytes) }}
-	connWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufBytes) }}
-)
-
-// NewConnReader returns a pooled connection reader over r (nil for one
-// that is Reset onto a connection later).
-func NewConnReader(r io.Reader) *bufio.Reader {
-	br := connReaders.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
-}
-
-// NewConnWriter returns a pooled connection writer over w (nil for one
-// that is Reset onto a connection later).
-func NewConnWriter(w io.Writer) *bufio.Writer {
-	bw := connWriters.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// ReleaseConnBuffers returns a connection's reader and writer to the pool,
-// dropping any unread input and unflushed output. The caller must not
-// touch either afterwards, so it releases them only once no goroutine can
-// still read or write through them.
-func ReleaseConnBuffers(br *bufio.Reader, bw *bufio.Writer) {
-	br.Reset(nil)
-	bw.Reset(nil)
-	connReaders.Put(br)
-	connWriters.Put(bw)
-}
-
-// readFrame is ReadFrame that also returns the buffer the frame was read
-// into — buf, or a larger one when buf lacked capacity — for the caller to
-// keep.
-func readFrame(r io.Reader, buf []byte) (FrameType, []byte, []byte, error) {
-	n, err := readFrameLen(r)
+	var hdr [4]byte
+	_, err := io.ReadFull(r, hdr[:])
+	n, err := frameLen(hdr[:], err)
 	if err != nil {
-		return 0, nil, buf, err
+		return 0, nil, err
 	}
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	frame := buf[:n]
 	if _, err := io.ReadFull(r, frame); err != nil {
-		return 0, nil, buf, fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
+		return 0, nil, truncatedBody(err)
 	}
-	return FrameType(frame[0]), frame[1:], buf, nil
-}
-
-// readFrameLen consumes a frame's uint32 length prefix and checks it. A
-// *bufio.Reader is read through Peek, so the header needs no buffer of its
-// own; any other reader goes through a header array, which escapes to the
-// heap. Both paths return the same errors.
-func readFrameLen(r io.Reader) (int, error) {
-	if br, ok := r.(*bufio.Reader); ok {
-		n, err := peekFrameLen(br)
-		if err == nil {
-			br.Discard(4)
-		}
-		return n, err
-	}
-	var hdr [4]byte
-	_, err := io.ReadFull(r, hdr[:])
-	return frameLen(hdr[:], err)
-}
-
-// peekFrameLen is readFrameLen without consuming the prefix.
-func peekFrameLen(br *bufio.Reader) (int, error) {
-	hdr, err := br.Peek(4)
-	if len(hdr) > 0 && err == io.EOF {
-		err = io.ErrUnexpectedEOF // what io.ReadFull reports
-	}
-	return frameLen(hdr, err)
+	return FrameType(frame[0]), frame[1:], nil
 }
 
 // frameLen checks the outcome of reading a length prefix: io.EOF before
@@ -430,6 +365,125 @@ func frameLen(hdr []byte, err error) (int, error) {
 		return 0, fmt.Errorf("%w: implausible frame length %d", ErrBadFrame, n)
 	}
 	return int(n), nil
+}
+
+// truncatedBody wraps a read error that cut a frame body short.
+func truncatedBody(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // what io.ReadFull reports
+	}
+	return fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
+}
+
+// FrameReader reads the frames of one connection and parses them in
+// place. It owns one read buffer, which starts Hello-sized and grows, at
+// the first frame that does not fit, to max(16 KiB, 2 × that frame), so
+// pipelined frames arrive several per Read; each frame is returned from
+// where the Read put it. A frame over 1 MiB grows the buffer only as its
+// bytes arrive, so a hostile length prefix costs no more memory than the
+// bytes behind it. Errors match ReadFrame's. The zero value is ready for
+// Reset; a FrameReader is not safe for concurrent use.
+type FrameReader struct {
+	r   io.Reader
+	buf []byte
+	// buf[off:end] is read but not yet returned; frame is the last frame
+	// Next returned, header included.
+	off, end int
+	frame    []byte
+	// err is the read error that ends the stream, returned once the bytes
+	// read before it are used up.
+	err error
+}
+
+const (
+	// helloBufBytes is a FrameReader's first buffer: room for the largest
+	// Hello (4+1+4+1+255 body bytes) and any handshake answer, so a
+	// connection that never sends a batch never holds a batch-sized
+	// buffer.
+	helloBufBytes = 512
+	// minFrameBufBytes floors a grown buffer, so small pipelined frames
+	// still arrive many per Read.
+	minFrameBufBytes = 16 << 10
+	// eagerFrameBytes is the largest frame the buffer grows for in one
+	// step; beyond it the buffer doubles each time it fills, up to the
+	// frame plus eagerFrameBytes of room.
+	eagerFrameBytes = 1 << 20
+)
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	fr := new(FrameReader)
+	fr.Reset(r)
+	return fr
+}
+
+// Reset points fr at r, dropping anything read from its previous reader
+// but keeping its buffer.
+func (fr *FrameReader) Reset(r io.Reader) {
+	*fr = FrameReader{r: r, buf: fr.buf}
+}
+
+// Next reads the next frame. The body — like Frame's whole frame — aliases
+// fr's buffer and is valid until the following call to Next.
+func (fr *FrameReader) Next() (FrameType, []byte, error) {
+	fr.frame = nil
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && fr.end > fr.off {
+			err = io.ErrUnexpectedEOF // what io.ReadFull reports
+		}
+		_, err = frameLen(nil, err)
+		return 0, nil, err
+	}
+	n, err := frameLen(fr.buf[fr.off:fr.end], nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := fr.fill(4 + n); err != nil {
+		return 0, nil, truncatedBody(err)
+	}
+	fr.frame = fr.buf[fr.off : fr.off+4+n : fr.off+4+n]
+	fr.off += 4 + n
+	return FrameType(fr.frame[4]), fr.frame[FrameHeaderBytes:], nil
+}
+
+// Frame returns the frame Next last returned, header included, for a peer
+// that relays it verbatim; nil after an error.
+func (fr *FrameReader) Frame() []byte { return fr.frame }
+
+// fill reads until the buffer holds need unreturned bytes, first sliding
+// them to the front of the buffer, and growing it once it is full. It
+// returns the stream's read error once the bytes before it run out.
+func (fr *FrameReader) fill(need int) error {
+	if fr.buf == nil {
+		fr.buf = make([]byte, helloBufBytes)
+	}
+	for empty := 0; fr.end-fr.off < need; {
+		if fr.err != nil {
+			return fr.err
+		}
+		if fr.off > 0 {
+			fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
+			fr.off = 0
+		}
+		if fr.end == len(fr.buf) {
+			size := max(minFrameBufBytes, 2*need)
+			if need > eagerFrameBytes {
+				size = min(max(2*len(fr.buf), eagerFrameBytes), need+eagerFrameBytes)
+			}
+			grown := make([]byte, size)
+			copy(grown, fr.buf[:fr.end])
+			fr.buf = grown
+		}
+		n, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
+		fr.err = err
+		if n > 0 || err != nil {
+			empty = 0
+		} else if empty++; empty >= 100 {
+			fr.err = io.ErrNoProgress
+		}
+	}
+	return nil
 }
 
 // Hello is the session-opening handshake: the client names the codec it

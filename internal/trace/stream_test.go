@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -61,125 +60,155 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
-// TestFrameBufferedWriter checks the *bufio.Writer header path writes the
-// same bytes as the plain path, including when the writer has too little
-// room left for a header and when a body spills past the buffer.
-func TestFrameBufferedWriter(t *testing.T) {
-	var plain, buffered bytes.Buffer
-	bw := bufio.NewWriterSize(&buffered, 16)
+// TestFrameWriteOneCall checks a frame built in place — BeginFrame, the
+// body appended, SealFrame — and one built by AppendFrame carry exactly
+// the bytes WriteFrame writes, so a whole frame goes out in one Write.
+func TestFrameWriteOneCall(t *testing.T) {
+	var plain bytes.Buffer
+	var inPlace, appended []byte
 	for i, n := range []int{0, 3, 9, 12, 40, 1, 15, 0, 100} {
 		body := bytes.Repeat([]byte{byte(i + 1)}, n)
-		if err := WriteFrame(&plain, FrameBatch+FrameType(i), body); err != nil {
+		ft := FrameBatch + FrameType(i)
+		if err := WriteFrame(&plain, ft, body); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(bw, FrameBatch+FrameType(i), body); err != nil {
+		start := len(inPlace)
+		inPlace = append(BeginFrame(inPlace), body...)
+		if err := SealFrame(inPlace[start:], ft); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if appended, err = AppendFrame(appended, ft, body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(inPlace, plain.Bytes()) || !bytes.Equal(appended, plain.Bytes()) {
+		t.Fatalf("in-place framing diverges:\n in place %x\n appended %x\n     want %x", inPlace, appended, plain.Bytes())
 	}
-	if !bytes.Equal(buffered.Bytes(), plain.Bytes()) {
-		t.Fatalf("bufio framing diverges:\n got %x\nwant %x", buffered.Bytes(), plain.Bytes())
+	if err := SealFrame(make([]byte, FrameHeaderBytes-1), FrameBatch); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("sealing a frame with no header room: %v, want ErrBadFrame", err)
+	}
+	if err := SealFrame(make([]byte, 4+MaxFrameBytes+1), FrameBatch); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("sealing an oversized frame: %v, want ErrBadFrame", err)
 	}
 }
 
-// TestFrameBufferReuse is the grow-once regression test: frames no larger
-// than the biggest seen so far are read into the same backing array.
+// TestFrameBufferReuse is the grow-once regression test: the FrameReader's
+// buffer grows at the first frame that does not fit it, to twice that
+// frame, and frames no larger than the biggest seen so far are then read
+// into the same backing array.
 func TestFrameBufferReuse(t *testing.T) {
 	var wire bytes.Buffer
-	for _, n := range []int{8499, 8499, 100, 8499} {
+	sizes := []int{20, 8499, 8499, 100, 8499, 8499}
+	for _, n := range sizes {
 		if err := WriteFrame(&wire, FrameBatchReply, bytes.Repeat([]byte{0x5A}, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(&wire)
-	var fb FrameBuffer
+	fr := NewFrameReader(&wire)
+	if _, _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(fr.buf); got != helloBufBytes {
+		t.Fatalf("reader holds %d bytes after a Hello-sized frame, want %d", got, helloBufBytes)
+	}
 	var first *byte
-	for i, n := range []int{8499, 8499, 100, 8499} {
-		ft, body, err := fb.ReadFrame(br)
+	for i, n := range sizes[1:] {
+		ft, body, err := fr.Next()
 		if err != nil || ft != FrameBatchReply || len(body) != n {
 			t.Fatalf("frame %d: type %#x, %d bytes, err %v", i, ft, len(body), err)
 		}
-		if i == 0 {
-			first = &body[0]
-		} else if &body[0] != first {
+		if want := &fr.buf[0]; i == 0 {
+			first = want
+			if got, want := cap(fr.buf), max(minFrameBufBytes, 2*(n+FrameHeaderBytes)); got != want {
+				t.Fatalf("grown buffer holds %d bytes, want %d", got, want)
+			}
+		} else if want != first {
 			t.Fatalf("frame %d (%d bytes) was read into a new buffer", i, n)
 		}
+		if whole := fr.Frame(); len(whole) != FrameHeaderBytes+n || &whole[FrameHeaderBytes] != &body[0] {
+			t.Fatalf("frame %d: Frame() is %d bytes, not the header plus the body Next returned", i, len(whole))
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("Next at the end of the stream: %v, want io.EOF", err)
 	}
 }
 
-// TestConnBuffersStartClean checks that pooled connection buffers come
-// back at full size holding nothing of the connection that released them:
-// no unread input, no unflushed output.
-func TestConnBuffersStartClean(t *testing.T) {
+// TestFrameReaderResetStartsClean checks that a FrameReader moved onto a
+// new connection keeps its grown buffer but nothing the old connection
+// sent: no unread input, no stale read error.
+func TestFrameReaderResetStartsClean(t *testing.T) {
+	var old bytes.Buffer
 	for i := 0; i < 3; i++ {
-		var wire bytes.Buffer
-		br := NewConnReader(bytes.NewReader(bytes.Repeat([]byte{0xEE}, 300)))
-		bw := NewConnWriter(&wire)
-		if _, err := br.Peek(100); err != nil {
-			t.Fatalf("Peek: %v", err)
+		if err := WriteFrame(&old, FrameBatch, bytes.Repeat([]byte{0xEE}, 3000)); err != nil {
+			t.Fatal(err)
 		}
-		bw.WriteString("left unflushed")
-		if br.Size() != connBufBytes || bw.Size() != connBufBytes {
-			t.Fatalf("buffer sizes %d/%d, want %d", br.Size(), bw.Size(), connBufBytes)
+	}
+	old.WriteString("trailing garbage")
+	fr := NewFrameReader(&old)
+	if _, _, err := fr.Next(); err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	grown := cap(fr.buf)
+	for {
+		if _, _, err := fr.Next(); err != nil {
+			break // the garbage tail fails the old stream
 		}
-		ReleaseConnBuffers(br, bw)
-
-		br = NewConnReader(bytes.NewReader([]byte{1}))
-		bw = NewConnWriter(&wire)
-		if n := br.Buffered(); n != 0 {
-			t.Fatalf("reused reader holds %d stale bytes", n)
-		}
-		if b, err := br.ReadByte(); err != nil || b != 1 {
-			t.Fatalf("reused reader read %#x, %v; want the new connection's 0x01", b, err)
-		}
-		if n := bw.Buffered(); n != 0 {
-			t.Fatalf("reused writer holds %d unflushed bytes", n)
-		}
-		if err := bw.Flush(); err != nil || wire.Len() != 0 {
-			t.Fatalf("flushing the reused writer wrote %d bytes, err %v", wire.Len(), err)
-		}
-		ReleaseConnBuffers(br, bw)
+	}
+	var fresh bytes.Buffer
+	if err := WriteFrame(&fresh, FrameHelloOK, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	fr.Reset(&fresh)
+	if fr.Frame() != nil {
+		t.Fatal("Reset kept the old connection's last frame")
+	}
+	if ft, body, err := fr.Next(); err != nil || ft != FrameHelloOK || !bytes.Equal(body, []byte{1}) {
+		t.Fatalf("reset reader read type %#x body %x, %v; want the new connection's HelloOK", ft, body, err)
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("reset reader after the new connection's only frame: %v, want io.EOF", err)
+	}
+	if cap(fr.buf) != grown {
+		t.Fatalf("Reset dropped the %d-byte buffer (now %d)", grown, cap(fr.buf))
 	}
 }
 
-// TestFrameZeroAlloc pins the framing hot path: writing a frame through a
-// *bufio.Writer and reading it back through a *bufio.Reader allocates
-// nothing once the buffers exist, whether the body lands in a FrameBuffer
-// or in a caller buffer passed to ReadFrame.
+// TestFrameZeroAlloc pins the framing hot path: building frames in place
+// with BeginFrame/SealFrame in a reused buffer and reading them back
+// through a FrameReader allocates nothing once the buffers have grown.
 func TestFrameZeroAlloc(t *testing.T) {
 	var wire bytes.Buffer
-	bw := bufio.NewWriter(&wire)
-	br := bufio.NewReader(&wire)
 	body := bytes.Repeat([]byte{0xC3}, 2048)
-	var fb FrameBuffer
-	scratch := make([]byte, 4096)
+	out := make([]byte, 0, 2*(FrameHeaderBytes+len(body)))
+	fr := NewFrameReader(&wire)
 	var err error
-	allocs := testing.AllocsPerRun(1000, func() {
+	round := func() {
 		wire.Reset()
-		if e := WriteFrame(bw, FrameBatch, body); e != nil {
-			err = e
+		out = out[:0]
+		for _, ft := range []FrameType{FrameBatch, FrameBatchReply} {
+			start := len(out)
+			out = append(BeginFrame(out), body...)
+			if e := SealFrame(out[start:], ft); e != nil {
+				err = e
+			}
 		}
-		if e := WriteFrame(bw, FrameBatchReply, body); e != nil {
-			err = e
+		wire.Write(out)
+		fr.Reset(&wire)
+		for i := 0; i < 2; i++ {
+			if _, _, e := fr.Next(); e != nil {
+				err = e
+			}
 		}
-		if e := bw.Flush(); e != nil {
-			err = e
-		}
-		br.Reset(&wire)
-		if _, _, e := fb.ReadFrame(br); e != nil {
-			err = e
-		}
-		if _, _, e := ReadFrame(br, scratch); e != nil {
-			err = e
-		}
-	})
+	}
+	round() // grow the reader's buffer
+	allocs := testing.AllocsPerRun(1000, round)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("%v allocations per buffered frame round trip, want 0", allocs)
+		t.Errorf("%v allocations per in-place frame round trip, want 0", allocs)
 	}
 }
 
