@@ -180,7 +180,7 @@ func collect(target string, points []obs.MetricPoint, at time.Time) snapshot {
 	}
 	s.Draining = obs.SumMetric(points, prefix+obs.FamDraining) > 0
 	s.Conns = obs.SumMetric(points, prefix+obs.FamConnsActive)
-	s.Streams = obs.SumMetric(points, prefix+"streams_open")
+	s.Streams = obs.SumMetric(points, prefix+obs.FamStreamsOpen)
 	s.SpansRecorded = obs.SumMetric(points, prefix+obs.FamTraceSpans)
 	if s.Kind == "bxtd" {
 		s.Batches = obs.SumMetric(points, "bxtd_batches_total")

@@ -39,6 +39,12 @@ const (
 	FamConnsTotal    = "connections_total"
 	FamConnsRejected = "connections_rejected_total"
 	FamDraining      = "draining"
+
+	// Stream families, unified across gateway and proxy: streams open now,
+	// streams ever opened, and StreamOpen frames answered with a refusal.
+	FamStreamsOpen   = "streams_open"
+	FamStreamsTotal  = "streams_total"
+	FamStreamRefused = "stream_refused_total"
 )
 
 // Expo writes Prometheus text-format series under one metric namespace.

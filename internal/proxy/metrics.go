@@ -39,16 +39,11 @@ type metrics struct {
 	// failover.
 	shadowPulls atomic.Uint64
 
-	// Stream-multiplexing accounting. streamsOpen gauges the logical
-	// streams currently relayed (stream 0 included); streamsTotal counts
-	// every stream ever opened;
-	// streamRefused counts StreamOpen refusals (proxy- or
-	// backend-originated); streamKills counts backend stream kills
-	// relayed to clients while their sessions kept serving.
-	streamsOpen   atomic.Int64
-	streamsTotal  atomic.Uint64
-	streamRefused atomic.Uint64
-	streamKills   atomic.Uint64
+	// streamKills counts backend stream kills relayed to clients while
+	// their sessions kept serving. The host writes the streams_* and
+	// stream_refused_total families, which count refusals relayed from a
+	// backend too.
+	streamKills atomic.Uint64
 
 	// stages holds the bxtproxy_stage_seconds{scheme,stage} histograms:
 	// frame_read and frame_write for the client leg, backend_exchange for
@@ -91,9 +86,6 @@ func (m *metrics) writeExposition(w io.Writer, backends []*backend) {
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"restore_failed\"} %d\n", m.stateRestFailed.Load())
 	fmt.Fprintf(w, "bxtproxy_state_transfers_total{outcome=\"unsupported\"} %d\n", m.stateUnsupported.Load())
 	fmt.Fprintf(w, "bxtproxy_shadow_snapshots_total %d\n", m.shadowPulls.Load())
-	fmt.Fprintf(w, "bxtproxy_streams_open %d\n", m.streamsOpen.Load())
-	fmt.Fprintf(w, "bxtproxy_streams_total %d\n", m.streamsTotal.Load())
-	fmt.Fprintf(w, "bxtproxy_stream_refused_total %d\n", m.streamRefused.Load())
 	fmt.Fprintf(w, "bxtproxy_stream_kills_total %d\n", m.streamKills.Load())
 
 	for _, b := range backends {

@@ -102,6 +102,9 @@ func New(cfg config.Proxy) (*Proxy, error) {
 		Open:          p.newSession,
 		Routes:        p.routes,
 		Metrics:       func(w io.Writer) { p.met.writeExposition(w, p.backendList()) },
+		StreamLimit:   cfg.StreamLimit,
+		Traces:        p.met.traces,
+		Stages:        p.met.stages,
 	})
 	if err != nil {
 		return nil, err
@@ -293,9 +296,6 @@ func (p *Proxy) routes(mux *http.ServeMux) {
 			http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)
 		}
 	})
-	if p.cfg.Debug {
-		mux.Handle("/debug/trace", obs.TraceHandler(p.met.traces, p.met.stages))
-	}
 }
 
 // Start opens both listeners, launches one health-probe loop per backend,
@@ -320,13 +320,17 @@ func (p *Proxy) Addr() string { return p.host.Addr() }
 func (p *Proxy) MetricsAddr() string { return p.host.MetricsAddr() }
 
 func (p *Proxy) newSession(conn net.Conn, id uint64) *session {
-	return &session{
+	ss := &session{
 		p:    p,
 		id:   id,
 		conn: conn,
 		in:   p.host.NewReader(conn),
+		w:    p.host.NewWriter(conn),
+		log:  p.log.With("session", id, "remote", conn.RemoteAddr().String()),
 		ups:  make(map[*backend]*upstream),
 	}
+	ss.streams = serve.NewStreams(p.host, ss.w, ss.log, ss.openStream, ss.closeStream)
+	return ss
 }
 
 // weightTieBand is how close (multiplicatively) two weighted routing

@@ -23,20 +23,20 @@ var errPinLost = errors.New("pinned backend ejected, upstream codec state lost")
 
 // session is one client connection being relayed: the client-facing
 // socket and the logical streams being routed. The session demultiplexes
-// on the stream-id prefix and routes every stream independently.
+// on the stream-id prefix and routes every stream independently, on one
+// goroutine.
 type session struct {
 	p    *Proxy
 	id   uint64
 	conn net.Conn
 	// in reads the Hello and every later client frame under the idle
 	// deadline; a relayed batch frame goes upstream straight from its
-	// buffer.
+	// buffer. w writes every frame to the client: the proxy's own replies
+	// (errors, conversions, stream verdicts) and the relayed backend
+	// frames, which go out straight from the upstream's read buffer.
 	in  serve.Reader
+	w   *serve.Writer
 	log *slog.Logger
-	// wbuf frames the proxy's own replies to the client (errors,
-	// conversions, stream verdicts); relayed backend frames go out
-	// straight from the upstream's read buffer.
-	wbuf []byte
 
 	// hello is the client's Hello, stream 0's parameters; every upstream
 	// connection replays it when dialing, whichever stream triggered the
@@ -44,7 +44,7 @@ type session struct {
 	hello trace.Hello
 
 	// streams routes stream ids to their relay state.
-	streams map[uint32]*pstream
+	streams *serve.Streams[*pstream]
 
 	// ups holds this session's live upstream connections, one per
 	// backend, each carrying any subset of the session's streams (tracked
@@ -59,27 +59,31 @@ type session struct {
 	span    obs.Span
 }
 
+// Writer returns the session's client-leg frame writer.
+func (ss *session) Writer() *serve.Writer { return ss.w }
+
 // Serve drives the session: handshake, then the relay loop.
 func (ss *session) Serve() {
 	defer ss.conn.Close()
-	defer ss.closeUpstreams()
-	defer ss.teardownStreams()
-	ss.log = ss.p.log.With("session", ss.id, "remote", ss.conn.RemoteAddr().String())
+	defer ss.streams.Teardown()
+	defer ss.release()
 	if err := ss.handshake(); err != nil {
 		ss.log.Warn("handshake failed", "err", err)
+		ss.w.Send(trace.FrameError, []byte(err.Error()))
 		return
 	}
-	ss.log.Info("session open", "scheme", ss.hello.Scheme, "pinned", ss.streams[0].pinned)
-	ss.readLoop()
+	st0, _ := ss.streams.Get(0)
+	ss.log.Info("session open", "scheme", ss.hello.Scheme, "pinned", st0.pinned)
+	// Frames are relayed until the client closes, a protocol error
+	// occurs, or the proxy starts draining (which fires the read
+	// deadline).
+	ss.streams.Serve(&ss.in, ss.dispatch)
 	var batches uint64
-	for _, st := range ss.streams {
-		batches += st.batches
-	}
-	ss.log.Info("session closed", "batches", batches, "streams", len(ss.streams))
+	ss.streams.Each(func(st *pstream) { batches += st.batches })
+	ss.log.Info("session closed", "batches", batches, "streams", ss.streams.Len())
 }
 
-// newStream builds the relay state for one logical stream; registerStream
-// wires it into the routing table and the stream gauges.
+// newStream builds the relay state for one logical stream.
 func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstream {
 	st := &pstream{
 		ss:         ss,
@@ -95,46 +99,21 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 	return st
 }
 
-func (ss *session) registerStream(st *pstream) {
-	ss.streams[st.sid] = st
-	ss.p.met.streamsOpen.Add(1)
-	ss.p.met.streamsTotal.Add(1)
-}
-
-// forgetStream unregisters a stream and releases its routing state.
-func (ss *session) forgetStream(st *pstream) {
-	delete(ss.streams, st.sid)
-	st.unpin()
-	ss.p.met.streamsOpen.Add(-1)
-}
-
-// teardownStreams releases every stream's pin and gauge at session end.
-func (ss *session) teardownStreams() {
-	for _, st := range ss.streams {
-		st.unpin()
-		ss.p.met.streamsOpen.Add(-1)
-	}
-	ss.streams = nil
-}
-
 // handshake reads the client Hello, opens the first upstream (which also
 // validates the scheme and transaction size against a real backend), and
-// answers HelloOK with the backend's MetaBits and BatchLimit. Any failure,
-// a Hello the host's check refuses included, is answered with an Error
-// frame before the connection closes.
+// answers HelloOK with the backend's MetaBits and BatchLimit. Serve
+// answers any failure, a Hello the host's check refuses included, with an
+// Error frame before the connection closes.
 func (ss *session) handshake() error {
 	h, err := ss.in.Hello()
 	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
 	ss.hello = h
-	ss.streams = make(map[uint32]*pstream)
 	st := ss.newStream(0, h.Scheme, h.TxnSize)
-	ss.registerStream(st)
+	ss.streams.Add(0, st)
 	u, _, err := st.acquireUpstream()
 	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
 		return err
 	}
 	okBody := trace.MarshalHelloOK(trace.HelloOK{
@@ -142,115 +121,49 @@ func (ss *session) handshake() error {
 		MetaBits:   u.ok.MetaBits,
 		BatchLimit: u.ok.BatchLimit,
 	})
-	return ss.writeFrame(trace.FrameHelloOK, okBody)
+	return ss.w.Send(trace.FrameHelloOK, okBody)
 }
 
-// readLoop consumes client frames until the client closes, a protocol
-// error occurs, or the proxy starts draining (which fires the read
-// deadline).
-func (ss *session) readLoop() {
-	for {
-		ft, body, readStart, err := ss.in.Next()
-		if err != nil {
-			if err != serve.ErrEnd {
-				ss.writeFrame(trace.FrameError, []byte(err.Error()))
-			}
-			return
-		}
-		switch {
-		case ft == trace.FrameBatch:
-			// dispatchBatch observes frame_read so the sample can carry
-			// the batch's trace id once the envelope is open.
-			if ss.dispatchBatch(body, time.Since(readStart)) {
-				return
-			}
-		case ft == trace.FrameStreamOpen:
-			if ss.handleStreamOpen(body) {
-				return
-			}
-		case ft == trace.FrameStreamClose:
-			if ss.handleStreamClose(body) {
-				return
-			}
-		default:
-			ss.writeFrame(trace.FrameError, []byte(fmt.Sprintf("proxy: unexpected frame type %#x", byte(ft))))
-			return
-		}
+// dispatch serves one client frame other than a stream open or close: a
+// Batch frame relays on the stream its body leads with.
+func (ss *session) dispatch(ft trace.FrameType, body []byte, readStart time.Time) error {
+	if ft != trace.FrameBatch {
+		return fmt.Errorf("proxy: unexpected frame type %#x", byte(ft))
 	}
+	st, interior, ok, err := ss.streams.Route(body)
+	if !ok {
+		return err
+	}
+	// handleBatch observes frame_read so the sample can carry the batch's
+	// trace id once the envelope is open.
+	return st.handleBatch(ss.in.Frame(), interior, time.Since(readStart))
 }
 
-// dispatchBatch routes one Batch frame to the stream its body leads with;
-// a batch for an unknown stream re-announces StreamClosed, mirroring the
-// gateway, so a client racing a stream kill loses only that stream while
-// its siblings keep serving.
-func (ss *session) dispatchBatch(body []byte, readDur time.Duration) (fatal bool) {
-	sid, interior, err := trace.SplitStreamID(body)
-	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
-		return true
-	}
-	st := ss.streams[sid]
-	if st == nil {
-		return ss.writeFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "unknown stream")) != nil
-	}
-	return st.handleBatch(ss.in.Frame(), interior, readDur)
-}
-
-// handleStreamOpen opens one additional logical stream: validate it
-// locally, route it to a backend so the scheme and transaction size are
-// checked where the stream will actually serve, and relay the backend's
-// StreamOpenOK verdict — metadata width and batch limit included —
-// verbatim to the client.
-func (ss *session) handleStreamOpen(body []byte) (fatal bool) {
-	o, err := trace.ParseStreamOpen(body)
-	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
-		return true
-	}
-	refuse := func(msg string) bool {
-		ss.p.met.streamRefused.Add(1)
-		ok := trace.StreamOpenOK{ID: o.ID, Status: trace.StreamRefused, Msg: msg}
-		return ss.writeFrame(trace.FrameStreamOpenOK, trace.MarshalStreamOpenOK(ok)) != nil
-	}
-	if ss.streams[o.ID] != nil {
-		return refuse(fmt.Sprintf("stream %d already open", o.ID))
-	}
-	if len(ss.streams) >= ss.p.cfg.StreamLimit {
-		return refuse(fmt.Sprintf("stream limit %d reached", ss.p.cfg.StreamLimit))
-	}
+// openStream opens one additional logical stream: it routes the stream to
+// a backend, so the scheme and transaction size are checked where the
+// stream will actually serve, and answers with the backend's StreamOpenOK
+// verdict — metadata width and batch limit included — verbatim.
+func (ss *session) openStream(o trace.StreamOpen) (*pstream, []byte, error) {
 	st := ss.newStream(o.ID, o.Scheme, o.TxnSize)
-	ss.registerStream(st)
 	if _, _, err := st.acquireUpstream(); err != nil {
-		ss.forgetStream(st)
+		st.unpin()
 		if errors.Is(err, errStreamRefused) && st.openOK != nil {
 			// Relay the backend's own refusal byte-for-byte.
-			ss.p.met.streamRefused.Add(1)
-			return ss.writeFrame(trace.FrameStreamOpenOK, st.openOK) != nil
+			return nil, st.openOK, err
 		}
-		return refuse("proxy: " + err.Error())
+		return nil, nil, fmt.Errorf("proxy: %v", err)
 	}
 	ss.log.Info("stream open", "stream", o.ID, "scheme", o.Scheme, "pinned", st.pinned)
-	fatal = ss.writeFrame(trace.FrameStreamOpenOK, st.openOK) != nil
-	st.openOK = nil
-	st.accepted = true
-	return fatal
+	ok := st.openOK
+	st.openOK, st.accepted = nil, true
+	return st, ok, nil
 }
 
-// handleStreamClose retires one stream: the close propagates to every
-// upstream connection the stream is open on — keeping the serial exchange
-// discipline on each — before the StreamClosed acknowledgement goes back
-// to the client.
-func (ss *session) handleStreamClose(body []byte) (fatal bool) {
-	sid, err := trace.ParseStreamClose(body)
-	if err != nil {
-		ss.writeFrame(trace.FrameError, []byte(err.Error()))
-		return true
-	}
-	st := ss.streams[sid]
-	if st == nil {
-		ss.writeFrame(trace.FrameError, []byte(fmt.Sprintf("close for unknown stream %d", sid)))
-		return true
-	}
+// closeStream retires one stream the client closed: the close propagates
+// to every upstream connection the stream is open on — keeping the serial
+// exchange discipline on each — before the StreamClosed acknowledgement
+// goes back to the client.
+func (ss *session) closeStream(st *pstream) {
 	for b, u := range ss.ups {
 		if st.sid != 0 && !u.open[st.sid] {
 			continue
@@ -262,9 +175,8 @@ func (ss *session) handleStreamClose(body []byte) (fatal bool) {
 			ss.dropUpstream(b)
 		}
 	}
-	ss.forgetStream(st)
+	st.unpin()
 	ss.log.Info("stream closed", "stream", st.sid, "batches", st.batches)
-	return ss.writeFrame(trace.FrameStreamClosed, trace.MarshalStreamClosed(sid, "")) != nil
 }
 
 // dropUpstream closes and forgets this session's upstream on b.
@@ -275,28 +187,12 @@ func (ss *session) dropUpstream(b *backend) {
 	}
 }
 
-// closeUpstreams closes every upstream connection at session end.
-func (ss *session) closeUpstreams() {
+// release frees what the session holds when it ends: every stream's pin
+// and every upstream connection.
+func (ss *session) release() {
+	ss.streams.Each(func(st *pstream) { st.unpin() })
 	for _, u := range ss.ups {
 		u.close()
 	}
 	ss.ups = nil
-}
-
-// writeFrame frames body as a t frame and writes it to the client.
-func (ss *session) writeFrame(ft trace.FrameType, body []byte) error {
-	frame, err := trace.AppendFrame(ss.wbuf[:0], ft, body)
-	ss.wbuf = frame[:0]
-	if err != nil {
-		return err
-	}
-	return ss.relay(frame)
-}
-
-// relay writes one whole frame, header included, to the client in one
-// Write under the write deadline.
-func (ss *session) relay(frame []byte) error {
-	ss.conn.SetWriteDeadline(time.Now().Add(ss.p.cfg.WriteTimeout))
-	_, err := ss.conn.Write(frame)
-	return err
 }

@@ -59,19 +59,12 @@ type pstream struct {
 	readH, backH, writeH *obs.Histogram
 }
 
-// wrapReply prepends the stream-id prefix to a proxy-originated reply
-// body.
-func (st *pstream) wrapReply(body []byte) []byte {
-	return append(trace.AppendStreamID(make([]byte, 0, 4+len(body)), st.sid), body...)
-}
-
 // handleBatch relays one Batch frame to a backend and the reply back to
 // the client. Frames relay verbatim in both directions, each written
 // whole, header included, straight from the read buffer it arrived in —
 // the stream-id prefix rides along untouched, and only the interior past
-// it is parsed for validation. It returns true when the session must
-// close.
-func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (fatal bool) {
+// it is parsed for validation. An error ends the session.
+func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) error {
 	ss := st.ss
 	// The trace id rides the envelope payload; the body still relays
 	// verbatim, the proxy only reads it for its own spans.
@@ -80,14 +73,13 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (f
 	if err != nil {
 		st.readH.ObserveDuration(readDur)
 		if len(interior) < 12 {
-			ss.writeFrame(trace.FrameError, []byte(err.Error()))
-			return true
+			return err
 		}
 		// Client-leg corruption: answer the recoverable fault here instead
 		// of burning a backend round trip; the carried id is best effort,
 		// exactly as on the gateway.
 		id = binary.LittleEndian.Uint64(interior[:8])
-		return ss.writeFrame(trace.FrameBatchError, st.wrapReply(trace.MarshalBatchError(id, false, err.Error()))) != nil
+		return ss.w.SendStream(trace.FrameBatchError, st.sid, trace.MarshalBatchError(id, false, err.Error()))
 	}
 	st.readH.ObserveDurationEx(readDur, ss.traceID)
 	ss.span.Reset(ss.traceID, id, ss.id, st.schemeName)
@@ -155,19 +147,14 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (f
 			ss.span.BaseOnes, ss.span.EncOnes = stats.OnesBefore, stats.OnesAfter
 			ss.span.BaseToggles, ss.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
 		}
-		start = time.Now()
-		if err := ss.relay(u.in.Frame()); err != nil {
-			return true
+		if err := ss.w.Write(u.in.Frame(), st.wrote); err != nil {
+			return err
 		}
-		writeDur := time.Since(start)
-		st.writeH.ObserveDurationEx(writeDur, ss.traceID)
-		ss.span.Observe(obs.StageFrameWrite, writeDur)
-		ss.p.met.traces.Add(&ss.span)
 		if st.snapshottable && ss.p.cfg.ShadowInterval > 0 &&
 			st.batches%uint64(ss.p.cfg.ShadowInterval) == 0 {
 			st.pullShadow(u, b)
 		}
-		return false
+		return nil
 	case trace.FrameBusy, trace.FrameBatchError:
 		// The backend shed or faulted the batch but kept the stream:
 		// relay the recoverable reply verbatim — after checking it is
@@ -194,7 +181,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (f
 		if !st.pinned {
 			st.avoid = b
 		}
-		return ss.relay(u.in.Frame()) != nil
+		return ss.w.Write(u.in.Frame(), nil)
 	case trace.FrameError:
 		// The backend ended this upstream session (fault budget, drain,
 		// refusal) but is alive enough to speak BXTP: not an ejection
@@ -209,12 +196,22 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) (f
 	}
 }
 
+// wrote records a relayed reply's frame_write sample and finishes the
+// relay span.
+func (st *pstream) wrote(d time.Duration) {
+	ss := st.ss
+	st.writeH.ObserveDurationEx(d, ss.traceID)
+	ss.span.Observe(obs.StageFrameWrite, d)
+	ss.p.met.traces.Add(&ss.span)
+}
+
 // relayStreamKill handles a backend answering a batch with StreamClosed:
 // the backend killed exactly this stream (fault budget exhausted) while
 // the muxed connection and its sibling streams keep serving. The kill
-// relays to the client verbatim and the proxy forgets the stream, so a
-// client re-open builds fresh routing state, mirroring the gateway.
-func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []byte) (fatal bool) {
+// relays to the client with the backend's cause and the proxy forgets the
+// stream, so a client re-open builds fresh routing state, mirroring the
+// gateway.
+func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []byte) error {
 	ss := st.ss
 	rsid, msg, perr := trace.ParseStreamClosed(rbody)
 	if perr == nil && rsid != st.sid {
@@ -227,9 +224,9 @@ func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []b
 	}
 	delete(u.open, st.sid)
 	ss.p.met.streamKills.Add(1)
-	ss.forgetStream(st)
+	st.unpin()
 	ss.log.Info("stream killed by backend", "stream", st.sid, "backend", b.addr, "msg", msg)
-	return ss.relay(u.in.Frame()) != nil
+	return ss.streams.Remove(st.sid, msg)
 }
 
 // convertFailure turns an upstream failure into a recoverable reply: Busy
@@ -237,16 +234,16 @@ func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []b
 // flag (retry after an Epoch bump) for pinned streams — re-pinning first so
 // the retry lands on a survivor. Other streams on the session never
 // notice.
-func (st *pstream) convertFailure(id uint64, cause error) (fatal bool) {
+func (st *pstream) convertFailure(id uint64, cause error) error {
 	ss := st.ss
 	if st.pinned {
 		ss.p.met.faultConverted.Add(1)
 		st.pinTarget()
 		body := trace.MarshalBatchError(id, true, "proxy: backend failed, codec state lost: "+cause.Error())
-		return ss.writeFrame(trace.FrameBatchError, st.wrapReply(body)) != nil
+		return ss.w.SendStream(trace.FrameBatchError, st.sid, body)
 	}
 	ss.p.met.busyConverted.Add(1)
-	return ss.writeFrame(trace.FrameBusy, st.wrapReply(trace.MarshalBusy(id, ss.p.cfg.RetryHint))) != nil
+	return ss.w.SendStream(trace.FrameBusy, st.sid, trace.MarshalBusy(id, ss.p.cfg.RetryHint))
 }
 
 // ensureOpen makes sure this stream is open on an upstream connection,

@@ -1,23 +1,32 @@
-// Package serve is the connection host both BXTP serving tiers run on:
-// bxtd (internal/server) and bxtproxy (internal/proxy). The host owns
-// everything about a client connection that does not depend on what the
-// tier does with its frames:
+// Package serve is the connection host and session core both BXTP
+// serving tiers run on: bxtd (internal/server) and bxtproxy
+// (internal/proxy). The host owns everything about a client connection
+// that does not depend on what the tier does with its frames:
 //
-//   - the BXTP and metrics listeners, with the /healthz, /metrics and
-//     (when config.Listener.Debug is set) net/http/pprof routes;
+//   - the BXTP and metrics listeners, with the /healthz and /metrics
+//     routes and, when config.Listener.Debug is set, the /debug/trace and
+//     net/http/pprof routes;
 //   - the MaxConns cap and the Error-frame refusals for "at capacity" and
 //     "draining";
 //   - the session registry and the session ids;
 //   - the draining flag and bxtd's lame-duck flag;
-//   - the connections_* and draining metric families;
+//   - the connections_*, streams_*, stream_refused_total and draining
+//     metric families;
 //   - the Hello read and version check, and the idle-deadline frame read
 //     (Reader);
+//   - the frame write under the write deadline, whose lock is the barrier
+//     /debug/trace waits on (Writer);
+//   - the stream table: StreamOpen and StreamClose, the duplicate-id and
+//     StreamLimit refusals, the "unknown stream" answers, and the streams'
+//     teardown when the session ends (Streams);
 //   - the drain protocol: stop accepting, fire every session's read
 //     deadline and keep re-firing it, force-close whatever is left when
 //     the drain budget expires, wait, then close the metrics listener.
 //
 // A tier plugs in through Tier: it builds a session for each admitted
-// connection, mounts its own routes, and writes its own metric families.
+// connection, opens and closes its streams, mounts its own routes, and
+// writes its own metric families. Each session runs on one goroutine,
+// which reads, serves and writes every frame of its connection.
 package serve
 
 import (
@@ -44,6 +53,8 @@ type Session interface {
 	comparable
 	// Serve runs the session to completion and closes its connection.
 	Serve()
+	// Writer returns the Writer the session sends its frames through.
+	Writer() *Writer
 }
 
 // Tier is what a serving tier plugs into the host.
@@ -61,6 +72,13 @@ type Tier[S Session] struct {
 	Routes func(*http.ServeMux)
 	// Metrics writes the tier's metric families after the host's.
 	Metrics func(io.Writer)
+	// StreamLimit caps the streams one session's Streams holds open.
+	StreamLimit int
+	// Traces and Stages, when Traces is non-nil and config.Listener.Debug
+	// is set, back /debug/trace: the tier's span ring and its stage
+	// histograms' exemplars.
+	Traces *obs.TraceRing
+	Stages *obs.HistogramTracer
 	// Events, when non-nil, records the host's conn_refused and
 	// drain_begin lifecycle events.
 	Events *obs.EventBuffer
@@ -79,6 +97,7 @@ type Host[S Session] struct {
 	connsTotal    atomic.Uint64
 	connsRejected atomic.Uint64
 	ids           atomic.Uint64
+	streams       streamCounts
 	// draining is set once, under mu, when Shutdown begins; session reads
 	// poll it lock-free between frames.
 	draining atomic.Bool
@@ -177,6 +196,9 @@ func (h *Host[S]) mux() *http.ServeMux {
 		e.Int(obs.FamConnsActive, "", h.connsActive.Load())
 		e.Uint(obs.FamConnsTotal, "", h.connsTotal.Load())
 		e.Uint(obs.FamConnsRejected, "", h.connsRejected.Load())
+		e.Int(obs.FamStreamsOpen, "", h.streams.open.Load())
+		e.Uint(obs.FamStreamsTotal, "", h.streams.total.Load())
+		e.Uint(obs.FamStreamRefused, "", h.streams.refused.Load())
 		h.tier.Metrics(w)
 	})
 	if h.cfg.Debug {
@@ -185,6 +207,13 @@ func (h *Host[S]) mux() *http.ServeMux {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		if h.tier.Traces != nil {
+			traces := obs.TraceHandler(h.tier.Traces, h.tier.Stages)
+			mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
+				h.awaitWrites()
+				traces.ServeHTTP(w, r)
+			})
+		}
 	}
 	h.tier.Routes(mux)
 	return mux
@@ -244,6 +273,16 @@ func (h *Host[S]) Sessions() []S {
 		out = append(out, ss)
 	}
 	return out
+}
+
+// awaitWrites waits out any frame write in progress on a live session. A
+// tier records a reply's span under its Writer's lock, after the reply is
+// written, so once this returns every reply a client already holds is on
+// /debug/trace.
+func (h *Host[S]) awaitWrites() {
+	for _, ss := range h.Sessions() {
+		ss.Writer().await()
+	}
 }
 
 // Active returns the number of sessions being served.
@@ -341,10 +380,7 @@ func (h *Host[S]) drop(ss S) {
 func (h *Host[S]) refuse(conn net.Conn, reason string) {
 	h.log.Warn("connection refused", "remote", conn.RemoteAddr().String(), "reason", reason)
 	h.event(obs.EventConnRefused, reason)
-	conn.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout))
-	if frame, err := trace.AppendFrame(nil, trace.FrameError, []byte(reason)); err == nil {
-		conn.Write(frame)
-	}
+	h.NewWriter(conn).Send(trace.FrameError, []byte(reason))
 	conn.Close()
 }
 
@@ -468,6 +504,104 @@ type Reader struct {
 	in trace.FrameReader
 	// armedAt is when the read deadline was last set.
 	armedAt time.Time
+}
+
+// Writer is the write half of one session's connection: every frame the
+// session sends leaves through it whole, in one Write, under the host's
+// write deadline. Its lock orders the session's writes against
+// /debug/trace. Get one from NewWriter.
+type Writer struct {
+	mu      sync.Mutex
+	conn    net.Conn
+	timeout time.Duration
+	// armedAt is when the write deadline was last set.
+	armedAt time.Time
+	// err latches the first write failure: the connection is closed then,
+	// and every later frame is dropped.
+	err error
+	// buf frames the bodies Send and SendStream are given.
+	buf []byte
+}
+
+// NewWriter returns the Writer for conn.
+func (h *Host[S]) NewWriter(conn net.Conn) *Writer {
+	return &Writer{conn: conn, timeout: h.cfg.WriteTimeout}
+}
+
+// Write writes frame, one whole frame with its header sealed. done, when
+// non-nil, runs once the frame is written, still under the Writer's lock,
+// with the write's duration: a tier records the frame's frame_write
+// sample and span there, so /debug/trace never answers between a reply
+// reaching its client and its span reaching the ring. done must not use
+// the Writer.
+//
+// The first failure, a slow client's expired deadline included, closes
+// the connection, which ends the session's reads too; Write returns it,
+// and net.ErrClosed for every later frame. Like Reader.Next, Write re-arms
+// the deadline only once a quarter of the timeout has burned down, so a
+// stuck client trips it within [3/4·WriteTimeout, WriteTimeout].
+func (w *Writer) Write(frame []byte, done func(time.Duration)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.write(frame, done)
+}
+
+func (w *Writer) write(frame []byte, done func(time.Duration)) error {
+	if w.err != nil {
+		return net.ErrClosed
+	}
+	start := time.Now()
+	if start.Sub(w.armedAt) > w.timeout>>2 {
+		w.conn.SetWriteDeadline(start.Add(w.timeout))
+		w.armedAt = start
+	}
+	if _, err := w.conn.Write(frame); err != nil {
+		w.err = err
+		w.conn.Close()
+		return err
+	}
+	if done != nil {
+		done(time.Since(start))
+	}
+	return nil
+}
+
+// Send frames body as a t frame and writes it.
+func (w *Writer) Send(t trace.FrameType, body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf = append(trace.BeginFrame(w.buf[:0]), body...)
+	return w.seal(t)
+}
+
+// SendStream frames body behind stream sid's id prefix as a t frame and
+// writes it.
+func (w *Writer) SendStream(t trace.FrameType, sid uint32, body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf = append(trace.AppendStreamID(trace.BeginFrame(w.buf[:0]), sid), body...)
+	return w.seal(t)
+}
+
+func (w *Writer) seal(t trace.FrameType) error {
+	if err := trace.SealFrame(w.buf, t); err != nil {
+		return err
+	}
+	return w.write(w.buf, nil)
+}
+
+// await returns once no write is in progress: taking the lock is the
+// barrier.
+func (w *Writer) await() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+}
+
+// Err returns the write failure that closed the connection, or nil.
+func (w *Writer) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
 }
 
 // NewReader returns the Reader for conn.

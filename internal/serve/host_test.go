@@ -22,20 +22,23 @@ import (
 type echoSession struct {
 	conn net.Conn
 	in   Reader
+	w    *Writer
 }
+
+func (e *echoSession) Writer() *Writer { return e.w }
 
 func (e *echoSession) Serve() {
 	defer e.conn.Close()
 	fail := func(err error) {
 		if err != ErrEnd {
-			trace.WriteFrame(e.conn, trace.FrameError, []byte(err.Error()))
+			e.w.Send(trace.FrameError, []byte(err.Error()))
 		}
 	}
 	if _, err := e.in.Hello(); err != nil {
 		fail(err)
 		return
 	}
-	trace.WriteFrame(e.conn, trace.FrameHelloOK, trace.MarshalHelloOK(trace.HelloOK{Version: trace.ProtocolVersion}))
+	e.w.Send(trace.FrameHelloOK, trace.MarshalHelloOK(trace.HelloOK{Version: trace.ProtocolVersion}))
 	for {
 		if _, _, _, err := e.in.Next(); err != nil {
 			fail(err)
@@ -55,7 +58,7 @@ func startEcho(t *testing.T, readTimeout time.Duration) *Host[*echoSession] {
 		Name:          "echo",
 		MetricsPrefix: "echo_",
 		Open: func(conn net.Conn, id uint64) *echoSession {
-			return &echoSession{conn: conn, in: h.NewReader(conn)}
+			return &echoSession{conn: conn, in: h.NewReader(conn), w: h.NewWriter(conn)}
 		},
 		Routes:  func(*http.ServeMux) {},
 		Metrics: func(w io.Writer) { fmt.Fprintln(w, "echo_tier 1") },

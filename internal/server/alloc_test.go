@@ -16,8 +16,9 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// newBenchStream wires a session and its stream 0 the way handshake does,
-// minus the network, so the per-batch path can be driven directly.
+// newBenchStream builds a session's stream 0 the way handshake does, minus
+// the network and the stream table, so the per-batch path can be driven
+// directly.
 func newBenchStream(t testing.TB, schemeName string, txnSize int) *stream {
 	t.Helper()
 	return newConfigStream(t, testConfig(), schemeName, txnSize)
@@ -31,17 +32,14 @@ func newConfigStream(t testing.TB, cfg config.Server, schemeName string, txnSize
 		t.Fatalf("New: %v", err)
 	}
 	ss := &session{
-		srv:       srv,
-		id:        1,
-		log:       srv.log.With("session", 1),
-		replyFree: make(chan []byte, 6),
+		srv: srv,
+		id:  1,
+		log: srv.log.With("session", 1),
 	}
 	st, err := ss.openStream(0, schemeName, txnSize)
 	if err != nil {
 		t.Fatalf("openStream(%s): %v", schemeName, err)
 	}
-	ss.streams = map[uint32]*stream{0: st}
-	ss.st0 = st
 	return st
 }
 
@@ -68,19 +66,12 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 			var id uint64
 			run := func() {
 				id++
-				reply, err := st.processBatch(id, tc.txns)
-				if err != nil {
+				if _, err := st.processBatch(id, tc.txns); err != nil {
 					t.Fatalf("processBatch: %v", err)
 				}
-				// Return the body the way writeLoop does once the frame
-				// is on the wire.
-				select {
-				case st.ss.replyFree <- reply:
-				default:
-				}
 			}
-			// Warm up buffer growth (recBuf, reply body free list) and, on
-			// the cached stream, admit every variant of the batch.
+			// Warm up buffer growth (recBuf, the session's reply buffer)
+			// and, on the cached stream, admit every variant of the batch.
 			for i := 0; i < 8; i++ {
 				run()
 			}
@@ -131,10 +122,10 @@ func TestTranscodeReplyReuse(t *testing.T) {
 // helloOnlyAllocBudget is the most one connection that completes the Hello
 // and closes without a batch may allocate, client dial and bxtd session
 // together: what a proxy health probe costs this tier. It measured about
-// 6.5 KB on loopback; the margin is a quarter. A session's one frame
-// buffer starts Hello-sized (512 B) and grows only with the frames
-// received, so a session that sizes its read buffer for a batch (16 KiB or
-// more) at handshake, or keeps a write buffer, does not fit.
+// 4.6 KB on loopback, so the budget leaves over 40% headroom. A session's
+// one frame buffer starts Hello-sized (512 B) and grows only with the
+// frames received, so a session that sizes its read buffer for a batch
+// (16 KiB or more) at handshake, or keeps a write buffer, does not fit.
 const helloOnlyAllocBudget = 8 << 10
 
 // TestHelloOnlySessionAllocations is the bxtd half of the probe

@@ -111,7 +111,6 @@ func TestBatchPathMatchesSequential(t *testing.T) {
 				if got, want := st.encBus.Stats(), refEnc.Stats(); got != want {
 					t.Fatalf("%d txns: encoded-side bus stats diverge\nblock     %+v\nreference %+v", n, got, want)
 				}
-				st.ss.replyFree <- got
 			}
 		})
 	}

@@ -67,16 +67,10 @@ type metrics struct {
 	budgetKills   atomic.Uint64
 	slowClients   atomic.Uint64
 
-	// Stream-multiplexing gauges and counters. streamsOpen gauges the
-	// logical sessions currently open across all connections;
-	// streamsTotal counts every stream
-	// ever opened; streamRefused counts StreamOpen frames answered with a
-	// refusal; streamKills counts streams the gateway closed for
-	// exhausting their fault budget while their connection kept serving.
-	streamsOpen   atomic.Int64
-	streamsTotal  atomic.Uint64
-	streamRefused atomic.Uint64
-	streamKills   atomic.Uint64
+	// streamKills counts streams the gateway closed for exhausting their
+	// fault budget while their connection kept serving. The host writes
+	// the streams_* and stream_refused_total families.
+	streamKills atomic.Uint64
 
 	// State-transfer counters. stateSnapshots and stateRestores count
 	// successful StateSnapshot/StateRestore admin exchanges; stateFails
@@ -141,9 +135,6 @@ func (m *metrics) writeExposition(w io.Writer) {
 	fmt.Fprintf(w, "bxtd_busy_total %d\n", m.busyShed.Load())
 	fmt.Fprintf(w, "bxtd_fault_budget_disconnects_total %d\n", m.budgetKills.Load())
 	fmt.Fprintf(w, "bxtd_slow_client_disconnects_total %d\n", m.slowClients.Load())
-	fmt.Fprintf(w, "bxtd_streams_open %d\n", m.streamsOpen.Load())
-	fmt.Fprintf(w, "bxtd_streams_total %d\n", m.streamsTotal.Load())
-	fmt.Fprintf(w, "bxtd_stream_refused_total %d\n", m.streamRefused.Load())
 	fmt.Fprintf(w, "bxtd_stream_kills_total %d\n", m.streamKills.Load())
 	fmt.Fprintf(w, "bxtd_state_snapshots_total %d\n", m.stateSnapshots.Load())
 	fmt.Fprintf(w, "bxtd_state_restores_total %d\n", m.stateRestores.Load())

@@ -6,10 +6,9 @@
 //
 // Concurrency structure: the connection host (internal/serve, shared with
 // bxtproxy) admits at most MaxConns sessions and runs the drain; each
-// session runs a read goroutine (frame parsing + batch encoding) and a
-// write goroutine (reply serialization), with all encoding passing through
-// one server-wide worker pool so a deployment can bound CPU regardless of
-// connection count. Read and write deadlines bound every socket operation,
+// session runs on one goroutine (frame parsing, batch encoding and reply
+// writing), with all encoding passing through one server-wide worker pool
+// so a deployment can bound CPU regardless of connection count. Read and write deadlines bound every socket operation,
 // so a stalled or malicious client costs one connection slot, never a pool
 // worker. Shutdown drains: the listener closes, /healthz flips to
 // draining, in-flight batches complete and flush, then sessions close.
@@ -100,7 +99,10 @@ func New(cfg config.Server) (*Server, error) {
 		},
 		Events: s.events,
 		// Every session has wound down, so no insert races the snapshot.
-		Drained: s.saveSimCaches,
+		Drained:     s.saveSimCaches,
+		StreamLimit: cfg.StreamLimit,
+		Traces:      s.met.traces,
+		Stages:      s.met.stages,
 	})
 	if err != nil {
 		return nil, err
@@ -159,7 +161,7 @@ func (s *Server) SetLogger(l *slog.Logger) {
 func (s *Server) Tracer() obs.Tracer { return s.met.stages }
 
 // routes mounts bxtd's own routes on the metrics listener: /drain, and —
-// only when cfg.Debug — the event, poison and trace rings.
+// only when cfg.Debug — the event and poison rings.
 func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -172,11 +174,6 @@ func (s *Server) routes(mux *http.ServeMux) {
 	if s.cfg.Debug {
 		mux.Handle("/debug/events", s.events)
 		mux.Handle("/debug/poison", s.poison)
-		traces := obs.TraceHandler(s.met.traces, s.met.stages)
-		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-			s.awaitReplyWrites()
-			traces.ServeHTTP(w, r)
-		})
 	}
 }
 
@@ -205,22 +202,17 @@ func (s *Server) newSession(conn net.Conn, id uint64) *session {
 	if s.inj != nil {
 		conn = s.inj.WrapConn(conn)
 	}
-	return &session{
+	ss := &session{
 		srv:  s,
 		id:   id,
 		conn: conn,
 		in:   s.host.NewReader(conn),
+		w:    s.host.NewWriter(conn),
+		log:  s.log.With("session", id),
 	}
-}
-
-// awaitReplyWrites waits out any reply write in progress on a live
-// session. A reply's span and frame_write sample are recorded under the
-// session's write lock after the reply is flushed, so once this returns,
-// every reply a client has already received is on /debug/trace.
-func (s *Server) awaitReplyWrites() {
-	for _, ss := range s.host.Sessions() {
-		ss.awaitWrite()
-	}
+	ss.streams = serve.NewStreams(s.host, ss.w, ss.log, ss.addStream,
+		func(st *stream) { ss.closeStream(st, "") })
+	return ss
 }
 
 // Shutdown drains the gateway: it stops accepting, flips /healthz to

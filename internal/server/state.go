@@ -14,7 +14,7 @@ import (
 // serializes the session's complete stream state — codec, then baseline
 // bus, then encoded bus, each in its own internal/snap envelope — and a
 // StateRestore installs such a blob into a fresh session. Both are served
-// from the read goroutine at batch boundaries, where it has exclusive
+// from the session goroutine at batch boundaries, where it has exclusive
 // ownership of the codec and both buses, so no locking is needed and a
 // snapshot can never observe a half-encoded batch.
 
@@ -24,7 +24,7 @@ import (
 // StateUnsupported; the session stays serviceable either way.
 func (st *stream) handleStateSnapshot() {
 	if st.stateful == nil {
-		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateUnsupported, st.batches,
 			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))
 		return
@@ -35,7 +35,7 @@ func (st *stream) handleStateSnapshot() {
 		// I/O; the codec state itself was only read, never mutated.
 		st.ss.srv.met.stateFails.Add(1)
 		st.log.Warn("state snapshot failed", "err", err)
-		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateFailed, st.batches, []byte(err.Error())))
 		return
 	}
@@ -45,7 +45,7 @@ func (st *stream) handleStateSnapshot() {
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateSnapshot, Session: st.ss.id, Scheme: st.schemeName, Batches: st.batches,
 	})
-	st.queue(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, st.batches, buf.Bytes()))
+	st.send(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, st.batches, buf.Bytes()))
 }
 
 // handleStateRestore installs a transferred session state. On success the
@@ -55,19 +55,18 @@ func (st *stream) handleStateSnapshot() {
 // the session falls back to the freshly-reset state recoverBatch
 // guarantees — never a half-restored one — and says so in the ack, leaving
 // the orchestrator its reset-flagged BatchError fallback.
-func (st *stream) handleStateRestore(body []byte) (fatal bool) {
+func (st *stream) handleStateRestore(body []byte) error {
 	seq, state, err := trace.ParseStateRestore(body)
 	if err != nil {
 		// A malformed admin frame is a framing bug, not a bad snapshot:
 		// fail the session like any other protocol violation.
-		st.ss.fail(err.Error())
-		return true
+		return err
 	}
 	if st.stateful == nil {
-		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateUnsupported, seq,
 			[]byte(fmt.Sprintf("scheme %s is not snapshottable", st.schemeName))))
-		return false
+		return nil
 	}
 	if err := st.restoreState(state); err != nil {
 		// Each component validates its envelope before applying anything,
@@ -77,9 +76,9 @@ func (st *stream) handleStateRestore(body []byte) (fatal bool) {
 		st.recoverBatch()
 		st.ss.srv.met.stateFails.Add(1)
 		st.log.Warn("state restore failed", "seq", seq, "err", err)
-		st.queue(trace.FrameStateAck, trace.MarshalStateAck(
+		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateFailed, seq, []byte(err.Error())))
-		return false
+		return nil
 	}
 	st.batches = seq
 	st.prevBase, st.prevEnc = st.baseBus.Stats(), st.encBus.Stats()
@@ -88,8 +87,8 @@ func (st *stream) handleStateRestore(body []byte) (fatal bool) {
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateRestore, Session: st.ss.id, Scheme: st.schemeName, Batches: seq,
 	})
-	st.queue(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, seq, nil))
-	return false
+	st.send(trace.FrameStateAck, trace.MarshalStateAck(trace.StateOK, seq, nil))
+	return nil
 }
 
 // snapshotState serializes the session's complete stream state: codec,

@@ -19,8 +19,8 @@ import (
 // transaction size) context with its own codec, bus models, similarity
 // cache handle, fault budget, and batch-id space. The Hello opens stream 0
 // implicitly and StreamOpen frames open the rest. All stream state is only
-// ever touched by the session's read goroutine, so stateful codecs see
-// batches in arrival order.
+// ever touched by the session's goroutine, so stateful codecs see batches
+// in arrival order.
 type stream struct {
 	ss  *session
 	sid uint32
@@ -55,9 +55,8 @@ type stream struct {
 	batches                         uint64
 
 	// traceID is the current batch's end-to-end trace id; span
-	// accumulates its per-stage timings and wire counters. Both are
-	// touched only by the read goroutine until the span is handed to
-	// writeLoop inside the outFrame.
+	// accumulates its per-stage timings and wire counters, and reaches the
+	// trace ring once the reply is written (wrote).
 	traceID uint64
 	span    obs.Span
 	// energy is the stream scheme's live wire-activity counter, resolved
@@ -156,17 +155,15 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	return st, nil
 }
 
-// queue queues a t frame on the stream: the stream-id prefix, then the
+// send writes a t frame on the stream: the stream-id prefix, then the
 // stream-local body.
-func (st *stream) queue(t trace.FrameType, body []byte) {
-	frame := trace.BeginFrame(make([]byte, 0, trace.FrameHeaderBytes+4+len(body)))
-	frame = append(trace.AppendStreamID(frame, st.sid), body...)
-	st.ss.out <- outFrame{t: t, frame: frame}
+func (st *stream) send(t trace.FrameType, body []byte) {
+	st.ss.w.SendStream(t, st.sid, body)
 }
 
 // handleBatch runs one Batch frame body (already stripped of its
 // stream-id prefix) through envelope validation, parsing, admission, and
-// encoding, queueing whatever reply the outcome calls for. Every batch
+// encoding, and writes whatever reply the outcome calls for. Every batch
 // fault is recoverable, so the session never closes on one.
 func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	ss := st.ss
@@ -199,7 +196,7 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	if !ss.srv.admit() {
 		ss.srv.met.busyShed.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventBusy, Session: ss.id, Scheme: st.schemeName, Txns: len(txns), TraceID: st.traceID})
-		st.queue(trace.FrameBusy, trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))
+		st.send(trace.FrameBusy, trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))
 		return
 	}
 	// Shed batches never reach here, so the admission stage counts
@@ -218,17 +215,16 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 		st.softFail(id, true, err.Error())
 		return
 	}
-	f := outFrame{t: trace.FrameBatchReply, frame: reply, span: st.span, st: st, hasSpan: true}
-	// Steady-state fast path: with nothing queued, the reply goes out from
-	// this goroutine, skipping the channel handoff and writer wakeup. Only
-	// this goroutine enqueues, so an empty queue cannot gain frames the
-	// reply would overtake; a frame mid-write in the writer is ordered by
-	// writeOut's mutex.
-	if len(ss.out) == 0 {
-		ss.writeOut(f)
-	} else {
-		ss.out <- f
-	}
+	ss.w.Write(reply, st.wrote)
+}
+
+// wrote records a written reply's frame_write sample and finishes its
+// span. Only batch replies feed the frame_write histogram, so its count
+// matches codec_encode's: batches observed == batches replied.
+func (st *stream) wrote(d time.Duration) {
+	st.writeH.ObserveDurationEx(d, st.traceID)
+	st.span.Observe(obs.StageFrameWrite, d)
+	st.ss.srv.met.traces.Add(&st.span)
 }
 
 // softFail records one recoverable batch fault, answered with a BatchError
@@ -240,14 +236,15 @@ func (st *stream) softFail(id uint64, reset bool, cause string) {
 	ss.srv.met.batchFaults.Add(1)
 	st.log.Warn("batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
 	ss.srv.events.Add(obs.Event{Type: obs.EventBatchFault, Session: ss.id, Scheme: st.schemeName, Detail: cause, TraceID: st.traceID})
-	st.queue(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
+	st.send(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
 	if st.faults >= ss.srv.cfg.FaultBudget {
 		msg := fmt.Sprintf("fault budget exhausted after %d recoverable faults", st.faults)
 		ss.srv.met.budgetKills.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventFaultBudget, Session: ss.id, Scheme: st.schemeName, Detail: msg})
 		ss.srv.met.streamKills.Add(1)
 		st.log.Warn("closing stream", "reason", msg)
-		ss.closeStream(st.sid, msg)
+		ss.closeStream(st, msg)
+		ss.streams.Remove(st.sid, msg)
 	}
 }
 
@@ -264,7 +261,7 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 
 // processBatch encodes one batch with the stream codec, charges the
 // baseline and encoded transfers to the stream's bus models, and builds the
-// BatchReply frame behind room for its header, which writeOut seals.
+// BatchReply frame in the session's reply buffer.
 // Encoding and bus accounting run fused, block by block (encodeAll), and
 // are timed together as the codec_encode stage; the phy_account stage
 // covers the batch's statistics and power estimate. Any error return
@@ -340,25 +337,20 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		st.log.Debug("batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
 	}
 
-	// Reuse a recycled reply frame if the writer has returned one; the
-	// first few batches (and any burst deeper than the free list)
-	// allocate, then the stream reaches a steady state of zero
-	// allocations per batch.
-	var frame []byte
-	select {
-	case frame = <-ss.replyFree:
-		frame = frame[:0]
-	default:
-	}
 	// The reply body leads with the stream id; the envelope and its CRC
 	// cover the rest. Echoing the trace id lets the client verify the
 	// reply belongs to the trace it started.
-	frame = trace.AppendStreamID(trace.BeginFrame(frame), st.sid)
+	frame := trace.AppendStreamID(trace.BeginFrame(ss.reply[:0]), st.sid)
 	frame = trace.AppendTraceEnvelope(frame, id, st.traceID)
 	frame = trace.AppendBatchStats(frame, stats)
 	frame = append(frame, st.recBuf...)
+	ss.reply = frame
 	if err := trace.SealBatchEnvelope(frame[trace.FrameHeaderBytes+4:]); err != nil {
 		return nil, err // unreachable: the envelope was just appended
+	}
+	if err := trace.SealFrame(frame, trace.FrameBatchReply); err != nil {
+		st.recoverBatch()
+		return nil, err
 	}
 	return frame, nil
 }

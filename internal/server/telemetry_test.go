@@ -340,44 +340,3 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("backend processing %v exceeds client round trip %v", time.Duration(inner), ctotal)
 	}
 }
-
-// TestDebugTraceAwaitsReplyWrite pins the /debug/trace barrier: while a
-// session's reply write is in progress (its span not yet recorded), the
-// handler waits, and it answers once the write lock is released.
-func TestDebugTraceAwaitsReplyWrite(t *testing.T) {
-	srv := startServer(t, testConfig())
-	c, err := client.Dial(srv.Addr(), "universal", 32)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.Transcode(makeTxns(rand.New(rand.NewSource(7)), 8, 32)); err != nil {
-		t.Fatalf("Transcode: %v", err)
-	}
-	ss := srv.host.Sessions()[0]
-
-	ss.wmu.Lock() // a reply write in progress
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.Get("http://" + srv.MetricsAddr() + "/debug/trace")
-		if err == nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		ss.wmu.Unlock()
-		t.Fatalf("/debug/trace answered (err %v) while a reply write held the write lock", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	ss.wmu.Unlock()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("GET /debug/trace: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("/debug/trace did not answer once the write finished")
-	}
-}
