@@ -11,11 +11,19 @@
 // needs per-word metadata, storage and comparators on both the memory
 // controller and the DRAM, and its benefit is sensitive to the threshold —
 // both drawbacks §VI-D quantifies.
+//
+// The hardware compares all 64 entries at once; here an exact-match index
+// (256 hash buckets, each a 64-bit mask of repository positions) finds a
+// repeated word without the scan, and only a word with no identical entry
+// pays for the 64-entry XOR+popcount walk. The index is derived from the
+// repository, so snapshots carry only the repository and Restore rebuilds
+// it.
 package bdenc
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/hpca18/bxt/internal/core"
 )
@@ -33,6 +41,9 @@ const (
 	// metaBitsPerWord is the side-band cost: 8 bits per 8-byte word
 	// (hit flag + 6-bit index, rounded to a byte lane).
 	metaBitsPerWord = 8
+	// indexBuckets is the size of the encoder's exact-match index: 256
+	// 64-bit position masks, 2 KiB per BD.
+	indexBuckets = 256
 )
 
 // BD is a BD-Encoding codec. Encoder and decoder instances evolve their
@@ -56,6 +67,13 @@ type BD struct {
 	decRepo  [RepositoryEntries]uint64
 	decCount int
 	decNext  int
+
+	// where is the encoder's exact-match index, derived state that is
+	// never snapshotted: bit i of where[bucket(w)] is set iff i < count
+	// and bucket(repo[i]) == bucket(w), so closest finds an exact match
+	// by testing a handful of candidates instead of scanning all 64
+	// entries.
+	where [indexBuckets]uint64
 }
 
 var _ core.Codec = (*BD)(nil)
@@ -76,6 +94,19 @@ func (b *BD) MetaBits(n int) int { return n / WordBytes * metaBitsPerWord }
 func (b *BD) Reset() {
 	b.count, b.decCount = 0, 0
 	b.next, b.decNext = 0, 0
+	b.where = [indexBuckets]uint64{}
+}
+
+// bucket hashes a word to its exact-match index bucket (Fibonacci hashing:
+// the top byte of a multiplicative hash mixes every input bit).
+func bucket(word uint64) int { return int(word * 0x9e3779b97f4a7c15 >> 56) }
+
+// reindex rebuilds the exact-match index from repo[:count].
+func (b *BD) reindex() {
+	b.where = [indexBuckets]uint64{}
+	for i, word := range b.repo[:b.count] {
+		b.where[bucket(word)] |= 1 << uint(i)
+	}
 }
 
 func (b *BD) check(n int) error {
@@ -86,15 +117,29 @@ func (b *BD) check(n int) error {
 }
 
 // closest returns the index of the valid repository entry with minimal
-// Hamming distance to word, or -1 if the repository is empty. The scan is
-// the shared core.NearestWord XOR+popcount walk; ties break to the lowest
-// index so encoder and decoder stay deterministic.
+// Hamming distance to word, or -1 if the repository is empty; ties break to
+// the lowest index so encoder and decoder stay deterministic. The
+// lowest-index exact match is that minimum, so the index's candidates are
+// tried first, in ascending position order; only a word with no exact
+// match pays for the shared core.NearestWord XOR+popcount scan.
 func (b *BD) closest(word uint64) (idx, dist int) {
+	for m := b.where[bucket(word)]; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); b.repo[i] == word {
+			return i, 0
+		}
+	}
 	return core.NearestWord(word, b.repo[:b.count])
 }
 
-// insert FIFO-inserts word into the encoder repository.
+// insert FIFO-inserts word into the encoder repository, moving the
+// position's bit in the exact-match index from the evicted word's bucket
+// to the new one's.
 func (b *BD) insert(word uint64) {
+	bit := uint64(1) << uint(b.next)
+	if b.next < b.count {
+		b.where[bucket(b.repo[b.next])] &^= bit
+	}
+	b.where[bucket(word)] |= bit
 	b.repo[b.next] = word
 	if b.count <= b.next {
 		b.count = b.next + 1

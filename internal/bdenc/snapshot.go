@@ -8,8 +8,9 @@ import (
 	"github.com/hpca18/bxt/internal/snap"
 )
 
-// Snapshot framing for the BD repositories (scheme.Stateful). The body is
-// fixed-size, little-endian:
+// Snapshot framing for the BD repositories (scheme.Stateful). The encoder's
+// exact-match index is derived from repo[:count], so it is rebuilt on
+// Restore rather than written. The body is fixed-size, little-endian:
 //
 //	threshold uint32
 //	count     uint32   encoder repository fill
@@ -83,6 +84,7 @@ func (b *BD) Restore(r io.Reader) error {
 		b.decRepo[i] = binary.LittleEndian.Uint64(body[off:])
 		off += 8
 	}
+	b.reindex()
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"github.com/hpca18/bxt/internal/core"
 )
 
 // TransferBatch drives len(payload)/txnBytes back-to-back metadata-free
@@ -65,6 +67,118 @@ func (b *Bus) transferBatch(payload []byte, txnBytes int, counted bool, ones, to
 	b.stats.Beats += len(payload) / b.beatBytes
 	b.stats.DataBits += len(payload) * 8
 	return nil
+}
+
+// TransferRecords drives len(records)/(txnBytes+metaBytes) back-to-back
+// encoded records across the bus, accumulating statistics and wire state
+// bit-identical to a Transfer call per record. Each record is the BXTP
+// reply layout: txnBytes of encoded data followed by metaBytes =
+// (metaBits+7)/8 bytes of packed side-band bits, beat-major as in
+// core.Encoded.Meta. Metadata-free records are one contiguous payload and
+// take TransferBatch. Up to 64 side-band bits fit one register, so there a
+// record costs one fused data walk, one boundary XOR against the previous
+// record's last beat, and three popcounts for its metadata: the ones, the
+// interior toggles (each beat's wires against the previous beat's, one
+// shift of the word) and the boundary toggles; the bus history is saved
+// back once, after the last record. Wider metadata runs Transfer per
+// record.
+func (b *Bus) TransferRecords(records []byte, txnBytes, metaBits int) error {
+	if metaBits == 0 {
+		return b.TransferBatch(records, txnBytes)
+	}
+	if txnBytes <= 0 || txnBytes%b.beatBytes != 0 {
+		return fmt.Errorf("bus: %d-byte transactions do not fill %d-byte beats", txnBytes, b.beatBytes)
+	}
+	beats := txnBytes / b.beatBytes
+	if metaBits < 0 || metaBits%beats != 0 {
+		return fmt.Errorf("bus: %d metadata bits do not divide across %d beats", metaBits, beats)
+	}
+	recLen := txnBytes + (metaBits+7)/8
+	if len(records)%recLen != 0 {
+		return fmt.Errorf("bus: %d record bytes do not divide into %d-byte records", len(records), recLen)
+	}
+	if metaBits > 64 {
+		for off := 0; off < len(records); off += recLen {
+			e := core.Encoded{Data: records[off : off+txnBytes], Meta: records[off+txnBytes : off+recLen], MetaBits: metaBits}
+			if err := b.Transfer(&e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	n := len(records) / recLen
+	if n == 0 {
+		return nil
+	}
+	wires := uint(metaBits / beats)
+	wireMask := uint64(1)<<wires - 1
+	metaMask := uint64(1)<<uint(metaBits) - 1
+	interior := metaMask &^ wireMask
+	lastBeat := uint(metaBits) - wires
+	if len(b.lastData) != b.beatBytes {
+		b.lastData = make([]byte, b.beatBytes)
+		b.haveState = false
+	}
+	if len(b.lastMeta) < int(wires) {
+		b.lastMeta = make([]bool, wires)
+	}
+	var prevMeta uint64
+	for w, v := range b.lastMeta[:wires] {
+		if v {
+			prevMeta |= 1 << uint(w)
+		}
+	}
+	last := b.lastData
+	have := b.haveState
+	var ones, toggles, metaOnes, metaToggles int
+	for off := 0; off < len(records); off += recLen {
+		data := records[off : off+txnBytes]
+		m := loadMeta(records[off+txnBytes:off+recLen]) & metaMask
+		if have {
+			_, boundary := onesAndToggles(data[:b.beatBytes], last)
+			toggles += boundary
+			metaToggles += bits.OnesCount64((m ^ prevMeta) & wireMask)
+		}
+		o, t := onesAndBeatToggles(data, b.beatBytes)
+		ones += o
+		toggles += t
+		metaOnes += bits.OnesCount64(m)
+		metaToggles += bits.OnesCount64((m ^ m<<wires) & interior)
+		last = data[txnBytes-b.beatBytes:]
+		prevMeta = m >> lastBeat
+		have = true
+	}
+	copy(b.lastData, last)
+	for w := range b.lastMeta[:wires] {
+		b.lastMeta[w] = prevMeta>>uint(w)&1 != 0
+	}
+	b.haveState = true
+
+	b.stats.DataOnes += ones
+	b.stats.DataToggles += toggles
+	b.stats.MetaOnes += metaOnes
+	b.stats.MetaToggles += metaToggles
+	b.stats.Transactions += n
+	b.stats.Beats += n * beats
+	b.stats.DataBits += n * txnBytes * 8
+	b.stats.MetaBits += n * metaBits
+	return nil
+}
+
+// loadMeta returns a record's packed side-band bytes (at most 8) as one
+// little-endian word.
+func loadMeta(p []byte) uint64 {
+	switch len(p) {
+	case 8:
+		return binary.LittleEndian.Uint64(p)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p))
+	}
+	var m uint64
+	for i, v := range p {
+		m |= uint64(v) << (8 * uint(i))
+	}
+	return m
 }
 
 // onesAndBeatToggles is core.OnesCount and the interior beat-toggle count

@@ -453,9 +453,9 @@ func (st *stream) gatherBlock(block []trace.Transaction) (ones, toggles int) {
 // accountBlock charges the block of transactions [start, end) to both
 // buses in arrival order. The raw side never carries metadata, so the
 // gathered srcBuf goes to the baseline bus in one fused TransferBatch walk,
-// adopting gatherBlock's counts where it made them. A metadata-free stream
-// charges its records to the encoded bus the same way; a metadata-carrying
-// one drives each record's data and side-band wires through Transfer.
+// adopting gatherBlock's counts where it made them. The block's reply
+// records, data and side-band bytes alike, go to the encoded bus in one
+// TransferRecords call.
 func (st *stream) accountBlock(start, end, ones, toggles int) error {
 	var err error
 	if st.fusedGather() {
@@ -466,17 +466,7 @@ func (st *stream) accountBlock(start, end, ones, toggles int) error {
 	if err != nil {
 		return err
 	}
-	if st.metaBits == 0 {
-		return st.encBus.TransferBatch(st.recBuf[start*st.txnSize:end*st.txnSize], st.txnSize)
-	}
-	for i := start; i < end; i++ {
-		rec := st.record(i)
-		enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
-		if err := st.encBus.Transfer(&enc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.encBus.TransferRecords(st.recBuf[start*st.recLen():end*st.recLen()], st.txnSize, st.metaBits)
 }
 
 // pointRecord aims dst's data and metadata at record idx's recBuf window,
