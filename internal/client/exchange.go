@@ -13,24 +13,25 @@ import (
 )
 
 // connect dials addr and runs the Hello handshake for (scheme, txnSize) on
-// the new connection, resetting in onto it. The handshake's I/O is
-// bounded by the earlier of ctx's deadline and IOTimeout from now, so a
-// context-bounded dial bounds the handshake too. On any failure —
-// including ctx canceling mid-handshake — the socket is closed before
-// connect returns, never leaked. A HelloOK naming any revision other than
-// trace.ProtocolVersion fails with ErrServer.
-func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int, in *trace.FrameReader) (net.Conn, trace.HelloOK, error) {
+// the new connection, resetting in onto it, and returns the HelloOK's
+// negotiated geometry. The handshake's I/O is bounded by the earlier of
+// ctx's deadline and IOTimeout from now, so a context-bounded dial bounds
+// the handshake too. On any failure — including ctx canceling
+// mid-handshake — the socket is closed before connect returns, never
+// leaked. A refusal, or an answer other than a HelloOK naming
+// trace.ProtocolVersion, fails with ErrServer.
+func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int, in *trace.FrameReader) (net.Conn, trace.Answer, error) {
 	body, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: txnSize, Scheme: scheme})
 	if err != nil {
-		return nil, trace.HelloOK{}, err
+		return nil, trace.Answer{}, err
 	}
 	hello, err := trace.AppendFrame(nil, trace.FrameHello, body)
 	if err != nil {
-		return nil, trace.HelloOK{}, err
+		return nil, trace.Answer{}, err
 	}
 	conn, err := cfg.Dialer(ctx, addr)
 	if err != nil {
-		return nil, trace.HelloOK{}, fmt.Errorf("client: dial %s: %w", addr, err)
+		return nil, trace.Answer{}, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	// The dialer honors ctx, but the handshake I/O below does not by
 	// itself: closing the socket on cancellation fails that I/O promptly
@@ -47,42 +48,34 @@ func connect(ctx context.Context, cfg *Config, addr, scheme string, txnSize int,
 	if err != nil {
 		conn.Close()
 		if ctx.Err() != nil {
-			return nil, trace.HelloOK{}, fmt.Errorf("client: handshake: %w", ctx.Err())
+			return nil, trace.Answer{}, fmt.Errorf("client: handshake: %w", ctx.Err())
 		}
-		return nil, trace.HelloOK{}, err
+		return nil, trace.Answer{}, err
 	}
 	if !stop() {
 		// ctx fired during the handshake and already closed the socket.
-		return nil, trace.HelloOK{}, fmt.Errorf("client: handshake: %w", ctx.Err())
+		return nil, trace.Answer{}, fmt.Errorf("client: handshake: %w", ctx.Err())
 	}
 	return conn, ok, nil
 }
 
 // handshake sends the Hello frame and reads the server's answer.
-func handshake(conn net.Conn, in *trace.FrameReader, hello []byte) (trace.HelloOK, error) {
+func handshake(conn net.Conn, in *trace.FrameReader, hello []byte) (trace.Answer, error) {
 	if _, err := conn.Write(hello); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
+		return trace.Answer{}, fmt.Errorf("client: sending hello: %w", err)
 	}
 	ft, body, err := in.Next()
 	if err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: reading hello-ok: %w", err)
+		return trace.Answer{}, fmt.Errorf("client: reading hello-ok: %w", err)
 	}
-	switch ft {
-	case trace.FrameHelloOK:
-		ok, err := trace.ParseHelloOK(body)
-		if err != nil {
-			return trace.HelloOK{}, err
-		}
-		if ok.Version != trace.ProtocolVersion {
-			return trace.HelloOK{}, fmt.Errorf("%w: server answered protocol version %d, client speaks %d",
-				ErrServer, ok.Version, trace.ProtocolVersion)
-		}
-		return ok, nil
-	case trace.FrameError:
-		return trace.HelloOK{}, fmt.Errorf("%w: %s", ErrServer, body)
-	default:
-		return trace.HelloOK{}, fmt.Errorf("%w: unexpected frame type %#x in handshake", trace.ErrBadFrame, ft)
+	a, err := trace.CheckHello(ft, body)
+	if err != nil {
+		return trace.Answer{}, fmt.Errorf("%w: handshake: %w", ErrServer, err)
 	}
+	if a.Kind != trace.AnswerOK {
+		return trace.Answer{}, fmt.Errorf("%w: %s", ErrServer, a.Msg)
+	}
+	return a, nil
 }
 
 // link is the transport beneath a stream: a Client's own connection, read
@@ -275,90 +268,52 @@ func (s *stream) exchange(l link, txns []trace.Transaction) (trace.BatchReply, t
 	return s.classify(l, ft, rbody, writeDur, readDur)
 }
 
-// classify turns the reply frame to the current batch into an outcome. A
+// classify turns the answer to the current batch into an outcome. A
 // successful reply also records the batch's client-side span when
 // Config.Trace is set.
 func (s *stream) classify(l link, ft trace.FrameType, body []byte, writeDur, readDur time.Duration) (trace.BatchReply, time.Duration, exchangeKind, error) {
-	id := s.id
-	switch ft {
-	case trace.FrameError:
-		// A session-fatal server error: the server is closing the
-		// connection behind this frame.
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, body)
-	case trace.FrameStreamClosed:
-		sid, msg, err := trace.ParseStreamClosed(body)
-		if err != nil || sid != s.sid {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed stream-closed for stream %d (id %d, err %v)", s.sid, sid, err)
-		}
-		kind, err := l.killed(msg)
-		return trace.BatchReply{}, 0, kind, err
-	}
-	sid, rbody, err := trace.SplitStreamID(body)
+	a, err := trace.CheckBatch(ft, body, s.sid, s.id, s.traceID)
 	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
+		// A damaged answer — a CRC failure included — leaves the stream
+		// out of step, and the server may already have applied the batch,
+		// so its codec state is unusable: reconnect for a clean epoch.
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: answer to batch %d on stream %d: %w", s.id, s.sid, err)
 	}
-	if sid != s.sid {
-		return trace.BatchReply{}, 0, exchangeBroken,
-			fmt.Errorf("client: reply carries stream %d, expected %d (stream desynchronized)", sid, s.sid)
-	}
-	switch ft {
-	case trace.FrameBatchReply:
-		rid, rtrace, payload, err := trace.OpenTraceEnvelope(rbody)
-		if err != nil {
-			// A CRC failure here is wire damage on the reply path; the
-			// server already applied the batch, so the stream's codec
-			// state is unusable — reconnect for a clean epoch.
-			return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reply for batch %d: %w", id, err)
-		}
-		if rtrace != s.traceID {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply carries trace %#x, expected %#x (stream desynchronized)", rtrace, s.traceID)
-		}
-		if rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply names batch %d, expected %d (stream desynchronized)", rid, id)
-		}
-		reply, err := trace.ParseBatchReplyInto(payload, s.txnSize, s.metaBytes, s.recs)
-		if err != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, err
-		}
-		s.recs = reply.Records
-		if s.cfg.Trace != nil {
-			sp := &s.span
-			sp.Reset(s.traceID, id, uint64(s.sid), s.scheme)
-			sp.Observe(obs.StageFrameWrite, writeDur)
-			sp.Observe(obs.StageFrameRead, readDur)
-			sp.Txns = int(reply.Stats.Transactions)
-			sp.DataBits = reply.Stats.DataBits
-			sp.BaseOnes, sp.EncOnes = reply.Stats.OnesBefore, reply.Stats.OnesAfter
-			sp.BaseToggles, sp.EncToggles = reply.Stats.TogglesBefore, reply.Stats.TogglesAfter
-			s.cfg.Trace.Add(sp)
-		}
-		return reply, 0, exchangeOK, nil
-	case trace.FrameBusy:
-		rid, after, err := trace.ParseBusy(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed busy reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		return trace.BatchReply{}, after, exchangeBusy,
-			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, id, after)
-	case trace.FrameBatchError:
-		rid, reset, msg, err := trace.ParseBatchError(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed batch-error reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		if reset {
+	switch a.Kind {
+	case trace.AnswerEnded:
+		// The server is closing the connection behind this frame.
+		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, a.Msg)
+	case trace.AnswerKilled:
+		kind, err := l.killed(a.Msg)
+		return trace.BatchReply{}, 0, kind, err
+	case trace.AnswerBusy:
+		return trace.BatchReply{}, a.RetryAfter, exchangeBusy,
+			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, s.id, a.RetryAfter)
+	case trace.AnswerFault:
+		if a.Reset {
 			// The server restarted its codec; any decoder tracking this
 			// stream must restart with it.
 			s.epoch.Add(1)
 		}
-		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: %s", ErrBatchFault, msg)
-	default:
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: unexpected frame type %#x", trace.ErrBadFrame, ft)
+		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: %s", ErrBatchFault, a.Msg)
 	}
+	reply, err := trace.ParseBatchReplyInto(a.Payload, s.txnSize, s.metaBytes, s.recs)
+	if err != nil {
+		return trace.BatchReply{}, 0, exchangeBroken, err
+	}
+	s.recs = reply.Records
+	if s.cfg.Trace != nil {
+		sp := &s.span
+		sp.Reset(s.traceID, s.id, uint64(s.sid), s.scheme)
+		sp.Observe(obs.StageFrameWrite, writeDur)
+		sp.Observe(obs.StageFrameRead, readDur)
+		sp.Txns = int(reply.Stats.Transactions)
+		sp.DataBits = reply.Stats.DataBits
+		sp.BaseOnes, sp.EncOnes = reply.Stats.OnesBefore, reply.Stats.OnesAfter
+		sp.BaseToggles, sp.EncToggles = reply.Stats.TogglesBefore, reply.Stats.TogglesAfter
+		s.cfg.Trace.Add(sp)
+	}
+	return reply, 0, exchangeOK, nil
 }
 
 // backoff sleeps one retry backoff: exponential with jitter, floored by

@@ -48,9 +48,9 @@ type Mux struct {
 	// the Hello of every redial (the Hello implicitly opens stream 0).
 	helloScheme string
 	helloTxn    int
-	// hello is the current connection generation's HelloOK: stream 0's
-	// negotiated geometry.
-	hello trace.HelloOK
+	// hello is the current connection generation's checked HelloOK:
+	// stream 0's negotiated geometry.
+	hello trace.Answer
 
 	reconnects atomic.Uint64
 }
@@ -256,11 +256,17 @@ func (m *Mux) redialLocked() error {
 // are read in place, several per Read when they arrive back to back, and
 // each is copied once, into a buffer its session handed back, so a reply
 // is not allocated. A frame for an unknown stream is dropped (the stream
-// closed concurrently); a read or framing error kills the connection
-// generation, waking every waiting session.
+// closed concurrently). An Error frame names no stream: the server is
+// closing the connection behind it, so it kills the connection generation
+// with the server's text, as a read or framing error does, waking every
+// waiting session.
 func (m *Mux) readLoop(mc *muxConn) {
 	for {
 		ft, body, err := mc.in.Next()
+		if err == nil && ft == trace.FrameError {
+			mc.fail(fmt.Errorf("%w: %s", ErrServer, body))
+			return
+		}
 		var sid uint32
 		if err == nil {
 			sid, _, err = trace.SplitStreamID(body)
@@ -412,18 +418,17 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
-	if f.ft != trace.FrameStreamOpenOK {
-		err := fmt.Errorf("%w: unexpected frame type %#x answering stream open", trace.ErrBadFrame, f.ft)
+	// The reader fails the generation on an Error frame, so the answer is
+	// never AnswerEnded here.
+	ok, err := trace.CheckStreamOpen(f.ft, f.body, s.sid)
+	switch {
+	case err != nil:
+		// A damaged verdict leaves unknown whether the stream opened: the
+		// connection is out of step with the server.
+		err = fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 		mc.fail(err)
 		return err
-	}
-	ok, err := trace.ParseStreamOpenOK(f.body)
-	if err != nil || ok.ID != s.sid {
-		err := fmt.Errorf("client: malformed stream-open-ok for stream %d (id %d, err %v)", s.sid, ok.ID, err)
-		mc.fail(err)
-		return err
-	}
-	if ok.Status != trace.StreamOK {
+	case ok.Kind == trace.AnswerRefused:
 		return fmt.Errorf("%w: stream %d refused: %s", ErrServer, s.sid, ok.Msg)
 	}
 	s.setGeometry(ok.MetaBits, ok.BatchLimit)

@@ -464,3 +464,115 @@ func TestMuxRedialReopensStreams(t *testing.T) {
 		t.Fatalf("dialer invoked %d times, want 2", got)
 	}
 }
+
+// fakeGateway serves a scripted BXTP peer: it answers every Hello with a
+// v4 HelloOK and hands each later frame to answer, with the connection's
+// ordinal (1 for the first). An error from answer closes the connection.
+func fakeGateway(t *testing.T, answer func(conn net.Conn, n int, ft trace.FrameType, body []byte) error) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for n := 1; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(n int) {
+				defer conn.Close()
+				if _, _, err := trace.ReadFrame(conn, nil); err != nil {
+					return
+				}
+				ok := trace.MarshalHelloOK(trace.HelloOK{Version: trace.ProtocolVersion, BatchLimit: 64})
+				if err := trace.WriteFrame(conn, trace.FrameHelloOK, ok); err != nil {
+					return
+				}
+				for {
+					ft, body, err := trace.ReadFrame(conn, nil)
+					if err != nil || answer(conn, n, ft, body) != nil {
+						return
+					}
+				}
+			}(n)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMuxDamagedStreamOpenFailsConnection pins that a StreamOpenOK with a
+// status no gateway sends is a damaged verdict, not a refusal: whether the
+// stream opened is unknown, so Mux.Open fails the connection (as
+// bxtproxy's backend leg does with the same answer) and the next Open
+// redials.
+func TestMuxDamagedStreamOpenFailsConnection(t *testing.T) {
+	addr := fakeGateway(t, func(conn net.Conn, n int, ft trace.FrameType, body []byte) error {
+		o, err := trace.ParseStreamOpen(body)
+		if ft != trace.FrameStreamOpen || err != nil {
+			return errors.New("unexpected frame")
+		}
+		verdict := trace.StreamOpenOK{ID: o.ID, Status: trace.StreamOK, BatchLimit: 64}
+		if n == 1 {
+			verdict = trace.StreamOpenOK{ID: o.ID, Status: 7, Msg: "damaged"}
+		}
+		return trace.WriteFrame(conn, trace.FrameStreamOpenOK, trace.MarshalStreamOpenOK(verdict))
+	})
+	m, err := client.NewMux(addr, client.Config{})
+	if err != nil {
+		t.Fatalf("NewMux: %v", err)
+	}
+	defer m.Close()
+	if _, err := m.Open("universal", 32); err != nil {
+		t.Fatalf("open stream 0: %v", err)
+	}
+	_, err = m.Open("universal", 32)
+	if err == nil || errors.Is(err, client.ErrServer) || !errors.Is(err, trace.ErrBadFrame) {
+		t.Fatalf("open answered with status 7 = %v, want a damaged frame (ErrBadFrame), not a refusal", err)
+	}
+	if _, err := m.Open("universal", 32); err != nil {
+		t.Fatalf("open after the damaged verdict: %v", err)
+	}
+	if got := m.Reconnects(); got != 1 {
+		t.Errorf("Reconnects = %d, want 1: the damaged verdict must fail the connection", got)
+	}
+}
+
+// TestMuxErrorFrameFailsConnection pins the mux reader's handling of an
+// Error frame: it names no stream, even when its text's first four bytes
+// spell an open stream's id, so the reader fails the whole connection with
+// the server's text and every waiting session sees ErrServer.
+func TestMuxErrorFrameFailsConnection(t *testing.T) {
+	const text = "\x01\x00\x00\x00 server is draining"
+	addr := fakeGateway(t, func(conn net.Conn, _ int, ft trace.FrameType, body []byte) error {
+		switch ft {
+		case trace.FrameStreamOpen:
+			o, err := trace.ParseStreamOpen(body)
+			if err != nil {
+				return err
+			}
+			ok := trace.StreamOpenOK{ID: o.ID, Status: trace.StreamOK, BatchLimit: 64}
+			return trace.WriteFrame(conn, trace.FrameStreamOpenOK, trace.MarshalStreamOpenOK(ok))
+		case trace.FrameBatch:
+			trace.WriteFrame(conn, trace.FrameError, []byte(text))
+		}
+		return errors.New("closing")
+	})
+	m, err := client.NewMux(addr, client.Config{IOTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("NewMux: %v", err)
+	}
+	defer m.Close()
+	s0, err := m.Open("universal", 32)
+	if err != nil {
+		t.Fatalf("open stream 0: %v", err)
+	}
+	if _, err := m.Open("universal", 32); err != nil {
+		t.Fatalf("open stream 1: %v", err)
+	}
+	_, err = s0.Transcode(muxTxns(rand.New(rand.NewSource(1)), 4, 32))
+	if !errors.Is(err, client.ErrServer) || !strings.Contains(err.Error(), "server is draining") {
+		t.Fatalf("batch answered with an Error frame = %v, want ErrServer carrying the server's text", err)
+	}
+}

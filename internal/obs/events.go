@@ -100,8 +100,8 @@ const (
 	EventCodecPanic = "codec_panic"
 	// EventBusy is one batch shed by the admission gate with a Busy reply.
 	EventBusy = "busy"
-	// EventFaultBudget is a session disconnected for exhausting its
-	// recoverable-fault budget.
+	// EventFaultBudget is one stream killed for exhausting its fault
+	// budget; its connection and sibling streams keep serving.
 	EventFaultBudget = "fault_budget_disconnect"
 	// EventSlowClient is a session torn down because a reply write
 	// exhausted the write deadline (the peer stopped reading).

@@ -13,12 +13,18 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// errUpstreamReject marks a backend that answered the Hello handshake with
-// a protocol Error frame: the session parameters (scheme, transaction
-// size) are wrong, not the backend. Callers relay the message to the
-// client instead of failing over — every backend would reject the same
-// Hello.
-var errUpstreamReject = errors.New("proxy: backend rejected handshake")
+// errRefused marks a backend that declined the session's parameters: an
+// Error frame answering the Hello, or a StreamRefused verdict. The
+// connection is not at fault and every backend would refuse the same
+// parameters, so callers relay the refusal to the client instead of
+// failing over.
+var errRefused = errors.New("proxy: refused by backend")
+
+// errEnded marks a backend that ended an upstream connection with an
+// Error frame (idle timeout, drain, fault budget): the backend is alive
+// enough to speak BXTP, so the connection is dropped and redialed, and the
+// backend is never counted as failed for it.
+var errEnded = errors.New("proxy: connection ended by backend")
 
 // backend is one bxtd upstream: routing counters and the ejection state
 // machine.
@@ -155,9 +161,9 @@ func (b *backend) ok() (restored bool) {
 type upstream struct {
 	b    *backend
 	conn net.Conn
-	// ok is the backend's HelloOK; the proxy relays MetaBits and
+	// ok is the backend's checked HelloOK; the proxy relays MetaBits and
 	// BatchLimit to the client verbatim.
-	ok trace.HelloOK
+	ok trace.Answer
 	// in reads the backend's reply frames in place; wbuf frames the
 	// proxy's own requests (Hello and admin frames).
 	in   trace.FrameReader
@@ -171,9 +177,7 @@ type upstream struct {
 func (u *upstream) close() { u.conn.Close() }
 
 // handshake runs the BXTP Hello exchange for h within timeout. A backend
-// Error reply surfaces as errUpstreamReject carrying the message; a
-// HelloOK naming a revision other than trace.ProtocolVersion is a hard
-// error, since the proxy relays frame bodies verbatim.
+// Error reply surfaces as errRefused carrying the message.
 func (u *upstream) handshake(h trace.Hello, timeout time.Duration) error {
 	h.Version = trace.ProtocolVersion
 	body, err := trace.MarshalHello(h)
@@ -184,34 +188,19 @@ func (u *upstream) handshake(h trace.Hello, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	switch ft {
-	case trace.FrameHelloOK:
-		ok, err := trace.ParseHelloOK(rbody)
-		if err != nil {
-			return err
-		}
-		if ok.Version != trace.ProtocolVersion {
-			return fmt.Errorf("proxy: backend %s answered protocol %d, want %d", u.b.addr, ok.Version, trace.ProtocolVersion)
-		}
-		u.ok = ok
-		return nil
-	case trace.FrameError:
-		return fmt.Errorf("%w: %s", errUpstreamReject, rbody)
-	default:
-		return fmt.Errorf("proxy: backend %s answered hello with frame 0x%02x", u.b.addr, byte(ft))
+	if u.ok, err = trace.CheckHello(ft, rbody); err != nil {
+		return fmt.Errorf("proxy: backend %s: %w", u.b.addr, err)
 	}
+	if u.ok.Kind == trace.AnswerRefused {
+		return fmt.Errorf("%w %s: %s", errRefused, u.b.addr, u.ok.Msg)
+	}
+	return nil
 }
 
 // errStateRejected marks a state-transfer exchange the backend answered
 // cleanly but negatively (a non-OK StateAck): the upstream session is
 // still in sync and usable, the state just did not move.
 var errStateRejected = errors.New("proxy: backend rejected state transfer")
-
-// errStreamRefused marks a StreamOpen the backend answered with a clean
-// refusal (unknown scheme, duplicate id, stream limit): the connection is
-// intact, but failing over is pointless when the refusal is
-// parameter-driven, so callers surface it like a handshake rejection.
-var errStreamRefused = errors.New("proxy: backend refused stream open")
 
 // adminExchange runs one serial admin round trip (write ft+body, read the
 // reply) within timeout. The reply body aliases u.in's buffer.
@@ -224,24 +213,12 @@ func (u *upstream) adminExchange(ft trace.FrameType, body []byte, timeout time.D
 	return u.exchange(frame, timeout)
 }
 
-// stripMux removes the stream-id prefix from a reply body and checks it
-// answers the stream the request went out on.
-func (u *upstream) stripMux(sid uint32, body []byte) ([]byte, error) {
-	rsid, rest, err := trace.SplitStreamID(body)
-	if err != nil {
-		return nil, err
-	}
-	if rsid != sid {
-		return nil, fmt.Errorf("proxy: backend %s answered on stream %d, want %d", u.b.addr, rsid, sid)
-	}
-	return rest, nil
-}
-
 // openStream opens stream sid on an upstream connection with one
 // StreamOpen exchange. It returns the backend's raw StreamOpenOK body
-// (aliasing u.in's buffer) so the caller can relay the verdict verbatim; a clean
-// refusal wraps errStreamRefused, any other error means the connection
-// may be desynchronized and should be dropped.
+// (aliasing u.in's buffer) so the caller can relay the verdict verbatim. A
+// refusal wraps errRefused and leaves the connection usable; an Error
+// frame wraps errEnded, and any other error means the connection may be
+// desynchronized.
 func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte, error) {
 	body, err := trace.MarshalStreamOpen(o)
 	if err != nil {
@@ -251,23 +228,14 @@ func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	if ft != trace.FrameStreamOpenOK {
-		return nil, fmt.Errorf("proxy: backend %s answered stream-open with frame %#x", u.b.addr, byte(ft))
-	}
-	ok, err := trace.ParseStreamOpenOK(rbody)
-	if err != nil {
-		return nil, err
-	}
-	if ok.ID != o.ID {
-		return nil, fmt.Errorf("proxy: backend %s acked stream %d, want %d", u.b.addr, ok.ID, o.ID)
-	}
-	if ok.Status != trace.StreamOK && ok.Status != trace.StreamRefused {
-		// No gateway sends this; the verdict was damaged in transit and
-		// whether the stream opened is unknown.
-		return nil, fmt.Errorf("proxy: backend %s answered stream-open with status %d", u.b.addr, ok.Status)
-	}
-	if ok.Status != trace.StreamOK {
-		return rbody, fmt.Errorf("%w: backend %s: %s", errStreamRefused, u.b.addr, ok.Msg)
+	a, err := trace.CheckStreamOpen(ft, rbody, o.ID)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("proxy: backend %s: %w", u.b.addr, err)
+	case a.Kind == trace.AnswerEnded:
+		return nil, fmt.Errorf("%w %s: %s", errEnded, u.b.addr, a.Msg)
+	case a.Kind == trace.AnswerRefused:
+		return rbody, fmt.Errorf("%w %s: %s", errRefused, u.b.addr, a.Msg)
 	}
 	if u.open == nil {
 		u.open = make(map[uint32]bool)
@@ -283,15 +251,10 @@ func (u *upstream) closeStream(sid uint32, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if ft != trace.FrameStreamClosed {
-		return fmt.Errorf("proxy: backend %s answered stream-close with frame %#x", u.b.addr, byte(ft))
-	}
 	rsid, _, err := trace.ParseStreamClosed(rbody)
-	if err != nil {
-		return err
-	}
-	if rsid != sid {
-		return fmt.Errorf("proxy: backend %s closed stream %d, want %d", u.b.addr, rsid, sid)
+	if ft != trace.FrameStreamClosed || err != nil || rsid != sid {
+		return fmt.Errorf("proxy: backend %s: malformed answer closing stream %d (frame %#x, stream %d, err %v)",
+			u.b.addr, sid, byte(ft), rsid, err)
 	}
 	delete(u.open, sid)
 	return nil
@@ -299,57 +262,49 @@ func (u *upstream) closeStream(sid uint32, timeout time.Duration) error {
 
 // pullSnapshot asks u's backend for one stream's codec state over a
 // StateSnapshot admin exchange. It returns the state blob (copied, so it
-// survives later exchanges) and the batch sequence it is current as of. A
-// clean rejection wraps errStateRejected; any other error means the frame
-// stream may be desynchronized and u should be dropped.
+// survives later exchanges) and the batch sequence it is current as of.
 func (u *upstream) pullSnapshot(sid uint32, timeout time.Duration) (uint64, []byte, error) {
-	ft, rbody, err := u.adminExchange(trace.FrameStateSnapshot, trace.AppendStreamID(nil, sid), timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	if ft != trace.FrameStateAck {
-		return 0, nil, fmt.Errorf("proxy: backend %s answered snapshot with frame %#x", u.b.addr, byte(ft))
-	}
-	if rbody, err = u.stripMux(sid, rbody); err != nil {
-		return 0, nil, err
-	}
-	status, seq, payload, err := trace.ParseStateAck(rbody)
-	if err != nil {
-		return 0, nil, err
-	}
-	if status != trace.StateOK {
-		return 0, nil, fmt.Errorf("%w: backend %s: %s", errStateRejected, u.b.addr, payload)
-	}
-	return seq, append([]byte(nil), payload...), nil
+	seq, blob, err := u.stateExchange(trace.FrameStateSnapshot, sid, nil, timeout)
+	return seq, append([]byte(nil), blob...), err
 }
 
 // restoreState installs a pulled codec state into one stream of u's
-// backend session over a StateRestore admin exchange. The backend acks
-// with the echoed sequence on success; a rejection wraps errStateRejected
-// and leaves the backend stream freshly reset.
+// backend session over a StateRestore admin exchange; the backend acks
+// with the echoed sequence. A rejection leaves the backend stream freshly
+// reset.
 func (u *upstream) restoreState(sid uint32, seq uint64, state []byte, timeout time.Duration) error {
-	body := append(trace.AppendStreamID(nil, sid), trace.MarshalStateRestore(seq, state)...)
-	ft, rbody, err := u.adminExchange(trace.FrameStateRestore, body, timeout)
+	aseq, _, err := u.stateExchange(trace.FrameStateRestore, sid, trace.MarshalStateRestore(seq, state), timeout)
+	if err == nil && aseq != seq {
+		err = fmt.Errorf("proxy: backend %s acked restore at sequence %d, want %d", u.b.addr, aseq, seq)
+	}
+	return err
+}
+
+// stateExchange runs one state-transfer admin exchange (ft, then body) on
+// stream sid and returns the StateAck's sequence and payload, which
+// aliases u.in's buffer. A clean rejection wraps errStateRejected; any
+// other error means the frame stream may be desynchronized and u should
+// be dropped.
+func (u *upstream) stateExchange(ft trace.FrameType, sid uint32, body []byte, timeout time.Duration) (uint64, []byte, error) {
+	ft, rbody, err := u.adminExchange(ft, append(trace.AppendStreamID(nil, sid), body...), timeout)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	if ft != trace.FrameStateAck {
-		return fmt.Errorf("proxy: backend %s answered restore with frame %#x", u.b.addr, byte(ft))
+		return 0, nil, fmt.Errorf("proxy: backend %s answered a state transfer with frame %#x", u.b.addr, byte(ft))
 	}
-	if rbody, err = u.stripMux(sid, rbody); err != nil {
-		return err
+	rsid, rbody, err := trace.SplitStreamID(rbody)
+	if err == nil && rsid != sid {
+		err = fmt.Errorf("proxy: backend %s answered on stream %d, want %d", u.b.addr, rsid, sid)
 	}
-	status, aseq, payload, err := trace.ParseStateAck(rbody)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if status != trace.StateOK {
-		return fmt.Errorf("%w: backend %s: %s", errStateRejected, u.b.addr, payload)
+	status, seq, payload, err := trace.ParseStateAck(rbody)
+	if err == nil && status != trace.StateOK {
+		err = fmt.Errorf("%w: backend %s: %s", errStateRejected, u.b.addr, payload)
 	}
-	if aseq != seq {
-		return fmt.Errorf("proxy: backend %s acked restore at sequence %d, want %d", u.b.addr, aseq, seq)
-	}
-	return nil
+	return seq, payload, err
 }
 
 // exchange writes one whole frame, header included, in one Write and

@@ -26,18 +26,17 @@
 //
 // Health: every backend is probed with a real BXTP Hello handshake at a
 // fixed interval; EjectThreshold consecutive failures (probe or live
-// traffic) eject it from routing until a probe succeeds again. A pinned
-// session whose backend dies re-pins to a survivor and tells the client to
-// reset its codec via a BatchError(reset) reply — the client's existing
-// Epoch machinery re-drives the batch on a fresh decoder.
+// traffic) eject it from routing until a probe succeeds again. A backend
+// Error frame only ends that upstream connection and is not a failure.
 //
 // Failover: a dead backend never disconnects a client. In-flight batches
 // convert to recoverable Busy (stateless) or BatchError(reset) (pinned)
-// replies that client.MaxRetries re-drives.
+// replies that client.MaxRetries re-drives; a pinned stream whose pin is
+// lost first moves its codec state to the new pin, resetting the client
+// only when no current state can be moved.
 //
-// The proxy relays Batch and reply frame bodies verbatim — client and
-// backends speak the one BXTP revision, so batch envelopes (ids, CRCs)
-// pass through untouched.
+// Frames relay verbatim, and backend answers are read through the
+// client's own checks (trace.CheckHello, CheckStreamOpen, CheckBatch).
 package proxy
 
 import (

@@ -147,11 +147,11 @@ func (ss *session) openStream(o trace.StreamOpen) (*pstream, []byte, error) {
 	st := ss.newStream(o.ID, o.Scheme, o.TxnSize)
 	if _, _, err := st.acquireUpstream(); err != nil {
 		st.unpin()
-		if errors.Is(err, errStreamRefused) && st.openOK != nil {
+		if errors.Is(err, errRefused) && st.openOK != nil {
 			// Relay the backend's own refusal byte-for-byte.
 			return nil, st.openOK, err
 		}
-		return nil, nil, fmt.Errorf("proxy: %v", err)
+		return nil, nil, err
 	}
 	ss.log.Info("stream open", "stream", o.ID, "scheme", o.Scheme, "pinned", st.pinned)
 	ok := st.openOK

@@ -91,109 +91,79 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	}
 	b.pending.Add(1)
 	start := time.Now()
-	ft, rbody, xerr := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
+	ft, rbody, err := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
 	b.pending.Add(-1)
 	backDur := time.Since(start)
 	st.backH.ObserveDurationEx(backDur, ss.traceID)
 	ss.span.Observe(obs.StageBackend, backDur)
-	if xerr != nil {
+	var a trace.Answer
+	if err == nil {
+		a, err = trace.CheckBatch(ft, rbody, st.sid, id, ss.traceID)
+	}
+	if err != nil || a.Kind == trace.AnswerEnded {
+		// A failed exchange or a damaged answer counts toward ejection.
+		// An Error frame does not: the backend ended this upstream session
+		// (idle timeout, drain, fault budget) but is alive enough to speak
+		// BXTP, so only the upstream is dropped.
 		ss.dropUpstream(b)
-		ss.p.noteBackendFailure(b, "exchange", xerr)
-		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, xerr))
-	}
-
-	if ft == trace.FrameStreamClosed {
-		return st.relayStreamKill(u, b, id, rbody)
-	}
-	rsid, rinterior, perr := trace.SplitStreamID(rbody)
-	if perr == nil && rsid != st.sid {
-		perr = fmt.Errorf("reply on stream %d, want %d", rsid, st.sid)
-	}
-	if perr != nil {
-		ss.dropUpstream(b)
-		ss.p.noteBackendFailure(b, "exchange", perr)
-		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
-	}
-
-	switch ft {
-	case trace.FrameBatchReply:
-		rid, rtrace, statsBody, err := trace.OpenTraceEnvelope(rinterior)
-		if err == nil && rtrace != ss.traceID {
-			err = fmt.Errorf("reply carries trace %#x, want %#x", rtrace, ss.traceID)
-		}
-		if err == nil && rid != id {
-			err = fmt.Errorf("reply for batch %d, want %d", rid, id)
-		}
 		if err != nil {
-			ss.dropUpstream(b)
 			ss.p.noteBackendFailure(b, "exchange", err)
-			return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, err))
-		}
-		ss.p.noteBackendOK(b)
-		b.batches.Add(1)
-		b.observeExchange(st.schemeName, backDur)
-		st.batches++
-		// The relayed BatchStats prefix carries the backend's wire
-		// accounting for this batch; fold it into the per-backend energy
-		// counter and the relay span so the proxy's telemetry aggregates
-		// what its fleet actually moved.
-		if stats, _, serr := trace.ParseBatchStats(statsBody); serr == nil {
-			b.energy.Observe(
-				obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesBefore, stats.TogglesBefore),
-				obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesAfter, stats.TogglesAfter),
-			)
-			ss.span.Txns = int(stats.Transactions)
-			ss.span.DataBits = stats.DataBits
-			ss.span.BaseOnes, ss.span.EncOnes = stats.OnesBefore, stats.OnesAfter
-			ss.span.BaseToggles, ss.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
-		}
-		if err := ss.w.Write(u.in.Frame(), st.wrote); err != nil {
-			return err
-		}
-		if st.snapshottable && ss.p.cfg.ShadowInterval > 0 &&
-			st.batches%uint64(ss.p.cfg.ShadowInterval) == 0 {
-			st.pullShadow(u, b)
-		}
-		return nil
-	case trace.FrameBusy, trace.FrameBatchError:
-		// The backend shed or faulted the batch but kept the stream:
-		// relay the recoverable reply verbatim — after checking it is
-		// well-formed and answers this batch, so backend-leg corruption
-		// becomes a conversion here instead of a parse error that would
-		// cost the client its connection.
-		var rid uint64
-		var perr error
-		if ft == trace.FrameBusy {
-			rid, _, perr = trace.ParseBusy(rinterior)
 		} else {
-			rid, _, _, perr = trace.ParseBatchError(rinterior)
+			err = errors.New(a.Msg)
 		}
-		if perr == nil && rid != id {
-			perr = fmt.Errorf("fault reply for batch %d, want %d", rid, id)
-		}
-		if perr != nil {
-			ss.dropUpstream(b)
-			ss.p.noteBackendFailure(b, "exchange", perr)
-			return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
-		}
+		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, err))
+	}
+	switch a.Kind {
+	case trace.AnswerKilled:
+		// The backend killed exactly this stream (fault budget exhausted)
+		// while the muxed connection and its sibling streams keep serving.
+		// The kill relays to the client with the backend's cause and the
+		// proxy forgets the stream, so a client re-open builds fresh
+		// routing state, mirroring the gateway.
+		delete(u.open, st.sid)
+		ss.p.met.streamKills.Add(1)
+		st.unpin()
+		ss.log.Info("stream killed by backend", "stream", st.sid, "backend", b.addr, "msg", a.Msg)
+		return ss.streams.Remove(st.sid, a.Msg)
+	case trace.AnswerBusy, trace.AnswerFault:
+		// The backend shed or faulted the batch but kept the stream:
+		// relay the recoverable reply verbatim. CheckBatch found it
+		// well-formed and answering this batch, so backend-leg corruption
+		// became a conversion above instead of a parse error that would
+		// cost the client its connection.
 		ss.p.noteBackendOK(b)
 		ss.p.met.relayedFaults.Add(1)
 		if !st.pinned {
 			st.avoid = b
 		}
 		return ss.w.Write(u.in.Frame(), nil)
-	case trace.FrameError:
-		// The backend ended this upstream session (fault budget, drain,
-		// refusal) but is alive enough to speak BXTP: not an ejection
-		// signal, just a failed upstream to recover from.
-		ss.dropUpstream(b)
-		return st.convertFailure(id, fmt.Errorf("backend %s: %s", b.addr, rbody))
-	default:
-		ss.dropUpstream(b)
-		err := fmt.Errorf("backend %s answered batch with frame %#x", b.addr, byte(ft))
-		ss.p.noteBackendFailure(b, "exchange", err)
-		return st.convertFailure(id, err)
 	}
+	ss.p.noteBackendOK(b)
+	b.batches.Add(1)
+	b.observeExchange(st.schemeName, backDur)
+	st.batches++
+	// The relayed BatchStats prefix carries the backend's wire accounting
+	// for this batch; fold it into the per-backend energy counter and the
+	// relay span so the proxy's telemetry aggregates what its fleet
+	// actually moved.
+	if stats, _, serr := trace.ParseBatchStats(a.Payload); serr == nil {
+		b.energy.Observe(
+			obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesBefore, stats.TogglesBefore),
+			obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesAfter, stats.TogglesAfter),
+		)
+		ss.span.Txns = int(stats.Transactions)
+		ss.span.DataBits = stats.DataBits
+		ss.span.BaseOnes, ss.span.EncOnes = stats.OnesBefore, stats.OnesAfter
+		ss.span.BaseToggles, ss.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
+	}
+	if err := ss.w.Write(u.in.Frame(), st.wrote); err != nil {
+		return err
+	}
+	if st.snapshottable && ss.p.cfg.ShadowInterval > 0 &&
+		st.batches%uint64(ss.p.cfg.ShadowInterval) == 0 {
+		st.pullShadow(u, b)
+	}
+	return nil
 }
 
 // wrote records a relayed reply's frame_write sample and finishes the
@@ -203,30 +173,6 @@ func (st *pstream) wrote(d time.Duration) {
 	st.writeH.ObserveDurationEx(d, ss.traceID)
 	ss.span.Observe(obs.StageFrameWrite, d)
 	ss.p.met.traces.Add(&ss.span)
-}
-
-// relayStreamKill handles a backend answering a batch with StreamClosed:
-// the backend killed exactly this stream (fault budget exhausted) while
-// the muxed connection and its sibling streams keep serving. The kill
-// relays to the client with the backend's cause and the proxy forgets the
-// stream, so a client re-open builds fresh routing state, mirroring the
-// gateway.
-func (st *pstream) relayStreamKill(u *upstream, b *backend, id uint64, rbody []byte) error {
-	ss := st.ss
-	rsid, msg, perr := trace.ParseStreamClosed(rbody)
-	if perr == nil && rsid != st.sid {
-		perr = fmt.Errorf("stream-closed for stream %d, want %d", rsid, st.sid)
-	}
-	if perr != nil {
-		ss.dropUpstream(b)
-		ss.p.noteBackendFailure(b, "exchange", perr)
-		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, perr))
-	}
-	delete(u.open, st.sid)
-	ss.p.met.streamKills.Add(1)
-	st.unpin()
-	ss.log.Info("stream killed by backend", "stream", st.sid, "backend", b.addr, "msg", msg)
-	return ss.streams.Remove(st.sid, msg)
 }
 
 // convertFailure turns an upstream failure into a recoverable reply: Busy
@@ -246,37 +192,13 @@ func (st *pstream) convertFailure(id uint64, cause error) error {
 	return ss.w.SendStream(trace.FrameBusy, st.sid, trace.MarshalBusy(id, ss.p.cfg.RetryHint))
 }
 
-// ensureOpen makes sure this stream is open on an upstream connection,
-// opening it with a StreamOpen exchange on first use. The Hello already
-// opened stream 0 on every upstream connection.
-func (st *pstream) ensureOpen(u *upstream) error {
-	if st.sid == 0 || u.open[st.sid] {
-		return nil
-	}
-	okBody, err := u.openStream(
-		trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName},
-		st.ss.p.cfg.ExchangeTimeout)
-	if st.accepted && errors.Is(err, errStreamRefused) {
-		// Not parameter-driven: the connection and the proxy disagree on
-		// what is open on it (a damaged StreamOpenOK once read as a
-		// refusal leaves the stream open on the backend, and every
-		// re-open then fails "already open"). Report it as a connection
-		// failure, so callers drop the connection and the stream reopens
-		// fresh.
-		return fmt.Errorf("proxy: backend %s refused to reopen stream %d: %v", u.b.addr, st.sid, err)
-	}
-	if okBody != nil {
-		st.openOK = append(st.openOK[:0], okBody...)
-	}
-	return err
-}
-
 // acquireUpstream returns a live upstream on the backend the routing
-// policy picks for this stream, reusing the session's open upstream
-// connections before dialing. Dial failures count toward ejection and fail over to
-// the next candidate; a handshake rejection or stream-open refusal
-// surfaces immediately, because every backend would reject the same
-// parameters.
+// policy picks for this stream, with the stream open on it, reusing the
+// session's open upstream connections before dialing. Dial and stream-open
+// failures count toward ejection and fail over to the next candidate; a
+// connection the backend ended with an Error frame is redialed uncounted;
+// a refusal surfaces immediately, because every backend would refuse the
+// same parameters.
 func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 	ss := st.ss
 	backends := ss.p.backendList()
@@ -317,40 +239,59 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 		if b == nil || excluded[b] {
 			break
 		}
-		if u := ss.ups[b]; u != nil {
-			if err := st.ensureOpen(u); err != nil {
-				if errors.Is(err, errStreamRefused) {
-					return nil, nil, err
-				}
-				ss.dropUpstream(b)
-				ss.p.noteBackendFailure(b, "stream-open", err)
-				excluded[b] = true
-				continue
-			}
+		u, leg, err := st.upstreamOn(b)
+		switch {
+		case err == nil:
 			return u, b, nil
-		}
-		u, err := ss.p.dialUpstream(b, ss.hello)
-		if err != nil {
-			if errors.Is(err, errUpstreamReject) {
-				return nil, nil, err
-			}
-			ss.p.noteBackendFailure(b, "dial", err)
+		case errors.Is(err, errRefused):
+			return nil, nil, err
+		case !errors.Is(err, errEnded):
+			ss.p.noteBackendFailure(b, leg, err)
 			excluded[b] = true
-			continue
 		}
-		ss.ups[b] = u
-		if err := st.ensureOpen(u); err != nil {
-			if errors.Is(err, errStreamRefused) {
-				return nil, nil, err
-			}
-			ss.dropUpstream(b)
-			ss.p.noteBackendFailure(b, "stream-open", err)
-			excluded[b] = true
-			continue
-		}
-		return u, b, nil
 	}
 	return nil, nil, errNoBackend
+}
+
+// upstreamOn returns the session's upstream on b with this stream open on
+// it: it dials one first when the session has none, and opens the stream
+// with a StreamOpen exchange on first use (the Hello opened stream 0 on
+// every upstream). Any failure but a refusal drops the upstream; leg
+// names the step that failed.
+func (st *pstream) upstreamOn(b *backend) (*upstream, string, error) {
+	ss := st.ss
+	u := ss.ups[b]
+	if u == nil {
+		var err error
+		if u, err = ss.p.dialUpstream(b, ss.hello); err != nil {
+			return nil, "dial", err
+		}
+		ss.ups[b] = u
+	}
+	if st.sid == 0 || u.open[st.sid] {
+		return u, "", nil
+	}
+	okBody, err := u.openStream(
+		trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName},
+		ss.p.cfg.ExchangeTimeout)
+	switch {
+	case st.accepted && errors.Is(err, errRefused):
+		// Not parameter-driven: the connection and the proxy disagree on
+		// what is open on it (a damaged StreamOpenOK once read as a
+		// refusal leaves the stream open on the backend, and every
+		// re-open then fails "already open"). Treat it as a connection
+		// failure, so the connection drops and the stream reopens fresh.
+		err = fmt.Errorf("proxy: backend %s refused to reopen stream %d: %v", b.addr, st.sid, err)
+	case okBody != nil:
+		st.openOK = append(st.openOK[:0], okBody...)
+	}
+	if err != nil {
+		if !errors.Is(err, errRefused) {
+			ss.dropUpstream(b)
+		}
+		return nil, "stream-open", err
+	}
+	return u, "", nil
 }
 
 // migrateState moves a pinned stream's upstream codec state from its lost
@@ -397,23 +338,10 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 	if ss.p.inj != nil {
 		blob = ss.p.inj.WrapSnapshot(blob)
 	}
-	u := ss.ups[next]
-	if u == nil {
-		var err error
-		u, err = ss.p.dialUpstream(next, ss.hello)
-		if err != nil {
-			ss.p.met.stateRestFailed.Add(1)
-			ss.log.Warn("state transfer failed: dialing new pin", "backend", next.addr, "err", err)
-			return nil
-		}
-		ss.ups[next] = u
-	}
-	if err := st.ensureOpen(u); err != nil {
-		if !errors.Is(err, errStreamRefused) {
-			ss.dropUpstream(next)
-		}
+	u, leg, err := st.upstreamOn(next)
+	if err != nil {
 		ss.p.met.stateRestFailed.Add(1)
-		ss.log.Warn("state transfer failed: stream open", "backend", next.addr, "err", err)
+		ss.log.Warn("state transfer failed: "+leg, "backend", next.addr, "err", err)
 		return nil
 	}
 	if err := u.restoreState(st.sid, seq, blob, timeout); err != nil {

@@ -1,0 +1,162 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestAnswerChecks pins the requester's reading of every answer: one row
+// per frame kind and mismatch, each either sorted into an AnswerKind or
+// reported damaged (an error wrapping ErrBadFrame).
+func TestAnswerChecks(t *testing.T) {
+	const sid, id, traceID = goldenStreamID, goldenBatchID, goldenTraceID
+	hello := func(ft FrameType, b []byte) (Answer, error) { return CheckHello(ft, b) }
+	open := func(ft FrameType, b []byte) (Answer, error) { return CheckStreamOpen(ft, b, sid) }
+	batch := func(ft FrameType, b []byte) (Answer, error) { return CheckBatch(ft, b, sid, id, traceID) }
+
+	payload := goldenReplyBody(t)
+	reply := func(rsid uint32, rid, rtrace uint64) []byte {
+		return append(AppendStreamID(nil, rsid), traceEnvelope(t, rid, rtrace, payload)...)
+	}
+	crcDamaged := reply(sid, id, traceID)
+	crcDamaged[len(crcDamaged)-1] ^= 0x40
+	streamBody := func(rsid uint32, body []byte) []byte { return append(AppendStreamID(nil, rsid), body...) }
+	lookalike := append(AppendStreamID(nil, sid), " is draining"...) // an Error text whose first 4 bytes spell sid
+
+	cases := []struct {
+		name  string
+		check func(FrameType, []byte) (Answer, error)
+		ft    FrameType
+		body  []byte
+		want  Answer
+		crc   bool // damaged by its envelope CRC (ErrCRC)
+		bad   bool // damaged
+	}{
+		{"hello/ok", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion, MetaBits: 2, BatchLimit: 4096}),
+			Answer{MetaBits: 2, BatchLimit: 4096}, false, false},
+		{"hello/error", hello, FrameError, []byte("unknown scheme"), Answer{Kind: AnswerRefused, Msg: "unknown scheme"}, false, false},
+		{"hello/old-version", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: 3, BatchLimit: 4096}), Answer{}, false, true},
+		{"hello/truncated", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion})[:4], Answer{}, false, true},
+		{"hello/wrong-type", hello, FrameBatchReply, reply(sid, id, traceID), Answer{}, false, true},
+
+		{"open/ok", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, MetaBits: 2, BatchLimit: 64}),
+			Answer{MetaBits: 2, BatchLimit: 64}, false, false},
+		{"open/refused", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, Status: StreamRefused, Msg: "stream limit"}),
+			Answer{Kind: AnswerRefused, Msg: "stream limit"}, false, false},
+		{"open/error", open, FrameError, []byte("idle timeout"), Answer{Kind: AnswerEnded, Msg: "idle timeout"}, false, false},
+		{"open/wrong-stream", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid + 1}), Answer{}, false, true},
+		{"open/unknown-status", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, Status: 7, Msg: "?"}), Answer{}, false, true},
+		{"open/truncated", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid})[:8], Answer{}, false, true},
+		{"open/wrong-type", open, FrameStreamClosed, MarshalStreamClosed(sid, ""), Answer{}, false, true},
+
+		{"batch/reply", batch, FrameBatchReply, reply(sid, id, traceID), Answer{Payload: payload}, false, false},
+		{"batch/reply-wrong-stream", batch, FrameBatchReply, reply(sid+1, id, traceID), Answer{}, false, true},
+		{"batch/reply-wrong-batch", batch, FrameBatchReply, reply(sid, id+1, traceID), Answer{}, false, true},
+		{"batch/reply-wrong-trace", batch, FrameBatchReply, reply(sid, id, traceID^1), Answer{}, false, true},
+		{"batch/reply-crc", batch, FrameBatchReply, crcDamaged, Answer{}, true, true},
+		{"batch/reply-truncated", batch, FrameBatchReply, reply(sid, id, traceID)[:10], Answer{}, false, true},
+		{"batch/busy", batch, FrameBusy, streamBody(sid, MarshalBusy(id, 25*time.Millisecond)),
+			Answer{Kind: AnswerBusy, RetryAfter: 25 * time.Millisecond}, false, false},
+		{"batch/busy-wrong-stream", batch, FrameBusy, streamBody(sid+1, MarshalBusy(id, 0)), Answer{}, false, true},
+		{"batch/busy-wrong-batch", batch, FrameBusy, streamBody(sid, MarshalBusy(id-1, 0)), Answer{}, false, true},
+		{"batch/busy-truncated", batch, FrameBusy, streamBody(sid, MarshalBusy(id, 0)[:11]), Answer{}, false, true},
+		{"batch/fault", batch, FrameBatchError, streamBody(sid, MarshalBatchError(id, true, "codec fault")),
+			Answer{Kind: AnswerFault, Reset: true, Msg: "codec fault"}, false, false},
+		{"batch/fault-wrong-stream", batch, FrameBatchError, streamBody(sid+1, MarshalBatchError(id, false, "")), Answer{}, false, true},
+		{"batch/fault-wrong-batch", batch, FrameBatchError, streamBody(sid, MarshalBatchError(id+1, false, "")), Answer{}, false, true},
+		{"batch/killed", batch, FrameStreamClosed, MarshalStreamClosed(sid, "fault budget exhausted"),
+			Answer{Kind: AnswerKilled, Msg: "fault budget exhausted"}, false, false},
+		{"batch/killed-wrong-stream", batch, FrameStreamClosed, MarshalStreamClosed(sid+1, ""), Answer{}, false, true},
+		{"batch/error", batch, FrameError, []byte("server is draining"), Answer{Kind: AnswerEnded, Msg: "server is draining"}, false, false},
+		{"batch/error-stream-lookalike", batch, FrameError, lookalike, Answer{Kind: AnswerEnded, Msg: string(lookalike)}, false, false},
+		{"batch/error-empty", batch, FrameError, nil, Answer{Kind: AnswerEnded}, false, false},
+		{"batch/wrong-type", batch, FrameStateAck, streamBody(sid, MarshalStateAck(StateOK, id, nil)), Answer{}, false, true},
+		{"batch/hello-ok", batch, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion}), Answer{}, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.check(tc.ft, tc.body)
+			if tc.bad {
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("answer = %+v, %v; want a damaged frame (ErrBadFrame)", got, err)
+				}
+				if tc.crc != errors.Is(err, ErrCRC) {
+					t.Errorf("error %v: wraps ErrCRC = %v, want %v", err, !tc.crc, tc.crc)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("answer damaged: %v", err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("answer = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzCheckBatch feeds arbitrary answer frames to CheckBatch, seeded with
+// the v4 golden vectors of every batch answer: no input may panic, every
+// error must wrap ErrBadFrame, and an answer it accepts must be the frame
+// kind it claims and name the requested stream, batch and trace ids.
+func FuzzCheckBatch(f *testing.F) {
+	for _, name := range []string{"v4_batch_reply", "v4_busy", "v4_batch_error", "v4_stream_closed", "error"} {
+		raw, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		wire, err := hex.DecodeString(string(bytes.Join(bytes.Fields(raw), nil)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		ft, body, err := ReadFrame(bytes.NewReader(wire), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(byte(ft), body)
+	}
+	f.Add(byte(FrameError), AppendStreamID(nil, goldenStreamID))
+
+	f.Fuzz(func(t *testing.T, ftb byte, body []byte) {
+		const sid, id, traceID = goldenStreamID, goldenBatchID, goldenTraceID
+		ft := FrameType(ftb)
+		a, err := CheckBatch(ft, body, sid, id, traceID)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("CheckBatch error %v does not wrap ErrBadFrame", err)
+			}
+			return
+		}
+		want := map[AnswerKind]FrameType{
+			AnswerOK: FrameBatchReply, AnswerBusy: FrameBusy, AnswerFault: FrameBatchError,
+			AnswerKilled: FrameStreamClosed, AnswerEnded: FrameError,
+		}
+		if wft, ok := want[a.Kind]; !ok || wft != ft {
+			t.Fatalf("frame %#x accepted as kind %d", ftb, a.Kind)
+		}
+		if a.Kind == AnswerEnded {
+			return // an Error frame names no stream
+		}
+		rsid, rest, err := SplitStreamID(body)
+		if err != nil || rsid != sid {
+			t.Fatalf("accepted an answer on stream %d (err %v), want %d", rsid, err, sid)
+		}
+		switch a.Kind {
+		case AnswerOK:
+			rid, rtrace, payload, err := OpenTraceEnvelope(rest)
+			if err != nil || rid != id || rtrace != traceID || !bytes.Equal(payload, a.Payload) {
+				t.Fatalf("accepted reply names batch %d trace %#x (err %v), want %d %#x", rid, rtrace, err, uint64(id), uint64(traceID))
+			}
+		case AnswerBusy, AnswerFault:
+			if rid := binary.LittleEndian.Uint64(rest[:8]); rid != id {
+				t.Fatalf("accepted answer names batch %d, want %d", rid, uint64(id))
+			}
+		}
+	})
+}
