@@ -1,7 +1,5 @@
 package dram
 
-import "sort"
-
 // Request is one 32-byte sector transfer presented to the controller.
 type Request struct {
 	// Addr is the device-local byte address.
@@ -32,7 +30,6 @@ type Controller struct {
 	now   int64
 
 	// Stats.
-	served     uint64
 	sumReadLat int64
 	reads      uint64
 	lastDone   int64
@@ -127,7 +124,6 @@ func (c *Controller) Drain() (int64, error) {
 			c.reads++
 		}
 		r.Done = done
-		c.served++
 		if done > c.lastDone {
 			c.lastDone = done
 		}
@@ -146,19 +142,10 @@ func (c *Controller) AvgReadLatency() float64 {
 	return float64(c.sumReadLat) / float64(c.reads)
 }
 
-// Served returns the number of completed requests.
-func (c *Controller) Served() uint64 { return c.served }
-
 // maxI64 returns the larger of two cycle counts.
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// SortByArrival orders a request slice by arrival time (helper for trace
-// construction).
-func SortByArrival(rs []*Request) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Arrive < rs[j].Arrive })
 }

@@ -26,18 +26,6 @@ func (in *Injector) WrapStreamConn(c net.Conn) net.Conn {
 	return &streamConn{Conn: c, in: in}
 }
 
-// WrapStreamDialer is WrapDialer for stream faults: every connection the
-// returned dialer produces has WrapStreamConn applied.
-func (in *Injector) WrapStreamDialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
-		c, err := dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		return in.WrapStreamConn(c), nil
-	}
-}
-
 // streamConn is the frame-aware fault-injecting wrapper.
 type streamConn struct {
 	net.Conn

@@ -53,7 +53,6 @@ type Channel struct {
 	bus         *bus.Bus
 	store       map[uint64][]byte
 	src         DataSource
-	busyBeats   uint64
 
 	// openRow tracks the open row per bank; rowValid marks cold banks.
 	openRow   [BanksPerChannel]uint64
@@ -127,7 +126,6 @@ func (c *Channel) transfer(stored []byte) error {
 	if err := c.bus.Transfer(payload); err != nil {
 		return err
 	}
-	c.busyBeats += uint64(len(stored) * 8 / (c.bus.BeatBytes() * 8))
 	return nil
 }
 
@@ -179,9 +177,6 @@ func (c *Channel) Idle(n int) { c.bus.Idle(n) }
 
 // Stats returns the channel's accumulated bus activity.
 func (c *Channel) Stats() bus.Stats { return c.bus.Stats() }
-
-// BusyBeats returns the number of data beats the channel has driven.
-func (c *Channel) BusyBeats() uint64 { return c.busyBeats }
 
 // System is the full memory system: the sectored LLC in front of the
 // channel array.

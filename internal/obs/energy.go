@@ -95,11 +95,13 @@ type energyBucket struct {
 type EnergyCounter struct {
 	mu        sync.Mutex
 	base, enc bus.Stats
+	batches   uint64
 	slotNs    int64
 	buckets   []energyBucket
 }
 
-// Observe folds one batch's per-leg activity deltas into the counter.
+// Observe folds one batch's per-leg activity deltas into the counter and
+// counts the batch.
 func (c *EnergyCounter) Observe(base, enc bus.Stats) {
 	c.observeAt(time.Now().UnixNano(), base, enc)
 }
@@ -109,6 +111,7 @@ func (c *EnergyCounter) observeAt(now int64, base, enc bus.Stats) {
 	c.mu.Lock()
 	c.base.Add(base)
 	c.enc.Add(enc)
+	c.batches++
 	b := &c.buckets[slot%int64(len(c.buckets))]
 	if b.slot != slot {
 		*b = energyBucket{slot: slot}
@@ -123,6 +126,8 @@ func (c *EnergyCounter) observeAt(now int64, base, enc bus.Stats) {
 type EnergySnapshot struct {
 	Base, Enc       bus.Stats
 	WinBase, WinEnc bus.Stats
+	// Batches is the number of batches observed.
+	Batches uint64
 	// Window is the rolling window's span.
 	Window time.Duration
 }
@@ -137,9 +142,10 @@ func (c *EnergyCounter) snapshotAt(now int64) EnergySnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := EnergySnapshot{
-		Base:   c.base,
-		Enc:    c.enc,
-		Window: time.Duration(c.slotNs * int64(len(c.buckets))),
+		Base:    c.base,
+		Enc:     c.enc,
+		Batches: c.batches,
+		Window:  time.Duration(c.slotNs * int64(len(c.buckets))),
 	}
 	for i := range c.buckets {
 		b := &c.buckets[i]

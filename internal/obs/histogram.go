@@ -91,11 +91,6 @@ func (h *Histogram) ObserveEx(sec float64, traceID uint64) {
 // ObserveDuration records one duration.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveDurationEx is ObserveDuration carrying the observation's trace id.
-func (h *Histogram) ObserveDurationEx(d time.Duration, traceID uint64) {
-	h.ObserveEx(d.Seconds(), traceID)
-}
-
 // Exemplar returns the slowest traced observation and its trace id (zero
 // when no traced observation has been recorded).
 func (h *Histogram) Exemplar() (sec float64, traceID uint64) {
@@ -275,6 +270,37 @@ func (t *HistogramTracer) Hist(scheme string, stage Stage) *Histogram {
 		t.hists[k] = h
 	}
 	return h
+}
+
+// StageSet is one scheme's stage histograms, resolved from a
+// HistogramTracer once, when a stream opens, so recording a span costs no
+// map lookup and no allocation.
+type StageSet struct {
+	stages []Stage
+	hists  []*Histogram
+}
+
+// Set returns scheme's StageSet over stages, creating any histogram not
+// made yet: each renders, empty, from the moment a stream resolves it.
+func (t *HistogramTracer) Set(scheme string, stages ...Stage) *StageSet {
+	set := &StageSet{stages: stages, hists: make([]*Histogram, len(stages))}
+	for i, st := range stages {
+		set.hists[i] = t.Hist(scheme, st)
+	}
+	return set
+}
+
+// Record folds every stage of s into its histogram, with s's trace id as
+// the exemplar. A stage outside the set is not recorded.
+func (set *StageSet) Record(s *Span) {
+	for _, st := range s.Stages() {
+		for i, want := range set.stages {
+			if want == st.Stage {
+				set.hists[i].ObserveEx(time.Duration(st.Nanos).Seconds(), s.TraceID)
+				break
+			}
+		}
+	}
 }
 
 // ObserveStage implements Tracer.

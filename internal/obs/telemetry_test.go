@@ -334,8 +334,9 @@ func TestHistogramExemplar(t *testing.T) {
 }
 
 // TestTelemetryZeroAlloc pins the per-batch observability cost: recording
-// a span into the ring, folding wire stats into an energy counter, and a
-// traced histogram observation must all be allocation-free.
+// a span into the ring, folding wire stats into an energy counter, and
+// recording a span's stages into their histograms must all be
+// allocation-free.
 func TestTelemetryZeroAlloc(t *testing.T) {
 	ring := NewTraceRing(64)
 	var sp Span
@@ -356,9 +357,53 @@ func TestTelemetryZeroAlloc(t *testing.T) {
 		t.Errorf("energy observe allocates %.1f times, want 0", avg)
 	}
 
-	h := NewLatencyHistogram()
-	if avg := testing.AllocsPerRun(200, func() { h.ObserveDurationEx(time.Millisecond, 0xbeef) }); avg != 0 {
-		t.Errorf("traced histogram observation allocates %.1f times, want 0", avg)
+	set := NewHistogramTracer(nil).Set("universal", StageFrameRead, StageEncode, StageFrameWrite)
+	if avg := testing.AllocsPerRun(200, func() { set.Record(&sp) }); avg != 0 {
+		t.Errorf("recording a span's stages allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestStageSetRecord checks a span's stages reach the histograms of the
+// set that holds them, once each, with the span's trace id as exemplar,
+// and that a set renders its histograms from the moment it is resolved.
+func TestStageSetRecord(t *testing.T) {
+	tr := NewHistogramTracer(nil)
+	set := tr.Set("bdenc", StageFrameRead, StageAdmission, StageFrameWrite)
+	var n int
+	tr.Each(func(string, Stage, *Histogram) { n++ })
+	if n != 3 {
+		t.Fatalf("a fresh set renders %d histograms, want 3", n)
+	}
+
+	var sp Span
+	sp.Reset(0x77, 1, 1, "bdenc")
+	sp.Observe(StageFrameRead, 2*time.Millisecond)
+	sp.Observe(StageEncode, time.Millisecond) // not in the set
+	sp.Observe(StageFrameWrite, 3*time.Millisecond)
+	set.Record(&sp)
+	sp.Reset(0, 2, 1, "bdenc") // a damaged envelope: no trace id
+	sp.Observe(StageFrameRead, time.Second)
+	set.Record(&sp)
+
+	for _, c := range []struct {
+		stage Stage
+		count uint64
+		ex    uint64
+	}{
+		{StageFrameRead, 2, 0x77},
+		{StageAdmission, 0, 0},
+		{StageFrameWrite, 1, 0x77},
+	} {
+		h := tr.Hist("bdenc", c.stage)
+		if got := h.Count(); got != c.count {
+			t.Errorf("%s count = %d, want %d", c.stage, got, c.count)
+		}
+		if _, id := h.Exemplar(); id != c.ex {
+			t.Errorf("%s exemplar = %#x, want %#x", c.stage, id, c.ex)
+		}
+	}
+	if sec, _ := tr.Hist("bdenc", StageFrameWrite).Exemplar(); sec != 0.003 {
+		t.Errorf("frame_write exemplar = %gs, want 0.003s", sec)
 	}
 }
 

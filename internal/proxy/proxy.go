@@ -54,7 +54,6 @@ import (
 
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/faults"
-	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/power"
 	"github.com/hpca18/bxt/internal/serve"
 	"github.com/hpca18/bxt/internal/trace"
@@ -228,10 +227,6 @@ func (p *Proxy) SetLogger(l *slog.Logger) {
 		p.host.SetLogger(l)
 	}
 }
-
-// Tracer returns the per-(scheme, stage) latency tracer backing the
-// bxtproxy_stage_seconds exposition.
-func (p *Proxy) Tracer() obs.Tracer { return p.met.stages }
 
 // routes mounts bxtproxy's own routes on the metrics listener: per-backend
 // /drain, /backends, and — only when cfg.Debug — the relay-span ring.

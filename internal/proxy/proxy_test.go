@@ -15,6 +15,7 @@ import (
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/faults"
+	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/proxy"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/server"
@@ -252,6 +253,55 @@ func TestProxyRelay(t *testing.T) {
 	metricValue(t, exp, fmt.Sprintf("bxtproxy_energy_saved_joules_total{backend=%q}", srv.Addr()))
 	if got := metricValue(t, exp, "bxtproxy_trace_spans_total"); got != 10 {
 		t.Errorf("bxtproxy_trace_spans_total = %v, want 10", got)
+	}
+}
+
+// TestProxyFaultPathLedger drills a converted batch: the backend ends
+// the session's idle upstream, so the next batch's exchange fails and is
+// answered with a converted Busy, which the client retries. One scrape,
+// taken once the client holds every answer, must count backend_exchange
+// for every exchange attempted, frame_read for every batch frame
+// answered, and frame_write and bxtproxy_trace_spans_total for every
+// reply relayed.
+func TestProxyFaultPathLedger(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	bcfg := backendConfig()
+	bcfg.ReadTimeout = 200 * time.Millisecond
+	srv := startBackend(t, bcfg)
+	px := startProxy(t, proxyConfig(srv.Addr()))
+
+	c, err := client.DialConfig(px.Addr(), "basexor", 32, retryClient())
+	if err != nil {
+		t.Fatalf("dial through proxy: %v", err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(5))
+	dec := buildDecoder(t, "basexor", bcfg)
+	verifySession(t, c, dec, rng, 5, 16)
+	time.Sleep(600 * time.Millisecond) // past the backend's idle timeout
+	verifySession(t, c, dec, rng, 5, 16)
+
+	busy := float64(c.RetryStats().Busy)
+	if busy == 0 {
+		t.Fatal("no batch was converted; the drill proved nothing")
+	}
+	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
+	stage := func(s obs.Stage) float64 {
+		return metricValue(t, exp, fmt.Sprintf(`bxtproxy_stage_seconds_count{scheme="basexor",stage=%q}`, s))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"frame_read", stage(obs.StageFrameRead), 10 + busy},
+		{"backend_exchange", stage(obs.StageBackend), 10 + busy},
+		{"frame_write", stage(obs.StageFrameWrite), 10},
+		{"bxtproxy_trace_spans_total", metricValue(t, exp, "bxtproxy_trace_spans_total"), 10},
+		{"bxtproxy_busy_converted_total", metricValue(t, exp, "bxtproxy_busy_converted_total"), busy},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -51,12 +51,12 @@ type session struct {
 	// per-connection in upstream.open).
 	ups map[*backend]*upstream
 
-	// traceID is the current batch's end-to-end trace id; span is its
-	// relay-leg record — frame_read,
-	// backend_exchange, frame_write — fed to the proxy's /debug/trace
-	// ring. Both are owned by the session goroutine.
-	traceID uint64
-	span    obs.Span
+	// span is the current batch's one ledger on the relay leg: its trace
+	// id and its frame_read, backend_exchange and frame_write times, each
+	// written once. Once the batch is answered it is recorded into the
+	// stream's stage histograms and, for a relayed reply, the proxy's
+	// /debug/trace ring. It is owned by the session goroutine.
+	span obs.Span
 }
 
 // Writer returns the session's client-leg frame writer.
@@ -91,9 +91,7 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 		schemeName: schemeName,
 		txnSize:    txnSize,
 		pinned:     scheme.DecodeStateful(schemeName),
-		readH:      ss.p.met.stages.Hist(schemeName, obs.StageFrameRead),
-		backH:      ss.p.met.stages.Hist(schemeName, obs.StageBackend),
-		writeH:     ss.p.met.stages.Hist(schemeName, obs.StageFrameWrite),
+		stages:     ss.p.met.stages.Set(schemeName, obs.StageFrameRead, obs.StageBackend, obs.StageFrameWrite),
 	}
 	st.snapshottable = st.pinned && scheme.Snapshottable(schemeName)
 	return st
@@ -134,8 +132,8 @@ func (ss *session) dispatch(ft trace.FrameType, body []byte, readStart time.Time
 	if !ok {
 		return err
 	}
-	// handleBatch observes frame_read so the sample can carry the batch's
-	// trace id once the envelope is open.
+	// handleBatch writes frame_read into the batch's span, whose trace id
+	// the envelope supplies.
 	return st.handleBatch(ss.in.Frame(), interior, time.Since(readStart))
 }
 

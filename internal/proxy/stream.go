@@ -56,7 +56,8 @@ type pstream struct {
 	// on another upstream connection is a fault of that connection.
 	accepted bool
 
-	readH, backH, writeH *obs.Histogram
+	// stages is the scheme's stage histogram set, resolved once at open.
+	stages *obs.StageSet
 }
 
 // handleBatch relays one Batch frame to a backend and the reply back to
@@ -67,23 +68,23 @@ type pstream struct {
 func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) error {
 	ss := st.ss
 	// The trace id rides the envelope payload; the body still relays
-	// verbatim, the proxy only reads it for its own spans.
+	// verbatim, the proxy only reads it for its own spans. A damaged
+	// envelope yields trace id 0, so its frame_read sample carries no
+	// exemplar.
 	id, traceID, _, err := trace.OpenTraceEnvelope(interior)
-	ss.traceID = traceID
+	ss.span.Reset(traceID, id, ss.id, st.schemeName)
+	ss.span.Observe(obs.StageFrameRead, readDur)
 	if err != nil {
-		st.readH.ObserveDuration(readDur)
 		if len(interior) < 12 {
+			st.answered(0) // the session ends without answering it
 			return err
 		}
 		// Client-leg corruption: answer the recoverable fault here instead
 		// of burning a backend round trip; the carried id is best effort,
 		// exactly as on the gateway.
 		id = binary.LittleEndian.Uint64(interior[:8])
-		return ss.w.SendStream(trace.FrameBatchError, st.sid, trace.MarshalBatchError(id, false, err.Error()))
+		return ss.w.SendStream(trace.FrameBatchError, st.sid, trace.MarshalBatchError(id, false, err.Error()), st.answered)
 	}
-	st.readH.ObserveDurationEx(readDur, ss.traceID)
-	ss.span.Reset(ss.traceID, id, ss.id, st.schemeName)
-	ss.span.Observe(obs.StageFrameRead, readDur)
 
 	u, b, err := st.acquireUpstream()
 	if err != nil {
@@ -94,11 +95,10 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	ft, rbody, err := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
 	b.pending.Add(-1)
 	backDur := time.Since(start)
-	st.backH.ObserveDurationEx(backDur, ss.traceID)
 	ss.span.Observe(obs.StageBackend, backDur)
 	var a trace.Answer
 	if err == nil {
-		a, err = trace.CheckBatch(ft, rbody, st.sid, id, ss.traceID)
+		a, err = trace.CheckBatch(ft, rbody, st.sid, id, traceID)
 	}
 	if err != nil || a.Kind == trace.AnswerEnded {
 		// A failed exchange or a damaged answer counts toward ejection.
@@ -122,6 +122,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		// routing state, mirroring the gateway.
 		delete(u.open, st.sid)
 		ss.p.met.streamKills.Add(1)
+		st.answered(0)
 		st.unpin()
 		ss.log.Info("stream killed by backend", "stream", st.sid, "backend", b.addr, "msg", a.Msg)
 		return ss.streams.Remove(st.sid, a.Msg)
@@ -136,7 +137,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		if !st.pinned {
 			st.avoid = b
 		}
-		return ss.w.Write(u.in.Frame(), nil)
+		return ss.w.Write(u.in.Frame(), st.answered)
 	}
 	ss.p.noteBackendOK(b)
 	b.batches.Add(1)
@@ -166,12 +167,17 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	return nil
 }
 
-// wrote records a relayed reply's frame_write sample and finishes the
-// relay span.
+// answered records the relay span of a batch answered without a relayed
+// reply: a Busy or BatchError frame, relayed or converted, or a stream
+// kill.
+func (st *pstream) answered(time.Duration) { st.stages.Record(&st.ss.span) }
+
+// wrote finishes a relayed reply's span with its frame_write sample and
+// records it, into the stage histograms and the trace ring.
 func (st *pstream) wrote(d time.Duration) {
 	ss := st.ss
-	st.writeH.ObserveDurationEx(d, ss.traceID)
 	ss.span.Observe(obs.StageFrameWrite, d)
+	st.stages.Record(&ss.span)
 	ss.p.met.traces.Add(&ss.span)
 }
 
@@ -186,10 +192,10 @@ func (st *pstream) convertFailure(id uint64, cause error) error {
 		ss.p.met.faultConverted.Add(1)
 		st.pinTarget()
 		body := trace.MarshalBatchError(id, true, "proxy: backend failed, codec state lost: "+cause.Error())
-		return ss.w.SendStream(trace.FrameBatchError, st.sid, body)
+		return ss.w.SendStream(trace.FrameBatchError, st.sid, body, st.answered)
 	}
 	ss.p.met.busyConverted.Add(1)
-	return ss.w.SendStream(trace.FrameBusy, st.sid, trace.MarshalBusy(id, ss.p.cfg.RetryHint))
+	return ss.w.SendStream(trace.FrameBusy, st.sid, trace.MarshalBusy(id, ss.p.cfg.RetryHint), st.answered)
 }
 
 // acquireUpstream returns a live upstream on the backend the routing

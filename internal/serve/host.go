@@ -15,7 +15,7 @@
 //   - the Hello read and version check, and the idle-deadline frame read
 //     (Reader);
 //   - the frame write under the write deadline, whose lock is the barrier
-//     /debug/trace waits on (Writer);
+//     /metrics and /debug/trace wait on (Writer);
 //   - the stream table: StreamOpen and StreamClose, the duplicate-id and
 //     StreamLimit refusals, the "unknown stream" answers, and the streams'
 //     teardown when the session ends (Streams);
@@ -27,6 +27,12 @@
 // connection, opens and closes its streams, mounts its own routes, and
 // writes its own metric families. Each session runs on one goroutine,
 // which reads, serves and writes every frame of its connection.
+//
+// Both tiers keep one ledger per batch: each stage time is written once,
+// into the batch's obs.Span, and the span is recorded (stage histograms,
+// and the trace ring for a reply) in one call when the batch's answer is
+// written, under the Writer's lock. /metrics and /debug/trace both wait
+// on that lock, so once a client holds an answer, both surfaces count it.
 package serve
 
 import (
@@ -186,6 +192,7 @@ func (h *Host[S]) mux() *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		h.awaitWrites()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		e := obs.Expo{W: w, Prefix: h.tier.MetricsPrefix}
 		d := int64(0)
@@ -276,9 +283,9 @@ func (h *Host[S]) Sessions() []S {
 }
 
 // awaitWrites waits out any frame write in progress on a live session. A
-// tier records a reply's span under its Writer's lock, after the reply is
-// written, so once this returns every reply a client already holds is on
-// /debug/trace.
+// tier records a batch's span under its Writer's lock, after the answer is
+// written, so once this returns every answer a client already holds is on
+// /metrics and, for a reply, on /debug/trace.
 func (h *Host[S]) awaitWrites() {
 	for _, ss := range h.Sessions() {
 		ss.Writer().await()
@@ -530,10 +537,10 @@ func (h *Host[S]) NewWriter(conn net.Conn) *Writer {
 
 // Write writes frame, one whole frame with its header sealed. done, when
 // non-nil, runs once the frame is written, still under the Writer's lock,
-// with the write's duration: a tier records the frame's frame_write
-// sample and span there, so /debug/trace never answers between a reply
-// reaching its client and its span reaching the ring. done must not use
-// the Writer.
+// with the write's duration: a tier records the answered batch's span
+// there, so neither /metrics nor /debug/trace answers between an answer
+// reaching its client and its span being recorded. done must not use the
+// Writer.
 //
 // The first failure, a slow client's expired deadline included, closes
 // the connection, which ends the session's reads too; Write returns it,
@@ -571,23 +578,23 @@ func (w *Writer) Send(t trace.FrameType, body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.buf = append(trace.BeginFrame(w.buf[:0]), body...)
-	return w.seal(t)
+	return w.seal(t, nil)
 }
 
 // SendStream frames body behind stream sid's id prefix as a t frame and
-// writes it.
-func (w *Writer) SendStream(t trace.FrameType, sid uint32, body []byte) error {
+// writes it; done is as for Write.
+func (w *Writer) SendStream(t trace.FrameType, sid uint32, body []byte, done func(time.Duration)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.buf = append(trace.AppendStreamID(trace.BeginFrame(w.buf[:0]), sid), body...)
-	return w.seal(t)
+	return w.seal(t, done)
 }
 
-func (w *Writer) seal(t trace.FrameType) error {
+func (w *Writer) seal(t trace.FrameType, done func(time.Duration)) error {
 	if err := trace.SealFrame(w.buf, t); err != nil {
 		return err
 	}
-	return w.write(w.buf, nil)
+	return w.write(w.buf, done)
 }
 
 // await returns once no write is in progress: taking the lock is the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -559,10 +560,10 @@ func (c gatedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestDebugTraceAwaitsReplyWrite pins the /debug/trace barrier on both
-// tiers: while a reply write is in progress (its span not yet recorded),
-// the handler waits, and once the write finishes it answers with that
-// reply's span on the ring.
+// TestDebugTraceAwaitsReplyWrite pins the /debug/trace and /metrics
+// barrier on both tiers: while a reply write is in progress (its span not
+// yet recorded), both handlers wait, and once the write finishes they
+// answer with that reply's span counted.
 func TestDebugTraceAwaitsReplyWrite(t *testing.T) {
 	gate := new(writeGate)
 	setAddr := hookTierConns(t, func(c net.Conn) net.Conn { return gatedConn{Conn: c, g: gate} })
@@ -594,42 +595,64 @@ func TestDebugTraceAwaitsReplyWrite(t *testing.T) {
 			t.Fatal("the second reply was never written")
 		}
 		type traced struct {
+			path  string
 			total uint64
 			err   error
 		}
-		done := make(chan traced, 1)
-		go func() {
-			resp, err := http.Get("http://" + h.MetricsAddr() + "/debug/trace")
-			if err != nil {
-				done <- traced{err: err}
-				return
-			}
-			defer resp.Body.Close()
-			var doc struct {
-				Total uint64 `json:"total"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&doc)
-			done <- traced{doc.Total, err}
-		}()
+		done := make(chan traced, 2)
+		for _, path := range []string{"/debug/trace", "/metrics"} {
+			go func() {
+				total, err := spansTotal(h.MetricsAddr(), path)
+				done <- traced{path, total, err}
+			}()
+		}
 		select {
 		case got := <-done:
-			t.Fatalf("/debug/trace answered (total %d, err %v) while a reply write was in progress", got.total, got.err)
+			t.Fatalf("%s answered (total %d, err %v) while a reply write was in progress", got.path, got.total, got.err)
 		case <-time.After(100 * time.Millisecond):
 		}
 		release()
-		select {
-		case got := <-done:
-			if got.err != nil {
-				t.Fatalf("GET /debug/trace: %v", got.err)
+		for range 2 {
+			select {
+			case got := <-done:
+				if got.err != nil {
+					t.Fatalf("GET %s: %v", got.path, got.err)
+				}
+				if got.total != 2 {
+					t.Fatalf("%s span total = %d once both replies were written, want 2", got.path, got.total)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a scrape did not answer once the write finished")
 			}
-			if got.total != 2 {
-				t.Fatalf("/debug/trace total = %d once both replies were written, want 2", got.total)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("/debug/trace did not answer once the write finished")
 		}
 		if err := <-transcoded; err != nil {
 			t.Fatalf("second Transcode: %v", err)
 		}
 	})
+}
+
+// spansTotal reads a tier's recorded span count from path: the total of
+// /debug/trace's JSON, or /metrics's trace_spans_total family.
+func spansTotal(addr, path string) (uint64, error) {
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	if path == "/metrics" {
+		m := regexp.MustCompile(`(?m)^\w+_trace_spans_total (\d+)$`).FindSubmatch(body)
+		if m == nil {
+			return 0, errors.New("no trace_spans_total family")
+		}
+		return strconv.ParseUint(string(m[1]), 10, 64)
+	}
+	var doc struct {
+		Total uint64 `json:"total"`
+	}
+	err = json.Unmarshal(body, &doc)
+	return doc.Total, err
 }

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"github.com/hpca18/bxt/internal/client"
+	"github.com/hpca18/bxt/internal/faults"
 	"github.com/hpca18/bxt/internal/obs"
+	"github.com/hpca18/bxt/internal/trace"
 )
 
 // promSample is one parsed exposition line.
@@ -112,43 +114,21 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The client can read a batch's reply before the server has recorded
-	// its trace span and frame_write stage, so scrape until every
-	// batch-paced count has caught up (or the deadline passes) and only
-	// then assert.
-	settled := func(samples []promSample) bool {
-		spans := find(samples, "bxtd_trace_spans_total", nil)
-		if len(spans) != 1 || spans[0].value < total/batch {
-			return false
-		}
-		for _, stage := range obs.Stages() {
-			hl := map[string]string{"scheme": "universal", "stage": string(stage)}
-			count := find(samples, "bxtd_stage_seconds_count", hl)
-			if len(count) != 1 || count[0].value < total/batch {
-				return false
-			}
-		}
-		return true
+	// /metrics waits out in-flight reply writes, so one scrape taken after
+	// the client holds its last reply counts every batch exactly.
+	resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
 	}
-	var samples []promSample
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
-		if err != nil {
-			t.Fatalf("GET /metrics: %v", err)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4" {
-			t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("reading body: %v", err)
-		}
-		samples = parseProm(t, string(raw))
-		if settled(samples) || time.Now().After(deadline) {
-			break
-		}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4" {
+		t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
 	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading body: %v", err)
+	}
+	samples := parseProm(t, string(raw))
 
 	// Serving gauges and per-scheme counters.
 	for _, name := range []string{
@@ -415,5 +395,104 @@ func TestDrainUnderLoadConsistency(t *testing.T) {
 	}
 	if closedBatches != uint64(replies.Load()) {
 		t.Errorf("session_close events account %d batches, clients got %d replies", closedBatches, replies.Load())
+	}
+}
+
+// TestFaultPathLedger drills every way a batch frame can be answered — a
+// reply, a Busy shed, a corrupted envelope and a codec panic — and checks
+// one scrape, taken once the client holds every answer, counts each batch
+// in exactly the stages it crossed: frame_read for every answered batch
+// frame, admission for every admitted one, and codec_encode, phy_account,
+// frame_write, bxtd_batches_total and bxtd_trace_spans_total for every
+// reply.
+func TestFaultPathLedger(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.MaxPending = 1
+	cfg.AdmitTimeout = 50 * time.Millisecond
+	cfg.FaultBudget = 1000
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv.SetFaults(faults.MustNew(faults.Config{Seed: 11, PanicRate: 0.4}))
+	block := make(chan struct{})
+	var hold, release sync.Once
+	unblock := func() { release.Do(func() { close(block) }) }
+	srv.testHookBatch = func() { hold.Do(func() { <-block }) }
+	if err := srv.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { unblock(); srv.Close() })
+
+	rng := rand.New(rand.NewSource(12))
+	var replies, panics int
+	// tally reads one answer to a batch that reached the codec.
+	tally := func(r *rawClient) {
+		ft, body := r.recv()
+		switch ft {
+		case trace.FrameBatchReply:
+			replies++
+		case trace.FrameBatchError:
+			panics++
+		default:
+			t.Fatalf("got frame %#x (%q), want BatchReply or BatchError", ft, body)
+		}
+	}
+
+	// The occupant's batch holds the only worker while the second
+	// client's batch is shed with a Busy frame.
+	occupant := dialRaw(t, srv.Addr(), "universal", 32)
+	occupant.send(trace.FrameBatch, sealedBatch(t, 1, makeTxns(rng, 1, 32), 32))
+	time.Sleep(100 * time.Millisecond)
+	shed := dialRaw(t, srv.Addr(), "universal", 32)
+	shed.send(trace.FrameBatch, sealedBatch(t, 1, makeTxns(rng, 1, 32), 32))
+	if ft, body := shed.recv(); ft != trace.FrameBusy {
+		t.Fatalf("got frame %#x (%q), want Busy", ft, body)
+	}
+	unblock()
+	tally(occupant)
+
+	// A corrupted envelope is answered before admission.
+	body := sealedBatch(t, 2, makeTxns(rng, 1, 32), 32)
+	body[20] ^= 0x10
+	shed.send(trace.FrameBatch, body)
+	expectBatchError(t, shed, 2, "crc")
+
+	// One-transaction batches each roll the injector once: some panic.
+	const drill = 12
+	for id := uint64(2); id < 2+drill; id++ {
+		occupant.send(trace.FrameBatch, sealedBatch(t, id, makeTxns(rng, 1, 32), 32))
+		tally(occupant)
+	}
+	if replies == 0 || panics == 0 {
+		t.Fatalf("drill gave %d replies and %d codec faults; the seed must give both", replies, panics)
+	}
+
+	samples := parseProm(t, httpGet(t, "http://"+srv.MetricsAddr()+"/metrics"))
+	answered, admitted := 1+1+1+drill, 1+drill
+	stage := func(s obs.Stage) float64 {
+		return one(t, samples, "bxtd_stage_seconds_count", map[string]string{"scheme": "universal", "stage": string(s)}).value
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"frame_read", stage(obs.StageFrameRead), float64(answered)},
+		{"admission", stage(obs.StageAdmission), float64(admitted)},
+		{"codec_encode", stage(obs.StageEncode), float64(replies)},
+		{"phy_account", stage(obs.StageAccount), float64(replies)},
+		{"frame_write", stage(obs.StageFrameWrite), float64(replies)},
+		{"bxtd_batches_total", one(t, samples, "bxtd_batches_total", map[string]string{"scheme": "universal"}).value, float64(replies)},
+		{"bxtd_trace_spans_total", one(t, samples, "bxtd_trace_spans_total", nil).value, float64(replies)},
+		{"bxtd_transactions_total", one(t, samples, "bxtd_transactions_total", map[string]string{"scheme": "universal"}).value, float64(replies)},
+		{"bxtd_busy_total", one(t, samples, "bxtd_busy_total", nil).value, 1},
+		{"bxtd_codec_panics_total", one(t, samples, "bxtd_codec_panics_total", nil).value, float64(panics)},
+		{"bxtd_poison_batches_total", one(t, samples, "bxtd_poison_batches_total", nil).value, float64(panics)},
+		{"bxtd_batch_faults_total", one(t, samples, "bxtd_batch_faults_total", nil).value, float64(panics + 1)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
 	}
 }

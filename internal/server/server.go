@@ -156,10 +156,6 @@ func (s *Server) SetLogger(l *slog.Logger) {
 	}
 }
 
-// Tracer returns the per-(scheme, stage) latency tracer backing the
-// bxtd_stage_seconds exposition.
-func (s *Server) Tracer() obs.Tracer { return s.met.stages }
-
 // routes mounts bxtd's own routes on the metrics listener: /drain, and —
 // only when cfg.Debug — the event and poison rings.
 func (s *Server) routes(mux *http.ServeMux) {

@@ -139,8 +139,8 @@ func (ss *session) dispatch(ft trace.FrameType, body []byte, readStart time.Time
 	case trace.FrameBatch:
 		// The frame_read stage includes the wait for the client's next
 		// batch, so it reflects arrival gaps, not just parsing.
-		// handleBatch observes it so the sample can carry the batch's
-		// trace id once the envelope is open.
+		// handleBatch writes it into the batch's span, whose trace id
+		// the envelope supplies.
 		st.handleBatch(body, time.Since(readStart))
 	case trace.FrameStateSnapshot:
 		st.handleStateSnapshot()

@@ -30,7 +30,6 @@ type stream struct {
 	txnSize    int
 	metaBits   int
 	metaBytes  int
-	counters   *schemeCounters
 	log        *slog.Logger
 	// faults counts this stream's recoverable batch faults against the
 	// configured budget. An exhausted budget kills only this stream;
@@ -45,23 +44,24 @@ type stream struct {
 	// cached, when non-nil, is the similarity tier for this stream's
 	// (scheme, txnSize): a simcache.Encoder decorating the codec's batch
 	// entry point, so repeated transactions are served without re-running
-	// the codec. cacheH is its simcache_lookup stage histogram.
+	// the codec.
 	cached *simcache.Encoder
-	cacheH *obs.Histogram
 
-	// Stage histograms, resolved once at open so per-batch observation is
-	// one mutex on the (scheme, stage) histogram.
-	readH, admH, encH, accH, writeH *obs.Histogram
-	batches                         uint64
+	// batches counts the stream's encoded batches: the sequence number
+	// of its codec state.
+	batches uint64
 
-	// traceID is the current batch's end-to-end trace id; span
-	// accumulates its per-stage timings and wire counters, and reaches the
-	// trace ring once the reply is written (wrote).
-	traceID uint64
-	span    obs.Span
+	// span is the current batch's one ledger: its trace id, stage times
+	// and wire counters, each written once. It is recorded, into stages
+	// and (for a reply) the trace ring, once the batch's answer is
+	// written (answered, wrote). stages is the scheme's stage histogram
+	// set, resolved once at open.
+	span   obs.Span
+	stages *obs.StageSet
 	// energy is the stream scheme's live wire-activity counter, resolved
-	// once at open; every batch folds its baseline and encoded bus deltas
-	// into it.
+	// once at open; every encoded batch folds its baseline and encoded bus
+	// deltas into it, and the bxtd_transactions/bytes/batches_total
+	// families render from it.
 	energy *obs.EnergyCounter
 
 	// baseBus and encBus carry the stream's wire state for baseline and
@@ -129,7 +129,6 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 		stateful:   stateful,
 		txnSize:    txnSize,
 		metaBits:   codec.MetaBits(txnSize),
-		counters:   ss.srv.met.scheme(name),
 		baseBus:    bus.New(ss.srv.cfg.ChannelWidthBits),
 		encBus:     bus.New(ss.srv.cfg.ChannelWidthBits),
 	}
@@ -139,18 +138,14 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	// loop behind the same call.
 	st.batch = scheme.BatchEncoder(codec)
 
-	stages := ss.srv.met.stages
-	st.readH = stages.Hist(name, obs.StageFrameRead)
-	st.admH = stages.Hist(name, obs.StageAdmission)
-	st.encH = stages.Hist(name, obs.StageEncode)
-	st.accH = stages.Hist(name, obs.StageAccount)
-	st.writeH = stages.Hist(name, obs.StageFrameWrite)
+	stages := []obs.Stage{obs.StageFrameRead, obs.StageAdmission, obs.StageEncode, obs.StageAccount, obs.StageFrameWrite}
 	st.energy = ss.srv.met.energy.Counter(name)
 	if cache := ss.srv.simCacheFor(name, txnSize, st.metaBits); cache != nil {
 		st.cached = simcache.NewEncoder(cache, st.batch, patcher)
 		st.batch = st.cached
-		st.cacheH = stages.Hist(name, obs.StageSimcacheLookup)
+		stages = append(stages, obs.StageSimcacheLookup)
 	}
+	st.stages = ss.srv.met.stages.Set(name, stages...)
 	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
 	return st, nil
 }
@@ -158,7 +153,13 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 // send writes a t frame on the stream: the stream-id prefix, then the
 // stream-local body.
 func (st *stream) send(t trace.FrameType, body []byte) {
-	st.ss.w.SendStream(t, st.sid, body)
+	st.ss.w.SendStream(t, st.sid, body, nil)
+}
+
+// answer sends a BatchError or Busy frame answering the current batch,
+// recording the batch's span once the frame is written.
+func (st *stream) answer(t trace.FrameType, body []byte) {
+	st.ss.w.SendStream(t, st.sid, body, st.answered)
 }
 
 // handleBatch runs one Batch frame body (already stripped of its
@@ -167,18 +168,17 @@ func (st *stream) send(t trace.FrameType, body []byte) {
 // fault is recoverable, so the session never closes on one.
 func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	ss := st.ss
+	// A damaged envelope yields trace id 0: its frame_read sample carries
+	// no exemplar.
 	id, traceID, payload, err := trace.OpenTraceEnvelope(body)
-	st.traceID = traceID
+	st.span.Reset(traceID, id, ss.id, st.schemeName)
+	st.span.Observe(obs.StageFrameRead, readDur)
 	if err != nil {
 		// OpenTraceEnvelope keeps the id on CRC failures, so the client
 		// can retry the exact batch that arrived corrupt.
-		st.readH.ObserveDuration(readDur)
 		st.softFail(id, false, err.Error())
 		return
 	}
-	st.readH.ObserveDurationEx(readDur, st.traceID)
-	st.span.Reset(st.traceID, id, ss.id, st.schemeName)
-	st.span.Observe(obs.StageFrameRead, readDur)
 	txns, err := trace.ParseBatch(payload, st.txnSize, st.txns[:0])
 	if err != nil {
 		st.softFail(id, false, err.Error())
@@ -195,15 +195,13 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	admStart := time.Now()
 	if !ss.srv.admit() {
 		ss.srv.met.busyShed.Add(1)
-		ss.srv.events.Add(obs.Event{Type: obs.EventBusy, Session: ss.id, Scheme: st.schemeName, Txns: len(txns), TraceID: st.traceID})
-		st.send(trace.FrameBusy, trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))
+		ss.srv.events.Add(obs.Event{Type: obs.EventBusy, Session: ss.id, Scheme: st.schemeName, Txns: len(txns), TraceID: traceID})
+		st.answer(trace.FrameBusy, trace.MarshalBusy(id, ss.srv.cfg.AdmitTimeout))
 		return
 	}
 	// Shed batches never reach here, so the admission stage counts
 	// admitted batches and its histogram reflects successful waits.
-	admDur := time.Since(admStart)
-	st.admH.ObserveDurationEx(admDur, st.traceID)
-	st.span.Observe(obs.StageAdmission, admDur)
+	st.span.Observe(obs.StageAdmission, time.Since(admStart))
 	reply, err := st.processBatch(id, txns)
 	ss.srv.release()
 	if err != nil {
@@ -218,12 +216,16 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	ss.w.Write(reply, st.wrote)
 }
 
-// wrote records a written reply's frame_write sample and finishes its
-// span. Only batch replies feed the frame_write histogram, so its count
-// matches codec_encode's: batches observed == batches replied.
+// answered records the span of a batch answered without a reply.
+func (st *stream) answered(time.Duration) { st.stages.Record(&st.span) }
+
+// wrote finishes a written reply's span with its frame_write sample and
+// records it, into the stage histograms and the trace ring. Only replies
+// reach frame_write, so its count matches codec_encode's: batches encoded
+// == batches replied.
 func (st *stream) wrote(d time.Duration) {
-	st.writeH.ObserveDurationEx(d, st.traceID)
 	st.span.Observe(obs.StageFrameWrite, d)
+	st.stages.Record(&st.span)
 	st.ss.srv.met.traces.Add(&st.span)
 }
 
@@ -235,13 +237,12 @@ func (st *stream) softFail(id uint64, reset bool, cause string) {
 	st.faults++
 	ss.srv.met.batchFaults.Add(1)
 	st.log.Warn("batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
-	ss.srv.events.Add(obs.Event{Type: obs.EventBatchFault, Session: ss.id, Scheme: st.schemeName, Detail: cause, TraceID: st.traceID})
-	st.send(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
+	ss.srv.events.Add(obs.Event{Type: obs.EventBatchFault, Session: ss.id, Scheme: st.schemeName, Detail: cause, TraceID: st.span.TraceID})
+	st.answer(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
 	if st.faults >= ss.srv.cfg.FaultBudget {
 		msg := fmt.Sprintf("fault budget exhausted after %d recoverable faults", st.faults)
-		ss.srv.met.budgetKills.Add(1)
-		ss.srv.events.Add(obs.Event{Type: obs.EventFaultBudget, Session: ss.id, Scheme: st.schemeName, Detail: msg})
 		ss.srv.met.streamKills.Add(1)
+		ss.srv.events.Add(obs.Event{Type: obs.EventFaultBudget, Session: ss.id, Scheme: st.schemeName, Detail: msg})
 		st.log.Warn("closing stream", "reason", msg)
 		ss.closeStream(st, msg)
 		ss.streams.Remove(st.sid, msg)
@@ -253,7 +254,6 @@ func (st *stream) softFail(id uint64, reset bool, cause string) {
 func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 	ss := st.ss
 	ss.srv.met.codecPanics.Add(1)
-	ss.srv.met.poisonBatches.Add(1)
 	ss.srv.poison.add(ss.id, st.schemeName, id, txns, payload, err.Error())
 	st.log.Warn("codec panic recovered; batch quarantined", "batch_id", id, "txns", txns, "err", err)
 	ss.srv.events.Add(obs.Event{Type: obs.EventCodecPanic, Session: ss.id, Scheme: st.schemeName, Txns: txns, Detail: err.Error()})
@@ -284,15 +284,12 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		return nil, err
 	}
 	accStart := time.Now()
-	encDur := accStart.Sub(encStart)
-	st.encH.ObserveDurationEx(encDur, st.traceID)
 	if st.cached != nil {
 		// The lookup time is buried inside the encode pass; surface it as
 		// its own stage, sampled the way the decorator times it.
-		st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
 		st.span.Observe(obs.StageSimcacheLookup, lookups)
 	}
-	st.span.Observe(obs.StageEncode, encDur)
+	st.span.Observe(obs.StageEncode, accStart.Sub(encStart))
 
 	baseNow, encNow := st.baseBus.Stats(), st.encBus.Stats()
 	baseDelta := baseNow.Sub(st.prevBase)
@@ -309,12 +306,9 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		BaselinePJ:    ss.srv.model.Estimate(baseDelta).Total() * 1e12,
 		EncodedPJ:     ss.srv.model.Estimate(encDelta).Total() * 1e12,
 	}
-	st.counters.observe(stats)
 	st.energy.Observe(baseDelta, encDelta)
 	done := time.Now()
-	accDur := done.Sub(accStart)
-	st.accH.ObserveDurationEx(accDur, st.traceID)
-	st.span.Observe(obs.StageAccount, accDur)
+	st.span.Observe(obs.StageAccount, done.Sub(accStart))
 	st.span.Txns = len(txns)
 	st.span.DataBits = stats.DataBits
 	st.span.BaseOnes, st.span.EncOnes = stats.OnesBefore, stats.OnesAfter
@@ -329,7 +323,7 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 			Scheme:     st.schemeName,
 			Txns:       len(txns),
 			DurationMS: float64(total) / float64(time.Millisecond),
-			TraceID:    st.traceID,
+			TraceID:    st.span.TraceID,
 		})
 	} else if st.log.Enabled(context.Background(), slog.LevelDebug) {
 		// Gated so the duration formatting does not allocate on every
@@ -341,7 +335,7 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 	// cover the rest. Echoing the trace id lets the client verify the
 	// reply belongs to the trace it started.
 	frame := trace.AppendStreamID(trace.BeginFrame(ss.reply[:0]), st.sid)
-	frame = trace.AppendTraceEnvelope(frame, id, st.traceID)
+	frame = trace.AppendTraceEnvelope(frame, id, st.span.TraceID)
 	frame = trace.AppendBatchStats(frame, stats)
 	frame = append(frame, st.recBuf...)
 	ss.reply = frame
