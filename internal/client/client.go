@@ -14,20 +14,19 @@
 // restarted, and the caller's decoder must be reset before decoding the
 // next reply.
 //
-// Client and Session share one exchange core (exchange.go): Client reads
-// replies synchronously on its own connection, Session through the Mux
-// reader that demultiplexes a shared one.
+// One transport carries every session: a Client is stream 0 of a Mux of its
+// own. A session awaiting a reply reads the connection itself while no
+// sibling holds the read role; its own reply comes back in place, and a
+// frame for another stream is copied into that stream's inbox (mux.go).
 package client
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"time"
 
 	"github.com/hpca18/bxt/internal/obs"
-	"github.com/hpca18/bxt/internal/trace"
 )
 
 // ErrServer wraps error messages returned by the gateway.
@@ -46,7 +45,8 @@ type Config struct {
 	// DialTimeout bounds connection establishment, dial and handshake
 	// together (default 5s).
 	DialTimeout time.Duration
-	// IOTimeout bounds each frame read or write (default 30s).
+	// IOTimeout bounds each frame write and each wait for an answer
+	// (default 30s).
 	IOTimeout time.Duration
 	// Tracer, when non-nil, receives the client-side stage timings of
 	// every Transcode call: obs.StageFrameWrite for marshalling and
@@ -110,8 +110,9 @@ func (c Config) withDefaults() Config {
 type RetryStats struct {
 	// Retries is the number of re-attempted batch exchanges.
 	Retries uint64 `json:"retries"`
-	// Reconnects is the number of successful redials (each one implies
-	// a fresh server-side codec, so Epoch advanced).
+	// Reconnects is the number of successful redials this session's
+	// attempts drove (each one implies a fresh server-side codec, so
+	// Epoch advanced).
 	Reconnects uint64 `json:"reconnects"`
 	// Busy counts Busy sheds received; BatchErrors counts BatchError
 	// replies received.
@@ -119,26 +120,11 @@ type RetryStats struct {
 	BatchErrors uint64 `json:"batch_errors"`
 }
 
-// Client is one bxtd session: stream 0 of its own connection, whose
-// replies it reads synchronously. It is not safe for concurrent use; open
-// one client per goroutine.
-type Client struct {
-	stream
-
-	conn net.Conn
-	cfg  Config
-	addr string
-
-	// readDLAt/writeDLAt record when each connection deadline was last
-	// armed; the hot exchange path re-arms the kernel timer only once a
-	// quarter of IOTimeout has elapsed, keeping the effective limit within
-	// [3/4·IOTimeout, IOTimeout] without a timer update per batch.
-	readDLAt  time.Time
-	writeDLAt time.Time
-	// in reads the connection's reply frames in place; a returned reply's
-	// records alias its buffer.
-	in trace.FrameReader
-}
+// Client is one bxtd session: stream 0 of a Mux of its own, which it is
+// the only session on. Its Transcode, accessors and recovery are
+// Session's. It is not safe for concurrent use; open one client per
+// goroutine.
+type Client struct{ *Session }
 
 // Dial connects to a gateway and opens a session running the named scheme
 // over txnSize-byte transactions, with default timeouts.
@@ -153,98 +139,16 @@ func DialConfig(addr, scheme string, txnSize int, cfg Config) (*Client, error) {
 
 // DialContext is DialConfig with cancelable connection establishment: a
 // canceled or expired ctx aborts the dial and the handshake (the shorter
-// of ctx and cfg.DialTimeout applies to the dial, of ctx and cfg.IOTimeout
-// to the handshake), closing the socket rather than leaking it. The
-// context does not govern the lifetime of the established session.
+// of ctx and cfg.DialTimeout bounds both), closing the socket rather than
+// leaking it. The context does not govern the lifetime of the established
+// session.
 func DialContext(ctx context.Context, addr, scheme string, txnSize int, cfg Config) (*Client, error) {
-	c := &Client{
-		cfg:  cfg.withDefaults(),
-		addr: addr,
-	}
-	c.stream = stream{cfg: &c.cfg, scheme: scheme, txnSize: txnSize}
-	if err := c.dial(ctx); err != nil {
+	s, err := newMux(addr, cfg).open(ctx, scheme, txnSize)
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Client{s}, nil
 }
 
-// dial opens and handshakes a fresh connection for c.
-func (c *Client) dial(ctx context.Context) error {
-	conn, ok, err := connect(ctx, &c.cfg, c.addr, c.scheme, c.txnSize, &c.in)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	// The handshake left its own deadlines on the socket; arm fresh ones
-	// on the first exchange.
-	c.readDLAt, c.writeDLAt = time.Time{}, time.Time{}
-	c.setGeometry(ok.MetaBits, ok.BatchLimit)
-	return nil
-}
-
-// Transcode sends one batch and waits for its reply, retrying recoverable
-// failures up to Config.MaxRetries times. Every transaction must carry
-// TxnSize bytes and len(txns) must not exceed BatchLimit. The returned
-// reply's record slices are only valid until the next call.
-func (c *Client) Transcode(txns []trace.Transaction) (trace.BatchReply, error) {
-	return c.transcode(c, txns)
-}
-
-// ready redials a connection dropped by an earlier attempt.
-func (c *Client) ready() error {
-	if c.conn != nil {
-		return nil
-	}
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.DialTimeout)
-	defer cancel()
-	if err := c.dial(ctx); err != nil {
-		return err
-	}
-	c.stats.Reconnects++
-	c.cfg.Tracer.ObserveStage(c.scheme, obs.StageReconnect, time.Since(start))
-	return nil
-}
-
-func (c *Client) send(frame []byte) error {
-	if now := time.Now(); now.Sub(c.writeDLAt) > c.cfg.IOTimeout>>2 {
-		c.conn.SetWriteDeadline(now.Add(c.cfg.IOTimeout))
-		c.writeDLAt = now
-	}
-	_, err := c.conn.Write(frame)
-	return err
-}
-
-func (c *Client) recv() (trace.FrameType, []byte, error) {
-	if now := time.Now(); now.Sub(c.readDLAt) > c.cfg.IOTimeout>>2 {
-		c.conn.SetReadDeadline(now.Add(c.cfg.IOTimeout))
-		c.readDLAt = now
-	}
-	return c.in.Next()
-}
-
-// broken discards the connection. The next attempt redials; the epoch
-// advances now so even a caller that sees only the final error knows the
-// codec stream it was tracking is gone.
-func (c *Client) broken(error) {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.epoch.Add(1)
-}
-
-// killed reports the server retiring stream 0 out from under the client
-// (fault budget); for a single-stream client that is the end of the
-// connection.
-func (c *Client) killed(msg string) (exchangeKind, error) {
-	return exchangeBroken, fmt.Errorf("%w: stream %d closed by server: %s", ErrServer, c.sid, msg)
-}
-
-// Close tears the session down.
-func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
-	}
-	return c.conn.Close()
-}
+// Close tears the session and its connection down.
+func (c *Client) Close() error { return c.m.Close() }

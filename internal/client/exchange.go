@@ -78,29 +78,12 @@ func handshake(conn net.Conn, in *trace.FrameReader, hello []byte) (trace.Answer
 	return a, nil
 }
 
-// link is the transport beneath a stream: a Client's own connection, read
-// synchronously, or a Session's share of a Mux connection, fed by the mux
-// reader goroutine.
-type link interface {
-	// ready makes a connection available for the next attempt, redialing
-	// (and re-opening the stream) as needed.
-	ready() error
-	// send writes one whole frame, header included, to the server.
-	send(frame []byte) error
-	// recv returns the next frame addressed to this stream; the body stays
-	// valid until the next send.
-	recv() (trace.FrameType, []byte, error)
-	// broken discards the connection after an exchangeBroken outcome.
-	broken(err error)
-	// killed classifies an unprompted StreamClosed for this stream.
-	killed(msg string) (exchangeKind, error)
-}
-
-// stream is the per-stream exchange core Client and Session share: the
-// negotiated geometry, the batch-id and trace-id sequence, the epoch, the
-// retry loop and its accounting, and the reusable request and reply
-// buffers.
-type stream struct {
+// Session is one logical stream on a Mux: an independent transcoding
+// session with its own codec state on the server, batch-id space, epoch,
+// and retry accounting. Like Client, a Session is not safe for concurrent
+// use — drive each from one goroutine.
+type Session struct {
+	m   *Mux
 	cfg *Config
 	sid uint32
 
@@ -117,10 +100,10 @@ type stream struct {
 	// batch shares one trace.
 	id      uint64
 	traceID uint64
-	// epoch advances whenever the server-side codec restarted: on every
-	// reconnect, on a stream kill, and on a BatchError carrying the reset
-	// flag. Atomic because a Mux redial driven by a sibling session's
-	// goroutine bumps it from outside.
+	// epoch advances whenever the server-side codec restarted: once per
+	// failed connection generation the stream was on, on a stream kill,
+	// and on a BatchError carrying the reset flag. Atomic because a
+	// sibling failing the connection bumps it while s is between calls.
 	epoch atomic.Uint64
 	stats RetryStats
 
@@ -130,44 +113,70 @@ type stream struct {
 	bbuf []byte
 	recs []trace.EncodedRecord
 	span obs.Span
+
+	// gen, guarded by m.mu, is the connection generation this stream
+	// last opened on, nil once its failure is counted in epoch. inCall is
+	// set while a Transcode runs. needsReopen is set when the stream must
+	// StreamOpen before its next batch (new generation, or a kill).
+	gen         *muxConn
+	inCall      atomic.Bool
+	needsReopen bool
+	closed      bool
+
+	// The inbox, guarded by m.mu: a frame a sibling read for this stream,
+	// copied into buf. full marks one not yet taken, held one taken whose
+	// bytes the caller may still be reading; a frame arriving while either
+	// is set is stale and dropped. lent is the reader whose buffer holds
+	// the frame this session last read itself. All of it is handed back
+	// when the session sends its next request; opening marks that request
+	// a StreamOpen.
+	buf                 []byte
+	ft                  trace.FrameType
+	full, held, opening bool
+	lent                *trace.FrameReader
+	// wake signals a delivered frame; timer bounds a follower's wait.
+	wake  chan struct{}
+	timer *time.Timer
 }
 
 // setGeometry records the metadata width and batch limit the server
 // negotiated for this stream.
-func (s *stream) setGeometry(metaBits, batchLimit int) {
+func (s *Session) setGeometry(metaBits, batchLimit int) {
 	s.metaBits, s.metaBytes = metaBits, (metaBits+7)/8
 	s.batchLimit = batchLimit
 }
 
 // Scheme returns the session's scheme name.
-func (s *stream) Scheme() string { return s.scheme }
+func (s *Session) Scheme() string { return s.scheme }
 
 // TxnSize returns the session's transaction size in bytes.
-func (s *stream) TxnSize() int { return s.txnSize }
+func (s *Session) TxnSize() int { return s.txnSize }
 
 // MetaBits returns the scheme's side-band width per transaction as
 // negotiated in the handshake or stream open.
-func (s *stream) MetaBits() int { return s.metaBits }
+func (s *Session) MetaBits() int { return s.metaBits }
 
 // BatchLimit returns the server's maximum batch size.
-func (s *stream) BatchLimit() int { return s.batchLimit }
+func (s *Session) BatchLimit() int { return s.batchLimit }
 
 // Epoch returns the codec epoch: it advances every time the server-side
-// codec restarted (reconnect, stream kill, or a BatchError with the reset
-// flag). Callers decoding a stateful scheme must reset their decoder
-// whenever Epoch differs from the value they last observed. Stream epochs
-// are independent: a sibling stream's kill or codec reset never moves
-// this one, only a full connection loss does.
-func (s *stream) Epoch() uint64 { return s.epoch.Load() }
+// codec restarted (a lost connection, a stream kill, or a BatchError with
+// the reset flag). Callers decoding a stateful scheme must reset their
+// decoder whenever Epoch, read after Transcode, differs from the value
+// they last observed. Stream epochs are independent: a sibling stream's
+// kill or codec reset never moves this one, only a connection loss does,
+// and a loss during a Transcode that returns a reply counts in the next
+// call, since that reply was encoded before it.
+func (s *Session) Epoch() uint64 { return s.epoch.Load() }
 
 // RetryStats returns the fault-recovery counters accumulated so far.
-func (s *stream) RetryStats() RetryStats { return s.stats }
+func (s *Session) RetryStats() RetryStats { return s.stats }
 
 // LastTraceID returns the trace id of the most recent Transcode call (zero
 // before the first call). The gateway and any proxy label their spans for
 // that batch with the same id, so it is the key to query their
 // /debug/trace surfaces with.
-func (s *stream) LastTraceID() uint64 { return s.traceID }
+func (s *Session) LastTraceID() uint64 { return s.traceID }
 
 // newTraceID draws a nonzero trace id; zero is reserved to mean
 // "untraced" throughout the stack.
@@ -190,9 +199,21 @@ const (
 	exchangeCaller              // caller error (bad batch); never retried
 )
 
-// transcode sends one batch over l and waits for its reply, retrying
-// recoverable failures up to Config.MaxRetries times.
-func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, error) {
+// ID returns the stream id this session multiplexes on.
+func (s *Session) ID() uint32 { return s.sid }
+
+// Transcode sends one batch on this stream and waits for its reply,
+// retrying recoverable failures (Busy sheds, BatchError replies, stream
+// kills, broken connections) up to Config.MaxRetries times; sibling
+// streams keep exchanging batches on the shared connection the whole
+// time. Every transaction must carry TxnSize bytes and len(txns) must not
+// exceed BatchLimit. The reply's Records alias a buffer the session hands
+// back on its next call: they are valid until then. Copy anything that
+// must outlive that.
+func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) {
+	if s.closed {
+		return trace.BatchReply{}, ErrMuxClosed
+	}
 	if len(txns) == 0 {
 		return trace.BatchReply{}, fmt.Errorf("%w: empty batch", trace.ErrBadFrame)
 	}
@@ -201,6 +222,7 @@ func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, 
 	}
 	s.id++
 	s.traceID = newTraceID()
+	defer s.inCall.Store(false)
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
@@ -209,11 +231,12 @@ func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, 
 			s.backoff(attempt, hint)
 			hint = 0
 		}
-		if err := l.ready(); err != nil {
+		mc, err := s.m.ensure(s)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		reply, h, kind, err := s.exchange(l, txns)
+		reply, h, kind, err := s.exchange(mc, txns)
 		switch kind {
 		case exchangeOK:
 			return reply, nil
@@ -225,17 +248,20 @@ func (s *stream) transcode(l link, txns []trace.Transaction) (trace.BatchReply, 
 		case exchangeFault:
 			s.stats.BatchErrors++
 		case exchangeBroken:
-			l.broken(err)
+			s.m.fail(mc, err)
+			s.m.mu.Lock()
+			s.leaveLocked(mc) // no answer is held, so the epoch moves now
+			s.m.mu.Unlock()
 		}
 		lastErr = err
 	}
 	return trace.BatchReply{}, lastErr
 }
 
-// exchange performs one send/receive of the current batch over l. It
+// exchange performs one send/receive of the current batch on mc. It
 // returns the reply, the server's retry-after hint (Busy only), the outcome
 // class, and the error for every class but exchangeOK.
-func (s *stream) exchange(l link, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
+func (s *Session) exchange(mc *muxConn, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
 	writeStart := time.Now()
 	// The request is built as a whole frame: header room, then the body,
 	// which leads with the stream id; the envelope and its CRC cover
@@ -253,25 +279,26 @@ func (s *stream) exchange(l link, txns []trace.Transaction) (trace.BatchReply, t
 	if err := trace.SealFrame(frame, trace.FrameBatch); err != nil {
 		return trace.BatchReply{}, 0, exchangeCaller, err
 	}
-	if err := l.send(frame); err != nil {
+	s.reclaim(false)
+	if err := mc.write(frame, s.cfg.IOTimeout); err != nil {
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
 	}
 	readStart := time.Now()
 	writeDur := readStart.Sub(writeStart)
 	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameWrite, writeDur)
-	ft, rbody, err := l.recv()
+	ft, rbody, err := s.recv(mc)
 	if err != nil {
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
 	}
 	readDur := time.Since(readStart)
 	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameRead, readDur)
-	return s.classify(l, ft, rbody, writeDur, readDur)
+	return s.classify(ft, rbody, writeDur, readDur)
 }
 
 // classify turns the answer to the current batch into an outcome. A
 // successful reply also records the batch's client-side span when
 // Config.Trace is set.
-func (s *stream) classify(l link, ft trace.FrameType, body []byte, writeDur, readDur time.Duration) (trace.BatchReply, time.Duration, exchangeKind, error) {
+func (s *Session) classify(ft trace.FrameType, body []byte, writeDur, readDur time.Duration) (trace.BatchReply, time.Duration, exchangeKind, error) {
 	a, err := trace.CheckBatch(ft, body, s.sid, s.id, s.traceID)
 	if err != nil {
 		// A damaged answer — a CRC failure included — leaves the stream
@@ -279,13 +306,16 @@ func (s *stream) classify(l link, ft trace.FrameType, body []byte, writeDur, rea
 		// so its codec state is unusable: reconnect for a clean epoch.
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: answer to batch %d on stream %d: %w", s.id, s.sid, err)
 	}
+	// The reader fails the generation on an Error frame, so the answer
+	// is never AnswerEnded here.
 	switch a.Kind {
-	case trace.AnswerEnded:
-		// The server is closing the connection behind this frame.
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, a.Msg)
 	case trace.AnswerKilled:
-		kind, err := l.killed(a.Msg)
-		return trace.BatchReply{}, 0, kind, err
+		// The server retired this stream while the connection lives on:
+		// the server-side codec is gone, so the epoch moves and the next
+		// attempt re-opens the stream fresh.
+		s.epoch.Add(1)
+		s.needsReopen = true
+		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, a.Msg)
 	case trace.AnswerBusy:
 		return trace.BatchReply{}, a.RetryAfter, exchangeBusy,
 			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, s.id, a.RetryAfter)
@@ -318,7 +348,7 @@ func (s *stream) classify(l link, ft trace.FrameType, body []byte, writeDur, rea
 
 // backoff sleeps one retry backoff: exponential with jitter, floored by
 // the server's Busy hint when one was given.
-func (s *stream) backoff(attempt int, hint time.Duration) {
+func (s *Session) backoff(attempt int, hint time.Duration) {
 	d := s.cfg.RetryBackoff << (attempt - 1)
 	if d <= 0 || d > s.cfg.RetryBackoffMax {
 		d = s.cfg.RetryBackoffMax

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -30,15 +31,21 @@ var ErrStreamKilled = errors.New("client: stream killed by server")
 // goroutine — but different Sessions of one Mux are safe to drive
 // concurrently, their frames interleaving on the shared connection.
 //
+// No goroutine reads the connection on the Mux's behalf: a session
+// awaiting an answer takes the read role when no sibling holds it, and
+// gives it back once it has its own frame (Session.recv).
+//
 // The connection is dialed lazily on the first Open (whose scheme and
 // transaction size become the Hello parameters, implicitly opening stream
 // 0) and re-dialed transparently when it breaks: every Session's epoch
-// advances (the server-side codecs are gone) and each stream re-opens on
-// the replacement connection on its next use.
+// advances once for it (the server-side codecs are gone) and each stream
+// re-opens on the replacement connection on its next use.
 type Mux struct {
 	addr string
 	cfg  Config
 
+	// mu guards the fields below, every session's generation, inbox and
+	// lent reader, and each generation's in and inLent.
 	mu       sync.Mutex
 	conn     *muxConn
 	sessions map[uint32]*Session
@@ -48,37 +55,56 @@ type Mux struct {
 	// the Hello of every redial (the Hello implicitly opens stream 0).
 	helloScheme string
 	helloTxn    int
-	// hello is the current connection generation's checked HelloOK:
-	// stream 0's negotiated geometry.
-	hello trace.Answer
+	// spares are frame readers free for a new reader to continue on, at
+	// most one per open session (keep).
+	spares []*trace.FrameReader
 
 	reconnects atomic.Uint64
 }
 
 // muxConn is one generation of the shared connection. Writes from any
-// session serialize on wmu; a single reader goroutine owns in and routes
-// reply frames to sessions by stream id. dead is closed (once) when the
-// connection fails, waking every waiting session.
+// session serialize on wmu. The read role is a token in role: its holder
+// alone reads, with in, and puts the token back when it has its own
+// frame. dead is closed (once) when the connection fails, waking every
+// waiting session.
 type muxConn struct {
 	conn net.Conn
-	in   trace.FrameReader
-	gen  uint64
+	// hello is the generation's checked HelloOK: stream 0's negotiated
+	// geometry.
+	hello trace.Answer
 
 	wmu sync.Mutex
+	// writeDLAt and readDLAt record when each deadline was last armed:
+	// they are re-armed only once a quarter of IOTimeout has passed,
+	// keeping the effective limit within [3/4·IOTimeout, IOTimeout]
+	// without a timer update per frame.
+	writeDLAt time.Time
+	readDLAt  time.Time
+
+	role chan struct{}
+	// in is the reader the role holder reads with. inLent marks its
+	// buffer as holding a frame a session read in place and may still be
+	// using; the next holder then moves to a spare, carrying over the
+	// bytes of a frame still arriving, which Read serves before the
+	// socket.
+	in     *trace.FrameReader
+	inLent bool
+	carry  []byte
 
 	dead     chan struct{}
 	deadErr  error
 	deadOnce sync.Once
 }
 
-// fail marks the connection dead with err and closes the socket, waking
-// the reader and every session blocked on a reply.
-func (mc *muxConn) fail(err error) {
-	mc.deadOnce.Do(func() {
-		mc.deadErr = err
-		close(mc.dead)
-		mc.conn.Close()
-	})
+// Read feeds the role holder's reader: the carried bytes first, then the
+// socket.
+func (mc *muxConn) Read(p []byte) (int, error) {
+	if len(mc.carry) > 0 {
+		n := copy(p, mc.carry)
+		mc.carry = mc.carry[n:]
+		return n, nil
+	}
+	return mc.conn.Read(p)
 }
 
 func (mc *muxConn) isDead() bool {
@@ -90,60 +116,25 @@ func (mc *muxConn) isDead() bool {
 	}
 }
 
-// muxFrame is one reply frame routed to a session: the type and the full
-// v4 body (stream-id prefix included), copied by the mux reader into fb, a
-// buffer the session owns until it hands fb back.
-type muxFrame struct {
-	ft   trace.FrameType
-	body []byte
-	fb   *frameBuf
-}
-
-// frameBuf is a session's reply buffer; it keeps the capacity of the
-// largest reply copied into it.
-type frameBuf struct{ b []byte }
-
-// Session is one logical stream on a Mux: an independent transcoding
-// session with its own codec state on the server, batch-id space, epoch,
-// and retry accounting. Like Client, a Session is not safe for concurrent
-// use — drive each from one goroutine.
-type Session struct {
-	stream
-	m *Mux
-	// mc is the connection generation the current attempt runs on.
-	mc *muxConn
-
-	// gen is the mux connection generation this stream last opened on;
-	// needsReopen is set when the stream must StreamOpen before its next
-	// batch (new generation, or the server killed the stream).
-	gen         uint64
-	needsReopen bool
-	closed      bool
-
-	// replyCh receives this stream's frames from the mux reader. Capacity
-	// one: the per-stream discipline is one frame in flight, and the
-	// reader drops (never blocks on) anything beyond that.
-	replyCh chan muxFrame
-	// free returns frame buffers to the mux reader, which reads this
-	// stream's next frame into the buffer it finds there, so replies
-	// recycle one buffer instead of allocating. held is the buffer the
-	// last received frame (and the reply Transcode returned) aliases; it
-	// goes back on free when the next exchange starts. Capacity one, like
-	// replyCh.
-	free chan *frameBuf
-	held *frameBuf
-	// timer bounds each await; one per session, re-armed per exchange.
-	timer *time.Timer
+// write sends one whole frame, header included, on the shared connection
+// in one Write, serializing with every other session's writes.
+func (mc *muxConn) write(frame []byte, timeout time.Duration) error {
+	mc.wmu.Lock()
+	defer mc.wmu.Unlock()
+	if now := time.Now(); now.Sub(mc.writeDLAt) > timeout>>2 {
+		mc.conn.SetWriteDeadline(now.Add(timeout))
+		mc.writeDLAt = now
+	}
+	_, err := mc.conn.Write(frame)
+	return err
 }
 
 // NewMux prepares a multiplexed client for addr. No connection is opened
 // until the first Open.
-func NewMux(addr string, cfg Config) (*Mux, error) {
-	return &Mux{
-		addr:     addr,
-		cfg:      cfg.withDefaults(),
-		sessions: make(map[uint32]*Session),
-	}, nil
+func NewMux(addr string, cfg Config) (*Mux, error) { return newMux(addr, cfg), nil }
+
+func newMux(addr string, cfg Config) *Mux {
+	return &Mux{addr: addr, cfg: cfg.withDefaults(), sessions: make(map[uint32]*Session)}
 }
 
 // Reconnects returns how many times the shared connection was re-dialed
@@ -162,6 +153,11 @@ func (m *Mux) Sessions() int {
 // (its parameters become the Hello, which implicitly opens stream 0);
 // later Opens add a stream with a StreamOpen exchange.
 func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
+	return m.open(context.Background(), scheme, txnSize)
+}
+
+// open is Open with a context bounding the dial, when it dials.
+func (m *Mux) open(ctx context.Context, scheme string, txnSize int) (*Session, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -172,7 +168,7 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 		m.helloScheme, m.helloTxn = scheme, txnSize
 	}
 	if m.conn == nil || m.conn.isDead() {
-		if err := m.redialLocked(); err != nil {
+		if err := m.redialLocked(ctx); err != nil {
 			if first {
 				// Let the next Open retry with its own hello parameters.
 				m.helloScheme, m.helloTxn = "", 0
@@ -181,26 +177,14 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 			return nil, err
 		}
 	}
-	mc := m.conn
-	s := &Session{
-		m:       m,
-		gen:     mc.gen,
-		replyCh: make(chan muxFrame, 1),
-		free:    make(chan *frameBuf, 1),
-	}
-	s.stream = stream{cfg: &m.cfg, sid: m.nextSID, scheme: scheme, txnSize: txnSize}
+	s := &Session{m: m, cfg: &m.cfg, sid: m.nextSID, scheme: scheme, txnSize: txnSize, wake: make(chan struct{}, 1)}
 	m.nextSID++
 	m.sessions[s.sid] = s
-	if s.sid == 0 {
-		// Stream 0 was opened by the Hello itself; its negotiated
-		// parameters are the handshake's.
-		s.setGeometry(m.hello.MetaBits, m.hello.BatchLimit)
-		m.mu.Unlock()
-		return s, nil
-	}
 	m.mu.Unlock()
-
-	if err := s.openOnConn(mc); err != nil {
+	// ensure takes stream 0's geometry from the Hello and opens any other.
+	_, err := m.ensure(s)
+	s.inCall.Store(false)
+	if err != nil {
 		m.mu.Lock()
 		delete(m.sessions, s.sid)
 		m.mu.Unlock()
@@ -210,119 +194,108 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 }
 
 // redialLocked dials and handshakes a fresh connection generation. Called
-// with m.mu held. On anything but the first dial, every live session's
-// epoch advances — the server-side codecs died with the old connection —
-// and each stream lazily re-opens on next use.
-func (m *Mux) redialLocked() error {
+// with m.mu held; DialTimeout bounds the dial and the handshake together,
+// since every sibling's Open, Close and frame delivery waits on the lock.
+func (m *Mux) redialLocked(ctx context.Context) error {
 	start := time.Now()
-	// DialTimeout bounds the dial and the handshake together: m.mu is held
-	// throughout, so every sibling's Open, Close and reply routing waits
-	// on this.
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, m.cfg.DialTimeout)
 	defer cancel()
-	mc := &muxConn{
-		gen:  1,
-		dead: make(chan struct{}),
-	}
-	if m.conn != nil {
-		mc.gen = m.conn.gen + 1
-	}
-	conn, ok, err := connect(ctx, &m.cfg, m.addr, m.helloScheme, m.helloTxn, &mc.in)
+	in := m.spare()
+	conn, ok, err := connect(ctx, &m.cfg, m.addr, m.helloScheme, m.helloTxn, in)
 	if err != nil {
+		m.keep(in)
 		return err
 	}
-	mc.conn = conn
-	m.hello = ok
-	if mc.gen > 1 {
+	if m.conn != nil {
 		m.reconnects.Add(1)
-		for _, s := range m.sessions {
-			s.epoch.Add(1)
-		}
 		m.cfg.Tracer.ObserveStage(m.helloScheme, obs.StageReconnect, time.Since(start))
 	}
-	if s := m.sessions[0]; s != nil {
-		// The redial Hello re-opened stream 0 with its original
-		// parameters; refresh what the server (re)negotiated.
-		s.setGeometry(ok.MetaBits, ok.BatchLimit)
-	}
-	m.conn = mc
-	conn.SetDeadline(time.Time{})
-	go m.readLoop(mc)
+	m.conn = &muxConn{conn: conn, hello: ok, in: in, role: make(chan struct{}, 1), dead: make(chan struct{})}
+	m.conn.role <- struct{}{}
 	return nil
 }
 
-// readLoop is the demultiplexer: it owns the connection's read side,
-// routing every frame to the session its stream-id prefix names. Frames
-// are read in place, several per Read when they arrive back to back, and
-// each is copied once, into a buffer its session handed back, so a reply
-// is not allocated. A frame for an unknown stream is dropped (the stream
-// closed concurrently). An Error frame names no stream: the server is
-// closing the connection behind it, so it kills the connection generation
-// with the server's text, as a read or framing error does, waking every
-// waiting session.
-func (m *Mux) readLoop(mc *muxConn) {
-	for {
-		ft, body, err := mc.in.Next()
-		if err == nil && ft == trace.FrameError {
-			mc.fail(fmt.Errorf("%w: %s", ErrServer, body))
-			return
-		}
-		var sid uint32
-		if err == nil {
-			sid, _, err = trace.SplitStreamID(body)
-		}
-		if err != nil {
-			mc.fail(fmt.Errorf("client: mux read: %w", err))
-			return
-		}
+// spare returns a frame reader for a new reader to continue on. Called
+// with m.mu held.
+func (m *Mux) spare() *trace.FrameReader {
+	n := len(m.spares)
+	if n == 0 {
+		return new(trace.FrameReader)
+	}
+	fr := m.spares[n-1]
+	m.spares = m.spares[:n-1]
+	return fr
+}
+
+// keep returns fr to the spares unless they hold one per open session:
+// more are never needed at once, since a session holds at most one lent
+// reader. Called with m.mu held.
+func (m *Mux) keep(fr *trace.FrameReader) {
+	if len(m.spares) < len(m.sessions) {
+		m.spares = append(m.spares, fr)
+	}
+}
+
+// fail marks generation mc dead with err, the first failure only: the
+// socket closes, every waiting session wakes, and every session on mc
+// between calls counts the failure in its epoch, since the server-side
+// codecs died with the connection. A session inside a call may hold an
+// answer encoded before the failure, so it counts the failure itself
+// (Transcode, ensure).
+func (m *Mux) fail(mc *muxConn, err error) {
+	mc.deadOnce.Do(func() {
+		mc.deadErr = err
+		close(mc.dead)
+		mc.conn.Close()
 		m.mu.Lock()
-		s := m.sessions[sid]
+		for _, s := range m.sessions {
+			if !s.inCall.Load() {
+				s.leaveLocked(mc)
+			}
+		}
 		m.mu.Unlock()
-		if s == nil {
-			continue
-		}
-		var fb *frameBuf
-		select {
-		case fb = <-s.free:
-		default:
-			// The session still holds its buffer (first frame, or one
-			// beyond the single frame in flight).
-			fb = new(frameBuf)
-		}
-		fb.b = append(fb.b[:0], body...)
-		select {
-		case s.replyCh <- muxFrame{ft: ft, body: fb.b, fb: fb}:
-		default:
-			// More than one frame outstanding for the stream can only be
-			// an unsolicited duplicate; the stream learns its fate from
-			// the frame already queued (or from its next exchange).
-			s.recycle(fb)
-		}
+	})
+}
+
+// leaveLocked counts the failure of generation mc, when s is on it, in
+// s's epoch. Called with m.mu held.
+func (s *Session) leaveLocked(mc *muxConn) {
+	if mc != nil && s.gen == mc {
+		s.gen = nil
+		s.epoch.Add(1)
 	}
 }
 
 // ensure returns a live connection generation for s to exchange on,
-// redialing the shared connection and re-opening this stream as needed.
+// redialing the shared connection and re-opening this stream as needed,
+// and marks s as inside a call. A redial counts against s, whose attempt
+// drove it.
 func (m *Mux) ensure(s *Session) (*muxConn, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrMuxClosed
 	}
+	s.inCall.Store(true)
 	if m.conn == nil || m.conn.isDead() {
-		if err := m.redialLocked(); err != nil {
+		if err := m.redialLocked(context.Background()); err != nil {
 			m.mu.Unlock()
 			return nil, err
 		}
+		s.stats.Reconnects++
 	}
 	mc := m.conn
-	m.mu.Unlock()
-	if s.gen != mc.gen {
-		s.gen = mc.gen
+	if s.gen != mc {
+		s.leaveLocked(s.gen) // it failed while s was in a call
+		s.gen = mc
 		// The redial Hello re-opened stream 0; every other stream must
 		// re-open explicitly.
 		s.needsReopen = s.sid != 0
+		if s.sid == 0 {
+			s.setGeometry(mc.hello.MetaBits, mc.hello.BatchLimit)
+		}
 	}
+	m.mu.Unlock()
 	if s.needsReopen {
 		if err := s.openOnConn(mc); err != nil {
 			return nil, err
@@ -331,72 +304,204 @@ func (m *Mux) ensure(s *Session) (*muxConn, error) {
 	return mc, nil
 }
 
-// writeFrame sends one whole frame, header included, on the shared
-// connection in one Write, serializing with every other session's writes.
-func (mc *muxConn) writeFrame(frame []byte, timeout time.Duration) error {
-	mc.wmu.Lock()
-	defer mc.wmu.Unlock()
-	mc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := mc.conn.Write(frame)
-	return err
-}
-
-// recycle offers fb back to the mux reader for this stream's next frame;
-// a buffer beyond the one the reader can hold is left to the collector.
-func (s *Session) recycle(fb *frameBuf) {
-	select {
-	case s.free <- fb:
-	default:
+// deliver copies a frame read for stream sid into its session's inbox and
+// wakes the session. A frame for no open stream (one closed concurrently),
+// for an occupied inbox (an unsolicited duplicate), for a stream being
+// re-opened when it is a StreamClosed (the server answering a batch sent
+// after it killed the stream), or read off a generation that has failed
+// is stale, and dropped.
+func (m *Mux) deliver(mc *muxConn, sid uint32, ft trace.FrameType, body []byte) {
+	m.mu.Lock()
+	s := m.sessions[sid]
+	ok := s != nil && !s.full && !s.held && !s.stale(ft) && !mc.isDead()
+	if ok {
+		s.buf = append(s.buf[:0], body...)
+		s.ft, s.full = ft, true
 	}
-}
-
-// reclaim readies s for a new request: the buffer of the last frame goes
-// back to the reader (the caller is done with the previous reply) and any
-// stale frame left over from a timed-out attempt, a previous generation
-// or a killed stream is dropped.
-func (s *Session) reclaim() {
-	if s.held != nil {
-		s.recycle(s.held)
-		s.held = nil
-	}
-	select {
-	case f := <-s.replyCh:
-		s.recycle(f.fb)
-	default:
-	}
-}
-
-// await blocks until the reader routes a frame to s, the connection
-// generation dies, or timeout passes (which kills the generation: the
-// server answers in order, so a missing reply means the connection is
-// gone or desynchronized). The frame's buffer stays held by s until the
-// next reclaim.
-func (s *Session) await(mc *muxConn, timeout time.Duration) (muxFrame, error) {
-	if s.timer == nil {
-		s.timer = time.NewTimer(timeout)
-	} else {
-		// go.mod's language version keeps the pre-1.23 timer channel: a
-		// timer that fired unobserved leaves a value behind, so stop and
-		// drain before re-arming.
-		if !s.timer.Stop() {
-			select {
-			case <-s.timer.C:
-			default:
-			}
+	m.mu.Unlock()
+	if ok {
+		select {
+		case s.wake <- struct{}{}:
+		default:
 		}
-		s.timer.Reset(timeout)
 	}
-	select {
-	case f := <-s.replyCh:
-		s.held = f.fb
-		return f, nil
-	case <-mc.dead:
-		return muxFrame{}, mc.deadErr
-	case <-s.timer.C:
-		err := fmt.Errorf("client: stream %d reply timed out after %v", s.sid, timeout)
-		mc.fail(err)
-		return muxFrame{}, err
+}
+
+// stale reports whether a frame of type ft for s answers nothing s asked.
+func (s *Session) stale(ft trace.FrameType) bool {
+	return s.opening && ft == trace.FrameStreamClosed
+}
+
+// reclaim readies s for a new request, a StreamOpen when opening: a frame
+// left in its inbox from a timed-out attempt, a previous generation or a
+// killed stream is dropped, and what its last answer lies in is handed
+// back — the inbox, or the reader s read it with, which goes back to the
+// spares unless it is still the connection's reader.
+func (s *Session) reclaim(opening bool) {
+	m := s.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.full, s.held, s.opening = false, false, opening
+	if fr := s.lent; fr != nil {
+		s.lent = nil
+		if mc := m.conn; mc != nil && mc.in == fr {
+			mc.inLent = false
+		} else {
+			m.keep(fr)
+		}
 	}
+}
+
+// take returns the frame a sibling delivered to s, if one is waiting.
+// Called with m.mu held.
+func (s *Session) take() (trace.FrameType, []byte, bool) {
+	if !s.full {
+		return 0, nil, false
+	}
+	s.full, s.held = false, true
+	return s.ft, s.buf, true
+}
+
+// recv returns the next frame for s on mc: one a sibling read and
+// delivered, or one s reads itself once it holds the read role. A follower
+// waits at most IOTimeout, which kills the generation: the server answers
+// in order, so a missing answer means the connection is gone or
+// desynchronized. The frame stays valid until s's next request.
+func (s *Session) recv(mc *muxConn) (trace.FrameType, []byte, error) {
+	start := time.Now()
+	for armed := false; ; {
+		select {
+		case <-mc.role:
+			return s.lead(mc, start)
+		default:
+		}
+		s.m.mu.Lock()
+		ft, body, ok := s.take()
+		s.m.mu.Unlock()
+		if ok {
+			return ft, body, nil
+		}
+		if !armed {
+			s.armTimer()
+			armed = true
+		}
+		select {
+		case <-mc.role:
+			return s.lead(mc, start)
+		case <-s.wake:
+		case <-mc.dead:
+			return 0, nil, mc.deadErr
+		case <-s.timer.C:
+			s.m.fail(mc, fmt.Errorf("client: stream %d reply timed out after %v", s.sid, s.cfg.IOTimeout))
+			return 0, nil, mc.deadErr
+		}
+	}
+}
+
+// armTimer arms s's follower timer for one IOTimeout.
+func (s *Session) armTimer() {
+	if s.timer == nil {
+		s.timer = time.NewTimer(s.cfg.IOTimeout)
+		return
+	}
+	// go.mod's language version keeps the pre-1.23 timer channel: a timer
+	// that fired unobserved leaves a value behind, so stop and drain
+	// before re-arming.
+	if !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
+	s.timer.Reset(s.cfg.IOTimeout)
+}
+
+// lead reads mc while s holds the read role, which began awaiting at
+// start. A frame for another stream goes to that stream's inbox; s's own
+// comes back in place, in the reader's buffer, which stays lent to s until
+// its next request. Before giving the role back, lead delivers every
+// whole frame already buffered, so the next holder carries over at most
+// the start of one frame.
+func (s *Session) lead(mc *muxConn, start time.Time) (trace.FrameType, []byte, error) {
+	m := s.m
+	m.mu.Lock()
+	if ft, body, ok := s.take(); ok {
+		// A sibling delivered s's frame before handing the role over.
+		m.mu.Unlock()
+		mc.role <- struct{}{}
+		return ft, body, nil
+	}
+	if mc.isDead() {
+		m.mu.Unlock()
+		return 0, nil, mc.deadErr
+	}
+	if mc.inLent {
+		mc.carry = mc.in.Buffered()
+		mc.in = m.spare()
+		mc.in.Reset(mc)
+		mc.inLent = false
+	}
+	in := mc.in
+	m.mu.Unlock()
+	timeout := s.cfg.IOTimeout
+	for {
+		now := time.Now()
+		if now.Sub(start) > timeout {
+			m.fail(mc, fmt.Errorf("client: stream %d reply timed out after %v", s.sid, timeout))
+			return 0, nil, mc.deadErr
+		}
+		if now.Sub(mc.readDLAt) > timeout>>2 {
+			mc.conn.SetReadDeadline(now.Add(timeout))
+			mc.readDLAt = now
+		}
+		ft, body, sid, err := nextFrame(in)
+		if err != nil {
+			m.fail(mc, err)
+			return 0, nil, mc.deadErr
+		}
+		if sid != s.sid || s.stale(ft) {
+			m.deliver(mc, sid, ft, body)
+			continue
+		}
+		for whole(in.Buffered()) {
+			ft, body, sid, err := nextFrame(in)
+			if err != nil {
+				m.fail(mc, err)
+				break
+			}
+			m.deliver(mc, sid, ft, body)
+		}
+		m.mu.Lock()
+		mc.inLent, s.lent = true, in
+		m.mu.Unlock()
+		mc.role <- struct{}{}
+		return ft, body, nil
+	}
+}
+
+// nextFrame reads the next frame with in and splits its stream id. An
+// Error frame names no stream: the server is closing the connection behind
+// it, so it fails the read with the server's text, as a framing error
+// does.
+func nextFrame(in *trace.FrameReader) (trace.FrameType, []byte, uint32, error) {
+	ft, body, err := in.Next()
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("client: mux read: %w", err)
+	}
+	if ft == trace.FrameError {
+		return 0, nil, 0, fmt.Errorf("%w: %s", ErrServer, body)
+	}
+	sid, _, err := trace.SplitStreamID(body)
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("client: mux read: %w", err)
+	}
+	return ft, body, sid, nil
+}
+
+// whole reports whether b begins with a complete frame: its length prefix
+// and the bytes the prefix counts.
+func whole(b []byte) bool {
+	return len(b) >= 4 && uint64(len(b)-4) >= uint64(binary.LittleEndian.Uint32(b))
 }
 
 // openOnConn runs one StreamOpen exchange for s on mc, refreshing the
@@ -410,23 +515,23 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return err
 	}
-	s.reclaim()
-	if err := mc.writeFrame(frame, s.m.cfg.IOTimeout); err != nil {
+	s.reclaim(true)
+	if err := mc.write(frame, s.cfg.IOTimeout); err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
-	f, err := s.await(mc, s.m.cfg.IOTimeout)
+	ft, body, err := s.recv(mc)
 	if err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
 	// The reader fails the generation on an Error frame, so the answer is
 	// never AnswerEnded here.
-	ok, err := trace.CheckStreamOpen(f.ft, f.body, s.sid)
+	ok, err := trace.CheckStreamOpen(ft, body, s.sid)
 	switch {
 	case err != nil:
 		// A damaged verdict leaves unknown whether the stream opened: the
 		// connection is out of step with the server.
 		err = fmt.Errorf("client: opening stream %d: %w", s.sid, err)
-		mc.fail(err)
+		s.m.fail(mc, err)
 		return err
 	case ok.Kind == trace.AnswerRefused:
 		return fmt.Errorf("%w: stream %d refused: %s", ErrServer, s.sid, ok.Msg)
@@ -434,58 +539,6 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	s.setGeometry(ok.MetaBits, ok.BatchLimit)
 	s.needsReopen = false
 	return nil
-}
-
-// ID returns the stream id this session multiplexes on.
-func (s *Session) ID() uint32 { return s.sid }
-
-// Transcode sends one batch on this stream and waits for its reply,
-// retrying recoverable failures (Busy sheds, BatchError replies, stream
-// kills, broken connections) up to Config.MaxRetries times, exactly like
-// Client.Transcode — but sibling streams keep exchanging batches on the
-// shared connection the whole time. The reply's Records alias a frame
-// buffer the session recycles: they are valid until the next call on this
-// Session, which hands the buffer back to the mux reader for the next
-// reply. Copy anything that must outlive that.
-func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) {
-	if s.closed {
-		return trace.BatchReply{}, ErrMuxClosed
-	}
-	return s.transcode(s, txns)
-}
-
-// ready finds a live connection generation for the next attempt,
-// redialing the shared connection and re-opening this stream as needed.
-func (s *Session) ready() error {
-	mc, err := s.m.ensure(s)
-	if err != nil {
-		return err
-	}
-	s.mc = mc
-	return nil
-}
-
-func (s *Session) send(frame []byte) error {
-	s.reclaim()
-	return s.mc.writeFrame(frame, s.m.cfg.IOTimeout)
-}
-
-func (s *Session) recv() (trace.FrameType, []byte, error) {
-	f, err := s.await(s.mc, s.m.cfg.IOTimeout)
-	return f.ft, f.body, err
-}
-
-// broken kills the connection generation; every stream's epoch advances
-// when the next attempt redials.
-func (s *Session) broken(err error) { s.mc.fail(err) }
-
-// killed handles the server retiring this stream while the connection
-// lives on: the server-side codec is gone, so the epoch moves and the next
-// attempt re-opens the stream fresh.
-func (s *Session) killed(msg string) (exchangeKind, error) {
-	s.epoch.Add(1)
-	s.needsReopen = true
-	return exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, msg)
 }
 
 // Close retires the stream: a StreamClose exchange when the connection is
@@ -499,18 +552,23 @@ func (s *Session) Close() error {
 	m := s.m
 	m.mu.Lock()
 	mc := m.conn
-	live := mc != nil && !mc.isDead() && !s.needsReopen && s.gen == mc.gen
+	live := mc != nil && !mc.isDead() && !s.needsReopen && s.gen == mc
 	delete(m.sessions, s.sid)
+	if n := len(m.sessions); len(m.spares) > n {
+		clear(m.spares[n:])
+		m.spares = m.spares[:n]
+	}
 	m.mu.Unlock()
+	s.reclaim(false)
 	if !live {
 		return nil
 	}
 	// The session is already deregistered, so the reader drops the
-	// StreamClosed ack; the exchange below only pushes the close out and
+	// StreamClosed ack; the write below only pushes the close out and
 	// confirms the write path still works.
 	frame, err := trace.AppendFrame(nil, trace.FrameStreamClose, trace.MarshalStreamClose(s.sid))
 	if err == nil {
-		err = mc.writeFrame(frame, m.cfg.IOTimeout)
+		err = mc.write(frame, s.cfg.IOTimeout)
 	}
 	if err != nil {
 		return fmt.Errorf("client: closing stream %d: %w", s.sid, err)
@@ -528,14 +586,14 @@ func (m *Mux) Close() error {
 	}
 	m.closed = true
 	mc := m.conn
-	m.conn = nil
+	m.conn, m.spares = nil, nil
 	for sid, s := range m.sessions {
 		s.closed = true
 		delete(m.sessions, sid)
 	}
 	m.mu.Unlock()
 	if mc != nil {
-		mc.fail(ErrMuxClosed)
+		m.fail(mc, ErrMuxClosed)
 	}
 	return nil
 }

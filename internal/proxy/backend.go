@@ -168,8 +168,10 @@ type upstream struct {
 	// proxy's own requests (Hello and admin frames).
 	in   trace.FrameReader
 	wbuf []byte
-	// open tracks which streams beyond 0 are open on this connection (the
-	// Hello implicitly opens stream 0).
+	// open tracks which streams are open on this connection (the Hello
+	// opens stream 0). A stream marked false was open here when another
+	// backend killed it: this backend may still have it, with its old
+	// codec, or have killed it too (pstream.upstreamOn).
 	open map[uint32]bool
 }
 
@@ -225,6 +227,11 @@ func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte
 		return nil, err
 	}
 	ft, rbody, err := u.adminExchange(trace.FrameStreamOpen, body, timeout)
+	for err == nil && ft == trace.FrameStreamClosed {
+		// The backend answering a batch relayed after it killed a stream:
+		// the open's own answer follows.
+		ft, rbody, err = u.in.Next()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -236,9 +243,6 @@ func (u *upstream) openStream(o trace.StreamOpen, timeout time.Duration) ([]byte
 		return nil, fmt.Errorf("%w %s: %s", errEnded, u.b.addr, a.Msg)
 	case a.Kind == trace.AnswerRefused:
 		return rbody, fmt.Errorf("%w %s: %s", errRefused, u.b.addr, a.Msg)
-	}
-	if u.open == nil {
-		u.open = make(map[uint32]bool)
 	}
 	u.open[o.ID] = true
 	return rbody, nil

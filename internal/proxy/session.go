@@ -163,7 +163,7 @@ func (ss *session) openStream(o trace.StreamOpen) (*pstream, []byte, error) {
 // goes back to the client.
 func (ss *session) closeStream(st *pstream) {
 	for b, u := range ss.ups {
-		if st.sid != 0 && !u.open[st.sid] {
+		if !u.open[st.sid] {
 			continue
 		}
 		if err := u.closeStream(st.sid, ss.p.cfg.ExchangeTimeout); err != nil {

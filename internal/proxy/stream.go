@@ -119,8 +119,16 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		// while the muxed connection and its sibling streams keep serving.
 		// The kill relays to the client with the backend's cause and the
 		// proxy forgets the stream, so a client re-open builds fresh
-		// routing state, mirroring the gateway.
+		// routing state, mirroring the gateway. Another upstream's copy is
+		// marked stale, not closed: that backend may have killed it too,
+		// unread, and a close of a stream it lacks ends the upstream
+		// session. upstreamOn re-opens a stale stream afresh.
 		delete(u.open, st.sid)
+		for _, o := range ss.ups {
+			if o.open[st.sid] {
+				o.open[st.sid] = false
+			}
+		}
 		ss.p.met.streamKills.Add(1)
 		st.answered(0)
 		st.unpin()
@@ -262,8 +270,10 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 // upstreamOn returns the session's upstream on b with this stream open on
 // it: it dials one first when the session has none, and opens the stream
 // with a StreamOpen exchange on first use (the Hello opened stream 0 on
-// every upstream). Any failure but a refusal drops the upstream; leg
-// names the step that failed.
+// every upstream; a stream the backend killed, stream 0 included, opens
+// afresh, and so does a stale one, closed first if the backend still has
+// it). Any failure but a refusal drops the upstream; leg names the step
+// that failed.
 func (st *pstream) upstreamOn(b *backend) (*upstream, string, error) {
 	ss := st.ss
 	u := ss.ups[b]
@@ -272,14 +282,29 @@ func (st *pstream) upstreamOn(b *backend) (*upstream, string, error) {
 		if u, err = ss.p.dialUpstream(b, ss.hello); err != nil {
 			return nil, "dial", err
 		}
+		u.open = map[uint32]bool{0: true} // the Hello opened stream 0
 		ss.ups[b] = u
+		if st.sid == 0 {
+			// The Hello opened this stream afresh: its HelloOK is the
+			// verdict a re-open of stream 0 relays.
+			st.openOK = trace.MarshalStreamOpenOK(trace.StreamOpenOK{ID: 0, Status: trace.StreamOK, MetaBits: u.ok.MetaBits, BatchLimit: u.ok.BatchLimit})
+		}
 	}
-	if st.sid == 0 || u.open[st.sid] {
+	open, stale := u.open[st.sid]
+	if open {
 		return u, "", nil
 	}
-	okBody, err := u.openStream(
-		trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName},
-		ss.p.cfg.ExchangeTimeout)
+	o := trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName}
+	okBody, err := u.openStream(o, ss.p.cfg.ExchangeTimeout)
+	if stale && errors.Is(err, errRefused) {
+		// The backend still has the stream, with the codec it had before
+		// the kill elsewhere (had it killed the stream too, openStream
+		// would have skipped the notice and opened it): close it, and
+		// open it afresh.
+		if err = u.closeStream(st.sid, ss.p.cfg.ExchangeTimeout); err == nil {
+			okBody, err = u.openStream(o, ss.p.cfg.ExchangeTimeout)
+		}
+	}
 	switch {
 	case st.accepted && errors.Is(err, errRefused):
 		// Not parameter-driven: the connection and the proxy disagree on
@@ -315,7 +340,7 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 	var seq uint64
 	var blob []byte
 	fromShadow := false
-	if old := ss.ups[prev]; old != nil && (st.sid == 0 || old.open[st.sid]) {
+	if old := ss.ups[prev]; old != nil && old.open[st.sid] {
 		// The old upstream may still answer — a draining backend always
 		// does, and even an ejected one often can (the ejection may have
 		// been a probe racing a restart).

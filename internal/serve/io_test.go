@@ -137,10 +137,10 @@ const readsPerBatchCeiling = 1.01
 // TestFrameIOPerLeg is the I/O count gate: with every BXTP leg counted —
 // client, the proxy's client and backend legs, and bxtd — each frame goes
 // out in exactly one Write on every leg, for one session straight to bxtd
-// or through bxtproxy and for the 16-stream mux straight or proxied. On
-// the direct and proxied topologies every leg also reads at most about one
-// time per frame it receives; the mux topologies log their reads per
-// batch.
+// or through bxtproxy and for the 16-stream mux straight or proxied, its
+// streams driven one at a time or by 16 concurrent callers. On the direct
+// and proxied topologies every leg also reads at most about one time per
+// frame it receives; the mux topologies log their reads per batch.
 func TestFrameIOPerLeg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives thousands of loopback batches")
@@ -185,30 +185,29 @@ func TestFrameIOPerLeg(t *testing.T) {
 
 	const batches = 1000
 	for _, tc := range []struct {
-		name    string
-		addr    string
-		mux     bool
-		batch   int
-		proxied bool
+		name       string
+		addr       string
+		mux        bool
+		concurrent bool
+		batch      int
+		proxied    bool
 	}{
-		{"direct", srv.Addr(), false, 256, false},
-		{"proxied", px.Addr(), false, 256, true},
-		{"mux16", srv.Addr(), true, 64, false},
-		{"mux16-proxied", px.Addr(), true, 64, true},
+		{"direct", srv.Addr(), false, false, 256, false},
+		{"proxied", px.Addr(), false, false, 256, true},
+		{"mux16", srv.Addr(), true, false, 64, false},
+		{"mux16-proxied", px.Addr(), true, false, 64, true},
+		{"mux16-concurrent", srv.Addr(), true, true, 64, false},
+		{"mux16-concurrent-proxied", px.Addr(), true, true, 64, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
-			transcode := ioTranscoder(t, tc.addr, cfg, rng, tc.mux, tc.batch)
-			for i := 0; i < 200; i++ {
-				if err := transcode(); err != nil {
-					t.Fatalf("warm-up Transcode: %v", err)
-				}
+			transcode := ioTranscoder(t, tc.addr, cfg, rng, tc.mux, tc.concurrent, tc.batch)
+			if err := transcode(200); err != nil {
+				t.Fatalf("warm-up Transcode: %v", err)
 			}
 			before := ledger.totals(srv.Addr(), px.Addr())
-			for i := 0; i < batches; i++ {
-				if err := transcode(); err != nil {
-					t.Fatalf("Transcode: %v", err)
-				}
+			if err := transcode(batches); err != nil {
+				t.Fatalf("Transcode: %v", err)
 			}
 			after := ledger.totals(srv.Addr(), px.Addr())
 			legs := []string{legClient, legBxtd}
@@ -236,9 +235,10 @@ func TestFrameIOPerLeg(t *testing.T) {
 
 // ioTranscoder dials one plain client, or the mux16 stream mix (twelve
 // basexor and four bdenc streams) on one client.Mux connection, and
-// returns a function that sends one batch of batch 32-byte transactions,
-// on the next mux stream in turn.
-func ioTranscoder(t *testing.T, addr string, cfg client.Config, rng *rand.Rand, mux bool, batch int) func() error {
+// returns a function that sends n batches of batch 32-byte transactions:
+// on the next mux stream in turn, or, when concurrent, from 16 callers at
+// once, one per stream.
+func ioTranscoder(t *testing.T, addr string, cfg client.Config, rng *rand.Rand, mux, concurrent bool, batch int) func(n int) error {
 	t.Helper()
 	txns := func() []trace.Transaction {
 		out := make([]trace.Transaction, batch)
@@ -249,6 +249,7 @@ func ioTranscoder(t *testing.T, addr string, cfg client.Config, rng *rand.Rand, 
 		}
 		return out
 	}
+	var callers []func() error
 	if !mux {
 		c, err := client.DialConfig(addr, "universal", 32, cfg)
 		if err != nil {
@@ -256,35 +257,59 @@ func ioTranscoder(t *testing.T, addr string, cfg client.Config, rng *rand.Rand, 
 		}
 		t.Cleanup(func() { c.Close() })
 		b := txns()
-		return func() error {
+		callers = append(callers, func() error {
 			_, err := c.Transcode(b)
 			return err
-		}
-	}
-	m, err := client.NewMux(addr, cfg)
-	if err != nil {
-		t.Fatalf("NewMux: %v", err)
-	}
-	t.Cleanup(func() { m.Close() })
-	var sessions []*client.Session
-	var bs [][]trace.Transaction
-	for i := 0; i < 16; i++ {
-		name := "basexor"
-		if i%4 == 3 {
-			name = "bdenc"
-		}
-		s, err := m.Open(name, 32)
+		})
+	} else {
+		m, err := client.NewMux(addr, cfg)
 		if err != nil {
-			t.Fatalf("Open(%s): %v", name, err)
+			t.Fatalf("NewMux: %v", err)
 		}
-		sessions = append(sessions, s)
-		bs = append(bs, txns())
+		t.Cleanup(func() { m.Close() })
+		for i := 0; i < 16; i++ {
+			name := "basexor"
+			if i%4 == 3 {
+				name = "bdenc"
+			}
+			s, err := m.Open(name, 32)
+			if err != nil {
+				t.Fatalf("Open(%s): %v", name, err)
+			}
+			b := txns()
+			callers = append(callers, func() error {
+				_, err := s.Transcode(b)
+				return err
+			})
+		}
 	}
 	next := 0
-	return func() error {
-		i := next % len(sessions)
-		next++
-		_, err := sessions[i].Transcode(bs[i])
-		return err
+	return func(n int) error {
+		if !concurrent {
+			for ; n > 0; n-- {
+				if err := callers[next%len(callers)](); err != nil {
+					return err
+				}
+				next++
+			}
+			return nil
+		}
+		errs := make(chan error, len(callers))
+		for i, call := range callers {
+			go func() {
+				var err error
+				for k := i; k < n && err == nil; k += len(callers) {
+					err = call()
+				}
+				errs <- err
+			}()
+		}
+		var first error
+		for range callers {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 }

@@ -450,6 +450,11 @@ func (fr *FrameReader) Next() (FrameType, []byte, error) {
 // that relays it verbatim; nil after an error.
 func (fr *FrameReader) Frame() []byte { return fr.frame }
 
+// Buffered returns the bytes read past the last frame Next returned: the
+// whole frames Next will return without reading, then the start of any
+// frame still arriving. It aliases fr's buffer, like Next's bodies.
+func (fr *FrameReader) Buffered() []byte { return fr.buf[fr.off:fr.end] }
+
 // fill reads until the buffer holds need unreturned bytes, first sliding
 // them to the front of the buffer, and growing it once it is full. It
 // returns the stream's read error once the bytes before it run out.

@@ -135,6 +135,52 @@ func TestFrameBufferReuse(t *testing.T) {
 	}
 }
 
+// readCounter counts the Read calls made on a reader.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameReaderBuffered pins Buffered: after Next it holds exactly the
+// bytes read past the returned frame, the frames there are returned
+// without another Read, and once they are used up it holds only the start
+// of the frame still arriving — while every frame returned earlier stays
+// intact in the buffer.
+func TestFrameReaderBuffered(t *testing.T) {
+	var wire bytes.Buffer
+	for i := byte(1); i <= 3; i++ {
+		if err := WriteFrame(&wire, FrameBatchReply, bytes.Repeat([]byte{i}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := wire.Bytes()
+	frameLen := len(stream) / 3
+	src := &readCounter{r: bytes.NewReader(stream[:len(stream)-10])}
+	fr := NewFrameReader(src)
+	_, first, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fr.Buffered(), stream[frameLen:len(stream)-10]; !bytes.Equal(got, want) {
+		t.Fatalf("Buffered after the first frame holds %d bytes, want the %d read past it", len(got), len(want))
+	}
+	reads := src.reads
+	if _, body, err := fr.Next(); err != nil || !bytes.Equal(body, bytes.Repeat([]byte{2}, 40)) || src.reads != reads {
+		t.Fatalf("second frame: %x, %v after %d more reads; want it from the buffer", body, err, src.reads-reads)
+	}
+	if got, want := fr.Buffered(), stream[2*frameLen:len(stream)-10]; !bytes.Equal(got, want) {
+		t.Fatalf("Buffered holds %x, want the partial third frame %x", got, want)
+	}
+	if !bytes.Equal(first, bytes.Repeat([]byte{1}, 40)) {
+		t.Fatal("the first frame's body changed while later frames were read")
+	}
+}
+
 // TestFrameReaderResetStartsClean checks that a FrameReader moved onto a
 // new connection keeps its grown buffer but nothing the old connection
 // sent: no unread input, no stale read error.
