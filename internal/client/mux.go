@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -463,7 +462,7 @@ func (s *Session) lead(mc *muxConn, start time.Time) (trace.FrameType, []byte, e
 			m.deliver(mc, sid, ft, body)
 			continue
 		}
-		for whole(in.Buffered()) {
+		for in.Ready() {
 			ft, body, sid, err := nextFrame(in)
 			if err != nil {
 				m.fail(mc, err)
@@ -496,12 +495,6 @@ func nextFrame(in *trace.FrameReader) (trace.FrameType, []byte, uint32, error) {
 		return 0, nil, 0, fmt.Errorf("client: mux read: %w", err)
 	}
 	return ft, body, sid, nil
-}
-
-// whole reports whether b begins with a complete frame: its length prefix
-// and the bytes the prefix counts.
-func whole(b []byte) bool {
-	return len(b) >= 4 && uint64(len(b)-4) >= uint64(binary.LittleEndian.Uint32(b))
 }
 
 // openOnConn runs one StreamOpen exchange for s on mc, refreshing the

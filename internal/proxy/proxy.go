@@ -345,50 +345,57 @@ const weightTieBand = 1.25
 // attract traffic and get measured); when no backend has samples the
 // score degenerates to pure least-pending. Scores within weightTieBand of
 // the minimum are a tie, broken toward the fewest lifetime batches.
+//
+// Each candidate's live counters are read once, into a snapshot the pick
+// is made from: other sessions move pending and the EWMA concurrently, and
+// a second read could push the only eligible backend out of its own tie
+// band.
 func (p *Proxy) pickStateless(schemeName string, excluded map[*backend]bool) *backend {
-	backends := p.backendList()
-	eligible := func(b *backend) bool {
-		return !b.ejected.Load() && !b.draining.Load() && !excluded[b]
+	type candidate struct {
+		b        *backend
+		latency  float64
+		pending  int64
+		batches  uint64
+		weighted float64
 	}
+	var room [8]candidate
+	cands := room[:0]
 	// Fastest observed latency across the fleet stands in for unmeasured
 	// candidates; 1 (a virtual nanosecond) keeps the score proportional
 	// to pending when nothing is measured yet.
 	fastest := 1.0
-	for _, b := range backends {
-		if !eligible(b) {
+	for _, b := range p.backendList() {
+		if b.ejected.Load() || b.draining.Load() || excluded[b] {
 			continue
 		}
-		if l := b.exchangeEWMA(schemeName); l > 0 && (fastest == 1.0 || l < fastest) {
-			fastest = l
+		c := candidate{b: b, latency: b.exchangeEWMA(schemeName), pending: b.pending.Load(), batches: b.batches.Load()}
+		if c.latency > 0 && (fastest == 1.0 || c.latency < fastest) {
+			fastest = c.latency
 		}
-	}
-	score := func(b *backend) float64 {
-		l := b.exchangeEWMA(schemeName)
-		if l == 0 {
-			l = fastest
-		}
-		return float64(b.pending.Load()+1) * l
+		cands = append(cands, c)
 	}
 	minScore := 0.0
-	for _, b := range backends {
-		if !eligible(b) {
-			continue
+	for i := range cands {
+		c := &cands[i]
+		if c.latency == 0 {
+			c.latency = fastest
 		}
-		if s := score(b); minScore == 0 || s < minScore {
-			minScore = s
-		}
-	}
-	var best *backend
-	var bestBatches uint64
-	for _, b := range backends {
-		if !eligible(b) || score(b) > minScore*weightTieBand {
-			continue
-		}
-		if t := b.batches.Load(); best == nil || t < bestBatches {
-			best, bestBatches = b, t
+		c.weighted = float64(c.pending+1) * c.latency
+		if i == 0 || c.weighted < minScore {
+			minScore = c.weighted
 		}
 	}
-	return best
+	var best *candidate
+	for i := range cands {
+		c := &cands[i]
+		if c.weighted <= minScore*weightTieBand && (best == nil || c.batches < best.batches) {
+			best = c
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return best.b
 }
 
 // pickPinned rendezvous-hashes key over the healthy backends: every

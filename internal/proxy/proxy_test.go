@@ -1,10 +1,12 @@
 package proxy_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -258,11 +260,15 @@ func TestProxyRelay(t *testing.T) {
 
 // TestProxyFaultPathLedger drills a converted batch: the backend ends
 // the session's idle upstream, so the next batch's exchange fails and is
-// answered with a converted Busy, which the client retries. One scrape,
-// taken once the client holds every answer, must count backend_exchange
-// for every exchange attempted, frame_read for every batch frame
-// answered, and frame_write and bxtproxy_trace_spans_total for every
-// reply relayed.
+// answered with a converted Busy, which the client retries. A raw client
+// then sends five batches in one Write, so their answers are held and
+// leave together: a converted Busy, a corrupted envelope the proxy answers
+// itself, and three relayed replies, two of them on one stream. One
+// scrape, taken once both clients hold every answer, must count
+// backend_exchange for every exchange attempted, frame_read for every
+// batch frame answered, and frame_write and bxtproxy_trace_spans_total for
+// every reply relayed; each relayed reply's span is recorded once, under
+// its own trace id.
 func TestProxyFaultPathLedger(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	bcfg := backendConfig()
@@ -275,6 +281,7 @@ func TestProxyFaultPathLedger(t *testing.T) {
 		t.Fatalf("dial through proxy: %v", err)
 	}
 	defer c.Close()
+	raw := dialRawBurst(t, px.Addr())
 	rng := rand.New(rand.NewSource(5))
 	dec := buildDecoder(t, "basexor", bcfg)
 	verifySession(t, c, dec, rng, 5, 16)
@@ -285,6 +292,47 @@ func TestProxyFaultPathLedger(t *testing.T) {
 	if busy == 0 {
 		t.Fatal("no batch was converted; the drill proved nothing")
 	}
+
+	// The raw client's upstream idled out too, so its first batch is
+	// converted; the second has a corrupted envelope.
+	type sent struct {
+		sid         uint32
+		id, traceID uint64
+	}
+	burst := []sent{{0, 1, 0x7ace01}, {0, 2, 0x7ace02}, {1, 1, 0x7ace03}, {1, 2, 0x7ace04}, {0, 3, 0x7ace05}}
+	var wire []byte
+	for _, b := range burst {
+		body := trace.AppendTraceEnvelope(trace.AppendStreamID(nil, b.sid), b.id, b.traceID)
+		body, err := trace.AppendBatch(body, makeTxns(rng, 16, 32), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+			t.Fatal(err)
+		}
+		if b.id == 2 && b.sid == 0 {
+			body[4+20] ^= 0x10 // inside the sealed payload
+		}
+		if wire, err = trace.AppendFrame(wire, trace.FrameBatch, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := raw.conn.Write(wire); err != nil {
+		t.Fatalf("writing the burst: %v", err)
+	}
+	want := []trace.FrameType{trace.FrameBusy, trace.FrameBatchError, trace.FrameBatchReply, trace.FrameBatchReply, trace.FrameBatchReply}
+	for i, b := range burst {
+		ft, body, err := trace.ReadFrame(raw.br, nil)
+		if err != nil {
+			t.Fatalf("reading the answer to burst batch %d: %v", i, err)
+		}
+		a, err := trace.CheckBatch(ft, body, b.sid, b.id, b.traceID)
+		if err != nil || ft != want[i] {
+			t.Fatalf("burst batch %d (stream %d, id %d) answered with frame %#x (%+v, err %v), want %#x", i, b.sid, b.id, ft, a, err, want[i])
+		}
+	}
+
 	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
 	stage := func(s obs.Stage) float64 {
 		return metricValue(t, exp, fmt.Sprintf(`bxtproxy_stage_seconds_count{scheme="basexor",stage=%q}`, s))
@@ -293,16 +341,72 @@ func TestProxyFaultPathLedger(t *testing.T) {
 		name      string
 		got, want float64
 	}{
-		{"frame_read", stage(obs.StageFrameRead), 10 + busy},
-		{"backend_exchange", stage(obs.StageBackend), 10 + busy},
-		{"frame_write", stage(obs.StageFrameWrite), 10},
-		{"bxtproxy_trace_spans_total", metricValue(t, exp, "bxtproxy_trace_spans_total"), 10},
-		{"bxtproxy_busy_converted_total", metricValue(t, exp, "bxtproxy_busy_converted_total"), busy},
+		{"frame_read", stage(obs.StageFrameRead), 10 + busy + 5},
+		{"backend_exchange", stage(obs.StageBackend), 10 + busy + 4},
+		{"frame_write", stage(obs.StageFrameWrite), 10 + 3},
+		{"bxtproxy_trace_spans_total", metricValue(t, exp, "bxtproxy_trace_spans_total"), 10 + 3},
+		{"bxtproxy_busy_converted_total", metricValue(t, exp, "bxtproxy_busy_converted_total"), busy + 1},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
 		}
 	}
+	for _, b := range burst[2:] {
+		doc := getTrace(t, px.MetricsAddr(), b.traceID)
+		if len(doc.Spans) != 1 {
+			t.Errorf("trace %#x: %d spans on /debug/trace, want 1", b.traceID, len(doc.Spans))
+			continue
+		}
+		wrote := 0
+		for _, st := range doc.Spans[0].Stages {
+			if st.Stage == string(obs.StageFrameWrite) {
+				wrote++
+			}
+		}
+		if wrote != 1 {
+			t.Errorf("trace %#x: span has %d frame_write stages, want 1", b.traceID, wrote)
+		}
+	}
+}
+
+// rawBurst is a BXTP client speaking frames by hand, for sending several
+// in one Write.
+type rawBurst struct {
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+// dialRawBurst opens a basexor session with stream 1 open beside stream
+// 0, both for 32-byte transactions.
+func dialRawBurst(t *testing.T, addr string) *rawBurst {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	r := &rawBurst{conn: conn, br: bufio.NewReader(conn)}
+	hello, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: 32, Scheme: "basexor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: 1, TxnSize: 32, Scheme: "basexor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		ft, want trace.FrameType
+		body     []byte
+	}{{trace.FrameHello, trace.FrameHelloOK, hello}, {trace.FrameStreamOpen, trace.FrameStreamOpenOK, open}} {
+		if err := trace.WriteFrame(conn, f.ft, f.body); err != nil {
+			t.Fatalf("writing frame %#x: %v", f.ft, err)
+		}
+		if ft, body, err := trace.ReadFrame(r.br, nil); err != nil || ft != f.want {
+			t.Fatalf("frame %#x answered with %#x (%q), err %v", f.ft, ft, body, err)
+		}
+	}
+	return r
 }
 
 // TestStatelessRetryAvoidsFaultingBackend puts a backend that answers

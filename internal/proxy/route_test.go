@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -58,6 +59,47 @@ func TestWeightedStatelessRouting(t *testing.T) {
 	if got := px.pickStateless("universal", map[*backend]bool{fast: true}); got != slow {
 		t.Fatalf("exclusion routed to %s, want %s", got.addr, slow.addr)
 	}
+}
+
+// TestPickStatelessUnderLiveCounters pins that a stateless pick always
+// finds the backend that is eligible while other sessions move its pending
+// count and latency EWMA underneath the pick: a pick that read a counter
+// twice could score the lone candidate outside its own tie band and come
+// back empty, which a session answers with a converted Busy.
+func TestPickStatelessUnderLiveCounters(t *testing.T) {
+	px := newRoutingFixture(t, "198.51.100.1:1", "198.51.100.2:1")
+	bs := px.backendList()
+	live, ejected := bs[0], bs[1]
+	ejected.ejected.Store(true)
+	live.observeExchange("universal", time.Millisecond)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				live.pending.Add(1)
+				live.observeExchange("universal", time.Duration(1+i%7)*time.Millisecond)
+				live.pending.Add(-1)
+			}
+		}()
+	}
+	for i := 0; i < 200000; i++ {
+		if got := px.pickStateless("universal", nil); got != live {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("pick %d returned %v while %s was eligible", i, got, live.addr)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestUnmeasuredBackendInheritsFastest pins the optimistic default: a

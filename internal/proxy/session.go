@@ -50,13 +50,6 @@ type session struct {
 	// backend, each carrying any subset of the session's streams (tracked
 	// per-connection in upstream.open).
 	ups map[*backend]*upstream
-
-	// span is the current batch's one ledger on the relay leg: its trace
-	// id and its frame_read, backend_exchange and frame_write times, each
-	// written once. Once the batch is answered it is recorded into the
-	// stream's stage histograms and, for a relayed reply, the proxy's
-	// /debug/trace ring. It is owned by the session goroutine.
-	span obs.Span
 }
 
 // Writer returns the session's client-leg frame writer.
@@ -93,6 +86,7 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 		pinned:     scheme.DecodeStateful(schemeName),
 		stages:     ss.p.met.stages.Set(schemeName, obs.StageFrameRead, obs.StageBackend, obs.StageFrameWrite),
 	}
+	st.onAnswered, st.onWrote = st.answered, st.wrote
 	st.snapshottable = st.pinned && scheme.Snapshottable(schemeName)
 	return st
 }

@@ -56,8 +56,20 @@ type pstream struct {
 	// on another upstream connection is a fault of that connection.
 	accepted bool
 
-	// stages is the scheme's stage histogram set, resolved once at open.
+	// span is the current batch's one ledger on the relay leg: its trace
+	// id and its frame_read, backend_exchange and frame_write times, each
+	// written once. Once the batch is answered it is recorded into the
+	// stream's stage histograms and, for a relayed reply, the proxy's
+	// /debug/trace ring. stages is the scheme's stage histogram set,
+	// resolved once at open.
+	span   obs.Span
 	stages *obs.StageSet
+	// onAnswered and onWrote are answered and wrote, bound once at open
+	// for the client leg's Writer to run when an answer leaves. held is
+	// set from the answer's send until then: the stream's next batch
+	// writes the held answer out before its span is reused.
+	onAnswered, onWrote func(time.Duration)
+	held                bool
 }
 
 // handleBatch relays one Batch frame to a backend and the reply back to
@@ -67,13 +79,18 @@ type pstream struct {
 // it is parsed for validation. An error ends the session.
 func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) error {
 	ss := st.ss
+	if st.held {
+		if err := ss.w.Flush(); err != nil {
+			return err
+		}
+	}
 	// The trace id rides the envelope payload; the body still relays
 	// verbatim, the proxy only reads it for its own spans. A damaged
 	// envelope yields trace id 0, so its frame_read sample carries no
 	// exemplar.
 	id, traceID, _, err := trace.OpenTraceEnvelope(interior)
-	ss.span.Reset(traceID, id, ss.id, st.schemeName)
-	ss.span.Observe(obs.StageFrameRead, readDur)
+	st.span.Reset(traceID, id, ss.id, st.schemeName)
+	st.span.Observe(obs.StageFrameRead, readDur)
 	if err != nil {
 		if len(interior) < 12 {
 			st.answered(0) // the session ends without answering it
@@ -83,7 +100,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		// of burning a backend round trip; the carried id is best effort,
 		// exactly as on the gateway.
 		id = binary.LittleEndian.Uint64(interior[:8])
-		return ss.w.SendStream(trace.FrameBatchError, st.sid, trace.MarshalBatchError(id, false, err.Error()), st.answered)
+		return st.answer(trace.FrameBatchError, trace.MarshalBatchError(id, false, err.Error()))
 	}
 
 	u, b, err := st.acquireUpstream()
@@ -95,7 +112,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	ft, rbody, err := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
 	b.pending.Add(-1)
 	backDur := time.Since(start)
-	ss.span.Observe(obs.StageBackend, backDur)
+	st.span.Observe(obs.StageBackend, backDur)
 	var a trace.Answer
 	if err == nil {
 		a, err = trace.CheckBatch(ft, rbody, st.sid, id, traceID)
@@ -145,7 +162,8 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		if !st.pinned {
 			st.avoid = b
 		}
-		return ss.w.Write(u.in.Frame(), st.answered)
+		st.held = true
+		return ss.w.Write(u.in.Frame(), time.Time{}, st.onAnswered)
 	}
 	ss.p.noteBackendOK(b)
 	b.batches.Add(1)
@@ -160,12 +178,15 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 			obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesBefore, stats.TogglesBefore),
 			obs.SyntheticStats(int(stats.Transactions), stats.DataBits, stats.OnesAfter, stats.TogglesAfter),
 		)
-		ss.span.Txns = int(stats.Transactions)
-		ss.span.DataBits = stats.DataBits
-		ss.span.BaseOnes, ss.span.EncOnes = stats.OnesBefore, stats.OnesAfter
-		ss.span.BaseToggles, ss.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
+		st.span.Txns = int(stats.Transactions)
+		st.span.DataBits = stats.DataBits
+		st.span.BaseOnes, st.span.EncOnes = stats.OnesBefore, stats.OnesAfter
+		st.span.BaseToggles, st.span.EncToggles = stats.TogglesBefore, stats.TogglesAfter
 	}
-	if err := ss.w.Write(u.in.Frame(), st.wrote); err != nil {
+	// A held reply's frame_write runs from the exchange's end, a clock
+	// read backend_exchange already took.
+	st.held = true
+	if err := ss.w.Write(u.in.Frame(), start.Add(backDur), st.onWrote); err != nil {
 		return err
 	}
 	if st.snapshottable && ss.p.cfg.ShadowInterval > 0 &&
@@ -175,18 +196,28 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	return nil
 }
 
+// answer sends a Busy or BatchError frame answering the current batch,
+// recording its relay span once the frame is written.
+func (st *pstream) answer(t trace.FrameType, body []byte) error {
+	st.held = true
+	return st.ss.w.SendStream(t, st.sid, body, st.onAnswered)
+}
+
 // answered records the relay span of a batch answered without a relayed
 // reply: a Busy or BatchError frame, relayed or converted, or a stream
 // kill.
-func (st *pstream) answered(time.Duration) { st.stages.Record(&st.ss.span) }
+func (st *pstream) answered(time.Duration) {
+	st.held = false
+	st.stages.Record(&st.span)
+}
 
 // wrote finishes a relayed reply's span with its frame_write sample and
 // records it, into the stage histograms and the trace ring.
 func (st *pstream) wrote(d time.Duration) {
-	ss := st.ss
-	ss.span.Observe(obs.StageFrameWrite, d)
-	st.stages.Record(&ss.span)
-	ss.p.met.traces.Add(&ss.span)
+	st.held = false
+	st.span.Observe(obs.StageFrameWrite, d)
+	st.stages.Record(&st.span)
+	st.ss.p.met.traces.Add(&st.span)
 }
 
 // convertFailure turns an upstream failure into a recoverable reply: Busy
@@ -199,11 +230,10 @@ func (st *pstream) convertFailure(id uint64, cause error) error {
 	if st.pinned {
 		ss.p.met.faultConverted.Add(1)
 		st.pinTarget()
-		body := trace.MarshalBatchError(id, true, "proxy: backend failed, codec state lost: "+cause.Error())
-		return ss.w.SendStream(trace.FrameBatchError, st.sid, body, st.answered)
+		return st.answer(trace.FrameBatchError, trace.MarshalBatchError(id, true, "proxy: backend failed, codec state lost: "+cause.Error()))
 	}
 	ss.p.met.busyConverted.Add(1)
-	return ss.w.SendStream(trace.FrameBusy, st.sid, trace.MarshalBusy(id, ss.p.cfg.RetryHint), st.answered)
+	return st.answer(trace.FrameBusy, trace.MarshalBusy(id, ss.p.cfg.RetryHint))
 }
 
 // acquireUpstream returns a live upstream on the backend the routing

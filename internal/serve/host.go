@@ -14,8 +14,9 @@
 //     metric families;
 //   - the Hello read and version check, and the idle-deadline frame read
 //     (Reader);
-//   - the frame write under the write deadline, whose lock is the barrier
-//     /metrics and /debug/trace wait on (Writer);
+//   - the frame write under the write deadline, one Write per burst of
+//     answers, whose lock is the barrier /metrics and /debug/trace wait on
+//     (Writer);
 //   - the stream table: StreamOpen and StreamClose, the duplicate-id and
 //     StreamLimit refusals, the "unknown stream" answers, and the streams'
 //     teardown when the session ends (Streams);
@@ -30,9 +31,11 @@
 //
 // Both tiers keep one ledger per batch: each stage time is written once,
 // into the batch's obs.Span, and the span is recorded (stage histograms,
-// and the trace ring for a reply) in one call when the batch's answer is
-// written, under the Writer's lock. /metrics and /debug/trace both wait
-// on that lock, so once a client holds an answer, both surfaces count it.
+// and the trace ring for a reply) in one call when the Write carrying the
+// batch's answer ends, under the Writer's lock. /metrics and /debug/trace
+// both wait on that lock, so once a client holds an answer, both surfaces
+// count it. A stream whose answer is still held writes it out before its
+// next batch reuses the span.
 package serve
 
 import (
@@ -45,6 +48,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -514,9 +518,16 @@ type Reader struct {
 }
 
 // Writer is the write half of one session's connection: every frame the
-// session sends leaves through it whole, in one Write, under the host's
-// write deadline. Its lock orders the session's writes against
-// /debug/trace. Get one from NewWriter.
+// session sends leaves through it whole, under the host's write deadline,
+// and no Write ends partway through a frame. Its lock orders the session's
+// writes against /metrics and /debug/trace. Get one from NewWriter.
+//
+// Inside a burst — while Streams.Serve's Reader holds another whole frame,
+// so its next read would not block — the Writer holds each frame in one
+// pending block instead of writing it, and Serve writes the block out in
+// one Write (Flush) before a read that would block. Outside a burst a frame
+// is written at once, straight from the caller's buffer when nothing is
+// held, so sequential traffic still makes one Write per frame.
 type Writer struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -526,75 +537,166 @@ type Writer struct {
 	// err latches the first write failure: the connection is closed then,
 	// and every later frame is dropped.
 	err error
-	// buf frames the bodies Send and SendStream are given.
-	buf []byte
+	// block holds the frames not yet written, whole and back to back; Send,
+	// SendStream and a session building a frame in place (Block) frame
+	// theirs at its end.
+	block []byte
+	// held lists the done callbacks of the frames in block, in order.
+	held []heldFrame
+	// hold is set while a burst lasts; only the session goroutine touches
+	// it.
+	hold bool
 }
+
+// heldFrame is one written frame's done callback, with when the frame was
+// ready: the zero time for one written outside a burst, which its Write
+// times instead.
+type heldFrame struct {
+	done func(time.Duration)
+	at   time.Time
+}
+
+// maxBlock caps the pending block: a burst that reaches it is written out
+// at once, so no frame waits behind more than this many bytes of answers.
+const maxBlock = 64 << 10
 
 // NewWriter returns the Writer for conn.
 func (h *Host[S]) NewWriter(conn net.Conn) *Writer {
 	return &Writer{conn: conn, timeout: h.cfg.WriteTimeout}
 }
 
-// Write writes frame, one whole frame with its header sealed. done, when
-// non-nil, runs once the frame is written, still under the Writer's lock,
-// with the write's duration: a tier records the answered batch's span
-// there, so neither /metrics nor /debug/trace answers between an answer
-// reaching its client and its span being recorded. done must not use the
-// Writer.
+// Write sends frame, one whole frame with its header sealed, which was
+// ready at at. done, when non-nil, runs once the frame is written, still
+// under the Writer's lock, with its frame_write time: from at to the end
+// of the Write that carried it, or, for a frame written outside a burst or
+// a zero at, from that Write's start. A tier records the answered batch's
+// span there, so neither /metrics nor /debug/trace answers between an
+// answer reaching its client and its span being recorded. done must not use
+// the Writer.
 //
-// The first failure, a slow client's expired deadline included, closes
-// the connection, which ends the session's reads too; Write returns it,
-// and net.ErrClosed for every later frame. Like Reader.Next, Write re-arms
-// the deadline only once a quarter of the timeout has burned down, so a
-// stuck client trips it within [3/4·WriteTimeout, WriteTimeout].
-func (w *Writer) Write(frame []byte, done func(time.Duration)) error {
+// A held frame is copied into the block, unless it was built in place at
+// the end of Block; frame may be reused once Write returns. The first
+// failure, a slow client's expired deadline included, closes the
+// connection, which ends the session's reads too; the Write (or Flush) that
+// met it returns it, and every later one net.ErrClosed. Like Reader.Next, a
+// write re-arms the deadline only once a quarter of the timeout has burned
+// down, so a stuck client trips it within [3/4·WriteTimeout, WriteTimeout].
+func (w *Writer) Write(frame []byte, at time.Time, done func(time.Duration)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.write(frame, done)
+	return w.send(frame, at, done)
 }
 
-func (w *Writer) write(frame []byte, done func(time.Duration)) error {
+// Block returns the pending block's spare room, empty and with room for
+// at least n bytes, for the session to build its next frame in by
+// appending to it: a frame that fits lands in place behind the held
+// frames, and Write takes it without a copy. Only the session goroutine may
+// call it, and nothing else may use the Writer until that frame is written.
+func (w *Writer) Block(n int) []byte {
+	w.block = slices.Grow(w.block, n)
+	return w.block[len(w.block):]
+}
+
+// Send frames body as a t frame and sends it.
+func (w *Writer) Send(t trace.FrameType, body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seal(append(trace.BeginFrame(w.Block(trace.FrameHeaderBytes+len(body))), body...), t, nil)
+}
+
+// SendStream frames body behind stream sid's id prefix as a t frame and
+// sends it; done is as for Write, timed from the Write that carries it.
+func (w *Writer) SendStream(t trace.FrameType, sid uint32, body []byte, done func(time.Duration)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	room := trace.FrameHeaderBytes + 4 + len(body)
+	return w.seal(append(trace.AppendStreamID(trace.BeginFrame(w.Block(room)), sid), body...), t, done)
+}
+
+func (w *Writer) seal(frame []byte, t trace.FrameType, done func(time.Duration)) error {
+	if err := trace.SealFrame(frame, t); err != nil {
+		return err
+	}
+	return w.send(frame, time.Time{}, done)
+}
+
+// send writes frame at once when nothing is held outside a burst, and
+// otherwise adds it to the block, which it writes out unless a burst lasts
+// and the block is under maxBlock.
+func (w *Writer) send(frame []byte, at time.Time, done func(time.Duration)) error {
 	if w.err != nil {
 		return net.ErrClosed
 	}
-	start := time.Now()
+	n := len(w.block)
+	if !w.hold && n == 0 {
+		start, end, err := w.write(frame)
+		if err == nil && done != nil {
+			done(end.Sub(start))
+		}
+		return err
+	}
+	if n < cap(w.block) && &w.block[:n+1][n] == &frame[0] {
+		w.block = w.block[:n+len(frame)] // built in place at the end of Block
+	} else {
+		w.block = append(w.block, frame...)
+	}
+	if !w.hold {
+		at = time.Time{}
+	}
+	if done != nil {
+		w.held = append(w.held, heldFrame{done: done, at: at})
+	}
+	if w.hold && len(w.block) < maxBlock {
+		return nil
+	}
+	return w.flush()
+}
+
+// Flush writes out every held frame in one Write, then runs their done
+// callbacks in order. It returns the failure of that Write, or
+// net.ErrClosed once an earlier failure closed the connection.
+func (w *Writer) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flush()
+}
+
+func (w *Writer) flush() error {
+	if w.err != nil {
+		return net.ErrClosed
+	}
+	if len(w.block) == 0 {
+		return nil
+	}
+	start, end, err := w.write(w.block)
+	if err == nil {
+		for _, f := range w.held {
+			if f.at.IsZero() {
+				f.at = start
+			}
+			f.done(end.Sub(f.at))
+		}
+	}
+	clear(w.held)
+	w.held = w.held[:0]
+	w.block = w.block[:0]
+	return err
+}
+
+// write writes p in one Write under the deadline, returning when it began
+// and ended, and latches a failure.
+func (w *Writer) write(p []byte) (start, end time.Time, err error) {
+	start = time.Now()
 	if start.Sub(w.armedAt) > w.timeout>>2 {
 		w.conn.SetWriteDeadline(start.Add(w.timeout))
 		w.armedAt = start
 	}
-	if _, err := w.conn.Write(frame); err != nil {
+	if _, err := w.conn.Write(p); err != nil {
 		w.err = err
 		w.conn.Close()
-		return err
+		return start, end, err
 	}
-	if done != nil {
-		done(time.Since(start))
-	}
-	return nil
-}
-
-// Send frames body as a t frame and writes it.
-func (w *Writer) Send(t trace.FrameType, body []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf = append(trace.BeginFrame(w.buf[:0]), body...)
-	return w.seal(t, nil)
-}
-
-// SendStream frames body behind stream sid's id prefix as a t frame and
-// writes it; done is as for Write.
-func (w *Writer) SendStream(t trace.FrameType, sid uint32, body []byte, done func(time.Duration)) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf = append(trace.AppendStreamID(trace.BeginFrame(w.buf[:0]), sid), body...)
-	return w.seal(t, done)
-}
-
-func (w *Writer) seal(t trace.FrameType, done func(time.Duration)) error {
-	if err := trace.SealFrame(w.buf, t); err != nil {
-		return err
-	}
-	return w.write(w.buf, done)
+	return start, time.Now(), nil
 }
 
 // await returns once no write is in progress: taking the lock is the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -234,5 +235,89 @@ func TestLameDuckAndDrain(t *testing.T) {
 	h.Close() // waits for anything Go started
 	if late.Load() {
 		t.Fatal("Go started a loop after the drain")
+	}
+}
+
+// writeLog is a connection that records each Write it is given.
+type writeLog struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *writeLog) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (c *writeLog) SetWriteDeadline(time.Time) error { return nil }
+
+// TestWriterHoldsBurst pins the Writer's burst rule: while hold is set,
+// frames wait in the block and leave in order in one Write, each done
+// running after it with the time from when its frame was ready; a block
+// that reaches maxBlock is written at once, on a frame boundary; outside a
+// burst a frame is written at once.
+func TestWriterHoldsBurst(t *testing.T) {
+	conn := new(writeLog)
+	w := &Writer{conn: conn, timeout: time.Minute}
+	var order []string
+	done := func(name string, min time.Duration) func(time.Duration) {
+		return func(d time.Duration) {
+			if d < min {
+				t.Errorf("%s: frame_write %v, want at least %v", name, d, min)
+			}
+			order = append(order, name)
+		}
+	}
+
+	w.hold = true
+	relayed, err := trace.AppendFrame(nil, trace.FrameBatchReply, []byte("relayed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SendStream(trace.FrameBusy, 1, []byte("busy"), done("busy", 0))
+	w.Write(relayed, time.Now().Add(-time.Second), done("relayed", time.Second))
+	built := append(trace.BeginFrame(w.Block(64)), "built in place"...)
+	trace.SealFrame(built, trace.FrameBatchReply)
+	w.Write(built, time.Now(), done("built", 0))
+	w.Send(trace.FrameStreamClosed, []byte("closed"))
+	if len(conn.writes) != 0 || len(order) != 0 {
+		t.Fatalf("%d writes and dones %v while the burst lasts, want none", len(conn.writes), order)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 || strings.Join(order, ",") != "busy,relayed,built" {
+		t.Fatalf("flush made %d writes, dones %v; want 1 write, then busy,relayed,built", len(conn.writes), order)
+	}
+	var types []trace.FrameType
+	for in := trace.NewFrameReader(bytes.NewReader(conn.writes[0])); ; {
+		ft, _, err := in.Next()
+		if err != nil {
+			break
+		}
+		types = append(types, ft)
+	}
+	want := []trace.FrameType{trace.FrameBusy, trace.FrameBatchReply, trace.FrameBatchReply, trace.FrameStreamClosed}
+	if fmt.Sprint(types) != fmt.Sprint(want) {
+		t.Fatalf("the write carried frames %v, want %v", types, want)
+	}
+
+	conn.writes = nil
+	big := make([]byte, 10<<10)
+	for sent := 0; sent < maxBlock; sent += trace.FrameHeaderBytes + 4 + len(big) {
+		w.SendStream(trace.FrameBatchReply, 2, big, nil)
+	}
+	if len(conn.writes) != 1 || len(conn.writes[0]) < maxBlock {
+		t.Fatalf("a block past maxBlock made %d writes, want 1 of at least %d bytes", len(conn.writes), maxBlock)
+	}
+	if len(conn.writes[0])%(trace.FrameHeaderBytes+4+len(big)) != 0 {
+		t.Fatalf("the capped write of %d bytes ends inside a frame", len(conn.writes[0]))
+	}
+
+	conn.writes = nil
+	w.hold = false
+	w.Write(relayed, time.Time{}, nil)
+	if len(conn.writes) != 1 || !bytes.Equal(conn.writes[0], relayed) {
+		t.Fatalf("outside a burst: %d writes, want the frame written at once", len(conn.writes))
 	}
 }

@@ -18,10 +18,11 @@ import (
 	"github.com/hpca18/bxt/internal/trace"
 )
 
-// ioCounts tallies the Read and Write calls made on one connection, and
-// the frames its writes carried.
+// ioCounts tallies the Read and Write calls made on one connection, the
+// frames its writes carried, and the writes that ended partway through a
+// frame.
 type ioCounts struct {
-	reads, writes, frames atomic.Int64
+	reads, writes, frames, splits atomic.Int64
 
 	// The frame parser's state, touched only by Write, which every tier
 	// serializes per connection: the length-prefix bytes gathered so far,
@@ -31,8 +32,14 @@ type ioCounts struct {
 	left int
 }
 
-// countFrames advances the frame parser over p, one written chunk.
+// countFrames advances the frame parser over p, one written chunk, and
+// counts a split when p ends inside a frame.
 func (n *ioCounts) countFrames(p []byte) {
+	defer func() {
+		if n.hn != 0 || n.left != 0 {
+			n.splits.Add(1)
+		}
+	}()
 	for len(p) > 0 {
 		if n.left > 0 {
 			k := min(n.left, len(p))
@@ -97,7 +104,7 @@ func (l *connLedger) wrap(c net.Conn, leg string) net.Conn {
 }
 
 // legIO is one leg's summed counts.
-type legIO struct{ reads, writes, frames int64 }
+type legIO struct{ reads, writes, frames, splits int64 }
 
 // totals sums the counts per leg. A host-side connection is bxtd's
 // when it was accepted on bxtdAddr, the proxy's client leg when accepted
@@ -123,6 +130,7 @@ func (l *connLedger) totals(bxtdAddr, proxyAddr string) map[string]legIO {
 		t.reads += e.n.reads.Load()
 		t.writes += e.n.writes.Load()
 		t.frames += e.n.frames.Load()
+		t.splits += e.n.splits.Load()
 		out[leg] = t
 	}
 	return out
@@ -134,13 +142,27 @@ func (l *connLedger) totals(bxtdAddr, proxyAddr string) map[string]legIO {
 // the kernel splitting a frame across two reads now and then.
 const readsPerBatchCeiling = 1.01
 
-// TestFrameIOPerLeg is the I/O count gate: with every BXTP leg counted —
-// client, the proxy's client and backend legs, and bxtd — each frame goes
-// out in exactly one Write on every leg, for one session straight to bxtd
-// or through bxtproxy and for the 16-stream mux straight or proxied, its
-// streams driven one at a time or by 16 concurrent callers. On the direct
-// and proxied topologies every leg also reads at most about one time per
-// frame it receives; the mux topologies log their reads per batch.
+// burstWritesPerBatchCeiling holds the writes per batch of bxtd and the
+// proxy's client leg on the concurrent mux16 topologies, where answers
+// leave in one Write per burst of requests. Both measured 0.17 on loopback
+// (1.000 when every answer took its own Write), so the ceiling leaves room
+// for a slower or busier host, whose bursts run shorter.
+const burstWritesPerBatchCeiling = 0.5
+
+// TestFrameIOPerLeg is the I/O count gate, with every BXTP leg counted —
+// client, the proxy's client and backend legs, and bxtd — for one session
+// straight to bxtd or through bxtproxy and for the 16-stream mux straight
+// or proxied, its streams driven one at a time or by 16 concurrent
+// callers. On every leg no Write ends partway through a frame, and there
+// are at most as many writes as frames. Sequential traffic has no burst to
+// coalesce, so each of its frames still goes out in exactly one Write. On
+// the concurrent mux topologies the serving legs (bxtd, or the proxy's
+// client leg) answer a burst in one Write made before the read that waits
+// for the next request, so they make at most as many writes as reads, plus
+// one for a read not yet begun when the counts are taken, and stay under
+// burstWritesPerBatchCeiling. On the direct and proxied topologies every
+// leg also reads at most about one time per frame it receives; the mux
+// topologies log their reads per batch.
 func TestFrameIOPerLeg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives thousands of loopback batches")
@@ -214,16 +236,35 @@ func TestFrameIOPerLeg(t *testing.T) {
 			if tc.proxied {
 				legs = []string{legClient, legProxyClient, legProxyBackend, legBxtd}
 			}
+			serving := legBxtd
+			if tc.proxied {
+				serving = legProxyClient
+			}
 			for _, leg := range legs {
 				reads := after[leg].reads - before[leg].reads
 				writes := after[leg].writes - before[leg].writes
 				frames := after[leg].frames - before[leg].frames
 				perBatch := float64(reads) / batches
-				t.Logf("%s: %.3f reads, %.3f writes, %.3f frames sent per batch", leg, perBatch, float64(writes)/batches, float64(frames)/batches)
+				writesPerBatch := float64(writes) / batches
+				t.Logf("%s: %.3f reads, %.3f writes, %.3f frames sent per batch", leg, perBatch, writesPerBatch, float64(frames)/batches)
+				if splits := after[leg].splits - before[leg].splits; splits != 0 {
+					t.Errorf("%s: %d writes ended partway through a frame", leg, splits)
+				}
 				// The proxy's shadow snapshot pulls add frames on the
-				// backend leg; every frame still goes out in one Write.
-				if writes != frames || frames < batches {
-					t.Errorf("%s: %d writes for %d frames over %d batches, want exactly one per frame", leg, writes, frames, batches)
+				// backend leg.
+				if writes > frames || frames < batches {
+					t.Errorf("%s: %d writes for %d frames over %d batches, want at most one per frame", leg, writes, frames, batches)
+				}
+				if !tc.concurrent && writes != frames {
+					t.Errorf("%s: %d writes for %d frames of sequential traffic, want exactly one per frame", leg, writes, frames)
+				}
+				if tc.concurrent && leg == serving {
+					if writes > reads+1 {
+						t.Errorf("%s: %d writes for %d reads, want at most one per read", leg, writes, reads)
+					}
+					if writesPerBatch > burstWritesPerBatchCeiling {
+						t.Errorf("%s: %.3f writes per batch, want at most %.2f", leg, writesPerBatch, burstWritesPerBatchCeiling)
+					}
 				}
 				if !tc.mux && perBatch > readsPerBatchCeiling {
 					t.Errorf("%s: %.3f reads per batch, want at most %.2f", leg, perBatch, readsPerBatchCeiling)

@@ -89,9 +89,21 @@ func (s *Streams[T]) Each(f func(T)) {
 // dispatch with the time its read began. The client closing, a drain or a
 // broken socket ends the session silently; an error from r, the table or
 // dispatch ends it with an Error frame carrying the error's text.
+//
+// While r holds another whole frame, the answers are held in the Writer's
+// block; Serve writes the block out in one Write before a read that would
+// block, and when the session ends.
 func (s *Streams[T]) Serve(r *Reader, dispatch func(ft trace.FrameType, body []byte, readStart time.Time) error) {
+	defer func() {
+		s.w.hold = false
+		s.w.Flush()
+	}()
 	for {
+		if !r.in.Ready() && s.w.Flush() != nil {
+			return
+		}
 		ft, body, readStart, err := r.Next()
+		s.w.hold = r.in.Ready()
 		switch {
 		case err != nil:
 		case ft == trace.FrameStreamOpen:

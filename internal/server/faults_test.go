@@ -67,6 +67,15 @@ func (r *rawClient) send(ft trace.FrameType, body []byte) {
 	}
 }
 
+// sendWire writes wire, whole frames back to back, in one Write.
+func (r *rawClient) sendWire(wire []byte) {
+	r.t.Helper()
+	r.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if _, err := r.conn.Write(wire); err != nil {
+		r.t.Fatalf("write: %v", err)
+	}
+}
+
 func (r *rawClient) recv() (trace.FrameType, []byte) {
 	r.t.Helper()
 	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -404,7 +404,9 @@ func TestDrainUnderLoadConsistency(t *testing.T) {
 // in exactly the stages it crossed: frame_read for every answered batch
 // frame, admission for every admitted one, and codec_encode, phy_account,
 // frame_write, bxtd_batches_total and bxtd_trace_spans_total for every
-// reply.
+// reply. The Busy, the corrupted envelope and two batches on one stream
+// arrive in one Write, so their answers are held and leave together; each
+// reply's span must still be recorded once, under its own trace id.
 func TestFaultPathLedger(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -426,51 +428,115 @@ func TestFaultPathLedger(t *testing.T) {
 	t.Cleanup(func() { unblock(); srv.Close() })
 
 	rng := rand.New(rand.NewSource(12))
-	var replies, panics int
-	// tally reads one answer to a batch that reached the codec.
-	tally := func(r *rawClient) {
+	var replies, panics, busies, admitted int
+	var replyTraces []uint64
+	nextTrace := uint64(0x7ace0000)
+	// batch builds a sealed Batch frame for stream sid under a fresh trace
+	// id, returning the frame and the id.
+	batch := func(sid uint32, id uint64) ([]byte, uint64) {
+		nextTrace++
+		body := trace.AppendTraceEnvelope(trace.AppendStreamID(nil, sid), id, nextTrace)
+		body, err := trace.AppendBatch(body, makeTxns(rng, 1, 32), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := trace.AppendFrame(nil, trace.FrameBatch, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame, nextTrace
+	}
+	// tally reads the answer to batch id of stream sid, sent under
+	// traceID, and counts it.
+	tally := func(r *rawClient, sid uint32, id, traceID uint64) {
+		t.Helper()
 		ft, body := r.recv()
+		body = stripMux(t, sid, body)
 		switch ft {
 		case trace.FrameBatchReply:
+			rid, rtrace, _, err := trace.OpenTraceEnvelope(body)
+			if err != nil || rid != id || rtrace != traceID {
+				t.Fatalf("reply for batch %d trace %#x, err %v; want batch %d trace %#x", rid, rtrace, err, id, traceID)
+			}
 			replies++
+			admitted++
+			replyTraces = append(replyTraces, traceID)
 		case trace.FrameBatchError:
+			if rid, _, msg, err := trace.ParseBatchError(body); err != nil || rid != id {
+				t.Fatalf("BatchError %q for batch %d, err %v; want batch %d", msg, rid, err, id)
+			}
 			panics++
+			admitted++
+		case trace.FrameBusy:
+			busies++
 		default:
-			t.Fatalf("got frame %#x (%q), want BatchReply or BatchError", ft, body)
+			t.Fatalf("got frame %#x (%q), want an answer to batch %d", ft, body, id)
 		}
 	}
 
-	// The occupant's batch holds the only worker while the second
-	// client's batch is shed with a Busy frame.
+	// The occupant's batch holds the only worker.
 	occupant := dialRaw(t, srv.Addr(), "universal", 32)
-	occupant.send(trace.FrameBatch, sealedBatch(t, 1, makeTxns(rng, 1, 32), 32))
+	occFrame, occTrace := batch(0, 1)
+	occupant.sendWire(occFrame)
 	time.Sleep(100 * time.Millisecond)
-	shed := dialRaw(t, srv.Addr(), "universal", 32)
-	shed.send(trace.FrameBatch, sealedBatch(t, 1, makeTxns(rng, 1, 32), 32))
-	if ft, body := shed.recv(); ft != trace.FrameBusy {
-		t.Fatalf("got frame %#x (%q), want Busy", ft, body)
+
+	// One Write carries five batches: the first is shed with a Busy while
+	// the occupant holds the worker, the second has a corrupted envelope
+	// and is answered before admission, and stream 1 gets two in a row.
+	burst := dialRaw(t, srv.Addr(), "universal", 32)
+	openSibling(t, burst, 1, "universal", 32)
+	type sent struct {
+		sid         uint32
+		id, traceID uint64
+	}
+	var wire []byte
+	var burstSent []sent
+	for _, b := range []struct {
+		sid uint32
+		id  uint64
+	}{{0, 1}, {0, 2}, {1, 1}, {1, 2}, {0, 3}} {
+		frame, traceID := batch(b.sid, b.id)
+		if b.id == 2 && b.sid == 0 {
+			frame[trace.FrameHeaderBytes+4+20] ^= 0x10 // inside the sealed payload
+		}
+		wire = append(wire, frame...)
+		burstSent = append(burstSent, sent{b.sid, b.id, traceID})
+	}
+	burst.sendWire(wire)
+	// Free the worker once the first batch is shed, so the rest can be
+	// admitted; the tallies below count whatever each batch got.
+	for deadline := time.Now().Add(5 * time.Second); srv.met.busyShed.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the burst's first batch was never shed")
+		}
 	}
 	unblock()
-	tally(occupant)
-
-	// A corrupted envelope is answered before admission.
-	body := sealedBatch(t, 2, makeTxns(rng, 1, 32), 32)
-	body[20] ^= 0x10
-	shed.send(trace.FrameBatch, body)
-	expectBatchError(t, shed, 2, "crc")
+	if ft, body := burst.recv(); ft != trace.FrameBusy {
+		t.Fatalf("got frame %#x (%q), want Busy", ft, body)
+	}
+	busies++
+	expectBatchError(t, burst, 2, "crc")
+	for _, b := range burstSent[2:] {
+		tally(burst, b.sid, b.id, b.traceID)
+	}
+	tally(occupant, 0, 1, occTrace)
 
 	// One-transaction batches each roll the injector once: some panic.
 	const drill = 12
 	for id := uint64(2); id < 2+drill; id++ {
-		occupant.send(trace.FrameBatch, sealedBatch(t, id, makeTxns(rng, 1, 32), 32))
-		tally(occupant)
+		frame, traceID := batch(0, id)
+		occupant.sendWire(frame)
+		tally(occupant, 0, id, traceID)
 	}
 	if replies == 0 || panics == 0 {
 		t.Fatalf("drill gave %d replies and %d codec faults; the seed must give both", replies, panics)
 	}
 
 	samples := parseProm(t, httpGet(t, "http://"+srv.MetricsAddr()+"/metrics"))
-	answered, admitted := 1+1+1+drill, 1+drill
+	answered := 1 + len(burstSent) + drill
 	stage := func(s obs.Stage) float64 {
 		return one(t, samples, "bxtd_stage_seconds_count", map[string]string{"scheme": "universal", "stage": string(s)}).value
 	}
@@ -486,13 +552,29 @@ func TestFaultPathLedger(t *testing.T) {
 		{"bxtd_batches_total", one(t, samples, "bxtd_batches_total", map[string]string{"scheme": "universal"}).value, float64(replies)},
 		{"bxtd_trace_spans_total", one(t, samples, "bxtd_trace_spans_total", nil).value, float64(replies)},
 		{"bxtd_transactions_total", one(t, samples, "bxtd_transactions_total", map[string]string{"scheme": "universal"}).value, float64(replies)},
-		{"bxtd_busy_total", one(t, samples, "bxtd_busy_total", nil).value, 1},
+		{"bxtd_busy_total", one(t, samples, "bxtd_busy_total", nil).value, float64(busies)},
 		{"bxtd_codec_panics_total", one(t, samples, "bxtd_codec_panics_total", nil).value, float64(panics)},
 		{"bxtd_poison_batches_total", one(t, samples, "bxtd_poison_batches_total", nil).value, float64(panics)},
 		{"bxtd_batch_faults_total", one(t, samples, "bxtd_batch_faults_total", nil).value, float64(panics + 1)},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
+	}
+	for _, id := range replyTraces {
+		doc := getTrace(t, srv.MetricsAddr(), id)
+		if len(doc.Spans) != 1 {
+			t.Errorf("trace %#x: %d spans on /debug/trace, want 1", id, len(doc.Spans))
+			continue
+		}
+		wrote := 0
+		for _, st := range doc.Spans[0].Stages {
+			if st.Stage == string(obs.StageFrameWrite) {
+				wrote++
+			}
+		}
+		if wrote != 1 {
+			t.Errorf("trace %#x: span has %d frame_write stages, want 1", id, wrote)
 		}
 	}
 }

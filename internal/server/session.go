@@ -30,9 +30,10 @@ type session struct {
 	// streams holds the connection's open streams by id.
 	streams *serve.Streams[*stream]
 
-	// reply is the buffer processBatch builds each BatchReply frame in, so
-	// the steady-state batch path allocates nothing. One is enough: the
-	// session writes each reply before it reads the next frame.
+	// reply is where processBatch builds each BatchReply frame: the
+	// Writer's Block for a served batch, so the reply lands in place behind
+	// any held answers and is written without a copy, and the steady-state
+	// batch path allocates nothing.
 	reply []byte
 }
 

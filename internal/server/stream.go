@@ -58,6 +58,15 @@ type stream struct {
 	// set, resolved once at open.
 	span   obs.Span
 	stages *obs.StageSet
+	// onAnswered and onWrote are answered and wrote, bound once at open
+	// for the session's Writer to run when an answer leaves. held is set
+	// from the answer's send until then: the stream's next batch writes
+	// the held answer out before its span is reused.
+	onAnswered, onWrote func(time.Duration)
+	held                bool
+	// ready is when processBatch built the current batch's reply, the
+	// start of its frame_write time when the reply is held.
+	ready time.Time
 	// energy is the stream scheme's live wire-activity counter, resolved
 	// once at open; every encoded batch folds its baseline and encoded bus
 	// deltas into it, and the bxtd_transactions/bytes/batches_total
@@ -146,6 +155,7 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 		stages = append(stages, obs.StageSimcacheLookup)
 	}
 	st.stages = ss.srv.met.stages.Set(name, stages...)
+	st.onAnswered, st.onWrote = st.answered, st.wrote
 	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
 	return st, nil
 }
@@ -159,7 +169,8 @@ func (st *stream) send(t trace.FrameType, body []byte) {
 // answer sends a BatchError or Busy frame answering the current batch,
 // recording the batch's span once the frame is written.
 func (st *stream) answer(t trace.FrameType, body []byte) {
-	st.ss.w.SendStream(t, st.sid, body, st.answered)
+	st.held = true
+	st.ss.w.SendStream(t, st.sid, body, st.onAnswered)
 }
 
 // handleBatch runs one Batch frame body (already stripped of its
@@ -168,6 +179,9 @@ func (st *stream) answer(t trace.FrameType, body []byte) {
 // fault is recoverable, so the session never closes on one.
 func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	ss := st.ss
+	if st.held {
+		ss.w.Flush()
+	}
 	// A damaged envelope yields trace id 0: its frame_read sample carries
 	// no exemplar.
 	id, traceID, payload, err := trace.OpenTraceEnvelope(body)
@@ -202,6 +216,7 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	// Shed batches never reach here, so the admission stage counts
 	// admitted batches and its histogram reflects successful waits.
 	st.span.Observe(obs.StageAdmission, time.Since(admStart))
+	ss.reply = ss.w.Block(len(ss.reply)) // room for a reply the size of the last
 	reply, err := st.processBatch(id, txns)
 	ss.srv.release()
 	if err != nil {
@@ -213,17 +228,22 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 		st.softFail(id, true, err.Error())
 		return
 	}
-	ss.w.Write(reply, st.wrote)
+	st.held = true
+	ss.w.Write(reply, st.ready, st.onWrote)
 }
 
 // answered records the span of a batch answered without a reply.
-func (st *stream) answered(time.Duration) { st.stages.Record(&st.span) }
+func (st *stream) answered(time.Duration) {
+	st.held = false
+	st.stages.Record(&st.span)
+}
 
 // wrote finishes a written reply's span with its frame_write sample and
 // records it, into the stage histograms and the trace ring. Only replies
 // reach frame_write, so its count matches codec_encode's: batches encoded
 // == batches replied.
 func (st *stream) wrote(d time.Duration) {
+	st.held = false
 	st.span.Observe(obs.StageFrameWrite, d)
 	st.stages.Record(&st.span)
 	st.ss.srv.met.traces.Add(&st.span)
@@ -261,7 +281,8 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 
 // processBatch encodes one batch with the stream codec, charges the
 // baseline and encoded transfers to the stream's bus models, and builds the
-// BatchReply frame in the session's reply buffer.
+// BatchReply frame in the session's reply buffer, noting in ready when it
+// was built: the end of accounting, a clock read phy_account already takes.
 // Encoding and bus accounting run fused, block by block (encodeAll), and
 // are timed together as the codec_encode stage; the phy_account stage
 // covers the batch's statistics and power estimate. Any error return
@@ -346,6 +367,7 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		st.recoverBatch()
 		return nil, err
 	}
+	st.ready = done
 	return frame, nil
 }
 

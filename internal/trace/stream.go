@@ -455,6 +455,13 @@ func (fr *FrameReader) Frame() []byte { return fr.frame }
 // frame still arriving. It aliases fr's buffer, like Next's bodies.
 func (fr *FrameReader) Buffered() []byte { return fr.buf[fr.off:fr.end] }
 
+// Ready reports whether a whole frame is buffered: its length prefix and
+// the bytes the prefix counts, so Next returns it without reading.
+func (fr *FrameReader) Ready() bool {
+	b := fr.Buffered()
+	return len(b) >= 4 && uint64(len(b)-4) >= uint64(binary.LittleEndian.Uint32(b))
+}
+
 // fill reads until the buffer holds need unreturned bytes, first sliding
 // them to the front of the buffer, and growing it once it is full. It
 // returns the stream's read error once the bytes before it run out.

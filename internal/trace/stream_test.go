@@ -146,11 +146,12 @@ func (c *readCounter) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestFrameReaderBuffered pins Buffered: after Next it holds exactly the
-// bytes read past the returned frame, the frames there are returned
-// without another Read, and once they are used up it holds only the start
-// of the frame still arriving — while every frame returned earlier stays
-// intact in the buffer.
+// TestFrameReaderBuffered pins Buffered and Ready: after Next Buffered
+// holds exactly the bytes read past the returned frame, the frames there
+// are returned without another Read while Ready reports one, and once they
+// are used up it holds only the start of the frame still arriving, which
+// Ready does not count — while every frame returned earlier stays intact
+// in the buffer.
 func TestFrameReaderBuffered(t *testing.T) {
 	var wire bytes.Buffer
 	for i := byte(1); i <= 3; i++ {
@@ -169,12 +170,18 @@ func TestFrameReaderBuffered(t *testing.T) {
 	if got, want := fr.Buffered(), stream[frameLen:len(stream)-10]; !bytes.Equal(got, want) {
 		t.Fatalf("Buffered after the first frame holds %d bytes, want the %d read past it", len(got), len(want))
 	}
+	if !fr.Ready() {
+		t.Fatal("Ready is false with the second frame whole in the buffer")
+	}
 	reads := src.reads
 	if _, body, err := fr.Next(); err != nil || !bytes.Equal(body, bytes.Repeat([]byte{2}, 40)) || src.reads != reads {
 		t.Fatalf("second frame: %x, %v after %d more reads; want it from the buffer", body, err, src.reads-reads)
 	}
 	if got, want := fr.Buffered(), stream[2*frameLen:len(stream)-10]; !bytes.Equal(got, want) {
 		t.Fatalf("Buffered holds %x, want the partial third frame %x", got, want)
+	}
+	if fr.Ready() {
+		t.Fatal("Ready is true with only part of the third frame buffered")
 	}
 	if !bytes.Equal(first, bytes.Repeat([]byte{1}, 40)) {
 		t.Fatal("the first frame's body changed while later frames were read")
