@@ -18,6 +18,9 @@
 // own. A session awaiting a reply reads the connection itself while no
 // sibling holds the read role; its own reply comes back in place, and a
 // frame for another stream is copied into that stream's inbox (mux.go).
+// Session.Exchange, one whole frame out and its answer back with no retry
+// or redial, is the step Transcode is built on; a relay such as bxtproxy
+// drives it directly on sessions Mux.Stream registers.
 package client
 
 import (

@@ -109,10 +109,11 @@ type Session struct {
 
 	// bbuf (the request frame), recs and span are reused across
 	// Transcode calls so a steady-state streaming client allocates nothing
-	// per batch.
+	// per batch; span is made at the first traced reply, so a session
+	// that records no spans carries none.
 	bbuf []byte
 	recs []trace.EncodedRecord
-	span obs.Span
+	span *obs.Span
 
 	// gen, guarded by m.mu, is the connection generation this stream
 	// last opened on, nil once its failure is counted in epoch. inCall is
@@ -124,14 +125,13 @@ type Session struct {
 	closed      bool
 
 	// The inbox, guarded by m.mu: a frame a sibling read for this stream,
-	// copied into buf. full marks one not yet taken, held one taken whose
-	// bytes the caller may still be reading; a frame arriving while either
-	// is set is stale and dropped. lent is the reader whose buffer holds
+	// copied whole into buf. full marks one not yet taken, held one taken
+	// whose bytes the caller may still be reading; a frame arriving while
+	// either is set is stale and dropped. lent is the reader whose buffer holds
 	// the frame this session last read itself. All of it is handed back
 	// when the session sends its next request; opening marks that request
 	// a StreamOpen.
 	buf                 []byte
-	ft                  trace.FrameType
 	full, held, opening bool
 	lent                *trace.FrameReader
 	// wake signals a delivered frame; timer bounds a follower's wait.
@@ -258,9 +258,9 @@ func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) 
 	return trace.BatchReply{}, lastErr
 }
 
-// exchange performs one send/receive of the current batch on mc. It
-// returns the reply, the server's retry-after hint (Busy only), the outcome
-// class, and the error for every class but exchangeOK.
+// exchange sends the current batch on mc through request and classifies
+// the answer. It returns the reply, the server's retry-after hint (Busy
+// only), the outcome class, and the error for every class but exchangeOK.
 func (s *Session) exchange(mc *muxConn, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
 	writeStart := time.Now()
 	// The request is built as a whole frame: header room, then the body,
@@ -279,20 +279,14 @@ func (s *Session) exchange(mc *muxConn, txns []trace.Transaction) (trace.BatchRe
 	if err := trace.SealFrame(frame, trace.FrameBatch); err != nil {
 		return trace.BatchReply{}, 0, exchangeCaller, err
 	}
-	s.reclaim(false)
-	if err := mc.write(frame, s.cfg.IOTimeout); err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
-	}
-	readStart := time.Now()
-	writeDur := readStart.Sub(writeStart)
-	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameWrite, writeDur)
-	ft, rbody, err := s.recv(mc)
+	answer, sent, err := s.request(mc, frame, s.cfg.IOTimeout)
 	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
+		return trace.BatchReply{}, 0, exchangeBroken, err
 	}
-	readDur := time.Since(readStart)
+	writeDur, readDur := sent.Sub(writeStart), time.Since(sent)
+	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameWrite, writeDur)
 	s.cfg.Tracer.ObserveStage(s.scheme, obs.StageFrameRead, readDur)
-	return s.classify(ft, rbody, writeDur, readDur)
+	return s.classify(trace.FrameType(answer[4]), answer[trace.FrameHeaderBytes:], writeDur, readDur)
 }
 
 // classify turns the answer to the current batch into an outcome. A
@@ -311,10 +305,9 @@ func (s *Session) classify(ft trace.FrameType, body []byte, writeDur, readDur ti
 	switch a.Kind {
 	case trace.AnswerKilled:
 		// The server retired this stream while the connection lives on:
-		// the server-side codec is gone, so the epoch moves and the next
-		// attempt re-opens the stream fresh.
+		// the server-side codec is gone, so the epoch moves, and the next
+		// attempt re-opens the stream fresh (request marked it).
 		s.epoch.Add(1)
-		s.needsReopen = true
 		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, a.Msg)
 	case trace.AnswerBusy:
 		return trace.BatchReply{}, a.RetryAfter, exchangeBusy,
@@ -333,7 +326,10 @@ func (s *Session) classify(ft trace.FrameType, body []byte, writeDur, readDur ti
 	}
 	s.recs = reply.Records
 	if s.cfg.Trace != nil {
-		sp := &s.span
+		if s.span == nil {
+			s.span = new(obs.Span)
+		}
+		sp := s.span
 		sp.Reset(s.traceID, s.id, uint64(s.sid), s.scheme)
 		sp.Observe(obs.StageFrameWrite, writeDur)
 		sp.Observe(obs.StageFrameRead, readDur)

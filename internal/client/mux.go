@@ -73,12 +73,13 @@ type muxConn struct {
 	hello trace.Answer
 
 	wmu sync.Mutex
-	// writeDLAt and readDLAt record when each deadline was last armed:
-	// they are re-armed only once a quarter of IOTimeout has passed,
-	// keeping the effective limit within [3/4·IOTimeout, IOTimeout]
-	// without a timer update per frame.
-	writeDLAt time.Time
-	readDLAt  time.Time
+	// writeDL and readDL are the deadlines last armed. A call re-arms one
+	// only when it falls more than a quarter of the call's timeout short
+	// of the call's own limit, or lies beyond it: the effective limit stays
+	// within [3/4·timeout, timeout] without a timer update per frame, and
+	// calls with different timeouts each get their own.
+	writeDL time.Time
+	readDL  time.Time
 
 	role chan struct{}
 	// in is the reader the role holder reads with. inLent marks its
@@ -115,14 +116,21 @@ func (mc *muxConn) isDead() bool {
 	}
 }
 
+// rearm reports whether a deadline armed at dl must move for a call
+// starting now that may take timeout, and the deadline to move it to.
+func rearm(dl, now time.Time, timeout time.Duration) (time.Time, bool) {
+	want := now.Add(timeout)
+	return want, want.Sub(dl) > timeout>>2 || dl.After(want)
+}
+
 // write sends one whole frame, header included, on the shared connection
 // in one Write, serializing with every other session's writes.
 func (mc *muxConn) write(frame []byte, timeout time.Duration) error {
 	mc.wmu.Lock()
 	defer mc.wmu.Unlock()
-	if now := time.Now(); now.Sub(mc.writeDLAt) > timeout>>2 {
-		mc.conn.SetWriteDeadline(now.Add(timeout))
-		mc.writeDLAt = now
+	if dl, ok := rearm(mc.writeDL, time.Now(), timeout); ok {
+		mc.conn.SetWriteDeadline(dl)
+		mc.writeDL = dl
 	}
 	_, err := mc.conn.Write(frame)
 	return err
@@ -303,19 +311,19 @@ func (m *Mux) ensure(s *Session) (*muxConn, error) {
 	return mc, nil
 }
 
-// deliver copies a frame read for stream sid into its session's inbox and
-// wakes the session. A frame for no open stream (one closed concurrently),
-// for an occupied inbox (an unsolicited duplicate), for a stream being
-// re-opened when it is a StreamClosed (the server answering a batch sent
-// after it killed the stream), or read off a generation that has failed
-// is stale, and dropped.
-func (m *Mux) deliver(mc *muxConn, sid uint32, ft trace.FrameType, body []byte) {
+// deliver copies a frame, whole, read for stream sid into its session's
+// inbox and wakes the session. A frame for no open stream (one closed
+// concurrently), for an occupied inbox (an unsolicited duplicate), for a
+// stream being re-opened when it is a StreamClosed (the server answering a
+// batch sent after it killed the stream), or read off a generation that
+// has failed is stale, and dropped.
+func (m *Mux) deliver(mc *muxConn, sid uint32, frame []byte) {
 	m.mu.Lock()
 	s := m.sessions[sid]
-	ok := s != nil && !s.full && !s.held && !s.stale(ft) && !mc.isDead()
+	ok := s != nil && !s.full && !s.held && !s.stale(frame) && !mc.isDead()
 	if ok {
-		s.buf = append(s.buf[:0], body...)
-		s.ft, s.full = ft, true
+		s.buf = append(s.buf[:0], frame...)
+		s.full = true
 	}
 	m.mu.Unlock()
 	if ok {
@@ -326,9 +334,9 @@ func (m *Mux) deliver(mc *muxConn, sid uint32, ft trace.FrameType, body []byte) 
 	}
 }
 
-// stale reports whether a frame of type ft for s answers nothing s asked.
-func (s *Session) stale(ft trace.FrameType) bool {
-	return s.opening && ft == trace.FrameStreamClosed
+// stale reports whether frame, read for s, answers nothing s asked.
+func (s *Session) stale(frame []byte) bool {
+	return s.opening && trace.FrameType(frame[4]) == trace.FrameStreamClosed
 }
 
 // reclaim readies s for a new request, a StreamOpen when opening: a frame
@@ -351,56 +359,154 @@ func (s *Session) reclaim(opening bool) {
 	}
 }
 
+// Release hands back what s's last answer lies in — the inbox, or the
+// read buffer s read it from in place — which s's next request would
+// otherwise hand back: the answer, its Records included, must not be used
+// afterwards. A caller done with each answer at once keeps a connection on
+// one read buffer however many sessions share it.
+func (s *Session) Release() { s.reclaim(false) }
+
 // take returns the frame a sibling delivered to s, if one is waiting.
 // Called with m.mu held.
-func (s *Session) take() (trace.FrameType, []byte, bool) {
+func (s *Session) take() ([]byte, bool) {
 	if !s.full {
-		return 0, nil, false
+		return nil, false
 	}
 	s.full, s.held = false, true
-	return s.ft, s.buf, true
+	return s.buf, true
 }
 
-// recv returns the next frame for s on mc: one a sibling read and
+// request is the one request/answer step of every session: it sends frame
+// — one whole request on s's stream, header included — on mc in one Write,
+// and returns the answer read for the stream, whole and valid until s's
+// next request or Release, and when the write ended. A StreamOpen's answer is never a StreamClosed: one arriving
+// meanwhile answers a batch sent before the server killed the stream, and
+// is skipped. A StreamClosed answer means the server holds no such stream
+// any more, so the session re-opens it before its next batch. timeout
+// bounds the write and the wait. request neither retries nor redials: a
+// failed write or read fails mc.
+func (s *Session) request(mc *muxConn, frame []byte, timeout time.Duration) ([]byte, time.Time, error) {
+	s.reclaim(trace.FrameType(frame[4]) == trace.FrameStreamOpen)
+	if err := mc.write(frame, timeout); err != nil {
+		s.m.fail(mc, err)
+		return nil, time.Time{}, fmt.Errorf("client: sending on stream %d: %w", s.sid, err)
+	}
+	sent := time.Now()
+	answer, err := s.recv(mc, timeout)
+	if err != nil {
+		return nil, sent, fmt.Errorf("client: awaiting an answer on stream %d: %w", s.sid, err)
+	}
+	if trace.FrameType(answer[4]) == trace.FrameStreamClosed {
+		s.needsReopen = true
+	}
+	return answer, sent, nil
+}
+
+// Exchange sends frame — one whole BXTP request on s's stream, header
+// included — and returns the answer the server sent on the stream: its
+// type, its body (stream id included) and the whole frame, for a peer that
+// relays it verbatim. The answer is valid until s's next request or
+// Release; timeout bounds the write and the wait for it.
+//
+// Exchange is the step Transcode and every stream open are built on, with
+// nothing around it: no retry, no redial, and no reading of the answer
+// past its stream id. A failed write or read, a timeout, or an Error
+// frame from the server — the error then wraps ErrServer and carries the
+// server's text — fails the connection, for every session on it.
+func (s *Session) Exchange(frame []byte, timeout time.Duration) (trace.FrameType, []byte, []byte, error) {
+	s.m.mu.Lock()
+	mc, err := s.m.liveLocked()
+	s.m.mu.Unlock()
+	if err == nil && s.closed {
+		err = ErrMuxClosed
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	answer, _, err := s.request(mc, frame, timeout)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return trace.FrameType(answer[4]), answer[trace.FrameHeaderBytes:], answer, nil
+}
+
+// errNotDialed fails a call that needs the connection before any Open.
+var errNotDialed = errors.New("client: mux not dialed")
+
+// liveLocked returns the mux's connection when it is up, without dialing.
+// Called with m.mu held.
+func (m *Mux) liveLocked() (*muxConn, error) {
+	switch {
+	case m.closed:
+		return nil, ErrMuxClosed
+	case m.conn == nil:
+		return nil, errNotDialed
+	case m.conn.isDead():
+		return nil, m.conn.deadErr
+	}
+	return m.conn, nil
+}
+
+// Stream returns the session registered for stream sid, and whether one
+// already was; when none was, it registers one, sending nothing. A
+// session Stream registers is driven with Exchange alone: its caller sends
+// the stream's StreamOpen, batches and StreamClose itself, and its Close
+// only deregisters it. The connection must be up, dialed by a first Open;
+// Stream never dials.
+func (m *Mux) Stream(sid uint32) (*Session, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, err := m.liveLocked(); err != nil {
+		return nil, false, err
+	}
+	if s := m.sessions[sid]; s != nil {
+		return s, true, nil
+	}
+	s := &Session{m: m, cfg: &m.cfg, sid: sid, wake: make(chan struct{}, 1)}
+	m.sessions[sid] = s
+	return s, false, nil
+}
+
+// recv returns the next frame, whole, for s on mc: one a sibling read and
 // delivered, or one s reads itself once it holds the read role. A follower
-// waits at most IOTimeout, which kills the generation: the server answers
+// waits at most timeout, which kills the generation: the server answers
 // in order, so a missing answer means the connection is gone or
 // desynchronized. The frame stays valid until s's next request.
-func (s *Session) recv(mc *muxConn) (trace.FrameType, []byte, error) {
+func (s *Session) recv(mc *muxConn, timeout time.Duration) ([]byte, error) {
 	start := time.Now()
 	for armed := false; ; {
 		select {
 		case <-mc.role:
-			return s.lead(mc, start)
+			return s.lead(mc, start, timeout)
 		default:
 		}
 		s.m.mu.Lock()
-		ft, body, ok := s.take()
+		frame, ok := s.take()
 		s.m.mu.Unlock()
 		if ok {
-			return ft, body, nil
+			return frame, nil
 		}
 		if !armed {
-			s.armTimer()
+			s.armTimer(timeout)
 			armed = true
 		}
 		select {
 		case <-mc.role:
-			return s.lead(mc, start)
+			return s.lead(mc, start, timeout)
 		case <-s.wake:
 		case <-mc.dead:
-			return 0, nil, mc.deadErr
+			return nil, mc.deadErr
 		case <-s.timer.C:
-			s.m.fail(mc, fmt.Errorf("client: stream %d reply timed out after %v", s.sid, s.cfg.IOTimeout))
-			return 0, nil, mc.deadErr
+			s.m.fail(mc, fmt.Errorf("client: stream %d answer timed out after %v", s.sid, timeout))
+			return nil, mc.deadErr
 		}
 	}
 }
 
-// armTimer arms s's follower timer for one IOTimeout.
-func (s *Session) armTimer() {
+// armTimer arms s's follower timer for d.
+func (s *Session) armTimer(d time.Duration) {
 	if s.timer == nil {
-		s.timer = time.NewTimer(s.cfg.IOTimeout)
+		s.timer = time.NewTimer(d)
 		return
 	}
 	// go.mod's language version keeps the pre-1.23 timer channel: a timer
@@ -412,27 +518,27 @@ func (s *Session) armTimer() {
 		default:
 		}
 	}
-	s.timer.Reset(s.cfg.IOTimeout)
+	s.timer.Reset(d)
 }
 
 // lead reads mc while s holds the read role, which began awaiting at
-// start. A frame for another stream goes to that stream's inbox; s's own
-// comes back in place, in the reader's buffer, which stays lent to s until
-// its next request. Before giving the role back, lead delivers every
-// whole frame already buffered, so the next holder carries over at most
-// the start of one frame.
-func (s *Session) lead(mc *muxConn, start time.Time) (trace.FrameType, []byte, error) {
+// start and waits at most timeout. A frame for another stream goes to that
+// stream's inbox; s's own comes back in place, in the reader's buffer,
+// which stays lent to s until its next request. Before giving the role
+// back, lead delivers every whole frame already buffered, so the next
+// holder carries over at most the start of one frame.
+func (s *Session) lead(mc *muxConn, start time.Time, timeout time.Duration) ([]byte, error) {
 	m := s.m
 	m.mu.Lock()
-	if ft, body, ok := s.take(); ok {
+	if frame, ok := s.take(); ok {
 		// A sibling delivered s's frame before handing the role over.
 		m.mu.Unlock()
 		mc.role <- struct{}{}
-		return ft, body, nil
+		return frame, nil
 	}
 	if mc.isDead() {
 		m.mu.Unlock()
-		return 0, nil, mc.deadErr
+		return nil, mc.deadErr
 	}
 	if mc.inLent {
 		mc.carry = mc.in.Buffered()
@@ -442,59 +548,58 @@ func (s *Session) lead(mc *muxConn, start time.Time) (trace.FrameType, []byte, e
 	}
 	in := mc.in
 	m.mu.Unlock()
-	timeout := s.cfg.IOTimeout
 	for {
 		now := time.Now()
 		if now.Sub(start) > timeout {
-			m.fail(mc, fmt.Errorf("client: stream %d reply timed out after %v", s.sid, timeout))
-			return 0, nil, mc.deadErr
+			m.fail(mc, fmt.Errorf("client: stream %d answer timed out after %v", s.sid, timeout))
+			return nil, mc.deadErr
 		}
-		if now.Sub(mc.readDLAt) > timeout>>2 {
-			mc.conn.SetReadDeadline(now.Add(timeout))
-			mc.readDLAt = now
+		if dl, ok := rearm(mc.readDL, now, timeout); ok {
+			mc.conn.SetReadDeadline(dl)
+			mc.readDL = dl
 		}
-		ft, body, sid, err := nextFrame(in)
+		frame, sid, err := nextFrame(in)
 		if err != nil {
 			m.fail(mc, err)
-			return 0, nil, mc.deadErr
+			return nil, mc.deadErr
 		}
-		if sid != s.sid || s.stale(ft) {
-			m.deliver(mc, sid, ft, body)
+		if sid != s.sid || s.stale(frame) {
+			m.deliver(mc, sid, frame)
 			continue
 		}
 		for in.Ready() {
-			ft, body, sid, err := nextFrame(in)
+			f, sid, err := nextFrame(in)
 			if err != nil {
 				m.fail(mc, err)
 				break
 			}
-			m.deliver(mc, sid, ft, body)
+			m.deliver(mc, sid, f)
 		}
 		m.mu.Lock()
 		mc.inLent, s.lent = true, in
 		m.mu.Unlock()
 		mc.role <- struct{}{}
-		return ft, body, nil
+		return frame, nil
 	}
 }
 
-// nextFrame reads the next frame with in and splits its stream id. An
-// Error frame names no stream: the server is closing the connection behind
-// it, so it fails the read with the server's text, as a framing error
-// does.
-func nextFrame(in *trace.FrameReader) (trace.FrameType, []byte, uint32, error) {
+// nextFrame reads the next frame with in and returns it whole, with its
+// stream id. An Error frame names no stream: the server is closing the
+// connection behind it, so it fails the read with the server's text, as a
+// framing error does.
+func nextFrame(in *trace.FrameReader) ([]byte, uint32, error) {
 	ft, body, err := in.Next()
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("client: mux read: %w", err)
+		return nil, 0, fmt.Errorf("client: mux read: %w", err)
 	}
 	if ft == trace.FrameError {
-		return 0, nil, 0, fmt.Errorf("%w: %s", ErrServer, body)
+		return nil, 0, fmt.Errorf("%w: %s", ErrServer, body)
 	}
 	sid, _, err := trace.SplitStreamID(body)
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("client: mux read: %w", err)
+		return nil, 0, fmt.Errorf("client: mux read: %w", err)
 	}
-	return ft, body, sid, nil
+	return in.Frame(), sid, nil
 }
 
 // openOnConn runs one StreamOpen exchange for s on mc, refreshing the
@@ -508,17 +613,13 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return err
 	}
-	s.reclaim(true)
-	if err := mc.write(frame, s.cfg.IOTimeout); err != nil {
-		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
-	}
-	ft, body, err := s.recv(mc)
+	answer, _, err := s.request(mc, frame, s.cfg.IOTimeout)
 	if err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
 	// The reader fails the generation on an Error frame, so the answer is
 	// never AnswerEnded here.
-	ok, err := trace.CheckStreamOpen(ft, body, s.sid)
+	ok, err := trace.CheckStreamOpen(trace.FrameType(answer[4]), answer[trace.FrameHeaderBytes:], s.sid)
 	switch {
 	case err != nil:
 		// A damaged verdict leaves unknown whether the stream opened: the
@@ -534,9 +635,11 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	return nil
 }
 
-// Close retires the stream: a StreamClose exchange when the connection is
-// live (so the server frees the codec), then local deregistration. The
-// Mux and its other sessions are unaffected.
+// Close retires the stream: a StreamClose when the session opened the
+// stream on the live connection and the server has not closed it (so the
+// server frees the codec), then local deregistration. A session Stream
+// registered only deregisters. The Mux and its other sessions are
+// unaffected.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil

@@ -576,3 +576,142 @@ func TestMuxErrorFrameFailsConnection(t *testing.T) {
 		t.Fatalf("batch answered with an Error frame = %v, want ErrServer carrying the server's text", err)
 	}
 }
+
+// TestMuxStreamExchange pins the raw request step a relay drives. Stream
+// registers a session under a chosen id without sending anything, and
+// Exchange sends one whole frame and returns the answer the mux routed to
+// that stream, whole. bxtd here kills a stream after two faults with an
+// unprompted StreamClosed: it must reach stream 1, at the latest as the
+// answer to stream 1's next batch, and never stream 0's batch; a re-open
+// skips a StreamClosed still pending. A session Stream registered sends
+// nothing on Close, so closing one that never opened leaves the
+// connection serving.
+func TestMuxStreamExchange(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := config.DefaultServer()
+	cfg.ListenAddr, cfg.MetricsAddr = "127.0.0.1:0", "127.0.0.1:0"
+	cfg.LogLevel = "error"
+	cfg.FaultBudget = 2
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatalf("server.Start: %v", err)
+	}
+	defer srv.Close()
+
+	m, err := client.NewMux(srv.Addr(), client.Config{IOTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("NewMux: %v", err)
+	}
+	defer m.Close()
+	if _, _, err := m.Stream(1); err == nil {
+		t.Fatal("Stream before the first Open succeeded; it must not dial")
+	}
+	s0, err := m.Open("basexor", 32)
+	if err != nil {
+		t.Fatalf("open stream 0: %v", err)
+	}
+	s1, registered, err := m.Stream(1)
+	if err != nil || registered {
+		t.Fatalf("Stream(1) = registered %v, err %v; want a new session", registered, err)
+	}
+	if again, registered, _ := m.Stream(1); again != s1 || !registered {
+		t.Fatalf("a second Stream(1) returned another session (registered %v)", registered)
+	}
+
+	const timeout = 5 * time.Second
+	rng := rand.New(rand.NewSource(7))
+	exchange := func(s *client.Session, ft trace.FrameType, body []byte) (trace.FrameType, []byte) {
+		t.Helper()
+		frame, err := trace.AppendFrame(nil, ft, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aft, abody, whole, err := s.Exchange(frame, timeout)
+		if err != nil {
+			t.Fatalf("stream %d: exchanging frame %#x: %v", s.ID(), ft, err)
+		}
+		if len(whole) != trace.FrameHeaderBytes+len(abody) || trace.FrameType(whole[4]) != aft ||
+			string(whole[trace.FrameHeaderBytes:]) != string(abody) {
+			t.Fatalf("stream %d: the whole answer frame does not hold its type and body", s.ID())
+		}
+		return aft, append([]byte(nil), abody...)
+	}
+	open := func() {
+		t.Helper()
+		body, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: 1, TxnSize: 32, Scheme: "bdenc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft, ans := exchange(s1, trace.FrameStreamOpen, body)
+		if a, err := trace.CheckStreamOpen(ft, ans, 1); err != nil || a.Kind != trace.AnswerOK {
+			t.Fatalf("opening stream 1: frame %#x, %+v, err %v", ft, a, err)
+		}
+		s1.Release()
+	}
+	batch := func(sid uint32, id uint64, payload []byte) []byte {
+		body := trace.AppendTraceEnvelope(trace.AppendStreamID(nil, sid), id, id)
+		body = append(body, payload...)
+		if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	good := func(sid uint32, id uint64) []byte {
+		payload, err := trace.AppendBatch(nil, muxTxns(rng, 8, 32), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch(sid, id, payload)
+	}
+	answer := func(s *client.Session, body []byte, id uint64) trace.Answer {
+		t.Helper()
+		ft, ans := exchange(s, trace.FrameBatch, body)
+		a, err := trace.CheckBatch(ft, ans, s.ID(), id, id)
+		if err != nil {
+			t.Fatalf("stream %d batch %d: frame %#x: %v", s.ID(), id, ft, err)
+		}
+		return a
+	}
+
+	open()
+	for id := uint64(1); id <= 2; id++ {
+		if a := answer(s1, batch(1, id, []byte("not a batch body")), id); a.Kind != trace.AnswerFault {
+			t.Fatalf("garbage batch %d on stream 1 answered %+v, want a BatchError", id, a)
+		}
+	}
+	if a := answer(s0, good(0, 1), 1); a.Kind != trace.AnswerOK {
+		t.Fatalf("stream 0's batch after stream 1's kill answered %+v, want its reply", a)
+	}
+	if a := answer(s1, good(1, 3), 3); a.Kind != trace.AnswerKilled {
+		t.Fatalf("stream 1's batch after its kill answered %+v, want the kill", a)
+	}
+	// Killed again with its notice still pending, then re-opened: the
+	// open's answer is its verdict, not the notice.
+	open()
+	for id := uint64(4); id <= 5; id++ {
+		answer(s1, batch(1, id, []byte("not a batch body")), id)
+	}
+	open()
+	if a := answer(s1, good(1, 6), 6); a.Kind != trace.AnswerOK {
+		t.Fatalf("stream 1's batch after its re-open answered %+v, want its reply", a)
+	}
+
+	s2, _, err := m.Stream(2)
+	if err != nil {
+		t.Fatalf("Stream(2): %v", err)
+	}
+	s2.Close()
+	if _, _, _, err := s2.Exchange([]byte{1, 0, 0, 0, byte(trace.FrameBatch)}, timeout); !errors.Is(err, client.ErrMuxClosed) {
+		t.Fatalf("Exchange on a closed session = %v, want ErrMuxClosed", err)
+	}
+	if a := answer(s0, good(0, 2), 2); a.Kind != trace.AnswerOK {
+		t.Fatalf("stream 0 after closing an unopened stream answered %+v, want its reply", a)
+	}
+	m.Close()
+	if _, _, err := m.Stream(3); !errors.Is(err, client.ErrMuxClosed) {
+		t.Fatalf("Stream on a closed mux = %v, want ErrMuxClosed", err)
+	}
+}

@@ -87,18 +87,6 @@ func equal(a, b []byte) bool {
 	return true
 }
 
-// equalsXOR reports whether e == a XOR b without materializing the XOR.
-// It implements the paper's zero-detection trick from Fig 10: e equals a⊕b
-// exactly when e⊕a⊕b is all zero.
-func equalsXOR(e, a, b []byte) bool {
-	for i := range e {
-		if e[i]^a[i]^b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // zdrConstByte is the most significant byte of the default ZDR remapping
 // constant.
 // The paper selects 0x40000000 for 32-bit elements (§IV-A): a single 1 bit,

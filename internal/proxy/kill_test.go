@@ -1,8 +1,10 @@
 package proxy_test
 
 import (
+	"bufio"
 	"errors"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/hpca18/bxt/internal/proxy"
 	"github.com/hpca18/bxt/internal/server"
 	"github.com/hpca18/bxt/internal/testutil"
+	"github.com/hpca18/bxt/internal/trace"
 )
 
 // faultingFleet starts a proxy over two backends that kill a stream after
@@ -159,5 +162,141 @@ func TestProxiedKillReopensFresh(t *testing.T) {
 				t.Errorf("client reconnected %d times; a stream kill must not cost the connection", got)
 			}
 		})
+	}
+}
+
+// TestProxiedKillLandsOnItsStream pins that a backend's kill notice
+// reaches the stream it names and no other. A raw client opens a bdenc
+// stream 1 beside its basexor stream 0 on one proxy, in front of one
+// backend that kills a stream after two faults, and sends two batches on
+// stream 1 whose envelopes are sound but whose payloads are garbage: the
+// backend answers both with a BatchError and then kills stream 1 with an
+// unprompted StreamClosed. Stream 0's next batch must be served, with no
+// backend failure counted, no batch converted and no backend connection
+// redialed, and the client must hear of the kill — at the latest as the
+// answer to stream 1's next batch — instead of that batch being served by
+// a stream 1 re-opened behind its back.
+func TestProxiedKillLandsOnItsStream(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	bcfg := backendConfig()
+	bcfg.FaultBudget = 2
+	srv := startBackend(t, bcfg)
+	pcfg := proxyConfig(srv.Addr())
+	pcfg.HealthInterval = time.Hour
+	px := startProxy(t, pcfg)
+
+	conn, err := net.Dial("tcp", px.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	send := func(ft trace.FrameType, body []byte) {
+		t.Helper()
+		if err := trace.WriteFrame(conn, ft, body); err != nil {
+			t.Fatalf("writing frame %#x: %v", ft, err)
+		}
+	}
+	recv := func() (trace.FrameType, []byte) {
+		t.Helper()
+		ft, body, err := trace.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("reading an answer: %v", err)
+		}
+		return ft, body
+	}
+	hello, err := trace.MarshalHello(trace.Hello{Version: trace.ProtocolVersion, TxnSize: 32, Scheme: "basexor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(trace.FrameHello, hello)
+	if ft, body := recv(); ft != trace.FrameHelloOK {
+		t.Fatalf("hello answered with frame %#x (%q)", ft, body)
+	}
+	open, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: 1, TxnSize: 32, Scheme: "bdenc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(trace.FrameStreamOpen, open)
+	if ft, body := recv(); ft != trace.FrameStreamOpenOK {
+		t.Fatalf("stream open answered with frame %#x (%q)", ft, body)
+	}
+	// The start probe and the session's one backend connection.
+	dials := backendCount(t, srv, "bxtd_connections_total")
+
+	rng := rand.New(rand.NewSource(3))
+	batch := func(sid uint32, id uint64, payload []byte) []byte {
+		body := trace.AppendTraceEnvelope(trace.AppendStreamID(nil, sid), id, 0x5eed00+id)
+		body = append(body, payload...)
+		if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	good := func(sid uint32, id uint64) []byte {
+		payload, err := trace.AppendBatch(nil, makeTxns(rng, 8, 32), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batch(sid, id, payload)
+	}
+	killed := false
+	// await reads until the answer to stream sid's batch id arrives, and
+	// returns its frame type; a StreamClosed for stream 1 is noted on the
+	// way.
+	await := func(sid uint32, id uint64) trace.FrameType {
+		t.Helper()
+		for {
+			ft, body := recv()
+			if ft == trace.FrameStreamClosed {
+				rsid, msg, err := trace.ParseStreamClosed(body)
+				if err != nil {
+					t.Fatalf("malformed StreamClosed: %v", err)
+				}
+				if rsid != 1 {
+					t.Fatalf("stream %d closed (%q); only stream 1 was killed", rsid, msg)
+				}
+				killed = true
+				if sid == 1 {
+					return ft
+				}
+				continue
+			}
+			a, err := trace.CheckBatch(ft, body, sid, id, 0x5eed00+id)
+			if err != nil {
+				t.Fatalf("answer to batch %d on stream %d: frame %#x: %v", id, sid, ft, err)
+			}
+			if a.Kind == trace.AnswerFault {
+				t.Logf("stream %d batch %d: BatchError %q", sid, id, a.Msg)
+			}
+			return ft
+		}
+	}
+
+	for id := uint64(1); id <= 2; id++ {
+		send(trace.FrameBatch, batch(1, id, []byte("not a batch body")))
+		if ft := await(1, id); ft != trace.FrameBatchError {
+			t.Fatalf("garbage batch %d on stream 1 answered with frame %#x, want BatchError", id, ft)
+		}
+	}
+	send(trace.FrameBatch, good(0, 1))
+	if ft := await(0, 1); ft != trace.FrameBatchReply {
+		t.Errorf("stream 0's batch after stream 1's kill answered with frame %#x, want a BatchReply", ft)
+	}
+	send(trace.FrameBatch, good(1, 3))
+	if ft := await(1, 3); ft != trace.FrameStreamClosed || !killed {
+		t.Errorf("stream 1's batch after its kill answered with frame %#x, and a kill heard: %v; want the kill, at the latest as this answer", ft, killed)
+	}
+
+	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
+	if got := backendMetric(t, exp, "bxtproxy_backend_failures_total", srv.Addr()); got != 0 {
+		t.Errorf("bxtproxy_backend_failures_total = %v, want 0: a kill notice was read as a damaged answer", got)
+	}
+	if got := metricValue(t, exp, "bxtproxy_busy_converted_total"); got != 0 {
+		t.Errorf("bxtproxy_busy_converted_total = %v, want 0", got)
+	}
+	if got := backendCount(t, srv, "bxtd_connections_total"); got != dials {
+		t.Errorf("the backend served %v connections, %v before the kill: the session's connection was redialed", got, dials)
 	}
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // probeAllocBudget is the most one health probe may allocate, proxy and
-// bxtd together. It measured about 6.0 KB on loopback, so the budget
-// leaves over 40% headroom. Both ends' frame buffers start Hello-sized (512 B) and grow
+// bxtd together. It measured about 8.0 KB on loopback since probes dial
+// through the client transport (a client.Mux and its session), so the
+// budget leaves over 20% headroom. Both ends' frame buffers start Hello-sized (512 B) and grow
 // only with the frames received, so a probe that sizes a read buffer for
 // a batch (16 KiB or more) at handshake on either side, or keeps a write
 // buffer, does not fit.

@@ -4,7 +4,7 @@
 //
 // Multiplexing: a client connection carries many logical streams (see
 // internal/trace/mux.go), and the proxy demuxes them — each stream routes,
-// pins, faults, and fails over independently across one upstream
+// pins, faults, and fails over independently across one backend
 // connection per backend, so one client connection can fan out across the
 // whole fleet.
 //
@@ -27,7 +27,7 @@
 // Health: every backend is probed with a real BXTP Hello handshake at a
 // fixed interval; EjectThreshold consecutive failures (probe or live
 // traffic) eject it from routing until a probe succeeds again. A backend
-// Error frame only ends that upstream connection and is not a failure.
+// Error frame only ends that backend connection and is not a failure.
 //
 // Failover: a dead backend never disconnects a client. In-flight batches
 // convert to recoverable Busy (stateless) or BatchError(reset) (pinned)
@@ -35,8 +35,12 @@
 // lost first moves its codec state to the new pin, resetting the client
 // only when no current state can be moved.
 //
-// Frames relay verbatim, and backend answers are read through the
-// client's own checks (trace.CheckHello, CheckStreamOpen, CheckBatch).
+// The backend leg is the client's own transport: each backend connection
+// is a client.Mux dialed with the client's Hello, each relayed stream a
+// client.Session on it under the client's stream id, so every answer
+// reaches the stream it names. Frames relay verbatim, and backend answers
+// are read through the client's own checks (trace.CheckHello,
+// CheckStreamOpen, CheckBatch).
 package proxy
 
 import (
@@ -52,11 +56,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/faults"
 	"github.com/hpca18/bxt/internal/power"
 	"github.com/hpca18/bxt/internal/serve"
-	"github.com/hpca18/bxt/internal/trace"
 )
 
 // probeTxnSize is the transaction size health probes handshake with; any
@@ -77,6 +81,10 @@ type Proxy struct {
 	// leg only: the client-facing socket stays clean, so chaos drills
 	// exercise failover conversion rather than client parsing.
 	inj *faults.Injector
+	// leg is what every backend connection runs with: the backend leg is
+	// the client's own transport (internal/client), dialed through
+	// dialBackend within DialTimeout, its Hello included.
+	leg client.Config
 
 	// mu serializes fleet changes and the probe loops they start.
 	mu sync.Mutex
@@ -108,6 +116,7 @@ func New(cfg config.Proxy) (*Proxy, error) {
 		return nil, err
 	}
 	p.host, p.log = host, host.Logger()
+	p.leg = client.Config{DialTimeout: cfg.DialTimeout, IOTimeout: cfg.ExchangeTimeout, Dialer: p.dialBackend}
 	var backends []*backend
 	for _, addr := range cfg.Backends {
 		b := newBackend(addr)
@@ -213,8 +222,9 @@ func (p *Proxy) SetBackends(addrs []string) error {
 	return nil
 }
 
-// SetFaults arms the chaos injector on the backend leg: every upstream
-// connection's byte stream runs through it. Call before Start.
+// SetFaults arms the chaos injector on the backend leg: every backend
+// connection's byte stream, probes included, runs through it. Call before
+// Start.
 func (p *Proxy) SetFaults(in *faults.Injector) { p.inj = in }
 
 // Logger returns the proxy's structured logger.
@@ -321,7 +331,7 @@ func (p *Proxy) newSession(conn net.Conn, id uint64) *session {
 		in:   p.host.NewReader(conn),
 		w:    p.host.NewWriter(conn),
 		log:  p.log.With("session", id, "remote", conn.RemoteAddr().String()),
-		ups:  make(map[*backend]*upstream),
+		ups:  make(map[*backend]*client.Mux),
 	}
 	ss.streams = serve.NewStreams(p.host, ss.w, ss.log, ss.openStream, ss.closeStream)
 	return ss
@@ -455,23 +465,15 @@ func rendezvousScore(key uint64, addr string) uint64 {
 	return h.Sum64()
 }
 
-// dialUpstream opens, wraps (chaos), and handshakes one upstream
-// connection with b for h. The caller owns the returned upstream.
-func (p *Proxy) dialUpstream(b *backend, h trace.Hello) (*upstream, error) {
-	conn, err := p.host.Dial(b.addr, p.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if p.inj != nil {
+// dialBackend opens one connection to a backend, for the sessions'
+// backend legs and the health probes alike, through the fault injector
+// when one is armed.
+func (p *Proxy) dialBackend(ctx context.Context, addr string) (net.Conn, error) {
+	conn, err := p.host.Dial(ctx, addr)
+	if err == nil && p.inj != nil {
 		conn = p.inj.WrapConn(conn)
 	}
-	u := &upstream{b: b, conn: conn}
-	u.in.Reset(conn)
-	if err := u.handshake(h, p.cfg.DialTimeout); err != nil {
-		u.close()
-		return nil, err
-	}
-	return u, nil
+	return conn, err
 }
 
 // noteBackendFailure counts one failure against b and logs the ejection
@@ -511,12 +513,12 @@ func (p *Proxy) probeLoop(b *backend) {
 // backend, failure counts toward ejection.
 func (p *Proxy) probe(b *backend) {
 	b.probes.Add(1)
-	u, err := p.dialUpstream(b, trace.Hello{Scheme: p.cfg.ProbeScheme, TxnSize: probeTxnSize})
+	c, err := client.DialConfig(b.addr, p.cfg.ProbeScheme, probeTxnSize, p.leg)
 	if err != nil {
 		p.noteBackendFailure(b, "probe", err)
 		return
 	}
-	u.close()
+	c.Close()
 	p.noteBackendOK(b)
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/serve"
@@ -33,12 +34,13 @@ type session struct {
 	// deadline; a relayed batch frame goes upstream straight from its
 	// buffer. w writes every frame to the client: the proxy's own replies
 	// (errors, conversions, stream verdicts) and the relayed backend
-	// frames, which go out straight from the upstream's read buffer.
+	// frames, which go out straight from the backend connection's read
+	// buffer.
 	in  serve.Reader
 	w   *serve.Writer
 	log *slog.Logger
 
-	// hello is the client's Hello, stream 0's parameters; every upstream
+	// hello is the client's Hello, stream 0's parameters; every backend
 	// connection replays it when dialing, whichever stream triggered the
 	// dial, so frame bodies relay verbatim with their stream-id prefix.
 	hello trace.Hello
@@ -46,10 +48,12 @@ type session struct {
 	// streams routes stream ids to their relay state.
 	streams *serve.Streams[*pstream]
 
-	// ups holds this session's live upstream connections, one per
-	// backend, each carrying any subset of the session's streams (tracked
-	// per-connection in upstream.open).
-	ups map[*backend]*upstream
+	// ups holds this session's backend connections, one client.Mux per
+	// backend. Each relayed stream is a client.Session on it under the
+	// client's own stream id (pstream.legs), so the mux hands every answer
+	// to the stream it names. wbuf frames the proxy's own requests.
+	ups  map[*backend]*client.Mux
+	wbuf []byte
 }
 
 // Writer returns the session's client-leg frame writer.
@@ -84,6 +88,7 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 		schemeName: schemeName,
 		txnSize:    txnSize,
 		pinned:     scheme.DecodeStateful(schemeName),
+		legs:       make(map[*backend]*client.Session),
 		stages:     ss.p.met.stages.Set(schemeName, obs.StageFrameRead, obs.StageBackend, obs.StageFrameWrite),
 	}
 	st.onAnswered, st.onWrote = st.answered, st.wrote
@@ -91,7 +96,7 @@ func (ss *session) newStream(sid uint32, schemeName string, txnSize int) *pstrea
 	return st
 }
 
-// handshake reads the client Hello, opens the first upstream (which also
+// handshake reads the client Hello, dials the first backend (which also
 // validates the scheme and transaction size against a real backend), and
 // answers HelloOK with the backend's MetaBits and BatchLimit. Serve
 // answers any failure, a Hello the host's check refuses included, with an
@@ -104,14 +109,16 @@ func (ss *session) handshake() error {
 	ss.hello = h
 	st := ss.newStream(0, h.Scheme, h.TxnSize)
 	ss.streams.Add(0, st)
-	u, _, err := st.acquireUpstream()
+	// Stream 0 runs the Hello's parameters, so its leg is the backend
+	// connection's own stream 0, whose geometry the backend's HelloOK set.
+	leg, _, err := st.acquireUpstream()
 	if err != nil {
 		return err
 	}
 	okBody := trace.MarshalHelloOK(trace.HelloOK{
 		Version:    trace.ProtocolVersion,
-		MetaBits:   u.ok.MetaBits,
-		BatchLimit: u.ok.BatchLimit,
+		MetaBits:   leg.MetaBits(),
+		BatchLimit: leg.BatchLimit(),
 	})
 	return ss.w.Send(trace.FrameHelloOK, okBody)
 }
@@ -152,39 +159,85 @@ func (ss *session) openStream(o trace.StreamOpen) (*pstream, []byte, error) {
 }
 
 // closeStream retires one stream the client closed: the close propagates
-// to every upstream connection the stream is open on — keeping the serial
-// exchange discipline on each — before the StreamClosed acknowledgement
-// goes back to the client.
+// to every backend the stream is open on, one StreamClose exchange each,
+// before the StreamClosed acknowledgement goes back to the client.
 func (ss *session) closeStream(st *pstream) {
-	for b, u := range ss.ups {
-		if !u.open[st.sid] {
-			continue
-		}
-		if err := u.closeStream(st.sid, ss.p.cfg.ExchangeTimeout); err != nil {
-			// The connection may be desynchronized mid-exchange; drop it
-			// and let its other streams redial on their next batch.
+	for b, leg := range st.legs {
+		if err := st.closeOn(leg, b); err != nil {
+			// The connection may be out of step; drop it and let its
+			// other streams redial on their next batch.
 			ss.log.Debug("upstream stream close failed", "backend", b.addr, "stream", st.sid, "err", err)
 			ss.dropUpstream(b)
+			continue
 		}
+		leg.Close()
 	}
 	st.unpin()
 	ss.log.Info("stream closed", "stream", st.sid, "batches", st.batches)
 }
 
-// dropUpstream closes and forgets this session's upstream on b.
+// dial connects this session to b: one client.Mux, whose Hello is the
+// client's and opens stream 0 there. That stream is the leg of the
+// client's stream 0 when it runs the Hello's parameters: st itself when st
+// is a stream 0 the client is re-opening, not yet in the table. A refused
+// Hello wraps errRefused.
+func (ss *session) dial(b *backend, st *pstream) error {
+	m, _ := client.NewMux(b.addr, ss.p.leg)
+	s0, err := m.Open(ss.hello.Scheme, ss.hello.TxnSize)
+	if err != nil {
+		m.Close()
+		if errors.Is(err, client.ErrServer) && !errors.Is(err, trace.ErrBadFrame) {
+			return fmt.Errorf("%w %s: %v", errRefused, b.addr, err)
+		}
+		// A damaged HelloOK is a failure of b, not the backend ending the
+		// connection: drop client.ErrServer from the chain.
+		return fmt.Errorf("proxy: backend %s: %v", b.addr, err)
+	}
+	ss.ups[b] = m
+	st0 := st
+	if st.sid != 0 {
+		st0, _ = ss.streams.Get(0)
+	}
+	if st0 != nil && st0.schemeName == ss.hello.Scheme && st0.txnSize == ss.hello.TxnSize {
+		st0.legs[b] = s0
+		if st0 == st {
+			// The Hello opened this stream afresh: its HelloOK is the
+			// verdict a re-open of stream 0 relays.
+			st.openOK = trace.MarshalStreamOpenOK(trace.StreamOpenOK{ID: 0, Status: trace.StreamOK, MetaBits: s0.MetaBits(), BatchLimit: s0.BatchLimit()})
+		}
+	}
+	return nil
+}
+
+// request frames body as a t frame and exchanges it on leg within timeout,
+// returning the answer's type and body, valid until leg's next request or
+// Release.
+func (ss *session) request(leg *client.Session, t trace.FrameType, body []byte, timeout time.Duration) (trace.FrameType, []byte, error) {
+	frame, err := trace.AppendFrame(ss.wbuf[:0], t, body)
+	ss.wbuf = frame[:0]
+	if err != nil {
+		return 0, nil, err
+	}
+	ft, rbody, _, err := leg.Exchange(frame, timeout)
+	return ft, rbody, err
+}
+
+// dropUpstream closes and forgets this session's connection to b, and
+// with it every stream's leg there.
 func (ss *session) dropUpstream(b *backend) {
-	if u := ss.ups[b]; u != nil {
-		u.close()
+	if m := ss.ups[b]; m != nil {
+		m.Close()
 		delete(ss.ups, b)
+		ss.streams.Each(func(st *pstream) { delete(st.legs, b) })
 	}
 }
 
 // release frees what the session holds when it ends: every stream's pin
-// and every upstream connection.
+// and every backend connection.
 func (ss *session) release() {
 	ss.streams.Each(func(st *pstream) { st.unpin() })
-	for _, u := range ss.ups {
-		u.close()
+	for _, m := range ss.ups {
+		m.Close()
 	}
 	ss.ups = nil
 }

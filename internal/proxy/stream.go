@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/trace"
 )
@@ -27,6 +28,10 @@ type pstream struct {
 	// Stateless streams instead spread batch-by-batch.
 	pinned bool
 	pin    *backend
+	// legs holds the stream's session on each backend it is open on: a
+	// client.Session under the stream's own id, on the session's
+	// connection to that backend.
+	legs map[*backend]*client.Session
 	// snapshottable marks a pinned stream whose codec state can be pulled
 	// and replayed (scheme.Snapshottable): a pin migration
 	// then moves the upstream codec state to the new backend instead of
@@ -42,7 +47,7 @@ type pstream struct {
 	batches uint64
 
 	// openOK briefly holds the backend's raw StreamOpenOK body after
-	// acquireUpstream opens this stream on an upstream connection, so the
+	// acquireUpstream opens this stream on a backend connection, so the
 	// session can relay the verdict verbatim to the client.
 	openOK []byte
 	// avoid is the backend that relayed this stateless stream's last
@@ -53,7 +58,7 @@ type pstream struct {
 	avoid *backend
 	// accepted is set once the client has been told this stream opened:
 	// its parameters are then known good, so a later refusal to open it
-	// on another upstream connection is a fault of that connection.
+	// on another backend connection is a fault of that connection.
 	accepted bool
 
 	// span is the current batch's one ledger on the relay leg: its trace
@@ -103,13 +108,13 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 		return st.answer(trace.FrameBatchError, trace.MarshalBatchError(id, false, err.Error()))
 	}
 
-	u, b, err := st.acquireUpstream()
+	leg, b, err := st.acquireUpstream()
 	if err != nil {
 		return st.convertFailure(id, err)
 	}
 	b.pending.Add(1)
 	start := time.Now()
-	ft, rbody, err := u.exchange(frame, ss.p.cfg.ExchangeTimeout)
+	ft, rbody, rframe, err := leg.Exchange(frame, ss.p.cfg.ExchangeTimeout)
 	b.pending.Add(-1)
 	backDur := time.Since(start)
 	st.span.Observe(obs.StageBackend, backDur)
@@ -117,35 +122,33 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	if err == nil {
 		a, err = trace.CheckBatch(ft, rbody, st.sid, id, traceID)
 	}
-	if err != nil || a.Kind == trace.AnswerEnded {
+	if err != nil {
 		// A failed exchange or a damaged answer counts toward ejection.
-		// An Error frame does not: the backend ended this upstream session
+		// An Error frame does not: the backend ended this connection
 		// (idle timeout, drain, fault budget) but is alive enough to speak
-		// BXTP, so only the upstream is dropped.
+		// BXTP, so only the connection is dropped.
 		ss.dropUpstream(b)
-		if err != nil {
+		if !errors.Is(err, client.ErrServer) {
 			ss.p.noteBackendFailure(b, "exchange", err)
-		} else {
-			err = errors.New(a.Msg)
 		}
 		return st.convertFailure(id, fmt.Errorf("backend %s: %v", b.addr, err))
 	}
+	// The client leg's Writer has the answer — sent, or copied into its
+	// block — once Write returns, so the leg then hands its read buffer
+	// back.
+	defer leg.Release()
 	switch a.Kind {
 	case trace.AnswerKilled:
 		// The backend killed exactly this stream (fault budget exhausted)
-		// while the muxed connection and its sibling streams keep serving.
-		// The kill relays to the client with the backend's cause and the
+		// while the connection and its sibling streams keep serving. The
+		// kill relays to the client with the backend's cause and the
 		// proxy forgets the stream, so a client re-open builds fresh
-		// routing state, mirroring the gateway. Another upstream's copy is
-		// marked stale, not closed: that backend may have killed it too,
-		// unread, and a close of a stream it lacks ends the upstream
-		// session. upstreamOn re-opens a stale stream afresh.
-		delete(u.open, st.sid)
-		for _, o := range ss.ups {
-			if o.open[st.sid] {
-				o.open[st.sid] = false
-			}
-		}
+		// routing state, mirroring the gateway. The stream's legs on other
+		// backends stay registered there, not closed: such a backend may
+		// have killed the stream too, unread, and a close of a stream it
+		// lacks ends the connection. upstreamOn re-opens a registered
+		// stream afresh.
+		leg.Close()
 		ss.p.met.streamKills.Add(1)
 		st.answered(0)
 		st.unpin()
@@ -163,7 +166,7 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 			st.avoid = b
 		}
 		st.held = true
-		return ss.w.Write(u.in.Frame(), time.Time{}, st.onAnswered)
+		return ss.w.Write(rframe, time.Time{}, st.onAnswered)
 	}
 	ss.p.noteBackendOK(b)
 	b.batches.Add(1)
@@ -186,12 +189,12 @@ func (st *pstream) handleBatch(frame, interior []byte, readDur time.Duration) er
 	// A held reply's frame_write runs from the exchange's end, a clock
 	// read backend_exchange already took.
 	st.held = true
-	if err := ss.w.Write(u.in.Frame(), start.Add(backDur), st.onWrote); err != nil {
+	if err := ss.w.Write(rframe, start.Add(backDur), st.onWrote); err != nil {
 		return err
 	}
 	if st.snapshottable && ss.p.cfg.ShadowInterval > 0 &&
 		st.batches%uint64(ss.p.cfg.ShadowInterval) == 0 {
-		st.pullShadow(u, b)
+		st.pullShadow(leg, b)
 	}
 	return nil
 }
@@ -236,14 +239,13 @@ func (st *pstream) convertFailure(id uint64, cause error) error {
 	return st.answer(trace.FrameBusy, trace.MarshalBusy(id, ss.p.cfg.RetryHint))
 }
 
-// acquireUpstream returns a live upstream on the backend the routing
-// policy picks for this stream, with the stream open on it, reusing the
-// session's open upstream connections before dialing. Dial and stream-open
-// failures count toward ejection and fail over to the next candidate; a
-// connection the backend ended with an Error frame is redialed uncounted;
-// a refusal surfaces immediately, because every backend would refuse the
-// same parameters.
-func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
+// acquireUpstream returns the stream's leg on the backend the routing
+// policy picks, opening the stream there, and dialing the backend first,
+// when it is not open yet. Dial and stream-open failures count toward
+// ejection and fail over to the next candidate; a connection the backend
+// ended with an Error frame is redialed uncounted; a refusal surfaces
+// immediately, because every backend would refuse the same parameters.
+func (st *pstream) acquireUpstream() (*client.Session, *backend, error) {
 	ss := st.ss
 	backends := ss.p.backendList()
 	excluded := make(map[*backend]bool)
@@ -272,8 +274,8 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 				// migration surface as a failure, which the caller
 				// converts to a BatchError with the codec-reset flag,
 				// exactly as if the exchange itself had died.
-				if u := st.migrateState(prev, b); u != nil {
-					return u, b, nil
+				if leg := st.migrateState(prev, b); leg != nil {
+					return leg, b, nil
 				}
 				return nil, nil, errPinLost
 			}
@@ -283,104 +285,173 @@ func (st *pstream) acquireUpstream() (*upstream, *backend, error) {
 		if b == nil || excluded[b] {
 			break
 		}
-		u, leg, err := st.upstreamOn(b)
+		leg, step, err := st.upstreamOn(b)
 		switch {
 		case err == nil:
-			return u, b, nil
+			return leg, b, nil
 		case errors.Is(err, errRefused):
 			return nil, nil, err
-		case !errors.Is(err, errEnded):
-			ss.p.noteBackendFailure(b, leg, err)
+		case !errors.Is(err, client.ErrServer):
+			ss.p.noteBackendFailure(b, step, err)
 			excluded[b] = true
 		}
 	}
 	return nil, nil, errNoBackend
 }
 
-// upstreamOn returns the session's upstream on b with this stream open on
-// it: it dials one first when the session has none, and opens the stream
-// with a StreamOpen exchange on first use (the Hello opened stream 0 on
-// every upstream; a stream the backend killed, stream 0 included, opens
-// afresh, and so does a stale one, closed first if the backend still has
-// it). Any failure but a refusal drops the upstream; leg names the step
-// that failed.
-func (st *pstream) upstreamOn(b *backend) (*upstream, string, error) {
+// upstreamOn returns the stream's leg on b: it dials b first when the
+// session has no connection there, and opens the stream with a StreamOpen
+// exchange on first use (the Hello opened stream 0; a stream the backend
+// killed, stream 0 included, opens afresh). A stream still registered on
+// the connection — left there by a kill on another backend — may still be
+// open on b with its old codec: when b refuses to open it, it is closed
+// and opened afresh. Any failure but a refusal drops the connection; step
+// names the step that failed.
+func (st *pstream) upstreamOn(b *backend) (*client.Session, string, error) {
 	ss := st.ss
-	u := ss.ups[b]
-	if u == nil {
-		var err error
-		if u, err = ss.p.dialUpstream(b, ss.hello); err != nil {
+	if ss.ups[b] == nil {
+		if err := ss.dial(b, st); err != nil {
 			return nil, "dial", err
 		}
-		u.open = map[uint32]bool{0: true} // the Hello opened stream 0
-		ss.ups[b] = u
-		if st.sid == 0 {
-			// The Hello opened this stream afresh: its HelloOK is the
-			// verdict a re-open of stream 0 relays.
-			st.openOK = trace.MarshalStreamOpenOK(trace.StreamOpenOK{ID: 0, Status: trace.StreamOK, MetaBits: u.ok.MetaBits, BatchLimit: u.ok.BatchLimit})
+	}
+	if leg := st.legs[b]; leg != nil {
+		return leg, "", nil
+	}
+	leg, registered, err := ss.ups[b].Stream(st.sid)
+	if err == nil {
+		err = st.openOn(leg, b)
+		if registered && errors.Is(err, errRefused) {
+			// The backend still has the stream, with the codec it had
+			// before the kill elsewhere (had it killed the stream too, the
+			// open would have skipped the notice and opened it): close it,
+			// and open it afresh.
+			if err = st.closeOn(leg, b); err == nil {
+				err = st.openOn(leg, b)
+			}
 		}
 	}
-	open, stale := u.open[st.sid]
-	if open {
-		return u, "", nil
-	}
-	o := trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName}
-	okBody, err := u.openStream(o, ss.p.cfg.ExchangeTimeout)
-	if stale && errors.Is(err, errRefused) {
-		// The backend still has the stream, with the codec it had before
-		// the kill elsewhere (had it killed the stream too, openStream
-		// would have skipped the notice and opened it): close it, and
-		// open it afresh.
-		if err = u.closeStream(st.sid, ss.p.cfg.ExchangeTimeout); err == nil {
-			okBody, err = u.openStream(o, ss.p.cfg.ExchangeTimeout)
-		}
-	}
-	switch {
-	case st.accepted && errors.Is(err, errRefused):
+	if st.accepted && errors.Is(err, errRefused) {
 		// Not parameter-driven: the connection and the proxy disagree on
 		// what is open on it (a damaged StreamOpenOK once read as a
 		// refusal leaves the stream open on the backend, and every
 		// re-open then fails "already open"). Treat it as a connection
 		// failure, so the connection drops and the stream reopens fresh.
 		err = fmt.Errorf("proxy: backend %s refused to reopen stream %d: %v", b.addr, st.sid, err)
-	case okBody != nil:
-		st.openOK = append(st.openOK[:0], okBody...)
+	}
+	switch {
+	case err == nil:
+		st.legs[b] = leg
+		return leg, "", nil
+	case errors.Is(err, errRefused):
+		leg.Close() // the backend holds no such stream
+	default:
+		ss.dropUpstream(b)
+	}
+	return nil, "stream-open", err
+}
+
+// openOn opens the stream on leg, on backend b, with one StreamOpen
+// exchange, keeping the backend's verdict in openOK so the session can
+// relay it verbatim. A refusal wraps errRefused and leaves the connection
+// usable; any other error means it may be out of step.
+func (st *pstream) openOn(leg *client.Session, b *backend) error {
+	body, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: st.sid, TxnSize: st.txnSize, Scheme: st.schemeName})
+	if err != nil {
+		return err
+	}
+	ft, rbody, err := st.ss.request(leg, trace.FrameStreamOpen, body, st.ss.p.cfg.ExchangeTimeout)
+	if err != nil {
+		return err
+	}
+	defer leg.Release()
+	a, err := trace.CheckStreamOpen(ft, rbody, st.sid)
+	if err != nil {
+		return fmt.Errorf("proxy: backend %s: %w", b.addr, err)
+	}
+	st.openOK = append(st.openOK[:0], rbody...)
+	if a.Kind == trace.AnswerRefused {
+		return fmt.Errorf("%w %s: %s", errRefused, b.addr, a.Msg)
+	}
+	return nil
+}
+
+// closeOn retires the stream on leg, on backend b, with one StreamClose
+// exchange.
+func (st *pstream) closeOn(leg *client.Session, b *backend) error {
+	ft, rbody, err := st.ss.request(leg, trace.FrameStreamClose, trace.MarshalStreamClose(st.sid), st.ss.p.cfg.ExchangeTimeout)
+	if err != nil {
+		return err
+	}
+	rsid, _, err := trace.ParseStreamClosed(rbody)
+	if ft != trace.FrameStreamClosed || err != nil || rsid != st.sid {
+		return fmt.Errorf("proxy: backend %s: malformed answer closing stream %d (frame %#x, stream %d, err %v)",
+			b.addr, st.sid, byte(ft), rsid, err)
+	}
+	return nil
+}
+
+// pullSnapshot asks leg's backend b for the stream's codec state over a
+// StateSnapshot exchange. It returns the state blob (copied, so it
+// survives later exchanges) and the batch sequence it is current as of.
+func (st *pstream) pullSnapshot(leg *client.Session, b *backend) (uint64, []byte, error) {
+	seq, blob, err := st.stateExchange(leg, b, trace.FrameStateSnapshot, nil)
+	blob = append([]byte(nil), blob...)
+	leg.Release()
+	return seq, blob, err
+}
+
+// stateExchange runs one state-transfer exchange (ft, then body) for the
+// stream on leg within StateTransferTimeout and returns the StateAck's
+// sequence and payload, which is valid until leg's next request or
+// Release. A clean rejection wraps errStateRejected; any other error means
+// the connection may be out of step and should be dropped.
+func (st *pstream) stateExchange(leg *client.Session, b *backend, ft trace.FrameType, body []byte) (uint64, []byte, error) {
+	ft, rbody, err := st.ss.request(leg, ft, append(trace.AppendStreamID(nil, st.sid), body...), st.ss.p.cfg.StateTransferTimeout)
+	if err != nil {
+		return 0, nil, err
+	}
+	if ft != trace.FrameStateAck {
+		return 0, nil, fmt.Errorf("proxy: backend %s answered a state transfer with frame %#x", b.addr, byte(ft))
+	}
+	rsid, rbody, err := trace.SplitStreamID(rbody)
+	if err == nil && rsid != st.sid {
+		err = fmt.Errorf("proxy: backend %s answered on stream %d, want %d", b.addr, rsid, st.sid)
 	}
 	if err != nil {
-		if !errors.Is(err, errRefused) {
-			ss.dropUpstream(b)
-		}
-		return nil, "stream-open", err
+		return 0, nil, err
 	}
-	return u, "", nil
+	status, seq, payload, err := trace.ParseStateAck(rbody)
+	if err == nil && status != trace.StateOK {
+		err = fmt.Errorf("%w: backend %s: %s", errStateRejected, b.addr, payload)
+	}
+	return seq, payload, err
 }
 
 // migrateState moves a pinned stream's upstream codec state from its lost
 // pin onto the new one, so the client's decoder continues byte-identically
-// with no epoch bump. It returns the restored upstream (registered in
-// ss.ups) on success, nil when the transfer could not be completed and
-// the caller must fall back to a client-side reset.
-func (st *pstream) migrateState(prev, next *backend) *upstream {
+// with no epoch bump. It returns the stream's leg on the new pin on
+// success, nil when the transfer could not be completed and the caller
+// must fall back to a client-side reset.
+func (st *pstream) migrateState(prev, next *backend) *client.Session {
 	ss := st.ss
 	if !st.snapshottable {
 		ss.p.met.stateUnsupported.Add(1)
 		return nil
 	}
-	timeout := ss.p.cfg.StateTransferTimeout
 	var seq uint64
 	var blob []byte
 	fromShadow := false
-	if old := ss.ups[prev]; old != nil && old.open[st.sid] {
-		// The old upstream may still answer — a draining backend always
+	if old := st.legs[prev]; old != nil {
+		// The old pin may still answer — a draining backend always
 		// does, and even an ejected one often can (the ejection may have
 		// been a probe racing a restart).
-		s, b, err := old.pullSnapshot(st.sid, timeout)
+		s, b, err := st.pullSnapshot(old, prev)
 		switch {
 		case err != nil:
 			ss.log.Debug("live state pull failed", "backend", prev.addr, "err", err)
 			if !errors.Is(err, errStateRejected) {
-				// The connection may be desynchronized mid-exchange; drop
-				// it so sibling streams redial cleanly.
+				// The connection may be out of step; drop it so sibling
+				// streams redial cleanly.
 				ss.dropUpstream(prev)
 			}
 		case s != st.batches:
@@ -399,13 +470,20 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 	if ss.p.inj != nil {
 		blob = ss.p.inj.WrapSnapshot(blob)
 	}
-	u, leg, err := st.upstreamOn(next)
+	leg, step, err := st.upstreamOn(next)
 	if err != nil {
 		ss.p.met.stateRestFailed.Add(1)
-		ss.log.Warn("state transfer failed: "+leg, "backend", next.addr, "err", err)
+		ss.log.Warn("state transfer failed: "+step, "backend", next.addr, "err", err)
 		return nil
 	}
-	if err := u.restoreState(st.sid, seq, blob, timeout); err != nil {
+	// The backend acks the restore with the echoed sequence; a rejection
+	// leaves its stream freshly reset.
+	aseq, _, err := st.stateExchange(leg, next, trace.FrameStateRestore, trace.MarshalStateRestore(seq, blob))
+	leg.Release()
+	if err == nil && aseq != seq {
+		err = fmt.Errorf("proxy: backend %s acked restore at sequence %d, want %d", next.addr, aseq, seq)
+	}
+	if err != nil {
 		if !errors.Is(err, errStateRejected) {
 			ss.dropUpstream(next)
 		}
@@ -420,16 +498,16 @@ func (st *pstream) migrateState(prev, next *backend) *upstream {
 	}
 	ss.log.Info("stream state migrated", "stream", st.sid,
 		"from", prev.addr, "to", next.addr, "seq", seq, "bytes", len(blob), "shadow", fromShadow)
-	return u
+	return leg
 }
 
 // pullShadow refreshes the stream's shadow snapshot from its pinned
-// upstream, so a pin that dies without warning can still be failed over
+// backend, so a pin that dies without warning can still be failed over
 // from state no older than ShadowInterval batches — and usable whenever
 // no batch has landed since the pull.
-func (st *pstream) pullShadow(u *upstream, b *backend) {
+func (st *pstream) pullShadow(leg *client.Session, b *backend) {
 	ss := st.ss
-	seq, blob, err := u.pullSnapshot(st.sid, ss.p.cfg.StateTransferTimeout)
+	seq, blob, err := st.pullSnapshot(leg, b)
 	if err != nil {
 		if errors.Is(err, errStateRejected) {
 			// The backend answered cleanly: snapshots are simply not
@@ -438,8 +516,8 @@ func (st *pstream) pullShadow(u *upstream, b *backend) {
 			ss.log.Warn("shadow snapshots disabled", "backend", b.addr, "stream", st.sid, "err", err)
 			return
 		}
-		// The frame stream may be desynchronized mid-exchange; drop the
-		// upstream so the next batch redials cleanly.
+		// The connection may be out of step; drop it so the next batch
+		// redials cleanly.
 		ss.log.Debug("shadow snapshot failed", "backend", b.addr, "err", err)
 		ss.dropUpstream(b)
 		return

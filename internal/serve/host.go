@@ -323,11 +323,11 @@ func (h *Host[S]) Stopping() <-chan struct{} { return h.stop }
 // and writes; it is set only while no host is running.
 var connHook func(net.Conn) net.Conn
 
-// Dial opens an outbound TCP connection for the tier (bxtproxy's upstream
-// legs and health probes) within timeout.
-func (h *Host[S]) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.Dial("tcp", addr)
+// Dial opens an outbound TCP connection for the tier (bxtproxy's backend
+// legs and health probes) within ctx.
+func (h *Host[S]) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err == nil && connHook != nil {
 		conn = connHook(conn)
 	}

@@ -290,7 +290,8 @@ func TestWriterHoldsBurst(t *testing.T) {
 		t.Fatalf("flush made %d writes, dones %v; want 1 write, then busy,relayed,built", len(conn.writes), order)
 	}
 	var types []trace.FrameType
-	for in := trace.NewFrameReader(bytes.NewReader(conn.writes[0])); ; {
+	var in trace.FrameReader
+	for in.Reset(bytes.NewReader(conn.writes[0])); ; {
 		ft, _, err := in.Next()
 		if err != nil {
 			break

@@ -410,13 +410,6 @@ const (
 	eagerFrameBytes = 1 << 20
 )
 
-// NewFrameReader returns a FrameReader over r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	fr := new(FrameReader)
-	fr.Reset(r)
-	return fr
-}
-
 // Reset points fr at r, dropping anything read from its previous reader
 // but keeping its buffer.
 func (fr *FrameReader) Reset(r io.Reader) {
@@ -588,42 +581,8 @@ func ParseHelloOK(body []byte) (HelloOK, error) {
 	}, nil
 }
 
-// AppendTransaction appends t in the trace record encoding (addr, kind,
-// payload) and returns the extended slice.
-func AppendTransaction(dst []byte, t Transaction) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, t.Addr)
-	dst = append(dst, byte(t.Kind))
-	return append(dst, t.Data...)
-}
-
-// ParseTransaction decodes one txnSize-byte record from the front of b,
-// returning the transaction and the remaining bytes. The returned Data
-// aliases b.
-func ParseTransaction(b []byte, txnSize int) (Transaction, []byte, error) {
-	n := recordHeaderBytes + txnSize
-	if len(b) < n {
-		return Transaction{}, nil, fmt.Errorf("%w: %d-byte record needs %d bytes, have %d", ErrBadFrame, txnSize, n, len(b))
-	}
-	kind := Kind(b[8])
-	if kind != Read && kind != Write {
-		return Transaction{}, nil, fmt.Errorf("%w: invalid transaction kind %d", ErrBadFrame, b[8])
-	}
-	t := Transaction{
-		Addr: binary.LittleEndian.Uint64(b[:8]),
-		Kind: kind,
-		Data: b[recordHeaderBytes:n],
-	}
-	return t, b[n:], nil
-}
-
-// MarshalBatch encodes txns as a Batch frame body. Every payload must be
-// txnSize bytes.
-func MarshalBatch(txns []Transaction, txnSize int) ([]byte, error) {
-	return AppendBatch(make([]byte, 0, 4+len(txns)*(recordHeaderBytes+txnSize)), txns, txnSize)
-}
-
-// AppendBatch is MarshalBatch into a caller-provided buffer, so a streaming
-// client can reuse one body allocation across batches.
+// AppendBatch appends txns to dst as a Batch frame body. Every payload must
+// be txnSize bytes. A streaming client reuses one buffer across batches.
 func AppendBatch(dst []byte, txns []Transaction, txnSize int) ([]byte, error) {
 	// Grow once and write records at computed offsets: the per-transaction
 	// append path re-checks capacity on every header and payload, which is
@@ -662,9 +621,9 @@ func ParseBatch(body []byte, txnSize int, dst []Transaction) ([]Transaction, err
 		return nil, fmt.Errorf("%w: batch of %d records wants %d body bytes, have %d", ErrBadFrame, count, want, len(rest))
 	}
 	// The geometry check above already proves every record's bounds, so the
-	// hot loop slices records directly instead of re-validating lengths
-	// through ParseTransaction — at serving batch sizes this parse is a
-	// measurable share of the whole pipeline.
+	// hot loop slices records directly instead of re-validating each
+	// record's length — at serving batch sizes this parse is a measurable
+	// share of the whole pipeline.
 	if cap(dst) < count {
 		dst = make([]Transaction, count)
 	}
@@ -707,15 +666,6 @@ type BatchStats struct {
 // batchStatsBytes is the fixed BatchStats encoding size: the transaction
 // count, five uint64 activity counters, and two float64 energies.
 const batchStatsBytes = 4 + 5*8 + 2*8
-
-// OnesSaved returns the 1 values removed by encoding (0 when encoding adds
-// ones, as metadata-bearing schemes can on hostile data).
-func (s BatchStats) OnesSaved() uint64 {
-	if s.OnesAfter >= s.OnesBefore {
-		return 0
-	}
-	return s.OnesBefore - s.OnesAfter
-}
 
 // EnergySavedPJ returns the estimated picojoules saved by encoding.
 func (s BatchStats) EnergySavedPJ() float64 { return s.BaselinePJ - s.EncodedPJ }
@@ -776,30 +726,9 @@ type BatchReply struct {
 	Records []EncodedRecord
 }
 
-// MarshalBatchReply encodes r as a BatchReply frame body. Every record must
-// carry txnSize data bytes and metaBytes metadata bytes.
-func MarshalBatchReply(r BatchReply, txnSize, metaBytes int) ([]byte, error) {
-	body := make([]byte, 0, batchStatsBytes+len(r.Records)*(txnSize+metaBytes))
-	body = AppendBatchStats(body, r.Stats)
-	for i, rec := range r.Records {
-		if len(rec.Data) != txnSize || len(rec.Meta) != metaBytes {
-			return nil, fmt.Errorf("%w: record %d is %d+%d bytes, reply expects %d+%d",
-				ErrBadFrame, i, len(rec.Data), len(rec.Meta), txnSize, metaBytes)
-		}
-		body = append(body, rec.Data...)
-		body = append(body, rec.Meta...)
-	}
-	return body, nil
-}
-
-// ParseBatchReply decodes a BatchReply frame body. Record slices alias body.
-func ParseBatchReply(body []byte, txnSize, metaBytes int) (BatchReply, error) {
-	return ParseBatchReplyInto(body, txnSize, metaBytes, nil)
-}
-
-// ParseBatchReplyInto is ParseBatchReply reusing records' capacity for the
-// decoded record headers, so a streaming client allocates per session, not
-// per batch. Record slices alias body.
+// ParseBatchReplyInto decodes a BatchReply frame body, reusing records'
+// capacity for the decoded record headers, so a streaming client allocates
+// per session, not per batch. Record slices alias body.
 func ParseBatchReplyInto(body []byte, txnSize, metaBytes int, records []EncodedRecord) (BatchReply, error) {
 	stats, rest, err := ParseBatchStats(body)
 	if err != nil {
