@@ -94,12 +94,6 @@ func New(dataWires int) *Bus {
 // BeatBytes returns the number of data bytes per beat.
 func (b *Bus) BeatBytes() int { return b.beatBytes }
 
-// Reset clears accumulated statistics and wire state.
-func (b *Bus) Reset() {
-	b.haveState = false
-	b.stats = Stats{}
-}
-
 // Stats returns the activity accumulated so far.
 func (b *Bus) Stats() Stats { return b.stats }
 

@@ -300,8 +300,8 @@ func (s *Session) classify(ft trace.FrameType, body []byte, writeDur, readDur ti
 		// so its codec state is unusable: reconnect for a clean epoch.
 		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: answer to batch %d on stream %d: %w", s.id, s.sid, err)
 	}
-	// The reader fails the generation on an Error frame, so the answer
-	// is never AnswerEnded here.
+	// The reader fails the generation on an Error frame, so none reaches
+	// this check.
 	switch a.Kind {
 	case trace.AnswerKilled:
 		// The server retired this stream while the connection lives on:

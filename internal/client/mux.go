@@ -617,8 +617,8 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
-	// The reader fails the generation on an Error frame, so the answer is
-	// never AnswerEnded here.
+	// The reader fails the generation on an Error frame, so none reaches
+	// this check.
 	ok, err := trace.CheckStreamOpen(trace.FrameType(answer[4]), answer[trace.FrameHeaderBytes:], s.sid)
 	switch {
 	case err != nil:

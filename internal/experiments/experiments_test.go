@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -150,9 +154,14 @@ func TestCPUSuiteShape(t *testing.T) {
 	}
 }
 
+// update rewrites the experiment goldens from the current code:
+// go test -run TestAllExperimentsRun ./internal/experiments/ -update
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current experiment output")
+
 // TestAllExperimentsRun executes every registered experiment end to end —
-// the same code paths cmd/bxtbench exercises — so every figure, table,
-// ablation and extension runner stays green.
+// the same code paths cmd/bxtbench exercises — and compares each one's
+// output byte for byte with testdata/<id>.golden, so every figure, table,
+// ablation and extension keeps the numbers it reproduces.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -167,6 +176,39 @@ func TestAllExperimentsRun(t *testing.T) {
 			if buf.Len() < 40 {
 				t.Fatalf("%s produced suspiciously little output:\n%s", e.ID, buf.String())
 			}
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s output differs from %s (regenerate with -update if the change is intended):\n%s",
+					e.ID, path, firstDiff(want, buf.Bytes()))
+			}
 		})
 	}
+}
+
+// firstDiff shows the first line where got departs from want.
+func firstDiff(want, got []byte) string {
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < max(len(wl), len(gl)); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d\nwant %q\ngot  %q", i+1, w, g)
+		}
+	}
+	return "no line differs"
 }

@@ -230,14 +230,6 @@ func (p *Proxy) SetFaults(in *faults.Injector) { p.inj = in }
 // Logger returns the proxy's structured logger.
 func (p *Proxy) Logger() *slog.Logger { return p.log }
 
-// SetLogger replaces the logger; call before Start.
-func (p *Proxy) SetLogger(l *slog.Logger) {
-	if l != nil {
-		p.log = l
-		p.host.SetLogger(l)
-	}
-}
-
 // routes mounts bxtproxy's own routes on the metrics listener: per-backend
 // /drain, /backends, and — only when cfg.Debug — the relay-span ring.
 func (p *Proxy) routes(mux *http.ServeMux) {

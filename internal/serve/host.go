@@ -149,9 +149,6 @@ func New[S Session](cfg config.Listener, tier Tier[S]) (*Host[S], error) {
 // Logger returns the host's structured logger.
 func (h *Host[S]) Logger() *slog.Logger { return h.log }
 
-// SetLogger replaces the logger; call before Start.
-func (h *Host[S]) SetLogger(l *slog.Logger) { h.log = l }
-
 // Start opens both listeners and begins serving. It returns immediately;
 // use Shutdown/Close to stop.
 func (h *Host[S]) Start() error {
@@ -588,9 +585,10 @@ func (w *Writer) Write(frame []byte, at time.Time, done func(time.Duration)) err
 }
 
 // Block returns the pending block's spare room, empty and with room for
-// at least n bytes, for the session to build its next frame in by
-// appending to it: a frame that fits lands in place behind the held
-// frames, and Write takes it without a copy. Only the session goroutine may
+// at least n bytes, for the session to build its next frame in, by
+// appending to it or by slicing it to the frame's exact size: a frame that
+// fits lands in place behind the held frames, and Write takes it without a
+// copy. Only the session goroutine may
 // call it, and nothing else may use the Writer until that frame is written.
 func (w *Writer) Block(n int) []byte {
 	w.block = slices.Grow(w.block, n)

@@ -34,6 +34,7 @@ func newConfigStream(t testing.TB, cfg config.Server, schemeName string, txnSize
 	ss := &session{
 		srv: srv,
 		id:  1,
+		w:   srv.host.NewWriter(nil), // processBatch reserves its reply here
 		log: srv.log.With("session", 1),
 	}
 	st, err := ss.openStream(0, schemeName, txnSize)
@@ -70,8 +71,9 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 					t.Fatalf("processBatch: %v", err)
 				}
 			}
-			// Warm up buffer growth (recBuf, the session's reply buffer)
-			// and, on the cached stream, admit every variant of the batch.
+			// Warm up buffer growth (the session's batch scratch and the
+			// Writer's block the reply is built in) and, on the cached
+			// stream, admit every variant of the batch.
 			for i := 0; i < 8; i++ {
 				run()
 			}
@@ -180,4 +182,65 @@ func TestHelloOnlySessionAllocations(t *testing.T) {
 	if per > helloOnlyAllocBudget {
 		t.Errorf("%.0f B allocated per hello-only session, want at most %d", per, helloOnlyAllocBudget)
 	}
+}
+
+// Per-stream footprint bounds, in live heap bytes per open stream once
+// each has served one batch (TestStreamFootprint). A stream should cost its
+// codec and wire state; a batch's scratch belongs to the session, which
+// encodes one batch at a time, so the footprint must not grow with the
+// batch size. A stream measured about 1,940 B at universal 256×32 and
+// 1,360 B at basexor 64×32, where it held 27.4 KB and 12.5 KB while it
+// kept its own batch scratch; each bound leaves about 20% headroom.
+const (
+	streamFootprintBudget = 2350 // at universal 256×32
+	streamFootprintSlope  = 700  // universal 256×32 over basexor 64×32
+)
+
+// TestStreamFootprint opens streamFootprintStreams streams on one
+// connection, serves one batch on each and bounds the live heap the
+// streams hold once a GC has run.
+func TestStreamFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens 1,000 streams")
+	}
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	small := streamFootprint(t, "basexor", 64)
+	large := streamFootprint(t, "universal", 256)
+	t.Logf("live heap per stream: %.0f B at basexor 64×32, %.0f B at universal 256×32", small, large)
+	if large > streamFootprintBudget {
+		t.Errorf("universal 256×32: %.0f B per stream, want at most %d", large, streamFootprintBudget)
+	}
+	if large-small > streamFootprintSlope {
+		t.Errorf("universal 256×32 holds %.0f B per stream more than basexor 64×32, want at most %d", large-small, streamFootprintSlope)
+	}
+}
+
+// streamFootprint returns the live heap bytes per stream that 1,000
+// streams of scheme, each served one batch of n 32-byte transactions, hold
+// on one connection.
+func streamFootprint(t *testing.T, scheme string, n int) float64 {
+	const streams = 1000
+	srv := startServer(t, testConfig())
+	r := dialRaw(t, srv.Addr(), scheme, 32)
+	txns := makeTxns(rand.New(rand.NewSource(3)), n, 32)
+	// Stream 0's batch grows the connection's buffers before the baseline.
+	r.send(trace.FrameBatch, sidBatch(t, 0, 1, txns, 32))
+	expectSIDReply(t, r, 0, 1, 32, n)
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	for sid := uint32(1); sid <= streams; sid++ {
+		openSibling(t, r, sid, scheme, 32)
+		r.send(trace.FrameBatch, sidBatch(t, sid, 1, txns, 32))
+		expectSIDReply(t, r, sid, 1, 32, n)
+	}
+	after := live()
+	runtime.KeepAlive(r)
+	return float64(int64(after)-int64(before)) / streams
 }

@@ -73,8 +73,7 @@ type Server struct {
 }
 
 // New validates cfg and returns an unstarted server. The structured
-// logger (level and format from cfg) writes to stderr; swap it with
-// SetLogger before Start.
+// logger (level and format from cfg) writes to stderr.
 func New(cfg config.Server) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -147,14 +146,6 @@ func (s *Server) release() { <-s.slots }
 // Logger returns the server's structured logger, so the embedding command
 // logs through the same handler.
 func (s *Server) Logger() *slog.Logger { return s.log }
-
-// SetLogger replaces the logger; call before Start.
-func (s *Server) SetLogger(l *slog.Logger) {
-	if l != nil {
-		s.log = l
-		s.host.SetLogger(l)
-	}
-}
 
 // routes mounts bxtd's own routes on the metrics listener: /drain, and —
 // only when cfg.Debug — the event and poison rings.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/serve"
 	"github.com/hpca18/bxt/internal/trace"
@@ -30,11 +31,16 @@ type session struct {
 	// streams holds the connection's open streams by id.
 	streams *serve.Streams[*stream]
 
-	// reply is where processBatch builds each BatchReply frame: the
-	// Writer's Block for a served batch, so the reply lands in place behind
-	// any held answers and is written without a copy, and the steady-state
-	// batch path allocates nothing.
-	reply []byte
+	// The batch scratch, which every stream shares: the session encodes
+	// one batch at a time. txns holds the parsed batch, srcBuf one block's
+	// payloads gathered back to back, and batchEnc that block's records,
+	// which point at their windows of the reply frame; processBatch
+	// reserves the frame, exactly sized, at the end of the Writer's block,
+	// so the reply is built in place and written without a copy, and the
+	// steady-state batch path allocates nothing.
+	txns     []trace.Transaction
+	srcBuf   []byte
+	batchEnc []core.Encoded
 }
 
 // errSession wraps client-visible protocol failures.
@@ -111,7 +117,7 @@ func (ss *session) handshake() error {
 	}
 	ss.streams.Add(0, st)
 
-	st.log.Info("session open", "remote", ss.conn.RemoteAddr().String(), "txn_size", h.TxnSize)
+	st.log(slog.LevelInfo, "session open", "remote", ss.conn.RemoteAddr().String(), "txn_size", h.TxnSize)
 	ss.srv.events.Add(obs.Event{
 		Type:    obs.EventSessionOpen,
 		Session: ss.id,
@@ -160,7 +166,7 @@ func (ss *session) addStream(o trace.StreamOpen) (*stream, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st.log.Debug("stream open", "txn_size", o.TxnSize)
+	st.log(slog.LevelDebug, "stream open", "txn_size", o.TxnSize)
 	ss.srv.events.Add(obs.Event{Type: obs.EventStreamOpen, Session: ss.id, Scheme: st.schemeName, Detail: fmt.Sprintf("stream %d", o.ID)})
 	return st, trace.MarshalStreamOpenOK(trace.StreamOpenOK{
 		ID: o.ID, Status: trace.StreamOK, MetaBits: st.metaBits, BatchLimit: ss.srv.cfg.BatchLimit,
@@ -170,7 +176,7 @@ func (ss *session) addStream(o trace.StreamOpen) (*stream, []byte, error) {
 // closeStream records the close of st, with cause naming why when the
 // server closed it (empty on a client-requested close).
 func (ss *session) closeStream(st *stream, cause string) {
-	st.log.Debug("stream closed", "batches", st.batches, "cause", cause)
+	st.log(slog.LevelDebug, "stream closed", "batches", st.batches, "cause", cause)
 	ss.srv.events.Add(obs.Event{Type: obs.EventStreamClose, Session: ss.id, Scheme: st.schemeName, Batches: st.batches, Detail: cause})
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 
@@ -34,14 +35,14 @@ func (st *stream) handleStateSnapshot() {
 		// Snapshot writes to a buffer, so this is codec-side failure, not
 		// I/O; the codec state itself was only read, never mutated.
 		st.ss.srv.met.stateFails.Add(1)
-		st.log.Warn("state snapshot failed", "err", err)
+		st.log(slog.LevelWarn, "state snapshot failed", "err", err)
 		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateFailed, st.batches, []byte(err.Error())))
 		return
 	}
 	st.ss.srv.met.stateSnapshots.Add(1)
 	st.ss.srv.met.stateSnapshotBytes.Store(int64(buf.Len()))
-	st.log.Debug("state snapshot served", "bytes", buf.Len(), "batches", st.batches)
+	st.log(slog.LevelDebug, "state snapshot served", "bytes", buf.Len(), "batches", st.batches)
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateSnapshot, Session: st.ss.id, Scheme: st.schemeName, Batches: st.batches,
 	})
@@ -75,7 +76,7 @@ func (st *stream) handleStateRestore(body []byte) error {
 		// baselines so the session is cleanly fresh, not half-restored.
 		st.recoverBatch()
 		st.ss.srv.met.stateFails.Add(1)
-		st.log.Warn("state restore failed", "seq", seq, "err", err)
+		st.log(slog.LevelWarn, "state restore failed", "seq", seq, "err", err)
 		st.send(trace.FrameStateAck, trace.MarshalStateAck(
 			trace.StateFailed, seq, []byte(err.Error())))
 		return nil
@@ -83,7 +84,7 @@ func (st *stream) handleStateRestore(body []byte) error {
 	st.batches = seq
 	st.prevBase, st.prevEnc = st.baseBus.Stats(), st.encBus.Stats()
 	st.ss.srv.met.stateRestores.Add(1)
-	st.log.Info("state restored", "bytes", len(state), "batches", seq)
+	st.log(slog.LevelInfo, "state restored", "bytes", len(state), "batches", seq)
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStateRestore, Session: st.ss.id, Scheme: st.schemeName, Batches: seq,
 	})
@@ -130,15 +131,15 @@ func (st *stream) restoreState(state []byte) error {
 func (st *stream) persistState() {
 	var buf bytes.Buffer
 	if err := st.snapshotState(&buf); err != nil {
-		st.log.Warn("drain-time state persist failed", "err", err)
+		st.log(slog.LevelWarn, "drain-time state persist failed", "err", err)
 		return
 	}
 	path := filepath.Join(st.ss.srv.cfg.StateDir, fmt.Sprintf("session-%d-%s.state", st.ss.id, st.schemeName))
 	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
-		st.log.Warn("drain-time state persist failed", "path", path, "err", err)
+		st.log(slog.LevelWarn, "drain-time state persist failed", "path", path, "err", err)
 		return
 	}
-	st.log.Info("state persisted", "path", path, "bytes", buf.Len(), "batches", st.batches)
+	st.log(slog.LevelInfo, "state persisted", "path", path, "bytes", buf.Len(), "batches", st.batches)
 	st.ss.srv.events.Add(obs.Event{
 		Type: obs.EventStatePersist, Session: st.ss.id, Scheme: st.schemeName,
 		Batches: st.batches, Detail: path,

@@ -18,9 +18,11 @@ import (
 // stream is one logical session on a connection: an independent (scheme,
 // transaction size) context with its own codec, bus models, similarity
 // cache handle, fault budget, and batch-id space. The Hello opens stream 0
-// implicitly and StreamOpen frames open the rest. All stream state is only
-// ever touched by the session's goroutine, so stateful codecs see batches
-// in arrival order.
+// implicitly and StreamOpen frames open the rest. A stream holds its codec
+// and wire state and nothing per batch: a batch's scratch is the session's,
+// and its records are encoded straight into the reply frame. All stream
+// state is only ever touched by the session's goroutine, so stateful
+// codecs see batches in arrival order.
 type stream struct {
 	ss  *session
 	sid uint32
@@ -30,7 +32,6 @@ type stream struct {
 	txnSize    int
 	metaBits   int
 	metaBytes  int
-	log        *slog.Logger
 	// faults counts this stream's recoverable batch faults against the
 	// configured budget. An exhausted budget kills only this stream;
 	// sibling streams on the connection keep serving.
@@ -77,18 +78,11 @@ type stream struct {
 	// encoded transfers; their divergence is the value the gateway reports.
 	baseBus, encBus   *bus.Bus
 	prevBase, prevEnc bus.Stats
-	txns              []trace.Transaction
-	recBuf            []byte
 
 	// batch is the stream's one encode entry point: the codec's native
 	// batch kernel or scheme.BatchEncoder's sequential adapter, behind the
-	// cache decorator when the stream has one. encodeAll gathers each block
-	// of transactions into srcBuf and encodes it with one EncodeBatch call
-	// into the block's batchEnc records, which point at their recBuf
-	// windows.
-	batch    core.BatchEncoder
-	srcBuf   []byte
-	batchEnc []core.Encoded
+	// cache decorator when the stream has one.
+	batch core.BatchEncoder
 }
 
 // openStream builds one stream on the session: codec construction, the
@@ -156,8 +150,16 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	}
 	st.stages = ss.srv.met.stages.Set(name, stages...)
 	st.onAnswered, st.onWrote = st.answered, st.wrote
-	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
 	return st, nil
+}
+
+// log writes a record through the session's logger under the stream's
+// keys, stream and scheme.
+func (st *stream) log(level slog.Level, msg string, args ...any) {
+	ctx := context.Background()
+	if l := st.ss.log; l.Enabled(ctx, level) {
+		l.Log(ctx, level, msg, append([]any{"stream", st.sid, "scheme", st.schemeName}, args...)...)
+	}
 }
 
 // send writes a t frame on the stream: the stream-id prefix, then the
@@ -193,12 +195,12 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 		st.softFail(id, false, err.Error())
 		return
 	}
-	txns, err := trace.ParseBatch(payload, st.txnSize, st.txns[:0])
+	txns, err := trace.ParseBatch(payload, st.txnSize, ss.txns[:0])
 	if err != nil {
 		st.softFail(id, false, err.Error())
 		return
 	}
-	st.txns = txns
+	ss.txns = txns
 	if len(txns) == 0 || len(txns) > ss.srv.cfg.BatchLimit {
 		st.softFail(id, false, fmt.Sprintf("batch of %d transactions outside [1, %d]", len(txns), ss.srv.cfg.BatchLimit))
 		return
@@ -216,7 +218,6 @@ func (st *stream) handleBatch(body []byte, readDur time.Duration) {
 	// Shed batches never reach here, so the admission stage counts
 	// admitted batches and its histogram reflects successful waits.
 	st.span.Observe(obs.StageAdmission, time.Since(admStart))
-	ss.reply = ss.w.Block(len(ss.reply)) // room for a reply the size of the last
 	reply, err := st.processBatch(id, txns)
 	ss.srv.release()
 	if err != nil {
@@ -256,14 +257,14 @@ func (st *stream) softFail(id uint64, reset bool, cause string) {
 	ss := st.ss
 	st.faults++
 	ss.srv.met.batchFaults.Add(1)
-	st.log.Warn("batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
+	st.log(slog.LevelWarn, "batch fault", "batch_id", id, "codec_reset", reset, "err", cause)
 	ss.srv.events.Add(obs.Event{Type: obs.EventBatchFault, Session: ss.id, Scheme: st.schemeName, Detail: cause, TraceID: st.span.TraceID})
 	st.answer(trace.FrameBatchError, trace.MarshalBatchError(id, reset, cause))
 	if st.faults >= ss.srv.cfg.FaultBudget {
 		msg := fmt.Sprintf("fault budget exhausted after %d recoverable faults", st.faults)
 		ss.srv.met.streamKills.Add(1)
 		ss.srv.events.Add(obs.Event{Type: obs.EventFaultBudget, Session: ss.id, Scheme: st.schemeName, Detail: msg})
-		st.log.Warn("closing stream", "reason", msg)
+		st.log(slog.LevelWarn, "closing stream", "reason", msg)
 		ss.closeStream(st, msg)
 		ss.streams.Remove(st.sid, msg)
 	}
@@ -275,27 +276,32 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 	ss := st.ss
 	ss.srv.met.codecPanics.Add(1)
 	ss.srv.poison.add(ss.id, st.schemeName, id, txns, payload, err.Error())
-	st.log.Warn("codec panic recovered; batch quarantined", "batch_id", id, "txns", txns, "err", err)
+	st.log(slog.LevelWarn, "codec panic recovered; batch quarantined", "batch_id", id, "txns", txns, "err", err)
 	ss.srv.events.Add(obs.Event{Type: obs.EventCodecPanic, Session: ss.id, Scheme: st.schemeName, Txns: txns, Detail: err.Error()})
 }
 
 // processBatch encodes one batch with the stream codec, charges the
 // baseline and encoded transfers to the stream's bus models, and builds the
-// BatchReply frame in the session's reply buffer, noting in ready when it
-// was built: the end of accounting, a clock read phy_account already takes.
-// Encoding and bus accounting run fused, block by block (encodeAll), and
-// are timed together as the codec_encode stage; the phy_account stage
-// covers the batch's statistics and power estimate. Any error return
-// leaves the stream serviceable: recoverBatch has reset the codec and
-// discarded the partial batch's bus deltas (the caller relays the reset to
-// the client).
+// BatchReply frame, noting in ready when it was built: the end of
+// accounting, a clock read phy_account already takes. The parsed batch
+// fixes the reply's size, so its frame is reserved once, exactly, at the
+// end of the Writer's block, and every record is encoded at its final
+// offset in it; the head (stream id, envelope, BatchStats) is written
+// after accounting. Encoding and bus accounting run fused, block by block
+// (encodeAll), and are timed together as the codec_encode stage; the
+// phy_account stage covers the batch's statistics and power estimate. Any
+// error return leaves the stream serviceable: recoverBatch has reset the
+// codec and discarded the partial batch's bus deltas (the caller relays
+// the reset to the client).
 func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, error) {
 	ss := st.ss
 	if hook := ss.srv.testHookBatch; hook != nil {
 		hook()
 	}
+	size := trace.BatchReplyHeadBytes + len(txns)*st.recLen()
+	frame := ss.w.Block(size)[:size]
 	encStart := time.Now()
-	err := st.encodeAll(txns)
+	err := st.encodeAll(frame[trace.BatchReplyHeadBytes:], txns)
 	var lookups time.Duration
 	if st.cached != nil {
 		lookups = st.cached.TakeLookupTime()
@@ -337,7 +343,7 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 	st.batches++
 
 	if total := done.Sub(encStart); total >= ss.srv.cfg.SlowBatch {
-		st.log.Warn("slow batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
+		st.log(slog.LevelWarn, "slow batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
 		ss.srv.events.Add(obs.Event{
 			Type:       obs.EventSlowBatch,
 			Session:    ss.id,
@@ -346,20 +352,19 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 			DurationMS: float64(total) / float64(time.Millisecond),
 			TraceID:    st.span.TraceID,
 		})
-	} else if st.log.Enabled(context.Background(), slog.LevelDebug) {
+	} else if ss.log.Enabled(context.Background(), slog.LevelDebug) {
 		// Gated so the duration formatting does not allocate on every
 		// batch at the default info level.
-		st.log.Debug("batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
+		st.log(slog.LevelDebug, "batch", "txns", len(txns), "took", total.Round(time.Microsecond).String())
 	}
 
 	// The reply body leads with the stream id; the envelope and its CRC
 	// cover the rest. Echoing the trace id lets the client verify the
-	// reply belongs to the trace it started.
-	frame := trace.AppendStreamID(trace.BeginFrame(ss.reply[:0]), st.sid)
-	frame = trace.AppendTraceEnvelope(frame, id, st.span.TraceID)
-	frame = trace.AppendBatchStats(frame, stats)
-	frame = append(frame, st.recBuf...)
-	ss.reply = frame
+	// reply belongs to the trace it started. The head fills the frame's
+	// room ahead of the records exactly, so these appends write in place.
+	head := trace.AppendStreamID(trace.BeginFrame(frame[:0]), st.sid)
+	head = trace.AppendTraceEnvelope(head, id, st.span.TraceID)
+	trace.AppendBatchStats(head, stats)
 	if err := trace.SealBatchEnvelope(frame[trace.FrameHeaderBytes+4:]); err != nil {
 		return nil, err // unreachable: the envelope was just appended
 	}
@@ -377,39 +382,43 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 // the accounting walk, while still amortizing per-call overheads.
 const batchBlockTxns = 64
 
-// encodeAll is the stream's one encode path. BXTP frames stride each
+// encodeAll is the stream's one encode path, writing the batch's records
+// into recs, the reply frame's record area. BXTP frames stride each
 // transaction's data behind its record header, so each block of
-// transactions is first gathered into the contiguous srcBuf the batch
-// kernels want. The block's dst records are pointed at adjacent recBuf
-// windows of txnSize+metaBytes bytes, so one EncodeBatch call writes the
-// reply payload in place; each record is then settled and the block charged
-// to both buses while it is still L1-resident. A codec panic becomes
-// errCodecPanic, so one poisonous batch cannot take down the process (or
-// even the stream).
-func (st *stream) encodeAll(txns []trace.Transaction) (err error) {
+// transactions is first gathered into the session's contiguous srcBuf, as
+// the batch kernels want. The block's dst records (the session's batchEnc)
+// are pointed at adjacent recs windows of txnSize+metaBytes bytes, so one
+// EncodeBatch call writes the reply payload in place; each record is then
+// settled and the block charged to both buses while it is still
+// L1-resident. A codec panic becomes errCodecPanic, so one poisonous batch
+// cannot take down the process (or even the stream).
+func (st *stream) encodeAll(recs []byte, txns []trace.Transaction) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errCodecPanic, r)
 		}
 	}()
+	ss := st.ss
+	if ss.batchEnc == nil {
+		ss.batchEnc = make([]core.Encoded, batchBlockTxns)
+	}
 	n := len(txns)
-	st.sizeBatch(n)
 	for start := 0; start < n; start += batchBlockTxns {
 		end := min(start+batchBlockTxns, n)
 		ones, toggles := st.gatherBlock(txns[start:end])
-		dst := st.batchEnc[:end-start]
+		dst := ss.batchEnc[:end-start]
 		for i := range dst {
-			st.pointRecord(&dst[i], start+i)
+			st.pointRecord(&dst[i], recs, start+i)
 		}
-		if err := st.batch.EncodeBatch(dst, st.srcBuf, len(dst), st.txnSize); err != nil {
+		if err := st.batch.EncodeBatch(dst, ss.srcBuf, len(dst), st.txnSize); err != nil {
 			return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
 		}
 		for i := range dst {
-			if err := st.settleRecord(&dst[i], start+i); err != nil {
+			if err := st.settleRecord(&dst[i], recs, start+i); err != nil {
 				return err
 			}
 		}
-		if err := st.accountBlock(start, end, ones, toggles); err != nil {
+		if err := st.accountBlock(recs, start, end, ones, toggles); err != nil {
 			return err
 		}
 	}
@@ -420,23 +429,10 @@ func (st *stream) encodeAll(txns []trace.Transaction) (err error) {
 // side-band metadata bytes, the fixed geometry the client parses.
 func (st *stream) recLen() int { return st.txnSize + st.metaBytes }
 
-// record returns record idx's recBuf window.
-func (st *stream) record(idx int) []byte {
+// record returns record idx's window of recs.
+func (st *stream) record(recs []byte, idx int) []byte {
 	off := idx * st.recLen()
-	return st.recBuf[off : off+st.recLen() : off+st.recLen()]
-}
-
-// sizeBatch sizes recBuf for n records and batchEnc for one block's dst
-// records.
-func (st *stream) sizeBatch(n int) {
-	if need := n * st.recLen(); cap(st.recBuf) < need {
-		st.recBuf = make([]byte, need)
-	} else {
-		st.recBuf = st.recBuf[:need]
-	}
-	if cap(st.batchEnc) < batchBlockTxns {
-		st.batchEnc = make([]core.Encoded, batchBlockTxns)
-	}
+	return recs[off : off+st.recLen() : off+st.recLen()]
 }
 
 // fusedGather reports whether the stream's geometry takes gatherCounted:
@@ -446,63 +442,65 @@ func (st *stream) fusedGather() bool {
 	return st.txnSize%8 == 0 && (bb == 4 || bb == 8)
 }
 
-// gatherBlock copies a block's payloads back to back into srcBuf. On the
-// fused geometries the copy also counts the raw side's ones and beat
-// toggles for accountBlock; elsewhere both counts are zero and accountBlock
-// walks srcBuf itself.
+// gatherBlock copies a block's payloads back to back into the session's
+// srcBuf. On the fused geometries the copy also counts the raw side's ones
+// and beat toggles for accountBlock; elsewhere both counts are zero and
+// accountBlock walks srcBuf itself.
 func (st *stream) gatherBlock(block []trace.Transaction) (ones, toggles int) {
+	ss := st.ss
 	if !st.fusedGather() {
-		st.srcBuf = st.srcBuf[:0]
+		ss.srcBuf = ss.srcBuf[:0]
 		for i := range block {
-			st.srcBuf = append(st.srcBuf, block[i].Data...)
+			ss.srcBuf = append(ss.srcBuf, block[i].Data...)
 		}
 		return 0, 0
 	}
 	blockBytes := len(block) * st.txnSize
-	if cap(st.srcBuf) < blockBytes {
-		st.srcBuf = make([]byte, blockBytes)
+	if cap(ss.srcBuf) < blockBytes {
+		ss.srcBuf = make([]byte, blockBytes)
 	}
-	st.srcBuf = st.srcBuf[:blockBytes]
-	return gatherCounted(st.srcBuf, block, st.txnSize, st.baseBus.BeatBytes())
+	ss.srcBuf = ss.srcBuf[:blockBytes]
+	return gatherCounted(ss.srcBuf, block, st.txnSize, st.baseBus.BeatBytes())
 }
 
 // accountBlock charges the block of transactions [start, end) to both
 // buses in arrival order. The raw side never carries metadata, so the
 // gathered srcBuf goes to the baseline bus in one fused TransferBatch walk,
-// adopting gatherBlock's counts where it made them. The block's reply
-// records, data and side-band bytes alike, go to the encoded bus in one
+// adopting gatherBlock's counts where it made them. The block's records in
+// recs, data and side-band bytes alike, go to the encoded bus in one
 // TransferRecords call.
-func (st *stream) accountBlock(start, end, ones, toggles int) error {
+func (st *stream) accountBlock(recs []byte, start, end, ones, toggles int) error {
+	src := st.ss.srcBuf
 	var err error
 	if st.fusedGather() {
-		err = st.baseBus.TransferBatchCounted(st.srcBuf, st.txnSize, ones, toggles)
+		err = st.baseBus.TransferBatchCounted(src, st.txnSize, ones, toggles)
 	} else {
-		err = st.baseBus.TransferBatch(st.srcBuf, st.txnSize)
+		err = st.baseBus.TransferBatch(src, st.txnSize)
 	}
 	if err != nil {
 		return err
 	}
-	return st.encBus.TransferRecords(st.recBuf[start*st.recLen():end*st.recLen()], st.txnSize, st.metaBits)
+	return st.encBus.TransferRecords(recs[start*st.recLen():end*st.recLen()], st.txnSize, st.metaBits)
 }
 
-// pointRecord aims dst's data and metadata at record idx's recBuf window,
+// pointRecord aims dst's data and metadata at record idx's window of recs,
 // so the batch kernel encodes it in place.
-func (st *stream) pointRecord(d *core.Encoded, idx int) {
-	rec := st.record(idx)
+func (st *stream) pointRecord(d *core.Encoded, recs []byte, idx int) {
+	rec := st.record(recs, idx)
 	d.Data = rec[:st.txnSize:st.txnSize]
 	d.Meta = rec[st.txnSize:st.txnSize]
 	d.MetaBits = 0
 }
 
-// settleRecord verifies the codec encoded record idx into its recBuf
-// window, copying back a record a misbehaving (or fault-injected) codec
+// settleRecord verifies the codec encoded record idx into its window of
+// recs, copying back a record a misbehaving (or fault-injected) codec
 // regrew elsewhere and rejecting one with the wrong geometry.
-func (st *stream) settleRecord(d *core.Encoded, idx int) error {
+func (st *stream) settleRecord(d *core.Encoded, recs []byte, idx int) error {
 	if len(d.Data) != st.txnSize || d.MetaBits != st.metaBits || len(d.Meta) != st.metaBytes {
 		return fmt.Errorf("scheme %s: record %d has %d data bytes and %d meta bits, want %d and %d",
 			st.schemeName, idx, len(d.Data), d.MetaBits, st.txnSize, st.metaBits)
 	}
-	rec := st.record(idx)
+	rec := st.record(recs, idx)
 	if &d.Data[0] != &rec[0] {
 		copy(rec, d.Data)
 	}

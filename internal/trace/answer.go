@@ -24,9 +24,6 @@ const (
 	// AnswerRefused declines the request's parameters: an Error frame
 	// answering Hello, or StreamRefused answering StreamOpen.
 	AnswerRefused
-	// AnswerEnded is an Error frame answering a request on an open
-	// session: the peer is closing the connection behind it.
-	AnswerEnded
 	// AnswerKilled is a StreamClosed for the batch's stream: the peer
 	// retired that one stream, and its codec state with it.
 	AnswerKilled
@@ -39,8 +36,8 @@ const (
 // Answer is one checked answer; only the fields its Kind uses are set.
 type Answer struct {
 	Kind AnswerKind
-	// Msg is the peer's text: an Error frame's, a refusal's, a kill's
-	// cause, or a BatchError's message.
+	// Msg is the peer's text: a refusal's, a kill's cause, or a
+	// BatchError's message.
 	Msg string
 	// MetaBits and BatchLimit are what a HelloOK or an opening
 	// StreamOpenOK negotiated.
@@ -72,13 +69,12 @@ func CheckHello(ft FrameType, body []byte) (Answer, error) {
 	return Answer{}, fmt.Errorf("%w: frame type %#x answering hello", ErrBadFrame, byte(ft))
 }
 
-// CheckStreamOpen reads the answer to a StreamOpen for stream sid.
+// CheckStreamOpen reads the answer to a StreamOpen for stream sid. An
+// Error frame ends the connection, which the requester's reader sees
+// before any request does, so here it is a damaged answer like any other
+// stray frame.
 func CheckStreamOpen(ft FrameType, body []byte, sid uint32) (Answer, error) {
-	switch ft {
-	case FrameError:
-		return Answer{Kind: AnswerEnded, Msg: string(body)}, nil
-	case FrameStreamOpenOK:
-	default:
+	if ft != FrameStreamOpenOK {
 		return Answer{}, fmt.Errorf("%w: frame type %#x answering stream open", ErrBadFrame, byte(ft))
 	}
 	ok, err := ParseStreamOpenOK(body)
@@ -100,13 +96,10 @@ func CheckStreamOpen(ft FrameType, body []byte, sid uint32) (Answer, error) {
 }
 
 // CheckBatch reads the answer to the Batch with batch id id and trace id
-// traceID on stream sid. An Error frame carries no stream id, so it is
-// sorted before the stream-id split; every other answer but a
-// StreamClosed must lead with sid.
+// traceID on stream sid. Every answer but a StreamClosed must lead with
+// sid; an Error frame, as for CheckStreamOpen, is a damaged answer.
 func CheckBatch(ft FrameType, body []byte, sid uint32, id, traceID uint64) (Answer, error) {
 	switch ft {
-	case FrameError:
-		return Answer{Kind: AnswerEnded, Msg: string(body)}, nil
 	case FrameStreamClosed:
 		rsid, msg, err := ParseStreamClosed(body)
 		if err != nil {

@@ -49,7 +49,7 @@ func TestAnswerChecks(t *testing.T) {
 			Answer{MetaBits: 2, BatchLimit: 64}, false, false},
 		{"open/refused", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, Status: StreamRefused, Msg: "stream limit"}),
 			Answer{Kind: AnswerRefused, Msg: "stream limit"}, false, false},
-		{"open/error", open, FrameError, []byte("idle timeout"), Answer{Kind: AnswerEnded, Msg: "idle timeout"}, false, false},
+		{"open/error", open, FrameError, []byte("idle timeout"), Answer{}, false, true},
 		{"open/wrong-stream", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid + 1}), Answer{}, false, true},
 		{"open/unknown-status", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, Status: 7, Msg: "?"}), Answer{}, false, true},
 		{"open/truncated", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid})[:8], Answer{}, false, true},
@@ -73,9 +73,9 @@ func TestAnswerChecks(t *testing.T) {
 		{"batch/killed", batch, FrameStreamClosed, MarshalStreamClosed(sid, "fault budget exhausted"),
 			Answer{Kind: AnswerKilled, Msg: "fault budget exhausted"}, false, false},
 		{"batch/killed-wrong-stream", batch, FrameStreamClosed, MarshalStreamClosed(sid+1, ""), Answer{}, false, true},
-		{"batch/error", batch, FrameError, []byte("server is draining"), Answer{Kind: AnswerEnded, Msg: "server is draining"}, false, false},
-		{"batch/error-stream-lookalike", batch, FrameError, lookalike, Answer{Kind: AnswerEnded, Msg: string(lookalike)}, false, false},
-		{"batch/error-empty", batch, FrameError, nil, Answer{Kind: AnswerEnded}, false, false},
+		{"batch/error", batch, FrameError, []byte("server is draining"), Answer{}, false, true},
+		{"batch/error-stream-lookalike", batch, FrameError, lookalike, Answer{}, false, true},
+		{"batch/error-empty", batch, FrameError, nil, Answer{}, false, true},
 		{"batch/wrong-type", batch, FrameStateAck, streamBody(sid, MarshalStateAck(StateOK, id, nil)), Answer{}, false, true},
 		{"batch/hello-ok", batch, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion}), Answer{}, false, true},
 	}
@@ -135,13 +135,10 @@ func FuzzCheckBatch(f *testing.F) {
 		}
 		want := map[AnswerKind]FrameType{
 			AnswerOK: FrameBatchReply, AnswerBusy: FrameBusy, AnswerFault: FrameBatchError,
-			AnswerKilled: FrameStreamClosed, AnswerEnded: FrameError,
+			AnswerKilled: FrameStreamClosed,
 		}
 		if wft, ok := want[a.Kind]; !ok || wft != ft {
 			t.Fatalf("frame %#x accepted as kind %d", ftb, a.Kind)
-		}
-		if a.Kind == AnswerEnded {
-			return // an Error frame names no stream
 		}
 		rsid, rest, err := SplitStreamID(body)
 		if err != nil || rsid != sid {

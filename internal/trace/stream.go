@@ -667,6 +667,12 @@ type BatchStats struct {
 // count, five uint64 activity counters, and two float64 energies.
 const batchStatsBytes = 4 + 5*8 + 2*8
 
+// BatchReplyHeadBytes is the fixed part of a BatchReply frame, ahead of its
+// records: the frame header, the stream id, the trace envelope and the
+// BatchStats. A reply of n records of recLen bytes is BatchReplyHeadBytes +
+// n*recLen bytes long.
+const BatchReplyHeadBytes = FrameHeaderBytes + muxPrefixBytes + batchEnvelopeBytes + traceEnvelopeBytes + batchStatsBytes
+
 // EnergySavedPJ returns the estimated picojoules saved by encoding.
 func (s BatchStats) EnergySavedPJ() float64 { return s.BaselinePJ - s.EncodedPJ }
 
