@@ -322,6 +322,9 @@ func (m *Mux) deliver(mc *muxConn, sid uint32, frame []byte) {
 	s := m.sessions[sid]
 	ok := s != nil && !s.full && !s.held && !s.stale(frame) && !mc.isDead()
 	if ok {
+		if testHookCopy != nil {
+			testHookCopy(mc.conn, len(frame))
+		}
 		s.buf = append(s.buf[:0], frame...)
 		s.full = true
 	}
@@ -333,6 +336,11 @@ func (m *Mux) deliver(mc *muxConn, sid uint32, frame []byte) {
 		}
 	}
 }
+
+// testHookCopy, when non-nil, is told of every frame deliver copies into a
+// session's inbox, with the connection it was read from. It is a test seam
+// for the copy ledger, set only while no Mux is in use.
+var testHookCopy func(conn net.Conn, n int)
 
 // stale reports whether frame, read for s, answers nothing s asked.
 func (s *Session) stale(frame []byte) bool {
