@@ -20,23 +20,6 @@ import (
 // the serving pipeline collapses into three streaming passes over data that
 // is still L1-resident from the encode walk.
 func (b *Bus) TransferBatch(payload []byte, txnBytes int) error {
-	return b.transferBatch(payload, txnBytes, false, 0, 0)
-}
-
-// TransferBatchCounted is TransferBatch for a caller that already streamed
-// payload once — typically while gathering it into the contiguous batch
-// buffer — and accumulated its 1-value count (core.OnesCount semantics) and
-// interior beat toggles (the Hamming distance between consecutive beats,
-// summed from the second beat on). The bus validates geometry, charges the
-// boundary from its resting state, adopts the counts, and saves the final
-// beat, so payload is not walked a second time. Counts that do not match
-// what TransferBatch would compute corrupt the session's statistics; only
-// fused gather loops should use this.
-func (b *Bus) TransferBatchCounted(payload []byte, txnBytes, ones, toggles int) error {
-	return b.transferBatch(payload, txnBytes, true, ones, toggles)
-}
-
-func (b *Bus) transferBatch(payload []byte, txnBytes int, counted bool, ones, toggles int) error {
 	if txnBytes <= 0 || txnBytes%b.beatBytes != 0 {
 		return fmt.Errorf("bus: %d-byte transactions do not fill %d-byte beats", txnBytes, b.beatBytes)
 	}
@@ -55,9 +38,7 @@ func (b *Bus) transferBatch(payload []byte, txnBytes int, counted bool, ones, to
 		_, boundary := onesAndToggles(payload[:b.beatBytes], b.lastData)
 		b.stats.DataToggles += boundary
 	}
-	if !counted {
-		ones, toggles = onesAndBeatToggles(payload, b.beatBytes)
-	}
+	ones, toggles := onesAndBeatToggles(payload, b.beatBytes)
 	b.stats.DataOnes += ones
 	b.stats.DataToggles += toggles
 	copy(b.lastData, payload[len(payload)-b.beatBytes:])

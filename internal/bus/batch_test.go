@@ -70,31 +70,6 @@ func TestTransferBatchMatchesTransfer(t *testing.T) {
 	}
 }
 
-// TestTransferBatchCounted verifies the adopt-the-caller's-counts entry
-// point: fed the exact counts the fused walk would compute, it must match
-// TransferBatch state-for-state.
-func TestTransferBatchCounted(t *testing.T) {
-	for _, width := range []int{32, 64} {
-		rng := rand.New(rand.NewSource(0xc0c0))
-		a := New(width)
-		b := New(width)
-		for round := 0; round < 30; round++ {
-			p := batchPayload(rng, 1+rng.Intn(8), 32)
-			if err := a.TransferBatch(p, 32); err != nil {
-				t.Fatal(err)
-			}
-			ones, toggles := onesAndBeatToggles(p, width/8)
-			if err := b.TransferBatchCounted(p, 32, ones, toggles); err != nil {
-				t.Fatal(err)
-			}
-			if as, bs := a.Stats(), b.Stats(); as != bs {
-				t.Fatalf("width %d round %d: counted stats diverge\ncounted  %+v\ninternal %+v",
-					width, round, bs, as)
-			}
-		}
-	}
-}
-
 // TestOnesAndBeatTogglesMatchesReference checks the fused ones+toggles walk
 // — including the carried-register 32- and 64-bit specializations and their
 // unrolled tails — against the separate core.OnesCount and beatToggles

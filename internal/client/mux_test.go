@@ -193,7 +193,7 @@ func helloServer(t *testing.T, version uint8) string {
 // with ErrServer, on a plain Client and on a Mux alike, instead of running
 // a session whose framing the server does not share.
 func TestMuxRequiresV4(t *testing.T) {
-	for _, v := range []uint8{1, 2, 3, 5} {
+	for _, v := range []uint8{1, 2, 3, 4, 6} {
 		addr := helloServer(t, v)
 		if c, err := client.Dial(addr, "universal", 32); !errors.Is(err, client.ErrServer) {
 			if c != nil {

@@ -19,9 +19,9 @@ import (
 // the write side. The wrapper reassembles the written byte stream into
 // BXTP frames, so faults land on whole v4 Batch frames regardless of how
 // the writer coalesces or splits them across Write calls; all other frame
-// types pass through untouched. The connection must speak protocol v4 —
-// on earlier revisions a Batch body does not lead with a stream id and
-// interleave would corrupt it.
+// types pass through untouched. The connection must speak protocol v4 or
+// later — on earlier revisions a Batch body does not lead with a stream id
+// and interleave would corrupt it.
 func (in *Injector) WrapStreamConn(c net.Conn) net.Conn {
 	return &streamConn{Conn: c, in: in}
 }

@@ -94,14 +94,14 @@ func TestCompatFaultSemantics(t *testing.T) {
 }
 
 // TestOldHelloRejected holds bxtproxy to the one-revision rule on both of
-// its legs. Client leg: the committed v1–v3 Hello golden vectors are each
+// its legs. Client leg: the committed v1–v4 Hello golden vectors are each
 // answered with an Error frame naming the version, and then the connection
 // closes. Backend leg: a backend answering HelloOK with another revision
 // never serves, and the client's dial fails with ErrServer.
 func TestOldHelloRejected(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	px := startProxy(t, proxyConfig(startBackend(t, backendConfig()).Addr()))
-	for v := 1; v <= 3; v++ {
+	for v := 1; v <= 4; v++ {
 		raw, err := os.ReadFile(fmt.Sprintf("../trace/testdata/v%d_hello.hex", v))
 		if err != nil {
 			t.Fatal(err)

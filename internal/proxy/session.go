@@ -66,7 +66,7 @@ func (ss *session) Serve() {
 	defer ss.release()
 	if err := ss.handshake(); err != nil {
 		ss.log.Warn("handshake failed", "err", err)
-		ss.w.Send(trace.FrameError, []byte(err.Error()))
+		ss.w.Refuse(err)
 		return
 	}
 	st0, _ := ss.streams.Get(0)
@@ -154,7 +154,7 @@ func (ss *session) openStream(o trace.StreamOpen) (*pstream, []byte, error) {
 	}
 	ss.log.Info("stream open", "stream", o.ID, "scheme", o.Scheme, "pinned", st.pinned)
 	ok := st.openOK
-	st.openOK, st.accepted = nil, true
+	st.openOK = nil
 	return st, ok, nil
 }
 
@@ -180,18 +180,30 @@ func (ss *session) closeStream(st *pstream) {
 // client's and opens stream 0 there. That stream is the leg of the
 // client's stream 0 when it runs the Hello's parameters: st itself when st
 // is a stream 0 the client is re-opening, not yet in the table. A refused
-// Hello wraps errRefused.
+// Hello wraps errRefused. A handshake that fails otherwise, short of its
+// timeout, is tried once more on a fresh connection: a Hello or HelloOK
+// damaged in transit fails its seal, and a fresh connection does not
+// repeat the damage. One that times out is not, so a backend that never
+// answers costs one DialTimeout.
 func (ss *session) dial(b *backend, st *pstream) error {
-	m, _ := client.NewMux(b.addr, ss.p.leg)
-	s0, err := m.Open(ss.hello.Scheme, ss.hello.TxnSize)
-	if err != nil {
+	var m *client.Mux
+	var s0 *client.Session
+	for try := 0; ; try++ {
+		var err error
+		m, _ = client.NewMux(b.addr, ss.p.leg)
+		if s0, err = m.Open(ss.hello.Scheme, ss.hello.TxnSize); err == nil {
+			break
+		}
 		m.Close()
 		if errors.Is(err, client.ErrServer) && !errors.Is(err, trace.ErrBadFrame) {
 			return fmt.Errorf("%w %s: %v", errRefused, b.addr, err)
 		}
-		// A damaged HelloOK is a failure of b, not the backend ending the
-		// connection: drop client.ErrServer from the chain.
-		return fmt.Errorf("proxy: backend %s: %v", b.addr, err)
+		var ne net.Error
+		if try > 0 || errors.As(err, &ne) && ne.Timeout() {
+			// A damaged HelloOK is a failure of b, not the backend ending
+			// the connection: drop client.ErrServer from the chain.
+			return fmt.Errorf("proxy: backend %s: %v", b.addr, err)
+		}
 	}
 	ss.ups[b] = m
 	st0 := st

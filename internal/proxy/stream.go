@@ -53,13 +53,9 @@ type pstream struct {
 	// avoid is the backend that relayed this stateless stream's last
 	// Busy or BatchError; the retry that follows routes elsewhere when
 	// another backend is eligible, so a backend-side fault that repeats
-	// (a backend stream opened with damaged parameters, say) cannot
-	// absorb every retry.
+	// (a backend whose codec faults every batch, say) cannot absorb every
+	// retry.
 	avoid *backend
-	// accepted is set once the client has been told this stream opened:
-	// its parameters are then known good, so a later refusal to open it
-	// on another backend connection is a fault of that connection.
-	accepted bool
 
 	// span is the current batch's one ledger on the relay leg: its trace
 	// id and its frame_read, backend_exchange and frame_write times, each
@@ -329,14 +325,6 @@ func (st *pstream) upstreamOn(b *backend) (*client.Session, string, error) {
 				err = st.openOn(leg, b)
 			}
 		}
-	}
-	if st.accepted && errors.Is(err, errRefused) {
-		// Not parameter-driven: the connection and the proxy disagree on
-		// what is open on it (a damaged StreamOpenOK once read as a
-		// refusal leaves the stream open on the backend, and every
-		// re-open then fails "already open"). Treat it as a connection
-		// failure, so the connection drops and the stream reopens fresh.
-		err = fmt.Errorf("proxy: backend %s refused to reopen stream %d: %v", b.addr, st.sid, err)
 	}
 	switch {
 	case err == nil:

@@ -18,8 +18,9 @@ import (
 )
 
 // echoSession is a minimal tier session: it answers a good Hello with
-// HelloOK, then reads frames until the Reader's verdict, which it sends
-// as an Error frame unless it is ErrEnd.
+// HelloOK, then reads frames until the Reader's verdict, which it answers
+// as both tiers do (Writer.Refuse): with an Error frame unless it wraps
+// ErrEnd.
 type echoSession struct {
 	conn net.Conn
 	in   Reader
@@ -30,19 +31,14 @@ func (e *echoSession) Writer() *Writer { return e.w }
 
 func (e *echoSession) Serve() {
 	defer e.conn.Close()
-	fail := func(err error) {
-		if err != ErrEnd {
-			e.w.Send(trace.FrameError, []byte(err.Error()))
-		}
-	}
 	if _, err := e.in.Hello(); err != nil {
-		fail(err)
+		e.w.Refuse(err)
 		return
 	}
 	e.w.Send(trace.FrameHelloOK, trace.MarshalHelloOK(trace.HelloOK{Version: trace.ProtocolVersion}))
 	for {
 		if _, _, _, err := e.in.Next(); err != nil {
-			fail(err)
+			e.w.Refuse(err)
 			return
 		}
 	}
@@ -85,7 +81,9 @@ func helloBody(t *testing.T, version uint8) []byte {
 
 // TestReaderVerdicts pins the Hello check and the frame-read verdicts:
 // each failure reaches the client as an Error frame naming it, and a
-// clean close ends the session without one.
+// clean close ends the session without one. So does a Hello that may be
+// damaged — one that fails its seal, or a sealed Hello under another
+// frame type — which a requester must not read as a refusal.
 func TestReaderVerdicts(t *testing.T) {
 	h := startEcho(t, 100*time.Millisecond)
 	frame := func(ft trace.FrameType, body []byte) []byte {
@@ -94,6 +92,8 @@ func TestReaderVerdicts(t *testing.T) {
 		return []byte(b.String())
 	}
 	hello := frame(trace.FrameHello, helloBody(t, trace.ProtocolVersion))
+	damaged := bytes.Clone(hello)
+	damaged[len(damaged)-6] ^= 0x20 // a letter of the scheme name
 	cases := []struct {
 		name string
 		send [][]byte // written in order; nil means half-close
@@ -101,7 +101,9 @@ func TestReaderVerdicts(t *testing.T) {
 	}{
 		{"not a hello", [][]byte{frame(trace.FrameBatch, []byte{0})}, "expected hello frame, got 0x"},
 		{"bad hello body", [][]byte{frame(trace.FrameHello, []byte("junk"))}, "malformed protocol frame"},
-		{"old version", [][]byte{frame(trace.FrameHello, helloBody(t, 3))}, "unsupported protocol version 3 (serving 4)"},
+		{"old version", [][]byte{frame(trace.FrameHello, helloBody(t, 3))}, fmt.Sprintf("unsupported protocol version 3 (serving %d)", trace.ProtocolVersion)},
+		{"damaged hello", [][]byte{damaged}, ""},
+		{"hello under another type", [][]byte{frame(trace.FrameBatch, helloBody(t, trace.ProtocolVersion))}, ""},
 		{"clean close", [][]byte{hello, nil}, ""},
 		{"implausible length", [][]byte{hello, {0xff, 0xff, 0xff, 0xff, 1}}, "implausible frame length"},
 		{"idle client", [][]byte{hello}, "idle timeout waiting for frame"},

@@ -114,9 +114,7 @@ func (s *Streams[T]) Serve(r *Reader, dispatch func(ft trace.FrameType, body []b
 			err = dispatch(ft, body, readStart)
 		}
 		if err != nil {
-			if err != ErrEnd {
-				s.w.Send(trace.FrameError, []byte(err.Error()))
-			}
+			s.w.Refuse(err)
 			return
 		}
 	}

@@ -567,12 +567,12 @@ func TestSlowClientTeardown(t *testing.T) {
 	}
 }
 
-// TestOldHelloRejected feeds bxtd the committed v1–v3 Hello golden
+// TestOldHelloRejected feeds bxtd the committed v1–v4 Hello golden
 // vectors, the bytes an older peer opens with: each is answered with an
 // Error frame naming the version, and then the connection closes.
 func TestOldHelloRejected(t *testing.T) {
 	srv := startServer(t, testConfig())
-	for v := 1; v <= 3; v++ {
+	for v := 1; v <= 4; v++ {
 		raw, err := os.ReadFile(fmt.Sprintf("../trace/testdata/v%d_hello.hex", v))
 		if err != nil {
 			t.Fatal(err)

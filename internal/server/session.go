@@ -31,15 +31,12 @@ type session struct {
 	// streams holds the connection's open streams by id.
 	streams *serve.Streams[*stream]
 
-	// The batch scratch, which every stream shares: the session encodes
-	// one batch at a time. txns holds the parsed batch, srcBuf one block's
-	// payloads gathered back to back, and batchEnc that block's records,
-	// which point at their windows of the reply frame; processBatch
+	// batchEnc is the batch scratch, which every stream shares: the
+	// session encodes one batch at a time. It holds one block's records,
+	// which point at their windows of the reply frame; serveBatch
 	// reserves the frame, exactly sized, at the end of the Writer's block,
 	// so the reply is built in place and written without a copy, and the
 	// steady-state batch path allocates nothing.
-	txns     []trace.Transaction
-	srcBuf   []byte
 	batchEnc []core.Encoded
 }
 
@@ -62,7 +59,7 @@ func (ss *session) Serve() {
 		ss.srv.log.Warn("handshake failed",
 			"session", ss.id, "remote", ss.conn.RemoteAddr().String(), "err", err)
 		ss.srv.events.Add(obs.Event{Type: obs.EventHandshakeFailed, Session: ss.id, Detail: err.Error()})
-		ss.w.Send(trace.FrameError, []byte(err.Error()))
+		ss.w.Refuse(err)
 		return
 	}
 	opened := time.Now()
@@ -105,11 +102,12 @@ func (ss *session) st0Scheme() string {
 // handshake reads and answers the Hello frame. The Hello's scheme and
 // transaction size implicitly open stream 0. A Hello the host's check
 // refuses (wrong frame, bad body, another protocol revision) is answered
-// by Serve with an Error frame and a close.
+// by Serve with an Error frame and a close; one that may be damaged ends
+// the session without one.
 func (ss *session) handshake() error {
 	h, err := ss.in.Hello()
 	if err != nil {
-		return fmt.Errorf("%w: %v", errSession, err)
+		return fmt.Errorf("%w: %w", errSession, err)
 	}
 	st, err := ss.openStream(0, h.Scheme, h.TxnSize)
 	if err != nil {

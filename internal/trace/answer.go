@@ -5,7 +5,9 @@
 // CheckStreamOpen and CheckBatch are the one reading of those answers:
 // each sorts a well-formed answer into an AnswerKind, or reports the frame
 // damaged with an error wrapping ErrBadFrame, after which the connection
-// is out of step and unusable. Callers decide only what each kind means to
+// is out of step and unusable. A HelloOK or StreamOpenOK is read only once
+// its seal holds, so damage in transit is never read as a refusal or as
+// the negotiated geometry. Callers decide only what each kind means to
 // them.
 package trace
 

@@ -3,9 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -28,6 +26,7 @@ func TestAnswerChecks(t *testing.T) {
 	crcDamaged[len(crcDamaged)-1] ^= 0x40
 	streamBody := func(rsid uint32, body []byte) []byte { return append(AppendStreamID(nil, rsid), body...) }
 	lookalike := append(AppendStreamID(nil, sid), " is draining"...) // an Error text whose first 4 bytes spell sid
+	flip := func(b []byte, i int) []byte { b[i] ^= 1; return b }
 
 	cases := []struct {
 		name  string
@@ -35,14 +34,15 @@ func TestAnswerChecks(t *testing.T) {
 		ft    FrameType
 		body  []byte
 		want  Answer
-		crc   bool // damaged by its envelope CRC (ErrCRC)
+		crc   bool // damaged by its envelope CRC or its seal (ErrCRC)
 		bad   bool // damaged
 	}{
 		{"hello/ok", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion, MetaBits: 2, BatchLimit: 4096}),
 			Answer{MetaBits: 2, BatchLimit: 4096}, false, false},
 		{"hello/error", hello, FrameError, []byte("unknown scheme"), Answer{Kind: AnswerRefused, Msg: "unknown scheme"}, false, false},
 		{"hello/old-version", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: 3, BatchLimit: 4096}), Answer{}, false, true},
-		{"hello/truncated", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion})[:4], Answer{}, false, true},
+		{"hello/truncated", hello, FrameHelloOK, MarshalHelloOK(HelloOK{Version: ProtocolVersion})[:4], Answer{}, true, true},
+		{"hello/damaged", hello, FrameHelloOK, flip(MarshalHelloOK(HelloOK{Version: ProtocolVersion, MetaBits: 2, BatchLimit: 4096}), 1), Answer{}, true, true},
 		{"hello/wrong-type", hello, FrameBatchReply, reply(sid, id, traceID), Answer{}, false, true},
 
 		{"open/ok", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, MetaBits: 2, BatchLimit: 64}),
@@ -52,7 +52,8 @@ func TestAnswerChecks(t *testing.T) {
 		{"open/error", open, FrameError, []byte("idle timeout"), Answer{}, false, true},
 		{"open/wrong-stream", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid + 1}), Answer{}, false, true},
 		{"open/unknown-status", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid, Status: 7, Msg: "?"}), Answer{}, false, true},
-		{"open/truncated", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid})[:8], Answer{}, false, true},
+		{"open/truncated", open, FrameStreamOpenOK, MarshalStreamOpenOK(StreamOpenOK{ID: sid})[:8], Answer{}, true, true},
+		{"open/damaged-status", open, FrameStreamOpenOK, flip(MarshalStreamOpenOK(StreamOpenOK{ID: sid, MetaBits: 2, BatchLimit: 64}), 4), Answer{}, true, true},
 		{"open/wrong-type", open, FrameStreamClosed, MarshalStreamClosed(sid, ""), Answer{}, false, true},
 
 		{"batch/reply", batch, FrameBatchReply, reply(sid, id, traceID), Answer{Payload: payload}, false, false},
@@ -102,23 +103,12 @@ func TestAnswerChecks(t *testing.T) {
 }
 
 // FuzzCheckBatch feeds arbitrary answer frames to CheckBatch, seeded with
-// the v4 golden vectors of every batch answer: no input may panic, every
+// the golden vectors of every batch answer: no input may panic, every
 // error must wrap ErrBadFrame, and an answer it accepts must be the frame
 // kind it claims and name the requested stream, batch and trace ids.
 func FuzzCheckBatch(f *testing.F) {
 	for _, name := range []string{"v4_batch_reply", "v4_busy", "v4_batch_error", "v4_stream_closed", "error"} {
-		raw, err := os.ReadFile(goldenPath(name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		wire, err := hex.DecodeString(string(bytes.Join(bytes.Fields(raw), nil)))
-		if err != nil {
-			f.Fatal(err)
-		}
-		ft, body, err := ReadFrame(bytes.NewReader(wire), nil)
-		if err != nil {
-			f.Fatal(err)
-		}
+		ft, body := goldenBody(f, name)
 		f.Add(byte(ft), body)
 	}
 	f.Add(byte(FrameError), AppendStreamID(nil, goldenStreamID))
@@ -154,6 +144,45 @@ func FuzzCheckBatch(f *testing.F) {
 			if rid := binary.LittleEndian.Uint64(rest[:8]); rid != id {
 				t.Fatalf("accepted answer names batch %d, want %d", rid, uint64(id))
 			}
+		}
+	})
+}
+
+// FuzzCheckHandshake damages one byte of a sealed handshake frame body —
+// a Hello or StreamOpen as the server reads it, a HelloOK or StreamOpenOK
+// as the requester checks it — by XOR with a non-zero mask. Whatever the
+// body and the damage, a frame that read cleanly must then fail its seal
+// (ErrCRC): never a parsed value, a refusal, or a version to name.
+func FuzzCheckHandshake(f *testing.F) {
+	for _, name := range []string{"v5_hello", "v5_hello_ok", "v5_stream_open", "v5_stream_open_ok", "v5_stream_open_refused"} {
+		ft, body := goldenBody(f, name)
+		for _, pos := range []uint16{0, 4, uint16(len(body) - 1)} {
+			f.Add(byte(ft), body, pos, byte(1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, ftb byte, body []byte, pos uint16, mask byte) {
+		var read func([]byte) error
+		switch FrameType(ftb) {
+		case FrameHello:
+			read = func(b []byte) error { _, err := ParseHello(b); return err }
+		case FrameHelloOK:
+			read = func(b []byte) error { _, err := CheckHello(FrameHelloOK, b); return err }
+		case FrameStreamOpen:
+			read = func(b []byte) error { _, err := ParseStreamOpen(b); return err }
+		case FrameStreamOpenOK:
+			var sid uint32
+			if len(body) >= 4 {
+				sid = binary.LittleEndian.Uint32(body)
+			}
+			read = func(b []byte) error { _, err := CheckStreamOpen(FrameStreamOpenOK, b, sid); return err }
+		}
+		if read == nil || mask == 0 || len(body) == 0 || read(body) != nil {
+			return
+		}
+		damaged := bytes.Clone(body)
+		damaged[int(pos)%len(body)] ^= mask
+		if err := read(damaged); !errors.Is(err, ErrCRC) {
+			t.Fatalf("frame %#x with byte %d flipped by %#x read as %v, want ErrCRC", ftb, int(pos)%len(body), mask, err)
 		}
 	})
 }

@@ -107,8 +107,8 @@ func FuzzReader(f *testing.F) {
 	}
 	f.Add(stateFrames.Bytes())
 
-	// v4 mux frames fed to the trace reader: stream lifecycle wire bytes
-	// are not a trace file either.
+	// Mux frames fed to the trace reader: stream lifecycle wire bytes are
+	// not a trace file either.
 	var muxFrames bytes.Buffer
 	open, err := MarshalStreamOpen(StreamOpen{ID: 7, TxnSize: 32, Scheme: "universal"})
 	if err != nil {
@@ -129,6 +129,15 @@ func FuzzReader(f *testing.F) {
 	f.Add(muxFrames.Bytes()[:len(open)+5+2])
 	f.Add(muxFrames.Bytes()[:len(open)+5+7])
 	f.Add([]byte{0, 0, 0, 0, 1})
+	// The v5 handshake and batch vectors, one stream of frames, and each
+	// alone.
+	var v5 []byte
+	for _, name := range v5Frames {
+		wire := goldenWire(f, name)
+		f.Add(wire)
+		v5 = append(v5, wire...)
+	}
+	f.Add(v5)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFrameReaders(t, data)
@@ -260,6 +269,12 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1}, int64(7))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}, int64(8))
 	f.Add([]byte{3, 0}, int64(9))
+	var v5 []byte
+	for _, name := range v5Frames {
+		v5 = append(v5, goldenWire(f, name)...)
+	}
+	f.Add(v5, int64(10))
+	f.Add(v5[:len(v5)-3], int64(11))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		want, wantErr := readStream(bytes.NewReader(data))
@@ -328,7 +343,7 @@ func FuzzStateFrames(f *testing.F) {
 	})
 }
 
-// FuzzMuxFrames feeds arbitrary bytes to the v4 stream-frame parsers: no
+// FuzzMuxFrames feeds arbitrary bytes to the stream-frame parsers: no
 // input may panic, every error must wrap ErrBadFrame, and any body that
 // parses must re-marshal to exactly the input bytes.
 func FuzzMuxFrames(f *testing.F) {
@@ -344,6 +359,11 @@ func FuzzMuxFrames(f *testing.F) {
 	f.Add(AppendStreamID(nil, 7))
 	f.Add([]byte{})
 	f.Add(open[:3]) // shorter than the stream-id prefix
+	for _, name := range []string{"v5_stream_open", "v5_stream_open_ok", "v5_stream_open_refused"} {
+		_, body := goldenBody(f, name)
+		f.Add(body)
+		f.Add(body[:len(body)-1]) // its seal cut short
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if o, err := ParseStreamOpen(body); err != nil {

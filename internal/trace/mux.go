@@ -7,7 +7,7 @@
 // begins with a uint32 stream id, followed by the frame's stream-local
 // encoding:
 //
-//	Batch        sid | id | crc | trace id | records
+//	Batch        sid | id | crc | trace id | count + addrs + kinds + data
 //	BatchReply   sid | id | crc | trace id | stats + records
 //	Busy         sid | id | retry-after
 //	BatchError   sid | id | flags | message
@@ -23,7 +23,9 @@
 // The Hello's scheme and transaction size implicitly open stream 0.
 // Further streams open explicitly: StreamOpen (stream id + transaction
 // size + scheme) is answered by StreamOpenOK carrying the per-stream
-// metadata width and batch limit, or a refusal status and message.
+// metadata width and batch limit, or a refusal status and message. Both
+// end in the handshake seal, which covers their stream id too: a proxy
+// relays a StreamOpenOK verbatim under the same id.
 // StreamClose retires a stream; the gateway answers StreamClosed, and also
 // sends StreamClosed unprompted when it kills a single stream (fault
 // budget exhausted) while the connection and its sibling streams keep
@@ -40,13 +42,13 @@ import (
 const (
 	// FrameStreamOpen opens an additional logical stream on the
 	// session. Body: uint32 stream id + uint32 txn size + len-prefixed
-	// scheme name.
+	// scheme name + seal.
 	FrameStreamOpen FrameType = 0x05
 	// FrameStreamClose retires one stream. Body: uint32 stream id.
 	FrameStreamClose FrameType = 0x06
 	// FrameStreamOpenOK answers StreamOpen. Body: uint32 stream id +
 	// uint8 status, then metaBits+batchLimit on success or a UTF-8
-	// message on refusal.
+	// message on refusal, then the seal.
 	FrameStreamOpenOK FrameType = 0x86
 	// FrameStreamClosed acknowledges StreamClose, or reports the
 	// gateway killed one stream while the session stays up. Body: uint32
@@ -94,7 +96,7 @@ type StreamOpen struct {
 	Scheme string
 }
 
-// MarshalStreamOpen encodes o as a StreamOpen frame body.
+// MarshalStreamOpen encodes o as a sealed StreamOpen frame body.
 func MarshalStreamOpen(o StreamOpen) ([]byte, error) {
 	if o.TxnSize <= 0 || o.TxnSize > MaxTxnBytes {
 		return nil, fmt.Errorf("%w: transaction size %d out of (0, %d]", ErrBadFrame, o.TxnSize, MaxTxnBytes)
@@ -102,16 +104,20 @@ func MarshalStreamOpen(o StreamOpen) ([]byte, error) {
 	if len(o.Scheme) == 0 || len(o.Scheme) > 255 {
 		return nil, fmt.Errorf("%w: scheme name length %d out of [1, 255]", ErrBadFrame, len(o.Scheme))
 	}
-	body := make([]byte, 0, muxPrefixBytes+4+1+len(o.Scheme))
+	body := make([]byte, 0, muxPrefixBytes+4+1+len(o.Scheme)+sealBytes)
 	body = AppendStreamID(body, o.ID)
 	body = binary.LittleEndian.AppendUint32(body, uint32(o.TxnSize))
 	body = append(body, byte(len(o.Scheme)))
-	return append(body, o.Scheme...), nil
+	return seal(append(body, o.Scheme...)), nil
 }
 
-// ParseStreamOpen decodes a StreamOpen frame body.
+// ParseStreamOpen decodes a StreamOpen frame body once its seal holds.
 func ParseStreamOpen(body []byte) (StreamOpen, error) {
 	const fixed = muxPrefixBytes + 4 + 1
+	body, err := unseal(body, "stream-open")
+	if err != nil {
+		return StreamOpen{}, err
+	}
 	if len(body) < fixed {
 		return StreamOpen{}, fmt.Errorf("%w: stream-open body %d bytes, want >= %d", ErrBadFrame, len(body), fixed)
 	}
@@ -147,23 +153,24 @@ type StreamOpenOK struct {
 	Msg string
 }
 
-// MarshalStreamOpenOK encodes ok as a StreamOpenOK frame body.
+// MarshalStreamOpenOK encodes ok as a sealed StreamOpenOK frame body.
 func MarshalStreamOpenOK(ok StreamOpenOK) []byte {
-	if ok.Status != StreamOK {
-		body := make([]byte, 0, muxPrefixBytes+1+len(ok.Msg))
-		body = AppendStreamID(body, ok.ID)
-		body = append(body, ok.Status)
-		return append(body, ok.Msg...)
-	}
-	body := make([]byte, 0, muxPrefixBytes+1+8)
+	body := make([]byte, 0, muxPrefixBytes+1+max(8, len(ok.Msg))+sealBytes)
 	body = AppendStreamID(body, ok.ID)
-	body = append(body, StreamOK)
+	body = append(body, ok.Status)
+	if ok.Status != StreamOK {
+		return seal(append(body, ok.Msg...))
+	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(ok.MetaBits))
-	return binary.LittleEndian.AppendUint32(body, uint32(ok.BatchLimit))
+	return seal(binary.LittleEndian.AppendUint32(body, uint32(ok.BatchLimit)))
 }
 
-// ParseStreamOpenOK decodes a StreamOpenOK frame body.
+// ParseStreamOpenOK decodes a StreamOpenOK frame body once its seal holds.
 func ParseStreamOpenOK(body []byte) (StreamOpenOK, error) {
+	body, err := unseal(body, "stream-open-ok")
+	if err != nil {
+		return StreamOpenOK{}, err
+	}
 	if len(body) < muxPrefixBytes+1 {
 		return StreamOpenOK{}, fmt.Errorf("%w: stream-open-ok body %d bytes, want >= %d", ErrBadFrame, len(body), muxPrefixBytes+1)
 	}

@@ -347,8 +347,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	if _, err := MarshalBatch(bad, txnSize); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad payload size: %v, want ErrBadFrame", err)
 	}
-	// Invalid kind byte inside a record.
-	body[4+8] = 9
+	// Invalid kind byte in the kind column, past the addresses.
+	body[4+8*len(txns)+1] = 9
 	if _, err := ParseBatch(body, txnSize, nil); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad kind: %v, want ErrBadFrame", err)
 	}
@@ -492,10 +492,10 @@ func TestBatchErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransactionRecordRoundTrip pins the single-record wire codec that
-// ParseBatch's direct-slicing loop must stay compatible with: a record
-// appended by AppendTransaction parses back identically through both
-// ParseTransaction and a one-record batch.
+// TestTransactionRecordRoundTrip pins the single-record wire codec: a
+// record appended by AppendTransaction parses back identically through
+// ParseTransaction, and through a one-transaction batch, whose columns
+// are that one record.
 func TestTransactionRecordRoundTrip(t *testing.T) {
 	txn := Transaction{Addr: 0xdeadbeef01, Kind: Write, Data: bytes.Repeat([]byte{7, 1}, 16)}
 	rec := AppendTransaction(nil, txn)

@@ -29,7 +29,7 @@ func AppendTransaction(dst []byte, t Transaction) []byte {
 // returning the transaction and the remaining bytes. The returned Data
 // aliases b.
 func ParseTransaction(b []byte, txnSize int) (Transaction, []byte, error) {
-	n := recordHeaderBytes + txnSize
+	n := batchColumnBytes + txnSize
 	if len(b) < n {
 		return Transaction{}, nil, fmt.Errorf("%w: %d-byte record needs %d bytes, have %d", ErrBadFrame, txnSize, n, len(b))
 	}
@@ -40,7 +40,7 @@ func ParseTransaction(b []byte, txnSize int) (Transaction, []byte, error) {
 	t := Transaction{
 		Addr: binary.LittleEndian.Uint64(b[:8]),
 		Kind: kind,
-		Data: b[recordHeaderBytes:n],
+		Data: b[batchColumnBytes:n],
 	}
 	return t, b[n:], nil
 }
@@ -48,7 +48,7 @@ func ParseTransaction(b []byte, txnSize int) (Transaction, []byte, error) {
 // MarshalBatch encodes txns as a Batch frame body. Every payload must be
 // txnSize bytes.
 func MarshalBatch(txns []Transaction, txnSize int) ([]byte, error) {
-	return AppendBatch(make([]byte, 0, 4+len(txns)*(recordHeaderBytes+txnSize)), txns, txnSize)
+	return AppendBatch(make([]byte, 0, 4+len(txns)*(batchColumnBytes+txnSize)), txns, txnSize)
 }
 
 // OnesSaved returns the 1 values removed by encoding (0 when encoding adds
