@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -198,26 +197,6 @@ type trajectoryEntry struct {
 	Batch    []batchResult    `json:"batch"`
 	Pipeline []pipelineResult `json:"server_pipeline"`
 	Mux      []muxResult      `json:"mux_pipeline,omitempty"`
-}
-
-// appendTrajectory appends entry to the JSON array at path, creating the file
-// on first use. A corrupt or foreign file is an error rather than silently
-// overwritten history.
-func appendTrajectory(path string, entry trajectoryEntry) error {
-	var entries []trajectoryEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return fmt.Errorf("trajectory %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	entries = append(entries, entry)
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // trajectoryPath places BENCH_trajectory.json next to the codec report.

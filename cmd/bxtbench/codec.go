@@ -11,6 +11,7 @@ import (
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
+	"github.com/hpca18/bxt/internal/report"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/server"
 	"github.com/hpca18/bxt/internal/trace"
@@ -271,7 +272,7 @@ func runCodecBench(path string) error {
 	}
 	// Each run also appends its headline numbers to the trajectory log, so
 	// the batch and pipeline figures can be tracked commit over commit.
-	return appendTrajectory(trajectoryPath(path), trajectoryEntry{
+	return report.AppendJSON(trajectoryPath(path), trajectoryEntry{
 		Time: nowStamp(), Go: rep.Go, Batch: rep.Batch, Pipeline: rep.Pipeline, Mux: rep.Mux,
 	})
 }

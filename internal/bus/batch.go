@@ -12,23 +12,49 @@ import (
 // transactions across the bus in one fused walk, accumulating statistics
 // bit-identical to a Transfer call per transaction. Per-txn Transfer walks
 // every beat through onesAndToggles and copies it into lastData; here the
-// whole batch is a single contiguous buffer, so the interior toggles are one
-// strided-XOR popcount pass, the 1-value count is one OnesCount pass, only
-// the boundary from the bus's resting state into the first beat consults
-// history, and only the final beat is saved back. This is the accounting
-// half of the batch mega-kernel: the per-beat state machine that dominated
-// the serving pipeline collapses into three streaming passes over data that
-// is still L1-resident from the encode walk.
+// whole batch is a single contiguous buffer, so the 1 values and interior
+// toggles are one streaming pass (onesAndBeatToggles), and ChargeBatch
+// consults the history only at the boundary into the first beat and saves
+// only the final beat.
 func (b *Bus) TransferBatch(payload []byte, txnBytes int) error {
+	if err := b.checkBatch(payload, txnBytes); err != nil {
+		return err
+	}
+	ones, toggles := onesAndBeatToggles(payload, b.beatBytes)
+	b.charge(payload, txnBytes, ones, toggles)
+	return nil
+}
+
+// ChargeBatch charges the bus for payload, a batch of metadata-free
+// transactions whose 1 values and interior beat toggles were counted as it
+// was encoded (core's EncodeTally): it adds the toggles from the bus's last
+// beat into the batch's first beat and saves the batch's last beat, reading
+// no other byte of payload. With ones and toggles counted from payload, the
+// statistics and wire state are bit-identical to TransferBatch's.
+func (b *Bus) ChargeBatch(payload []byte, txnBytes, ones, toggles int) error {
+	if err := b.checkBatch(payload, txnBytes); err != nil {
+		return err
+	}
+	b.charge(payload, txnBytes, ones, toggles)
+	return nil
+}
+
+// checkBatch validates a metadata-free batch's geometry against the beat.
+func (b *Bus) checkBatch(payload []byte, txnBytes int) error {
 	if txnBytes <= 0 || txnBytes%b.beatBytes != 0 {
 		return fmt.Errorf("bus: %d-byte transactions do not fill %d-byte beats", txnBytes, b.beatBytes)
 	}
 	if len(payload)%txnBytes != 0 {
 		return fmt.Errorf("bus: %d payload bytes do not divide into %d-byte transactions", len(payload), txnBytes)
 	}
-	n := len(payload) / txnBytes
-	if n == 0 {
-		return nil
+	return nil
+}
+
+// charge is TransferBatch and ChargeBatch once the batch's own counts are
+// known.
+func (b *Bus) charge(payload []byte, txnBytes, ones, toggles int) {
+	if len(payload) == 0 {
+		return
 	}
 	if len(b.lastData) != b.beatBytes {
 		b.lastData = make([]byte, b.beatBytes)
@@ -38,16 +64,14 @@ func (b *Bus) TransferBatch(payload []byte, txnBytes int) error {
 		_, boundary := onesAndToggles(payload[:b.beatBytes], b.lastData)
 		b.stats.DataToggles += boundary
 	}
-	ones, toggles := onesAndBeatToggles(payload, b.beatBytes)
 	b.stats.DataOnes += ones
 	b.stats.DataToggles += toggles
 	copy(b.lastData, payload[len(payload)-b.beatBytes:])
 	b.haveState = true
 
-	b.stats.Transactions += n
+	b.stats.Transactions += len(payload) / txnBytes
 	b.stats.Beats += len(payload) / b.beatBytes
 	b.stats.DataBits += len(payload) * 8
-	return nil
 }
 
 // TransferRecords drives len(records)/(txnBytes+metaBytes) back-to-back

@@ -496,17 +496,14 @@ func xorWords(dst, a, b []byte) {
 	}
 }
 
-// encodeUniversal32x3 is the whole-transaction Universal kernel for the
-// paper's dominant shape: a 32-byte sector through 3 halving stages (Table
-// II). The entire transaction lives in four uint64 registers; every stage's
-// ZDR symbol detection is one or two word compares, exactly the parallel
-// comparator tree of Fig 10. Stage constants are the defaults (0x40 00 …),
-// whose little-endian word form is just 0x40. out must not alias src.
-func encodeUniversal32x3(out, src []byte, zdr bool) {
-	w0 := binary.LittleEndian.Uint64(src)
-	w1 := binary.LittleEndian.Uint64(src[8:])
-	w2 := binary.LittleEndian.Uint64(src[16:])
-	w3 := binary.LittleEndian.Uint64(src[24:])
+// universal32x3 is the whole-transaction Universal kernel for the paper's
+// dominant shape: a 32-byte sector through 3 halving stages (Table II). The
+// entire transaction lives in four uint64 registers (w0 holds bytes 0-7,
+// little-endian); every stage's ZDR symbol detection is one or two word
+// compares, exactly the parallel comparator tree of Fig 10. Stage constants
+// are the defaults (0x40 00 …), whose little-endian word form is just 0x40.
+// Encode, EncodeBatch and EncodeTally all run it.
+func universal32x3(w0, w1, w2, w3 uint64, zdr bool) (e0, e1, e2, e3 uint64) {
 	const k = uint64(zdrConstByte)
 	// Stage 1: 16-byte halves, base (w0,w1), constant (k,0).
 	o2, o3 := w2^w0, w3^w1
@@ -536,13 +533,10 @@ func encodeUniversal32x3(out, src []byte, zdr bool) {
 			oh = lo
 		}
 	}
-	binary.LittleEndian.PutUint64(out, uint64(lo)|uint64(oh)<<32)
-	binary.LittleEndian.PutUint64(out[8:], o1)
-	binary.LittleEndian.PutUint64(out[16:], o2)
-	binary.LittleEndian.PutUint64(out[24:], o3)
+	return uint64(lo) | uint64(oh)<<32, o1, o2, o3
 }
 
-// decodeUniversal32x3 inverts encodeUniversal32x3, unwinding the stages
+// decodeUniversal32x3 inverts universal32x3, unwinding the stages
 // innermost-first. dst must not alias enc.
 func decodeUniversal32x3(dst, enc []byte, zdr bool) {
 	e0 := binary.LittleEndian.Uint64(enc)

@@ -156,7 +156,12 @@ func (c *Universal) Encode(dst *Encoded, src []byte) error {
 // EncodeBatch uses it to amortize the plan resolution over a whole batch.
 func (c *Universal) encodeResolved(out, src []byte) {
 	if c.fast32 {
-		encodeUniversal32x3(out, src, c.ZDR)
+		e0, e1, e2, e3 := universal32x3(binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:]),
+			binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:]), c.ZDR)
+		binary.LittleEndian.PutUint64(out, e0)
+		binary.LittleEndian.PutUint64(out[8:], e1)
+		binary.LittleEndian.PutUint64(out[16:], e2)
+		binary.LittleEndian.PutUint64(out[24:], e3)
 		return
 	}
 	copy(out, src)

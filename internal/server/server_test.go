@@ -318,12 +318,37 @@ func TestConnectionLimit(t *testing.T) {
 }
 
 // TestHandshakeRejectsUnknownScheme verifies the error path a client sees
-// for a scheme the registry does not know.
+// for a scheme the registry does not know, and for a geometry the stream's
+// encode entry rejects: the open probe refuses it at the handshake and at
+// a StreamOpen alike, before any batch.
 func TestHandshakeRejectsUnknownScheme(t *testing.T) {
 	srv := startServer(t, testConfig())
 	_, err := client.Dial(srv.Addr(), "turbo-xor", 32)
 	if !errors.Is(err, client.ErrServer) || !strings.Contains(err.Error(), "unknown scheme") {
 		t.Fatalf("Dial = %v, want unknown-scheme refusal", err)
+	}
+
+	// 32-byte transactions do not fill the 3-byte beats of a 24-bit
+	// channel; 24-byte ones do.
+	cfg := testConfig()
+	cfg.ChannelWidthBits = 24
+	odd := startServer(t, cfg)
+	const refusal = "cannot serve 32-byte transactions on a 24-bit channel"
+	if _, err := client.Dial(odd.Addr(), "universal", 32); !errors.Is(err, client.ErrServer) || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("Dial = %v, want a refusal that says it %s", err, refusal)
+	}
+	r := dialRaw(t, odd.Addr(), "universal", 24)
+	open, err := trace.MarshalStreamOpen(trace.StreamOpen{ID: 1, TxnSize: 32, Scheme: "universal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.send(trace.FrameStreamOpen, open)
+	ft, body := r.recv()
+	if ft != trace.FrameStreamOpenOK {
+		t.Fatalf("StreamOpen answered with frame %#x (%q)", ft, body)
+	}
+	if ok, err := trace.ParseStreamOpenOK(body); err != nil || ok.Status != trace.StreamRefused || !strings.Contains(ok.Msg, refusal) {
+		t.Fatalf("StreamOpenOK = %+v err %v, want a refusal that says it %s", ok, err, refusal)
 	}
 }
 

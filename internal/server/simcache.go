@@ -28,6 +28,14 @@ type simCaches struct {
 	saved  bool
 }
 
+// cachesScheme reports whether schemeName's streams, whose records carry
+// metaBits side-band bits, are served through a similarity cache: the tier
+// is enabled, the scheme's Encode is a pure function of the transaction
+// bytes, and its records are data bytes alone.
+func (s *Server) cachesScheme(schemeName string, metaBits int) bool {
+	return s.cfg.SimCache.Enabled && scheme.Cacheable(schemeName) && metaBits == 0
+}
+
 // simCacheFor returns the cache for a (scheme, txnBytes) session, creating
 // and snapshot-warming it on first use. It returns nil — meaning "serve
 // without a cache" — when the tier is disabled, the scheme is not a pure
@@ -38,10 +46,10 @@ type simCaches struct {
 // serves it replies with data bytes alone. No cacheable scheme carries
 // metadata (TestCacheable), so the rule turns no served stream away.
 func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcache.Cache {
-	cfg := s.cfg.SimCache
-	if !cfg.Enabled || !scheme.Cacheable(schemeName) || metaBits != 0 {
+	if !s.cachesScheme(schemeName, metaBits) {
 		return nil
 	}
+	cfg := s.cfg.SimCache
 	key := simCacheKey{schemeName, txnBytes}
 	s.sc.mu.Lock()
 	defer s.sc.mu.Unlock()
