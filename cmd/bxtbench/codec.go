@@ -102,7 +102,7 @@ func benchPayload(rng *rand.Rand, n int) []byte {
 
 func benchCodec(name string, txnBytes int) (codecResult, error) {
 	res := codecResult{Scheme: name, TxnBytes: txnBytes}
-	mk := func() (core.Codec, error) { return scheme.Build(name, scheme.DefaultOptions()) }
+	mk := func() (core.Codec, error) { return scheme.New(name) }
 	if _, err := mk(); err != nil {
 		return res, err
 	}

@@ -10,17 +10,17 @@
 //	bxtd -log-level debug -log-format json # structured logs to stderr
 //	bxtd -debug=false                      # disable /debug/pprof, /debug/events, /debug/trace, /debug/poison
 //	bxtd -chaos seed=7,corrupt=0.01        # fault drill: sabotage own serving path
-//	bxtd -simcache -simcache-snapshot /var/lib/bxtd/sim  # similarity cache + warm restarts
+//	bxtd -simcache                         # serve repeats from the similarity cache
 //	bxtd -schemes                          # list servable scheme names
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes,
 // /healthz flips to 503 draining, in-flight batches complete, then it
-// exits. With -state-dir set, sessions on snapshottable schemes persist
-// their codec state there as they close during the drain. For
-// zero-downtime rollouts, POST /drain on the metrics port first: the
-// daemon turns lame-duck (health 503, new connections refused) while
-// established sessions keep serving, so a fronting bxtproxy live-migrates
-// pinned stateful sessions to other backends before the SIGTERM lands.
+// exits. It writes nothing to disk: codec state and cache contents end
+// with the process. For zero-downtime rollouts, POST /drain on the metrics
+// port first: the daemon turns lame-duck (health 503, new connections
+// refused) while established sessions keep serving, so a fronting bxtproxy
+// live-migrates pinned stateful sessions to other backends before the
+// SIGTERM lands.
 package main
 
 import (
@@ -48,9 +48,6 @@ func main() {
 	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", cfg.ReadTimeout, "per-frame read deadline")
 	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-frame write deadline")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "shutdown drain budget")
-	flag.StringVar(&cfg.DefaultScheme, "scheme", cfg.DefaultScheme, `scheme served when clients ask for "default"`)
-	flag.IntVar(&cfg.BaseSize, "base", cfg.BaseSize, "element size in bytes for Base+XOR family schemes")
-	flag.IntVar(&cfg.Stages, "stages", cfg.Stages, "halving stages for the universal scheme")
 	flag.IntVar(&cfg.ChannelWidthBits, "width", cfg.ChannelWidthBits, "channel width in bits")
 	flag.StringVar(&cfg.LogLevel, "log-level", cfg.LogLevel, "log level: debug, info, warn, error")
 	flag.StringVar(&cfg.LogFormat, "log-format", cfg.LogFormat, "log handler: text or json")
@@ -62,14 +59,12 @@ func main() {
 	flag.IntVar(&cfg.MaxPending, "max-pending", cfg.MaxPending, "batches waiting for workers before immediate shedding")
 	flag.IntVar(&cfg.StreamLimit, "stream-limit", cfg.StreamLimit, "logical streams allowed per multiplexed connection")
 	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", cfg.TraceBuffer, "batch spans retained by /debug/trace")
-	flag.StringVar(&cfg.StateDir, "state-dir", cfg.StateDir, "directory for drain-time session state snapshots (empty disables)")
 	chaos := flag.String("chaos", "", "self-sabotage for fault drills: inject faults per this spec, e.g. seed=7,corrupt=0.01,panic=0.001 (keys: seed, corrupt, drop, truncate, delay, delay-ms, stall, stall-ms, err, panic)")
 	flag.BoolVar(&cfg.SimCache.Enabled, "simcache", cfg.SimCache.Enabled, "serve repeated and near-repeated transactions from the similarity cache (deterministic schemes only)")
 	flag.IntVar(&cfg.SimCache.Capacity, "simcache-capacity", cfg.SimCache.Capacity, "similarity cache entries per (scheme, txn-size) instance (0 selects the default)")
 	flag.IntVar(&cfg.SimCache.Threshold, "simcache-threshold", cfg.SimCache.Threshold, "Hamming bits below which a cached transaction counts as a near-duplicate (0 selects the default)")
 	flag.IntVar(&cfg.SimCache.Bands, "simcache-bands", cfg.SimCache.Bands, "LSH bands cut from the transaction signature (0 selects the default)")
 	flag.IntVar(&cfg.SimCache.Shards, "simcache-shards", cfg.SimCache.Shards, "independently locked similarity cache shards (0 selects the default)")
-	flag.StringVar(&cfg.SimCache.SnapshotPath, "simcache-snapshot", cfg.SimCache.SnapshotPath, "base path for similarity cache warm-restart snapshots (empty disables persistence)")
 	listSchemes := flag.Bool("schemes", false, "list servable scheme names")
 	flag.Parse()
 
@@ -107,7 +102,6 @@ func main() {
 	logger.Info("serving",
 		"addr", srv.Addr(),
 		"metrics_addr", srv.MetricsAddr(),
-		"default_scheme", cfg.DefaultScheme,
 		"debug", cfg.Debug)
 	if inj != nil {
 		logger.Warn("chaos mode: injecting faults into own serving path", "spec", *chaos)

@@ -79,9 +79,9 @@ func verifyStream(t *testing.T, s *client.Session, dec core.Codec, seed int64, b
 
 func muxDecoder(t *testing.T, name string) core.Codec {
 	t.Helper()
-	dec, err := scheme.Build(name, config.DefaultServer().SchemeOptions())
+	dec, err := scheme.New(name)
 	if err != nil {
-		t.Fatalf("scheme.Build(%s): %v", name, err)
+		t.Fatalf("scheme.New(%s): %v", name, err)
 	}
 	return dec
 }

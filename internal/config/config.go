@@ -172,9 +172,9 @@ func (l Listener) Validate() error {
 }
 
 // Server configures the bxtd encoding gateway: the connection host, the
-// worker pool bounding concurrent batch encodes, per-connection limits,
-// and the codec constructor parameters used when a session names a
-// parameterized scheme family.
+// worker pool bounding concurrent batch encodes and per-connection limits.
+// Codec parameters are not configured here: each scheme name fixes them
+// (see package scheme), so every peer that names a scheme agrees on it.
 type Server struct {
 	Listener
 	// Workers bounds how many batches encode concurrently across all
@@ -183,13 +183,6 @@ type Server struct {
 	// BatchLimit is the maximum transaction count accepted per batch
 	// frame, advertised to clients in the handshake.
 	BatchLimit int
-	// DefaultScheme is the codec used when a client's Hello names the
-	// empty scheme.
-	DefaultScheme string
-	// BaseSize and Stages parameterize the Base+XOR scheme families (see
-	// scheme.Options).
-	BaseSize int
-	Stages   int
 	// ChannelWidthBits is the modeled bus width for per-session wire
 	// activity accounting.
 	ChannelWidthBits int
@@ -214,11 +207,6 @@ type Server struct {
 	// at once; StreamOpen frames beyond it are refused (the connection
 	// itself stays up).
 	StreamLimit int
-	// StateDir, when non-empty, is where sessions on snapshottable schemes
-	// persist their codec state as they close during a drain, so a
-	// stateful fleet rollout leaves recoverable state behind instead of
-	// discarding it. Empty disables drain-time persistence.
-	StateDir string
 	// SimCache configures the similarity-aware transcoding cache tier.
 	SimCache SimCache
 }
@@ -245,10 +233,6 @@ type SimCache struct {
 	Bands int
 	// Shards is the lock-sharding factor; 0 selects the simcache default.
 	Shards int
-	// SnapshotPath, when non-empty, is where the gateway persists cache
-	// snapshots on shutdown and warms from on start. The path is extended
-	// with the scheme name and transaction size per cache instance.
-	SnapshotPath string
 }
 
 // Validate reports the first similarity-cache configuration error, or nil.
@@ -273,16 +257,13 @@ func (s SimCache) Validate() error {
 	return nil
 }
 
-// DefaultServer returns the gateway's default configuration: the paper's
-// codec parameters on the Table I channel, 8 workers, 256 connections.
+// DefaultServer returns the gateway's default configuration: the Table I
+// channel, 8 workers, 256 connections.
 func DefaultServer() Server {
 	return Server{
 		Listener:         defaultListener("127.0.0.1:9650", "127.0.0.1:9651"),
 		Workers:          8,
 		BatchLimit:       4096,
-		DefaultScheme:    "universal",
-		BaseSize:         4,
-		Stages:           3,
 		ChannelWidthBits: TitanX().ChannelWidthBits,
 		SlowBatch:        250 * time.Millisecond,
 		EventBuffer:      256,
@@ -291,11 +272,6 @@ func DefaultServer() Server {
 		MaxPending:       32,
 		StreamLimit:      4096,
 	}
-}
-
-// SchemeOptions returns the codec constructor parameters of s.
-func (s Server) SchemeOptions() scheme.Options {
-	return scheme.Options{BaseSize: s.BaseSize, Stages: s.Stages}
 }
 
 // Validate reports the first configuration error, or nil.
@@ -308,12 +284,6 @@ func (s Server) Validate() error {
 	}
 	if s.BatchLimit <= 0 {
 		return fmt.Errorf("config: batch limit %d is not positive", s.BatchLimit)
-	}
-	if !scheme.Known(s.DefaultScheme) {
-		return fmt.Errorf("config: unknown default scheme %q", s.DefaultScheme)
-	}
-	if err := s.SchemeOptions().Validate(); err != nil {
-		return fmt.Errorf("config: %w", err)
 	}
 	if s.ChannelWidthBits <= 0 || s.ChannelWidthBits%8 != 0 {
 		return fmt.Errorf("config: channel width %d is not a positive multiple of 8", s.ChannelWidthBits)

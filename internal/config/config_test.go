@@ -35,11 +35,6 @@ func TestServerValidate(t *testing.T) {
 		mutate  func(*Server)
 		wantSub string
 	}{
-		{"bad scheme name", func(s *Server) { s.DefaultScheme = "turbo-xor" }, "unknown default scheme"},
-		{"empty scheme name", func(s *Server) { s.DefaultScheme = "" }, "unknown default scheme"},
-		{"zero base size", func(s *Server) { s.BaseSize = 0 }, "base size"},
-		{"negative base size", func(s *Server) { s.BaseSize = -2 }, "base size"},
-		{"negative stage count", func(s *Server) { s.Stages = -1 }, "stage count"},
 		{"empty listen addr", func(s *Server) { s.ListenAddr = "" }, "listen address"},
 		{"empty metrics addr", func(s *Server) { s.MetricsAddr = "" }, "metrics address"},
 		{"zero workers", func(s *Server) { s.Workers = 0 }, "worker count"},
@@ -60,6 +55,7 @@ func TestServerValidate(t *testing.T) {
 		{"negative fault budget", func(s *Server) { s.FaultBudget = -1 }, "fault budget"},
 		{"zero admit timeout", func(s *Server) { s.AdmitTimeout = 0 }, "admit timeout"},
 		{"zero pending limit", func(s *Server) { s.MaxPending = 0 }, "pending batch limit"},
+		{"zero stream limit", func(s *Server) { s.StreamLimit = 0 }, "stream limit"},
 		{"negative simcache capacity", func(s *Server) {
 			s.SimCache = SimCache{Enabled: true, Capacity: -1}
 		}, "simcache capacity"},
@@ -150,7 +146,7 @@ func TestSimCacheValidate(t *testing.T) {
 	if err := (SimCache{Enabled: true}).Validate(); err != nil {
 		t.Errorf("enabled simcache with defaults rejected: %v", err)
 	}
-	if err := (SimCache{Enabled: true, Capacity: 1024, Threshold: 8, Bands: 32, Shards: 4, SnapshotPath: "/tmp/x"}).Validate(); err != nil {
+	if err := (SimCache{Enabled: true, Capacity: 1024, Threshold: 8, Bands: 32, Shards: 4}).Validate(); err != nil {
 		t.Errorf("fully specified simcache rejected: %v", err)
 	}
 }

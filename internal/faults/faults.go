@@ -131,8 +131,10 @@ func (c Config) withDefaults() Config {
 // ParseSpec parses the compact key=value spec the -chaos flags accept,
 // e.g. "seed=7,corrupt=0.01,drop=0.005,stall=0.01,stall-ms=200,panic=0.001".
 // Keys: seed, corrupt, drop, truncate, delay, delay-ms, stall, stall-ms,
-// err, panic, snap-corrupt, snap-truncate, snap-stall, stream-drop,
-// stream-interleave, stream-target.
+// err, panic, snap-corrupt, snap-truncate, snap-stall. The stream faults
+// have no key: only a connection wrapped with WrapStreamConn injects them,
+// and no daemon wraps its connections so; they are drilled by tests that
+// build a Config directly.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	for _, field := range strings.Split(spec, ",") {
@@ -188,12 +190,6 @@ func ParseSpec(spec string) (Config, error) {
 				c.SnapTruncateRate = rate
 			case "snap-stall":
 				c.SnapStallRate = rate
-			case "stream-drop":
-				c.StreamDropRate = rate
-			case "stream-interleave":
-				c.StreamInterleaveRate = rate
-			case "stream-target":
-				c.StreamTarget = int64(rate)
 			default:
 				return Config{}, fmt.Errorf("faults: unknown spec key %q", key)
 			}

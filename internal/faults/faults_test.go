@@ -30,7 +30,10 @@ func TestParseSpec(t *testing.T) {
 	if cfg, err := ParseSpec(""); err != nil || cfg != (Config{}) {
 		t.Errorf("empty spec = (%+v, %v), want zero config", cfg, err)
 	}
-	for _, bad := range []string{"corrupt", "corrupt=x", "corrupt=1.5", "warp=0.1", "seed=abc", "stall-ms=-1"} {
+	// The stream faults are reachable only through WrapStreamConn, which
+	// no daemon applies, so a spec naming them would arm nothing.
+	for _, bad := range []string{"corrupt", "corrupt=x", "corrupt=1.5", "warp=0.1", "seed=abc", "stall-ms=-1",
+		"stream-drop=1", "stream-interleave=0.5", "stream-target=7"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
 		}

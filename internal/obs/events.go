@@ -106,15 +106,9 @@ const (
 	// EventSlowClient is a session torn down because a reply write
 	// exhausted the write deadline (the peer stopped reading).
 	EventSlowClient = "slow_client"
-	// EventSimcacheWarm is a similarity cache warmed from a snapshot at
-	// creation; Txns carries the entry count.
-	EventSimcacheWarm = "simcache_warm"
-	// EventSimcacheSnapshot is a similarity cache persisted to its
-	// snapshot path at shutdown; Txns carries the entry count.
-	EventSimcacheSnapshot = "simcache_snapshot"
 	// EventSimcacheError is a similarity-cache failure the gateway
 	// degraded around: an unbuildable geometry for a session's
-	// transaction size, or a snapshot that failed to load or save.
+	// transaction size.
 	EventSimcacheError = "simcache_error"
 	// EventStateSnapshot is one session codec state serialized and handed
 	// out over a StateSnapshot admin frame; Batches carries the sequence
@@ -132,9 +126,6 @@ const (
 	// StreamClose, or by the gateway killing a stream that exhausted its
 	// fault budget while the connection kept serving its siblings.
 	EventStreamClose = "stream_close"
-	// EventStatePersist is a stateful session's codec state written to the
-	// state directory as the session closed during a drain.
-	EventStatePersist = "state_persist"
 )
 
 // EventBuffer retains the most recent events in a fixed ring. It is safe

@@ -221,7 +221,7 @@ func TestProxyChaosEndToEnd(t *testing.T) {
 		t.Fatalf("post-restore dial: %v", err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	verifySession(t, c, buildDecoder(t, "universal", bcfg), rng, 10, 8)
+	verifySession(t, c, buildDecoder(t, "universal"), rng, 10, 8)
 	c.Close()
 	after := backendMetric(t, httpGet(t, metricsURL), "bxtproxy_backend_batches_total", victimAddr)
 	if after <= before {
@@ -239,7 +239,7 @@ func chaosSession(addr, schemeName string, bcfg config.Server, batches, batchSiz
 		return client.RetryStats{}, 0, fmt.Errorf("dial: %w", err)
 	}
 	defer c.Close()
-	dec, err := scheme.Build(schemeName, bcfg.SchemeOptions())
+	dec, err := scheme.New(schemeName)
 	if err != nil {
 		return c.RetryStats(), 0, err
 	}

@@ -40,7 +40,7 @@ func TestCompatMatrix(t *testing.T) {
 			}
 			defer c.Close()
 			rng := rand.New(rand.NewSource(44))
-			verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 5, 8)
+			verifySession(t, c, buildDecoder(t, "basexor"), rng, 5, 8)
 		})
 	}
 }

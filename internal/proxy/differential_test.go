@@ -35,7 +35,7 @@ func TestRegistryDifferential(t *testing.T) {
 			// element geometry, then a deterministic shuffle into
 			// read/write transactions.
 			rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
-			elem := bcfg.BaseSize
+			const elem = 4 // the registry's Base+XOR element width
 			payloads := testutil.Payloads(rng, txnSize, elem, core.DefaultZDRConst(elem))
 			var txns []trace.Transaction
 			for i, p := range payloads {
@@ -52,7 +52,7 @@ func TestRegistryDifferential(t *testing.T) {
 			if len(direct) != len(proxied) {
 				t.Fatalf("direct path returned %d records, proxied %d", len(direct), len(proxied))
 			}
-			dec := buildDecoder(t, name, bcfg)
+			dec := buildDecoder(t, name)
 			decoded := make([]byte, txnSize)
 			for i := range direct {
 				if !bytes.Equal(direct[i].Data, proxied[i].Data) || !bytes.Equal(direct[i].Meta, proxied[i].Meta) {

@@ -61,7 +61,7 @@ func TestBackendDrainZeroDowntime(t *testing.T) {
 			t.Fatalf("client %d: DialConfig: %v", i, err)
 		}
 		t.Cleanup(func() { c.Close() })
-		sessions = append(sessions, sess{c, buildDecoder(t, "bdenc", bcfg), rand.New(rand.NewSource(int64(500 + i)))})
+		sessions = append(sessions, sess{c, buildDecoder(t, "bdenc"), rand.New(rand.NewSource(int64(500 + i)))})
 	}
 	for _, s := range sessions {
 		if bumps := verifySession(t, s.c, s.dec, s.rng, 6, batchSize); bumps != 0 {
@@ -120,7 +120,7 @@ func TestBackendDrainZeroDowntime(t *testing.T) {
 		t.Fatalf("post-drain DialConfig: %v", err)
 	}
 	defer c.Close()
-	verifySession(t, c, buildDecoder(t, "bdenc", bcfg), rand.New(rand.NewSource(900)), 2, batchSize)
+	verifySession(t, c, buildDecoder(t, "bdenc"), rand.New(rand.NewSource(900)), 2, batchSize)
 	exp = httpGet(t, metricsURL)
 	if got := backendMetric(t, exp, "bxtproxy_backend_pinned_sessions", victim); got != 0 {
 		t.Errorf("draining backend accepted a new pin (%v pinned)", got)

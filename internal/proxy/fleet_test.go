@@ -30,7 +30,7 @@ func TestFleetAddRemoveBackend(t *testing.T) {
 		t.Fatalf("dial through proxy: %v", err)
 	}
 	defer c.Close()
-	dec := buildDecoder(t, "bdenc", bcfg)
+	dec := buildDecoder(t, "bdenc")
 	rng := rand.New(rand.NewSource(17))
 	if bumps := verifySession(t, c, dec, rng, 5, 8); bumps != 0 {
 		t.Fatalf("epoch bumps before any fleet change = %d, want 0", bumps)

@@ -138,9 +138,9 @@ func TestEjectedPinMigratesStateSeamlessly(t *testing.T) {
 		t.Fatalf("DialConfig: %v", err)
 	}
 	defer c.Close()
-	dec, err := scheme.Build("bdenc", config.DefaultServer().SchemeOptions())
+	dec, err := scheme.New("bdenc")
 	if err != nil {
-		t.Fatalf("scheme.Build: %v", err)
+		t.Fatalf("scheme.New: %v", err)
 	}
 
 	pinVerifyRound(t, c, dec, 0)
@@ -206,9 +206,9 @@ func TestEjectedPinTransferFailureForcesCodecReset(t *testing.T) {
 		t.Fatalf("DialConfig: %v", err)
 	}
 	defer c.Close()
-	dec, err := scheme.Build("bdenc", config.DefaultServer().SchemeOptions())
+	dec, err := scheme.New("bdenc")
 	if err != nil {
-		t.Fatalf("scheme.Build: %v", err)
+		t.Fatalf("scheme.New: %v", err)
 	}
 
 	pinVerifyRound(t, c, dec, 0)
@@ -274,9 +274,9 @@ func TestKilledPinRecoversFromShadow(t *testing.T) {
 		t.Fatalf("DialConfig: %v", err)
 	}
 	defer c.Close()
-	dec, err := scheme.Build("bdenc", config.DefaultServer().SchemeOptions())
+	dec, err := scheme.New("bdenc")
 	if err != nil {
-		t.Fatalf("scheme.Build: %v", err)
+		t.Fatalf("scheme.New: %v", err)
 	}
 
 	pinVerifyRound(t, c, dec, 0)

@@ -110,7 +110,7 @@ func TestProbePoolSafety(t *testing.T) {
 				return err
 			}
 			defer c.Close()
-			dec, err := scheme.Build("universal", bcfg.SchemeOptions())
+			dec, err := scheme.New("universal")
 			if err != nil {
 				return err
 			}
@@ -147,7 +147,7 @@ func TestProbePoolSafety(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("Open(%s): %w", name, err)
 				}
-				dec, err := scheme.Build(name, bcfg.SchemeOptions())
+				dec, err := scheme.New(name)
 				if err != nil {
 					return err
 				}

@@ -199,11 +199,11 @@ func checkedBatch(c transcoder, dec core.Codec, epoch *uint64, txns []trace.Tran
 	return nil
 }
 
-func buildDecoder(t *testing.T, name string, srvCfg config.Server) core.Codec {
+func buildDecoder(t *testing.T, name string) core.Codec {
 	t.Helper()
-	dec, err := scheme.Build(name, srvCfg.SchemeOptions())
+	dec, err := scheme.New(name)
 	if err != nil {
-		t.Fatalf("scheme.Build(%s): %v", name, err)
+		t.Fatalf("scheme.New(%s): %v", name, err)
 	}
 	return dec
 }
@@ -228,7 +228,7 @@ func TestProxyRelay(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 10, 16)
+	verifySession(t, c, buildDecoder(t, "basexor"), rng, 10, 16)
 
 	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
 	if got := backendMetric(t, exp, "bxtproxy_backend_batches_total", srv.Addr()); got != 10 {
@@ -283,7 +283,7 @@ func TestProxyFaultPathLedger(t *testing.T) {
 	defer c.Close()
 	raw := dialRawBurst(t, px.Addr())
 	rng := rand.New(rand.NewSource(5))
-	dec := buildDecoder(t, "basexor", bcfg)
+	dec := buildDecoder(t, "basexor")
 	verifySession(t, c, dec, rng, 5, 16)
 	time.Sleep(600 * time.Millisecond) // past the backend's idle timeout
 	verifySession(t, c, dec, rng, 5, 16)
@@ -440,7 +440,7 @@ func TestStatelessRetryAvoidsFaultingBackend(t *testing.T) {
 	defer c.Close()
 	// Ten batches stay below the faulting backend's per-stream fault
 	// budget, so it never kills the upstream stream.
-	verifySession(t, c, buildDecoder(t, "universal", bcfg), rand.New(rand.NewSource(3)), 10, 16)
+	verifySession(t, c, buildDecoder(t, "universal"), rand.New(rand.NewSource(3)), 10, 16)
 	if got := c.RetryStats().BatchErrors; got == 0 {
 		t.Error("no batch reached the faulting backend; the test proved nothing")
 	}
@@ -466,7 +466,7 @@ func TestProxyStatelessSpread(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(2))
-	verifySession(t, c, buildDecoder(t, "universal", bcfg), rng, 30, 8)
+	verifySession(t, c, buildDecoder(t, "universal"), rng, 30, 8)
 
 	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
 	for _, a := range addrs {
@@ -495,7 +495,7 @@ func TestProxyPinnedSession(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(3))
-	verifySession(t, c, buildDecoder(t, "bdenc", bcfg), rng, 30, 8)
+	verifySession(t, c, buildDecoder(t, "bdenc"), rng, 30, 8)
 
 	exp := httpGet(t, "http://"+px.MetricsAddr()+"/metrics")
 	served, pinnedGauge := 0, 0.0
@@ -532,7 +532,7 @@ func TestProxyFailoverStateless(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(4))
-	dec := buildDecoder(t, "basexor", bcfg)
+	dec := buildDecoder(t, "basexor")
 	verifySession(t, c, dec, rng, 10, 8)
 
 	if err := srvA.Close(); err != nil {
@@ -569,7 +569,7 @@ func TestProxyFailoverPinned(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(5))
-	dec := buildDecoder(t, "bdenc", bcfg)
+	dec := buildDecoder(t, "bdenc")
 	verifySession(t, c, dec, rng, 10, 8)
 
 	// Find and kill the backend the session pinned to.
@@ -653,7 +653,7 @@ func TestProxyDrain(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(7))
-	verifySession(t, c, buildDecoder(t, "basexor", bcfg), rng, 3, 8)
+	verifySession(t, c, buildDecoder(t, "basexor"), rng, 3, 8)
 
 	done := make(chan error, 1)
 	go func() { done <- px.Close() }()

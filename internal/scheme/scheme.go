@@ -1,13 +1,13 @@
 // Package scheme is the repository's codec registry: it maps stable,
 // CLI/wire-safe scheme names ("universal", "basexor", "dbi1", …) to codec
 // constructors so every entry point — the bxtencode CLI, the bxtd encoding
-// gateway, the bxtload generator — agrees on one namespace and one set of
-// constructor parameters.
+// gateway, the bxtload generator — agrees on one namespace.
 //
-// Names are case-sensitive and never contain spaces; parameterized families
-// (Base+XOR base size, Universal stage count) read their parameters from an
-// Options value so a deployment can retune them in one place (the Server
-// config section) without inventing new names.
+// Names are case-sensitive and never contain spaces. Each name fixes its
+// codec's parameters, as the paper's encoder and decoder are fixed at design
+// time (4-byte bases, 3 Universal stages for 32-byte transactions): a BXTP
+// Hello carries only the name, so another configuration is another name, as
+// "2b" and "8b" are.
 package scheme
 
 import (
@@ -36,37 +36,10 @@ type Stateful interface {
 	Restore(r io.Reader) error
 }
 
-// Options carries the constructor parameters of the parameterized scheme
-// families. The zero value is invalid; start from DefaultOptions.
-type Options struct {
-	// BaseSize is the Base+XOR element width in bytes ("basexor", "2b",
-	// "4b", "8b" ignore it; "silent" and "basexor" honour it only through
-	// the dedicated names below). It must be positive.
-	BaseSize int
-	// Stages is the Universal Base+XOR halving stage count. It must be
-	// non-negative; 3 matches the paper's 32-byte hardware (Table II).
-	Stages int
-}
-
-// DefaultOptions returns the paper's evaluated configuration: 4-byte bases
-// and 3 halving stages.
-func DefaultOptions() Options { return Options{BaseSize: 4, Stages: 3} }
-
-// Validate reports whether o can construct every registered scheme.
-func (o Options) Validate() error {
-	if o.BaseSize <= 0 {
-		return fmt.Errorf("scheme: base size %d is not positive", o.BaseSize)
-	}
-	if o.Stages < 0 {
-		return fmt.Errorf("scheme: stage count %d is negative", o.Stages)
-	}
-	return nil
-}
-
 // entry is one registry row: a constructor plus the properties a serving
 // tier needs to route sessions safely.
 type entry struct {
-	build func(o Options) core.Codec
+	build func() core.Codec
 	// decodeStateful marks schemes whose Decode depends on the order of
 	// previously encoded transactions (bdenc's repository, fve's adaptive
 	// table). Their whole session must stay on one codec instance; a
@@ -96,24 +69,22 @@ type entry struct {
 // fresh, Reset instance; stateful codecs (bdenc, fve, dbi) must not be
 // shared between streams.
 var builders = map[string]entry{
-	"baseline": {build: func(Options) core.Codec { return core.Identity{} }, cacheable: true},
-	"basexor":  {build: func(o Options) core.Codec { return core.NewBaseXOR(o.BaseSize) }, cacheable: true},
-	"2b":       {build: func(Options) core.Codec { return core.NewBaseXOR(2) }, cacheable: true},
-	"4b":       {build: func(Options) core.Codec { return core.NewBaseXOR(4) }, cacheable: true},
-	"8b":       {build: func(Options) core.Codec { return core.NewBaseXOR(8) }, cacheable: true},
-	"silent":   {build: func(o Options) core.Codec { return core.NewSILENT(o.BaseSize) }, cacheable: true},
-	"universal": {build: func(o Options) core.Codec {
-		return core.NewUniversal(o.Stages)
-	}, cacheable: true},
-	"dbi":   {build: func(Options) core.Codec { return dbi.New(1) }, stateful: true},
-	"dbi1":  {build: func(Options) core.Codec { return dbi.New(1) }, stateful: true},
-	"dbi2":  {build: func(Options) core.Codec { return dbi.New(2) }, stateful: true},
-	"dbi4":  {build: func(Options) core.Codec { return dbi.New(4) }, stateful: true},
-	"bdenc": {build: func(Options) core.Codec { return bdenc.New() }, decodeStateful: true, stateful: true},
-	"bd":    {build: func(Options) core.Codec { return bdenc.New() }, decodeStateful: true, stateful: true},
-	"fve":   {build: func(Options) core.Codec { return fve.New() }, decodeStateful: true, stateful: true},
-	"universal+dbi1": {build: func(o Options) core.Codec {
-		return core.NewChain(core.NewUniversal(o.Stages), dbi.New(1))
+	"baseline":  {build: func() core.Codec { return core.Identity{} }, cacheable: true},
+	"basexor":   {build: func() core.Codec { return core.NewBaseXOR(4) }, cacheable: true},
+	"2b":        {build: func() core.Codec { return core.NewBaseXOR(2) }, cacheable: true},
+	"4b":        {build: func() core.Codec { return core.NewBaseXOR(4) }, cacheable: true},
+	"8b":        {build: func() core.Codec { return core.NewBaseXOR(8) }, cacheable: true},
+	"silent":    {build: func() core.Codec { return core.NewSILENT(4) }, cacheable: true},
+	"universal": {build: func() core.Codec { return core.NewUniversal(3) }, cacheable: true},
+	"dbi":       {build: func() core.Codec { return dbi.New(1) }, stateful: true},
+	"dbi1":      {build: func() core.Codec { return dbi.New(1) }, stateful: true},
+	"dbi2":      {build: func() core.Codec { return dbi.New(2) }, stateful: true},
+	"dbi4":      {build: func() core.Codec { return dbi.New(4) }, stateful: true},
+	"bdenc":     {build: func() core.Codec { return bdenc.New() }, decodeStateful: true, stateful: true},
+	"bd":        {build: func() core.Codec { return bdenc.New() }, decodeStateful: true, stateful: true},
+	"fve":       {build: func() core.Codec { return fve.New() }, decodeStateful: true, stateful: true},
+	"universal+dbi1": {build: func() core.Codec {
+		return core.NewChain(core.NewUniversal(3), dbi.New(1))
 	}},
 }
 
@@ -125,8 +96,7 @@ func Known(name string) bool {
 
 // DecodeStateful reports whether decoding name's output depends on the
 // order of previously encoded transactions, so the whole session must be
-// served by one codec instance. Unknown names (including the "default"
-// alias, which only a gateway can resolve) report true: a router that
+// served by one codec instance. Unknown names report true: a router that
 // cannot prove a scheme safe to spread must fail toward pinning.
 func DecodeStateful(name string) bool {
 	e, ok := builders[name]
@@ -197,18 +167,6 @@ func (s seqBatch) EncodeBatch(dst []core.Encoded, src []byte, n, txnBytes int) e
 	return nil
 }
 
-// Batched reports whether name's codec natively implements
-// core.BatchEncoder, i.e. whether batch calls run the mega-kernel fast path
-// rather than the sequential fallback. Unknown names report false.
-func Batched(name string) bool {
-	e, ok := builders[name]
-	if !ok {
-		return false
-	}
-	_, ok = e.build(DefaultOptions()).(core.BatchEncoder)
-	return ok
-}
-
 // Names returns the registered scheme names in sorted order.
 func Names() []string {
 	out := make([]string, 0, len(builders))
@@ -219,17 +177,11 @@ func Names() []string {
 	return out
 }
 
-// Build constructs a fresh codec for name with the given options.
-func Build(name string, o Options) (core.Codec, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+// New constructs a fresh codec for name.
+func New(name string) (core.Codec, error) {
 	e, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("scheme: unknown scheme %q", name)
 	}
-	return e.build(o), nil
+	return e.build(), nil
 }
-
-// New constructs a fresh codec for name with DefaultOptions.
-func New(name string) (core.Codec, error) { return Build(name, DefaultOptions()) }

@@ -46,14 +46,11 @@ func TestRoundTripAllSchemes(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := New("no-such-scheme"); err == nil {
-		t.Error("New(no-such-scheme) succeeded, want error")
-	}
-	if _, err := Build("universal", Options{BaseSize: 0, Stages: 3}); err == nil {
-		t.Error("Build with zero base size succeeded, want error")
-	}
-	if _, err := Build("universal", Options{BaseSize: 4, Stages: -1}); err == nil {
-		t.Error("Build with negative stages succeeded, want error")
+	// No name aliases another: "default" is unknown like any other.
+	for _, name := range []string{"no-such-scheme", "default"} {
+		if _, err := New(name); err == nil {
+			t.Errorf("New(%q) succeeded, want error", name)
+		}
 	}
 }
 
@@ -98,9 +95,9 @@ func TestCacheable(t *testing.T) {
 		// bxtd gives a similarity cache only to metadata-free streams, so
 		// a cacheable scheme that carried metadata would silently lose it.
 		if Cacheable(name) {
-			c, err := Build(name, DefaultOptions())
+			c, err := New(name)
 			if err != nil {
-				t.Fatalf("Build(%q): %v", name, err)
+				t.Fatalf("New(%q): %v", name, err)
 			}
 			if m32, m64 := c.MetaBits(32), c.MetaBits(64); m32 != 0 || m64 != 0 {
 				t.Errorf("cacheable %q carries metadata: MetaBits(32) = %d, MetaBits(64) = %d", name, m32, m64)
@@ -250,10 +247,9 @@ func TestStatefulSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatched checks the native-batch capability map and the BatchEncoder
-// adapter: natively batched codecs come back as themselves, everything else
-// gets the sequential fallback, and the fallback's output is byte-identical
-// to per-transaction Encode on a twin instance.
+// TestBatched checks which codecs natively implement core.BatchEncoder and
+// the BatchEncoder adapter: natively batched codecs come back as themselves
+// and everything else gets the sequential fallback.
 func TestBatched(t *testing.T) {
 	want := map[string]bool{
 		"baseline": false, "basexor": true, "2b": true, "4b": true,
@@ -267,21 +263,17 @@ func TestBatched(t *testing.T) {
 			t.Errorf("scheme %q has no expected batched value; classify it here", name)
 			continue
 		}
-		if got := Batched(name); got != exp {
-			t.Errorf("Batched(%q) = %v, want %v", name, got, exp)
-		}
 		c, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		be := BatchEncoder(c)
 		_, native := c.(core.BatchEncoder)
-		if _, fallback := be.(seqBatch); native == fallback {
+		if native != exp {
+			t.Errorf("%q natively batched = %v, want %v", name, native, exp)
+		}
+		if _, fallback := BatchEncoder(c).(seqBatch); native == fallback {
 			t.Errorf("%q: BatchEncoder adapter mismatch (native %v, fallback %v)", name, native, fallback)
 		}
-	}
-	if Batched("bogus") {
-		t.Error("Batched(bogus) = true, want false")
 	}
 }
 

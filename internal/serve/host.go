@@ -92,9 +92,6 @@ type Tier[S Session] struct {
 	// Events, when non-nil, records the host's conn_refused and
 	// drain_begin lifecycle events.
 	Events *obs.EventBuffer
-	// Drained, when non-nil, runs at the end of every Shutdown, once every
-	// session has wound down.
-	Drained func()
 }
 
 // Host is one tier's connection host.
@@ -186,7 +183,7 @@ func (h *Host[S]) Start() error {
 func (h *Host[S]) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if h.Refusing() {
+		if h.refusing() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -197,7 +194,7 @@ func (h *Host[S]) mux() *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		e := obs.Expo{W: w, Prefix: h.tier.MetricsPrefix}
 		d := int64(0)
-		if h.Refusing() {
+		if h.refusing() {
 			d = 1
 		}
 		e.Int(obs.FamDraining, "", d)
@@ -248,9 +245,9 @@ func (h *Host[S]) MetricsAddr() string {
 	return h.httpLn.Addr().String()
 }
 
-// Refusing reports whether the host is turning away new sessions and
+// refusing reports whether the host is turning away new sessions and
 // health probes: draining or lame-duck.
-func (h *Host[S]) Refusing() bool {
+func (h *Host[S]) refusing() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.draining.Load() || h.lameduck
@@ -459,9 +456,9 @@ func (h *Host[S]) Shutdown(ctx context.Context) error {
 			}
 		}
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		h.mu.Lock()
 		for _, conn := range h.sessions {
@@ -469,12 +466,8 @@ func (h *Host[S]) Shutdown(ctx context.Context) error {
 		}
 		h.mu.Unlock()
 		<-done
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	if h.tier.Drained != nil {
-		h.tier.Drained()
-	}
-	return err
 }
 
 // Close releases everything: a drain bounded by DrainTimeout, then the

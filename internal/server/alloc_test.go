@@ -94,7 +94,7 @@ func TestTranscodeReplyReuse(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	dec, err := scheme.Build("universal", srv.cfg.SchemeOptions())
+	dec, err := scheme.New("universal")
 	if err != nil {
 		t.Fatal(err)
 	}

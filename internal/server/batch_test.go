@@ -52,7 +52,7 @@ func TestBatchPathMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newBenchStream(t, tc.scheme, tc.txnSize)
 			srv := st.ss.srv
-			ref, err := scheme.Build(tc.scheme, srv.cfg.SchemeOptions())
+			ref, err := scheme.New(tc.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,9 +141,9 @@ type encodeReference struct {
 	txnSize, metaN int
 }
 
-func newEncodeReference(t testing.TB, name string, opts scheme.Options, txnSize, width int) *encodeReference {
+func newEncodeReference(t testing.TB, name string, txnSize, width int) *encodeReference {
 	t.Helper()
-	codec, err := scheme.Build(name, opts)
+	codec, err := scheme.New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestEncodeAllMatchesBatchAccounting(t *testing.T) {
 					if fused := st.tally != nil; fused != (name == "universal" && txnSize == 32 && width != 128) {
 						t.Fatalf("encode-and-count kernel in use: %v", fused)
 					}
-					ref := newEncodeReference(t, name, cfg.SchemeOptions(), txnSize, width)
+					ref := newEncodeReference(t, name, txnSize, width)
 					rng := rand.New(rand.NewSource(int64(width)))
 					for _, n := range []int{1, 2, 63, batchBlockTxns + 1, 300} {
 						kinds := encodeBatchKinds(rng, n, txnSize)
@@ -280,7 +280,7 @@ func FuzzEncodeAll(f *testing.F) {
 		cfg := testConfig()
 		cfg.ChannelWidthBits = width
 		st := newConfigStream(t, cfg, name, 32)
-		ref := newEncodeReference(t, name, cfg.SchemeOptions(), 32, width)
+		ref := newEncodeReference(t, name, 32, width)
 		checkEncodeAll(t, st, ref, n, data)
 		checkEncodeAll(t, st, ref, n, data)
 	})

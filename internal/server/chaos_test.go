@@ -143,7 +143,7 @@ func soakSession(srv *Server, schemeName string, txnsTotal, batchSize, txnSize i
 	}
 	defer c.Close()
 
-	dec, err := scheme.Build(schemeName, srv.cfg.SchemeOptions())
+	dec, err := scheme.New(schemeName)
 	if err != nil {
 		return c.RetryStats(), err
 	}

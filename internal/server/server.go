@@ -96,9 +96,7 @@ func New(cfg config.Server) (*Server, error) {
 			s.met.writeExposition(w)
 			s.writeSimcacheMetrics(w)
 		},
-		Events: s.events,
-		// Every session has wound down, so no insert races the snapshot.
-		Drained:     s.saveSimCaches,
+		Events:      s.events,
 		StreamLimit: cfg.StreamLimit,
 		Traces:      s.met.traces,
 		Stages:      s.met.stages,
@@ -204,10 +202,10 @@ func (s *Server) newSession(conn net.Conn, id uint64) *session {
 
 // Shutdown drains the gateway: it stops accepting, flips /healthz to
 // draining, interrupts idle session reads, lets in-flight batches complete
-// and flush, waits for every session to close, and then saves the
-// similarity-cache snapshots. The metrics endpoint stays up (reporting the
-// draining state) until Close. Shutdown returns ctx's error if the drain
-// does not finish in time, after force-closing the stragglers.
+// and flush, and waits for every session to close. The metrics endpoint
+// stays up (reporting the draining state) until Close. Shutdown returns
+// ctx's error if the drain does not finish in time, after force-closing
+// the stragglers.
 func (s *Server) Shutdown(ctx context.Context) error { return s.host.Shutdown(ctx) }
 
 // Close releases everything, including the metrics endpoint. It is safe to

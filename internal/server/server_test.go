@@ -374,7 +374,7 @@ func TestIdleClientTimedOut(t *testing.T) {
 // TestServerConfigRejected verifies New surfaces validation errors.
 func TestServerConfigRejected(t *testing.T) {
 	cfg := testConfig()
-	cfg.DefaultScheme = "nope"
+	cfg.Workers = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted invalid config")
 	}

@@ -68,15 +68,8 @@ func (ss *session) Serve() {
 	ss.streams.Serve(&ss.in, ss.dispatch)
 	ss.noteWriteFailure()
 
-	// A drain closed this session out from under its client; leave the
-	// codec state on disk so it can be recovered rather than lost.
 	var batches uint64
-	ss.streams.Each(func(st *stream) {
-		batches += st.batches
-		if st.stateful != nil && ss.srv.cfg.StateDir != "" && ss.srv.host.Refusing() {
-			st.persistState()
-		}
-	})
+	ss.streams.Each(func(st *stream) { batches += st.batches })
 
 	ss.log.Info("session closed",
 		"batches", batches, "streams", ss.streams.Len(),

@@ -20,12 +20,10 @@ type simCacheKey struct {
 }
 
 // simCaches is the gateway's similarity-cache registry: instances are
-// created lazily at session handshake (warming from their snapshot, if one
-// exists) and persisted back at shutdown.
+// created lazily at session handshake and live as long as the process.
 type simCaches struct {
 	mu     sync.Mutex
 	caches map[simCacheKey]*simcache.Cache
-	saved  bool
 }
 
 // cachesScheme reports whether schemeName's streams, whose records carry
@@ -37,10 +35,10 @@ func (s *Server) cachesScheme(schemeName string, metaBits int) bool {
 }
 
 // simCacheFor returns the cache for a (scheme, txnBytes) session, creating
-// and snapshot-warming it on first use. It returns nil — meaning "serve
-// without a cache" — when the tier is disabled, the scheme is not a pure
-// function of the transaction bytes, or the geometry cannot band this
-// transaction size; the gateway always degrades to plain encoding.
+// it on first use. It returns nil — meaning "serve without a cache" — when
+// the tier is disabled, the scheme is not a pure function of the
+// transaction bytes, or the geometry cannot band this transaction size; the
+// gateway always degrades to plain encoding.
 // metaBits is the scheme's side-band width at this transaction size: only
 // metadata-free streams get a cache, because the simcache.Encoder that
 // serves it replies with data bytes alone. No cacheable scheme carries
@@ -72,63 +70,8 @@ func (s *Server) simCacheFor(schemeName string, txnBytes, metaBits int) *simcach
 		s.sc.caches[key] = nil
 		return nil
 	}
-	if path := s.simSnapshotPath(key); path != "" {
-		n, err := c.LoadFile(path)
-		switch {
-		case err != nil:
-			// Load degraded the cache to cold; keep serving.
-			s.log.Warn("simcache snapshot rejected; starting cold", "path", path, "err", err)
-			s.events.Add(obs.Event{Type: obs.EventSimcacheError, Scheme: schemeName, Detail: err.Error()})
-		case n > 0:
-			s.log.Info("simcache warmed from snapshot", "scheme", schemeName, "txn_bytes", txnBytes, "entries", n)
-			s.events.Add(obs.Event{Type: obs.EventSimcacheWarm, Scheme: schemeName, Txns: n, Detail: path})
-		}
-	}
 	s.sc.caches[key] = c
 	return c
-}
-
-// simSnapshotPath derives one cache instance's snapshot file from the
-// configured base path, so every (scheme, txnBytes) cache persists
-// independently.
-func (s *Server) simSnapshotPath(key simCacheKey) string {
-	base := s.cfg.SimCache.SnapshotPath
-	if base == "" {
-		return ""
-	}
-	return fmt.Sprintf("%s.%s.%d", base, key.scheme, key.txnBytes)
-}
-
-// saveSimCaches persists every live cache to its snapshot path. Called once
-// at the end of the drain, when no session is inserting anymore.
-func (s *Server) saveSimCaches() {
-	if s.cfg.SimCache.SnapshotPath == "" {
-		return
-	}
-	s.sc.mu.Lock()
-	if s.sc.saved {
-		s.sc.mu.Unlock()
-		return
-	}
-	s.sc.saved = true
-	caches := make(map[simCacheKey]*simcache.Cache, len(s.sc.caches))
-	for k, c := range s.sc.caches {
-		caches[k] = c
-	}
-	s.sc.mu.Unlock()
-	for key, c := range caches {
-		if c == nil {
-			continue
-		}
-		path := s.simSnapshotPath(key)
-		if err := c.SaveFile(path); err != nil {
-			s.log.Warn("simcache snapshot save failed", "path", path, "err", err)
-			s.events.Add(obs.Event{Type: obs.EventSimcacheError, Scheme: key.scheme, Detail: err.Error()})
-			continue
-		}
-		s.log.Info("simcache snapshot saved", "path", path, "entries", c.Len())
-		s.events.Add(obs.Event{Type: obs.EventSimcacheSnapshot, Scheme: key.scheme, Txns: c.Len(), Detail: path})
-	}
 }
 
 // writeSimcacheMetrics renders the similarity-cache series of the /metrics

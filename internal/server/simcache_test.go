@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -190,51 +188,6 @@ func testSimcacheReplay(t *testing.T, off *Server, txnSize, total int) {
 		case pass == 3 && (near != evictions || near > float64(total)/100):
 			t.Errorf("pass 3: %v near hits and %v evictions; want every variant an exact hit but for a few colliding pairs", near, evictions)
 		}
-	}
-}
-
-// TestSimcacheWarmRestart proves the snapshot round trip through the
-// gateway lifecycle: a first server populates its cache and persists it on
-// shutdown; a second server with the same configuration warms from the
-// snapshot and serves the same trace without a single miss.
-func TestSimcacheWarmRestart(t *testing.T) {
-	const (
-		txnSize = 32
-		total   = 2000
-	)
-	cfg := testConfig()
-	cfg.SimCache.Enabled = true
-	cfg.SimCache.SnapshotPath = filepath.Join(t.TempDir(), "simcache.snap")
-	txns := makeHotTxns(7, total, txnSize, 0)
-
-	first := startServer(t, cfg)
-	firstReplies := streamRecords(t, first.Addr(), "4b", txns, txnSize)
-	if err := first.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	// Each cache persists to <path>.<scheme>.<size>, and the save leaves
-	// nothing else behind.
-	dir := filepath.Dir(cfg.SimCache.SnapshotPath)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "simcache.snap.4b.32" {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("shutdown left %q in the snapshot directory, want just simcache.snap.4b.32", names)
-	}
-
-	second := startServer(t, cfg)
-	secondReplies := streamRecords(t, second.Addr(), "4b", txns, txnSize)
-	if !bytes.Equal(firstReplies, secondReplies) {
-		t.Fatal("warm-restarted replies differ from the first run")
-	}
-	body := httpGet(t, "http://"+second.MetricsAddr()+"/metrics")
-	if misses := simMetric(t, body, "bxtd_simcache_misses_total", "4b", txnSize); misses != 0 {
-		t.Errorf("warm-restarted cache missed %v times; the snapshot must cover the whole trace", misses)
 	}
 }
 

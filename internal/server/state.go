@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 
 	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/trace"
@@ -122,26 +120,4 @@ func (st *stream) restoreState(state []byte) error {
 		return fmt.Errorf("state blob has %d trailing bytes", r.Len())
 	}
 	return nil
-}
-
-// persistState writes the session's state blob into the configured state
-// directory as the session winds down during a drain, so a stateful
-// session's accumulated stream state survives a fleet rollout instead of
-// being discarded with the process.
-func (st *stream) persistState() {
-	var buf bytes.Buffer
-	if err := st.snapshotState(&buf); err != nil {
-		st.log(slog.LevelWarn, "drain-time state persist failed", "err", err)
-		return
-	}
-	path := filepath.Join(st.ss.srv.cfg.StateDir, fmt.Sprintf("session-%d-%s.state", st.ss.id, st.schemeName))
-	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
-		st.log(slog.LevelWarn, "drain-time state persist failed", "path", path, "err", err)
-		return
-	}
-	st.log(slog.LevelInfo, "state persisted", "path", path, "bytes", buf.Len(), "batches", st.batches)
-	st.ss.srv.events.Add(obs.Event{
-		Type: obs.EventStatePersist, Session: st.ss.id, Scheme: st.schemeName,
-		Batches: st.batches, Detail: path,
-	})
 }

@@ -3,12 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -209,48 +206,4 @@ func TestDrainLameDuck(t *testing.T) {
 	if seq != 2 {
 		t.Fatalf("lame-duck snapshot at sequence %d, want 2", seq)
 	}
-}
-
-// TestDrainPersistsState proves the drain-time escape hatch: with
-// -state-dir set, a stateful session interrupted by shutdown writes its
-// codec state to disk — and the file is a valid restore blob a fresh
-// backend accepts.
-func TestDrainPersistsState(t *testing.T) {
-	const txnSize = 32
-	cfg := testConfig()
-	cfg.StateDir = t.TempDir()
-	srv := startServer(t, cfg)
-
-	r := dialRaw(t, srv.Addr(), "bdenc", txnSize)
-	r.transcode(1, stateTxns(1, 8, txnSize), txnSize)
-	r.transcode(2, stateTxns(2, 8, txnSize), txnSize)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	files, err := filepath.Glob(filepath.Join(cfg.StateDir, "session-*-bdenc.state"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("state files = %v (err %v), want exactly one", files, err)
-	}
-	blob, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatalf("reading persisted state: %v", err)
-	}
-	if len(blob) == 0 {
-		t.Fatal("persisted state is empty")
-	}
-
-	// The persisted blob restores into a fresh backend.
-	srv2 := startServer(t, testConfig())
-	nr := dialRaw(t, srv2.Addr(), "bdenc", txnSize)
-	status, seq, msg := nr.stateAck(trace.FrameStateRestore, trace.MarshalStateRestore(2, blob))
-	if status != trace.StateOK {
-		t.Fatalf("restoring persisted state: status %d (%s), want StateOK", status, msg)
-	}
-	if seq != 2 {
-		t.Fatalf("restore acked sequence %d, want 2", seq)
-	}
-	nr.transcode(3, stateTxns(3, 8, txnSize), txnSize)
 }

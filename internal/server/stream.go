@@ -92,12 +92,8 @@ type stream struct {
 // zero-transaction probe, chaos wrapping, and metric/histogram resolution.
 // It does not register the stream with the session; the caller does, once
 // the open is answered.
-func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stream, error) {
-	name := schemeName
-	if name == "default" {
-		name = ss.srv.cfg.DefaultScheme
-	}
-	codec, err := scheme.Build(name, ss.srv.cfg.SchemeOptions())
+func (ss *session) openStream(sid uint32, name string, txnSize int) (*stream, error) {
+	codec, err := scheme.New(name)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSession, err)
 	}

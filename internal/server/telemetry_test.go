@@ -25,7 +25,7 @@ import (
 // loop beyond the codec and bus models themselves.
 func replayWire(t *testing.T, cfg config.Server, schemeName string, txns []trace.Transaction, txnSize int) (base, enc bus.Stats) {
 	t.Helper()
-	codec, err := scheme.Build(schemeName, cfg.SchemeOptions())
+	codec, err := scheme.New(schemeName)
 	if err != nil {
 		t.Fatalf("Build(%s): %v", schemeName, err)
 	}

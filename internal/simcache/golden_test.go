@@ -8,6 +8,28 @@ import (
 	"github.com/hpca18/bxt/internal/workload"
 )
 
+// rebuild empties c and re-inserts what it held, each shard's entries oldest
+// first, shard by shard: every table is rebuilt through Insert in recency
+// order. Re-inserting resets each entry's reference bit and re-files it in
+// fresh tables, so it is not an identity; TestGoldenHotSetTrace's pinned
+// values include one rebuild mid-trace.
+func rebuild(c *Cache) {
+	type entry struct{ src, data, meta []byte }
+	var held []entry
+	for s := range c.shards {
+		sh := &c.shards[s]
+		for i := sh.tail; i != none; i = sh.slab[i].prev {
+			data, meta := sh.record(i)
+			held = append(held, entry{appendWords(nil, sh.sig(i)), bytes.Clone(data), bytes.Clone(meta)})
+		}
+	}
+	c.Clear()
+	var p Probe
+	for _, e := range held {
+		c.Insert(&p, e.src, e.data, e.meta)
+	}
+}
+
 // TestGoldenHotSetTrace replays a fixed hot-set trace through two small
 // caches, serving each transaction the way the gateway does (Lookup, then
 // Insert when the probe admits it), and pins the final Stats plus a digest
@@ -47,16 +69,7 @@ func TestGoldenHotSetTrace(t *testing.T) {
 			digest := uint64(fnvOffset64)
 			for op := 0; op < 60000; op++ {
 				if op == 30000 {
-					// Round-trip through a snapshot mid-trace: Load rebuilds
-					// every table through Insert, in the saved recency order.
-					var buf bytes.Buffer
-					if err := c.Save(&buf); err != nil {
-						t.Fatal(err)
-					}
-					c.Clear()
-					if _, err := c.Load(&buf); err != nil {
-						t.Fatal(err)
-					}
+					rebuild(c)
 				}
 				hot.Fill(src, rng)
 				res := c.Lookup(&p, src)

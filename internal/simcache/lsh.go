@@ -7,9 +7,8 @@ package simcache
 // key matches exactly and the entry appears in a probed bucket — the
 // standard multi-index pigeonhole argument for Hamming space.
 
-// FNV-1a over 64-bit chunks: cheap, deterministic across processes (snapshot
-// warm restarts must rebuild identical tables), and good enough dispersion
-// for bucket keys.
+// FNV-1a over 64-bit chunks: cheap, deterministic across processes, and
+// good enough dispersion for bucket keys.
 const (
 	fnvOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3

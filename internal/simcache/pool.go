@@ -82,8 +82,8 @@ func (p *Probe) loadSignature(c *Cache, src []byte) {
 	}
 }
 
-// probePool recycles Probes for transient callers (benchmarks, snapshot
-// loading); long-lived sessions should simply hold their own Probe.
+// probePool recycles Probes for transient callers (benchmarks); long-lived
+// sessions should simply hold their own Probe.
 var probePool = sync.Pool{New: func() any { return new(Probe) }}
 
 // GetProbe returns a pooled Probe.

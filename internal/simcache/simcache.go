@@ -403,8 +403,7 @@ func New(cfg Config) (*Cache, error) {
 		cfg:   cfg,
 		words: cfg.TxnBytes / 8,
 		// A record has room for one metadata bit per data byte. The cap
-		// keeps both record lengths within their uint16 fields, and the
-		// snapshot format's.
+		// keeps both record lengths within their uint16 fields.
 		stride:   min(cfg.TxnBytes+cfg.TxnBytes/8, 0xFFFF),
 		bandBits: cfg.TxnBytes * 8 / cfg.Bands,
 		shards:   make([]shard, cfg.Shards),

@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,8 +9,8 @@ import (
 )
 
 // TestConcurrentStress pounds a deliberately tiny cache from many goroutines
-// so lookups, inserts, evictions and snapshot saves constantly interleave on
-// the same shards; run under -race (as CI does) this is the concurrency
+// so lookups, inserts and evictions constantly interleave on the same
+// shards; run under -race (as CI does) this is the concurrency
 // proof for the per-shard locking.
 func TestConcurrentStress(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -51,18 +50,6 @@ func TestConcurrentStress(t *testing.T) {
 			}
 		}(g)
 	}
-	// A concurrent saver exercises snapshot serialization against churn.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			if err := c.Save(&buf); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 
 	checkInvariants(t, c)

@@ -143,38 +143,6 @@ func TestSummaryConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSummarySurvivesSnapshot checks that a warm-loaded cache recomputes
-// summaries through the Insert path, so restarts keep the accounting fast
-// path.
-func TestSummarySurvivesSnapshot(t *testing.T) {
-	c, err := New(Config{TxnBytes: 32, ChannelWidthBits: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := GetProbe()
-	defer PutProbe(p)
-	src := make([]byte, 32)
-	enc := make([]byte, 32)
-	rand.New(rand.NewSource(5)).Read(src)
-	copy(enc, src)
-	c.Insert(p, src, enc, nil)
-
-	path := t.TempDir() + "/snap"
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := New(Config{TxnBytes: 32, ChannelWidthBits: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := warm.LoadFile(path); err != nil || n != 1 {
-		t.Fatalf("LoadFile = (%d, %v), want (1, nil)", n, err)
-	}
-	if res := warm.Lookup(p, src); res != HitExact || !p.HasSums {
-		t.Fatalf("warm lookup = %v, HasSums = %v; want exact hit with summaries", res, p.HasSums)
-	}
-}
-
 // TestSummaryLookupZeroAlloc holds the zero-allocation guarantee with
 // summary memoization on: once the probe's buffers warm, an exact hit that
 // copies both summaries out still allocates nothing.

@@ -5,10 +5,9 @@
 // transfer a live session onto a warm replica that continues
 // byte-identically.
 //
-// The framing follows the proven simcache persist layout — magic,
-// version, length, body, trailing CRC-32C — so every component snapshot
-// is self-describing and fully validated before a single byte of state is
-// applied:
+// The framing is magic, version, length, body, trailing CRC-32C, so every
+// component snapshot is self-describing and fully validated before a
+// single byte of state is applied:
 //
 //	magic   [4]byte   component tag ("BXBD", "BXFV", …)
 //	version uint16    component snapshot format revision

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/hpca18/bxt/internal/client"
-	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/trace"
@@ -247,7 +246,7 @@ func isMismatch(err error) bool {
 // each reply decode-mirrored record by record. Returns the transactions
 // confirmed and the epoch bumps (decoder resets) observed.
 func driveStream(cfg Config, s *client.Session, global int, mu *sync.Mutex, res *Result) (txns, bumps uint64, err error) {
-	dec, err := scheme.Build(cfg.Scheme, config.DefaultServer().SchemeOptions())
+	dec, err := scheme.New(cfg.Scheme)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,9 @@
 package swarm_test
 
 import (
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,5 +181,72 @@ func TestSwarmChaos(t *testing.T) {
 	checkSwarm(t, res)
 	if got := inj.Counts().Total(); got == 0 {
 		t.Error("injector fired zero faults; chaos run proved nothing")
+	}
+}
+
+// TestSwarmOpenRetry pins the open retry: a stream whose open fails is
+// opened again after a pause, as a chaotic wire can fail the first dial's
+// handshake. The gateway's listener here drops its first connection before
+// the Hello is answered and relays every later one to a real backend, so
+// exactly one open fails, once, on every run.
+func TestSwarmOpenRetry(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	backend := startBackend(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var relays sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		relays.Wait()
+	})
+	accepted := 0
+	relays.Add(1)
+	go func() {
+		defer relays.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if accepted++; accepted == 1 {
+				conn.Close()
+				continue
+			}
+			up, err := net.Dial("tcp", backend.Addr())
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			for _, pair := range [][2]net.Conn{{up, conn}, {conn, up}} {
+				relays.Add(1)
+				go func(dst, src net.Conn) {
+					defer relays.Done()
+					io.Copy(dst, src)
+					dst.Close()
+					src.Close()
+				}(pair[0], pair[1])
+			}
+		}
+	}()
+
+	res, err := swarm.Run(swarm.Config{
+		Addr:    ln.Addr().String(),
+		Conns:   1,
+		Streams: 4,
+		Client:  client.Config{MaxRetries: 1},
+	})
+	if err != nil {
+		t.Fatalf("swarm.Run: %v", err)
+	}
+	checkSwarm(t, res)
+	if res.Transactions != 4*4 {
+		t.Errorf("confirmed %d transactions, want 16 (4 streams × 1 batch × 4)", res.Transactions)
+	}
+	ln.Close()
+	relays.Wait()
+	if accepted != 2 {
+		t.Errorf("gateway accepted %d connections, want 2: the dropped one and its retry", accepted)
 	}
 }
